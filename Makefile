@@ -3,7 +3,7 @@ GO ?= go
 # Newest committed snapshot is the regression baseline for bench-diff.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: all fmt-check vet build test race race-streams race-shards race-recovery race-warehouse fuzz-smoke bench-smoke bench-snapshot bench-diff ci check
+.PHONY: all fmt-check vet build test race race-streams race-shards race-recovery race-warehouse fuzz-smoke bench-smoke bench-wire-smoke bench-snapshot bench-diff ci check
 
 all: check
 
@@ -59,11 +59,21 @@ race-warehouse:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime=5s ./internal/sqlparse
 
-# One pass over the headline benchmark plus the vectorized-vs-row
-# aggregation pair (allocs/op shows the batch executor's real win) to
-# catch bench-path regressions fast.
+# One pass over the headline benchmark plus the Q1 aggregation (allocs/op
+# shows the batch executor's real cost) to catch bench-path regressions
+# fast.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkPower22_RDBMS$$|BenchmarkAggQ1' -benchtime=1x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkPower22_RDBMS$$|BenchmarkAggQ1$$' -benchtime=1x -benchmem .
+
+# bench/ is its own Go module, so build/vet/test above never compile it:
+# run the benchmark at smoke sizes so an engine API change cannot break it
+# unseen. The run exits non-zero unless every workload's answers are
+# correct; on top of that all five must report no failed operation.
+bench-wire-smoke:
+	@out=$$(bash bench/run.sh -smoke 2>&1) || { echo "$$out"; exit 1; }; \
+	n=$$(echo "$$out" | grep -c 'ops attempted, 0 failed'); \
+	if [ "$$n" -ne 5 ]; then echo "$$out"; echo "bench-wire-smoke: $$n of 5 workloads ran with 0 failed"; exit 1; fi; \
+	echo "bench-wire-smoke: 5/5 workloads correct, 0 failed"
 
 # Full snapshot of the simulated-clock numbers into a committed BENCH_<date>.json.
 bench-snapshot:
@@ -74,6 +84,6 @@ bench-snapshot:
 bench-diff:
 	./scripts/bench_diff.sh $(BENCH_BASELINE)
 
-ci: fmt-check vet race race-streams race-shards race-recovery race-warehouse fuzz-smoke bench-diff
+ci: fmt-check vet race race-streams race-shards race-recovery race-warehouse fuzz-smoke bench-wire-smoke bench-diff
 
-check: vet build race bench-smoke
+check: vet build race bench-smoke bench-wire-smoke

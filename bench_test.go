@@ -253,17 +253,14 @@ func BenchmarkParallelQ6_Deg4(b *testing.B)    { benchQueryParallel(b, 6, 4) }
 func BenchmarkParallelQ12_Serial(b *testing.B) { benchQueryParallel(b, 12, 1) }
 func BenchmarkParallelQ12_Deg4(b *testing.B)   { benchQueryParallel(b, 12, 4) }
 
-// --- Vectorized batch execution (DESIGN.md §10): aggregation-heavy Q1 ---
+// --- The batch executor (DESIGN.md §10): aggregation-heavy Q1 ---
 
-// benchAggQ1 times TPC-D Q1 — a full lineitem scan into an 8-aggregate
-// grouping, the executor's most allocation-heavy shape — and reports
-// allocs/op so `make bench-smoke` can track the batch executor's real
-// (wall-clock) win. Simulated time is identical in both modes by
-// construction; ns/op and allocs/op are the numbers that move.
-func benchAggQ1(b *testing.B, vectorized bool) {
+// BenchmarkAggQ1 times TPC-D Q1 — a full lineitem scan into an
+// 8-aggregate grouping, the executor's most allocation-heavy shape — and
+// reports allocs/op so `make bench-smoke` can track the executor's real
+// (wall-clock) cost beside the simulated time.
+func BenchmarkAggQ1(b *testing.B) {
 	g, rdb, _, _ := benchEnv(b)
-	rdb.SetVectorized(vectorized)
-	defer rdb.SetVectorized(true)
 	impl := tpcd.NewRDBMS(rdb, g)
 	start := int64(impl.Meter().Elapsed())
 	b.ReportAllocs()
@@ -276,9 +273,6 @@ func benchAggQ1(b *testing.B, vectorized bool) {
 	b.StopTimer()
 	simPerOp(b, impl.Meter(), start)
 }
-
-func BenchmarkAggQ1(b *testing.B)             { benchAggQ1(b, true) }
-func BenchmarkAggQ1_RowPipeline(b *testing.B) { benchAggQ1(b, false) }
 
 // --- Multi-join queries, serial: histogram-driven join planning ---
 

@@ -9,7 +9,7 @@
 //
 // Exit status 1 means at least one benchmark's sim_ms grew by more than
 // the threshold percentage, a benchmark's real allocations per operation
-// grew by more than -max-allocs-increase percent (the vectorized
+// grew by more than -max-allocs-increase percent (the batch
 // executor's win is measured in allocs/op; a regression there is a real
 // wall-clock regression even when the simulated clock is unchanged), a
 // front-end benchmark (BenchmarkParse*) in the new snapshot allocates

@@ -50,6 +50,10 @@ type Tree struct {
 	unique  bool
 	entries int64
 	keyByte int64 // total logical key bytes, for size modelling
+	// version counts structural changes (Insert, Delete, BulkBuild). An
+	// Iterator holds the lock only inside Seek and Next; a version it has
+	// not seen tells it that its leaf position may have shifted.
+	version int64
 
 	// lastLeaf models a one-leaf write cache for maintenance I/O: inserts
 	// into the leaf we already hold are free, switching leaves charges.
@@ -178,6 +182,7 @@ func (t *Tree) Insert(key []byte, rid storage.RID, m *cost.Meter) error {
 	if t.unique && i < len(leaf.keys) && bytes.Equal(leaf.keys[i], ek) {
 		return fmt.Errorf("btree: duplicate key %x", key)
 	}
+	t.version++
 	if m != nil {
 		if leaf != t.lastLeaf {
 			m.Charge(cost.RandRead, 1)
@@ -279,6 +284,7 @@ func (t *Tree) BulkBuild(entries []BulkEntry, m *cost.Meter) error {
 	if len(entries) == 0 {
 		return nil
 	}
+	t.version++
 
 	// Pack the leaf level off the sorted run.
 	var leaves []*node
@@ -388,6 +394,7 @@ func (t *Tree) Delete(key []byte, rid storage.RID, m *cost.Meter) error {
 		}
 		m.Charge(cost.TupleCPU, 1)
 	}
+	t.version++
 	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
 	leaf.rids = append(leaf.rids[:i], leaf.rids[i+1:]...)
 	t.entries--
@@ -407,6 +414,12 @@ type Iterator struct {
 	m       *cost.Meter
 	perLeaf int64
 	seen    int64
+	// version is the tree version leaf and idx are valid for; start and
+	// last (the seek key and the last entry returned, nil before the first
+	// Next) are what the position is rebuilt from after a concurrent write.
+	version int64
+	start   []byte
+	last    []byte
 
 	// Key (logical, without RID suffix) and RID are the current entry
 	// after a true Next.
@@ -420,28 +433,43 @@ type Iterator struct {
 func (t *Tree) Seek(start []byte, m *cost.Meter) *Iterator {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	// A logical prefix sorts <= any composite extension of it, so probing
-	// with the raw prefix lands on the first matching composite entry.
-	n := t.root
-	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool {
-			return bytes.Compare(n.keys[i], start) > 0
-		})
-		n = n.children[i]
-	}
-	i := sort.Search(len(n.keys), func(i int) bool {
-		return bytes.Compare(n.keys[i], start) >= 0
-	})
-	if m != nil && !(t.cache != nil && t.cache.touch(n, true)) {
+	it := &Iterator{tree: t, m: m, perLeaf: t.entriesPerLeaf(), start: start}
+	it.position()
+	if m != nil && !(t.cache != nil && t.cache.touch(it.leaf, true)) {
 		m.Charge(cost.RandRead, 1)
 	}
-	return &Iterator{tree: t, leaf: n, idx: i - 1, m: m, perLeaf: t.entriesPerLeaf()}
+	return it
+}
+
+// position places the iterator just before the entry Next must return:
+// the first entry with logical key >= start, or — once entries have been
+// returned — the first entry after the last one returned. The caller holds
+// the tree lock.
+func (it *Iterator) position() {
+	t := it.tree
+	// A logical prefix sorts <= any composite extension of it, so probing
+	// with the raw prefix lands on the first matching composite entry.
+	key, after := it.start, 0
+	if it.last != nil {
+		key, after = it.last, 1
+	}
+	n := t.descend(key)
+	it.leaf = n
+	it.idx = sort.Search(len(n.keys), func(i int) bool {
+		return bytes.Compare(n.keys[i], key) >= after
+	}) - 1
+	it.version = t.version
 }
 
 // Next advances to the next entry, returning false at the end.
 func (it *Iterator) Next() bool {
 	it.tree.mu.RLock()
 	defer it.tree.mu.RUnlock()
+	if it.version != it.tree.version {
+		// A writer got in since the last call: entries may have shifted
+		// within the leaf or moved to a split sibling.
+		it.position()
+	}
 	it.idx++
 	for it.leaf != nil && it.idx >= len(it.leaf.keys) {
 		it.leaf = it.leaf.next
@@ -450,7 +478,8 @@ func (it *Iterator) Next() bool {
 	if it.leaf == nil {
 		return false
 	}
-	it.Key = it.tree.logicalKey(it.leaf.keys[it.idx])
+	it.last = it.leaf.keys[it.idx]
+	it.Key = it.tree.logicalKey(it.last)
 	it.RID = it.leaf.rids[it.idx]
 	it.seen++
 	if it.m != nil {

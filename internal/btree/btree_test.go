@@ -88,6 +88,46 @@ func TestSeekPositioning(t *testing.T) {
 	}
 }
 
+// TestIteratorSurvivesWrites pins that an iterator's position is a key,
+// not a slot: entries deleted, inserted or split away between Seek and
+// Next — another session's writes land there, the lock is only held
+// inside each call — must not make it skip or repeat an entry.
+func TestIteratorSurvivesWrites(t *testing.T) {
+	tr := New(true)
+	for i := 0; i < 100; i += 2 {
+		if err := tr.Insert(key(i), rid(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := func(it *Iterator, want int) {
+		t.Helper()
+		if !it.Next() || !bytes.Equal(it.Key, key(want)) {
+			t.Fatalf("Next = %x, want key %d", it.Key, want)
+		}
+	}
+	it := tr.Seek(key(50), nil)
+	if err := tr.Delete(key(48), rid(48), nil); err != nil { // shifts 50 one slot down
+		t.Fatal(err)
+	}
+	next(it, 50)
+	if err := tr.Insert(key(49), rid(49), nil); err != nil { // shifts 52 one slot up
+		t.Fatal(err)
+	}
+	next(it, 52)
+	for i := 1001; i < 3000; i += 2 { // splits the leaf the iterator sits in, many times
+		if err := tr.Insert(key(i), rid(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Delete(key(52), rid(52), nil); err != nil { // the entry just returned
+		t.Fatal(err)
+	}
+	for want := 54; want < 100; want += 2 {
+		next(it, want)
+	}
+	next(it, 1001)
+}
+
 func TestDelete(t *testing.T) {
 	tr := New(false)
 	m := cost.NewMeter(cost.Default1996())

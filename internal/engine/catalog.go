@@ -149,10 +149,6 @@ type DB struct {
 	peekBinds bool
 	adaptive  bool
 
-	// vectorized runs eligible SELECT pipelines batch-at-a-time (default
-	// on; byte-identical output and meter totals either way — the toggle
-	// exists for the determinism suite and wall-clock ablations).
-	vectorized bool
 	// arrayFetch ships result rows in packets (cost.RowShipBatch) instead
 	// of one RowShip per row. Default off: the paper's Tables 4/5/7 hinge
 	// on tuple-at-a-time shipping (guarded by mu).
@@ -310,16 +306,6 @@ func (db *DB) SetAdaptive(on bool) {
 	db.mu.Unlock()
 }
 
-// SetVectorized toggles batch-at-a-time execution of eligible SELECT
-// pipelines (default on). Output and simulated meter totals are
-// byte-identical either way; the row-at-a-time path remains as the
-// reference implementation and wall-clock baseline.
-func (db *DB) SetVectorized(on bool) {
-	db.mu.Lock()
-	db.vectorized = on
-	db.mu.Unlock()
-}
-
 // SetArrayFetch toggles the array interface: when on, result rows ship to
 // the client in packets of up to cost.ArrayFetchRows, one RowShipBatch
 // charge per packet, instead of one RowShip charge per row. Off (the
@@ -328,12 +314,6 @@ func (db *DB) SetArrayFetch(on bool) {
 	db.mu.Lock()
 	db.arrayFetch = on
 	db.mu.Unlock()
-}
-
-func (db *DB) vectorizedEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.vectorized
 }
 
 // ArrayFetchEnabled reports whether the array interface is on.
@@ -417,7 +397,6 @@ func Open(cfg Config) *DB {
 		ixCache:    ixCache,
 		model:      cfg.CostModel,
 		parallel:   cfg.Parallel,
-		vectorized: true,
 		arrayFetch: cfg.ArrayFetch,
 	}
 	db.cat.Store(&catalog{

@@ -551,16 +551,18 @@ func (s *Session) collectMatches(t *Table, where sqlparse.Expr, params []val.Val
 		return nil, nil, err
 	}
 	rt := &runtime{sess: s, params: params, subCache: make(map[*selectPlan][][]val.Value)}
-	be := &blockExec{rt: rt, row: make([]val.Value, plan.nSlots), state: make(map[stepper]any)}
-	be.stack = rowStack{be.row}
+	be := newBlockExec(rt, nil)
 	var rids []storage.RID
 	var rows [][]val.Value
-	err = runSteps(plan.steps, 0, be, func() error {
+	// Batch capacity 1: each match reaches the sink while be.curRID still
+	// names it.
+	v := newVecRun(plan, be, 1)
+	v.sinkFrame = func() error {
 		rids = append(rids, be.curRID)
 		rows = append(rows, append([]val.Value(nil), be.row...))
 		return nil
-	})
-	if err != nil {
+	}
+	if err = v.drive(); err != nil {
 		return nil, nil, err
 	}
 	return rids, rows, nil

@@ -17,17 +17,33 @@ import (
 // errStopIteration stops a pipeline early (LIMIT, EXISTS) without error.
 var errStopIteration = errors.New("engine: stop iteration")
 
-// blockExec is the per-execution state of one query block: the shared row
-// buffer, the row stack (outer frames + the shared row), and per-step
-// scratch state (hash tables, materialized derived relations).
+// blockExec is the per-execution state of one query block: the row stack
+// (outer frames + the block's current frame) and the hash tables built so
+// far.
 type blockExec struct {
-	rt     *runtime
-	stack  rowStack
-	row    []val.Value
-	state  map[stepper]any
+	rt    *runtime
+	stack rowStack
+	row   []val.Value // the current frame: stack's last element
+	// hashes holds the built side of each hash join, filled on first probe;
+	// parallel lanes share one pre-built, read-only map.
+	hashes map[*hashStep]hashTable
 	curRID storage.RID   // last RID emitted by a scan (single-relation DML)
 	prof   *planProf     // operator spans under ExplainAnalyze; nil otherwise
 	fb     *execFeedback // per-step row counting for adaptive replanning; nil otherwise
+}
+
+// newBlockExec starts a block execution under the given outer frames. The
+// current frame is unset until setRow installs one.
+func newBlockExec(rt *runtime, outer rowStack) *blockExec {
+	be := &blockExec{rt: rt, stack: make(rowStack, len(outer)+1)}
+	copy(be.stack, outer)
+	return be
+}
+
+// setRow installs f as the block's current frame.
+func (be *blockExec) setRow(f []val.Value) {
+	be.row = f
+	be.stack[len(be.stack)-1] = f
 }
 
 // execFeedback accumulates the number of rows each plan step produced
@@ -36,61 +52,20 @@ type execFeedback struct {
 	counts []int64
 }
 
-// stepper is one stage of the left-deep join pipeline. run is invoked once
-// per row produced by the earlier steps; it fills its relation's slots in
-// be.row and calls next for every match.
+// stepper is one stage of the left-deep join pipeline, driven
+// batch-at-a-time by vecRun.push.
 type stepper interface {
+	// bound returns the relation whose slots the step fills in the frame,
+	// nil for a pure filter.
+	bound() *relInfo
+}
+
+// rowStepper is a stepper that works one input frame at a time (index
+// nested-loop join, re-scanning nested loop, left outer join): run fills
+// its relation's slots in be.row and calls next for every match.
+type rowStepper interface {
+	stepper
 	run(be *blockExec, next func() error) error
-}
-
-// runSteps drives the pipeline from step i.
-func runSteps(steps []stepper, i int, be *blockExec, sink func() error) error {
-	if be.prof != nil {
-		return runStepsProf(steps, i, be, sink)
-	}
-	if be.fb != nil {
-		return runStepsFB(steps, i, be, sink)
-	}
-	if i == len(steps) {
-		return sink()
-	}
-	return steps[i].run(be, func() error {
-		return runSteps(steps, i+1, be, sink)
-	})
-}
-
-// runStepsFB is runSteps counting each step's produced rows into
-// be.fb.counts (entering step i+1 means step i produced a row).
-func runStepsFB(steps []stepper, i int, be *blockExec, sink func() error) error {
-	if i == len(steps) {
-		return sink()
-	}
-	return steps[i].run(be, func() error {
-		be.fb.counts[i]++
-		return runStepsFB(steps, i+1, be, sink)
-	})
-}
-
-// runStepsProf is runSteps with per-operator span attribution: step i's
-// work charges its own span, entering step i+1 counts one row produced
-// by step i, and the sink (projection / aggregation input) charges the
-// plan's output span.
-func runStepsProf(steps []stepper, i int, be *blockExec, sink func() error) error {
-	m := be.rt.meter()
-	if i == len(steps) {
-		prev := m.SetSpan(be.prof.output)
-		err := sink()
-		m.SetSpan(prev)
-		return err
-	}
-	sp := be.prof.steps[i]
-	prev := m.SetSpan(sp)
-	err := steps[i].run(be, func() error {
-		sp.AddRows(1)
-		return runStepsProf(steps, i+1, be, sink)
-	})
-	m.SetSpan(prev)
-	return err
 }
 
 // evalFilters evaluates a conjunction; unknown (NULL) is not true.
@@ -118,8 +93,10 @@ type scanStep struct {
 	estOut       float64 // optimizer's estimated output rows
 }
 
+func (s *scanStep) bound() *relInfo { return s.rel }
+
 func (s *scanStep) run(be *blockExec, next func() error) error {
-	return runAccess(be, s.rel, s.access, s.extraFilters, next)
+	return runAccess(be, s.rel, s.access, s.extraFilters, nil, next)
 }
 
 // inlStep probes an index of its relation with equality values taken from
@@ -132,9 +109,11 @@ type inlStep struct {
 	estOut  float64 // optimizer's estimated output rows
 }
 
+func (s *inlStep) bound() *relInfo { return s.rel }
+
 func (s *inlStep) run(be *blockExec, next func() error) error {
 	ap := accessPath{index: s.index, eqFns: s.eqFns}
-	return runAccess(be, s.rel, ap, s.filters, next)
+	return runAccess(be, s.rel, ap, s.filters, nil, next)
 }
 
 // filterStep applies residual predicates without binding a relation.
@@ -142,17 +121,12 @@ type filterStep struct {
 	filters []exprFn
 }
 
-func (s *filterStep) run(be *blockExec, next func() error) error {
-	ok, err := evalFilters(be, s.filters)
-	if err != nil || !ok {
-		return err
-	}
-	return next()
-}
+func (s *filterStep) bound() *relInfo { return nil }
 
 // runAccess streams the relation's rows into be.row under the access path
-// plus extra filters.
-func runAccess(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, next func() error) error {
+// plus extra filters. pages, when set, narrows a heap scan to that page
+// range — one lane's partition of a parallel scan.
+func runAccess(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, pages *[2]int, next func() error) error {
 	if rel.derived != nil {
 		return runDerived(be, rel, ap, extra, next)
 	}
@@ -170,10 +144,14 @@ func runAccess(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, next 
 		be.curRID = rid
 		return next()
 	}
-	if ap.index == nil {
+	switch {
+	case ap.index != nil:
+		return runIndexScan(be, rel, ap, emitRow)
+	case pages != nil:
+		return rel.table.Heap.ScanRange(pages[0], pages[1], be.rt.meter(), emitRow)
+	default:
 		return rel.table.Heap.Scan(be.rt.meter(), emitRow)
 	}
-	return runIndexScan(be, rel, ap, emitRow)
 }
 
 // boundVal normalises an index-scan bound: stored CHAR values are
@@ -341,68 +319,49 @@ type hashStep struct {
 // hashTable is the built side of a hash join.
 type hashTable map[string][][]val.Value
 
-func (s *hashStep) run(be *blockExec, next func() error) error {
-	ht, ok := be.state[s].(hashTable)
-	if !ok {
-		var err error
-		if ht, err = s.build(be); err != nil {
-			return err
-		}
-		be.state[s] = ht
+func (s *hashStep) bound() *relInfo { return s.rel }
+
+// build scans the relation through its access path into a fresh hash table
+// and charges the build.
+func (s *hashStep) build(rt *runtime, outer rowStack, nSlots int) (hashTable, error) {
+	ht := make(hashTable)
+	nRows, err := s.buildInto(ht, rt, outer, nSlots, nil)
+	if err != nil {
+		return nil, err
 	}
-	key := make([]byte, 0, 32)
-	for _, f := range s.probeFns {
-		v, err := f(be.rt, be.stack)
-		if err != nil {
-			return err
-		}
-		key = val.AppendKey(key, v)
-	}
-	m := be.rt.meter()
-	off := s.rel.offset
-	for _, match := range ht[string(key)] {
-		m.Charge(cost.TupleCPU, 1)
-		copy(be.row[off:off+s.rel.nCols], match)
-		ok, err := evalFilters(be, s.filters)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := next(); err != nil {
-			return err
-		}
-	}
-	return nil
+	s.chargeBuild(rt.meter(), nRows)
+	return ht, nil
 }
 
-// build scans the relation through its access path into a hash table,
-// charging spill I/O when the build side exceeds working memory.
-func (s *hashStep) build(be *blockExec) (hashTable, error) {
-	ht := make(hashTable)
-	scratch := make([]val.Value, len(be.row))
-	bstack := append(append(rowStack{}, outerOf(be)...), scratch)
-	bbe := &blockExec{rt: be.rt, stack: bstack, row: scratch, state: be.state}
-	off := s.rel.offset
+// buildInto scans the build relation into ht — through its whole access
+// path, or over one page range of its heap for a lane of a parallel build
+// — and returns the number of rows inserted. Scan charges land on rt's
+// meter; the build itself is charged once, by chargeBuild.
+func (s *hashStep) buildInto(ht hashTable, rt *runtime, outer rowStack, nSlots int, pages *[2]int) (int64, error) {
+	be := newBlockExec(rt, outer)
+	be.setRow(make([]val.Value, nSlots))
+	built := be.row[s.rel.offset : s.rel.offset+s.rel.nCols]
+	var key []byte
 	var nRows int64
-	err := runAccess(bbe, s.rel, s.access, nil, func() error {
-		key := make([]byte, 0, 32)
+	err := runAccess(be, s.rel, s.access, nil, pages, func() error {
+		key = key[:0]
 		for _, f := range s.buildKeyFns {
-			v, err := f(be.rt, bstack)
+			v, err := f(rt, be.stack)
 			if err != nil {
 				return err
 			}
 			key = val.AppendKey(key, v)
 		}
-		ht[string(key)] = append(ht[string(key)], append([]val.Value(nil), scratch[off:off+s.rel.nCols]...))
+		ht[string(key)] = append(ht[string(key)], append([]val.Value(nil), built...))
 		nRows++
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	m := be.rt.meter()
+	return nRows, err
+}
+
+// chargeBuild charges a finished build of nRows rows: per-row CPU, plus
+// spill I/O when the build side exceeds working memory.
+func (s *hashStep) chargeBuild(m *cost.Meter, nRows int64) {
 	m.Charge(cost.TupleCPU, nRows)
 	buildBytes := float64(nRows) * s.rel.rowBytes
 	if buildBytes > workMemBytes {
@@ -411,7 +370,6 @@ func (s *hashStep) build(be *blockExec) (hashTable, error) {
 		m.Charge(cost.PageWrite, pages)
 		m.Charge(cost.SeqRead, pages)
 	}
-	return ht, nil
 }
 
 // --- left outer join step ---
@@ -424,9 +382,11 @@ type outerStep struct {
 	onFilters []exprFn
 }
 
+func (s *outerStep) bound() *relInfo { return s.rel }
+
 func (s *outerStep) run(be *blockExec, next func() error) error {
 	matched := false
-	err := runAccess(be, s.rel, s.access, s.onFilters, func() error {
+	err := runAccess(be, s.rel, s.access, s.onFilters, nil, func() error {
 		matched = true
 		return next()
 	})
@@ -474,8 +434,8 @@ func (s *exactSum) add(x float64) {
 // addTmp is add with a caller-owned scratch operand: tmp must be a
 // big.Float of precision 53, so tmp.SetFloat64(x) represents exactly the
 // value the allocating path would build. The accumulated sum is
-// bit-identical; only the per-addition allocation disappears (the
-// vectorized pipeline reuses one scratch across a whole run).
+// bit-identical; only the per-addition allocation disappears (an
+// accumulator reuses one scratch across a whole run).
 func (s *exactSum) addTmp(x float64, tmp *big.Float) {
 	if s.acc == nil {
 		s.acc = new(big.Float).SetPrec(exactSumPrec)
@@ -505,7 +465,7 @@ func (s *exactSum) value() float64 {
 type aggState struct {
 	count   int64
 	sum     exactSum
-	exp     floatExp // vectorized path: pending exact-sum inputs
+	exp     floatExp // pending exact-sum inputs, poured into sum by flushExp
 	sumInt  int64
 	allInt  bool
 	min     val.Value
@@ -522,15 +482,11 @@ func newAggState(spec aggSpec) aggState {
 	return st
 }
 
-func (st *aggState) add(spec aggSpec, v val.Value) {
-	st.addWith(spec, v, nil)
-}
-
-// addWith is add with an optional reused big.Float scratch for the exact
-// sum (nil falls back to the allocating path). One body serves both the
-// row pipeline and the vectorized one, so the accumulator transitions
-// cannot diverge.
-func (st *aggState) addWith(spec aggSpec, v val.Value, tmp *big.Float) {
+// add folds one input value into the aggregate. tmp is the accumulator's
+// reused big.Float scratch: float sums collect in the pending expansion and
+// reach the exact sum through it. A nil tmp (merging DISTINCT sets) adds
+// to the exact sum directly.
+func (st *aggState) add(spec aggSpec, v val.Value, tmp *big.Float) {
 	if spec.arg != nil && v.IsNull() {
 		return
 	}
@@ -576,7 +532,7 @@ func (st *aggState) merge(spec aggSpec, o *aggState) {
 		// DISTINCT: re-add the other lane's values so cross-lane
 		// duplicates are dropped exactly once.
 		for _, v := range o.seen {
-			st.add(spec, v)
+			st.add(spec, v, nil)
 		}
 		return
 	}
@@ -628,26 +584,25 @@ type outRow struct {
 	sortKey []byte
 }
 
-// projectRow evaluates the plan's projections (and ORDER BY keys, when the
-// plan sorts) over one output frame. Parallel workers call this with their
-// own runtime so projection CPU lands on their lane's meter.
-func (p *selectPlan) projectRow(rt *runtime, frame rowStack) (outRow, error) {
-	r := outRow{proj: make([]val.Value, len(p.projections))}
+// projectInto evaluates the plan's projections (and ORDER BY keys, when
+// the plan sorts) over one output frame into r's pre-sized slices. Lanes
+// call this with their own runtime so projection CPU lands on their meter.
+func (p *selectPlan) projectInto(rt *runtime, frame rowStack, r outRow) error {
 	for i, f := range p.projections {
 		v, err := f(rt, frame)
 		if err != nil {
-			return outRow{}, err
+			return err
 		}
 		r.proj[i] = v
 	}
-	for _, kf := range p.orderKeys {
+	for i, kf := range p.orderKeys {
 		v, err := kf(rt, frame)
 		if err != nil {
-			return outRow{}, err
+			return err
 		}
-		r.keys = append(r.keys, v)
+		r.keys[i] = v
 	}
-	return r, nil
+	return nil
 }
 
 // outputSink is the output phase of a block — DISTINCT dedup, ORDER BY
@@ -674,6 +629,20 @@ func newOutputSink(p *selectPlan, m *cost.Meter, emit func([]val.Value) error) *
 		o.dedup = make(map[string]struct{})
 	}
 	return o
+}
+
+// addFrame projects one finalized group frame into a freshly allocated
+// output row and adds it.
+func (o *outputSink) addFrame(rt *runtime, frame rowStack) error {
+	p := o.p
+	r := outRow{proj: make([]val.Value, len(p.projections))}
+	if len(p.orderKeys) > 0 {
+		r.keys = make([]val.Value, len(p.orderKeys))
+	}
+	if err := p.projectInto(rt, frame, r); err != nil {
+		return err
+	}
+	return o.add(r)
 }
 
 // add routes one projected row through distinct / sort / limit. It returns
@@ -773,43 +742,54 @@ func (p *selectPlan) run(rt *runtime, outer rowStack, emit func([]val.Value) err
 	return p.runSerial(rt, outer, emit, nil)
 }
 
-// runSerial is the single-goroutine pipeline. state, when non-nil, seeds
-// per-step scratch state (pre-built hash tables from a parallel build).
-func (p *selectPlan) runSerial(rt *runtime, outer rowStack, emit func([]val.Value) error, state map[stepper]any) error {
-	if state == nil {
-		state = make(map[stepper]any)
+// batchCap is the block's batch capacity, derived from the plan: a block
+// that can stop early — a correlated block (EXISTS stops it at its first
+// row) or LIMIT without ORDER BY — takes each row from its scan before the
+// next is read, so it charges exactly the work it uses; every other block
+// runs on the growing batch.
+func (p *selectPlan) batchCap() int {
+	if p.correlated || (p.limit >= 0 && len(p.orderKeys) == 0) {
+		return 1
 	}
-	be := &blockExec{
-		rt:    rt,
-		row:   make([]val.Value, p.nSlots),
-		state: state,
-		prof:  rt.planProf(p),
-		fb:    rt.fbFor(p),
-	}
-	be.stack = append(append(rowStack{}, outer...), be.row)
+	return batchSize
+}
 
-	sink := newOutputSink(p, rt.meter(), emit)
-	produce := func(frame rowStack) error {
-		r, err := p.projectRow(rt, frame)
-		if err != nil {
-			return err
-		}
-		return sink.add(r)
-	}
+// runSerial is the single-goroutine pipeline. hashes, when non-nil, holds
+// hash tables pre-built by a parallel build.
+func (p *selectPlan) runSerial(rt *runtime, outer rowStack, emit func([]val.Value) error, hashes map[*hashStep]hashTable) error {
+	be := newBlockExec(rt, outer)
+	be.hashes = hashes
+	be.prof = rt.planProf(p)
+	be.fb = rt.fbFor(p)
+	m := rt.meter()
+	sink := newOutputSink(p, m, emit)
+	v := newVecRun(p, be, p.batchCap())
 
+	var acc *aggAccum
 	var err error
-	switch {
-	case rt.sess.db.vectorizedEnabled() && p.vecEligible(be):
-		err = p.runVec(be, sink, produce, outer)
-	case p.agg == nil:
-		err = runSteps(p.steps, 0, be, func() error {
-			return produce(be.stack)
-		})
-	default:
-		err = p.runAggregated(be, produce, outer)
+	if p.agg != nil {
+		acc, err = v.aggregate()
+	} else {
+		// The sink copies what it emits, so the slab is recycled unless
+		// ORDER BY retains the rows.
+		err = v.project(sink.add, len(p.orderKeys) == 0)
 	}
 	if err != nil && err != errStopIteration {
 		return err
+	}
+	// The pipeline is drained; the rest is the block's output phase.
+	if be.prof != nil {
+		defer m.SetSpan(m.SetSpan(be.prof.output))
+	}
+	if acc != nil {
+		// The engine's grouping is pipelined sort-group (sort, then
+		// aggregate while streaming): sort the input once, no intermediate
+		// materialization — the paper's point of contrast with SAP R/3's
+		// two-phase materialized grouping (Section 4.2).
+		chargeSort(m, acc.nInput, 48)
+		if err := p.finalizeGroups(rt, acc, outer, sink); err != nil && err != errStopIteration {
+			return err
+		}
 	}
 	// Partial execution of a sorting non-aggregate plan: the collected
 	// rows ship unsorted; the coordinator sorts and limits once, above
@@ -818,13 +798,6 @@ func (p *selectPlan) runSerial(rt *runtime, outer rowStack, emit func([]val.Valu
 	if pa := rt.partial; pa != nil && pa.plan == p && p.agg == nil && len(p.orderKeys) > 0 {
 		pa.rows = append(pa.rows, sink.rows...)
 		return nil
-	}
-	if be.prof != nil {
-		m := rt.meter()
-		prev := m.SetSpan(be.prof.output)
-		err = sink.finish()
-		m.SetSpan(prev)
-		return err
 	}
 	return sink.finish()
 }
@@ -838,48 +811,71 @@ type aggAccum struct {
 	groups map[string]*groupAcc
 	order  []string // group keys in first-seen order
 	nInput int64
+	// Scratch reused across every input row: the group-key buffers and the
+	// big.Float operand of the exact-sum additions.
+	keyBuf []byte
+	keys   []val.Value
+	tmp    *big.Float
 }
 
 func newAggAccum(p *selectPlan) *aggAccum {
-	return &aggAccum{p: p, groups: make(map[string]*groupAcc)}
+	return &aggAccum{
+		p:      p,
+		groups: make(map[string]*groupAcc),
+		keys:   make([]val.Value, 0, len(p.agg.groupFns)),
+		tmp:    new(big.Float).SetPrec(53),
+	}
 }
 
 // addRow folds one join-pipeline output row into the accumulator.
 func (a *aggAccum) addRow(rt *runtime, stack rowStack) error {
 	p := a.p
 	a.nInput++
-	key := make([]byte, 0, 32)
-	keys := make([]val.Value, len(p.agg.groupFns))
-	for i, gf := range p.agg.groupFns {
+	key := a.keyBuf[:0]
+	keys := a.keys[:0]
+	for _, gf := range p.agg.groupFns {
 		v, err := gf(rt, stack)
 		if err != nil {
 			return err
 		}
-		keys[i] = v
+		keys = append(keys, v)
 		key = val.AppendKey(key, v)
 	}
+	a.keyBuf = key
 	g, ok := a.groups[string(key)]
 	if !ok {
-		g = &groupAcc{keys: keys, accs: make([]aggState, len(p.agg.specs))}
+		g = &groupAcc{keys: append([]val.Value(nil), keys...), accs: make([]aggState, len(p.agg.specs))}
 		for i, spec := range p.agg.specs {
 			g.accs[i] = newAggState(spec)
 		}
 		a.groups[string(key)] = g
 		a.order = append(a.order, string(key))
 	}
-	for i, spec := range p.agg.specs {
+	for i := range p.agg.specs {
+		spec := &p.agg.specs[i]
+		st := &g.accs[i]
 		if spec.arg == nil { // COUNT(*)
-			g.accs[i].count++
-			g.accs[i].nonNull = true
+			st.count++
+			st.nonNull = true
 			continue
 		}
 		v, err := spec.arg(rt, stack)
 		if err != nil {
 			return err
 		}
-		g.accs[i].add(spec, v)
+		st.add(*spec, v, a.tmp)
 	}
 	return nil
+}
+
+// flushExpansions drains every group's pending expansion; must run before
+// the accumulated sums are read or merged.
+func (a *aggAccum) flushExpansions() {
+	for _, g := range a.groups {
+		for i := range g.accs {
+			g.accs[i].flushExp(a.tmp)
+		}
+	}
 }
 
 // merge folds a later partition's groups into a, keeping a's first-seen
@@ -900,16 +896,16 @@ func (a *aggAccum) merge(o *aggAccum) {
 	}
 }
 
-// finalizeGroups runs the accumulated groups through HAVING and produce.
+// finalizeGroups runs the accumulated groups through HAVING into the sink.
 // The caller charges the grouping sort (full sort when serial, partial
 // sorts + merge when parallel).
-func (p *selectPlan) finalizeGroups(rt *runtime, a *aggAccum, outer rowStack, produce func(rowStack) error) error {
+func (p *selectPlan) finalizeGroups(rt *runtime, a *aggAccum, outer rowStack, sink *outputSink) error {
 	// A partial execution stops here: the accumulated groups ship to the
 	// distributed coordinator un-finalized, so HAVING, projection over
 	// exact sums, ORDER BY and LIMIT all run once, above the gather
-	// (MergePartials). Every execution engine — serial, vectorized,
-	// parallel (with lane accumulators already merged in partition
-	// order) — funnels its top-level accumulator through this point.
+	// (MergePartials). Serial and parallel runs (lane accumulators already
+	// merged in partition order) both funnel their top-level accumulator
+	// through this point.
 	if pa := rt.partial; pa != nil && pa.plan == p {
 		pa.acc = a
 		return nil
@@ -945,37 +941,11 @@ func (p *selectPlan) finalizeGroups(rt *runtime, a *aggAccum, outer rowStack, pr
 			}
 		}
 		m.Charge(cost.TupleCPU, 1)
-		if err := produce(frame); err != nil {
+		if err := sink.addFrame(rt, frame); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// runAggregated drains the join pipeline into group accumulators, then
-// finalizes groups through HAVING and projection.
-//
-// The engine's grouping is pipelined sort-group (sort, then aggregate
-// while streaming) — the cost charged follows that model, which is the
-// paper's point of contrast with SAP R/3's two-phase materialized
-// grouping (Section 4.2).
-func (p *selectPlan) runAggregated(be *blockExec, produce func(rowStack) error, outer rowStack) error {
-	acc := newAggAccum(p)
-	err := runSteps(p.steps, 0, be, func() error {
-		return acc.addRow(be.rt, be.stack)
-	})
-	if err != nil && err != errStopIteration {
-		return err
-	}
-	m := be.rt.meter()
-	if be.prof != nil {
-		prev := m.SetSpan(be.prof.output)
-		defer m.SetSpan(prev)
-	}
-	// Pipelined sort-group cost: sort the input once; no intermediate
-	// materialization.
-	chargeSort(m, acc.nInput, 48)
-	return p.finalizeGroups(be.rt, acc, outer, produce)
 }
 
 // chargeMergeRuns charges a k-way streaming merge of n pre-sorted runs:

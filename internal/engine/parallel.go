@@ -6,18 +6,18 @@ import (
 	"sync"
 
 	"r3bench/internal/cost"
-	"r3bench/internal/storage"
 	"r3bench/internal/val"
 )
 
 // Parallel query execution splits the leading sequential scan of a block
 // into contiguous page partitions, runs the full join/aggregation pipeline
-// over each partition in a worker goroutine, and recombines partial
-// results on the coordinator in partition order. Because partitions are
-// contiguous and recombined in order, and because every combining
-// operation downstream (exact sums, min/max, first-seen group order) is
-// order-compatible with concatenation, a parallel run produces output
-// byte-identical to the serial run.
+// over each partition in a worker goroutine — a lane is an ordinary batch
+// run (vecRun) whose lead source is its page range — and recombines
+// partial results on the coordinator in partition order. Because
+// partitions are contiguous and recombined in order, and because every
+// combining operation downstream (exact sums, min/max, first-seen group
+// order) is order-compatible with concatenation, a parallel run produces
+// output byte-identical to the serial run.
 //
 // Virtual-clock accounting follows the parallel combining rule
 // (cost.Meter.AddParallel): each worker charges a private meter; elapsed
@@ -109,7 +109,7 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 	// partitioned parallel build when the build side is a wide-enough
 	// base-table scan, serial coordinator build otherwise.
 	builtParallel := false
-	shared := make(map[stepper]any)
+	shared := make(map[*hashStep]hashTable)
 	for si := 1; si < len(p.steps); si++ {
 		hs, ok := p.steps[si].(*hashStep)
 		if !ok {
@@ -128,9 +128,7 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 			builtParallel = builtParallel || ht != nil
 		}
 		if ht == nil { // build side not partitionable: build serially
-			be0 := &blockExec{rt: rt, row: make([]val.Value, p.nSlots), state: shared}
-			be0.stack = append(append(rowStack{}, outer...), be0.row)
-			if ht, err = hs.build(be0); err != nil {
+			if ht, err = hs.build(rt, outer, p.nSlots); err != nil {
 				restore()
 				return true, err
 			}
@@ -149,7 +147,6 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 		return true, p.runSerial(rt, outer, emit, shared)
 	}
 	rt.sess.db.parallelRuns.Add(1)
-	heap := lead.rel.table.Heap
 	fbMain := rt.fbFor(p)
 
 	// Under ExplainAnalyze, per-lane operator detail hangs below one
@@ -168,17 +165,13 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 	runPartitions(len(parts), func(i int) {
 		m := cost.NewMeter(model)
 		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: rt.subCache, subMu: subMu, m: m}
-		var lanePP *planProf
+		// Every hash table was built above, so lanes only read shared.
+		beW := newBlockExec(rtW, outer)
+		beW.hashes = shared
 		if laneSpans[i] != nil {
 			rtW.prof = newExecProfile(laneSpans[i])
-			lanePP = rtW.prof.planFor(p)
-			m.SetSpan(lanePP.steps[0])
+			beW.prof = rtW.prof.planFor(p)
 		}
-		beW := &blockExec{rt: rtW, row: make([]val.Value, p.nSlots), state: make(map[stepper]any, len(shared)), prof: lanePP}
-		for k, v := range shared {
-			beW.state[k] = v
-		}
-		beW.stack = append(append(rowStack{}, outer...), beW.row)
 
 		res := &results[i]
 		res.m = m
@@ -186,45 +179,30 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 			res.fb = &execFeedback{counts: make([]int64, len(fbMain.counts))}
 			beW.fb = res.fb
 		}
-		var sink func() error
+		// A lane's batches stay at the initial capacity and do not grow: the
+		// lanes run side by side on every processor, and slabs grown to
+		// batchSize (a megabyte per stage for a wide join, all of it pointers
+		// the collector scans) cost a lane more in cache misses and
+		// collector work than 64-frame batches cost in per-batch overhead.
+		// (A parallel plan never stops early — planParallel — so capacity is
+		// free to choose.)
+		v := newVecRun(p, beW, vecBatchInitial)
+		v.pages = &parts[i]
 		if p.agg != nil {
-			res.acc = newAggAccum(p)
-			sink = func() error { return res.acc.addRow(rtW, beW.stack) }
+			res.acc, res.err = v.aggregate()
 		} else {
-			sink = func() error {
-				r, err := p.projectRow(rtW, beW.stack)
-				if err != nil {
-					return err
-				}
+			// The coordinator reads the rows after the lane is gone: no
+			// slab recycling.
+			res.err = v.project(func(r outRow) error {
 				res.rows = append(res.rows, r)
 				return nil
-			}
+			}, false)
 		}
-		off := lead.rel.offset
-		res.err = heap.ScanRange(parts[i][0], parts[i][1], m, func(rid storage.RID, row []val.Value) error {
-			copy(beW.row[off:off+lead.rel.nCols], row)
-			ok, err := evalFilters(beW, lead.access.filters)
-			if err != nil || !ok {
-				return err
-			}
-			ok, err = evalFilters(beW, lead.extraFilters)
-			if err != nil || !ok {
-				return err
-			}
-			beW.curRID = rid
-			if lanePP != nil {
-				lanePP.steps[0].AddRows(1)
-			}
-			if res.fb != nil {
-				res.fb.counts[0]++
-			}
-			return runSteps(p.steps, 1, beW, sink)
-		})
 		if res.err != nil {
 			return
 		}
-		if lanePP != nil {
-			m.SetSpan(lanePP.output)
+		if beW.prof != nil {
+			defer m.SetSpan(m.SetSpan(beW.prof.output))
 		}
 		// Each worker sorts its partition's output; the coordinator only
 		// merges the pre-sorted runs.
@@ -232,9 +210,6 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 			chargeSort(m, res.acc.nInput, 48)
 		} else if len(p.orderKeys) > 0 {
 			chargeSort(m, int64(len(res.rows)), int64(len(p.projections)+len(p.orderKeys))*24)
-		}
-		if lanePP != nil {
-			m.SetSpan(nil)
 		}
 	})
 
@@ -274,14 +249,7 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 			acc.merge(results[i].acc)
 		}
 		chargeMergeRuns(rt.meter(), acc.nInput, int64(len(results)))
-		produce := func(frame rowStack) error {
-			r, err := p.projectRow(rt, frame)
-			if err != nil {
-				return err
-			}
-			return sink.add(r)
-		}
-		if err := p.finalizeGroups(rt, acc, outer, produce); err != nil && err != errStopIteration {
+		if err := p.finalizeGroups(rt, acc, outer, sink); err != nil && err != errStopIteration {
 			return true, err
 		}
 		return true, sink.finish()
@@ -311,8 +279,7 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 // would produce. Returns nil (no error) when the relation is too small to
 // split, in which case the caller builds serially.
 func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, subMu *sync.Mutex, model cost.Model) (hashTable, error) {
-	heap := s.rel.table.Heap
-	parts := partitionPages(heap.Pages(), p.parallel)
+	parts := partitionPages(s.rel.table.Heap.Pages(), p.parallel)
 	if len(parts) < 2 {
 		return nil, nil
 	}
@@ -320,34 +287,11 @@ func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, sub
 	counts := make([]int64, len(parts))
 	meters := make([]*cost.Meter, len(parts))
 	errs := make([]error, len(parts))
-	off := s.rel.offset
 	runPartitions(len(parts), func(i int) {
-		m := cost.NewMeter(model)
-		meters[i] = m
-		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: rt.subCache, subMu: subMu, m: m}
-		scratch := make([]val.Value, p.nSlots)
-		stack := append(append(rowStack{}, outer...), scratch)
-		beW := &blockExec{rt: rtW, stack: stack, row: scratch, state: make(map[stepper]any)}
-		ht := make(hashTable)
-		errs[i] = heap.ScanRange(parts[i][0], parts[i][1], m, func(rid storage.RID, row []val.Value) error {
-			copy(scratch[off:off+s.rel.nCols], row)
-			ok, err := evalFilters(beW, s.access.filters)
-			if err != nil || !ok {
-				return err
-			}
-			key := make([]byte, 0, 32)
-			for _, f := range s.buildKeyFns {
-				v, err := f(rtW, stack)
-				if err != nil {
-					return err
-				}
-				key = val.AppendKey(key, v)
-			}
-			ht[string(key)] = append(ht[string(key)], append([]val.Value(nil), scratch[off:off+s.rel.nCols]...))
-			counts[i]++
-			return nil
-		})
-		tables[i] = ht
+		meters[i] = cost.NewMeter(model)
+		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: rt.subCache, subMu: subMu, m: meters[i]}
+		tables[i] = make(hashTable)
+		counts[i], errs[i] = s.buildInto(tables[i], rtW, outer, p.nSlots, &parts[i])
 	})
 	rt.sess.Meter.AddParallel(meters...)
 	for _, e := range errs {
@@ -363,14 +307,6 @@ func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, sub
 		}
 		nRows += counts[i]
 	}
-	m := rt.meter()
-	m.Charge(cost.TupleCPU, nRows)
-	buildBytes := float64(nRows) * s.rel.rowBytes
-	if buildBytes > workMemBytes {
-		// Grace-style partitioning: write and re-read the overflow.
-		pages := int64((buildBytes - workMemBytes) / storage.PageSize)
-		m.Charge(cost.PageWrite, pages)
-		m.Charge(cost.SeqRead, pages)
-	}
+	s.chargeBuild(rt.meter(), nRows)
 	return merged, nil
 }

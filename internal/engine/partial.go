@@ -144,14 +144,7 @@ func (s *Session) MergePartials(parts []*Partial, params ...val.Value) (*Result,
 		// The coordinator merges the shipped group partials, not the
 		// shards' raw input: k pre-grouped runs of `groups` rows total.
 		chargeMergeRuns(s.Meter, groups, int64(len(parts)))
-		produce := func(frame rowStack) error {
-			r, err := p.projectRow(rt, frame)
-			if err != nil {
-				return err
-			}
-			return sink.add(r)
-		}
-		if err := p.finalizeGroups(rt, acc, nil, produce); err != nil && err != errStopIteration {
+		if err := p.finalizeGroups(rt, acc, nil, sink); err != nil && err != errStopIteration {
 			return nil, err
 		}
 	} else {

@@ -4,32 +4,31 @@ import (
 	"math/big"
 
 	"r3bench/internal/cost"
-	"r3bench/internal/storage"
 	"r3bench/internal/val"
 )
 
-// Vectorized batch execution: eligible SELECT pipelines run
-// batch-at-a-time instead of row-at-a-time. The leading scan collects
-// rows into a slab-backed batch; each later step transforms an input
-// batch into an output batch (filters compact in place, hash joins probe
-// a whole batch per charge posting); the sink projects or aggregates with
-// slab-reused buffers. Output rows, their order, and the simulated meter
-// totals are byte-identical to the row-at-a-time pipeline — per-tuple
-// event kinds are charged as Charge(kind, n) per batch, which the meter
-// defines as exactly n single-event charges — so the paper's measured
-// ratios are untouched while the real (Go wall-clock) cost per row drops.
+// The batch executor: every SELECT block — serial, a lane of a parallel
+// scan, a shard's partial, a correlated sub-block, the match scan of an
+// UPDATE or DELETE — runs on vecRun. The leading scan collects rows into a
+// slab-backed batch; each later step transforms an input batch into an
+// output batch (filters compact in place, hash joins probe a whole batch
+// per charge posting, the inherently row-at-a-time joins run per frame and
+// batch what they emit); the sink projects or aggregates with slab-reused
+// buffers. Per-tuple event kinds are charged as Charge(kind, n) per batch,
+// which the meter defines as exactly n single-event charges, so the
+// simulated clock cannot tell a batch from n rows.
 //
-// Not every block vectorizes. The row pipeline remains the reference
-// implementation and handles:
-//   - profiled runs (ExplainAnalyze attributes charges per operator as
-//     each row moves through it),
-//   - correlated blocks (re-run per outer row; EXISTS stops them after
-//     the first row, which is row-granular by nature),
-//   - LIMIT without ORDER BY (the row pipeline stops mid-scan the moment
-//     the limit is reached; a batch would read further and charge more),
-//   - partitioned parallel lanes (each lane is already a tight scan loop
-//     over a private partition; build-only parallel plans still probe
-//     through the vectorized serial pipeline).
+// One run is shaped by three things, all derived, none settable:
+//   - batch capacity (selectPlan.batchCap): 1 for a block that can stop
+//     early, so it never reads past the row that stops it; the growing
+//     64→1024 batch otherwise; a lane of a parallel scan stays at 64,
+//   - lead source: the leading step's access path — heap, index or derived
+//     relation — narrowed to a page range for a parallel lane,
+//   - sink: projection into the block's outputSink, projection into a
+//     lane's retained rows, or grouped aggregation into an aggAccum.
+//
+// Under ExplainAnalyze each stage installs its operator's span around its
+// own work and counts the rows it hands on per batch.
 
 // batchSize is the target rows per batch. Batches start small and grow
 // toward this so short queries don't pay kilobytes of slab per execution.
@@ -45,14 +44,9 @@ const vecBatchInitial = 64
 // in flight.
 type vecBatch struct {
 	nSlots int
+	max    int // capacity bound: the run's batch capacity
 	frames [][]val.Value
 	n      int
-}
-
-func newVecBatch(nSlots int) *vecBatch {
-	b := &vecBatch{nSlots: nSlots}
-	b.addChunk(vecBatchInitial)
-	return b
 }
 
 // addChunk appends capacity for k more frames backed by one slab.
@@ -63,131 +57,78 @@ func (b *vecBatch) addChunk(k int) {
 	}
 }
 
-// grow quadruples the batch capacity toward batchSize after a flush.
+// grow quadruples the batch capacity toward its bound after a flush.
 func (b *vecBatch) grow() {
-	if cur := len(b.frames); cur < batchSize {
-		next := cur * 4
-		if next > batchSize {
-			next = batchSize
-		}
-		b.addChunk(next - cur)
+	if cur := len(b.frames); cur < b.max {
+		b.addChunk(min(cur*4, b.max) - cur)
 	}
+}
+
+// vecStage is the per-run state of one pipeline step.
+type vecStage struct {
+	// out is the step's reusable output batch; it has no frames for steps
+	// that bind no relation (filters pass their compacted input through).
+	out vecBatch
+	// hi is the frame prefix holding every slot bound once the step has
+	// run; copying [0:hi] moves a frame between batches.
+	hi int
 }
 
 // vecRun drives one block's step pipeline batch-at-a-time.
 type vecRun struct {
-	be *blockExec
-	p  *selectPlan
-	// outs[i] is the reusable output batch of step i; nil for steps that
-	// bind no relation (filters pass their compacted input through).
-	outs []*vecBatch
-	// boundHi[i] is the frame prefix holding every slot bound once step i
-	// has run; copying [0:boundHi[i]] moves a frame between batches.
-	boundHi []int
-	keyBuf  []byte
-	// fbCounts aliases be.fb.counts when adaptive replanning observes the
-	// run; nil otherwise.
-	fbCounts []int64
+	be     *blockExec
+	p      *selectPlan
+	cap    int // batch capacity of every stage and of the projection slab
+	stages []vecStage
+	// pages, when set, narrows the leading heap scan to one lane's
+	// partition.
+	pages  *[2]int
+	keyBuf []byte
 	// sinkFrame consumes one post-pipeline frame (projection or grouped
-	// aggregation). The current frame is installed in be.stack before the
-	// call.
-	sinkFrame func(frame []val.Value) error
+	// aggregation); the frame is be's current row.
+	sinkFrame func() error
 
-	// Projection sink state (non-aggregated plans): slab-allocated output
-	// rows. When the plan neither sorts nor retains rows, one slab is
-	// recycled; otherwise fresh slabs amortize one allocation per batch.
-	sink     *outputSink
+	// Projection sink state: slab-allocated output rows. When add neither
+	// sorts nor retains rows, one slab is recycled; otherwise fresh slabs
+	// amortize one allocation per batch.
+	add      func(outRow) error
 	projSlab []val.Value
 	keySlab  []val.Value
 	projPos  int
 	projCap  int
-	reuse    bool
+	recycle  bool
 }
 
-// stepRel returns the relation a step binds, nil for pure filters.
-func stepRel(st stepper) *relInfo {
-	switch st := st.(type) {
-	case *scanStep:
-		return st.rel
-	case *inlStep:
-		return st.rel
-	case *hashStep:
-		return st.rel
-	case *outerStep:
-		return st.rel
-	}
-	return nil
-}
-
-// vecEligible reports whether this execution may run batch-at-a-time.
-func (p *selectPlan) vecEligible(be *blockExec) bool {
-	if be.prof != nil || p.correlated {
-		return false
-	}
-	if p.limit >= 0 && len(p.orderKeys) == 0 {
-		return false
-	}
-	if len(p.steps) == 0 {
-		return false
-	}
-	_, ok := p.steps[0].(*scanStep)
-	return ok
-}
-
-func newVecRun(p *selectPlan, be *blockExec) *vecRun {
-	v := &vecRun{
-		be:      be,
-		p:       p,
-		outs:    make([]*vecBatch, len(p.steps)),
-		boundHi: make([]int, len(p.steps)),
-		keyBuf:  make([]byte, 0, 32),
-	}
+// newVecRun prepares a run of p's pipeline at the given batch capacity.
+func newVecRun(p *selectPlan, be *blockExec, capacity int) *vecRun {
+	v := &vecRun{be: be, p: p, cap: capacity, stages: make([]vecStage, len(p.steps))}
 	hi := 0
 	for i, st := range p.steps {
-		if rel := stepRel(st); rel != nil {
-			if end := rel.offset + rel.nCols; end > hi {
-				hi = end
-			}
-			v.outs[i] = newVecBatch(p.nSlots)
+		if rel := st.bound(); rel != nil {
+			hi = max(hi, rel.offset+rel.nCols)
+			out := &v.stages[i].out
+			out.nSlots, out.max = p.nSlots, capacity
+			out.addChunk(min(vecBatchInitial, capacity))
 		}
-		v.boundHi[i] = hi
-	}
-	if be.fb != nil {
-		v.fbCounts = be.fb.counts
+		v.stages[i].hi = hi
 	}
 	return v
 }
 
-// setFrame installs f as the pipeline's current row.
-func (v *vecRun) setFrame(f []val.Value) {
-	v.be.row = f
-	v.be.stack[len(v.be.stack)-1] = f
+// aggregate drains the pipeline into a fresh accumulator, its sums flushed
+// and ready to merge or finalize.
+func (v *vecRun) aggregate() (*aggAccum, error) {
+	acc := newAggAccum(v.p)
+	v.sinkFrame = func() error { return acc.addRow(v.be.rt, v.be.stack) }
+	err := v.drive()
+	acc.flushExpansions()
+	return acc, err
 }
 
-// runVec executes the block batch-at-a-time. It mirrors exactly the two
-// output branches of runSerial: grouped aggregation drains the pipeline
-// into an accumulator then finalizes; plain projection feeds the output
-// sink as batches complete.
-func (p *selectPlan) runVec(be *blockExec, sink *outputSink, produce func(rowStack) error, outer rowStack) error {
-	v := newVecRun(p, be)
-	if p.agg != nil {
-		acc := newAggAccum(p)
-		sc := &vecAggScratch{
-			keyBuf: make([]byte, 0, 32),
-			keys:   make([]val.Value, 0, len(p.agg.groupFns)),
-			tmp:    new(big.Float).SetPrec(53),
-		}
-		v.sinkFrame = func([]val.Value) error { return acc.addRowVec(be.rt, be.stack, sc) }
-		if err := v.drive(); err != nil && err != errStopIteration {
-			return err
-		}
-		acc.flushExpansions(sc.tmp)
-		// Pipelined sort-group cost, exactly as the row pipeline charges.
-		chargeSort(be.rt.meter(), acc.nInput, 48)
-		return p.finalizeGroups(be.rt, acc, outer, produce)
-	}
-	v.sink = sink
-	v.reuse = len(p.orderKeys) == 0
+// project drains the pipeline through projection into add. recycle says
+// add does not retain the rows it is handed, so one slab serves them all.
+func (v *vecRun) project(add func(outRow) error, recycle bool) error {
+	v.add, v.recycle = add, recycle
 	v.sinkFrame = v.projSink
 	return v.drive()
 }
@@ -195,113 +136,84 @@ func (p *selectPlan) runVec(be *blockExec, sink *outputSink, produce func(rowSta
 // drive streams the leading scan into batches, pushes them through the
 // pipeline, and flushes every partial batch in step order at the end.
 func (v *vecRun) drive() error {
-	lead := v.p.steps[0].(*scanStep)
-	if err := v.leadScan(lead); err != nil {
+	if err := v.leadScan(v.p.steps[0].(*scanStep)); err != nil {
 		return err
 	}
-	for i, b := range v.outs {
-		if b != nil && b.n > 0 {
-			n := b.n
-			b.n = 0
-			if err := v.push(i+1, b, n); err != nil {
-				return err
-			}
+	for i := range v.stages {
+		if err := v.flush(i); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// leadScan runs step 0's access path, collecting rows that pass its
-// filters into the lead batch and pushing full batches downstream. The
-// storage layer charges page I/O and per-tuple CPU exactly as it does for
-// the row pipeline — only the hand-off granularity changes.
-func (v *vecRun) leadScan(lead *scanStep) error {
-	be := v.be
-	rel := lead.rel
-	off := rel.offset
-	out := v.outs[0]
-
-	accept := func() (bool, error) {
-		ok, err := evalFilters(be, lead.access.filters)
-		if err != nil || !ok {
-			return false, err
-		}
-		return evalFilters(be, lead.extraFilters)
+// flush pushes step i's pending output downstream. A batch that filled up
+// grows for the next round.
+func (v *vecRun) flush(i int) error {
+	out := &v.stages[i].out
+	n := out.n
+	if n == 0 {
+		return nil
 	}
-	full := func() error {
-		n := out.n
-		out.n = 0
-		err := v.push(1, out, n)
+	out.n = 0
+	err := v.push(i+1, out, n)
+	if n == len(out.frames) {
 		out.grow()
-		return err
 	}
-
-	if rel.derived != nil {
-		rows, err := materializeSub(be.rt, rel.derived, outerOf(be))
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			dst := out.frames[out.n]
-			v.setFrame(dst)
-			copy(dst[off:off+rel.nCols], r)
-			ok, err := accept()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			out.n++
-			if v.fbCounts != nil {
-				v.fbCounts[0]++
-			}
-			if out.n == len(out.frames) {
-				if err := full(); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	emitRow := func(rid storage.RID, row []val.Value) error {
-		dst := out.frames[out.n]
-		v.setFrame(dst)
-		copy(dst[off:off+rel.nCols], row)
-		ok, err := accept()
-		if err != nil || !ok {
-			return err
-		}
-		be.curRID = rid
-		out.n++
-		if v.fbCounts != nil {
-			v.fbCounts[0]++
-		}
-		if out.n == len(out.frames) {
-			return full()
-		}
-		return nil
-	}
-	if lead.access.index == nil {
-		return rel.table.Heap.Scan(be.rt.meter(), emitRow)
-	}
-	return runIndexScan(be, rel, lead.access, emitRow)
+	return err
 }
 
-// push processes n frames of batch in through steps i..end. in's frames
-// may be reordered (filter compaction) but their bound slots are never
-// modified; every relation-binding step copies surviving frames into its
-// own batch before extending them.
+// leadScan runs step 0's access path straight into the lead batch: the
+// current row is always the batch's next free frame, so a row that passes
+// the scan's filters is kept by advancing to the next frame. The storage
+// layer charges page I/O and per-tuple CPU per row it reads, whatever the
+// hand-off granularity.
+func (v *vecRun) leadScan(lead *scanStep) error {
+	be := v.be
+	if be.prof != nil {
+		m := be.rt.meter()
+		defer m.SetSpan(m.SetSpan(be.prof.steps[0]))
+	}
+	out := &v.stages[0].out
+	be.setRow(out.frames[0])
+	return runAccess(be, lead.rel, lead.access, lead.extraFilters, v.pages, func() error {
+		out.n++
+		if out.n == len(out.frames) {
+			if err := v.flush(0); err != nil {
+				return err
+			}
+		}
+		be.setRow(out.frames[out.n])
+		return nil
+	})
+}
+
+// push processes n frames of batch in through steps i..end; entering step
+// i means step i-1 produced them. in's frames may be reordered (filter
+// compaction) but their bound slots are never modified; every
+// relation-binding step copies surviving frames into its own batch before
+// extending them.
 func (v *vecRun) push(i int, in *vecBatch, n int) error {
 	if n == 0 {
 		return nil
 	}
+	be := v.be
+	if be.fb != nil {
+		be.fb.counts[i-1] += int64(n)
+	}
+	if be.prof != nil {
+		be.prof.steps[i-1].AddRows(int64(n))
+		sp := be.prof.output
+		if i < len(v.p.steps) {
+			sp = be.prof.steps[i]
+		}
+		m := be.rt.meter()
+		defer m.SetSpan(m.SetSpan(sp))
+	}
 	if i == len(v.p.steps) {
 		for j := 0; j < n; j++ {
-			f := in.frames[j]
-			v.setFrame(f)
-			if err := v.sinkFrame(f); err != nil {
+			be.setRow(in.frames[j])
+			if err := v.sinkFrame(); err != nil {
 				return err
 			}
 		}
@@ -309,13 +221,13 @@ func (v *vecRun) push(i int, in *vecBatch, n int) error {
 	}
 	switch st := v.p.steps[i].(type) {
 	case *filterStep:
-		// Vectorized selection: evaluate the conjunction over the batch,
+		// Selection over the batch: evaluate the conjunction per frame,
 		// compacting survivors to the front by swaps (stable for the
-		// survivors, so downstream order matches the row pipeline).
+		// survivors, so downstream order is scan order).
 		kept := 0
 		for j := 0; j < n; j++ {
-			v.setFrame(in.frames[j])
-			ok, err := evalFilters(v.be, st.filters)
+			be.setRow(in.frames[j])
+			ok, err := evalFilters(be, st.filters)
 			if err != nil {
 				return err
 			}
@@ -324,115 +236,99 @@ func (v *vecRun) push(i int, in *vecBatch, n int) error {
 				kept++
 			}
 		}
-		if v.fbCounts != nil {
-			v.fbCounts[i] += int64(kept)
-		}
 		return v.push(i+1, in, kept)
 	case *hashStep:
 		return v.pushHash(i, st, in, n)
 	default:
-		return v.pushRowStep(i, st, in, n)
+		return v.pushRowStep(i, st.(rowStepper), in, n)
 	}
 }
 
 // pushHash probes the hash table with a whole batch: probe keys reuse one
 // key buffer, matches copy into the step's output batch, and the
 // per-match TupleCPU events post as one Charge per posting point instead
-// of one meter round trip per row.
+// of one meter round trip per row. Events are counted match by match, so
+// a run stopped inside a probe has charged only the matches it reached.
 func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 	be := v.be
-	ht, ok := be.state[s].(hashTable)
+	ht, ok := be.hashes[s]
 	if !ok {
 		var err error
-		if ht, err = s.build(be); err != nil {
+		if ht, err = s.build(be.rt, outerOf(be), v.p.nSlots); err != nil {
 			return err
 		}
-		be.state[s] = ht
+		if be.hashes == nil {
+			be.hashes = make(map[*hashStep]hashTable)
+		}
+		be.hashes[s] = ht
 	}
 	m := be.rt.meter()
-	out := v.outs[i]
-	hi := v.boundHi[i]
+	out := &v.stages[i].out
+	hi := v.stages[i].hi
 	off := s.rel.offset
 	nCols := s.rel.nCols
 	var pending int64 // probe-match TupleCPU events not yet posted
+	defer func() { m.Charge(cost.TupleCPU, pending) }()
 	for j := 0; j < n; j++ {
 		frame := in.frames[j]
-		v.setFrame(frame)
+		be.setRow(frame)
 		key := v.keyBuf[:0]
 		for _, f := range s.probeFns {
 			pv, err := f(be.rt, be.stack)
 			if err != nil {
-				m.Charge(cost.TupleCPU, pending)
 				return err
 			}
 			key = val.AppendKey(key, pv)
 		}
 		v.keyBuf = key
-		matches := ht[string(key)]
-		pending += int64(len(matches))
-		for _, match := range matches {
+		for _, match := range ht[string(key)] {
+			pending++
 			dst := out.frames[out.n]
 			copy(dst[:hi], frame[:hi])
 			copy(dst[off:off+nCols], match)
-			v.setFrame(dst)
+			be.setRow(dst)
 			ok, err := evalFilters(be, s.filters)
 			if err != nil {
-				m.Charge(cost.TupleCPU, pending)
 				return err
 			}
 			if !ok {
 				continue
 			}
 			out.n++
-			if v.fbCounts != nil {
-				v.fbCounts[i]++
-			}
 			if out.n == len(out.frames) {
 				m.Charge(cost.TupleCPU, pending)
 				pending = 0
-				nOut := out.n
-				out.n = 0
-				if err := v.push(i+1, out, nOut); err != nil {
+				if err := v.flush(i); err != nil {
 					return err
 				}
-				out.grow()
 			}
 		}
 	}
-	m.Charge(cost.TupleCPU, pending)
 	return nil
 }
 
 // pushRowStep drives an inherently row-at-a-time step (index nested-loop
 // join, re-scanning nested loop, left outer join) over a batch of outer
-// frames: the step's own run method executes per frame — charging exactly
-// what the row pipeline charges — and its emissions collect into the
-// step's output batch.
-func (v *vecRun) pushRowStep(i int, st stepper, in *vecBatch, n int) error {
+// frames: the step's own run method executes per frame, charging per row
+// it touches, and its emissions collect into the step's output batch.
+func (v *vecRun) pushRowStep(i int, st rowStepper, in *vecBatch, n int) error {
 	be := v.be
-	out := v.outs[i]
-	hi := v.boundHi[i]
+	out := &v.stages[i].out
+	hi := v.stages[i].hi
 	for j := 0; j < n; j++ {
 		frame := in.frames[j]
-		v.setFrame(frame)
+		be.setRow(frame)
 		err := st.run(be, func() error {
-			dst := out.frames[out.n]
-			copy(dst[:hi], frame[:hi])
+			copy(out.frames[out.n][:hi], frame[:hi])
 			out.n++
-			if v.fbCounts != nil {
-				v.fbCounts[i]++
+			if out.n < len(out.frames) {
+				return nil
 			}
-			if out.n == len(out.frames) {
-				nOut := out.n
-				out.n = 0
-				err := v.push(i+1, out, nOut)
-				out.grow()
-				// The step keeps emitting into frame after the flush:
-				// reinstall it as the current row.
-				v.setFrame(frame)
-				return err
-			}
-			return nil
+			err := v.flush(i)
+			// The step keeps emitting into frame after the flush:
+			// reinstall it as the current row.
+			be.setRow(frame)
+			return err
 		})
 		if err != nil {
 			return err
@@ -441,71 +337,42 @@ func (v *vecRun) pushRowStep(i int, st stepper, in *vecBatch, n int) error {
 	return nil
 }
 
-// projSink projects one output frame into slab-backed row storage and
-// routes it through the shared output sink (distinct / order / limit).
-func (v *vecRun) projSink([]val.Value) error {
+// projSink projects the current frame into slab-backed row storage and
+// hands it to add.
+func (v *vecRun) projSink() error {
 	p := v.p
 	nProj := len(p.projections)
 	nKeys := len(p.orderKeys)
 	if v.projPos == v.projCap {
-		if v.reuse && v.projSlab != nil {
-			v.projPos = 0
-		} else {
-			next := vecBatchInitial
-			if v.projCap > 0 {
-				next = v.projCap * 4
-				if next > batchSize {
-					next = batchSize
-				}
-			}
-			v.projCap = next
-			v.projSlab = make([]val.Value, next*nProj)
+		if !v.recycle || v.projSlab == nil {
+			v.projCap = min(max(v.projCap*4, vecBatchInitial), v.cap)
+			v.projSlab = make([]val.Value, v.projCap*nProj)
 			if nKeys > 0 {
-				v.keySlab = make([]val.Value, next*nKeys)
+				v.keySlab = make([]val.Value, v.projCap*nKeys)
 			}
-			v.projPos = 0
 		}
+		v.projPos = 0
 	}
 	pos := v.projPos
 	v.projPos++
 	r := outRow{proj: v.projSlab[pos*nProj : (pos+1)*nProj : (pos+1)*nProj]}
-	for i, f := range p.projections {
-		pv, err := f(v.be.rt, v.be.stack)
-		if err != nil {
-			return err
-		}
-		r.proj[i] = pv
-	}
 	if nKeys > 0 {
 		r.keys = v.keySlab[pos*nKeys : (pos+1)*nKeys : (pos+1)*nKeys]
-		for i, kf := range p.orderKeys {
-			kv, err := kf(v.be.rt, v.be.stack)
-			if err != nil {
-				return err
-			}
-			r.keys[i] = kv
-		}
 	}
-	return v.sink.add(r)
-}
-
-// vecAggScratch is the per-run scratch of vectorized aggregation: the
-// group-key buffers and the big.Float operand reused across every
-// exact-sum addition (the row pipeline allocates these per input row).
-type vecAggScratch struct {
-	keyBuf []byte
-	keys   []val.Value
-	tmp    *big.Float
+	if err := p.projectInto(v.be.rt, v.be.stack, r); err != nil {
+		return err
+	}
+	return v.add(r)
 }
 
 // floatExp is a Shewchuk error-free expansion: at most expCap
 // nonoverlapping float64 components whose mathematical sum equals, with
-// no rounding at all, the exact sum of every value added so far. The
-// vectorized pipeline batches SUM/AVG inputs here and only pours the few
-// components into the exactSum accumulator at finalize — the big.Float
-// additions drop from one per input row to one per component, and since
-// both structures are exact the final correctly-rounded float64 is
-// bit-identical to the row pipeline's per-row accumulation.
+// no rounding at all, the exact sum of every value added so far. An
+// accumulator batches SUM/AVG inputs here and only pours the few
+// components into the exactSum at finalize — the big.Float additions drop
+// from one per input row to one per component, and since both structures
+// are exact the final correctly-rounded float64 is bit-identical to
+// adding every input to the exactSum directly.
 type floatExp struct {
 	comp [expCap]float64
 	n    int
@@ -519,8 +386,8 @@ const expCap = 12
 
 // expGuard rejects operands big enough that an intermediate two-sum
 // could overflow to ±Inf (big.Float would carry the exact value through;
-// IEEE arithmetic would wedge at infinity, diverging from the row
-// pipeline). Such values take the direct exactSum path instead.
+// IEEE arithmetic would wedge at infinity). Such values take the direct
+// exactSum path instead.
 const expGuard = 4.4e307
 
 // twoSum is the branch-free error-free transformation: s is the IEEE
@@ -577,58 +444,4 @@ func (st *aggState) flushExp(tmp *big.Float) {
 		st.sum.addTmp(st.exp.comp[i], tmp)
 	}
 	st.exp.n = 0
-}
-
-// flushExpansions drains every group's pending expansion; must run before
-// the accumulated sums are read.
-func (a *aggAccum) flushExpansions(tmp *big.Float) {
-	for _, g := range a.groups {
-		for i := range g.accs {
-			g.accs[i].flushExp(tmp)
-		}
-	}
-}
-
-// addRowVec is aggAccum.addRow with slab-reused scratch. The group keys,
-// first-seen order, and every accumulator transition are identical; only
-// the allocation pattern differs.
-func (a *aggAccum) addRowVec(rt *runtime, stack rowStack, sc *vecAggScratch) error {
-	p := a.p
-	a.nInput++
-	key := sc.keyBuf[:0]
-	keys := sc.keys[:0]
-	for _, gf := range p.agg.groupFns {
-		v, err := gf(rt, stack)
-		if err != nil {
-			return err
-		}
-		keys = append(keys, v)
-		key = val.AppendKey(key, v)
-	}
-	sc.keyBuf = key
-	sc.keys = keys
-	g, ok := a.groups[string(key)]
-	if !ok {
-		g = &groupAcc{keys: append([]val.Value(nil), keys...), accs: make([]aggState, len(p.agg.specs))}
-		for i, spec := range p.agg.specs {
-			g.accs[i] = newAggState(spec)
-		}
-		a.groups[string(key)] = g
-		a.order = append(a.order, string(key))
-	}
-	for i := range p.agg.specs {
-		spec := &p.agg.specs[i]
-		st := &g.accs[i]
-		if spec.arg == nil { // COUNT(*)
-			st.count++
-			st.nonNull = true
-			continue
-		}
-		v, err := spec.arg(rt, stack)
-		if err != nil {
-			return err
-		}
-		st.addWith(*spec, v, sc.tmp)
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"math/big"
 	"testing"
@@ -10,41 +9,12 @@ import (
 	"r3bench/internal/val"
 )
 
-// vecPairDB builds two identically populated databases — one with the
-// vectorized executor (the default), one forced onto the row-at-a-time
-// reference pipeline — so results and meter totals can be compared
-// query by query on equal footing (identical buffer-pool history).
-func vecPairDB(t *testing.T, rows int) (vec, row *Session) {
-	t.Helper()
-	build := func() *Session {
-		db := Open(Config{})
-		s := db.NewSession()
-		mustExec(t, s, `CREATE TABLE dim (g_id INTEGER PRIMARY KEY, g_name CHAR(12))`)
-		for g := 0; g < 4; g++ {
-			mustExec(t, s, fmt.Sprintf(`INSERT INTO dim VALUES (%d, 'GROUP%d')`, g, g))
-		}
-		mustExec(t, s, `CREATE TABLE tt (id INTEGER PRIMARY KEY, grp INTEGER, v DECIMAL(10,2))`)
-		for i := 0; i < rows; i++ {
-			mustExec(t, s, fmt.Sprintf(`INSERT INTO tt VALUES (%d, %d, %d.%02d)`,
-				i, i%4, (i*7919)%1000, i%100))
-		}
-		mustExec(t, s, `CREATE TABLE te (id INTEGER PRIMARY KEY, v DECIMAL(10,2))`)
-		if err := db.AnalyzeAll(); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	vec = build()
-	row = build()
-	row.db.SetVectorized(false)
-	return vec, row
-}
-
 // vecQueries exercises every pipeline shape plus the batch-boundary edge
 // cases: an empty input, an empty result, results smaller than one
 // batch, results spanning several batch growths (64/256/1024 flush
-// points at 1500 rows), LIMIT cutting mid-batch, and the row-path
-// fallback (LIMIT without ORDER BY).
+// points at 1500 rows), LIMIT cutting mid-batch, and the blocks that can
+// stop early and so run at batch capacity 1 (LIMIT without ORDER BY,
+// correlated EXISTS).
 var vecQueries = []string{
 	`SELECT id, v FROM tt WHERE grp = 1`,
 	`SELECT id, v FROM tt WHERE grp = 999`, // empty result
@@ -54,10 +24,13 @@ var vecQueries = []string{
 	`SELECT g_name, SUM(v) FROM tt, dim WHERE grp = g_id GROUP BY g_name ORDER BY g_name`,
 	`SELECT DISTINCT grp FROM tt ORDER BY grp`,
 	`SELECT id, v FROM tt ORDER BY v DESC, id LIMIT 7`, // LIMIT mid-batch
-	`SELECT id FROM tt WHERE grp = 2 LIMIT 5`,          // row-path fallback
+	`SELECT id FROM tt WHERE grp = 2 LIMIT 5`,          // early stop mid-scan
 	`SELECT grp, COUNT(*) FROM tt WHERE v > 500 GROUP BY grp HAVING COUNT(*) > 10 ORDER BY grp`,
 	`SELECT t.id, d.g_name FROM tt t LEFT OUTER JOIN dim d ON t.grp = d.g_id WHERE t.id < 70 ORDER BY t.id`,
 	`SELECT id FROM tt WHERE EXISTS (SELECT g_id FROM dim WHERE g_id = grp AND g_name = 'GROUP1') ORDER BY id LIMIT 9`,
+	`SELECT g_id FROM dim WHERE EXISTS (SELECT id FROM tt WHERE grp = g_id) ORDER BY g_id`, // correlated scan stops at its first match
+	`SELECT g_name, id FROM dim, tt WHERE g_id = grp LIMIT 5`,                              // early stop inside a multi-match hash probe
+	`SELECT t.id, d.g_name FROM tt t LEFT OUTER JOIN dim d ON t.grp = d.g_id LIMIT 3`,      // early stop inside a row-at-a-time step
 }
 
 func encodeRows(rows [][]val.Value) string {
@@ -69,75 +42,12 @@ func encodeRows(rows [][]val.Value) string {
 	return string(b)
 }
 
-// TestVectorizedMatchesRowPipeline is the executor's core guarantee:
-// batch-at-a-time execution returns byte-identical rows AND charges the
-// simulated meter identically — per query, to the nanosecond — across
-// result sizes that land exactly on, below and beyond batch boundaries.
-func TestVectorizedMatchesRowPipeline(t *testing.T) {
-	for _, n := range []int{0, 1, 64, 65, 1500} {
-		vec, row := vecPairDB(t, n)
-		for _, q := range vecQueries {
-			vStart, rStart := vec.Meter.Elapsed(), row.Meter.Elapsed()
-			vr, err := vec.Query(q)
-			if err != nil {
-				t.Fatalf("rows=%d vectorized %q: %v", n, q, err)
-			}
-			rr, err := row.Query(q)
-			if err != nil {
-				t.Fatalf("rows=%d row pipeline %q: %v", n, q, err)
-			}
-			if encodeRows(vr.Rows) != encodeRows(rr.Rows) {
-				t.Errorf("rows=%d %q: vectorized result differs from row pipeline", n, q)
-			}
-			vLap := vec.Meter.Elapsed() - vStart
-			rLap := row.Meter.Elapsed() - rStart
-			if vLap != rLap {
-				t.Errorf("rows=%d %q: vectorized cost %v != row-pipeline cost %v",
-					n, q, time.Duration(vLap), time.Duration(rLap))
-			}
-		}
-	}
-}
-
-// TestVectorizedParallelDegrees re-runs the comparison with the back
-// end's intra-query parallelism engaged: partitioned lanes stay on the
-// row pipeline, build-only parallel plans probe through the vectorized
-// serial pipeline, and either way results and meter totals must match
-// the pure row path at every degree.
-func TestVectorizedParallelDegrees(t *testing.T) {
-	vec, row := vecPairDB(t, 1500)
-	for _, deg := range []int{1, 2, 8} {
-		vec.db.SetParallel(deg)
-		row.db.SetParallel(deg)
-		for _, q := range vecQueries {
-			vStart, rStart := vec.Meter.Elapsed(), row.Meter.Elapsed()
-			vr, err := vec.Query(q)
-			if err != nil {
-				t.Fatalf("deg=%d vectorized %q: %v", deg, q, err)
-			}
-			rr, err := row.Query(q)
-			if err != nil {
-				t.Fatalf("deg=%d row pipeline %q: %v", deg, q, err)
-			}
-			if encodeRows(vr.Rows) != encodeRows(rr.Rows) {
-				t.Errorf("deg=%d %q: vectorized result differs from row pipeline", deg, q)
-			}
-			vLap := vec.Meter.Elapsed() - vStart
-			rLap := row.Meter.Elapsed() - rStart
-			if vLap != rLap {
-				t.Errorf("deg=%d %q: vectorized cost %v != row-pipeline cost %v",
-					deg, q, time.Duration(vLap), time.Duration(rLap))
-			}
-		}
-	}
-}
-
 // TestArrayFetchPackets pins the array interface's charging model: a
 // query shipping R rows records ceil(R/cost.ArrayFetchRows) packets,
 // zero-row results ship zero packets, and the engine's interface
 // counters see calls, rows and packets.
 func TestArrayFetchPackets(t *testing.T) {
-	vec, _ := vecPairDB(t, 150)
+	vec := vecDB(t, 150, 0)
 	vec.db.SetArrayFetch(true)
 	base := vec.db.Stats()
 	res := mustExec(t, vec, `SELECT id FROM tt`)
@@ -166,19 +76,20 @@ func TestArrayFetchPackets(t *testing.T) {
 // interface: shipping a large result in packets costs less simulated
 // time than per-row shipping, and returns the same rows.
 func TestArrayFetchCheaperForBigResults(t *testing.T) {
-	vec, row := vecPairDB(t, 1500)
-	vec.db.SetArrayFetch(true)
-	vStart, rStart := vec.Meter.Elapsed(), row.Meter.Elapsed()
-	vr := mustExec(t, vec, `SELECT id, v FROM tt`)
-	rr := mustExec(t, row, `SELECT id, v FROM tt`)
-	if encodeRows(vr.Rows) != encodeRows(rr.Rows) {
+	s := vecDB(t, 1500, 0)
+	lap := func() (string, time.Duration) {
+		start := s.Meter.Elapsed()
+		res := mustExec(t, s, `SELECT id, v FROM tt`)
+		return encodeRows(res.Rows), s.Meter.Lap(start)
+	}
+	perRow, perRowLap := lap()
+	s.db.SetArrayFetch(true)
+	array, arrayLap := lap()
+	if array != perRow {
 		t.Fatal("array fetch changed the result")
 	}
-	vLap := vec.Meter.Elapsed() - vStart
-	rLap := row.Meter.Elapsed() - rStart
-	if vLap >= rLap {
-		t.Errorf("array fetch cost %v, not cheaper than per-row %v",
-			time.Duration(vLap), time.Duration(rLap))
+	if arrayLap >= perRowLap {
+		t.Errorf("array fetch cost %v, not cheaper than per-row %v", arrayLap, perRowLap)
 	}
 }
 
@@ -187,8 +98,8 @@ func TestArrayFetchCheaperForBigResults(t *testing.T) {
 // cancellation, denormals, values past the overflow guard — and checks
 // that pouring the expansion into an exactSum yields the same
 // correctly-rounded float64, bit for bit, as adding every input
-// directly. This is the invariant that lets the vectorized pipeline
-// defer its big.Float work.
+// directly. This is the invariant that lets the batch executor defer its
+// big.Float work.
 func TestFloatExpansionExactness(t *testing.T) {
 	tmp := new(big.Float).SetPrec(53)
 	rng := uint64(0x9e3779b97f4a7c15)

@@ -3,7 +3,7 @@
 # >10% regression, a pool hit ratio below MIN_HIT_RATIO (default 0.92),
 # a hit-ratio drop of more than 2 percentage points, a real
 # allocations-per-op increase beyond MAX_ALLOCS_INCREASE percent
-# (default 10; the vectorized executor's and zero-allocation parser's
+# (default 10; the batch executor's and zero-allocation parser's
 # wall-clock wins live in allocs/op, which the simulated clock cannot
 # see), a BenchmarkParse* benchmark over the MAX_PARSE_ALLOCS
 # absolute allocs/op ceiling (default 16; the pooled front end measures

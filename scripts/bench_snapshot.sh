@@ -6,8 +6,8 @@
 #
 # The default regex covers the power test per strategy plus the parallel
 # degrees, per-query parallel pairs (DESIGN.md §5), the ORDER BY-heavy
-# serial queries, the vectorized-vs-row aggregation pair (DESIGN.md
-# §10), whose real allocs/op land in the snapshot for the benchdiff
+# serial queries, the Q1 aggregation benchmark (DESIGN.md §10), whose
+# real allocs/op land in the snapshot for the benchdiff
 # -max-allocs-increase gate, and the SQL front-end parse benchmarks
 # (DESIGN.md §11) — wall-clock only, no simulated time — whose allocs/op
 # feed the -max-parse-allocs ceiling. Set BENCH_OUT to redirect the output file
