@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -400,8 +401,68 @@ func (t *Tree) Delete(key []byte, rid storage.RID, m *cost.Meter) error {
 	t.entries--
 	t.keyByte -= int64(len(key))
 	// Lazy deletion: underfull leaves are tolerated, as in many real
-	// engines; the size model uses entry counts, not node counts.
+	// engines; the size model uses entry counts, not node counts. An empty
+	// leaf is not: it leaves the tree.
+	if len(leaf.keys) == 0 {
+		t.dropEmptyLeaf(ek)
+	}
 	return nil
+}
+
+// dropEmptyLeaf takes the leaf on the descent path of ek, which Delete has
+// just emptied, out of its parent and out of the leaf chain; a parent left
+// without children goes the same way. Without it a run of deletes (the
+// oldest orders of a stream, a dropped key range) leaves a stretch of
+// empty leaves behind that every range scan ending there has to walk, one
+// leaf per step, to find its next entry — a cost that grows with the
+// deletes ever made. Nothing is charged: the meter models page accesses
+// by entry counts, and a range scan crossing empty leaves was never
+// charged for them. A dropped leaf still resident in the PageCache ages
+// out of it like any page freed in a real buffer.
+func (t *Tree) dropEmptyLeaf(ek []byte) {
+	type hop struct {
+		n *node
+		i int // the child taken
+	}
+	var hops [16]hop // a tree of fanout 64 is never this deep
+	path := hops[:0]
+	n := t.root
+	for !n.leaf {
+		i := sort.Search(len(n.keys), func(i int) bool {
+			return bytes.Compare(n.keys[i], ek) > 0
+		})
+		path = append(path, hop{n, i})
+		n = n.children[i]
+	}
+	if len(path) == 0 {
+		return // the root leaf is the empty tree
+	}
+	// The leaf before n in the chain is the rightmost leaf under the
+	// nearest left sibling on the path.
+	for d := len(path) - 1; d >= 0; d-- {
+		if h := path[d]; h.i > 0 {
+			prev := h.n.children[h.i-1]
+			for !prev.leaf {
+				prev = prev.children[len(prev.children)-1]
+			}
+			prev.next = n.next
+			break
+		}
+	}
+	for d := len(path) - 1; d >= 0; d-- {
+		p, i := path[d].n, path[d].i
+		p.children = slices.Delete(p.children, i, i+1)
+		if len(p.keys) > 0 {
+			// Either neighbouring separator will do: the range given up
+			// holds no entry.
+			k := max(i-1, 0)
+			p.keys = slices.Delete(p.keys, k, k+1)
+		}
+		if len(p.children) > 0 {
+			return
+		}
+	}
+	t.root = &node{leaf: true}
 }
 
 // Iterator walks entries in key order, charging range-scan I/O to its

@@ -258,6 +258,7 @@ func TestRandomizedAgainstSortedModel(t *testing.T) {
 	if int(tr.Entries()) != len(model) {
 		t.Fatalf("Entries = %d, model %d", tr.Entries(), len(model))
 	}
+	checkShape(t, tr)
 }
 
 func TestStringKeys(t *testing.T) {
@@ -346,5 +347,166 @@ func TestPageCacheEvictsLRU(t *testing.T) {
 	}
 	if st := c.Stats(); st.Resident != 1 || st.Capacity != 1 {
 		t.Errorf("stats: %+v", st)
+	}
+}
+
+// checkShape verifies the tree's structure: an internal node has one
+// separator fewer than children and at least one child, no leaf but a root
+// leaf is empty, entry keys ascend across the whole leaf level, and the
+// leaf chain is the leaf level in order. It returns the number of leaves.
+func checkShape(t *testing.T, tr *Tree) int {
+	t.Helper()
+	var leaves []*node
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.leaf {
+			if len(n.keys) == 0 && n != tr.root {
+				t.Fatal("empty leaf in the tree")
+			}
+			leaves = append(leaves, n)
+			return
+		}
+		if len(n.children) == 0 || len(n.keys) != len(n.children)-1 {
+			t.Fatalf("internal node with %d keys, %d children", len(n.keys), len(n.children))
+		}
+		for i, c := range n.children {
+			walk(c)
+			if i > 0 && bytes.Compare(n.keys[i-1], firstKey(c)) > 0 {
+				t.Fatalf("separator %x above its right subtree's first key %x", n.keys[i-1], firstKey(c))
+			}
+		}
+	}
+	walk(tr.root)
+	var prev []byte
+	for i, l := range leaves {
+		var want *node
+		if i+1 < len(leaves) {
+			want = leaves[i+1]
+		}
+		if l.next != want {
+			t.Fatalf("leaf %d of %d: chain does not lead to the next leaf of the tree", i, len(leaves))
+		}
+		for _, k := range l.keys {
+			if prev != nil && bytes.Compare(prev, k) >= 0 {
+				t.Fatalf("entry keys out of order at leaf %d", i)
+			}
+			prev = k
+		}
+	}
+	return len(leaves)
+}
+
+// scanInts returns the keys (as the ints they were built from, carried in
+// the RID) of a full scan.
+func scanInts(tr *Tree) []int {
+	var got []int
+	for it := tr.Seek(nil, nil); it.Next(); {
+		got = append(got, int(it.RID.Page)*100+int(it.RID.Slot))
+	}
+	return got
+}
+
+func TestDeleteDropsEmptyLeaves(t *testing.T) {
+	for _, bulk := range []bool{false, true} {
+		tr := New(false)
+		const n = 20000
+		if bulk {
+			entries := make([]BulkEntry, n)
+			for i := range entries {
+				entries[i] = BulkEntry{Key: key(i), RID: rid(i)}
+			}
+			if err := tr.BulkBuild(entries, nil); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for i := 0; i < n; i++ {
+				tr.Insert(key(i), rid(i), nil)
+			}
+		}
+		full := checkShape(t, tr)
+
+		// Empty the middle in random order; the scan that ends just before
+		// the gap must find the entry after it one leaf on.
+		m := cost.NewMeter(cost.Default1996())
+		for _, i := range rand.New(rand.NewSource(7)).Perm(18000) {
+			if err := tr.Delete(key(1000+i), rid(1000+i), m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if left := checkShape(t, tr); left > full/8 {
+			t.Errorf("bulk=%v: %d of %d leaves left for a tenth of the entries", bulk, left, full)
+		}
+		it := tr.Seek(key(999), nil)
+		if !it.Next() || !bytes.Equal(it.Key, key(999)) || !it.Next() || !bytes.Equal(it.Key, key(19000)) {
+			t.Fatalf("bulk=%v: scan across the gap went wrong at %x", bulk, it.Key)
+		}
+
+		// Entries put back into the dropped range are found again.
+		want := make([]int, 0, 2000+90)
+		for i := 0; i < 1000; i++ {
+			want = append(want, i)
+		}
+		for i := 5000; i < 14000; i += 100 {
+			tr.Insert(key(i), rid(i), m)
+			want = append(want, i)
+		}
+		for i := 19000; i < n; i++ {
+			want = append(want, i)
+		}
+		checkShape(t, tr)
+		if got := scanInts(tr); !sort.IntsAreSorted(got) || len(got) != len(want) || got[1000] != 5000 {
+			t.Fatalf("bulk=%v: %d entries after re-insert, want %d", bulk, len(got), len(want))
+		}
+
+		// Down to nothing and up again.
+		for _, i := range want {
+			if err := tr.Delete(key(i), rid(i), m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if checkShape(t, tr) != 1 || tr.Entries() != 0 || tr.Seek(nil, nil).Next() {
+			t.Fatalf("bulk=%v: emptied tree is not one empty leaf", bulk)
+		}
+		for i := 0; i < 500; i++ {
+			tr.Insert(key(i), rid(i), m)
+		}
+		checkShape(t, tr)
+		if got := scanInts(tr); len(got) != 500 {
+			t.Fatalf("bulk=%v: %d entries in the refilled tree", bulk, len(got))
+		}
+	}
+}
+
+// TestRangeScanPastDeletedRunIsBounded is the write benchmark's shape: a
+// stream's keys count down, the order 100 back is deleted, and the delete's
+// range scan ends at the edge of everything deleted before. The number of
+// leaves stays that of the live window.
+func TestRangeScanPastDeletedRunIsBounded(t *testing.T) {
+	tr := New(false)
+	for i := 0; i < 1000; i++ { // the loaded key range above the stream
+		tr.Insert(key(i), rid(i), nil)
+	}
+	base := checkShape(t, tr)
+	for step := 1; step <= 20000; step++ {
+		for line := 0; line < 4; line++ {
+			tr.Insert(key(-step), rid(4*step+line), nil)
+		}
+		if old := step - 100; old > 0 {
+			it := tr.Seek(key(-old), nil)
+			for line := 0; line < 4; line++ {
+				if !it.Next() || !bytes.Equal(it.Key, key(-old)) {
+					t.Fatalf("step %d: line %d of order %d not found", step, line, -old)
+				}
+				if err := tr.Delete(key(-old), it.RID, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !it.Next() || !bytes.Equal(it.Key, key(0)) {
+				t.Fatalf("step %d: scan past the deleted run ended at %x", step, it.Key)
+			}
+		}
+	}
+	if leaves := checkShape(t, tr); leaves > base+400/(fanout/2)+2 {
+		t.Errorf("%d leaves for 1000 loaded and 400 live stream entries (loaded alone: %d)", leaves, base)
 	}
 }

@@ -1,0 +1,240 @@
+package engine
+
+import (
+	"fmt"
+	"testing"
+
+	"r3bench/internal/val"
+)
+
+// pick returns an expectation that keeps the given columns of every row of
+// the SELECT * form.
+func pick(cols ...int) func([][]val.Value) [][]val.Value {
+	return func(star [][]val.Value) [][]val.Value {
+		out := make([][]val.Value, len(star))
+		for i, r := range star {
+			for _, c := range cols {
+				out[i] = append(out[i], r[c])
+			}
+		}
+		return out
+	}
+}
+
+// neededColumnsCases: a narrow query, its SELECT * form (same FROM, WHERE
+// and ORDER BY, every column read), and how the narrow result follows from
+// the star rows. tt is (id, grp, v, pad), dim is (g_id, g_name).
+var neededColumnsCases = []struct {
+	name, narrow, star string
+	expect             func(star [][]val.Value) [][]val.Value
+}{
+	{
+		name:   "outer column read only by a correlated EXISTS",
+		narrow: `SELECT g_name FROM dim WHERE EXISTS (SELECT id FROM tt WHERE grp = g_id AND id < 3) ORDER BY g_name`,
+		star:   `SELECT * FROM dim WHERE EXISTS (SELECT * FROM tt WHERE grp = g_id AND id < 3) ORDER BY g_name`,
+		expect: pick(1),
+	},
+	{
+		name:   "outer column read only by a correlated scalar sub-block",
+		narrow: `SELECT g_name, (SELECT COUNT(*) FROM tt WHERE grp = g_id) FROM dim ORDER BY g_name`,
+		star:   `SELECT *, (SELECT COUNT(*) FROM tt WHERE grp = g_id) FROM dim ORDER BY g_name`,
+		expect: pick(1, 2),
+	},
+	{
+		name:   "ORDER BY on an unselected column",
+		narrow: `SELECT id FROM tt WHERE grp = 1 ORDER BY v DESC, id`,
+		star:   `SELECT * FROM tt WHERE grp = 1 ORDER BY v DESC, id`,
+		expect: pick(0),
+	},
+	{
+		name:   "t.* beside expressions",
+		narrow: `SELECT d.*, t.v * 2 FROM tt t, dim d WHERE t.grp = d.g_id AND t.id < 40 ORDER BY t.id`,
+		star:   `SELECT * FROM tt t, dim d WHERE t.grp = d.g_id AND t.id < 40 ORDER BY t.id`,
+		expect: func(star [][]val.Value) [][]val.Value {
+			out := make([][]val.Value, len(star))
+			for i, r := range star {
+				out[i] = []val.Value{r[4], r[5], val.Float(r[2].AsFloat() * 2)}
+			}
+			return out
+		},
+	},
+	{
+		name:   "LEFT OUTER JOIN: ON column and NULL extension",
+		narrow: `SELECT t.id, d.g_name FROM tt t LEFT OUTER JOIN dim d ON t.grp = d.g_id AND d.g_id < 2 WHERE t.id < 70 ORDER BY t.id`,
+		star:   `SELECT * FROM tt t LEFT OUTER JOIN dim d ON t.grp = d.g_id AND d.g_id < 2 WHERE t.id < 70 ORDER BY t.id`,
+		expect: pick(0, 5),
+	},
+	{
+		name:   "HAVING on a column that is not projected",
+		narrow: `SELECT grp, COUNT(*) FROM tt WHERE v > 500 GROUP BY grp HAVING MAX(id) > 1497 ORDER BY grp`,
+		star:   `SELECT * FROM tt WHERE v > 500 ORDER BY grp, id`,
+		expect: func(star [][]val.Value) [][]val.Value {
+			var out [][]val.Value
+			for i := 0; i < len(star); {
+				j := i
+				for j < len(star) && star[j][1] == star[i][1] {
+					j++
+				}
+				if star[j-1][0].AsInt() > 1497 { // rows are in id order within the group
+					out = append(out, []val.Value{star[i][1], val.Int(int64(j - i))})
+				}
+				i = j
+			}
+			return out
+		},
+	},
+	{
+		name:   "view over a pruned scan",
+		narrow: `SELECT n FROM tt_by_grp ORDER BY g`,
+		star:   `SELECT * FROM tt_by_grp ORDER BY g`,
+		expect: pick(2),
+	},
+	{
+		name:   "derived table against the base rows",
+		narrow: `SELECT g, hi FROM tt_by_grp WHERE n > 0 ORDER BY g`,
+		star:   `SELECT * FROM tt ORDER BY grp, id`,
+		expect: func(star [][]val.Value) [][]val.Value {
+			var out [][]val.Value
+			for i, r := range star {
+				if i+1 == len(star) || star[i+1][1] != r[1] {
+					out = append(out, []val.Value{r[1], r[0]}) // the group's last id is its MAX
+				}
+			}
+			return out
+		},
+	},
+	{
+		name:   "IN-subquery",
+		narrow: `SELECT id FROM tt WHERE grp IN (SELECT g_id FROM dim WHERE g_name = 'GROUP2') AND id < 50 ORDER BY id`,
+		star:   `SELECT * FROM tt WHERE grp IN (SELECT g_id FROM dim WHERE g_name = 'GROUP2') AND id < 50 ORDER BY id`,
+		expect: pick(0),
+	},
+}
+
+// TestNeededColumns is the metamorphic check on column pruning. There is
+// no switch that turns pruning off to compare against; instead each narrow
+// query must return exactly what its SELECT * form — which reads every
+// column — returns in the matching columns. Every case runs serially, on 2
+// and on 8 lanes, and through QueryPartial/MergePartials.
+func TestNeededColumns(t *testing.T) {
+	s := vecDB(t, 1500, 0)
+	mustExec(t, s, `CREATE VIEW tt_by_grp AS SELECT grp AS g, SUM(v) AS total, COUNT(*) AS n, MAX(id) AS hi FROM tt GROUP BY grp`)
+	for _, degree := range []int{1, 2, 8} {
+		s.db.SetParallel(degree)
+		for _, c := range neededColumnsCases {
+			want := encodeRows(c.expect(mustExec(t, s, c.star).Rows))
+			if want == "" {
+				t.Fatalf("%s: the SELECT * form returned nothing", c.name)
+			}
+			if got := encodeRows(mustExec(t, s, c.narrow).Rows); got != want {
+				t.Errorf("degree %d, %s: narrow result differs from its SELECT * form", degree, c.name)
+			}
+			pa, err := s.QueryPartial(c.narrow)
+			if err != nil {
+				t.Fatalf("degree %d, %s: QueryPartial: %v", degree, c.name, err)
+			}
+			res, err := s.MergePartials([]*Partial{pa})
+			if err != nil {
+				t.Fatalf("degree %d, %s: MergePartials: %v", degree, c.name, err)
+			}
+			if got := encodeRows(res.Rows); got != want {
+				t.Errorf("degree %d, %s: partial result differs from the SELECT * form", degree, c.name)
+			}
+		}
+	}
+	if s.db.Stats().ParallelRuns == 0 {
+		t.Errorf("no case engaged parallel lanes")
+	}
+}
+
+// dmlDB builds u(id, k, x, y, note) with a secondary index on k; y and
+// note are in no index.
+func dmlDB(t *testing.T) (*DB, *Session) {
+	t.Helper()
+	db := Open(Config{})
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE u (id INTEGER PRIMARY KEY, k INTEGER, x INTEGER, y INTEGER, note CHAR(10))`)
+	mustExec(t, s, `CREATE INDEX u_k ON u (k)`)
+	for i := 0; i < 200; i++ {
+		mustExec(t, s, fmt.Sprintf(`INSERT INTO u VALUES (%d, %d, 0, %d, 'n%d')`, i, i%10, 1000+i, i))
+	}
+	return db, s
+}
+
+// TestUpdateReadsUnreferencedColumn: UPDATE's match scan keeps every
+// column, so SET x = y sees y although neither the WHERE clause nor an
+// index mentions it, and the untouched columns are written back intact.
+func TestUpdateReadsUnreferencedColumn(t *testing.T) {
+	_, s := dmlDB(t)
+	if n := mustExec(t, s, `UPDATE u SET x = y WHERE k = 3`).RowsAffected; n != 20 {
+		t.Fatalf("updated %d rows, want 20", n)
+	}
+	for _, r := range mustExec(t, s, `SELECT id, k, x, y, note FROM u ORDER BY id`).Rows {
+		id := r[0].AsInt()
+		wantX := int64(0)
+		if id%10 == 3 {
+			wantX = 1000 + id
+		}
+		if r[1].AsInt() != id%10 || r[2].AsInt() != wantX || r[3].AsInt() != 1000+id || r[4].AsStr() != fmt.Sprintf("n%d", id) {
+			t.Fatalf("row %d after update: %v", id, r)
+		}
+	}
+}
+
+// TestDeleteMaintainsIndexesFromFullRow: DELETE's match scan keeps every
+// column too — the index entries of the deleted rows are found from their
+// key columns, and the write hook is handed the full old row.
+func TestDeleteMaintainsIndexesFromFullRow(t *testing.T) {
+	db, s := dmlDB(t)
+	var old [][]val.Value
+	db.SetWriteHook(func(_ string, oldRow, newRow []val.Value) {
+		if newRow == nil {
+			old = append(old, append([]val.Value(nil), oldRow...))
+		}
+	})
+	if n := mustExec(t, s, `DELETE FROM u WHERE note = 'n17' OR y = 1042`).RowsAffected; n != 2 {
+		t.Fatalf("deleted %d rows, want 2", n)
+	}
+	if n := mustExec(t, s, `DELETE FROM u WHERE k = 3`).RowsAffected; n != 20 {
+		t.Fatalf("deleted %d rows, want 20", n)
+	}
+	u := db.Table("U")
+	for _, ix := range u.Indexes {
+		if ix.Tree.Entries() != u.Heap.Rows() {
+			t.Errorf("index %s has %d entries for %d rows", ix.Name, ix.Tree.Entries(), u.Heap.Rows())
+		}
+	}
+	if len(old) != 22 {
+		t.Fatalf("write hook saw %d deletes, want 22", len(old))
+	}
+	for _, r := range old {
+		id := r[0].AsInt()
+		if len(r) != 5 || r[1].AsInt() != id%10 || r[2].AsInt() != 0 || r[3].AsInt() != 1000+id || r[4].AsStr() != fmt.Sprintf("n%d", id) {
+			t.Errorf("write hook got old row %v", r)
+		}
+	}
+}
+
+// TestAllocationBudget is the tier-1 guard on per-row allocation: a Q6-
+// and a Q1-shaped statement and a hash join that builds on tt, over the
+// golden fixture's 1500 rows, may allocate about twice what they do today
+// (42, 140 and 92 times per execution — parse, plan, batches, groups). One
+// allocation per scanned or built row would be 1500 more. pad gets a
+// multi-byte value first: Go allocates nothing for the one-byte string the
+// fixture stores, which would hide a scan that decodes it.
+func TestAllocationBudget(t *testing.T) {
+	s := vecDB(t, 1500, 0)
+	mustExec(t, s, `UPDATE tt SET pad = 'padding'`)
+	for _, c := range []struct {
+		q      string
+		budget float64
+	}{
+		{`SELECT SUM(v * grp) FROM tt WHERE v > 100 AND id < 1400`, 90},
+		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 280},
+		{`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.grp AND a.id < 1400`, 180},
+	} {
+		if n := testing.AllocsPerRun(10, func() { mustExec(t, s, c.q) }); n > c.budget {
+			t.Errorf("%q allocates %.0f times per execution, budget %.0f", c.q, n, c.budget)
+		}
+	}
+}

@@ -606,7 +606,7 @@ func (s *Session) execUpdate(st *sqlparse.UpdateStmt, params []val.Value) (*Resu
 	for i, c := range t.Cols {
 		entries[i] = scopeEntry{table: t.Name, column: c.Name}
 	}
-	cc := &compiler{db: s.db, sc: &scope{cols: entries}}
+	cc := &compiler{db: s.db, sc: newScope(nil, entries)}
 	type setFn struct {
 		col int
 		fn  exprFn

@@ -26,10 +26,16 @@ type blockExec struct {
 	row   []val.Value // the current frame: stack's last element
 	// hashes holds the built side of each hash join, filled on first probe;
 	// parallel lanes share one pre-built, read-only map.
-	hashes map[*hashStep]hashTable
+	hashes map[*hashStep]*hashTable
 	curRID storage.RID   // last RID emitted by a scan (single-relation DML)
 	prof   *planProf     // operator spans under ExplainAnalyze; nil otherwise
 	fb     *execFeedback // per-step row counting for adaptive replanning; nil otherwise
+
+	// idxKeys is the key scratch of the index scans in flight, one entry
+	// per nesting level: an index nested-loop join probes while the scan
+	// that feeds it is still walking its own range.
+	idxKeys  []idxKeys
+	idxDepth int
 }
 
 // newBlockExec starts a block execution under the given outer frames. The
@@ -124,15 +130,15 @@ type filterStep struct {
 func (s *filterStep) bound() *relInfo { return nil }
 
 // runAccess streams the relation's rows into be.row under the access path
-// plus extra filters. pages, when set, narrows a heap scan to that page
-// range — one lane's partition of a parallel scan.
+// plus extra filters: the heap decodes the columns the block reads
+// (rel.cols) straight into the relation's slots of the current frame.
+// pages, when set, narrows a heap scan to that page range — one lane's
+// partition of a parallel scan.
 func runAccess(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, pages *[2]int, next func() error) error {
 	if rel.derived != nil {
 		return runDerived(be, rel, ap, extra, next)
 	}
-	off := rel.offset
-	emitRow := func(rid storage.RID, row []val.Value) error {
-		copy(be.row[off:off+rel.nCols], row)
+	emitRow := func(rid storage.RID) error {
 		ok, err := evalFilters(be, ap.filters)
 		if err != nil || !ok {
 			return err
@@ -144,14 +150,19 @@ func runAccess(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, pages
 		be.curRID = rid
 		return next()
 	}
-	switch {
-	case ap.index != nil:
+	if ap.index != nil {
 		return runIndexScan(be, rel, ap, emitRow)
-	case pages != nil:
-		return rel.table.Heap.ScanRange(pages[0], pages[1], be.rt.meter(), emitRow)
-	default:
-		return rel.table.Heap.Scan(be.rt.meter(), emitRow)
 	}
+	heap := rel.table.Heap
+	loPage, hiPage := 0, heap.Pages()
+	if pages != nil {
+		loPage, hiPage = pages[0], pages[1]
+	}
+	off := rel.offset
+	// next may install a new current frame, so the destination is looked
+	// up per row.
+	dst := func() []val.Value { return be.row[off : off+rel.nCols] }
+	return heap.ScanRange(loPage, hiPage, be.rt.meter(), rel.cols, dst, emitRow)
 }
 
 // boundVal normalises an index-scan bound: stored CHAR values are
@@ -163,56 +174,81 @@ func boundVal(v val.Value) val.Value {
 	return v
 }
 
-// runIndexScan evaluates the bound expressions, walks the index range and
-// fetches heap rows.
-func runIndexScan(be *blockExec, rel *relInfo, ap accessPath, emitRow func(storage.RID, []val.Value) error) error {
-	prefix := make([]byte, 0, 32)
+// idxKeys holds one index scan's range bounds: seek at lo, stop past hi
+// (at hi when hiStrict). The byte slices are reused from scan to scan.
+type idxKeys struct {
+	lo, hi   []byte
+	hiStrict bool
+}
+
+// bounds evaluates the access path's bound expressions into k. It reports
+// false when a bound is NULL: a comparison with NULL is true for no key —
+// not even a stored NULL — so the range is empty.
+func (ap *accessPath) bounds(be *blockExec, k *idxKeys) (bool, error) {
+	k.lo, k.hi, k.hiStrict = k.lo[:0], k.hi[:0], false
 	for _, f := range ap.eqFns {
 		v, err := f(be.rt, be.stack)
-		if err != nil {
-			return err
+		if err != nil || v.IsNull() {
+			return false, err
 		}
-		prefix = val.AppendKey(prefix, boundVal(v))
+		k.lo = val.AppendKey(k.lo, boundVal(v))
 	}
-	lo := prefix
+	k.hi = append(k.hi, k.lo...) // both bounds extend the equality prefix
 	if ap.loFn != nil {
 		v, err := ap.loFn(be.rt, be.stack)
-		if err != nil {
-			return err
+		if err != nil || v.IsNull() {
+			return false, err
 		}
-		lo = val.AppendKey(append([]byte(nil), prefix...), boundVal(v))
+		k.lo = val.AppendKey(k.lo, boundVal(v))
 		if !ap.loInc {
-			lo = append(lo, 0xFF)
+			k.lo = append(k.lo, 0xFF)
 		}
 	}
-	var hi []byte
-	hiStrict := false
 	if ap.hiFn != nil {
 		v, err := ap.hiFn(be.rt, be.stack)
-		if err != nil {
-			return err
+		if err != nil || v.IsNull() {
+			return false, err
 		}
-		hi = val.AppendKey(append([]byte(nil), prefix...), boundVal(v))
+		k.hi = val.AppendKey(k.hi, boundVal(v))
 		if ap.hiInc {
-			hi = append(hi, 0xFF)
+			k.hi = append(k.hi, 0xFF)
 		} else {
-			hiStrict = true
+			k.hiStrict = true
 		}
 	} else {
-		hi = append(append([]byte(nil), prefix...), 0xFF)
+		k.hi = append(k.hi, 0xFF)
 	}
+	return true, nil
+}
+
+// runIndexScan walks the access path's index range and fetches the heap
+// rows into the current frame.
+func runIndexScan(be *blockExec, rel *relInfo, ap accessPath, emitRow func(storage.RID) error) error {
+	d := be.idxDepth
+	if d == len(be.idxKeys) {
+		buf := make([]byte, 64)
+		be.idxKeys = append(be.idxKeys, idxKeys{lo: buf[:0:32], hi: buf[32:32]})
+	}
+	k := be.idxKeys[d]
+	ok, err := ap.bounds(be, &k)
+	// The buffers go back before a row is emitted: a scan nested under this
+	// one may move be.idxKeys, but never touches this level's bounds.
+	be.idxKeys[d] = k
+	if err != nil || !ok {
+		return err
+	}
+	be.idxDepth++
+	defer func() { be.idxDepth-- }()
 
 	m := be.rt.meter()
-	it := ap.index.Tree.Seek(lo, m)
-	buf := make([]val.Value, 0, rel.nCols)
+	off := rel.offset
+	it := ap.index.Tree.Seek(k.lo, m)
 	for it.Next() {
-		cmp := bytes.Compare(it.Key, hi)
-		if cmp > 0 || (hiStrict && cmp >= 0) {
+		cmp := bytes.Compare(it.Key, k.hi)
+		if cmp > 0 || (k.hiStrict && cmp >= 0) {
 			break
 		}
-		buf = buf[:0]
-		row, err := rel.table.Heap.Fetch(it.RID, m, buf)
-		if err != nil {
+		if err := rel.table.Heap.FetchCols(it.RID, m, rel.cols, be.row[off:off+rel.nCols]); err != nil {
 			if errors.Is(err, storage.ErrDeadRID) {
 				// The row was deleted between the index probe and the heap
 				// fetch by a concurrent writer: read-committed skips it.
@@ -220,7 +256,7 @@ func runIndexScan(be *blockExec, rel *relInfo, ap accessPath, emitRow func(stora
 			}
 			return err
 		}
-		if err := emitRow(it.RID, row); err != nil {
+		if err := emitRow(it.RID); err != nil {
 			return err
 		}
 	}
@@ -316,15 +352,107 @@ type hashStep struct {
 	estOut      float64 // optimizer's estimated output rows
 }
 
-// hashTable is the built side of a hash join.
-type hashTable map[string][][]val.Value
-
 func (s *hashStep) bound() *relInfo { return s.rel }
+
+// hashTable is the built side of a hash join. Build rows live in slab
+// chunks and are named by index; the rows of one key form a chain through
+// links, in the order they were added, so a probe meets its matches in
+// build-scan order.
+type hashTable struct {
+	nCols  int
+	chunks [][]val.Value    // hashChunkRows rows each; the last may be short
+	links  []hashLink       // per row index
+	heads  map[string]int32 // key → first row of its chain
+}
+
+// hashLink is one row's place in its key's chain.
+type hashLink struct {
+	next int32 // the following row with the same key, -1 at the end
+	tail int32 // at a chain's first row: its last row
+}
+
+// hashChunkRows is the row capacity of a slab chunk (row i is row
+// i%hashChunkRows of chunk i/hashChunkRows). A table's first chunk starts
+// at hashChunkMin rows and doubles up to that, so a small build stays
+// small; the later ones are made full size.
+const (
+	hashChunkRows = 256
+	hashChunkMin  = 16
+)
+
+func newHashTable(nCols int) *hashTable {
+	return &hashTable{
+		nCols:  nCols,
+		chunks: [][]val.Value{make([]val.Value, 0, hashChunkMin*nCols)},
+		heads:  make(map[string]int32),
+	}
+}
+
+// add appends one build row under key.
+func (t *hashTable) add(key []byte, row []val.Value) {
+	c := len(t.chunks) - 1
+	switch n := len(t.chunks[c]); {
+	case n == hashChunkRows*t.nCols:
+		t.chunks = append(t.chunks, make([]val.Value, 0, hashChunkRows*t.nCols))
+		c++
+	case n == cap(t.chunks[c]):
+		t.chunks[c] = append(make([]val.Value, 0, 2*n), t.chunks[c]...)
+	}
+	i := int32(c*hashChunkRows + len(t.chunks[c])/t.nCols)
+	t.chunks[c] = append(t.chunks[c], row...)
+	t.links = append(t.links, hashLink{next: -1, tail: i})
+	if h, ok := t.heads[string(key)]; ok {
+		t.links[t.links[h].tail].next = i
+		t.links[h].tail = i
+	} else {
+		t.heads[string(key)] = i
+	}
+}
+
+// first returns the first row stored under key, -1 when there is none;
+// links[i].next walks on from it.
+func (t *hashTable) first(key []byte) int32 {
+	if h, ok := t.heads[string(key)]; ok {
+		return h
+	}
+	return -1
+}
+
+// row returns build row i.
+func (t *hashTable) row(i int32) []val.Value {
+	at := int(i) % hashChunkRows * t.nCols
+	return t.chunks[int(i)/hashChunkRows][at : at+t.nCols]
+}
+
+// absorb moves a later lane's table o in behind t's rows: o's chunks are
+// taken over as they are, its row indexes shift past t's last chunk, and
+// each of its chains continues t's chain for the same key.
+func (t *hashTable) absorb(o *hashTable) {
+	base := int32(len(t.chunks) * hashChunkRows)
+	t.chunks = append(t.chunks, o.chunks...)
+	t.links = append(t.links, make([]hashLink, int(base)-len(t.links))...)
+	t.links = append(t.links, o.links...)
+	for i := int(base); i < len(t.links); i++ {
+		if l := &t.links[i]; l.next >= 0 {
+			l.next += base
+		}
+		t.links[i].tail += base
+	}
+	for k, h := range o.heads {
+		h += base
+		if th, ok := t.heads[k]; ok {
+			t.links[t.links[th].tail].next = h
+			t.links[th].tail = t.links[h].tail
+		} else {
+			t.heads[k] = h
+		}
+	}
+}
 
 // build scans the relation through its access path into a fresh hash table
 // and charges the build.
-func (s *hashStep) build(rt *runtime, outer rowStack, nSlots int) (hashTable, error) {
-	ht := make(hashTable)
+func (s *hashStep) build(rt *runtime, outer rowStack, nSlots int) (*hashTable, error) {
+	ht := newHashTable(s.rel.nCols)
 	nRows, err := s.buildInto(ht, rt, outer, nSlots, nil)
 	if err != nil {
 		return nil, err
@@ -335,28 +463,40 @@ func (s *hashStep) build(rt *runtime, outer rowStack, nSlots int) (hashTable, er
 
 // buildInto scans the build relation into ht — through its whole access
 // path, or over one page range of its heap for a lane of a parallel build
-// — and returns the number of rows inserted. Scan charges land on rt's
-// meter; the build itself is charged once, by chargeBuild.
-func (s *hashStep) buildInto(ht hashTable, rt *runtime, outer rowStack, nSlots int, pages *[2]int) (int64, error) {
+// — and returns the number of rows scanned. A row with a NULL key column
+// equals no probe key and stays out of the table, but counts as built.
+// Scan charges land on rt's meter; the build itself is charged once, by
+// chargeBuild.
+func (s *hashStep) buildInto(ht *hashTable, rt *runtime, outer rowStack, nSlots int, pages *[2]int) (int64, error) {
 	be := newBlockExec(rt, outer)
 	be.setRow(make([]val.Value, nSlots))
 	built := be.row[s.rel.offset : s.rel.offset+s.rel.nCols]
 	var key []byte
 	var nRows int64
 	err := runAccess(be, s.rel, s.access, nil, pages, func() error {
-		key = key[:0]
-		for _, f := range s.buildKeyFns {
-			v, err := f(rt, be.stack)
-			if err != nil {
-				return err
-			}
-			key = val.AppendKey(key, v)
-		}
-		ht[string(key)] = append(ht[string(key)], append([]val.Value(nil), built...))
 		nRows++
+		k, ok, err := joinKey(key[:0], s.buildKeyFns, rt, be.stack)
+		key = k
+		if err != nil || !ok {
+			return err
+		}
+		ht.add(key, built)
 		return nil
 	})
 	return nRows, err
+}
+
+// joinKey appends the encoded values of a hash join's key expressions to
+// dst. It reports false when one of them is NULL: the row joins nothing.
+func joinKey(dst []byte, fns []exprFn, rt *runtime, stack rowStack) ([]byte, bool, error) {
+	for _, f := range fns {
+		v, err := f(rt, stack)
+		if err != nil || v.IsNull() {
+			return dst, false, err
+		}
+		dst = val.AppendKey(dst, v)
+	}
+	return dst, true, nil
 }
 
 // chargeBuild charges a finished build of nRows rows: per-row CPU, plus
@@ -756,7 +896,7 @@ func (p *selectPlan) batchCap() int {
 
 // runSerial is the single-goroutine pipeline. hashes, when non-nil, holds
 // hash tables pre-built by a parallel build.
-func (p *selectPlan) runSerial(rt *runtime, outer rowStack, emit func([]val.Value) error, hashes map[*hashStep]hashTable) error {
+func (p *selectPlan) runSerial(rt *runtime, outer rowStack, emit func([]val.Value) error, hashes map[*hashStep]*hashTable) error {
 	be := newBlockExec(rt, outer)
 	be.hashes = hashes
 	be.prof = rt.planProf(p)

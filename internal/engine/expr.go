@@ -76,10 +76,19 @@ type scopeEntry struct {
 type scope struct {
 	parent *scope
 	cols   []scopeEntry
+	// used[i] records that some expression was bound to slot i — by this
+	// block or by a sub-block reaching it through the scope chain. It is
+	// what a block's scans read: planSelect turns each base relation's
+	// stretch of it into the column set its scan decodes.
+	used []bool
+}
+
+func newScope(parent *scope, cols []scopeEntry) *scope {
+	return &scope{parent: parent, cols: cols, used: make([]bool, len(cols))}
 }
 
 // resolve finds (depth, index) for a column reference; depth 0 is this
-// scope.
+// scope. The slot it finds is marked used in the scope that owns it.
 func (sc *scope) resolve(tbl, col string) (int, int, error) {
 	depth := 0
 	for s := sc; s != nil; s = s.parent {
@@ -97,6 +106,7 @@ func (sc *scope) resolve(tbl, col string) (int, int, error) {
 			found = i
 		}
 		if found >= 0 {
+			s.used[found] = true
 			return depth, found, nil
 		}
 		depth++

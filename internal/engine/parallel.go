@@ -109,7 +109,7 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 	// partitioned parallel build when the build side is a wide-enough
 	// base-table scan, serial coordinator build otherwise.
 	builtParallel := false
-	shared := make(map[*hashStep]hashTable)
+	shared := make(map[*hashStep]*hashTable)
 	for si := 1; si < len(p.steps); si++ {
 		hs, ok := p.steps[si].(*hashStep)
 		if !ok {
@@ -119,7 +119,7 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 		if pp != nil {
 			restore = rt.spanScope(pp.steps[si])
 		}
-		var ht hashTable
+		var ht *hashTable
 		if hs.rel.table != nil && hs.access.index == nil {
 			if ht, err = p.parallelBuild(rt, outer, hs, subMu, model); err != nil {
 				restore()
@@ -275,22 +275,22 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 
 // parallelBuild builds a hash-join table by partitioned parallel scan of
 // the build relation. Per-partition tables merge in partition order, so
-// each key's match list is in heap-scan order exactly as a serial build
+// each key's match chain is in heap-scan order exactly as a serial build
 // would produce. Returns nil (no error) when the relation is too small to
 // split, in which case the caller builds serially.
-func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, subMu *sync.Mutex, model cost.Model) (hashTable, error) {
+func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, subMu *sync.Mutex, model cost.Model) (*hashTable, error) {
 	parts := partitionPages(s.rel.table.Heap.Pages(), p.parallel)
 	if len(parts) < 2 {
 		return nil, nil
 	}
-	tables := make([]hashTable, len(parts))
+	tables := make([]*hashTable, len(parts))
 	counts := make([]int64, len(parts))
 	meters := make([]*cost.Meter, len(parts))
 	errs := make([]error, len(parts))
 	runPartitions(len(parts), func(i int) {
 		meters[i] = cost.NewMeter(model)
 		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: rt.subCache, subMu: subMu, m: meters[i]}
-		tables[i] = make(hashTable)
+		tables[i] = newHashTable(s.rel.nCols)
 		counts[i], errs[i] = s.buildInto(tables[i], rtW, outer, p.nSlots, &parts[i])
 	})
 	rt.sess.Meter.AddParallel(meters...)
@@ -299,12 +299,10 @@ func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, sub
 			return nil, e
 		}
 	}
-	merged := make(hashTable)
-	var nRows int64
-	for i := range tables {
-		for k, rows := range tables[i] {
-			merged[k] = append(merged[k], rows...)
-		}
+	merged := tables[0]
+	nRows := counts[0]
+	for i := 1; i < len(tables); i++ {
+		merged.absorb(tables[i])
 		nRows += counts[i]
 	}
 	s.chargeBuild(rt.meter(), nRows)

@@ -66,6 +66,12 @@ type relInfo struct {
 	derived *selectPlan // derived (view with aggregation etc.)
 	offset  int         // first slot in the shared row
 	nCols   int
+	// used is the relation's stretch of the block scope's marks while the
+	// block is being planned; cols is what they come to once planSelect
+	// returns — the columns a scan of the base table decodes. Every other
+	// slot of the relation is never read, so it is never written either.
+	used []bool
+	cols *val.ColSet
 
 	pushed []conjunct // single-relation conjuncts, applied at the scan
 	access accessPath // chosen access path
@@ -244,7 +250,10 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 		entries = append(entries, db.relScopeEntries(ri)...)
 	}
 	p.nSlots = offset
-	sc := &scope{parent: outerScope, cols: entries}
+	sc := newScope(outerScope, entries)
+	for _, ri := range rels {
+		ri.used = sc.used[ri.offset : ri.offset+ri.nCols]
+	}
 	p.layout = entries
 	cc := &compiler{db: db, sc: sc, opts: opts}
 
@@ -311,6 +320,13 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 	p.outerDepth = cc.maxDepth
 	if cc.maxParam > p.nParams {
 		p.nParams = cc.maxParam
+	}
+	// Every expression of this block and of the sub-blocks below it is
+	// bound by now, so the marks are final.
+	for _, ri := range rels {
+		if ri.table != nil {
+			ri.cols = ri.table.Heap.Codec().Cols(ri.used)
+		}
 	}
 	p.planParallel()
 	return p, nil

@@ -332,8 +332,8 @@ func (p *selectPlan) extend(pc planConsts, rels []*relInfo, conjs []conjunct, e 
 				if ed.relA != j {
 					jCol, oRel, oCol = ed.colB, ed.relA, ed.colA
 				}
-				hs.buildKeyFns = append(hs.buildKeyFns, slotFn(ri.offset+jCol))
-				hs.probeFns = append(hs.probeFns, slotFn(rels[oRel].offset+oCol))
+				hs.buildKeyFns = append(hs.buildKeyFns, ri.slotFn(jCol))
+				hs.probeFns = append(hs.probeFns, rels[oRel].slotFn(oCol))
 			}
 			bestCost, bestStep = cost, hs
 		}
@@ -396,7 +396,7 @@ func (p *selectPlan) inlCandidate(pc planConsts, rels []*relInfo, ri *relInfo, j
 			if jCol != colIdx {
 				continue
 			}
-			eqFns = append(eqFns, slotFn(rels[oRel].offset+oCol))
+			eqFns = append(eqFns, rels[oRel].slotFn(oCol))
 			usedEdge[ei] = true
 			found, anyEdge = true, true
 			break
@@ -545,4 +545,11 @@ func slotFn(idx int) exprFn {
 	return func(rt *runtime, rows rowStack) (val.Value, error) {
 		return rows[len(rows)-1][idx], nil
 	}
+}
+
+// slotFn returns an exprFn reading the relation's column col from the
+// current row, and marks the column read.
+func (ri *relInfo) slotFn(col int) exprFn {
+	ri.used[col] = true
+	return slotFn(ri.offset + col)
 }

@@ -18,14 +18,19 @@ import (
 // which the meter defines as exactly n single-event charges, so the
 // simulated clock cannot tell a batch from n rows.
 //
-// One run is shaped by three things, all derived, none settable:
+// One run is shaped by four things, all derived, none settable:
 //   - batch capacity (selectPlan.batchCap): 1 for a block that can stop
 //     early, so it never reads past the row that stops it; the growing
 //     64→1024 batch otherwise; a lane of a parallel scan stays at 64,
 //   - lead source: the leading step's access path — heap, index or derived
 //     relation — narrowed to a page range for a parallel lane,
 //   - sink: projection into the block's outputSink, projection into a
-//     lane's retained rows, or grouped aggregation into an aggAccum.
+//     lane's retained rows, or grouped aggregation into an aggAccum,
+//   - columns read (relInfo.cols): a scan decodes only the columns some
+//     expression was bound to — marked by scope.resolve at any depth and by
+//     relInfo.slotFn, final once planSelect returns — straight into the
+//     relation's slots of the current frame; the other slots are never
+//     written and never read.
 //
 // Under ExplainAnalyze each stage installs its operator's span around its
 // own work and counts the rows it hands on per batch.
@@ -258,7 +263,7 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 			return err
 		}
 		if be.hashes == nil {
-			be.hashes = make(map[*hashStep]hashTable)
+			be.hashes = make(map[*hashStep]*hashTable)
 		}
 		be.hashes[s] = ht
 	}
@@ -272,20 +277,19 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 	for j := 0; j < n; j++ {
 		frame := in.frames[j]
 		be.setRow(frame)
-		key := v.keyBuf[:0]
-		for _, f := range s.probeFns {
-			pv, err := f(be.rt, be.stack)
-			if err != nil {
-				return err
-			}
-			key = val.AppendKey(key, pv)
-		}
+		key, ok, err := joinKey(v.keyBuf[:0], s.probeFns, be.rt, be.stack)
 		v.keyBuf = key
-		for _, match := range ht[string(key)] {
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		for r := ht.first(key); r >= 0; r = ht.links[r].next {
 			pending++
 			dst := out.frames[out.n]
 			copy(dst[:hi], frame[:hi])
-			copy(dst[off:off+nCols], match)
+			copy(dst[off:off+nCols], ht.row(r))
 			be.setRow(dst)
 			ok, err := evalFilters(be, s.filters)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"r3bench/internal/cost"
@@ -176,20 +177,32 @@ func (h *HeapFile) InsertTx(tx int64, row []val.Value, m *cost.Meter) (RID, erro
 // fetch, in which case the reader simply skips it.
 var ErrDeadRID = errors.New("storage: fetch of dead rid")
 
-// Fetch decodes the row at rid (random page access) into out.
+// Fetch decodes the row at rid (random page access), appending every
+// column to out.
 func (h *HeapFile) Fetch(rid RID, m *cost.Meter, out []val.Value) ([]val.Value, error) {
+	n, nc := len(out), h.codec.NumCols()
+	out = slices.Grow(out, nc)[:n+nc]
+	if err := h.FetchCols(rid, m, h.codec.AllCols(), out[n:]); err != nil {
+		return out[:n], err
+	}
+	return out, nil
+}
+
+// FetchCols decodes the columns in cols of the row at rid (random page
+// access) into their slots of dst, one full row wide.
+func (h *HeapFile) FetchCols(rid RID, m *cost.Meter, cols *val.ColSet, dst []val.Value) error {
 	page, err := h.pool.Get(h.file, rid.Page, m)
 	if err != nil {
-		return out, err
+		return err
 	}
 	if int(rid.Slot) >= pageUsed(page) || deleted(page, int(rid.Slot)) {
-		return out, fmt.Errorf("%w %v", ErrDeadRID, rid)
+		return fmt.Errorf("%w %v", ErrDeadRID, rid)
 	}
 	off := h.slotOffset(int(rid.Slot))
 	if m != nil {
 		m.Charge(cost.TupleCPU, 1)
 	}
-	return h.codec.Decode(page[off:off+h.codec.RowBytes()], out)
+	return cols.Decode(page[off:off+h.codec.RowBytes()], dst)
 }
 
 // Delete tombstones the row at rid.
@@ -259,51 +272,27 @@ func (h *HeapFile) UpdateTx(tx int64, rid RID, row []val.Value, m *cost.Meter) e
 // between calls; fn must copy values it retains. Returning a non-nil error
 // from fn stops the scan; the sentinel ErrStopScan stops it silently.
 func (h *HeapFile) Scan(m *cost.Meter, fn func(rid RID, row []val.Value) error) error {
-	n := h.disk.NumPages(h.file)
-	buf := make([]val.Value, 0, h.codec.NumCols())
-	run := h.pool.NewScanRun(h.file, PageID(n))
-	for p := 0; p < n; p++ {
-		page, err := run.Get(PageID(p), m)
-		if err != nil {
-			return err
-		}
-		used := pageUsed(page)
-		for s := 0; s < used; s++ {
-			if deleted(page, s) {
-				continue
-			}
-			off := h.slotOffset(s)
-			buf = buf[:0]
-			buf, err = h.codec.Decode(page[off:off+h.codec.RowBytes()], buf)
-			if err != nil {
-				return err
-			}
-			if m != nil {
-				m.Charge(cost.TupleCPU, 1)
-			}
-			if err := fn(RID{Page: PageID(p), Slot: uint16(s)}, buf); err != nil {
-				if err == ErrStopScan {
-					return nil
-				}
-				return err
-			}
-		}
-	}
-	return nil
+	row := make([]val.Value, h.codec.NumCols())
+	return h.ScanRange(0, h.Pages(), m, h.codec.AllCols(),
+		func() []val.Value { return row },
+		func(rid RID) error { return fn(rid, row) })
 }
 
-// ScanRange calls fn for every live row in pages [loPage, hiPage), in
-// file order — one partition of a parallel scan. Page charging is
-// partition-local: the first page of the range costs a random read (the
-// worker's arm seeks there), subsequent pages are sequential or a batched
-// readahead window. The global per-file sequential detector is untouched,
-// so concurrent partitions charge deterministically, and the run's limit
-// keeps readahead from prefetching into a neighboring partition's range.
-func (h *HeapFile) ScanRange(loPage, hiPage int, m *cost.Meter, fn func(rid RID, row []val.Value) error) error {
+// ScanRange is the heap's scan loop: for every live row in pages [loPage,
+// hiPage), in file order, it decodes the columns in cols into the row-wide
+// slice dst returns and calls fn. dst is asked before each row, so a caller
+// that keeps a row where it was decoded hands out the next one's storage.
+// The whole file is one range; a narrower one is one partition of a
+// parallel scan. Page charging is range-local: the first page costs a
+// random read (the arm seeks there), subsequent pages are sequential or a
+// batched readahead window. The global per-file sequential detector is
+// untouched, so concurrent partitions charge deterministically, and the
+// run's limit keeps readahead from prefetching into a neighboring
+// partition's range.
+func (h *HeapFile) ScanRange(loPage, hiPage int, m *cost.Meter, cols *val.ColSet, dst func() []val.Value, fn func(rid RID) error) error {
 	if n := h.disk.NumPages(h.file); hiPage > n {
 		hiPage = n
 	}
-	buf := make([]val.Value, 0, h.codec.NumCols())
 	run := h.pool.NewScanRun(h.file, PageID(hiPage))
 	for p := loPage; p < hiPage; p++ {
 		page, err := run.Get(PageID(p), m)
@@ -316,15 +305,13 @@ func (h *HeapFile) ScanRange(loPage, hiPage int, m *cost.Meter, fn func(rid RID,
 				continue
 			}
 			off := h.slotOffset(s)
-			buf = buf[:0]
-			buf, err = h.codec.Decode(page[off:off+h.codec.RowBytes()], buf)
-			if err != nil {
+			if err := cols.Decode(page[off:off+h.codec.RowBytes()], dst()); err != nil {
 				return err
 			}
 			if m != nil {
 				m.Charge(cost.TupleCPU, 1)
 			}
-			if err := fn(RID{Page: PageID(p), Slot: uint16(s)}, buf); err != nil {
+			if err := fn(RID{Page: PageID(p), Slot: uint16(s)}); err != nil {
 				if err == ErrStopScan {
 					return nil
 				}

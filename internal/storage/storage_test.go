@@ -345,7 +345,8 @@ func TestConcurrentScansSharedPool(t *testing.T) {
 			lo := w * per
 			hi := lo + per
 			wm := cost.NewMeter(cost.Default1996())
-			errs[w] = h.ScanRange(lo, hi, wm, func(rid RID, r []val.Value) error {
+			r := make([]val.Value, h.Codec().NumCols())
+			errs[w] = h.ScanRange(lo, hi, wm, h.Codec().AllCols(), func() []val.Value { return r }, func(RID) error {
 				partSums[w] += r[0].AsInt()
 				partCounts[w]++
 				return nil
@@ -607,5 +608,58 @@ func TestReadaheadDisabledOnTinyPools(t *testing.T) {
 	}
 	if m.Count(cost.RandRead) != 1 || m.Count(cost.SeqRead) != 15 {
 		t.Fatalf("charges rand=%d seq=%d, want 1/15", m.Count(cost.RandRead), m.Count(cost.SeqRead))
+	}
+}
+
+// TestScanOfNumericColumnsAllocatesNothingPerRow: a scan over the TPC-D
+// LINEITEM layout that wants only numeric and date columns (Q6's shape)
+// builds no string and no row buffer — whatever it allocates, it allocates
+// per scan, not per row.
+func TestScanOfNumericColumnsAllocatesNothingPerRow(t *testing.T) {
+	layout := []val.ColType{val.Int4, val.Int4, val.Int4, val.Int4, val.Dec8, val.Dec8, val.Dec8, val.Dec8,
+		val.Char(1), val.Char(1), val.Date4, val.Date4, val.Date4, val.Char(25), val.Char(10), val.Char(44)}
+	disk := NewDisk()
+	h := NewHeapFile(disk, NewBufferPool(disk, 8<<20), val.NewRowCodec(layout))
+	const nRows = 2000
+	for i := 0; i < nRows; i++ {
+		r := make([]val.Value, len(layout))
+		for c, ct := range layout {
+			switch ct.Kind {
+			case val.KStr:
+				r[c] = val.Str("R")
+			case val.KFloat:
+				r[c] = val.Float(float64(i))
+			default:
+				r[c] = val.Int(int64(i))
+			}
+		}
+		if _, err := h.Insert(r, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]bool, len(layout))
+	for _, c := range []int{4, 5, 6, 10} { // quantity, extendedprice, discount, shipdate
+		want[c] = true
+	}
+	cols := h.Codec().Cols(want)
+	dst := make([]val.Value, len(layout))
+	var sum float64
+	perScan := testing.AllocsPerRun(5, func() {
+		err := h.ScanRange(0, h.Pages(), nil, cols, func() []val.Value { return dst }, func(RID) error {
+			sum += dst[5].AsFloat()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sum == 0 {
+		t.Fatal("scan decoded nothing")
+	}
+	if perScan >= nRows/100 {
+		t.Errorf("scan of %d rows allocated %.0f times: a per-row allocation is back", nRows, perScan)
+	}
+	if !dst[13].IsNull() {
+		t.Errorf("unwanted CHAR column was decoded: %v", dst[13])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ColType describes the physical type of one column: its kind and its
@@ -35,6 +36,7 @@ var Date4 = ColType{Kind: KDate, Width: 4}
 type RowCodec struct {
 	cols     []ColType
 	rowBytes int
+	all      *ColSet // every column: what Decode reads
 }
 
 // NewRowCodec builds a codec for the given column layout.
@@ -44,6 +46,7 @@ func NewRowCodec(cols []ColType) *RowCodec {
 	for _, ct := range cols {
 		c.rowBytes += ct.Width
 	}
+	c.all = c.newColSet(nil, len(cols))
 	return c
 }
 
@@ -52,6 +55,55 @@ func (c *RowCodec) RowBytes() int { return c.rowBytes }
 
 // NumCols returns the number of columns the codec encodes.
 func (c *RowCodec) NumCols() int { return len(c.cols) }
+
+// ColSet is a subset of a codec's columns prepared for decoding: the byte
+// offset, width and kind of each wanted column are worked out once, so a
+// decode does no work — and builds no string — for the columns left out.
+// A ColSet is immutable and shared freely between readers.
+type ColSet struct {
+	nCols    int
+	rowBytes int
+	fields   []colField
+}
+
+// colField locates one wanted column in the encoded row.
+type colField struct {
+	col   int // column index: its null bit and its destination slot
+	off   int // byte offset of the field in the encoded row
+	width int
+	kind  Kind
+}
+
+// AllCols returns the set of every column.
+func (c *RowCodec) AllCols() *ColSet { return c.all }
+
+// Cols returns the set of the columns i with want[i] true; want must be
+// NumCols long.
+func (c *RowCodec) Cols(want []bool) *ColSet {
+	n := 0
+	for _, w := range want {
+		if w {
+			n++
+		}
+	}
+	if n == len(c.cols) {
+		return c.all
+	}
+	return c.newColSet(want, n)
+}
+
+// newColSet lays out the n wanted columns (nil = all of them).
+func (c *RowCodec) newColSet(want []bool, n int) *ColSet {
+	s := &ColSet{nCols: len(c.cols), rowBytes: c.rowBytes, fields: make([]colField, 0, n)}
+	off := (len(c.cols) + 7) / 8
+	for i, ct := range c.cols {
+		if want == nil || want[i] {
+			s.fields = append(s.fields, colField{col: i, off: off, width: ct.Width, kind: ct.Kind})
+		}
+		off += ct.Width
+	}
+	return s
+}
 
 // Encode appends the fixed-width encoding of row to dst. Values are
 // coerced to their column's kind; strings are right-padded with spaces and
@@ -109,36 +161,48 @@ func (c *RowCodec) Encode(dst []byte, row []Value) ([]byte, error) {
 // appends the values to out, returning the extended slice. String values
 // are right-trimmed.
 func (c *RowCodec) Decode(src []byte, out []Value) ([]Value, error) {
-	if len(src) != c.rowBytes {
-		return out, fmt.Errorf("val: decode: row is %d bytes, want %d", len(src), c.rowBytes)
+	n := len(out)
+	out = slices.Grow(out, len(c.cols))[:n+len(c.cols)]
+	if err := c.all.Decode(src, out[n:]); err != nil {
+		return out[:n], err
 	}
-	bm := src[:(len(c.cols)+7)/8]
-	off := len(bm)
-	for i, ct := range c.cols {
-		field := src[off : off+ct.Width]
-		off += ct.Width
-		if bm[i/8]&(1<<(i%8)) != 0 {
-			out = append(out, Null)
+	return out, nil
+}
+
+// Decode decodes the set's columns of one encoded row straight into their
+// slots of dst, which must be one full row wide; the slots of columns
+// outside the set are left as they are. String values are right-trimmed.
+func (s *ColSet) Decode(src []byte, dst []Value) error {
+	if len(src) != s.rowBytes {
+		return fmt.Errorf("val: decode: row is %d bytes, want %d", len(src), s.rowBytes)
+	}
+	if len(dst) != s.nCols {
+		return fmt.Errorf("val: decode: destination has %d slots for %d columns", len(dst), s.nCols)
+	}
+	for _, f := range s.fields {
+		if src[f.col/8]&(1<<(f.col%8)) != 0 {
+			dst[f.col] = Null
 			continue
 		}
-		switch ct.Kind {
+		field := src[f.off : f.off+f.width]
+		switch f.kind {
 		case KInt:
-			if ct.Width == 4 {
-				out = append(out, Int(int64(int32(binary.BigEndian.Uint32(field)))))
+			if f.width == 4 {
+				dst[f.col] = Int(int64(int32(binary.BigEndian.Uint32(field))))
 			} else {
-				out = append(out, Int(int64(binary.BigEndian.Uint64(field))))
+				dst[f.col] = Int(int64(binary.BigEndian.Uint64(field)))
 			}
 		case KDate:
-			out = append(out, Date(int64(int32(binary.BigEndian.Uint32(field)))))
+			dst[f.col] = Date(int64(int32(binary.BigEndian.Uint32(field))))
 		case KFloat:
-			out = append(out, Float(math.Float64frombits(binary.BigEndian.Uint64(field))))
+			dst[f.col] = Float(math.Float64frombits(binary.BigEndian.Uint64(field)))
 		case KStr:
 			end := len(field)
 			for end > 0 && field[end-1] == ' ' {
 				end--
 			}
-			out = append(out, Str(string(field[:end])))
+			dst[f.col] = Str(string(field[:end]))
 		}
 	}
-	return out, nil
+	return nil
 }

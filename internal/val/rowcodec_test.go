@@ -84,37 +84,43 @@ func TestRowCodecWidthAccounting(t *testing.T) {
 	}
 }
 
+// randomRow draws one row of the layout: one value in eight NULL, strings
+// of every length up to the declared width.
+func randomRow(r *rand.Rand, layout []ColType) []Value {
+	row := make([]Value, len(layout))
+	for i, ct := range layout {
+		if r.Intn(8) == 0 {
+			row[i] = Null
+			continue
+		}
+		switch ct.Kind {
+		case KInt:
+			if ct.Width == 4 {
+				row[i] = Int(int64(int32(r.Uint32())))
+			} else {
+				row[i] = Int(int64(r.Uint64()))
+			}
+		case KFloat:
+			row[i] = Float(float64(r.Intn(1e6)) / 100)
+		case KDate:
+			row[i] = Date(int64(r.Intn(30000)))
+		case KStr:
+			b := make([]byte, r.Intn(ct.Width+1))
+			for j := range b {
+				b[j] = byte('A' + r.Intn(26))
+			}
+			row[i] = Str(string(b))
+		}
+	}
+	return row
+}
+
 func TestRowCodecRandomRoundTrips(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	layout := []ColType{Int4, Int8, Dec8, Date4, Char(10), Char(30)}
 	c := NewRowCodec(layout)
 	for trial := 0; trial < 2000; trial++ {
-		row := make([]Value, len(layout))
-		for i, ct := range layout {
-			if r.Intn(8) == 0 {
-				row[i] = Null
-				continue
-			}
-			switch ct.Kind {
-			case KInt:
-				if ct.Width == 4 {
-					row[i] = Int(int64(int32(r.Uint32())))
-				} else {
-					row[i] = Int(int64(r.Uint64()))
-				}
-			case KFloat:
-				row[i] = Float(float64(r.Intn(1e6)) / 100)
-			case KDate:
-				row[i] = Date(int64(r.Intn(30000)))
-			case KStr:
-				n := r.Intn(ct.Width + 1)
-				b := make([]byte, n)
-				for j := range b {
-					b[j] = byte('A' + r.Intn(26))
-				}
-				row[i] = Str(string(b))
-			}
-		}
+		row := randomRow(r, layout)
 		enc, err := c.Encode(nil, row)
 		if err != nil {
 			t.Fatal(err)
@@ -126,5 +132,68 @@ func TestRowCodecRandomRoundTrips(t *testing.T) {
 		if !reflect.DeepEqual(row, dec) {
 			t.Fatalf("trial %d: got %v want %v", trial, dec, row)
 		}
+	}
+}
+
+// TestColSetDecodeProperty: over random layouts and random column sets, a
+// projected decode writes exactly what Decode returns into the wanted
+// slots and leaves every other slot of the destination as it found it.
+func TestColSetDecodeProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	types := []ColType{Int4, Int8, Dec8, Date4, Char(1), Char(16), Char(44)}
+	sentinel := Str("untouched")
+	for trial := 0; trial < 500; trial++ {
+		layout := make([]ColType, 1+r.Intn(20)) // up to three null-bitmap bytes
+		for i := range layout {
+			layout[i] = types[r.Intn(len(types))]
+		}
+		c := NewRowCodec(layout)
+		want := make([]bool, len(layout))
+		for i := range want {
+			want[i] = r.Intn(3) == 0
+		}
+		if trial%50 == 0 { // the all-columns set is Decode's own
+			for i := range want {
+				want[i] = true
+			}
+		}
+		cols := c.Cols(want)
+		for n := 0; n < 8; n++ {
+			enc, err := c.Encode(nil, randomRow(r, layout))
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := c.Decode(enc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]Value, len(layout))
+			for i := range dst {
+				dst[i] = sentinel
+			}
+			if err := cols.Decode(enc, dst); err != nil {
+				t.Fatal(err)
+			}
+			for i := range dst {
+				exp := sentinel
+				if want[i] {
+					exp = full[i]
+				}
+				if dst[i] != exp {
+					t.Fatalf("trial %d layout %v want %v: slot %d = %v, expected %v", trial, layout, want, i, dst[i], exp)
+				}
+			}
+		}
+	}
+}
+
+func TestColSetDecodeErrors(t *testing.T) {
+	c := NewRowCodec([]ColType{Int4, Int4})
+	cols := c.Cols([]bool{true, false})
+	if err := cols.Decode(make([]byte, 3), make([]Value, 2)); err == nil {
+		t.Error("short row must error")
+	}
+	if err := cols.Decode(make([]byte, c.RowBytes()), make([]Value, 1)); err == nil {
+		t.Error("narrow destination must error")
 	}
 }

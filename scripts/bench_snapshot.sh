@@ -8,7 +8,8 @@
 # degrees, per-query parallel pairs (DESIGN.md §5), the ORDER BY-heavy
 # serial queries, the Q1 aggregation benchmark (DESIGN.md §10), whose
 # real allocs/op land in the snapshot for the benchdiff
-# -max-allocs-increase gate, and the SQL front-end parse benchmarks
+# -max-allocs-increase gate (B/op is recorded beside them, ungated), and
+# the SQL front-end parse benchmarks
 # (DESIGN.md §11) — wall-clock only, no simulated time — whose allocs/op
 # feed the -max-parse-allocs ceiling. Set BENCH_OUT to redirect the output file
 # (bench_diff.sh uses this for throwaway snapshots). The snapshot also
@@ -45,11 +46,14 @@ metrics=$(cat "$mtmp")
 printf '%s\n' "$raw" | awk -v date="$(date +%F)" -v metrics="$metrics" '
 /^Benchmark/ {
 	name = $1
+	sub(/-[0-9]+$/, "", name) # the GOMAXPROCS suffix: names must match across boxes
 	sim = ""
 	allocs = ""
+	bytes = ""
 	for (i = 2; i <= NF; i++) {
 		if ($(i+1) == "sim-ms/op") sim = $i
 		if ($(i+1) == "allocs/op") allocs = $i
+		if ($(i+1) == "B/op") bytes = $i
 	}
 	# Parse benchmarks measure only the real machine: they carry
 	# allocs/op but no simulated time. Emit them without sim_ms.
@@ -58,6 +62,7 @@ printf '%s\n' "$raw" | awk -v date="$(date +%F)" -v metrics="$metrics" '
 	printf "    {\"name\": \"%s\"", name
 	if (sim != "") printf ", \"sim_ms\": %s", sim
 	if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
+	if (bytes != "") printf ", \"bytes_per_op\": %s", bytes
 	printf "}"
 	if (name ~ /Parallel1_RDBMS/) serial = sim
 	if (name ~ /Parallel4_RDBMS/) deg4 = sim
