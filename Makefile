@@ -3,7 +3,7 @@ GO ?= go
 # Newest committed snapshot is the regression baseline for bench-diff.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: all fmt-check vet build test race race-streams race-shards race-recovery race-warehouse fuzz-smoke bench-smoke bench-wire-smoke bench-snapshot bench-diff ci check
+.PHONY: all fmt-check vet build test race race-streams race-shards race-recovery race-warehouse fuzz-smoke bench-smoke bench-wire-smoke bench-snapshot bench-diff ci check clean
 
 all: check
 
@@ -87,3 +87,9 @@ bench-diff:
 ci: fmt-check vet race race-streams race-shards race-recovery race-warehouse fuzz-smoke bench-wire-smoke bench-diff
 
 check: vet build race bench-smoke bench-wire-smoke
+
+# What `go test -c` and bench/run.sh build into the work tree (both
+# git-ignored): compiled test binaries and the benchmark's build cache.
+# Results under bench/out/ stay.
+clean:
+	rm -rf *.test .bench_build

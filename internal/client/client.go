@@ -4,6 +4,13 @@
 // its methods serialize internally, so a Conn may be shared by multiple
 // goroutines (requests interleave whole, like a work process multiplexing
 // dialog steps over one RDBMS connection).
+//
+// The rows of one reply frame — a whole Result, or one packet of an array
+// stream — are decoded into one slab of values, and their strings (column
+// names, CHAR values) share one copy of the frame's bytes. Rows may be
+// kept for as long as the caller likes, nothing is reused across frames;
+// but keeping one row keeps its frame's slab, and keeping one CHAR value
+// keeps that frame's bytes.
 package client
 
 import (
@@ -92,21 +99,17 @@ func decodeReply(frame []byte, want byte) (*engine.Result, error) {
 	}
 }
 
-// decodeResult parses a MsgResult frame body (the mirror of the
-// server's sendResult).
+// decodeResult parses a MsgResult frame body: column names, rows
+// affected, row count, rows.
 func decodeResult(body []byte) (*engine.Result, error) {
 	r := wire.NewReader(body)
-	nCols := int(r.Uint32())
-	res := &engine.Result{}
-	for i := 0; i < nCols && r.Err() == nil; i++ {
-		res.Cols = append(res.Cols, r.String())
-	}
+	res := &engine.Result{Cols: r.Strings()}
 	res.RowsAffected = int64(r.Uint64())
-	nRows := int(r.Uint32())
-	for i := 0; i < nRows && r.Err() == nil; i++ {
-		res.Rows = append(res.Rows, r.Values())
+	res.Rows = r.Rows(int(r.Uint32()), len(res.Cols))
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	return res, r.Err()
+	return res, nil
 }
 
 // Query executes one statement and returns its whole result.
@@ -131,7 +134,10 @@ func (c *Conn) Exec(sql string, params ...val.Value) (*engine.Result, error) {
 // QueryArray executes a statement through the array interface: fn is
 // called once per row packet (up to cost.ArrayFetchRows rows each) as
 // batches arrive, and the column names plus total rows-affected come
-// back at the end. fn must not retain the batch slice.
+// back at the end. Every batch is decoded into storage of its own: fn may
+// keep the rows. A statement that fails part-way returns the server's
+// *wire.Error after the batches that preceded it; the connection stays
+// usable.
 func (c *Conn) QueryArray(sql string, params []val.Value, fn func(batch [][]val.Value) error) ([]string, int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -149,11 +155,7 @@ func (c *Conn) QueryArray(sql string, params []val.Value, fn func(batch [][]val.
 		return nil, 0, fmt.Errorf("client: unexpected message type 0x%02x", frame[0])
 	}
 	r := wire.NewReader(frame[1:])
-	nCols := int(r.Uint32())
-	cols := make([]string, 0, nCols)
-	for i := 0; i < nCols; i++ {
-		cols = append(cols, r.String())
-	}
+	cols := r.Strings()
 	if err := r.Err(); err != nil {
 		c.dead = err
 		return nil, 0, err
@@ -166,11 +168,7 @@ func (c *Conn) QueryArray(sql string, params []val.Value, fn func(batch [][]val.
 		switch frame[0] {
 		case wire.MsgRowBatch:
 			r := wire.NewReader(frame[1:])
-			n := int(r.Uint32())
-			batch := make([][]val.Value, 0, n)
-			for i := 0; i < n; i++ {
-				batch = append(batch, r.Values())
-			}
+			batch := r.Rows(int(r.Uint32()), len(cols))
 			if err := r.Err(); err != nil {
 				c.dead = err
 				return nil, 0, err
@@ -186,6 +184,10 @@ func (c *Conn) QueryArray(sql string, params []val.Value, fn func(batch [][]val.
 			r := wire.NewReader(frame[1:])
 			affected := int64(r.Uint64())
 			return cols, affected, r.Err()
+		case wire.MsgError:
+			// The statement failed after its header was sent: the error ends
+			// the stream and the connection carries on.
+			return nil, 0, wire.DecodeError(frame[1:])
 		default:
 			c.dead = fmt.Errorf("client: unexpected message type 0x%02x mid-stream", frame[0])
 			return nil, 0, c.dead

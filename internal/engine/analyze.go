@@ -154,7 +154,7 @@ func (s *Session) ExplainAnalyze(sql string, params ...val.Value) (*Analyzed, er
 	ship := root.Child("row-ship")
 
 	arrayFetch := s.db.ArrayFetchEnabled()
-	rt := &runtime{sess: s, params: params, subCache: make(map[*selectPlan][][]val.Value), prof: prof}
+	rt := &runtime{sess: s, params: params, prof: prof}
 	res := &Result{Cols: plan.outCols}
 	err = plan.run(rt, nil, func(row []val.Value) error {
 		if !arrayFetch {

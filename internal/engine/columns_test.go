@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	stdruntime "runtime"
 	"testing"
 
 	"r3bench/internal/val"
@@ -215,13 +216,18 @@ func TestDeleteMaintainsIndexesFromFullRow(t *testing.T) {
 	}
 }
 
-// TestAllocationBudget is the tier-1 guard on per-row allocation: a Q6-
-// and a Q1-shaped statement and a hash join that builds on tt, over the
-// golden fixture's 1500 rows, may allocate about twice what they do today
-// (42, 140 and 92 times per execution — parse, plan, batches, groups). One
-// allocation per scanned or built row would be 1500 more. pad gets a
-// multi-byte value first: Go allocates nothing for the one-byte string the
-// fixture stores, which would hide a scan that decodes it.
+// TestAllocationBudget is the tier-1 guard on allocation, per row and per
+// call. Per row: a Q6- and a Q1-shaped statement and a hash join that
+// builds on tt, over the golden fixture's 1500 rows, may allocate about
+// twice what they do today (43, 141 and 91 times per execution — parse,
+// plan, batches, groups). One allocation per scanned or built row would be
+// 1500 more. pad gets a multi-byte value first: Go allocates nothing for
+// the one-byte string the fixture stores, which would hide a scan that
+// decodes it. Per call: a prepared primary-key lookup allocates 9 times
+// and under 1 KiB to return its row (27 times and 26 KiB when every
+// execution built its run state and a 64-frame batch), and a correlated
+// EXISTS costs its outer block 4 allocations per outer row, not a run state
+// each (16).
 func TestAllocationBudget(t *testing.T) {
 	s := vecDB(t, 1500, 0)
 	mustExec(t, s, `UPDATE tt SET pad = 'padding'`)
@@ -236,5 +242,42 @@ func TestAllocationBudget(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { mustExec(t, s, c.q) }); n > c.budget {
 			t.Errorf("%q allocates %.0f times per execution, budget %.0f", c.q, n, c.budget)
 		}
+	}
+
+	pk, err := s.Prepare(`SELECT * FROM tt WHERE id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookup := func() {
+		if res, err := pk.Query(val.Int(7)); err != nil || len(res.Rows) != 1 {
+			t.Fatalf("%v, %v", res, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, lookup); n > 18 {
+		t.Errorf("a prepared primary-key lookup allocates %.0f times, budget 18", n)
+	}
+	var before, after stdruntime.MemStats
+	stdruntime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		lookup()
+	}
+	stdruntime.ReadMemStats(&after)
+	if kib := float64(after.TotalAlloc-before.TotalAlloc) / 1000 / 1024; kib > 6 {
+		t.Errorf("a prepared primary-key lookup allocates %.1f KiB, budget 6", kib)
+	}
+
+	exists, err := s.Prepare(`SELECT COUNT(*) FROM tt a WHERE a.id < ? AND EXISTS (SELECT b.id FROM tt b WHERE b.id = a.id AND b.pad = 'padding')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer := func(n int64) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if res, err := exists.Query(val.Int(n)); err != nil || res.Rows[0][0].AsInt() != n {
+				t.Fatalf("%v, %v", res, err)
+			}
+		})
+	}
+	if perRow := (outer(1010) - outer(10)) / 1000; perRow > 8 {
+		t.Errorf("a correlated EXISTS allocates %.1f times per outer row, budget 8", perRow)
 	}
 }

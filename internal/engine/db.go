@@ -93,6 +93,39 @@ type Result struct {
 	RowsAffected int64
 }
 
+// RowSink receives a statement's result while it is produced: Header once,
+// before any row, with the column names (nil when the statement is not a
+// SELECT), then Row for every result row in order. A row is valid only
+// until Row returns; an error from either method ends the statement.
+type RowSink interface {
+	Header(cols []string) error
+	Row(row []val.Value) error
+}
+
+// collect is the materialising RowSink: it copies every row into a Result.
+type collect Result
+
+func (c *collect) Header(cols []string) error {
+	c.Cols = cols
+	return nil
+}
+
+func (c *collect) Row(row []val.Value) error {
+	c.Rows = append(c.Rows, append([]val.Value(nil), row...))
+	return nil
+}
+
+// materialize runs a streaming execution into a fresh Result.
+func materialize(run func(RowSink) (int64, error)) (*Result, error) {
+	res := &Result{}
+	n, err := run((*collect)(res))
+	if err != nil {
+		return nil, err
+	}
+	res.RowsAffected = n
+	return res, nil
+}
+
 // optimizeCharge is the modelled cost of one parse+optimize round; cursor
 // caching (prepared statements) avoids it on reopen.
 const optimizeCharge = 4 * time.Millisecond
@@ -103,14 +136,21 @@ const optimizeCharge = 4 * time.Millisecond
 // modelled parse+optimize charge is made either way, so the simulated
 // clock cannot tell the difference.
 func (s *Session) Exec(sql string, params ...val.Value) (*Result, error) {
+	return materialize(func(sink RowSink) (int64, error) { return s.ExecTo(sink, sql, params...) })
+}
+
+// ExecTo is Exec with the result streamed to sink instead of materialized;
+// it returns the rows affected. Rows that reached the sink before an error
+// stay delivered.
+func (s *Session) ExecTo(sink RowSink, sql string, params ...val.Value) (int64, error) {
 	stmt, entry, err := s.db.parse(sql)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	s.db.ifaceCalls.Add(1)
 	s.Meter.Charge(cost.Interface, 1)
 	s.Meter.ChargeDuration(cost.Interface, optimizeCharge)
-	return s.execParsed(stmt, entry, params)
+	return s.execParsed(sink, stmt, entry, params)
 }
 
 // Query is Exec restricted to SELECT statements.
@@ -125,75 +165,71 @@ func (s *Session) Query(sql string, params ...val.Value) (*Result, error) {
 	return res, nil
 }
 
-func (s *Session) execParsed(stmt sqlparse.Statement, entry *parseEntry, params []val.Value) (*Result, error) {
+func (s *Session) execParsed(sink RowSink, stmt sqlparse.Statement, entry *parseEntry, params []val.Value) (int64, error) {
+	var n int64
+	var err error
 	switch st := stmt.(type) {
 	case *sqlparse.SelectStmt:
 		plan, err := s.db.planFor(entry, st)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		return s.runSelect(plan, params)
+		return 0, s.runSelect(&runtime{sess: s, params: params}, plan, sink)
 	case *sqlparse.CreateTable:
-		if _, err := s.db.createTable(st); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		_, err = s.db.createTable(st)
 	case *sqlparse.CreateIndex:
-		if _, err := s.db.createIndex(st, s.Meter); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		_, err = s.db.createIndex(st, s.Meter)
 	case *sqlparse.DropIndex:
-		return &Result{}, s.db.dropIndex(st.Name)
+		err = s.db.dropIndex(st.Name)
 	case *sqlparse.DropTable:
-		return &Result{}, s.db.dropTable(st.Name)
+		err = s.db.dropTable(st.Name)
 	case *sqlparse.CreateView:
-		return &Result{}, s.db.createView(st)
+		err = s.db.createView(st)
 	case *sqlparse.DropView:
-		return &Result{}, s.db.dropView(st.Name)
+		err = s.db.dropView(st.Name)
 	case *sqlparse.InsertStmt:
-		return s.execInsert(st, params)
+		n, err = s.execInsert(st, params)
 	case *sqlparse.DeleteStmt:
-		return s.execDelete(st, params)
+		n, err = s.execDelete(st, params)
 	case *sqlparse.UpdateStmt:
-		return s.execUpdate(st, params)
+		n, err = s.execUpdate(st, params)
 	default:
-		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+		err = fmt.Errorf("engine: unsupported statement %T", stmt)
 	}
-}
-
-// runSelect executes a compiled plan, charging client row shipping.
-func (s *Session) runSelect(plan *selectPlan, params []val.Value) (*Result, error) {
-	return s.runSelectFB(plan, params, nil)
-}
-
-// runSelectFB is runSelect with an optional feedback recorder: when fb is
-// non-nil, the execution counts the rows each plan step produces so the
-// statement can compare them against the optimizer's estimates.
-func (s *Session) runSelectFB(plan *selectPlan, params []val.Value, fb *execFeedback) (*Result, error) {
-	s.db.noteSelect(plan)
-	rt := &runtime{sess: s, params: params, subCache: make(map[*selectPlan][][]val.Value)}
-	if fb != nil {
-		rt.fb, rt.fbPlan = fb, plan
-	}
-	res := &Result{Cols: plan.outCols}
-	arrayFetch := s.db.ArrayFetchEnabled()
-	err := plan.run(rt, nil, func(row []val.Value) error {
-		if !arrayFetch {
-			s.Meter.Charge(cost.RowShip, 1)
-		}
-		res.Rows = append(res.Rows, append([]val.Value(nil), row...))
-		return nil
-	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	s.db.ifaceRows.Add(int64(len(res.Rows)))
-	if arrayFetch {
-		packets := chargeArrayShip(s.Meter, int64(len(res.Rows)))
-		s.db.ifacePackets.Add(packets)
+	return n, sink.Header(nil)
+}
+
+// runSelect executes a compiled plan on rt, streaming the result to sink
+// and charging client row shipping: one RowShip per row, or — under the
+// array interface — one RowShipBatch per packet once the row count is
+// known.
+func (s *Session) runSelect(rt *runtime, plan *selectPlan, sink RowSink) error {
+	s.db.noteSelect(plan)
+	if err := sink.Header(plan.outCols); err != nil {
+		return err
 	}
-	return res, nil
+	if rt.ship == nil {
+		rt.ship = rt.shipRow
+	}
+	rt.out, rt.array, rt.shipped = sink, s.db.ArrayFetchEnabled(), 0
+	if err := plan.run(rt, nil, rt.ship); err != nil {
+		return err
+	}
+	rt.shipDone()
+	return nil
+}
+
+// shipDone books a shipped result with the interface counters and, under
+// the array interface, charges its packets.
+func (rt *runtime) shipDone() {
+	db := rt.sess.db
+	db.ifaceRows.Add(rt.shipped)
+	if rt.array {
+		db.ifacePackets.Add(chargeArrayShip(rt.sess.Meter, rt.shipped))
+	}
 }
 
 // chargeArrayShip charges packet-granular row shipping for n result rows
@@ -218,6 +254,13 @@ type Stmt struct {
 	ast   sqlparse.Statement
 	sel   *sqlparse.SelectStmt // non-nil for SELECT statements
 	entry *parseEntry          // fingerprint-cache entry, nil when uncached
+
+	// catVersion is the catalog version plan was last checked against.
+	catVersion int64
+	// rt is the statement's own runtime: a Stmt belongs to one goroutine at
+	// a time, so the run state of its plan's blocks is kept from execution
+	// to execution (see vec.go) and dropped with the plan.
+	rt *runtime
 
 	// Adaptive-replanning state: observed cardinalities by relation
 	// alias, and how many replans this statement has spent.
@@ -258,35 +301,66 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 		if st.plan, err = s.db.planFor(entry, st.sel); err != nil {
 			return nil, err
 		}
+		st.catVersion = st.plan.catVersion
 	}
 	return st, nil
 }
 
 // Query re-executes the prepared statement (a cursor REOPEN): one
 // interface round trip and normally no re-optimization. A deferred
-// (peeking) or invalidated (adaptive) statement replans first.
+// (peeking) or invalidated (adaptive) statement replans first, and so does
+// one whose tables or views DDL has changed since it was planned; it fails
+// if it can no longer be planned.
 func (st *Stmt) Query(params ...val.Value) (*Result, error) {
+	return materialize(func(sink RowSink) (int64, error) { return st.QueryTo(sink, params...) })
+}
+
+// QueryTo is Query with the result streamed to sink instead of
+// materialized; it returns the rows affected.
+func (st *Stmt) QueryTo(sink RowSink, params ...val.Value) (int64, error) {
 	s := st.sess
 	s.db.ifaceCalls.Add(1)
 	s.Meter.Charge(cost.Interface, 1)
 	if st.sel == nil {
-		return s.execParsed(st.ast, st.entry, params)
+		return s.execParsed(sink, st.ast, st.entry, params)
+	}
+	if st.plan != nil {
+		// DDL since the plan was made: keep it only if every table and view
+		// it resolved is still the one it resolved.
+		if cat := s.db.snap(); cat.version != st.catVersion {
+			if !st.plan.current(cat) {
+				st.plan, st.rt = nil, nil
+			}
+			st.catVersion = cat.version
+		}
 	}
 	if st.plan == nil {
 		if err := st.replan(params); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
+	// The statement owns its runtime, and with it the run state of every
+	// block of the plan; an execution started from inside this one's row
+	// sink finds it busy and runs on one of its own.
+	rt := st.rt
+	if rt == nil || rt.busy {
+		rt = &runtime{sess: s}
+		if st.rt == nil {
+			st.rt = rt
+		}
+	}
+	rt.busy, rt.params = true, params
+	defer rt.done()
 	if !s.db.adaptiveEnabled() || st.replans >= replanCap {
-		return s.runSelect(st.plan, params)
+		return 0, s.runSelect(rt, st.plan, sink)
 	}
 	fb := &execFeedback{counts: make([]int64, len(st.plan.steps))}
-	res, err := s.runSelectFB(st.plan, params, fb)
-	if err != nil {
-		return nil, err
+	rt.fb, rt.fbPlan = fb, st.plan
+	if err := s.runSelect(rt, st.plan, sink); err != nil {
+		return 0, err
 	}
 	st.noteFeedback(fb)
-	return res, nil
+	return 0, nil
 }
 
 // replan (re)optimizes the statement with what is known now: the current
@@ -306,7 +380,7 @@ func (st *Stmt) replan(params []val.Value) error {
 	if opts.peek != nil {
 		s.db.opt.peeks.Add(1)
 	}
-	st.plan = plan
+	st.plan, st.catVersion, st.rt = plan, plan.catVersion, nil
 	return nil
 }
 
@@ -327,7 +401,7 @@ func (st *Stmt) noteFeedback(fb *execFeedback) {
 		st.feedback = make(map[string]float64)
 	}
 	st.feedback[lead.rel.alias] = actual
-	st.plan = nil
+	st.plan, st.rt = nil, nil
 	// The shared fingerprint entry cached the same blind plan this
 	// statement just measured as badly estimated — drop it too, so other
 	// sessions stop inheriting it.
@@ -424,28 +498,28 @@ func describeStep(st stepper) string {
 // --- DML ---
 
 // evalConst evaluates an expression with no row context (INSERT values,
-// parameters allowed).
-func (s *Session) evalConst(e sqlparse.Expr, params []val.Value) (val.Value, error) {
+// parameters allowed) under the statement's runtime.
+func (s *Session) evalConst(rt *runtime, e sqlparse.Expr) (val.Value, error) {
 	cc := &compiler{db: s.db, sc: &scope{}}
 	fn, err := cc.compile(e)
 	if err != nil {
 		return val.Null, err
 	}
-	rt := &runtime{sess: s, params: params, subCache: make(map[*selectPlan][][]val.Value)}
 	return fn(rt, nil)
 }
 
-func (s *Session) execInsert(st *sqlparse.InsertStmt, params []val.Value) (*Result, error) {
+func (s *Session) execInsert(st *sqlparse.InsertStmt, params []val.Value) (int64, error) {
 	t := s.db.Table(st.Table)
 	if t == nil {
-		return nil, errNoTable(st.Table)
+		return 0, errNoTable(st.Table)
 	}
+	rt := &runtime{sess: s, params: params}
 	colMap := make([]int, 0, len(st.Cols))
 	if len(st.Cols) > 0 {
 		for _, cn := range st.Cols {
 			ci := t.ColIndex(cn)
 			if ci < 0 {
-				return nil, fmt.Errorf("engine: no column %s in %s", cn, t.Name)
+				return 0, fmt.Errorf("engine: no column %s in %s", cn, t.Name)
 			}
 			colMap = append(colMap, ci)
 		}
@@ -455,34 +529,34 @@ func (s *Session) execInsert(st *sqlparse.InsertStmt, params []val.Value) (*Resu
 		row := make([]val.Value, len(t.Cols))
 		if len(colMap) > 0 {
 			if len(exprRow) != len(colMap) {
-				return nil, fmt.Errorf("engine: INSERT has %d values for %d columns", len(exprRow), len(colMap))
+				return 0, fmt.Errorf("engine: INSERT has %d values for %d columns", len(exprRow), len(colMap))
 			}
 			for i, e := range exprRow {
-				v, err := s.evalConst(e, params)
+				v, err := s.evalConst(rt, e)
 				if err != nil {
-					return nil, err
+					return 0, err
 				}
 				row[colMap[i]] = v
 			}
 		} else {
 			if len(exprRow) != len(t.Cols) {
-				return nil, fmt.Errorf("engine: INSERT has %d values for %d columns", len(exprRow), len(t.Cols))
+				return 0, fmt.Errorf("engine: INSERT has %d values for %d columns", len(exprRow), len(t.Cols))
 			}
 			for i, e := range exprRow {
-				v, err := s.evalConst(e, params)
+				v, err := s.evalConst(rt, e)
 				if err != nil {
-					return nil, err
+					return 0, err
 				}
 				row[i] = v
 			}
 		}
 		if err := s.db.insertRowTx(s.currentTx(), t, row, s.Meter); err != nil {
-			return nil, err
+			return 0, err
 		}
 		n++
 	}
 	s.autocommit(t)
-	return &Result{RowsAffected: n}, nil
+	return n, nil
 }
 
 // autocommit ends the statement's implicit transaction: under WAL the
@@ -550,7 +624,7 @@ func (s *Session) collectMatches(t *Table, where sqlparse.Expr, params []val.Val
 	if err != nil {
 		return nil, nil, err
 	}
-	rt := &runtime{sess: s, params: params, subCache: make(map[*selectPlan][][]val.Value)}
+	rt := &runtime{sess: s, params: params}
 	be := newBlockExec(rt, nil)
 	var rids []storage.RID
 	var rows [][]val.Value
@@ -568,23 +642,23 @@ func (s *Session) collectMatches(t *Table, where sqlparse.Expr, params []val.Val
 	return rids, rows, nil
 }
 
-func (s *Session) execDelete(st *sqlparse.DeleteStmt, params []val.Value) (*Result, error) {
+func (s *Session) execDelete(st *sqlparse.DeleteStmt, params []val.Value) (int64, error) {
 	t := s.db.Table(st.Table)
 	if t == nil {
-		return nil, errNoTable(st.Table)
+		return 0, errNoTable(st.Table)
 	}
 	rids, rows, err := s.collectMatches(t, st.Where, params)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	w := s.db.WAL()
 	for i, rid := range rids {
 		if err := t.Heap.DeleteTx(s.currentTx(), rid, s.Meter); err != nil {
-			return nil, err
+			return 0, err
 		}
 		for _, ix := range t.Indexes {
 			if err := ix.Tree.Delete(ix.keyFor(rows[i]), rid, s.Meter); err != nil {
-				return nil, err
+				return 0, err
 			}
 			if w != nil {
 				ix.Tree.StampLSN(w.Size())
@@ -593,13 +667,13 @@ func (s *Session) execDelete(st *sqlparse.DeleteStmt, params []val.Value) (*Resu
 		s.db.noteWrite(t.Name, rows[i], nil)
 	}
 	s.autocommit(t)
-	return &Result{RowsAffected: int64(len(rids))}, nil
+	return int64(len(rids)), nil
 }
 
-func (s *Session) execUpdate(st *sqlparse.UpdateStmt, params []val.Value) (*Result, error) {
+func (s *Session) execUpdate(st *sqlparse.UpdateStmt, params []val.Value) (int64, error) {
 	t := s.db.Table(st.Table)
 	if t == nil {
-		return nil, errNoTable(st.Table)
+		return 0, errNoTable(st.Table)
 	}
 	// Compile SET expressions against the table's row.
 	entries := make([]scopeEntry, len(t.Cols))
@@ -615,44 +689,44 @@ func (s *Session) execUpdate(st *sqlparse.UpdateStmt, params []val.Value) (*Resu
 	for _, a := range st.Set {
 		ci := t.ColIndex(a.Column)
 		if ci < 0 {
-			return nil, fmt.Errorf("engine: no column %s in %s", a.Column, t.Name)
+			return 0, fmt.Errorf("engine: no column %s in %s", a.Column, t.Name)
 		}
 		fn, err := cc.compile(a.Value)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		sets = append(sets, setFn{col: ci, fn: fn})
 	}
 	rids, rows, err := s.collectMatches(t, st.Where, params)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	rt := &runtime{sess: s, params: params, subCache: make(map[*selectPlan][][]val.Value)}
+	rt := &runtime{sess: s, params: params}
 	for i, rid := range rids {
 		oldRow := rows[i]
 		newRow := append([]val.Value(nil), oldRow...)
 		for _, sf := range sets {
 			v, err := sf.fn(rt, rowStack{oldRow})
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			newRow[sf.col] = coerceToType(v, t.Cols[sf.col].Type)
 			if t.Cols[sf.col].NotNull && newRow[sf.col].IsNull() {
-				return nil, fmt.Errorf("engine: NULL in NOT NULL column %s.%s", t.Name, t.Cols[sf.col].Name)
+				return 0, fmt.Errorf("engine: NULL in NOT NULL column %s.%s", t.Name, t.Cols[sf.col].Name)
 			}
 		}
 		if err := t.Heap.UpdateTx(s.currentTx(), rid, newRow, s.Meter); err != nil {
-			return nil, err
+			return 0, err
 		}
 		w := s.db.WAL()
 		for _, ix := range t.Indexes {
 			oldKey, newKey := ix.keyFor(oldRow), ix.keyFor(newRow)
 			if string(oldKey) != string(newKey) {
 				if err := ix.Tree.Delete(oldKey, rid, s.Meter); err != nil {
-					return nil, err
+					return 0, err
 				}
 				if err := ix.Tree.Insert(newKey, rid, s.Meter); err != nil {
-					return nil, err
+					return 0, err
 				}
 				if w != nil {
 					ix.Tree.StampLSN(w.Size())
@@ -662,7 +736,7 @@ func (s *Session) execUpdate(st *sqlparse.UpdateStmt, params []val.Value) (*Resu
 		s.db.noteWrite(t.Name, oldRow, newRow)
 	}
 	s.autocommit(t)
-	return &Result{RowsAffected: int64(len(rids))}, nil
+	return int64(len(rids)), nil
 }
 
 // InsertRow inserts one row without committing — the building block for

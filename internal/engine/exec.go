@@ -41,9 +41,26 @@ type blockExec struct {
 // newBlockExec starts a block execution under the given outer frames. The
 // current frame is unset until setRow installs one.
 func newBlockExec(rt *runtime, outer rowStack) *blockExec {
-	be := &blockExec{rt: rt, stack: make(rowStack, len(outer)+1)}
-	copy(be.stack, outer)
+	be := &blockExec{rt: rt}
+	be.reset(outer)
 	return be
+}
+
+// reset starts another execution under the given outer frames, keeping the
+// stack's backing array and the index-key scratch.
+func (be *blockExec) reset(outer rowStack) {
+	if cap(be.stack) <= len(outer) {
+		be.stack = make(rowStack, len(outer)+1)
+	}
+	be.stack = be.stack[:len(outer)+1]
+	copy(be.stack, outer)
+	be.row, be.stack[len(outer)] = nil, nil
+}
+
+// drop lets go of the frames and hash tables of the execution just ended.
+func (be *blockExec) drop() {
+	clear(be.stack)
+	be.row, be.hashes, be.prof, be.fb = nil, nil, nil, nil
 }
 
 // setRow installs f as the block's current frame.
@@ -331,7 +348,7 @@ func materializeSub(rt *runtime, sub *selectPlan, outer rowStack) ([][]val.Value
 		if rt.subMu != nil {
 			rt.subMu.Lock()
 		}
-		rt.subCache[sub] = rows
+		rt.subs()[sub] = rows
 		if rt.subMu != nil {
 			rt.subMu.Unlock()
 		}
@@ -764,11 +781,19 @@ type outputSink struct {
 }
 
 func newOutputSink(p *selectPlan, m *cost.Meter, emit func([]val.Value) error) *outputSink {
-	o := &outputSink{p: p, m: m, emit: emit}
-	if p.distinct {
+	o := &outputSink{p: p}
+	o.reset(m, emit)
+	return o
+}
+
+// reset readies the sink for another execution: nothing collected, nothing
+// emitted. Neither the ORDER BY buffer nor the DISTINCT set is kept — both
+// are sized by the rows that went through them.
+func (o *outputSink) reset(m *cost.Meter, emit func([]val.Value) error) {
+	*o = outputSink{p: o.p, m: m, emit: emit}
+	if o.p.distinct {
 		o.dedup = make(map[string]struct{})
 	}
-	return o
 }
 
 // addFrame projects one finalized group frame into a freshly allocated
@@ -894,16 +919,73 @@ func (p *selectPlan) batchCap() int {
 	return batchSize
 }
 
+// blockRun is the run state of one plan block within one runtime: built when
+// the block first runs there, reset when it runs again.
+type blockRun struct {
+	p    *selectPlan
+	busy bool // between acquire and release
+	be   *blockExec
+	v    *vecRun
+	sink *outputSink
+	add  func(outRow) error // sink.add, bound once
+}
+
+// acquire returns p's run state in rt, readied for an execution under the
+// given outer frames. A block that is entered while it is still running
+// gets fresh state of its own instead of the busy one.
+func (rt *runtime) acquire(p *selectPlan, outer rowStack, emit func([]val.Value) error) *blockRun {
+	var br *blockRun
+	for _, r := range rt.runs {
+		if r.p == p {
+			br = r
+			break
+		}
+	}
+	if br == nil || br.busy {
+		be := newBlockExec(rt, outer)
+		fresh := &blockRun{p: p, be: be, v: newVecRun(p, be, p.batchCap()), sink: newOutputSink(p, rt.meter(), emit)}
+		fresh.add = fresh.sink.add
+		if br == nil {
+			rt.runs = append(rt.runs, fresh)
+		}
+		fresh.busy = true
+		return fresh
+	}
+	br.busy = true
+	br.be.reset(outer)
+	br.v.reset(p.batchCap())
+	br.sink.reset(rt.meter(), emit)
+	return br
+}
+
+// release ends an execution. A correlated block runs again for the next
+// outer row, so it keeps its frame until the statement ends (runtime.done);
+// any other block is done and drops what its rows sized at once.
+func (br *blockRun) release() {
+	br.busy = false
+	if !br.p.correlated {
+		br.drop()
+	}
+}
+
+// drop lets go of everything the block's executions sized by their rows,
+// and of the caller's frames and emit function.
+func (br *blockRun) drop() {
+	br.be.drop()
+	br.v.drop()
+	*br.sink = outputSink{p: br.p}
+}
+
 // runSerial is the single-goroutine pipeline. hashes, when non-nil, holds
 // hash tables pre-built by a parallel build.
 func (p *selectPlan) runSerial(rt *runtime, outer rowStack, emit func([]val.Value) error, hashes map[*hashStep]*hashTable) error {
-	be := newBlockExec(rt, outer)
+	br := rt.acquire(p, outer, emit)
+	defer br.release()
+	be, v, sink := br.be, br.v, br.sink
 	be.hashes = hashes
 	be.prof = rt.planProf(p)
 	be.fb = rt.fbFor(p)
 	m := rt.meter()
-	sink := newOutputSink(p, m, emit)
-	v := newVecRun(p, be, p.batchCap())
 
 	var acc *aggAccum
 	var err error
@@ -912,7 +994,7 @@ func (p *selectPlan) runSerial(rt *runtime, outer rowStack, emit func([]val.Valu
 	} else {
 		// The sink copies what it emits, so the slab is recycled unless
 		// ORDER BY retains the rows.
-		err = v.project(sink.add, len(p.orderKeys) == 0)
+		err = v.project(br.add, len(p.orderKeys) == 0)
 	}
 	if err != nil && err != errStopIteration {
 		return err

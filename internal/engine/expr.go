@@ -16,7 +16,7 @@ type runtime struct {
 	sess   *Session
 	params []val.Value
 	// subCache memoises materialized results of uncorrelated subqueries
-	// within one statement execution.
+	// within one statement execution; subs makes it on first use.
 	subCache map[*selectPlan][][]val.Value
 	// subMu guards subCache when parallel workers share one statement
 	// execution; nil in serial execution.
@@ -39,6 +39,52 @@ type runtime struct {
 	// runtime but are never captured: the capture sites compare the
 	// running plan against partial.plan.
 	partial *Partial
+
+	// runs is the run state of every plan block that has executed under
+	// this runtime, so a block that runs again — a correlated sub-block per
+	// outer row, any block of a prepared Stmt per execution — resets its
+	// state instead of rebuilding it.
+	runs []*blockRun
+	// busy marks a Stmt's runtime as executing: a Stmt re-entered from its
+	// own row sink runs on a runtime of its own.
+	busy bool
+
+	// Shipping of the statement's result rows (runSelect): the sink they go
+	// to, whether they ship in packets, how many went, and shipRow bound
+	// once so that it can be handed to the top-level block as its emit.
+	out     RowSink
+	array   bool
+	shipped int64
+	ship    func([]val.Value) error
+}
+
+// subs returns the statement's sub-block result cache.
+func (rt *runtime) subs() map[*selectPlan][][]val.Value {
+	if rt.subCache == nil {
+		rt.subCache = make(map[*selectPlan][][]val.Value)
+	}
+	return rt.subCache
+}
+
+// done ends a statement execution on a runtime that outlives it: what the
+// rows sized goes, what the plan sized stays.
+func (rt *runtime) done() {
+	for _, br := range rt.runs {
+		br.drop()
+	}
+	clear(rt.subCache)
+	rt.params, rt.out, rt.fb, rt.fbPlan = nil, nil, nil, nil
+	rt.busy = false
+}
+
+// shipRow hands one result row to the statement's sink, charging
+// tuple-at-a-time shipping unless the array interface ships packets.
+func (rt *runtime) shipRow(row []val.Value) error {
+	if !rt.array {
+		rt.sess.Meter.Charge(cost.RowShip, 1)
+	}
+	rt.shipped++
+	return rt.out.Row(row)
 }
 
 func (rt *runtime) meter() *cost.Meter {

@@ -100,6 +100,7 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 	// Workers share the statement's subquery cache under one lock; their
 	// runtimes carry private lane meters.
 	subMu := &sync.Mutex{}
+	subCache := rt.subs()
 	model := rt.sess.Meter.Model()
 
 	pp := rt.planProf(p) // nil unless running under ExplainAnalyze
@@ -164,7 +165,7 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 	results := make([]partResult, len(parts))
 	runPartitions(len(parts), func(i int) {
 		m := cost.NewMeter(model)
-		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: rt.subCache, subMu: subMu, m: m}
+		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: m}
 		// Every hash table was built above, so lanes only read shared.
 		beW := newBlockExec(rtW, outer)
 		beW.hashes = shared
@@ -283,13 +284,14 @@ func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, sub
 	if len(parts) < 2 {
 		return nil, nil
 	}
+	subCache := rt.subs()
 	tables := make([]*hashTable, len(parts))
 	counts := make([]int64, len(parts))
 	meters := make([]*cost.Meter, len(parts))
 	errs := make([]error, len(parts))
 	runPartitions(len(parts), func(i int) {
 		meters[i] = cost.NewMeter(model)
-		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: rt.subCache, subMu: subMu, m: meters[i]}
+		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: meters[i]}
 		tables[i] = newHashTable(s.rel.nCols)
 		counts[i], errs[i] = s.buildInto(tables[i], rtW, outer, p.nSlots, &parts[i])
 	})

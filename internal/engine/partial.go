@@ -87,7 +87,7 @@ func (s *Session) QueryPartial(sql string, params ...val.Value) (*Partial, error
 	}
 	s.db.noteSelect(plan)
 	pa := &Partial{plan: plan}
-	rt := &runtime{sess: s, params: params, subCache: make(map[*selectPlan][][]val.Value), partial: pa}
+	rt := &runtime{sess: s, params: params, partial: pa}
 	// Plans that neither aggregate nor sort emit rows straight through;
 	// collect them here (order: pipeline order, i.e. this shard's
 	// partition order).
@@ -120,16 +120,11 @@ func (s *Session) MergePartials(parts []*Partial, params ...val.Value) (*Result,
 			return nil, fmt.Errorf("engine: MergePartials of mismatched aggregate plans")
 		}
 	}
-	rt := &runtime{sess: s, params: params, subCache: make(map[*selectPlan][][]val.Value)}
+	// The merged rows ship to the client exactly as runSelect ships a
+	// single engine's.
 	res := &Result{Cols: p.outCols}
-	arrayFetch := s.db.ArrayFetchEnabled()
-	sink := newOutputSink(p, s.Meter, func(row []val.Value) error {
-		if !arrayFetch {
-			s.Meter.Charge(cost.RowShip, 1)
-		}
-		res.Rows = append(res.Rows, append([]val.Value(nil), row...))
-		return nil
-	})
+	rt := &runtime{sess: s, params: params, out: (*collect)(res), array: s.db.ArrayFetchEnabled()}
+	sink := newOutputSink(p, s.Meter, rt.shipRow)
 	sink.runs = len(parts)
 
 	if parts[0].acc != nil {
@@ -152,7 +147,8 @@ func (s *Session) MergePartials(parts []*Partial, params ...val.Value) (*Result,
 			for _, r := range q.rows {
 				if err := sink.add(r); err != nil {
 					if err == errStopIteration {
-						return finishShip(s, res, arrayFetch)
+						rt.shipDone()
+						return res, nil
 					}
 					return nil, err
 				}
@@ -162,16 +158,6 @@ func (s *Session) MergePartials(parts []*Partial, params ...val.Value) (*Result,
 	if err := sink.finish(); err != nil {
 		return nil, err
 	}
-	return finishShip(s, res, arrayFetch)
-}
-
-// finishShip books the interface-side counters for the merged result,
-// mirroring runSelectFB's accounting.
-func finishShip(s *Session, res *Result, arrayFetch bool) (*Result, error) {
-	s.db.ifaceRows.Add(int64(len(res.Rows)))
-	if arrayFetch {
-		packets := chargeArrayShip(s.Meter, int64(len(res.Rows)))
-		s.db.ifacePackets.Add(packets)
-	}
+	rt.shipDone()
 	return res, nil
 }

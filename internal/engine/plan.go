@@ -43,6 +43,31 @@ type selectPlan struct {
 	// time (0 or 1 = serial): the leading sequential scan's page range is
 	// split across this many workers.
 	parallel int
+
+	// catVersion is the catalog version a top-level plan was made against
+	// and deps every name it — or a view or sub-block below it — resolved
+	// there: what a prepared Stmt checks before it runs the plan again.
+	catVersion int64
+	deps       []planDep
+}
+
+// planDep is one catalog name as a plan resolved it: a table or a view.
+type planDep struct {
+	name  string
+	table *Table
+	view  *sqlparse.SelectStmt
+}
+
+// current reports whether every name the plan resolved still means in cat
+// what it meant when the plan was made. DDL publishes a fresh *Table for
+// the table it touches (index list included), so identity is enough.
+func (p *selectPlan) current(cat *catalog) bool {
+	for _, d := range p.deps {
+		if cat.tables[d.name] != d.table || cat.views[d.name] != d.view {
+			return false
+		}
+	}
+	return true
 }
 
 // aggPlan describes grouping and aggregation for one block.
@@ -104,6 +129,8 @@ type planOpts struct {
 	// resolves against one consistent schema version even while
 	// concurrent DDL publishes new ones.
 	cat *catalog
+	// deps collects the names resolved against cat during the pass.
+	deps []planDep
 }
 
 // peekVal resolves a sarg value expression to a plan-time constant: a
@@ -179,7 +206,8 @@ func (db *DB) planConsts() planConsts {
 // scope chain of enclosing queries (nil at the top level); opts carries
 // peeked bind values and execution feedback (nil for blind planning).
 func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOpts) (*selectPlan, error) {
-	if opts == nil || opts.cat == nil {
+	top := opts == nil || opts.cat == nil
+	if top {
 		// Pin the catalog once at the top of the planning pass; nested
 		// planSelect calls (views, subqueries) inherit the pin via opts.
 		o := planOpts{}
@@ -329,6 +357,9 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 		}
 	}
 	p.planParallel()
+	if top {
+		p.catVersion, p.deps = opts.cat.version, opts.deps
+	}
 	return p, nil
 }
 
@@ -386,6 +417,9 @@ func (db *DB) buildRelInfo(bt *sqlparse.BaseTable, outerScope *scope, opts *plan
 	}
 	if cat == nil {
 		cat = db.snap()
+	}
+	if opts != nil {
+		opts.deps = append(opts.deps, planDep{name: name, table: cat.tables[name], view: cat.views[name]})
 	}
 	if t := cat.table(name); t != nil {
 		ri := &relInfo{alias: alias, table: t, nCols: len(t.Cols)}

@@ -1,0 +1,287 @@
+package engine
+
+import (
+	"fmt"
+	stdruntime "runtime"
+	"strings"
+	"testing"
+
+	"r3bench/internal/sqlparse"
+	"r3bench/internal/val"
+)
+
+// TestBatchCapacitySchedule pins the two halves of a batch apart: the
+// logical capacity — when it flushes, which is all the simulated clock can
+// see — follows 64 → 256 → 1024 (or stays at a fixed 64 or 1), while the
+// frames backing it never run ahead of the rows that reached them by more
+// than one growth step (two frames, then four times as many).
+func TestBatchCapacitySchedule(t *testing.T) {
+	for _, c := range []struct {
+		max  int
+		caps []int // capacity during the 1st, 2nd, ... fill
+	}{
+		{batchSize, []int{64, 256, 1024, 1024}},
+		{vecBatchInitial, []int{64, 64, 64}},
+		{1, []int{1, 1, 1}},
+	} {
+		v := newVecRun(&selectPlan{nSlots: 3, steps: []stepper{&scanStep{rel: &relInfo{nCols: 3}}}}, nil, c.max)
+		b := &v.stages[0].out
+		reached := 0 // the most frames rows have reached in any fill so far
+		for fill, want := range c.caps {
+			if b.cap != want {
+				t.Fatalf("max %d: capacity during fill %d = %d, want %d", c.max, fill+1, b.cap, want)
+			}
+			for b.n = 0; b.n < b.cap; b.n++ {
+				if f := b.frame(b.n); len(f) != 3 || cap(f) != 3 {
+					t.Fatalf("frame %d has len %d cap %d", b.n, len(f), cap(f))
+				}
+				reached = max(reached, b.n+1)
+				if len(b.frames) > min(max(4*(reached-1), 2), want) {
+					t.Fatalf("max %d: %d frames backed when %d were reached", c.max, len(b.frames), reached)
+				}
+			}
+			if len(b.frames) != want {
+				t.Fatalf("max %d: a full batch of %d is backed by %d frames", c.max, want, len(b.frames))
+			}
+			b.grow()
+		}
+	}
+}
+
+// TestFlushSchedule replays two 3-step joins — two hash joins with a
+// fan-out of two, two row-at-a-time outer joins — and compares every flush
+// (stage:frames) with the trace the executor produced when every batch was
+// backed in full before its first row: frames on demand must not move one
+// flush point, because the flush order is the order in which the stages
+// reach the buffer pool.
+func TestFlushSchedule(t *testing.T) {
+	s := vecDB(t, 1500, 0)
+	hash := `SELECT a.id, d.g_name, b.v FROM tt a, tt b, dim d WHERE b.v = a.v AND d.g_id = b.grp AND a.id < %d`
+	outer := `SELECT a.id, d.g_name, e.g_name FROM tt a LEFT OUTER JOIN dim d ON a.grp = d.g_id LEFT OUTER JOIN dim e ON e.g_id <= a.grp WHERE a.id < %d`
+	for _, c := range []struct {
+		q     string
+		lead  int
+		rows  int
+		trace string
+	}{
+		{hash, 70, 140, "0:64 1:64 2:64 0:6 1:76 2:76"},
+		{hash, 300, 600, "0:64 1:64 2:64 0:236 1:256 2:256 1:280 2:280"},
+		{hash, 1500, 2500, "0:64 1:64 2:64 0:256 1:256 2:256 0:1024 1:1024 2:1024 0:156 1:156 2:1024 2:132"},
+		{outer, 70, 173, "0:64 1:64 2:64 0:6 1:6 2:109"},
+		{outer, 300, 750, "0:64 1:64 2:64 0:236 1:236 2:256 2:430"},
+		{outer, 1500, 3750, "0:64 1:64 2:64 0:256 1:256 2:256 0:1024 1:1024 2:1024 2:1024 0:156 1:156 2:1024 2:358"},
+	} {
+		ast, err := sqlparse.Parse(fmt.Sprintf(c.q, c.lead))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := s.db.planSelect(ast.(*sqlparse.SelectStmt), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := newVecRun(plan, newBlockExec(&runtime{sess: s}, nil), plan.batchCap())
+		var trace []string
+		v.trace = func(stage, n int) { trace = append(trace, fmt.Sprintf("%d:%d", stage, n)) }
+		rows := 0
+		if err := v.project(func(outRow) error { rows++; return nil }, true); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(trace, " "); got != c.trace || rows != c.rows {
+			t.Errorf("%d lead rows of %q:\n got %d rows, flushes %s\nwant %d rows, flushes %s", c.lead, c.q, rows, got, c.rows, c.trace)
+		}
+	}
+}
+
+// heapGrowth is the live heap fn leaves behind.
+func heapGrowth(fn func()) int64 {
+	var before, after stdruntime.MemStats
+	stdruntime.GC()
+	stdruntime.ReadMemStats(&before)
+	fn()
+	stdruntime.GC()
+	stdruntime.ReadMemStats(&after)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestStmtRetainsPlanShapeOnly is the retention rule of statement-owned
+// run state: 200 prepared statements that have each returned 5 000 rows —
+// through a sort, a DISTINCT set, a hash table and a cached sub-block, or
+// out of 5 000 groups — hold within 1 MiB of what 200 that never ran hold.
+// The cursor caches keep hundreds of Stmts alive; whatever an execution
+// sized by its rows has to be gone when it ends.
+func TestStmtRetainsPlanShapeOnly(t *testing.T) {
+	s := vecDB(t, 5000, 0)
+	for _, q := range []string{
+		`SELECT DISTINCT a.id, a.v, a.pad, d.g_name FROM tt a, dim d
+			WHERE a.grp = d.g_id AND a.id >= (SELECT MIN(id) FROM tt) ORDER BY a.v, a.id`,
+		`SELECT id, MAX(pad), SUM(v) FROM tt GROUP BY id`,
+	} {
+		prepare := func(run bool) func() {
+			return func() {
+				stmts := make([]*Stmt, 200)
+				for i := range stmts {
+					st, err := s.Prepare(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if run {
+						res, err := st.Query()
+						if err != nil || len(res.Rows) != 5000 {
+							t.Fatalf("%d rows, %v", len(res.Rows), err)
+						}
+					}
+					stmts[i] = st
+				}
+				keep = append(keep, stmts)
+			}
+		}
+		idle := heapGrowth(prepare(false))
+		ran := heapGrowth(prepare(true))
+		keep = nil
+		if extra := ran - idle; extra > 1<<20 {
+			t.Errorf("%q:\n200 executed Stmts hold %d KiB more than 200 idle ones (idle %d KiB), want < 1024", q, extra>>10, idle>>10)
+		}
+	}
+}
+
+// keep holds TestStmtRetainsPlanShapeOnly's statements across its GCs.
+var keep [][]*Stmt
+
+// rowFunc is a RowSink that only looks at rows.
+type rowFunc func(row []val.Value) error
+
+func (rowFunc) Header([]string) error       { return nil }
+func (f rowFunc) Row(row []val.Value) error { return f(row) }
+
+// TestRunStateReentry covers the two ways a block's run state can be asked
+// for while it is in use: one view scanned twice by one statement, and a
+// Stmt executed again from inside its own row sink. Neither may share the
+// busy state; both must answer as if they ran alone.
+func TestRunStateReentry(t *testing.T) {
+	s := vecDB(t, 300, 0)
+	mustExec(t, s, `CREATE VIEW gsum AS SELECT grp, SUM(v) AS total, COUNT(*) AS n FROM tt GROUP BY grp`)
+	st, err := s.Prepare(`SELECT a.grp, b.grp, a.n FROM gsum a, gsum b WHERE a.total >= b.total ORDER BY a.grp, b.grp`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeRows(mustExec(t, s, `SELECT a.grp, b.grp, a.n FROM gsum a, gsum b WHERE a.total >= b.total ORDER BY a.grp, b.grp`).Rows)
+	for i := 0; i < 3; i++ {
+		res, err := st.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 10 || encodeRows(res.Rows) != want {
+			t.Fatalf("execution %d of the two-view join returned %d rows, differing from the ad-hoc answer", i, len(res.Rows))
+		}
+	}
+
+	st, err = s.Prepare(`SELECT id, v FROM tt WHERE id >= ? AND id < ? ORDER BY id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := st.Query(val.Int(100), val.Int(110))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outer, inner [][]val.Value
+	_, err = st.QueryTo(rowFunc(func(row []val.Value) error {
+		outer = append(outer, append([]val.Value(nil), row...))
+		if len(outer) != 5 {
+			return nil
+		}
+		// Half way through its own result the statement runs again.
+		res, err := st.Query(val.Int(100), val.Int(110))
+		if err == nil {
+			inner = res.Rows
+		}
+		return err
+	}), val.Int(0), val.Int(70))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outer) != 70 || outer[69][0].AsInt() != 69 {
+		t.Errorf("the outer execution returned %d rows ending in %v", len(outer), outer[len(outer)-1])
+	}
+	if encodeRows(inner) != encodeRows(alone.Rows) {
+		t.Errorf("the re-entrant execution returned %v, alone %v", inner, alone.Rows)
+	}
+	again, err := st.Query(val.Int(100), val.Int(110))
+	if err != nil || encodeRows(again.Rows) != encodeRows(alone.Rows) {
+		t.Errorf("after the re-entry the statement returned %v (%v), want %v", again, err, alone.Rows)
+	}
+}
+
+// TestPreparedStmtSeesDDL is the stale-plan regression: a prepared
+// statement used to run the plan it was prepared with forever. Dropping the
+// index the plan probes left it probing the dropped, no longer maintained
+// tree (6 rows for 7); dropping and re-creating its table left it reading
+// the dropped heap (0 rows, or an error, for 50). DDL that touches nothing
+// the statement reads must not make it replan.
+func TestPreparedStmtSeesDDL(t *testing.T) {
+	db := Open(Config{})
+	s := db.NewSession()
+	load := func(rows, perKey int) {
+		t.Helper()
+		mustExec(t, s, `CREATE TABLE D (ID INTEGER PRIMARY KEY, N INTEGER, PAD CHAR(200))`)
+		for i := 0; i < rows; i++ {
+			mustExec(t, s, fmt.Sprintf(`INSERT INTO D VALUES (%d, %d, 'x')`, i, i%(rows/perKey)))
+		}
+	}
+	load(3000, 6)
+	mustExec(t, s, `CREATE INDEX D_N ON D (N)`)
+	if err := db.AnalyzeAll(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, `CREATE TABLE OTHER (X INTEGER PRIMARY KEY)`)
+	st, err := s.Prepare(`SELECT ID FROM D WHERE N = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(st.Explain(), "via D_N") {
+		t.Fatalf("fixture: the statement does not use D_N:\n%s", st.Explain())
+	}
+	rows := func(want int) {
+		t.Helper()
+		res, err := st.Query(val.Int(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		adhoc := mustExec(t, s, `SELECT ID FROM D WHERE N = 3`)
+		if len(res.Rows) != want || len(adhoc.Rows) != want {
+			t.Fatalf("prepared returns %d rows, ad hoc %d, want %d", len(res.Rows), len(adhoc.Rows), want)
+		}
+	}
+	rows(6)
+
+	// Unrelated DDL and plain writes: same plan, no optimizer round.
+	start := s.Meter.Elapsed()
+	mustExec(t, s, `CREATE INDEX OTHER_X ON OTHER (X)`)
+	mustExec(t, s, `CREATE VIEW OV AS SELECT X FROM OTHER`)
+	ddl := s.Meter.Lap(start)
+	start = s.Meter.Elapsed()
+	rows(6)
+	withDDL := s.Meter.Lap(start)
+	start = s.Meter.Elapsed()
+	rows(6)
+	if plain := s.Meter.Lap(start); withDDL != plain {
+		t.Errorf("an execution after unrelated DDL (%v) took %v on the simulated clock, the next one %v", ddl, withDDL, plain)
+	}
+
+	mustExec(t, s, `DROP INDEX D_N`)
+	mustExec(t, s, `INSERT INTO D VALUES (10000, 3, 'x')`)
+	start = s.Meter.Elapsed()
+	rows(7)
+	if replanned := s.Meter.Lap(start); replanned < optimizeCharge {
+		t.Errorf("the execution after DROP INDEX took %v, less than one optimizer round", replanned)
+	}
+	if strings.Contains(st.Explain(), "D_N") {
+		t.Errorf("the statement still plans through the dropped index:\n%s", st.Explain())
+	}
+
+	mustExec(t, s, `DROP TABLE D`)
+	if _, err := st.Query(val.Int(3)); err == nil || !strings.Contains(err.Error(), "D") {
+		t.Errorf("with its table dropped the statement returned %v, want an error naming D", err)
+	}
+	load(5000, 50)
+	rows(50)
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/big"
+	"slices"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/val"
@@ -32,11 +33,26 @@ import (
 //     relation's slots of the current frame; the other slots are never
 //     written and never read.
 //
+// Batch capacity is logical: it is when a stage flushes, which fixes the
+// order in which the stages reach the buffer pool and with it every
+// simulated charge. Frames are physical: a batch backs only the frames rows
+// have reached, so what an execution allocates follows the rows it returns
+// — a one-row lookup holds two frames, not sixty-four.
+//
+// The run state of a block (blockRun: its blockExec, vecRun and outputSink)
+// belongs to the statement's runtime and is reset, not rebuilt, when the
+// block runs again — per outer row for a correlated sub-block, per
+// execution for a prepared Stmt, which keeps its runtime. What stays behind
+// between executions is O(plan shape), never O(rows): frames, projection
+// slabs, sort buffers, DISTINCT sets, hash tables and cached sub-block
+// results are dropped when the statement ends (the cursor caches hold
+// hundreds of Stmts: keeping each one's 64-frame batches took the R/3
+// report run's live heap from 45 to 180 MiB, keeping two frames to 50.5).
+//
 // Under ExplainAnalyze each stage installs its operator's span around its
 // own work and counts the rows it hands on per batch.
 
-// batchSize is the target rows per batch. Batches start small and grow
-// toward this so short queries don't pay kilobytes of slab per execution.
+// batchSize is the capacity a growing batch grows toward.
 const batchSize = 1024
 
 // vecBatchInitial is the starting capacity of a growing batch.
@@ -50,23 +66,28 @@ const vecBatchInitial = 64
 type vecBatch struct {
 	nSlots int
 	max    int // capacity bound: the run's batch capacity
+	cap    int // current capacity: the batch flushes when n reaches it
 	frames [][]val.Value
 	n      int
 }
 
-// addChunk appends capacity for k more frames backed by one slab.
-func (b *vecBatch) addChunk(k int) {
-	slab := make([]val.Value, k*b.nSlots)
-	for i := 0; i < k; i++ {
-		b.frames = append(b.frames, slab[i*b.nSlots:(i+1)*b.nSlots:(i+1)*b.nSlots])
+// frame returns frame i, backing it first if no row has come this far: the
+// frames quadruple from two up to the capacity, one slab per step.
+func (b *vecBatch) frame(i int) []val.Value {
+	if i == len(b.frames) {
+		k := min(max(3*len(b.frames), 2), b.cap-len(b.frames))
+		b.frames = slices.Grow(b.frames, k)
+		slab := make([]val.Value, k*b.nSlots)
+		for j := 0; j < k; j++ {
+			b.frames = append(b.frames, slab[j*b.nSlots:(j+1)*b.nSlots:(j+1)*b.nSlots])
+		}
 	}
+	return b.frames[i]
 }
 
 // grow quadruples the batch capacity toward its bound after a flush.
 func (b *vecBatch) grow() {
-	if cur := len(b.frames); cur < b.max {
-		b.addChunk(min(cur*4, b.max) - cur)
-	}
+	b.cap = min(b.cap*4, b.max)
 }
 
 // vecStage is the per-run state of one pipeline step.
@@ -92,11 +113,15 @@ type vecRun struct {
 	// sinkFrame consumes one post-pipeline frame (projection or grouped
 	// aggregation); the frame is be's current row.
 	sinkFrame func() error
+	// trace, when set, sees every flush: the stage and the frames it hands
+	// on (the flush-schedule test).
+	trace func(stage, n int)
 
 	// Projection sink state: slab-allocated output rows. When add neither
-	// sorts nor retains rows, one slab is recycled; otherwise fresh slabs
-	// amortize one allocation per batch.
+	// sorts nor retains rows, a one-row slab is recycled; otherwise fresh
+	// slabs, quadrupling from four rows, amortize the allocations.
 	add      func(outRow) error
+	projFn   func() error // projSink, bound once
 	projSlab []val.Value
 	keySlab  []val.Value
 	projPos  int
@@ -104,20 +129,44 @@ type vecRun struct {
 	recycle  bool
 }
 
+// projSlabInitial is the row capacity of the first projection slab of a
+// run whose rows are retained.
+const projSlabInitial = 4
+
 // newVecRun prepares a run of p's pipeline at the given batch capacity.
 func newVecRun(p *selectPlan, be *blockExec, capacity int) *vecRun {
-	v := &vecRun{be: be, p: p, cap: capacity, stages: make([]vecStage, len(p.steps))}
+	v := &vecRun{be: be, p: p, stages: make([]vecStage, len(p.steps))}
+	v.projFn = v.projSink
 	hi := 0
 	for i, st := range p.steps {
 		if rel := st.bound(); rel != nil {
 			hi = max(hi, rel.offset+rel.nCols)
-			out := &v.stages[i].out
-			out.nSlots, out.max = p.nSlots, capacity
-			out.addChunk(min(vecBatchInitial, capacity))
+			v.stages[i].out.nSlots = p.nSlots
 		}
 		v.stages[i].hi = hi
 	}
+	v.reset(capacity)
 	return v
+}
+
+// reset readies v for another run at the given batch capacity: every batch
+// is empty and back at its starting capacity.
+func (v *vecRun) reset(capacity int) {
+	v.cap = capacity
+	for i := range v.stages {
+		out := &v.stages[i].out
+		out.n, out.max, out.cap = 0, capacity, min(vecBatchInitial, capacity)
+	}
+	v.projPos, v.projCap = 0, 0 // the next projected row starts a slab
+}
+
+// drop lets go of everything sized by the rows of the runs so far.
+func (v *vecRun) drop() {
+	for i := range v.stages {
+		v.stages[i].out.frames = nil
+	}
+	v.projSlab, v.keySlab = nil, nil
+	v.sinkFrame, v.add = nil, nil // they close over the accumulator and the sink's caller
 }
 
 // aggregate drains the pipeline into a fresh accumulator, its sums flushed
@@ -134,7 +183,7 @@ func (v *vecRun) aggregate() (*aggAccum, error) {
 // add does not retain the rows it is handed, so one slab serves them all.
 func (v *vecRun) project(add func(outRow) error, recycle bool) error {
 	v.add, v.recycle = add, recycle
-	v.sinkFrame = v.projSink
+	v.sinkFrame = v.projFn
 	return v.drive()
 }
 
@@ -161,8 +210,11 @@ func (v *vecRun) flush(i int) error {
 		return nil
 	}
 	out.n = 0
+	if v.trace != nil {
+		v.trace(i, n)
+	}
 	err := v.push(i+1, out, n)
-	if n == len(out.frames) {
+	if n == out.cap {
 		out.grow()
 	}
 	return err
@@ -180,15 +232,15 @@ func (v *vecRun) leadScan(lead *scanStep) error {
 		defer m.SetSpan(m.SetSpan(be.prof.steps[0]))
 	}
 	out := &v.stages[0].out
-	be.setRow(out.frames[0])
+	be.setRow(out.frame(0))
 	return runAccess(be, lead.rel, lead.access, lead.extraFilters, v.pages, func() error {
 		out.n++
-		if out.n == len(out.frames) {
+		if out.n == out.cap {
 			if err := v.flush(0); err != nil {
 				return err
 			}
 		}
-		be.setRow(out.frames[out.n])
+		be.setRow(out.frame(out.n))
 		return nil
 	})
 }
@@ -287,7 +339,7 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 		}
 		for r := ht.first(key); r >= 0; r = ht.links[r].next {
 			pending++
-			dst := out.frames[out.n]
+			dst := out.frame(out.n)
 			copy(dst[:hi], frame[:hi])
 			copy(dst[off:off+nCols], ht.row(r))
 			be.setRow(dst)
@@ -299,7 +351,7 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 				continue
 			}
 			out.n++
-			if out.n == len(out.frames) {
+			if out.n == out.cap {
 				m.Charge(cost.TupleCPU, pending)
 				pending = 0
 				if err := v.flush(i); err != nil {
@@ -323,9 +375,9 @@ func (v *vecRun) pushRowStep(i int, st rowStepper, in *vecBatch, n int) error {
 		frame := in.frames[j]
 		be.setRow(frame)
 		err := st.run(be, func() error {
-			copy(out.frames[out.n][:hi], frame[:hi])
+			copy(out.frame(out.n)[:hi], frame[:hi])
 			out.n++
-			if out.n < len(out.frames) {
+			if out.n < out.cap {
 				return nil
 			}
 			err := v.flush(i)
@@ -348,8 +400,12 @@ func (v *vecRun) projSink() error {
 	nProj := len(p.projections)
 	nKeys := len(p.orderKeys)
 	if v.projPos == v.projCap {
+		if v.recycle {
+			v.projCap = 1
+		} else {
+			v.projCap = min(max(v.projCap*4, projSlabInitial), v.cap)
+		}
 		if !v.recycle || v.projSlab == nil {
-			v.projCap = min(max(v.projCap*4, vecBatchInitial), v.cap)
 			v.projSlab = make([]val.Value, v.projCap*nProj)
 			if nKeys > 0 {
 				v.keySlab = make([]val.Value, v.projCap*nKeys)

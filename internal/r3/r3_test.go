@@ -486,3 +486,39 @@ func TestSAPDatabaseIsMuchBigger(t *testing.T) {
 		t.Errorf("SAP/original data ratio = %.1f, paper reports ~10x", ratio)
 	}
 }
+
+// TestCursorCacheSeesDropIndex: the cursor cache keeps prepared statements
+// across DDL, so a cached SELECT that probes VBEP_EDATU must stop using the
+// index when the paper's 3.0 tuning step drops it — the dropped tree is no
+// longer maintained, and a row inserted afterwards would stay invisible to
+// the cached cursor.
+func TestCursorCacheSeesDropIndex(t *testing.T) {
+	sys, _ := installedSys(t, Release30)
+	o := sys.OpenSQL(cost.NewMeter(sys.DB.Model()))
+	var day val.Value
+	if err := o.Select("VBEP", nil, func(r Row) error { day = r.Get("EDATU"); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	count := func() int {
+		t.Helper()
+		n := 0
+		if err := o.Select("VBEP", []Cond{Eq("EDATU", day)}, func(Row) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	before := count()
+	plan, err := sys.DB.NewSession().Explain(`SELECT * FROM VBEP WHERE MANDT = ? AND EDATU = ?`)
+	if err != nil || !strings.Contains(plan, "VBEP_EDATU") {
+		t.Fatalf("fixture: the cached cursor does not probe VBEP_EDATU: %v\n%s", err, plan)
+	}
+	if err := sys.DropIndex("VBEP", "VBEP_EDATU"); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Insert("VBEP", map[string]val.Value{"VBELN": val.Str("ZZ"), "POSNR": val.Str("1"), "ETENR": val.Str("0001"), "EDATU": day}); err != nil {
+		t.Fatal(err)
+	}
+	if after := count(); before == 0 || after != before+1 {
+		t.Errorf("the cached cursor counts %d rows after the insert, %d before", after, before)
+	}
+}

@@ -161,16 +161,30 @@ func TestConcurrentSetBufferedChurn(t *testing.T) {
 	rowBytes := maraRowBytes(sys)
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
+	churned := make(chan struct{}) // closed when the churn has ended
 
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			o := sys.OpenSQL(cost.NewMeter(sys.DB.Model()))
-			for i := int64(1); i <= n; i++ {
-				if _, ok, err := o.SelectSingle("MARA", []Cond{Eq("MATNR", val.Str(Key16(i)))}); err != nil || !ok {
-					errs <- fmt.Errorf("lookup %d: ok=%v err=%v", i, ok, err)
+			// Passes over the keys go on for as long as the buffer churns —
+			// however fast a lookup is, the two overlap — and one more runs
+			// against the buffer the churn leaves enabled.
+			for last := false; ; {
+				for i := int64(1); i <= n; i++ {
+					if _, ok, err := o.SelectSingle("MARA", []Cond{Eq("MATNR", val.Str(Key16(i)))}); err != nil || !ok {
+						errs <- fmt.Errorf("lookup %d: ok=%v err=%v", i, ok, err)
+						return
+					}
+				}
+				if last {
 					return
+				}
+				select {
+				case <-churned:
+					last = true
+				default:
 				}
 			}
 		}()
@@ -178,6 +192,7 @@ func TestConcurrentSetBufferedChurn(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(churned)
 		for i := 0; i < 20; i++ {
 			sys.SetBuffered("MARA", rowBytes*int64(16+i))
 			sys.BufferStatsAll()

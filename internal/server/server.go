@@ -7,6 +7,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"r3bench/internal/cost"
 	"r3bench/internal/engine"
 	"r3bench/internal/sqlparse"
+	"r3bench/internal/val"
 	"r3bench/internal/wire"
 )
 
@@ -89,6 +91,13 @@ type conn struct {
 	nextID uint32
 	w      *bufio.Writer
 	out    []byte // reusable frame build buffer
+
+	// The reply being streamed (conn is the engine.RowSink of its own
+	// statements): whether it goes out as an array stream, the rows in
+	// c.out so far and where in c.out their count belongs.
+	array   bool
+	nRows   int
+	countAt int
 }
 
 func (s *Server) handle(nc net.Conn) {
@@ -137,11 +146,8 @@ func (c *conn) dispatch(frame []byte) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		res, err := c.sess.Exec(sql, params...)
-		if err != nil {
-			return c.sendError(err)
-		}
-		return c.sendResult(res)
+		c.begin(false)
+		return c.finish(c.sess.ExecTo(c, sql, params...))
 	case wire.MsgPrepare:
 		r := wire.NewReader(body)
 		sql := r.String()
@@ -168,11 +174,8 @@ func (c *conn) dispatch(frame []byte) error {
 		if !ok {
 			return c.sendError(fmt.Errorf("server: unknown statement id %d", id))
 		}
-		res, err := st.Query(params...)
-		if err != nil {
-			return c.sendError(err)
-		}
-		return c.sendResult(res)
+		c.begin(false)
+		return c.finish(st.QueryTo(c, params...))
 	case wire.MsgCloseStmt:
 		r := wire.NewReader(body)
 		id := r.Uint32()
@@ -180,7 +183,8 @@ func (c *conn) dispatch(frame []byte) error {
 			return err
 		}
 		delete(c.stmts, id)
-		return c.sendResult(&engine.Result{})
+		c.begin(false)
+		return c.finish(0, c.Header(nil))
 	case wire.MsgQueryArray:
 		r := wire.NewReader(body)
 		sql := r.String()
@@ -188,11 +192,8 @@ func (c *conn) dispatch(frame []byte) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		res, err := c.sess.Exec(sql, params...)
-		if err != nil {
-			return c.sendError(err)
-		}
-		return c.sendArray(res)
+		c.begin(true)
+		return c.finish(c.sess.ExecTo(c, sql, params...))
 	default:
 		return c.sendError(fmt.Errorf("server: unknown message type 0x%02x", frame[0]))
 	}
@@ -211,51 +212,92 @@ func (c *conn) sendError(err error) error {
 	return wire.WriteFrame(c.w, c.out)
 }
 
-// sendResult ships a whole result in one frame.
-func (c *conn) sendResult(res *engine.Result) error {
-	c.out = append(c.out[:0], wire.MsgResult)
-	c.out = wire.AppendUint32(c.out, uint32(len(res.Cols)))
-	for _, col := range res.Cols {
-		c.out = wire.AppendString(c.out, col)
+// begin readies c to be the row sink of the next statement. A
+// whole-result reply is one MsgResult frame, built in c.out as the rows
+// arrive and sent when the statement has ended, so a failure at any point
+// discards it and answers with the error alone. An array reply streams:
+// the header and every full packet of cost.ArrayFetchRows rows are written
+// as they are reached — the wire realization of the engine's array
+// interface (DESIGN.md §10) — and a failure after the header ends the
+// stream with a MsgError frame in place of MsgResultEnd.
+func (c *conn) begin(array bool) {
+	c.array, c.nRows = array, 0
+}
+
+// finish completes the reply of a statement that ran with c as its sink. A
+// failed write to the peer came back through the engine as the statement's
+// error; c.w keeps failing from then on, so answering it ends the
+// connection.
+func (c *conn) finish(affected int64, err error) error {
+	if err != nil {
+		return c.sendError(err)
 	}
-	c.out = wire.AppendUint64(c.out, uint64(res.RowsAffected))
-	c.out = wire.AppendUint32(c.out, uint32(len(res.Rows)))
-	for _, row := range res.Rows {
-		c.out = wire.AppendValues(c.out, row)
+	if !c.array {
+		binary.BigEndian.PutUint64(c.out[c.countAt-8:], uint64(affected))
+		binary.BigEndian.PutUint32(c.out[c.countAt:], uint32(c.nRows))
+		return wire.WriteFrame(c.w, c.out)
 	}
+	if err := c.flushBatch(); err != nil {
+		return err
+	}
+	c.out = append(c.out[:0], wire.MsgResultEnd)
+	c.out = wire.AppendUint64(c.out, uint64(affected))
 	return wire.WriteFrame(c.w, c.out)
 }
 
-// sendArray streams a result as header + row batches + trailer, one
-// batch per cost.ArrayFetchRows rows — the wire realization of the
-// engine's array interface (DESIGN.md §11): many rows per network
-// round trip instead of one.
-func (c *conn) sendArray(res *engine.Result) error {
-	c.out = append(c.out[:0], wire.MsgRowHeader)
-	c.out = wire.AppendUint32(c.out, uint32(len(res.Cols)))
-	for _, col := range res.Cols {
+// Header begins the reply: the column names, then — in a whole-result
+// frame — room for the rows-affected and row counts, which are known only
+// at the end.
+func (c *conn) Header(cols []string) error {
+	kind := byte(wire.MsgResult)
+	if c.array {
+		kind = wire.MsgRowHeader
+	}
+	c.out = append(c.out[:0], kind)
+	c.out = wire.AppendUint32(c.out, uint32(len(cols)))
+	for _, col := range cols {
 		c.out = wire.AppendString(c.out, col)
 	}
-	if err := wire.WriteFrame(c.w, c.out); err != nil {
-		return err
-	}
-	rows := res.Rows
-	for len(rows) > 0 {
-		n := len(rows)
-		if n > cost.ArrayFetchRows {
-			n = cost.ArrayFetchRows
-		}
-		c.out = append(c.out[:0], wire.MsgRowBatch)
-		c.out = wire.AppendUint32(c.out, uint32(n))
-		for _, row := range rows[:n] {
-			c.out = wire.AppendValues(c.out, row)
-		}
+	if c.array {
 		if err := wire.WriteFrame(c.w, c.out); err != nil {
 			return err
 		}
-		rows = rows[n:]
+		c.beginBatch()
+		return nil
 	}
-	c.out = append(c.out[:0], wire.MsgResultEnd)
-	c.out = wire.AppendUint64(c.out, uint64(res.RowsAffected))
-	return wire.WriteFrame(c.w, c.out)
+	c.out = wire.AppendUint64(c.out, 0)
+	c.countAt = len(c.out)
+	c.out = wire.AppendUint32(c.out, 0)
+	return nil
+}
+
+// Row encodes one result row into the frame being built.
+func (c *conn) Row(row []val.Value) error {
+	c.out = wire.AppendValues(c.out, row)
+	c.nRows++
+	if c.array && c.nRows == cost.ArrayFetchRows {
+		return c.flushBatch()
+	}
+	return nil
+}
+
+// beginBatch starts an empty MsgRowBatch frame in c.out.
+func (c *conn) beginBatch() {
+	c.out = append(c.out[:0], wire.MsgRowBatch)
+	c.countAt = len(c.out)
+	c.out = wire.AppendUint32(c.out, 0)
+	c.nRows = 0
+}
+
+// flushBatch sends the packet built so far, if it holds any row.
+func (c *conn) flushBatch() error {
+	if c.nRows == 0 {
+		return nil
+	}
+	binary.BigEndian.PutUint32(c.out[c.countAt:], uint32(c.nRows))
+	if err := wire.WriteFrame(c.w, c.out); err != nil {
+		return err
+	}
+	c.beginBatch()
+	return nil
 }

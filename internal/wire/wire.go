@@ -139,9 +139,13 @@ func AppendValues(b []byte, vs []val.Value) []byte {
 	return b
 }
 
-// Reader decodes one frame's body sequentially.
+// Reader decodes one frame's body sequentially. The strings it returns
+// share one copy of the body, made when the first one is decoded: they stay
+// valid when the frame buffer is reused, and keeping any of them keeps that
+// copy.
 type Reader struct {
 	buf []byte
+	str string // string(buf), once a string has been asked for
 	off int
 	err error
 }
@@ -187,9 +191,34 @@ func (r *Reader) String() string {
 		r.fail()
 		return ""
 	}
-	s := string(r.buf[r.off : r.off+n])
+	if n == 0 {
+		return ""
+	}
+	if r.str == "" {
+		r.str = string(r.buf)
+	}
+	s := r.str[r.off : r.off+n]
 	r.off += n
 	return s
+}
+
+// Strings decodes a count-prefixed string list — the column names of a
+// result — and returns nil for an empty one. A string takes at least its
+// four-byte length, so a count the remaining bytes cannot hold is corrupt.
+func (r *Reader) Strings() []string {
+	n := int(r.Uint32())
+	if r.err != nil || n > (len(r.buf)-r.off)/4 {
+		r.fail()
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i] = r.String()
+	}
+	return ss
 }
 
 // Value decodes one value.
@@ -233,6 +262,38 @@ func (r *Reader) Values() []val.Value {
 		vs = append(vs, r.Value())
 	}
 	return vs
+}
+
+// Rows decodes n count-prefixed value lists of width values each — the rows
+// of a result frame — into one slab. A count other than width is corrupt,
+// and so is an n × width the remaining bytes cannot hold: every row takes
+// at least its four-byte count and every value at least one byte, so a
+// lying frame is refused before anything is allocated for it.
+func (r *Reader) Rows(n, width int) [][]val.Value {
+	rest := len(r.buf) - r.off
+	if r.err != nil || n < 0 || width < 0 || n > rest/4 || (width > 0 && n > rest/width) {
+		r.fail()
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	rows := make([][]val.Value, n)
+	slab := make([]val.Value, n*width)
+	for i := range rows {
+		if k := int(r.Uint32()); k != width && r.err == nil {
+			r.err = fmt.Errorf("wire: row of %d values in a result of %d columns", k, width)
+		}
+		row := slab[i*width : (i+1)*width : (i+1)*width]
+		for j := range row {
+			row[j] = r.Value()
+		}
+		if r.err != nil {
+			return nil
+		}
+		rows[i] = row
+	}
+	return rows
 }
 
 // Error is a server-reported failure with the parse position when the
