@@ -3,7 +3,7 @@ GO ?= go
 # Newest committed snapshot is the regression baseline for bench-diff.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: all fmt-check vet build test race race-streams race-shards race-recovery race-warehouse fuzz-smoke bench-smoke bench-wire-smoke bench-snapshot bench-diff ci check clean
+.PHONY: all fmt-check vet build test race race-streams race-shards race-recovery race-warehouse race-views fuzz-smoke bench-smoke bench-wire-smoke bench-snapshot bench-diff ci check clean
 
 all: check
 
@@ -53,6 +53,19 @@ race-recovery:
 race-warehouse:
 	$(GO) test -race -count=1 -run 'TestWorkloadRewriteByteIdentical|TestRefreshMatchesRebuild|TestChangeLogCapturesOrderKeys' ./internal/warehouse
 
+# CHAR values are views of page images (val.ColSet.Decode): the tests of
+# that rule's two ends under the race detector, which also turns checkptr
+# on for the one unsafe.String in the module — a view equals the copying
+# decode and never changes under its holder (not across eviction, rewrite
+# and recovery), nothing that outlives a statement is one, and the in-place
+# R/3 cluster decode equals the strings.Split reference.
+race-views:
+	$(GO) test -race -count=3 -run 'TestColSetViewsMatchCopy|TestSlabOwns' ./internal/val
+	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite' ./internal/storage
+	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes' ./internal/engine
+	$(GO) test -race -count=3 -run 'TestClusterDecodeMatchesReference' ./internal/r3
+	$(GO) test -race -count=3 -run 'TestKeptRowsOwnTheirBytes' ./internal/warehouse
+
 # Five-second native-fuzz smoke of the SQL front end: FuzzParse asserts
 # no panics, old/new parser validity agreement and AST stability under
 # arena reuse (the corpus seeds cover every statement shape).
@@ -84,7 +97,7 @@ bench-snapshot:
 bench-diff:
 	./scripts/bench_diff.sh $(BENCH_BASELINE)
 
-ci: fmt-check vet race race-streams race-shards race-recovery race-warehouse fuzz-smoke bench-wire-smoke bench-diff
+ci: fmt-check vet race race-streams race-shards race-recovery race-warehouse race-views fuzz-smoke bench-wire-smoke bench-diff
 
 check: vet build race bench-smoke bench-wire-smoke
 

@@ -155,7 +155,8 @@ func (s *Session) ExplainAnalyze(sql string, params ...val.Value) (*Analyzed, er
 
 	arrayFetch := s.db.ArrayFetchEnabled()
 	rt := &runtime{sess: s, params: params, prof: prof}
-	res := &Result{Cols: plan.outCols}
+	out := &collect{Result: Result{Cols: plan.outCols}}
+	res := &out.Result
 	err = plan.run(rt, nil, func(row []val.Value) error {
 		if !arrayFetch {
 			p := s.Meter.SetSpan(ship)
@@ -163,8 +164,7 @@ func (s *Session) ExplainAnalyze(sql string, params ...val.Value) (*Analyzed, er
 			s.Meter.SetSpan(p)
 		}
 		ship.AddRows(1)
-		res.Rows = append(res.Rows, append([]val.Value(nil), row...))
-		return nil
+		return out.Row(row)
 	})
 	if err != nil {
 		return nil, err

@@ -196,6 +196,10 @@ type DB struct {
 // goroutine, on every write path (SQL DML, prepared DML, InsertRow,
 // BulkLoad) — the R/3 layer registers one to invalidate application-
 // server table buffers no matter which interface performed the write.
+// The rows belong to the writing statement: an old row's CHAR values are
+// views of the page image the match scan read (RowSink), a new row's are
+// the caller's. A hook that keeps anything of them past its return keeps
+// a copy (val.Slab.Own, strings.Clone) or what it parsed out of them.
 type WriteHook func(table string, oldRow, newRow []val.Value)
 
 // SetWriteHook installs the database's write observer (nil to remove).

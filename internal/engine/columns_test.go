@@ -188,9 +188,12 @@ func TestUpdateReadsUnreferencedColumn(t *testing.T) {
 func TestDeleteMaintainsIndexesFromFullRow(t *testing.T) {
 	db, s := dmlDB(t)
 	var old [][]val.Value
+	var chars val.Slab // a hook that keeps rows owns their bytes
 	db.SetWriteHook(func(_ string, oldRow, newRow []val.Value) {
 		if newRow == nil {
-			old = append(old, append([]val.Value(nil), oldRow...))
+			kept := append([]val.Value(nil), oldRow...)
+			chars.Own(kept)
+			old = append(old, kept)
 		}
 	})
 	if n := mustExec(t, s, `DELETE FROM u WHERE note = 'n17' OR y = 1042`).RowsAffected; n != 2 {
@@ -217,17 +220,21 @@ func TestDeleteMaintainsIndexesFromFullRow(t *testing.T) {
 }
 
 // TestAllocationBudget is the tier-1 guard on allocation, per row and per
-// call. Per row: a Q6- and a Q1-shaped statement and a hash join that
-// builds on tt, over the golden fixture's 1500 rows, may allocate about
-// twice what they do today (43, 141 and 91 times per execution — parse,
-// plan, batches, groups). One allocation per scanned or built row would be
-// 1500 more. pad gets a multi-byte value first: Go allocates nothing for
-// the one-byte string the fixture stores, which would hide a scan that
-// decodes it. Per call: a prepared primary-key lookup allocates 9 times
-// and under 1 KiB to return its row (27 times and 26 KiB when every
-// execution built its run state and a 64-frame batch), and a correlated
-// EXISTS costs its outer block 4 allocations per outer row, not a run state
-// each (16).
+// call. Per row: a Q6- and a Q1-shaped statement, a hash join that builds
+// on tt and a scan that filters on a CHAR column, over the golden fixture's
+// 1500 rows, may allocate about twice what they do today (43, 141, 91 and
+// 37 times per execution — parse, plan, batches, groups). One allocation
+// per scanned or built row would be 1500 more — which is what the CHAR
+// filter cost (1537) while decoding a CHAR made a string of it. pad gets a
+// multi-byte value first: Go allocates nothing for the one-byte string the
+// fixture stores, which would hide a scan that copies it. A row that is
+// materialised into a Result costs 1.01 allocations, its value slice plus
+// its share of a slab chunk for the CHAR bytes, however many CHAR columns
+// it has (one more each before). Per call: a prepared primary-key lookup
+// allocates 9 times and under 1 KiB to return its row (27 times and 26 KiB
+// when every execution built its run state and a 64-frame batch), and a
+// correlated EXISTS costs its outer block 4 allocations per outer row, not
+// a run state each (16).
 func TestAllocationBudget(t *testing.T) {
 	s := vecDB(t, 1500, 0)
 	mustExec(t, s, `UPDATE tt SET pad = 'padding'`)
@@ -238,10 +245,19 @@ func TestAllocationBudget(t *testing.T) {
 		{`SELECT SUM(v * grp) FROM tt WHERE v > 100 AND id < 1400`, 90},
 		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 280},
 		{`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.grp AND a.id < 1400`, 180},
+		{`SELECT COUNT(*) FROM tt WHERE pad = 'padding' AND id < 1400`, 74},
 	} {
 		if n := testing.AllocsPerRun(10, func() { mustExec(t, s, c.q) }); n > c.budget {
 			t.Errorf("%q allocates %.0f times per execution, budget %.0f", c.q, n, c.budget)
 		}
+	}
+
+	materialise := func(rows int) float64 {
+		q := fmt.Sprintf(`SELECT id, pad, pad, pad FROM tt WHERE id < %d`, rows)
+		return testing.AllocsPerRun(10, func() { mustExec(t, s, q) })
+	}
+	if perRow := (materialise(1000) - materialise(500)) / 500; perRow > 2 {
+		t.Errorf("a materialised result row allocates %.2f times, budget 2", perRow)
 	}
 
 	pk, err := s.Prepare(`SELECT * FROM tt WHERE id = ?`)

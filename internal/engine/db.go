@@ -97,13 +97,25 @@ type Result struct {
 // before any row, with the column names (nil when the statement is not a
 // SELECT), then Row for every result row in order. A row is valid only
 // until Row returns; an error from either method ends the statement.
+//
+// The statement is the ownership boundary of CHAR bytes: inside it a string
+// value is a view of the page image it was decoded from (val.ColSet.Decode),
+// and Row is where a row leaves it. A sink that encodes or prints the row
+// before it returns needs nothing; one that keeps the row copies the slice
+// and gives the strings storage of their own (val.Slab.Own), as the
+// materialising sink behind Exec and Query does — a kept view would pin its
+// whole 8 KiB image, superseded or not.
 type RowSink interface {
 	Header(cols []string) error
 	Row(row []val.Value) error
 }
 
-// collect is the materialising RowSink: it copies every row into a Result.
-type collect Result
+// collect is the materialising RowSink: it copies every row into its Result,
+// the CHAR bytes into slab chunks the Result's rows share.
+type collect struct {
+	Result
+	chars val.Slab
+}
 
 func (c *collect) Header(cols []string) error {
 	c.Cols = cols
@@ -111,19 +123,21 @@ func (c *collect) Header(cols []string) error {
 }
 
 func (c *collect) Row(row []val.Value) error {
-	c.Rows = append(c.Rows, append([]val.Value(nil), row...))
+	own := append([]val.Value(nil), row...)
+	c.chars.Own(own)
+	c.Rows = append(c.Rows, own)
 	return nil
 }
 
 // materialize runs a streaming execution into a fresh Result.
 func materialize(run func(RowSink) (int64, error)) (*Result, error) {
-	res := &Result{}
-	n, err := run((*collect)(res))
+	c := &collect{}
+	n, err := run(c)
 	if err != nil {
 		return nil, err
 	}
-	res.RowsAffected = n
-	return res, nil
+	c.RowsAffected = n
+	return &c.Result, nil
 }
 
 // optimizeCharge is the modelled cost of one parse+optimize round; cursor

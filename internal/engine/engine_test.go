@@ -459,6 +459,45 @@ func TestScalarFunctions(t *testing.T) {
 			t.Errorf("func %d = %v, want %v", i, r[i], w)
 		}
 	}
+
+	// YEAR and MONTH of a DATE are computed from the day number; they agree
+	// with the written-out date — which is what a string argument still goes
+	// through — across leap years, century rules and dates before 1970, and
+	// cost no allocation per call.
+	for _, d := range []string{"1970-01-01", "1969-12-31", "1900-02-28", "1900-03-01", "1992-02-29",
+		"1995-12-31", "1996-01-01", "2000-02-29", "2000-12-31", "2100-03-01", "0999-07-04", "9999-12-31"} {
+		dv, err := val.ParseDate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := mustExec(t, s, `SELECT YEAR(?), MONTH(?), YEAR(?), MONTH(?), YEAR(SUBSTR(?, 1, 3)), MONTH(SUBSTR(?, 1, 6))
+			FROM emp WHERE e_id = 1`, dv, dv, val.Str(d), val.Str(d), val.Str(d), val.Str(d))
+		y, m := val.Int(int64(atoi(d[:4]))), val.Int(int64(atoi(d[5:7])))
+		for i, w := range []val.Value{y, m, y, m, val.Null, val.Null} {
+			if got := res.Rows[0][i]; got.K != w.K || got.I != w.I {
+				t.Errorf("%s: func %d = %v, want %v", d, i, got, w)
+			}
+		}
+	}
+	res = mustExec(t, s, `SELECT YEAR(NULL), MONTH(NULL), SUBSTR(e_name, 4), SUBSTR(NULL, 1, 2), MOD(7, 0), INSTR(NULL, 'x')
+		FROM emp WHERE e_id = 1`)
+	for i, w := range []val.Value{val.Null, val.Null, val.Str("001"), val.Null, val.Null, val.Null} {
+		if got := res.Rows[0][i]; got.K != w.K || val.Compare(got, w) != 0 {
+			t.Errorf("edge %d = %v, want %v", i, got, w)
+		}
+	}
+	for _, bad := range []string{`SELECT YEAR() FROM emp`, `SELECT MONTH(e_hired, 1) FROM emp`, `SELECT MOD(1) FROM emp`, `SELECT SUBSTR(e_name) FROM emp`} {
+		if _, err := s.Exec(bad); err == nil {
+			t.Errorf("%s: expected an arity error", bad)
+		}
+	}
+	perRow := func(q string) float64 {
+		few := testing.AllocsPerRun(5, func() { mustExec(t, s, q+` WHERE e_id <= 20`) })
+		return (testing.AllocsPerRun(5, func() { mustExec(t, s, q+` WHERE e_id <= 100`) }) - few) / 80
+	}
+	if with, without := perRow(`SELECT SUM(YEAR(e_hired) + MONTH(e_hired) + MOD(e_id, 7)) FROM emp`), perRow(`SELECT SUM(e_id) FROM emp`); with > without+0.01 {
+		t.Errorf("YEAR, MONTH and MOD allocate %.2f times per row", with-without)
+	}
 }
 
 func TestStarExpansion(t *testing.T) {

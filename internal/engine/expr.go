@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/sqlparse"
@@ -548,68 +549,87 @@ func (c *compiler) compileScalarFunc(e *sqlparse.FuncCall) (exprFn, error) {
 		}
 		return nil
 	}
-	evalArgs := func(rt *runtime, rows rowStack) ([]val.Value, error) {
-		out := make([]val.Value, len(args))
-		for i, a := range args {
-			v, err := a(rt, rows)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
+	// unary and binary wrap a function of one or two arguments that is NULL
+	// when an argument is: the arguments are evaluated into locals, not into
+	// a slice made per call.
+	unary := func(f func(v val.Value) val.Value) (exprFn, error) {
+		if err := need(1); err != nil {
+			return nil, err
 		}
-		return out, nil
+		a := args[0]
+		return func(rt *runtime, rows rowStack) (val.Value, error) {
+			v, err := a(rt, rows)
+			if err != nil || v.IsNull() {
+				return val.Null, err
+			}
+			return f(v), nil
+		}, nil
+	}
+	binary := func(f func(a, b val.Value) val.Value) (exprFn, error) {
+		if err := need(2); err != nil {
+			return nil, err
+		}
+		a, b := args[0], args[1]
+		return func(rt *runtime, rows rowStack) (val.Value, error) {
+			av, err := a(rt, rows)
+			if err != nil {
+				return val.Null, err
+			}
+			bv, err := b(rt, rows)
+			if err != nil || av.IsNull() || bv.IsNull() {
+				return val.Null, err
+			}
+			return f(av, bv), nil
+		}, nil
+	}
+	// datePart is YEAR and MONTH: computed from the day number for a DATE,
+	// read at [lo:hi] of its written-out form (YYYY-MM-DD) for anything else.
+	datePart := func(of func(time.Time) int, lo, hi int) (exprFn, error) {
+		return unary(func(v val.Value) val.Value {
+			if v.K == val.KDate {
+				return val.Int(int64(of(time.Unix(v.I*86400, 0).UTC())))
+			}
+			s := v.AsStr()
+			if len(s) < hi {
+				return val.Null
+			}
+			return val.Int(int64(atoi(s[lo:hi])))
+		})
 	}
 	switch e.Name {
 	case "YEAR":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return func(rt *runtime, rows rowStack) (val.Value, error) {
-			vs, err := evalArgs(rt, rows)
-			if err != nil {
-				return val.Null, err
-			}
-			if vs[0].IsNull() {
-				return val.Null, nil
-			}
-			s := vs[0].AsStr() // dates render as YYYY-MM-DD
-			if len(s) < 4 {
-				return val.Null, nil
-			}
-			return val.Int(int64(atoi(s[:4]))), nil
-		}, nil
+		return datePart(time.Time.Year, 0, 4)
 	case "MONTH":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return func(rt *runtime, rows rowStack) (val.Value, error) {
-			vs, err := evalArgs(rt, rows)
-			if err != nil {
-				return val.Null, err
-			}
-			if vs[0].IsNull() {
-				return val.Null, nil
-			}
-			s := vs[0].AsStr()
-			if len(s) < 7 {
-				return val.Null, nil
-			}
-			return val.Int(int64(atoi(s[5:7]))), nil
-		}, nil
+		return datePart(func(t time.Time) int { return int(t.Month()) }, 5, 7)
 	case "SUBSTR", "SUBSTRING":
 		if len(args) != 2 && len(args) != 3 {
 			return nil, fmt.Errorf("engine: SUBSTR takes 2 or 3 arguments")
 		}
+		str, from := args[0], args[1]
+		var count exprFn
+		if len(args) == 3 {
+			count = args[2]
+		}
 		return func(rt *runtime, rows rowStack) (val.Value, error) {
-			vs, err := evalArgs(rt, rows)
+			sv, err := str(rt, rows)
 			if err != nil {
 				return val.Null, err
 			}
-			if vs[0].IsNull() {
+			fv, err := from(rt, rows)
+			if err != nil {
+				return val.Null, err
+			}
+			var cv val.Value
+			if count != nil {
+				if cv, err = count(rt, rows); err != nil {
+					return val.Null, err
+				}
+			}
+			if sv.IsNull() {
 				return val.Null, nil
 			}
-			s := vs[0].AsStr()
-			start := int(vs[1].AsInt()) - 1
+			s := sv.AsStr()
+			start := int(fv.AsInt()) - 1
 			if start < 0 {
 				start = 0
 			}
@@ -617,8 +637,8 @@ func (c *compiler) compileScalarFunc(e *sqlparse.FuncCall) (exprFn, error) {
 				start = len(s)
 			}
 			end := len(s)
-			if len(vs) == 3 {
-				end = start + int(vs[2].AsInt())
+			if count != nil {
+				end = start + int(cv.AsInt())
 				if end > len(s) {
 					end = len(s)
 				}
@@ -628,73 +648,29 @@ func (c *compiler) compileScalarFunc(e *sqlparse.FuncCall) (exprFn, error) {
 			}
 			return val.Str(s[start:end]), nil
 		}, nil
-	case "UPPER", "LOWER":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		upper := e.Name == "UPPER"
-		return func(rt *runtime, rows rowStack) (val.Value, error) {
-			vs, err := evalArgs(rt, rows)
-			if err != nil {
-				return val.Null, err
-			}
-			if vs[0].IsNull() {
-				return val.Null, nil
-			}
-			if upper {
-				return val.Str(strings.ToUpper(vs[0].AsStr())), nil
-			}
-			return val.Str(strings.ToLower(vs[0].AsStr())), nil
-		}, nil
+	case "UPPER":
+		return unary(func(v val.Value) val.Value { return val.Str(strings.ToUpper(v.AsStr())) })
+	case "LOWER":
+		return unary(func(v val.Value) val.Value { return val.Str(strings.ToLower(v.AsStr())) })
 	case "LENGTH":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return func(rt *runtime, rows rowStack) (val.Value, error) {
-			vs, err := evalArgs(rt, rows)
-			if err != nil {
-				return val.Null, err
-			}
-			if vs[0].IsNull() {
-				return val.Null, nil
-			}
-			return val.Int(int64(len(vs[0].AsStr()))), nil
-		}, nil
+		return unary(func(v val.Value) val.Value { return val.Int(int64(len(v.AsStr()))) })
 	case "ABS":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return func(rt *runtime, rows rowStack) (val.Value, error) {
-			vs, err := evalArgs(rt, rows)
-			if err != nil {
-				return val.Null, err
-			}
-			v := vs[0]
-			if v.IsNull() {
-				return val.Null, nil
-			}
+		return unary(func(v val.Value) val.Value {
 			if v.K == val.KInt && v.I < 0 {
-				return val.Int(-v.I), nil
+				return val.Int(-v.I)
 			}
 			if v.K == val.KFloat && v.F < 0 {
-				return val.Float(-v.F), nil
+				return val.Float(-v.F)
 			}
-			return v, nil
-		}, nil
+			return v
+		})
 	case "MOD":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return func(rt *runtime, rows rowStack) (val.Value, error) {
-			vs, err := evalArgs(rt, rows)
-			if err != nil {
-				return val.Null, err
+		return binary(func(a, b val.Value) val.Value {
+			if b.AsInt() == 0 {
+				return val.Null
 			}
-			if vs[0].IsNull() || vs[1].IsNull() || vs[1].AsInt() == 0 {
-				return val.Null, nil
-			}
-			return val.Int(vs[0].AsInt() % vs[1].AsInt()), nil
-		}, nil
+			return val.Int(a.AsInt() % b.AsInt())
+		})
 	case "COALESCE":
 		if len(args) == 0 {
 			return nil, fmt.Errorf("engine: COALESCE needs arguments")
@@ -712,19 +688,9 @@ func (c *compiler) compileScalarFunc(e *sqlparse.FuncCall) (exprFn, error) {
 			return val.Null, nil
 		}, nil
 	case "INSTR": // vendor extension: position of substring, 0 if absent
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return func(rt *runtime, rows rowStack) (val.Value, error) {
-			vs, err := evalArgs(rt, rows)
-			if err != nil {
-				return val.Null, err
-			}
-			if vs[0].IsNull() || vs[1].IsNull() {
-				return val.Null, nil
-			}
-			return val.Int(int64(strings.Index(vs[0].AsStr(), vs[1].AsStr()) + 1)), nil
-		}, nil
+		return binary(func(a, b val.Value) val.Value {
+			return val.Int(int64(strings.Index(a.AsStr(), b.AsStr()) + 1))
+		})
 	default:
 		return nil, fmt.Errorf("engine: unknown function %s", e.Name)
 	}

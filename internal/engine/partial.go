@@ -98,7 +98,35 @@ func (s *Session) QueryPartial(sql string, params ...val.Value) (*Partial, error
 	if err != nil {
 		return nil, err
 	}
+	pa.own()
 	return pa, nil
+}
+
+// own gives every CHAR value the partial holds storage of its own: a
+// Partial outlives the statement that filled it, and what a statement
+// leaves behind must not alias page images (RowSink).
+func (pa *Partial) own() {
+	var chars val.Slab
+	for _, r := range pa.rows {
+		chars.Own(r.proj)
+		chars.Own(r.keys)
+	}
+	if pa.acc == nil {
+		return
+	}
+	for _, g := range pa.acc.groups {
+		chars.Own(g.keys)
+		for i := range g.accs {
+			st := &g.accs[i]
+			st.min.S, st.max.S = chars.Copy(st.min.S), chars.Copy(st.max.S)
+			for k, v := range st.seen {
+				if v.K == val.KStr {
+					v.S = chars.Copy(v.S)
+					st.seen[k] = v
+				}
+			}
+		}
+	}
 }
 
 // MergePartials combines shard partials of the same statement into the
@@ -122,8 +150,9 @@ func (s *Session) MergePartials(parts []*Partial, params ...val.Value) (*Result,
 	}
 	// The merged rows ship to the client exactly as runSelect ships a
 	// single engine's.
-	res := &Result{Cols: p.outCols}
-	rt := &runtime{sess: s, params: params, out: (*collect)(res), array: s.db.ArrayFetchEnabled()}
+	out := &collect{Result: Result{Cols: p.outCols}}
+	res := &out.Result
+	rt := &runtime{sess: s, params: params, out: out, array: s.db.ArrayFetchEnabled()}
 	sink := newOutputSink(p, s.Meter, rt.shipRow)
 	sink.runs = len(parts)
 

@@ -191,12 +191,32 @@ func analyzeTable(t *Table) error {
 		}
 		buildDistribution(&cols[i], sample)
 	}
+	// The scan decoded views of the heap's page images; statistics outlive
+	// it, so what they keep gets storage of its own.
+	var chars val.Slab
+	for i := range cols {
+		cols[i].own(&chars)
+	}
 	t.stats.mu.Lock()
 	t.stats.RowCount = rows
 	t.stats.Columns = cols
 	t.stats.analyzed = true
 	t.stats.mu.Unlock()
 	return nil
+}
+
+// own copies the CHAR values the statistics keep into chars.
+func (cs *ColumnStats) own(chars *val.Slab) {
+	cs.Min.S, cs.Max.S = chars.Copy(cs.Min.S), chars.Copy(cs.Max.S)
+	for i := range cs.Hist {
+		cs.Hist[i].Hi.S = chars.Copy(cs.Hist[i].Hi.S)
+	}
+	for i := range cs.MCVs {
+		cs.MCVs[i].V.S = chars.Copy(cs.MCVs[i].V.S)
+	}
+	for i, s := range cs.LikeSample {
+		cs.LikeSample[i] = chars.Copy(s)
+	}
 }
 
 // duj1Distinct estimates column cardinality from a sorted sample of a

@@ -50,11 +50,7 @@ func (sys *System) insertLogical(s *engine.Session, t *LogicalTable, row []val.V
 	case Transparent:
 		return s.InsertRow(t.Name, row)
 	case Pooled:
-		skip := map[string]bool{"FILLER": true}
-		for _, kc := range t.KeyCols {
-			skip[kc] = true
-		}
-		phys := []val.Value{val.Str(t.Name), val.Str(t.keyString(row)), val.Str(t.packRow(row, skip))}
+		phys := []val.Value{val.Str(t.Name), val.Str(t.keyString(row)), val.Str(t.packRow(row))}
 		s.Meter.Charge(cost.Decode, 1) // encode on the way in
 		return s.InsertRow(poolTableName, phys)
 	default:
@@ -69,14 +65,13 @@ func (sys *System) insertClusterGroup(s *engine.Session, t *LogicalTable, rows [
 	if len(rows) == 0 {
 		return nil
 	}
-	skip := t.skipSet()
 	var keyVals []val.Value
 	for _, kc := range t.ClusterPrefix {
 		keyVals = append(keyVals, rows[0][t.ColIndex(kc)])
 	}
 	var packed []string
 	for _, row := range rows {
-		packed = append(packed, t.packRow(row, skip))
+		packed = append(packed, t.packRow(row))
 		s.Meter.Charge(cost.Decode, 1)
 	}
 	pageNo := int64(0)
@@ -147,11 +142,12 @@ func (sys *System) scanTransparent(sc *stmtCache, t *LogicalTable, keyPrefix []v
 	return nil
 }
 
+// poolScanSQL reads the pool's physical tuples of one table in a VARKEY range.
+const poolScanSQL = `SELECT VARKEY, VARDATA FROM ` + poolTableName + ` WHERE TABNAME = ? AND VARKEY >= ? AND VARKEY <= ?`
+
 func (sys *System) scanPool(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
 	prefix := t.keyPrefixString(keyPrefix)
-	st, err := sc.get(fmt.Sprintf(
-		`SELECT VARKEY, VARDATA FROM %s WHERE TABNAME = ? AND VARKEY >= ? AND VARKEY <= ?`,
-		poolTableName))
+	st, err := sc.get(poolScanSQL)
 	if err != nil {
 		return err
 	}
@@ -159,18 +155,14 @@ func (sys *System) scanPool(sc *stmtCache, t *LogicalTable, keyPrefix []val.Valu
 	if err != nil {
 		return err
 	}
-	skip := map[string]bool{"FILLER": true}
-	for _, kc := range t.KeyCols {
-		skip[kc] = true
-	}
 	m := sc.sess.Meter
+	keyVals := make([]val.Value, len(t.physKey))
 	for _, phys := range res.Rows {
 		m.Charge(cost.Decode, 1)
-		keyVals, err := t.decodeKeyString(phys[0].AsStr())
-		if err != nil {
+		if err := t.decodeKeyString(phys[0].AsStr(), keyVals); err != nil {
 			return err
 		}
-		row, err := t.unpackRow(phys[1].AsStr(), skip, keyVals)
+		row, err := t.unpackRow(phys[1].AsStr(), keyVals)
 		if err != nil {
 			return err
 		}
@@ -181,60 +173,42 @@ func (sys *System) scanPool(sc *stmtCache, t *LogicalTable, keyPrefix []val.Valu
 	return nil
 }
 
-// decodeKeyString splits a fixed-width VARKEY back into key values.
-func (t *LogicalTable) decodeKeyString(vk string) (map[string]val.Value, error) {
-	out := make(map[string]val.Value, len(t.KeyCols))
+// decodeKeyString splits a fixed-width VARKEY back into the pool table's
+// key values, in physKey order.
+func (t *LogicalTable) decodeKeyString(vk string, keyVals []val.Value) error {
 	off := 0
-	for _, kc := range t.KeyCols {
-		ci := t.ColIndex(kc)
+	for j, ci := range t.physKey {
 		w := t.Cols[ci].Type.Width
 		if off+w > len(vk) {
-			return nil, fmt.Errorf("r3: short VARKEY for %s", t.Name)
+			return fmt.Errorf("r3: short VARKEY for %s", t.Name)
 		}
-		out[kc] = parseAs(strings.TrimRight(vk[off:off+w], " "), t.Cols[ci].Type)
+		keyVals[j] = parseAs(strings.TrimRight(vk[off:off+w], " "), t.Cols[ci].Type)
 		off += w
 	}
-	return out, nil
+	return nil
 }
 
 func (sys *System) scanCluster(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
-	phys := t.Name + clusterSuffix
-	var where []string
-	var params []val.Value
-	for i := range keyPrefix {
-		if i >= len(t.ClusterPrefix) {
-			break // deeper prefixes filter after decode
-		}
-		where = append(where, t.ClusterPrefix[i]+" = ?")
-		params = append(params, keyPrefix[i])
-	}
-	sql := "SELECT * FROM " + phys
-	if len(where) > 0 {
-		sql += " WHERE " + strings.Join(where, " AND ")
-	}
-	st, err := sc.get(sql)
-	if err != nil {
-		return err
-	}
-	res, err := st.Query(params...)
-	if err != nil {
-		return err
-	}
-	skip := t.skipSet()
-	m := sc.sess.Meter
 	nPrefix := len(t.ClusterPrefix)
+	n := min(len(keyPrefix), nPrefix) // deeper prefixes filter after decode
+	st, err := sc.get(t.clusterSQL[n])
+	if err != nil {
+		return err
+	}
+	res, err := st.Query(keyPrefix[:n]...)
+	if err != nil {
+		return err
+	}
+	m := sc.sess.Meter
 	for _, prow := range res.Rows {
-		keyVals := make(map[string]val.Value, nPrefix)
-		for i, kc := range t.ClusterPrefix {
-			keyVals[kc] = prow[i]
-		}
+		// The packed rows are walked where they lie in VARDATA; an empty
+		// VARDATA holds none.
 		blob := prow[nPrefix+1].AsStr()
-		if blob == "" {
-			continue
-		}
-		for _, packed := range strings.Split(blob, rowSep) {
+		for more := blob != ""; more; {
+			var packed string
+			packed, blob, more = strings.Cut(blob, rowSep)
 			m.Charge(cost.Decode, 1)
-			row, err := t.unpackRow(packed, skip, keyVals)
+			row, err := t.unpackRow(packed, prow[:nPrefix])
 			if err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package r3
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,15 +28,17 @@ func TestPoolKeyRoundTrip(t *testing.T) {
 	}
 	row[a004.ColIndex("MATNR")] = val.Str(Key16(42))
 	vk := a004.keyString(row)
-	decoded, err := a004.decodeKeyString(vk)
-	if err != nil {
+	decoded := make([]val.Value, len(a004.KeyCols))
+	if err := a004.decodeKeyString(vk, decoded); err != nil {
 		t.Fatal(err)
 	}
-	if decoded["MATNR"].AsStr() != Key16(42) {
-		t.Fatalf("MATNR = %v", decoded["MATNR"])
+	for j, kc := range a004.KeyCols {
+		if got, want := decoded[j].AsStr(), row[a004.ColIndex(kc)].AsStr(); got != want {
+			t.Fatalf("%s = %q, want %q", kc, got, want)
+		}
 	}
-	if decoded["MANDT"].AsStr() != row[0].AsStr() {
-		t.Fatalf("MANDT = %v", decoded["MANDT"])
+	if decoded[slices.Index(a004.KeyCols, "MATNR")].AsStr() != Key16(42) {
+		t.Fatalf("MATNR = %v", decoded)
 	}
 }
 
@@ -48,7 +51,6 @@ func TestClusterPackRoundTrip(t *testing.T) {
 			konv = lt
 		}
 	}
-	skip := konv.skipSet()
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 1000; trial++ {
 		row := make([]val.Value, len(konv.Cols))
@@ -62,12 +64,12 @@ func TestClusterPackRoundTrip(t *testing.T) {
 				row[i] = val.Date(int64(r.Intn(20000)))
 			}
 		}
-		packed := konv.packRow(row, skip)
-		keyVals := map[string]val.Value{}
+		packed := konv.packRow(row)
+		var keyVals []val.Value
 		for _, kc := range konv.ClusterPrefix {
-			keyVals[kc] = row[konv.ColIndex(kc)]
+			keyVals = append(keyVals, row[konv.ColIndex(kc)])
 		}
-		out, err := konv.unpackRow(packed, skip, keyVals)
+		out, err := konv.unpackRow(packed, keyVals)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,7 +106,9 @@ type System struct {
 // invalidation has run; a warehouse change log uses this to track which
 // orders an update-function batch touched without scanning anything.
 // Observers must be registered before concurrent writers start and must
-// themselves be safe for concurrent calls.
+// themselves be safe for concurrent calls. The rows are the writing
+// statement's (engine.WriteHook): an observer keeps copies, or what it
+// parsed out of them — the warehouse change log keeps order numbers.
 func (sys *System) AddWriteObserver(fn func(phys string, oldRow, newRow []val.Value)) {
 	sys.mu.Lock()
 	sys.writeObs = append(sys.writeObs, fn)
@@ -381,36 +383,34 @@ func (t *LogicalTable) keyPrefixString(vals []val.Value) string {
 	return b.String()
 }
 
-// packRow encodes the logical row's non-prefix values; trailing FILLER
-// columns pack empty (the space savings that make cluster storage
-// compact — and that triple KONV's size on conversion to transparent).
-func (t *LogicalTable) packRow(row []val.Value, skip map[string]bool) string {
-	parts := make([]string, 0, len(t.Cols))
-	for i, col := range t.Cols {
-		if skip[col.Name] {
-			continue
-		}
-		parts = append(parts, row[i].AsStr())
+// packRow encodes the logical row's packed values; FILLER columns are
+// left out (the space savings that make cluster storage compact — and that
+// triple KONV's size on conversion to transparent).
+func (t *LogicalTable) packRow(row []val.Value) string {
+	parts := make([]string, len(t.packed))
+	for j, ci := range t.packed {
+		parts[j] = row[ci].AsStr()
 	}
 	return strings.Join(parts, fieldSep)
 }
 
 // unpackRow decodes a packed row back to logical values, restoring the
-// skipped (cluster-key) columns from keyVals.
-func (t *LogicalTable) unpackRow(packed string, skip map[string]bool, keyVals map[string]val.Value) ([]val.Value, error) {
-	parts := strings.Split(packed, fieldSep)
+// physical-key columns from keyVals (in physKey order). The fields are cut
+// out of packed where they lie: a CHAR value is a substring of it, and the
+// row is the only thing allocated.
+func (t *LogicalTable) unpackRow(packed string, keyVals []val.Value) ([]val.Value, error) {
 	out := make([]val.Value, len(t.Cols))
-	j := 0
-	for i, col := range t.Cols {
-		if skip[col.Name] {
-			out[i] = keyVals[col.Name]
-			continue
-		}
-		if j >= len(parts) {
+	for j, ci := range t.physKey {
+		out[ci] = keyVals[j]
+	}
+	more := true
+	for _, ci := range t.packed {
+		if !more {
 			return nil, fmt.Errorf("r3: short packed row for %s", t.Name)
 		}
-		out[i] = parseAs(parts[j], col.Type)
-		j++
+		var field string
+		field, packed, more = strings.Cut(packed, fieldSep)
+		out[ci] = parseAs(field, t.Cols[ci].Type)
 	}
 	return out, nil
 }
@@ -433,12 +433,4 @@ func parseAs(s string, ct val.ColType) val.Value {
 	default:
 		return val.Float(val.Str(s).AsFloat())
 	}
-}
-
-func (t *LogicalTable) skipSet() map[string]bool {
-	skip := map[string]bool{"FILLER": true}
-	for _, kc := range t.ClusterPrefix {
-		skip[kc] = true
-	}
-	return skip
 }

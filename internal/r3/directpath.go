@@ -139,13 +139,9 @@ func (w *dpWorker) add(r SAPRow) error {
 		if err != nil {
 			return err
 		}
-		skip := map[string]bool{"FILLER": true}
-		for _, kc := range t.KeyCols {
-			skip[kc] = true
-		}
 		w.m.Charge(cost.Decode, 1) // encode on the way in
 		return ld.Append([]val.Value{
-			val.Str(t.Name), val.Str(t.keyString(row)), val.Str(t.packRow(row, skip))})
+			val.Str(t.Name), val.Str(t.keyString(row)), val.Str(t.packRow(row))})
 	default:
 		return fmt.Errorf("r3: cluster table %s needs addClusterGroup", t.Name)
 	}
@@ -163,7 +159,6 @@ func (w *dpWorker) addClusterGroup(table string, groups []F) error {
 	if ld == nil {
 		return nil
 	}
-	skip := t.skipSet()
 	var keyVals []val.Value
 	var cur strings.Builder
 	pageNo := int64(0)
@@ -187,7 +182,7 @@ func (w *dpWorker) addClusterGroup(table string, groups []F) error {
 			}
 		}
 		w.m.Charge(cost.Decode, 1)
-		packed := t.packRow(row, skip)
+		packed := t.packRow(row)
 		if cur.Len() > 0 && cur.Len()+len(rowSep)+len(packed) > clusterVarData {
 			if err := flush(); err != nil {
 				return err

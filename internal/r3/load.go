@@ -219,12 +219,8 @@ func (dl *directLoader) add(r SAPRow) error {
 	case Transparent:
 		return dl.push(t.Name, row)
 	case Pooled:
-		skip := map[string]bool{"FILLER": true}
-		for _, kc := range t.KeyCols {
-			skip[kc] = true
-		}
 		return dl.push(poolTableName, []val.Value{
-			val.Str(t.Name), val.Str(t.keyString(row)), val.Str(t.packRow(row, skip))})
+			val.Str(t.Name), val.Str(t.keyString(row)), val.Str(t.packRow(row))})
 	default:
 		return fmt.Errorf("r3: cluster table %s needs addClusterGroup", t.Name)
 	}
@@ -250,7 +246,6 @@ func (dl *directLoader) addClusterGroup(table string, groups []F) error {
 		}
 		return nil
 	}
-	skip := t.skipSet()
 	var keyVals []val.Value
 	var cur strings.Builder
 	pageNo := int64(0)
@@ -273,7 +268,7 @@ func (dl *directLoader) addClusterGroup(table string, groups []F) error {
 				keyVals = append(keyVals, row[t.ColIndex(kc)])
 			}
 		}
-		packed := t.packRow(row, skip)
+		packed := t.packRow(row)
 		if cur.Len() > 0 && cur.Len()+len(rowSep)+len(packed) > clusterVarData {
 			if err := flush(); err != nil {
 				return err

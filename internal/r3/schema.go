@@ -10,6 +10,7 @@ package r3
 
 import (
 	"fmt"
+	"slices"
 
 	"r3bench/internal/val"
 )
@@ -62,6 +63,16 @@ type LogicalTable struct {
 	Indexes map[string][]string
 
 	colIdx map[string]int
+	// How a pool or cluster table's logical rows sit in their physical
+	// tuples, worked out once: physKey are the columns the physical key
+	// carries (a pool table's key, a cluster table's prefix), packed the
+	// columns whose values are packed into VARDATA, in that order. FILLER
+	// columns are in neither: they are not stored and read back NULL.
+	physKey []int
+	packed  []int
+	// clusterSQL[n] reads a cluster table's physical tuples under the first
+	// n columns of its cluster key.
+	clusterSQL []string
 }
 
 // ColIndex returns the position of a logical column, or -1.
@@ -76,6 +87,27 @@ func (t *LogicalTable) init() *LogicalTable {
 	t.colIdx = make(map[string]int, len(t.Cols))
 	for i, c := range t.Cols {
 		t.colIdx[c.Name] = i
+	}
+	keyCols := t.ClusterPrefix
+	if t.Kind == Pooled {
+		keyCols = t.KeyCols
+	}
+	for _, kc := range keyCols {
+		t.physKey = append(t.physKey, t.colIdx[kc])
+	}
+	for i, c := range t.Cols {
+		if c.Name != "FILLER" && !slices.Contains(keyCols, c.Name) {
+			t.packed = append(t.packed, i)
+		}
+	}
+	if t.Kind == Clustered {
+		sql, sep := "SELECT * FROM "+t.Name+clusterSuffix, " WHERE "
+		t.clusterSQL = append(t.clusterSQL, sql)
+		for _, kc := range t.ClusterPrefix {
+			sql += sep + kc + " = ?"
+			sep = " AND "
+			t.clusterSQL = append(t.clusterSQL, sql)
+		}
 	}
 	return t
 }

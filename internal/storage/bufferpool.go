@@ -21,7 +21,7 @@ type frame struct {
 	elem   *list.Element
 	young  bool // resident in the young sublist (proven by a second touch)
 	ra     bool // admitted by readahead; first demand touch still pending
-	shared bool // slice handed to a reader since the last exclusive version
+	shared bool // the image's bit (pageImage), cached so that a hit takes no disk lock: see handOut
 }
 
 // maxPoolShards bounds the number of lock shards; tiny pools collapse to
@@ -264,9 +264,11 @@ func (bp *BufferPool) Contains(file FileID, page PageID) bool {
 }
 
 // Get returns the page's data, faulting it in if needed and charging m.
-// The returned slice aliases the cached page; callers may mutate it only
-// via MarkDirty. Sequential-vs-random charging follows the global per-file
-// last-read cursor.
+// The returned slice is the page's current image and is never written
+// again, by the caller or by anyone else (writers go through Mutate, which
+// copies a shared image first), so values that alias it stay valid for as
+// long as they are reachable. Sequential-vs-random charging follows the
+// global per-file last-read cursor.
 func (bp *BufferPool) Get(file FileID, page PageID, m *cost.Meter) ([]byte, error) {
 	key := pageKey{file, page}
 	if data, hit := bp.touch(key); hit {
@@ -406,10 +408,20 @@ func (bp *BufferPool) touch(key pageKey) ([]byte, bool) {
 		return nil, false
 	}
 	sh.registerHit(f)
-	f.shared = true // the returned slice escapes the frame lock
-	data := f.data
+	data := bp.handOut(f)
 	sh.mu.Unlock()
 	return data, true
+}
+
+// handOut returns the frame's image to a reader and marks the image shared:
+// the slice escapes the frame lock, and from here on it is immutable.
+// Caller holds the frame's shard lock.
+func (bp *BufferPool) handOut(f *frame) []byte {
+	if !f.shared {
+		f.shared = true
+		bp.disk.markShared(f.key.file, f.key.page)
+	}
+	return f.data
 }
 
 // registerHit applies the hit-path counter and recency bookkeeping for a
@@ -470,24 +482,25 @@ func (bp *BufferPool) admit(key pageKey, data []byte, m *cost.Meter, ra bool) []
 				sh.old.MoveToFront(f.elem)
 			}
 		}
-		f.shared = true
-		return f.data
+		return bp.handOut(f)
 	}
-	f := bp.admitLocked(sh, key, data, m, ra)
-	f.shared = true
-	return f.data
+	return bp.handOut(bp.admitLocked(sh, key, data, m, ra))
 }
 
 // admitLocked inserts a fresh frame, evicting as needed. Caller holds
 // sh.mu and has verified the key is absent.
 //
-// The disk slice is re-read under the shard lock: copy-on-write publishes
+// The disk image is re-read under the shard lock: copy-on-write publishes
 // a page's new version while holding this same lock, so a slice read
 // before the frame was evicted could be stale by the time it is
-// re-admitted — the re-read always installs the current version.
+// re-admitted — the re-read always installs the current version, together
+// with its shared bit: a reader may still hold the image from before the
+// eviction. (An image the disk no longer has — the file was dropped — is
+// taken as shared.)
 func (bp *BufferPool) admitLocked(sh *poolShard, key pageKey, data []byte, m *cost.Meter, ra bool) *frame {
-	if cur, err := bp.disk.readPage(key.file, key.page); err == nil {
-		data = cur
+	shared := true
+	if cur, s, err := bp.disk.image(key.file, key.page); err == nil {
+		data, shared = cur, s
 	}
 	for sh.young.Len()+sh.old.Len() >= sh.capacity {
 		victim := sh.old.Back()
@@ -514,7 +527,7 @@ func (bp *BufferPool) admitLocked(sh *poolShard, key pageKey, data []byte, m *co
 		}
 		delete(sh.frames, vf.key)
 	}
-	f := &frame{key: key, data: data, ra: ra}
+	f := &frame{key: key, data: data, ra: ra, shared: shared}
 	if bp.midpoint.Load() {
 		f.elem = sh.old.PushFront(f)
 		sh.oldLen.Add(1)
@@ -528,12 +541,13 @@ func (bp *BufferPool) admitLocked(sh *poolShard, key pageKey, data []byte, m *co
 }
 
 // Mutate runs fn on the page's current bytes under the frame lock, with
-// copy-on-write isolation from concurrent readers: a slice that was ever
-// handed to a reader (Get, ScanRun.Get) is never written in place —
-// the writer copies the page, mutates the copy, and publishes it as the
-// new current version in both the frame and the disk array. Readers that
-// already hold the old slice keep a consistent immutable snapshot of the
-// page as it was before the write.
+// copy-on-write isolation from readers: an image that was ever handed to
+// a reader (Get, ScanRun.Get) is never written in place, whether or not
+// its frame stayed resident in between — the writer copies the page,
+// mutates the copy, and publishes it as the new current version in both
+// the frame and the disk array. Readers that already hold the old slice,
+// and every CHAR value decoded from it, keep a consistent immutable
+// snapshot of the page as it was before the write.
 //
 // fn reports whether it modified the bytes (a probe of a full heap page
 // mutates nothing) and may return an error, which is passed through; the

@@ -20,7 +20,9 @@ import (
 // A BulkWriter requires exclusive use of its heap file between New and
 // Close — the engine's DirectLoader guarantees that. RIDs are assigned
 // deterministically in append order, so callers can compute index
-// entries while packing.
+// entries while packing. The writer goes below the pool, but only ever
+// writes its private staging page: a page is installed once, complete, and
+// the writer starts a new buffer, so no image a reader holds is touched.
 type BulkWriter struct {
 	h    *HeapFile
 	m    *cost.Meter

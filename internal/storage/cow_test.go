@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -80,6 +82,77 @@ func TestCopyOnWriteSurvivesEviction(t *testing.T) {
 	}
 	if got, err := h.Fetch(rids[1], nil, nil); err != nil || got[0].AsInt() != 1 {
 		t.Fatalf("neighbor row damaged: %v %v", got, err)
+	}
+}
+
+// TestReaderImageSurvivesEvictionAndRewrite holds a page image — and a row
+// decoded from it — across the eviction of its frame: "a reader has this
+// image" is a property of the image, so the write that re-admits the page
+// still copies it. Update, Delete and Insert all go through the same path.
+func TestReaderImageSurvivesEvictionAndRewrite(t *testing.T) {
+	h, pool, m := newTestHeap(t, PageSize) // one frame: every access evicts
+	var rids []RID
+	for i := 0; i < 400; i++ { // several pages; page 0 is full
+		rid, err := h.Insert(row(i), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	last := rids[len(rids)-1].Page
+	writes := []struct {
+		name string
+		do   func() error
+	}{
+		{"update", func() error { return h.Update(rids[1], row(9001), m) }},
+		{"delete", func() error { return h.Delete(rids[0], m) }},
+		{"insert", func() error { _, err := h.Insert(row(9002), m); return err }},
+	}
+	for _, w := range writes {
+		page := PageID(0)
+		if w.name == "insert" {
+			page = last // the page the insert appends to
+		}
+		held, err := pool.Get(h.file, page, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := append([]byte(nil), held...)
+		kept, err := h.Fetch(RID{Page: page, Slot: 1}, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := strings.Clone(kept[1].S) // the bytes, not the view
+
+		other := last
+		if page == last {
+			other = 0
+		}
+		if _, err := pool.Get(h.file, other, m); err != nil { // evicts page's frame
+			t.Fatal(err)
+		}
+		if pool.Contains(h.file, page) {
+			t.Fatalf("%s: page %d still resident in a one-frame pool", w.name, page)
+		}
+		if err := w.do(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if !bytes.Equal(held, snap) {
+			t.Fatalf("%s after evict and re-admit wrote into the image a reader holds", w.name)
+		}
+		if kept[1].S != want {
+			t.Fatalf("%s rewrote a decoded value under its holder: %q, was %q", w.name, kept[1].S, want)
+		}
+	}
+	// The writes themselves landed.
+	if got, err := h.Fetch(rids[1], m, nil); err != nil || got[0].AsInt() != 9001 {
+		t.Fatalf("update lost: %v %v", got, err)
+	}
+	if _, err := h.Fetch(rids[0], m, nil); err == nil {
+		t.Fatal("delete lost")
+	}
+	if h.Rows() != 400 {
+		t.Fatalf("Rows = %d, want 400", h.Rows())
 	}
 }
 

@@ -36,13 +36,25 @@ func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 // pages. All I/O goes through a BufferPool, never directly to the Disk.
 type Disk struct {
 	mu    sync.Mutex
-	files map[FileID][][]byte
+	files map[FileID][]pageImage
 	next  FileID
+}
+
+// pageImage is the current version of one page. shared records that the
+// slice has been handed to a reader (BufferPool.Get, ScanRun.Get): from
+// then on nobody writes it again — decoded CHAR values are views of it
+// (val.ColSet.Decode) — and the next mutation copies the page and
+// publishes the copy as a new, unshared image. The bit belongs to the
+// image, not to the pool frame that happens to cache it, so it outlives
+// the frame's eviction.
+type pageImage struct {
+	data   []byte
+	shared bool
 }
 
 // NewDisk returns an empty simulated disk.
 func NewDisk() *Disk {
-	return &Disk{files: make(map[FileID][][]byte)}
+	return &Disk{files: make(map[FileID][]pageImage)}
 }
 
 // CreateFile allocates a new empty file.
@@ -74,34 +86,51 @@ func (d *Disk) AllocPage(id FileID) PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	pages := d.files[id]
-	d.files[id] = append(pages, make([]byte, PageSize))
+	d.files[id] = append(pages, pageImage{data: make([]byte, PageSize)})
 	return PageID(len(pages))
 }
 
 // readPage returns the raw page storage. Internal: callers go through the
 // buffer pool.
 func (d *Disk) readPage(id FileID, p PageID) ([]byte, error) {
+	data, _, err := d.image(id, p)
+	return data, err
+}
+
+// image returns the page's current image and whether a reader holds it.
+func (d *Disk) image(id FileID, p PageID) (data []byte, shared bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	pages, ok := d.files[id]
 	if !ok {
-		return nil, fmt.Errorf("storage: read of dropped file %d", id)
+		return nil, false, fmt.Errorf("storage: read of dropped file %d", id)
 	}
 	if int(p) >= len(pages) {
-		return nil, fmt.Errorf("storage: page %d past end of file %d (%d pages)", p, id, len(pages))
+		return nil, false, fmt.Errorf("storage: page %d past end of file %d (%d pages)", p, id, len(pages))
 	}
-	return pages[p], nil
+	return pages[p].data, pages[p].shared, nil
 }
 
-// writePage publishes a new version of the page's storage. Internal: the
-// buffer pool calls it when a copy-on-write supersedes the slice the disk
-// array held, keeping the invariant that the disk and the resident frame
-// always point at the current version while readers may retain the old
-// immutable bytes.
+// markShared records that the page's current image went out to a reader.
+func (d *Disk) markShared(id FileID, p PageID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if pages, ok := d.files[id]; ok && int(p) < len(pages) {
+		pages[p].shared = true
+	}
+}
+
+// writePage publishes data as the page's new, unshared image: the caller
+// has made the slice itself and handed it to nobody. Internal: the buffer
+// pool calls it when a copy-on-write supersedes the image the disk array
+// held, keeping the invariant that the disk and the resident frame always
+// point at the current version while readers may retain the old immutable
+// bytes; the direct-path writer and recovery install pages they built
+// privately.
 func (d *Disk) writePage(id FileID, p PageID, data []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if pages, ok := d.files[id]; ok && int(p) < len(pages) {
-		pages[p] = data
+		pages[p] = pageImage{data: data}
 	}
 }

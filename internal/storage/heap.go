@@ -189,7 +189,9 @@ func (h *HeapFile) Fetch(rid RID, m *cost.Meter, out []val.Value) ([]val.Value, 
 }
 
 // FetchCols decodes the columns in cols of the row at rid (random page
-// access) into their slots of dst, one full row wide.
+// access) into their slots of dst, one full row wide. CHAR values are views
+// of the page image (val.ColSet.Decode): valid for good, since the image is
+// never written again, but whoever keeps them long keeps the image.
 func (h *HeapFile) FetchCols(rid RID, m *cost.Meter, cols *val.ColSet, dst []val.Value) error {
 	page, err := h.pool.Get(h.file, rid.Page, m)
 	if err != nil {
@@ -269,8 +271,10 @@ func (h *HeapFile) UpdateTx(tx int64, rid RID, row []val.Value, m *cost.Meter) e
 }
 
 // Scan calls fn for every live row in file order. The row slice is reused
-// between calls; fn must copy values it retains. Returning a non-nil error
-// from fn stops the scan; the sentinel ErrStopScan stops it silently.
+// between calls; fn must copy values it retains, and give CHAR values it
+// retains for long storage of their own (they are views of the page image:
+// see FetchCols). Returning a non-nil error from fn stops the scan; the
+// sentinel ErrStopScan stops it silently.
 func (h *HeapFile) Scan(m *cost.Meter, fn func(rid RID, row []val.Value) error) error {
 	row := make([]val.Value, h.codec.NumCols())
 	return h.ScanRange(0, h.Pages(), m, h.codec.AllCols(),
@@ -330,9 +334,12 @@ func (h *HeapFile) Flush(m *cost.Meter) {
 // ErrStopScan stops a Scan early without reporting an error.
 var ErrStopScan = fmt.Errorf("storage: stop scan")
 
-// Recovery helpers. They run single-threaded after a simulated crash —
-// the pool's frames for the file have been dropped and no session holds
-// page slices — so they mutate the disk pages directly.
+// Recovery helpers. They run single-threaded after a simulated crash, below
+// the pool, whose frames for the file have been dropped. Images that readers
+// were handed before the crash — and the values decoded from them — are left
+// as they are: restorePage first gives every page a fresh private copy, and
+// redo*/undoDelete write only into those copies, which no reader can hold
+// before recovery returns.
 
 // restorePage resets page pid to img (nil = zeroes), installing a fresh
 // unshared copy as the page's storage.

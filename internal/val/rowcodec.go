@@ -159,7 +159,7 @@ func (c *RowCodec) Encode(dst []byte, row []Value) ([]byte, error) {
 
 // Decode decodes one row from src (which must be exactly RowBytes long) and
 // appends the values to out, returning the extended slice. String values
-// are right-trimmed.
+// are right-trimmed views of src: see ColSet.Decode.
 func (c *RowCodec) Decode(src []byte, out []Value) ([]Value, error) {
 	n := len(out)
 	out = slices.Grow(out, len(c.cols))[:n+len(c.cols)]
@@ -171,7 +171,15 @@ func (c *RowCodec) Decode(src []byte, out []Value) ([]Value, error) {
 
 // Decode decodes the set's columns of one encoded row straight into their
 // slots of dst, which must be one full row wide; the slots of columns
-// outside the set are left as they are. String values are right-trimmed.
+// outside the set are left as they are.
+//
+// A CHAR value is decoded as a right-trimmed view of src — no bytes are
+// copied — so the values in dst alias src, and src must never be written
+// again while any of them (or a substring of one) is reachable. Heap pages
+// meet that: an image handed to a reader is immutable (storage.BufferPool).
+// A value also keeps all of src's backing array alive; whoever keeps values
+// beyond the work that decoded them gives them storage of their own first
+// (Slab.Own, strings.Clone).
 func (s *ColSet) Decode(src []byte, dst []Value) error {
 	if len(src) != s.rowBytes {
 		return fmt.Errorf("val: decode: row is %d bytes, want %d", len(src), s.rowBytes)
@@ -201,7 +209,7 @@ func (s *ColSet) Decode(src []byte, dst []Value) error {
 			for end > 0 && field[end-1] == ' ' {
 				end--
 			}
-			dst[f.col] = Str(string(field[:end]))
+			dst[f.col] = Str(view(field[:end]))
 		}
 	}
 	return nil

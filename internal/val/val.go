@@ -5,6 +5,19 @@
 // codec whose on-page footprint matches declared column widths (so that
 // database sizes — the subject of the paper's Table 2 — reflect schema
 // design, not Go object overhead).
+//
+// Who owns a CHAR value's bytes. A Value does not: S is a string header, and
+// where its bytes live depends on where the value came from. One decoded from
+// an encoded row (ColSet.Decode, RowCodec.Decode) is a view of that row's
+// bytes — for a heap row, of the immutable page image — so reading a CHAR
+// column copies nothing and allocates nothing, per row scanned or otherwise;
+// substrings and trimmed forms of it are views of the same bytes. That is
+// always safe (nobody writes an image a reader was handed) but a view keeps
+// its whole source alive, so the rule is about lifetime: work that ends soon
+// — a statement, a scan callback — passes views around freely, and whatever
+// outlives that work gives the values storage of their own first, in bulk
+// with a Slab or one at a time with strings.Clone. Values built from SQL
+// text, parameters or expressions own their strings as any Go value does.
 package val
 
 import (
@@ -49,7 +62,7 @@ type Value struct {
 	K Kind
 	I int64 // KInt, KDate
 	F float64
-	S string
+	S string // KStr; may be a view of an encoded row (see the package comment)
 }
 
 // Null is the SQL NULL value.
