@@ -70,7 +70,7 @@ race-views:
 # no panics, old/new parser validity agreement and AST stability under
 # arena reuse (the corpus seeds cover every statement shape).
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz FuzzParse -fuzztime=5s ./internal/sqlparse
+	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime=5s ./internal/sqlparse
 
 # One pass over the headline benchmark plus the Q1 aggregation (allocs/op
 # shows the batch executor's real cost) to catch bench-path regressions
@@ -92,8 +92,8 @@ bench-wire-smoke:
 bench-snapshot:
 	./scripts/bench_snapshot.sh
 
-# Gate: fresh snapshot vs the committed baseline; fails on a >10%
-# simulated-time regression in any benchmark.
+# Gate: fresh snapshot vs the committed baseline; fails when a row of
+# cmd/benchdiff's gate table trips (DESIGN.md §7).
 bench-diff:
 	./scripts/bench_diff.sh $(BENCH_BASELINE)
 

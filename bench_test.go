@@ -216,10 +216,19 @@ func BenchmarkPower30_OpenSQL(b *testing.B) {
 
 // --- Parallel query execution (DESIGN.md §5): power test by degree ---
 
+// applyParallel sets the shared database's parallel degree and returns
+// the function that puts back the options it found.
+func applyParallel(db *engine.DB, degree int) (restore func()) {
+	saved := db.Options()
+	o := saved
+	o.Parallel = degree
+	db.SetOptions(o)
+	return func() { db.SetOptions(saved) }
+}
+
 func benchPowerParallel(b *testing.B, degree int) {
 	g, rdb, _, _ := benchEnv(b)
-	rdb.SetParallel(degree)
-	defer rdb.SetParallel(0)
+	defer applyParallel(rdb, degree)()
 	benchPower(b, tpcd.NewRDBMS(rdb, g))
 }
 
@@ -232,8 +241,7 @@ func BenchmarkPowerParallel8_RDBMS(b *testing.B) { benchPowerParallel(b, 8) }
 // queries are where partitioned execution pays off most).
 func benchQueryParallel(b *testing.B, q, degree int) {
 	g, rdb, _, _ := benchEnv(b)
-	rdb.SetParallel(degree)
-	defer rdb.SetParallel(0)
+	defer applyParallel(rdb, degree)()
 	impl := tpcd.NewRDBMS(rdb, g)
 	start := int64(impl.Meter().Elapsed())
 	b.ResetTimer()
@@ -394,14 +402,22 @@ GROUP BY KPOSN ORDER BY KPOSN`)
 	simPerOp(b, m, 0)
 }
 
-func BenchmarkTable7_OpenClientGrouping(b *testing.B) {
+// benchTable7Open is Table 7's client-side aggregation with the two
+// options its ablation owns set to opts on the shared 3.0E system, which
+// gets back the options it had.
+func benchTable7Open(b *testing.B, opts r3.Options) {
 	_, _, _, sys3 := benchEnv(b)
+	saved := sys3.Options()
+	o := saved
+	o.Engine.ArrayFetch, o.ITabSinglePass = opts.Engine.ArrayFetch, opts.ITabSinglePass
+	sys3.SetOptions(o)
+	defer sys3.SetOptions(saved)
 	m := cost.NewMeter(sys3.DB.Model())
-	o := sys3.OpenSQL(m)
+	sql := sys3.OpenSQL(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := r3.NewITab(m, "KPOSN", "CHARGE")
-		err := o.Select("KONV", []r3.Cond{
+		tab := sys3.NewITab(m, "KPOSN", "CHARGE")
+		err := sql.Select("KONV", []r3.Cond{
 			r3.Eq("STUNR", val.Str("040")), r3.Eq("ZAEHK", val.Str("01")),
 			r3.Eq("KSCHL", val.Str("DISC")),
 		}, func(r r3.Row) error {
@@ -423,6 +439,10 @@ func BenchmarkTable7_OpenClientGrouping(b *testing.B) {
 	simPerOp(b, m, 0)
 }
 
+// BenchmarkTable7_OpenClientGrouping is the paper's configuration: one
+// interface round trip per row, two-phase grouping.
+func BenchmarkTable7_OpenClientGrouping(b *testing.B) { benchTable7Open(b, r3.Options{}) }
+
 // BenchmarkTable7_OpenModernized is the EXPERIMENTS.md Table 7 ablation
 // row: the same client-side aggregation with the 1996 limitations
 // replaced — rows ship in array-fetch packets and the internal table
@@ -430,38 +450,7 @@ func BenchmarkTable7_OpenClientGrouping(b *testing.B) {
 // the sim-ms/op gap against BenchmarkTable7_OpenClientGrouping is the
 // modeled penalty of the per-row interface plus two-phase grouping.
 func BenchmarkTable7_OpenModernized(b *testing.B) {
-	_, _, _, sys3 := benchEnv(b)
-	sys3.SetArrayFetch(true)
-	r3.SetITabSinglePass(true)
-	defer func() {
-		sys3.SetArrayFetch(false)
-		r3.SetITabSinglePass(false)
-	}()
-	m := cost.NewMeter(sys3.DB.Model())
-	o := sys3.OpenSQL(m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab := r3.NewITab(m, "KPOSN", "CHARGE")
-		err := o.Select("KONV", []r3.Cond{
-			r3.Eq("STUNR", val.Str("040")), r3.Eq("ZAEHK", val.Str("01")),
-			r3.Eq("KSCHL", val.Str("DISC")),
-		}, func(r r3.Row) error {
-			tab.Append(r.Get("KPOSN"),
-				val.Float(r.Get("KAWRT").AsFloat()*(1+r.Get("KBETR").AsFloat()/1000)))
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		err = tab.GroupBy([]string{"KPOSN"}, []r3.Agg{
-			{Fn: "AVG", Of: func(r []val.Value) val.Value { return r[1] }},
-		}, func(kv, av []val.Value) error { return nil })
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	simPerOp(b, m, 0)
+	benchTable7Open(b, r3.Options{Engine: engine.Options{ArrayFetch: true}, ITabSinglePass: true})
 }
 
 // --- Table 8: application-server table buffering (Figure 5) ---

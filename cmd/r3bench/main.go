@@ -5,8 +5,10 @@
 //
 // Usage:
 //
-//	r3bench [-sf 0.02] [-parallel 1] [-streams 8] [-shards 8] [-table-buffer-bytes 0] [-table-buffer-fixed] [-array-fetch] [-exp all|table1,...,table9,throughput,shardscale,loadpath,warehouse]
+//	r3bench [-sf 0.02] [-parallel 1] [-streams 8] [-shards 8] [-table-buffer-bytes 0] [-table-buffer-fixed] [-array-fetch] [-exp all|ID,ID,...]
 //
+// `r3bench -h` lists the experiment IDs (they come from the registry in
+// internal/core, where every experiment registers itself).
 // The paper runs at SF=0.2; the default 0.02 keeps a full run to minutes
 // of wall time. Simulated times scale approximately linearly with SF.
 package main
@@ -21,12 +23,14 @@ import (
 	"time"
 
 	"r3bench/internal/core"
+	"r3bench/internal/engine"
+	"r3bench/internal/r3"
 )
 
 func main() {
 	sf := flag.Float64("sf", core.DefaultSF, "TPC-D scale factor (paper: 0.2)")
 	parallel := flag.Int("parallel", 1, "intra-query parallel degree (1 = serial, as in the paper)")
-	exp := flag.String("exp", "all", "experiments to run: all, or comma-separated table1..table9,throughput,shardscale,loadpath,warehouse")
+	exp := flag.String("exp", "all", "experiments to run: all, or comma-separated from "+strings.Join(core.IDs(), ","))
 	streams := flag.Int("streams", 0, "largest concurrent query-stream count the throughput experiment sweeps to (0 = default 8)")
 	shards := flag.Int("shards", 0, "widest engine-shard cluster the shardscale experiment sweeps to (0 = default 8)")
 	tableBuf := flag.Int64("table-buffer-bytes", 0, "override every R/3 table-buffer capacity in bytes (0 = each experiment's own budget)")
@@ -52,8 +56,9 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	cfg := &core.Config{SF: *sf, Parallel: *parallel, Streams: *streams, Shards: *shards,
-		TableBufferBytes: *tableBuf, TableBufferFixed: *tableBufFixed, ArrayFetch: *arrayFetch, Out: os.Stdout}
+	cfg := &core.Config{SF: *sf, Streams: *streams, Shards: *shards,
+		Options:          r3.Options{Engine: engine.Options{Parallel: *parallel, ArrayFetch: *arrayFetch}},
+		TableBufferBytes: *tableBuf, TableBufferFixed: *tableBufFixed, Out: os.Stdout}
 	start := time.Now()
 	var err error
 	if *exp == "all" {

@@ -29,7 +29,8 @@ func main() {
 	degree := flag.Int("degree", 1, "intra-query parallel degree")
 	flag.Parse()
 
-	db := engine.Open(engine.Config{ArrayFetch: *array, Parallel: *degree})
+	db := engine.Open(engine.Config{})
+	db.SetOptions(engine.Options{ArrayFetch: *array, Parallel: *degree})
 	if *load > 0 {
 		fmt.Printf("loading TPC-D SF=%g...\n", *load)
 		if err := tpcd.Load(db, dbgen.New(*load), nil); err != nil {

@@ -26,21 +26,25 @@ func main() {
 	g := dbgen.New(*sf)
 	fmt.Printf("loading TPC-D at SF=%g into four configurations...\n", *sf)
 
-	rdb := engine.Open(engine.Config{Parallel: *parallel})
+	opts := r3.Options{Engine: engine.Options{Parallel: *parallel}}
+	rdb := engine.Open(engine.Config{})
+	rdb.SetOptions(opts.Engine)
 	if err := tpcd.Load(rdb, g, nil); err != nil {
 		log.Fatal(err)
 	}
-	sys2, err := r3.Install(r3.Config{Release: r3.Release22, Parallel: *parallel})
+	sys2, err := r3.Install(r3.Config{Release: r3.Release22})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sys2.SetOptions(opts)
 	if err := sys2.LoadDirect(g); err != nil {
 		log.Fatal(err)
 	}
-	sys3, err := r3.Install(r3.Config{Release: r3.Release30, Parallel: *parallel})
+	sys3, err := r3.Install(r3.Config{Release: r3.Release30})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sys3.SetOptions(opts)
 	if err := sys3.LoadDirect(g); err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"r3bench/internal/r3"
 )
 
 // TestAllExperimentsRun drives every paper table end to end at a tiny
@@ -38,6 +40,17 @@ func TestAllExperimentsRun(t *testing.T) {
 	if strings.Contains(out, "ERROR") || strings.Contains(out, "!!") {
 		t.Errorf("experiment reported errors:\n%s", out)
 	}
+	// Thirteen experiments later the shared systems still run the
+	// configuration the run started them with.
+	env := cfg.envOf()
+	if got := env.rdb.Options(); got != cfg.Options.Engine {
+		t.Errorf("the original DB ends the run with options %+v", got)
+	}
+	for _, sys := range []*r3.System{env.sys2, env.sys3} {
+		if got := sys.Options(); got != cfg.Options {
+			t.Errorf("the %s system ends the run with options %+v", sys.Version(), got)
+		}
+	}
 }
 
 func TestFind(t *testing.T) {
@@ -47,8 +60,10 @@ func TestFind(t *testing.T) {
 	if Find("nope") != nil {
 		t.Fatal("unknown ID must return nil")
 	}
-	if len(Experiments()) != 13 {
-		t.Fatalf("expected 13 experiments (table1..table9 + throughput + shardscale + loadpath + warehouse), got %d", len(Experiments()))
+	// `-exp all` runs the paper's tables in paper order, then the modern
+	// ablations in the order they were added.
+	if got, want := strings.Join(IDs(), ","), "table1,table2,table3,table4,table5,table6,table7,table8,table9,throughput,shardscale,loadpath,warehouse"; got != want {
+		t.Fatalf("run order %s, want %s", got, want)
 	}
 	if Find("throughput") == nil {
 		t.Fatal("throughput must exist")

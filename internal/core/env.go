@@ -9,12 +9,11 @@ package core
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"r3bench/internal/dbgen"
 	"r3bench/internal/engine"
+	"r3bench/internal/metrics"
 	"r3bench/internal/r3"
-	"r3bench/internal/storage"
 	"r3bench/internal/tpcd"
 )
 
@@ -25,9 +24,12 @@ type Config struct {
 	// times scale close to linearly.
 	SF  float64
 	Out io.Writer
-	// Parallel is the engines' intra-query parallel degree (0 or 1 =
-	// serial). It applies to the original-schema DB and both R/3 systems.
-	Parallel int
+	// Options is the configuration of the run's shared systems: both R/3
+	// systems start with the whole value, the original-schema DB and the
+	// shard clusters with its Engine part. The zero value is the paper's
+	// configuration; an ablation applies a diff for the length of one
+	// measurement and puts back what the run started with.
+	Options r3.Options
 	// TableBufferBytes, when positive, overrides the capacity of every
 	// application-server table buffer the R/3 systems enable (see
 	// r3.Config.TableBufferBytes). 0 keeps each experiment's own budget —
@@ -37,10 +39,6 @@ type Config struct {
 	// eviction-pressure auto-resize, so the paper's undersized-cache
 	// pathologies reproduce exactly as printed. Default off = adaptive.
 	TableBufferFixed bool
-	// ArrayFetch enables packet-granular result shipping (the array
-	// interface) on every engine the run builds. Default off — the
-	// paper's tables measure the per-row interface of the 1996 systems.
-	ArrayFetch bool
 	// Streams is the largest stream count the throughput experiment
 	// drives (it sweeps 1, 2, 4, ... up to this). 0 means the default 8.
 	Streams int
@@ -49,6 +47,7 @@ type Config struct {
 	Shards int
 
 	env *Env
+	reg *metrics.Registry
 }
 
 // DefaultSF keeps full harness runs to minutes of real time.
@@ -59,47 +58,35 @@ const DefaultSF = 0.02
 // 3.0E system (KONV converted, ship-date index dropped — the paper's 3.0
 // tuning).
 type Env struct {
-	SF           float64
-	Parallel     int
-	TableBufSize int64
-	ArrayFetch   bool
-	Gen          *dbgen.Generator
-	rdb          *engine.DB
-	sys2         *r3.System
-	sys3         *r3.System
-	qph          map[int]float64 // throughput experiment: streams -> queries/hour
-
-	// shardscale experiment results, published by CollectMetrics.
-	shardSim          map[int]time.Duration // shards -> power-test sim time
-	shardShipped      map[string]int64      // query class -> exchange rows
-	shardShippedTotal int64
-
-	// loadpath experiment results, published by CollectMetrics.
-	loadSim       map[string]time.Duration    // variant -> load sim time
-	loadWal       map[string]storage.WalStats // durable variants' log counters
-	loadIdentical bool                        // Q1–Q17 identical across paths
-
-	// warehouse experiment results, published by CollectMetrics.
-	whSim           map[string]time.Duration // phase -> sim time (full, incremental, query_base, query_rewrite)
-	whRefreshRows   int64                    // fact rows the incremental refresh moved
-	whRewriteHits   int64                    // workload queries the rewrite redirected
-	whRewriteMisses int64                    // workload queries it left on the fact table
-	whIdentical     bool                     // answers identical across rewrite/refresh paths
+	cfg  *Config
+	Gen  *dbgen.Generator
+	rdb  *engine.DB
+	sys2 *r3.System
+	sys3 *r3.System
 }
 
 // envOf returns the config's lazily created environment.
 func (cfg *Config) envOf() *Env {
 	if cfg.env == nil {
-		cfg.env = &Env{SF: cfg.SF, Parallel: cfg.Parallel, TableBufSize: cfg.TableBufferBytes,
-			ArrayFetch: cfg.ArrayFetch, Gen: dbgen.New(cfg.SF)}
+		cfg.env = &Env{cfg: cfg, Gen: dbgen.New(cfg.SF)}
 	}
 	return cfg.env
+}
+
+// registry returns the run's metrics registry: every experiment publishes its
+// results into it as it runs.
+func (cfg *Config) registry() *metrics.Registry {
+	if cfg.reg == nil {
+		cfg.reg = metrics.New()
+	}
+	return cfg.reg
 }
 
 // RDB returns the loaded original-schema database.
 func (e *Env) RDB() (*engine.DB, error) {
 	if e.rdb == nil {
-		db := engine.Open(engine.Config{Parallel: e.Parallel, ArrayFetch: e.ArrayFetch})
+		db := engine.Open(engine.Config{})
+		db.SetOptions(e.cfg.Options.Engine)
 		if err := tpcd.Load(db, e.Gen, nil); err != nil {
 			return nil, fmt.Errorf("core: loading original DB: %w", err)
 		}
@@ -108,15 +95,26 @@ func (e *Env) RDB() (*engine.DB, error) {
 	return e.rdb, nil
 }
 
+// install creates an R/3 system of the given release under the run's
+// options and loads the population into it.
+func (e *Env) install(release r3.Release) (*r3.System, error) {
+	sys, err := r3.Install(r3.Config{Release: release, TableBufferBytes: e.cfg.TableBufferBytes})
+	if err != nil {
+		return nil, err
+	}
+	sys.SetOptions(e.cfg.Options)
+	if err := sys.LoadDirect(e.Gen); err != nil {
+		return nil, fmt.Errorf("core: loading %s SAP DB: %w", release, err)
+	}
+	return sys, nil
+}
+
 // Sys22 returns the loaded Release 2.2G system.
 func (e *Env) Sys22() (*r3.System, error) {
 	if e.sys2 == nil {
-		sys, err := r3.Install(r3.Config{Release: r3.Release22, Parallel: e.Parallel, TableBufferBytes: e.TableBufSize, ArrayInterface: e.ArrayFetch})
+		sys, err := e.install(r3.Release22)
 		if err != nil {
 			return nil, err
-		}
-		if err := sys.LoadDirect(e.Gen); err != nil {
-			return nil, fmt.Errorf("core: loading 2.2 SAP DB: %w", err)
 		}
 		e.sys2 = sys
 	}
@@ -128,12 +126,9 @@ func (e *Env) Sys22() (*r3.System, error) {
 // configuration of the paper's Table 5 run.
 func (e *Env) Sys30() (*r3.System, error) {
 	if e.sys3 == nil {
-		sys, err := r3.Install(r3.Config{Release: r3.Release30, Parallel: e.Parallel, TableBufferBytes: e.TableBufSize, ArrayInterface: e.ArrayFetch})
+		sys, err := e.install(r3.Release30)
 		if err != nil {
 			return nil, err
-		}
-		if err := sys.LoadDirect(e.Gen); err != nil {
-			return nil, fmt.Errorf("core: loading 3.0 SAP DB: %w", err)
 		}
 		if err := sys.ConvertToTransparent("KONV", nil); err != nil {
 			return nil, err

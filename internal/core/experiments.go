@@ -8,6 +8,7 @@ import (
 
 	"r3bench/internal/cost"
 	"r3bench/internal/dbgen"
+	"r3bench/internal/engine"
 	"r3bench/internal/r3"
 	"r3bench/internal/r3/reports"
 	"r3bench/internal/tpcd"
@@ -15,50 +16,36 @@ import (
 	"r3bench/internal/warehouse"
 )
 
-// Experiment is one reproducible paper artifact.
-type Experiment struct {
-	ID       string // "table2", ...
-	Title    string
-	PaperRef string
-	Run      func(cfg *Config) error
-}
-
-// Experiments lists every reproduced table in paper order.
-func Experiments() []Experiment {
-	return []Experiment{
-		{"table1", "SAP tables used in the TPC-D benchmark", "Table 1", runTable1},
-		{"table2", "DB sizes: original TPC-D DB vs SAP DB", "Table 2", runTable2},
-		{"table3", "Loading the SAP database (batch input)", "Table 3", runTable3},
-		{"table4", "TPC-D power test, SAP R/3 2.2G", "Table 4", runTable4},
-		{"table5", "TPC-D power test, SAP R/3 3.0E", "Table 5", runTable5},
-		{"table6", "One-table query: parameterized access-path choice", "Table 6 / Fig 3", runTable6},
-		{"table7", "Grouping with complex aggregation: SAP vs RDBMS", "Table 7 / Fig 4", runTable7},
-		{"table8", "Application-server caching of MARA", "Table 8 / Fig 5", runTable8},
-		{"table9", "Constructing an SAP data warehouse", "Table 9", runTable9},
-		{"throughput", "TPC-D multi-stream throughput with dialog mix", "TPC-D §5 (not in paper)", runThroughput},
-		{"shardscale", "Sharded scale-out power test (1/2/4/8 shards)", "scale-out (not in paper)", runShardScale},
-		{"loadpath", "WAL, group commit and direct-path load vs batch input", "Table 3 ablation (not in paper)", runLoadPath},
-		{"warehouse", "Star-schema warehouse: incremental refresh and aggregate rewrite", "Table 9 ablation (not in paper)", runWarehouse},
+// The paper's own tables, in paper order. The modern ablations register
+// themselves from their own files (throughput.go, shardscale.go,
+// loadpath.go, warehouse.go) at positions 100 and up.
+func init() {
+	for i, e := range []Experiment{
+		{ID: "table1", Title: "SAP tables used in the TPC-D benchmark", PaperRef: "Table 1", Run: runTable1},
+		{ID: "table2", Title: "DB sizes: original TPC-D DB vs SAP DB", PaperRef: "Table 2", Run: runTable2},
+		{ID: "table3", Title: "Loading the SAP database (batch input)", PaperRef: "Table 3", Run: runTable3},
+		{ID: "table4", Title: "TPC-D power test, SAP R/3 2.2G", PaperRef: "Table 4", Run: runTable4},
+		{ID: "table5", Title: "TPC-D power test, SAP R/3 3.0E", PaperRef: "Table 5", Run: runTable5},
+		{ID: "table6", Title: "One-table query: parameterized access-path choice", PaperRef: "Table 6 / Fig 3", Run: runTable6},
+		{ID: "table7", Title: "Grouping with complex aggregation: SAP vs RDBMS", PaperRef: "Table 7 / Fig 4", Run: runTable7},
+		{ID: "table8", Title: "Application-server caching of MARA", PaperRef: "Table 8 / Fig 5", Run: runTable8},
+		{ID: "table9", Title: "Constructing an SAP data warehouse", PaperRef: "Table 9", Run: runTable9},
+	} {
+		e.Seq = 10 * (i + 1)
+		register(e)
 	}
 }
 
-// Find returns the experiment with the given ID, or nil.
-func Find(id string) *Experiment {
-	for _, e := range Experiments() {
-		if e.ID == id {
-			ex := e
-			return &ex
-		}
-	}
-	return nil
-}
-
-func (cfg *Config) printf(format string, args ...any) {
-	fmt.Fprintf(cfg.Out, format, args...)
-}
-
-func header(cfg *Config, e Experiment) {
-	cfg.printf("\n=== %s — %s (paper %s; SF=%.3g) ===\n\n", e.ID, e.Title, e.PaperRef, cfg.SF)
+// withOptions is how an ablation measures one configuration: it runs
+// measure with sys under target and puts back exactly what it found — not
+// the zero value, so a run started with other flags continues as it was
+// started. target is the run's options with the fields the ablation owns
+// overwritten.
+func withOptions(sys *r3.System, target r3.Options, measure func() error) error {
+	saved := sys.Options()
+	sys.SetOptions(target)
+	defer sys.SetOptions(saved)
+	return measure()
 }
 
 // --- Table 1 ---
@@ -392,33 +379,35 @@ func runTable6(cfg *Config) error {
 	// the second to run the corrected plan.
 	const paramSQL = `SELECT KWMENG FROM VBAP WHERE MANDT = ? AND KWMENG < ?`
 	binds := []val.Value{val.Str("301"), val.Float(9999)}
-	mode := func(label string, setup, teardown func()) error {
-		setup()
-		defer teardown()
-		m := cost.NewMeter(sys.DB.Model())
-		ms := sys.DB.NewSessionWithMeter(m)
-		stmt, err := ms.Prepare(paramSQL)
+	cfg.printf("\nLow-selectivity bound, prepared + executed twice, by optimizer mode:\n")
+	for _, mode := range []struct {
+		label string
+		opts  engine.Options // the two optimizer options this ablation owns
+	}{
+		{"blind (default)", engine.Options{}},
+		{"peeked binds", engine.Options{PeekBinds: true}},
+		{"adaptive replan", engine.Options{Adaptive: true}},
+	} {
+		target := sys.Options()
+		target.Engine.PeekBinds, target.Engine.Adaptive = mode.opts.PeekBinds, mode.opts.Adaptive
+		err := withOptions(sys, target, func() error {
+			m := cost.NewMeter(sys.DB.Model())
+			ms := sys.DB.NewSessionWithMeter(m)
+			stmt, err := ms.Prepare(paramSQL)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := stmt.Query(binds...); err != nil {
+					return err
+				}
+			}
+			cfg.printf("%-18s  %14s   plan: %s", mode.label, cost.Fmt(m.Elapsed()), stmt.Explain())
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		for i := 0; i < 2; i++ {
-			if _, err := stmt.Query(binds...); err != nil {
-				return err
-			}
-		}
-		cfg.printf("%-18s  %14s   plan: %s", label, cost.Fmt(m.Elapsed()), stmt.Explain())
-		return nil
-	}
-	cfg.printf("\nLow-selectivity bound, prepared + executed twice, by optimizer mode:\n")
-	nop := func() {}
-	if err := mode("blind (default)", nop, nop); err != nil {
-		return err
-	}
-	if err := mode("peeked binds", func() { sys.SetPeekBinds(true) }, func() { sys.SetPeekBinds(false) }); err != nil {
-		return err
-	}
-	if err := mode("adaptive replan", func() { sys.SetAdaptive(true) }, func() { sys.SetAdaptive(false) }); err != nil {
-		return err
 	}
 	return nil
 }
@@ -452,7 +441,7 @@ ORDER BY KPOSN`)
 	openRun := func() (*cost.Meter, error) {
 		om := cost.NewMeter(sys.DB.Model())
 		o := sys.OpenSQL(om)
-		tab := r3.NewITab(om, "KPOSN", "CHARGE")
+		tab := sys.NewITab(om, "KPOSN", "CHARGE")
 		err := o.Select("KONV", []r3.Cond{
 			r3.Eq("STUNR", val.Str("040")), r3.Eq("ZAEHK", val.Str("01")),
 			r3.Eq("KSCHL", val.Str("DISC")),
@@ -490,34 +479,35 @@ ORDER BY KPOSN`)
 	// client-side placement itself? Re-run the Open SQL variant with the
 	// array-fetch interface (rows ship in packets), with single-pass
 	// streaming hash grouping (no sort + materialize + rescan), and with
-	// both. Defaults are restored afterwards so every other table still
-	// reproduces the paper's configuration.
+	// both. Each row is an absolute setting of the two options the
+	// ablation owns, whatever the run's flags say, so a label never prints
+	// another mode's number; the measurement above is reused for the row
+	// whose configuration it was taken under.
 	native := float64(nm.Elapsed())
 	cfg.printf("\nOpen SQL ablation (vs Native SQL):\n")
 	cfg.printf("  %-28s  %14s  %6s\n", "mode", "cost", "ratio")
-	report := func(label string, m *cost.Meter) {
-		cfg.printf("  %-28s  %14s  %5.1fx\n", label, cost.Fmt(m.Elapsed()), float64(m.Elapsed())/native)
-	}
-	report("per-row ship, 2-phase group", om)
-	modes := []struct {
-		label      string
-		arrayFetch bool
-		singlePass bool
+	run := sys.Options()
+	for _, mode := range []struct {
+		label string
+		opts  r3.Options // ArrayFetch and ITabSinglePass; the rest stays as the run set it
 	}{
-		{"array fetch", true, false},
-		{"single-pass group", false, true},
-		{"array fetch + single-pass", true, true},
-	}
-	for _, mode := range modes {
-		sys.SetArrayFetch(mode.arrayFetch)
-		r3.SetITabSinglePass(mode.singlePass)
-		m, err := openRun()
-		sys.SetArrayFetch(false)
-		r3.SetITabSinglePass(false)
-		if err != nil {
-			return err
+		{"per-row ship, 2-phase group", r3.Options{}},
+		{"array fetch", r3.Options{Engine: engine.Options{ArrayFetch: true}}},
+		{"single-pass group", r3.Options{ITabSinglePass: true}},
+		{"array fetch + single-pass", r3.Options{Engine: engine.Options{ArrayFetch: true}, ITabSinglePass: true}},
+	} {
+		target, m := run, om
+		target.Engine.ArrayFetch, target.ITabSinglePass = mode.opts.Engine.ArrayFetch, mode.opts.ITabSinglePass
+		if target != run {
+			err := withOptions(sys, target, func() (err error) {
+				m, err = openRun()
+				return err
+			})
+			if err != nil {
+				return err
+			}
 		}
-		report(mode.label, m)
+		cfg.printf("  %-28s  %14s  %5.1fx\n", mode.label, cost.Fmt(m.Elapsed()), float64(m.Elapsed())/native)
 	}
 	return nil
 }
@@ -530,7 +520,6 @@ func runTable8(cfg *Config) error {
 	if err != nil {
 		return err
 	}
-	g := env.Gen
 	// The paper's 2 MB and 20 MB caches, scaled with SF so the working
 	// set relationship (nothing fits / everything fits) is preserved.
 	scale := cfg.SF / 0.2
@@ -555,9 +544,6 @@ func runTable8(cfg *Config) error {
 		o := sys.OpenSQL(m)
 
 		// Figure 5: for every VBAP tuple a separate query on MARA.
-		var vbapCost, preCost int64
-		_ = vbapCost
-		preCost = int64(m.Elapsed())
 		err := o.Select("VBAP", nil, func(r r3.Row) error {
 			_, _, err := o.SelectSingle("MARA", []r3.Cond{r3.Eq("MATNR", r.Get("MATNR"))})
 			return err
@@ -565,7 +551,6 @@ func runTable8(cfg *Config) error {
 		if err != nil {
 			return err
 		}
-		_ = preCost
 		ratio := 0.0
 		if buf != nil {
 			ratio = buf.HitRatio()
@@ -575,7 +560,6 @@ func runTable8(cfg *Config) error {
 	// The last (largest) buffer stays live so metrics collected after the
 	// run see its resident rows — tearing it down here was why the
 	// table_buffer.MARA.resident gauge always read 0.
-	_ = g
 	if cfg.TableBufferBytes > 0 {
 		cfg.printf("\n(table-buffer override active: every cache above ran at %d bytes)\n", cfg.TableBufferBytes)
 	}

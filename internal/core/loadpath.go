@@ -8,7 +8,6 @@ import (
 	"r3bench/internal/dbgen"
 	"r3bench/internal/r3"
 	"r3bench/internal/r3/reports"
-	"r3bench/internal/storage"
 )
 
 // The loadpath experiment is the modern ablation of the paper's Table 3:
@@ -21,6 +20,11 @@ import (
 // direct path (full pages built below the WAL with bottom-up index
 // builds and batched checks) — and proves the query answers don't care
 // which road the data took in.
+
+func init() {
+	register(Experiment{Seq: 120, ID: "loadpath", Title: "WAL, group commit and direct-path load vs batch input",
+		PaperRef: "Table 3 ablation (not in paper)", Run: runLoadPath})
+}
 
 // loadVariant is one cell of the ablation.
 type loadVariant struct {
@@ -122,22 +126,22 @@ func queryFingerprint(sys *r3.System, g *dbgen.Generator) ([]string, error) {
 }
 
 func runLoadPath(cfg *Config) error {
-	env := cfg.envOf()
-	g := env.Gen
-	env.loadSim = make(map[string]time.Duration)
-	env.loadWal = make(map[string]storage.WalStats)
+	g, reg := cfg.envOf().Gen, cfg.registry()
 
 	cfg.printf("%-36s  %10s  %16s  %9s  %8s  %9s\n",
 		"", "records", "loading time", "speedup", "fsyncs", "avg group")
-	var baseline time.Duration
+	var baseline, direct time.Duration
 	var fingerprints [][]string
 	for _, v := range loadVariants() {
 		sys, sim, records, err := runLoadVariant(cfg, v, g)
 		if err != nil {
 			return fmt.Errorf("%s: %w", v.key, err)
 		}
-		env.loadSim[v.key] = sim
+		reg.Set("loadpath.simms."+v.key, simMS(sim))
 		speedup := "—"
+		if v.key == "directpath" {
+			direct = sim
+		}
 		if v.key == "batchinput" {
 			baseline = sim
 		} else if baseline > 0 {
@@ -146,7 +150,7 @@ func runLoadPath(cfg *Config) error {
 		fsyncs, group := "—", "—"
 		if w := sys.DB.WAL(); w != nil {
 			ws := w.Stats()
-			env.loadWal[v.key] = ws
+			addWalStats(reg, "loadpath.wal."+v.key, ws)
 			fsyncs = fmt.Sprintf("%d", ws.Fsyncs)
 			if ws.Groups > 0 {
 				group = fmt.Sprintf("%.1f", float64(ws.GroupSum)/float64(ws.Groups))
@@ -177,15 +181,16 @@ func runLoadPath(cfg *Config) error {
 			}
 		}
 	}
-	env.loadIdentical = identical
+	setBool(reg, "loadpath.q_identical", identical)
 	if identical {
 		cfg.printf("\nQ1–Q17 answers are byte-identical across all load paths.\n")
 	} else {
 		return fmt.Errorf("loadpath: query answers differ between load paths")
 	}
-	if dp, ok := env.loadSim["directpath"]; ok && baseline > 0 {
+	if direct > 0 && baseline > 0 {
+		reg.Set("loadpath.speedup", float64(baseline)/float64(direct))
 		cfg.printf("direct path retires the batch input %.0fx over (paper Table 3:\n26 days at SF=0.2; the batch-input line above is the same pipeline at SF=%.3g)\n",
-			float64(baseline)/float64(dp), cfg.SF)
+			float64(baseline)/float64(direct), cfg.SF)
 	}
 	return nil
 }

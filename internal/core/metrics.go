@@ -10,13 +10,14 @@ import (
 	"r3bench/internal/storage"
 )
 
-// CollectMetrics gathers cumulative counters from every environment
-// component the run actually built (lazily created databases that were
-// never touched do not appear): engine execution counts, per-shard
-// buffer-pool statistics, R/3 table-buffer statistics and system-wide
-// cursor-cache reuse.
+// CollectMetrics completes the run's registry — which already holds what
+// each experiment published as it ran — with the cumulative counters of
+// every environment component the run actually built (lazily created
+// databases that were never touched do not appear): engine execution
+// counts, per-shard buffer-pool statistics, R/3 table-buffer statistics
+// and system-wide cursor-cache reuse.
 func CollectMetrics(cfg *Config) *metrics.Registry {
-	reg := metrics.New()
+	reg := cfg.registry()
 	e := cfg.envOf()
 	if e.rdb != nil {
 		addEngineMetrics(reg, "rdb", e.rdb)
@@ -27,54 +28,19 @@ func CollectMetrics(cfg *Config) *metrics.Registry {
 	if e.sys3 != nil {
 		addSystemMetrics(reg, "sap30", e.sys3)
 	}
-	for n, qph := range e.qph {
-		reg.Set(fmt.Sprintf("throughput.qph.streams%d", n), qph)
-	}
-	for n, sim := range e.shardSim {
-		reg.Set(fmt.Sprintf("shardscale.simms.shards%d", n), float64(sim)/float64(time.Millisecond))
-	}
-	if e.shardShipped != nil {
-		reg.SetInt("shardscale.net.rows_shipped", e.shardShippedTotal)
-		for class, rows := range e.shardShipped {
-			reg.SetInt("shardscale.net.rows_shipped."+class, rows)
-		}
-	}
-	for v, sim := range e.loadSim {
-		reg.Set("loadpath.simms."+v, float64(sim)/float64(time.Millisecond))
-	}
-	for v, ws := range e.loadWal {
-		addWalStats(reg, "loadpath.wal."+v, ws)
-	}
-	if e.loadSim != nil {
-		identical := int64(0)
-		if e.loadIdentical {
-			identical = 1
-		}
-		reg.SetInt("loadpath.q_identical", identical)
-		if b, d := e.loadSim["batchinput"], e.loadSim["directpath"]; b > 0 && d > 0 {
-			reg.Set("loadpath.speedup", float64(b)/float64(d))
-		}
-	}
-	if e.whSim != nil {
-		for phase, sim := range e.whSim {
-			reg.Set("warehouse.simms."+phase, float64(sim)/float64(time.Millisecond))
-		}
-		if f, i := e.whSim["full"], e.whSim["incremental"]; f > 0 && i > 0 {
-			reg.Set("warehouse.refresh.speedup", float64(f)/float64(i))
-		}
-		if b, r := e.whSim["query_base"], e.whSim["query_rewrite"]; b > 0 && r > 0 {
-			reg.Set("warehouse.query.speedup", float64(b)/float64(r))
-		}
-		reg.SetInt("warehouse.refresh.rows", e.whRefreshRows)
-		reg.SetInt("warehouse.rewrite.hits", e.whRewriteHits)
-		reg.SetInt("warehouse.rewrite.misses", e.whRewriteMisses)
-		identical := int64(0)
-		if e.whIdentical {
-			identical = 1
-		}
-		reg.SetInt("warehouse.q_identical", identical)
-	}
 	return reg
+}
+
+// simMS is a simulated duration in the unit the snapshot records.
+func simMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// setBool publishes a pass/fail fact as 1 or 0.
+func setBool(reg *metrics.Registry, name string, ok bool) {
+	v := int64(0)
+	if ok {
+		v = 1
+	}
+	reg.SetInt(name, v)
 }
 
 // addWalStats publishes one write-ahead log's counters under the prefix.
@@ -156,10 +122,6 @@ func addSystemMetrics(reg *metrics.Registry, prefix string, sys *r3.System) {
 		reg.SetInt(base+"scan_bypass", bs.ScanBypass)
 		reg.SetInt(base+"resizes", bs.Resizes)
 		reg.SetInt(base+"cap_bytes", bs.CapBytes)
-		undersized := int64(0)
-		if bs.Undersized() {
-			undersized = 1
-		}
-		reg.SetInt(base+"undersized", undersized)
+		setBool(reg, base+"undersized", bs.Undersized())
 	}
 }

@@ -3,16 +3,65 @@ package core
 import (
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 )
 
-// RunAll executes every experiment in paper order against one shared
-// environment.
+// Experiment is one reproducible paper artifact. Its Run prints the
+// paper-style report to cfg.Out and publishes whatever the snapshot
+// tooling gates on into the run's metrics registry (cfg.registry()).
+type Experiment struct {
+	// Seq is the experiment's position in the run order — explicit, so
+	// `-exp all` does not depend on the order files initialize in.
+	Seq      int
+	ID       string // "table2", ...
+	Title    string
+	PaperRef string
+	Run      func(cfg *Config) error
+}
+
+// experiments is the registration table, sorted by Seq. Each experiment's
+// file fills it from init; nothing writes it afterwards.
+var experiments []Experiment
+
+// register adds an experiment to the run. An experiment is one file: it
+// registers itself here and nothing else needs to learn its name. A
+// duplicate ID or position is a programming error.
+func register(e Experiment) {
+	for _, x := range experiments {
+		if x.ID == e.ID || x.Seq == e.Seq {
+			panic(fmt.Sprintf("core: experiment %q (position %d) collides with %q (position %d)", e.ID, e.Seq, x.ID, x.Seq))
+		}
+	}
+	experiments = append(experiments, e)
+	sort.Slice(experiments, func(i, j int) bool { return experiments[i].Seq < experiments[j].Seq })
+}
+
+// IDs lists the experiment IDs in run order — the paper's tables first,
+// then the modern ablations: what `-exp` accepts.
+func IDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.ID
+	}
+	return ids
+}
+
+// Find returns the experiment with the given ID, or nil.
+func Find(id string) *Experiment {
+	for i := range experiments {
+		if experiments[i].ID == id {
+			return &experiments[i]
+		}
+	}
+	return nil
+}
+
+// RunAll executes every experiment in run order.
 func RunAll(cfg *Config) error {
-	normalize(cfg)
-	for _, e := range Experiments() {
-		header(cfg, e)
-		if err := e.Run(cfg); err != nil {
-			return fmt.Errorf("core: %s: %w", e.ID, err)
+	for _, id := range IDs() {
+		if err := RunOne(cfg, id); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -23,9 +72,9 @@ func RunOne(cfg *Config, id string) error {
 	normalize(cfg)
 	e := Find(id)
 	if e == nil {
-		return fmt.Errorf("core: no experiment %q (try table1..table9, throughput, shardscale, loadpath or warehouse)", id)
+		return fmt.Errorf("core: no experiment %q (try %s)", id, strings.Join(IDs(), ", "))
 	}
-	header(cfg, *e)
+	cfg.printf("\n=== %s — %s (paper %s; SF=%.3g) ===\n\n", e.ID, e.Title, e.PaperRef, cfg.SF)
 	if err := e.Run(cfg); err != nil {
 		return fmt.Errorf("core: %s: %w", e.ID, err)
 	}
@@ -39,4 +88,8 @@ func normalize(cfg *Config) {
 	if cfg.Out == nil {
 		cfg.Out = os.Stdout
 	}
+}
+
+func (cfg *Config) printf(format string, args ...any) {
+	fmt.Fprintf(cfg.Out, format, args...)
 }

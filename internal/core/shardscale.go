@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/shard"
@@ -18,8 +17,13 @@ import (
 // statement about partitioned scans, exchange traffic and the
 // unparallelizable gather-mode queries.
 
+func init() {
+	register(Experiment{Seq: 110, ID: "shardscale", Title: "Sharded scale-out power test (1/2/4/8 shards)",
+		PaperRef: "scale-out (not in paper)", Run: runShardScale})
+}
+
 func runShardScale(cfg *Config) error {
-	env := cfg.envOf()
+	env, reg := cfg.envOf(), cfg.registry()
 	maxShards := cfg.Shards
 	if maxShards <= 0 {
 		maxShards = 8
@@ -35,7 +39,7 @@ func runShardScale(cfg *Config) error {
 	results := make([]*tpcd.PowerResult, 0, len(counts))
 	clusters := make([]*shard.Cluster, 0, len(counts))
 	for _, n := range counts {
-		c := shard.Open(shard.Config{Shards: n, Parallel: cfg.Parallel, ArrayFetch: cfg.ArrayFetch})
+		c := shard.Open(shard.Config{Shards: n, Options: cfg.Options.Engine})
 		if err := c.Load(env.Gen); err != nil {
 			return err
 		}
@@ -47,10 +51,7 @@ func runShardScale(cfg *Config) error {
 		}
 		results = append(results, pr)
 		clusters = append(clusters, c)
-		if env.shardSim == nil {
-			env.shardSim = make(map[int]time.Duration)
-		}
-		env.shardSim[n] = pr.TotalAll
+		reg.Set(fmt.Sprintf("shardscale.simms.shards%d", n), simMS(pr.TotalAll))
 	}
 
 	// Per-step table, one column per cluster width.
@@ -87,13 +88,13 @@ func runShardScale(cfg *Config) error {
 	for q := 1; q <= 17; q++ {
 		classRows[shard.QueryClass(q)] += widest.ShippedFor(q)
 	}
-	env.shardShipped = classRows
-	env.shardShippedTotal = widest.RowsShipped()
+	reg.SetInt("shardscale.net.rows_shipped", widest.RowsShipped())
 	cfg.printf("\nExchange rows shipped at %d shards, by query class:\n", widest.Shards())
 	for _, class := range []string{"scan", "copart", "broadcast", "shuffle", "gather"} {
 		cfg.printf("  %-10s  %10d\n", class, classRows[class])
+		reg.SetInt("shardscale.net.rows_shipped."+class, classRows[class])
 	}
-	cfg.printf("  %-10s  %10d\n", "total", env.shardShippedTotal)
+	cfg.printf("  %-10s  %10d\n", "total", widest.RowsShipped())
 	cfg.printf("\n(scan/copart ship only partial-aggregate rows; broadcast ships the\nsmall dimension to every shard; shuffle repartitions lineitem columns\nby part key; gather-mode queries centralize one input and forgo\nscale-out — the honest cost of globally-dependent aggregation.)\n")
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -24,6 +25,11 @@ import (
 // repeated rounds (and reruns against a shared environment) never
 // collide on document numbers.
 const dialogKeyBase = 50_000_000
+
+func init() {
+	register(Experiment{Seq: 100, ID: "throughput", Title: "TPC-D multi-stream throughput with dialog mix",
+		PaperRef: "TPC-D §5 (not in paper)", Run: runThroughput})
+}
 
 func runThroughput(cfg *Config) error {
 	env := cfg.envOf()
@@ -118,10 +124,7 @@ func runThroughput(cfg *Config) error {
 		dialogWall := cost.MaxElapsed(dialogMeters...)
 		cfg.printf("%-8d  %8d  %14s  %10.1f  %8d  %14s\n",
 			n, tr.Queries, cost.Fmt(tr.Wall), tr.QPH, orders.Load(), cost.Fmt(dialogWall))
-		if env.qph == nil {
-			env.qph = make(map[int]float64)
-		}
-		env.qph[n] = tr.QPH
+		cfg.registry().Set(fmt.Sprintf("throughput.qph.streams%d", n), tr.QPH)
 	}
 	cfg.printf("\nQphD = queries per simulated hour across all streams (wall = slowest\nstream); the dialog mix runs concurrently on the R/3 system. The paper\n(like most published numbers) reports only single-stream power times —\nthis is the multi-user half TPC-D defines and Section 2 calls for.\n")
 	return nil

@@ -62,8 +62,13 @@ func rewritableSum(qs []warehouse.WorkloadQuery, laps []time.Duration) time.Dura
 	return sum
 }
 
+func init() {
+	register(Experiment{Seq: 130, ID: "warehouse", Title: "Star-schema warehouse: incremental refresh and aggregate rewrite",
+		PaperRef: "Table 9 ablation (not in paper)", Run: runWarehouse})
+}
+
 func runWarehouse(cfg *Config) error {
-	env := cfg.envOf()
+	env, reg := cfg.envOf(), cfg.registry()
 	g := env.Gen
 	sys, err := env.Sys30()
 	if err != nil {
@@ -87,7 +92,7 @@ func runWarehouse(cfg *Config) error {
 		return err
 	}
 	extract0 := ex.Meter().Elapsed()
-	wh, err := warehouse.NewWarehouse(sys.DB.Model(), cfg.Parallel)
+	wh, err := warehouse.NewWarehouse(sys.DB.Model(), cfg.Options.Engine.Parallel)
 	if err != nil {
 		return err
 	}
@@ -138,7 +143,7 @@ func runWarehouse(cfg *Config) error {
 	if _, err := ex2.ExtractAll(dir2); err != nil {
 		return err
 	}
-	wh2, err := warehouse.NewWarehouse(sys.DB.Model(), cfg.Parallel)
+	wh2, err := warehouse.NewWarehouse(sys.DB.Model(), cfg.Options.Engine.Parallel)
 	if err != nil {
 		return err
 	}
@@ -230,14 +235,20 @@ func runWarehouse(cfg *Config) error {
 		}
 	}
 
-	env.whSim = map[string]time.Duration{
-		"full": fullSim, "incremental": incSim,
-		"query_base": baseSim, "query_rewrite": rewriteSim,
+	reg.Set("warehouse.simms.full", simMS(fullSim))
+	reg.Set("warehouse.simms.incremental", simMS(incSim))
+	reg.Set("warehouse.simms.query_base", simMS(baseSim))
+	reg.Set("warehouse.simms.query_rewrite", simMS(rewriteSim))
+	if fullSim > 0 && incSim > 0 {
+		reg.Set("warehouse.refresh.speedup", float64(fullSim)/float64(incSim))
 	}
-	env.whRefreshRows = refresh.RowsInserted + refresh.RowsDeleted
-	env.whRewriteHits = st.RewriteHits
-	env.whRewriteMisses = st.RewriteMisses
-	env.whIdentical = identical
+	if baseSim > 0 && rewriteSim > 0 {
+		reg.Set("warehouse.query.speedup", float64(baseSim)/float64(rewriteSim))
+	}
+	reg.SetInt("warehouse.refresh.rows", refresh.RowsInserted+refresh.RowsDeleted)
+	reg.SetInt("warehouse.rewrite.hits", st.RewriteHits)
+	reg.SetInt("warehouse.rewrite.misses", st.RewriteMisses)
+	setBool(reg, "warehouse.q_identical", identical)
 	if !identical {
 		return fmt.Errorf("warehouse: workload answers differ across refresh/rewrite paths")
 	}

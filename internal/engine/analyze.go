@@ -123,7 +123,8 @@ func (a *Analyzed) String() string { return a.Root.Render() }
 // every pipeline step, the output phase, parse+optimize and row shipping
 // each run against their own child span of the session meter.
 func (s *Session) ExplainAnalyze(sql string, params ...val.Value) (*Analyzed, error) {
-	ast, entry, err := s.db.parse(sql)
+	o := s.db.opts.Load()
+	ast, entry, err := s.db.parse(sql, o)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +154,7 @@ func (s *Session) ExplainAnalyze(sql string, params ...val.Value) (*Analyzed, er
 	prof.planFor(plan) // create operator spans ahead of row-ship, in plan order
 	ship := root.Child("row-ship")
 
-	arrayFetch := s.db.ArrayFetchEnabled()
+	arrayFetch := o.ArrayFetch
 	rt := &runtime{sess: s, params: params, prof: prof}
 	out := &collect{Result: Result{Cols: plan.outCols}}
 	res := &out.Result

@@ -134,25 +134,13 @@ func (t *Table) clone() *Table {
 
 // DB is an embedded relational database instance.
 type DB struct {
-	mu       sync.RWMutex
-	disk     *storage.Disk
-	pool     *storage.BufferPool
-	ixCache  *btree.PageCache // shared index-page residence model
-	model    cost.Model
-	cat      atomic.Pointer[catalog]
-	parallel int // requested intra-query parallel degree (<=1 = serial)
-
-	// peekBinds plans a prepared statement's first execution with its
-	// actual bind values; adaptive replans cached statements whose
-	// estimates prove badly wrong (both default off — the paper's
-	// 2.2-era blind behavior; guarded by mu).
-	peekBinds bool
-	adaptive  bool
-
-	// arrayFetch ships result rows in packets (cost.RowShipBatch) instead
-	// of one RowShip per row. Default off: the paper's Tables 4/5/7 hinge
-	// on tuple-at-a-time shipping (guarded by mu).
-	arrayFetch bool
+	mu      sync.RWMutex
+	disk    *storage.Disk
+	pool    *storage.BufferPool
+	ixCache *btree.PageCache // shared index-page residence model
+	model   cost.Model
+	cat     atomic.Pointer[catalog]
+	opts    atomic.Pointer[Options] // see options.go; never nil
 
 	// opt holds the optimizer observability counters shared with every
 	// table's statistics.
@@ -160,7 +148,7 @@ type DB struct {
 
 	// pcache is the statement-fingerprint cache (see parsecache.go);
 	// planEpoch versions its cached plans — every write, DDL, ANALYZE
-	// and parallel-degree change moves it forward.
+	// and change of Options.Parallel moves it forward.
 	pcache    parseCache
 	planEpoch atomic.Int64
 
@@ -290,55 +278,6 @@ func (db *DB) Stats() EngineStats {
 	}
 }
 
-// SetPeekBinds toggles bind peeking: when on, a prepared SELECT defers
-// optimization to its first execution and plans with the actual bind
-// values. Off (the default) reproduces the paper's blind planning.
-func (db *DB) SetPeekBinds(on bool) {
-	db.mu.Lock()
-	db.peekBinds = on
-	db.mu.Unlock()
-}
-
-// SetAdaptive toggles feedback-driven re-optimization: when on, each
-// prepared-statement execution records actual row counts, and a cached
-// plan whose leading-scan estimate is off by >= feedbackFactor is
-// invalidated and replanned with the observed cardinality (at most
-// replanCap times per statement).
-func (db *DB) SetAdaptive(on bool) {
-	db.mu.Lock()
-	db.adaptive = on
-	db.mu.Unlock()
-}
-
-// SetArrayFetch toggles the array interface: when on, result rows ship to
-// the client in packets of up to cost.ArrayFetchRows, one RowShipBatch
-// charge per packet, instead of one RowShip charge per row. Off (the
-// default) reproduces the paper's tuple-at-a-time interface.
-func (db *DB) SetArrayFetch(on bool) {
-	db.mu.Lock()
-	db.arrayFetch = on
-	db.mu.Unlock()
-}
-
-// ArrayFetchEnabled reports whether the array interface is on.
-func (db *DB) ArrayFetchEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.arrayFetch
-}
-
-func (db *DB) peekEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.peekBinds
-}
-
-func (db *DB) adaptiveEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.adaptive
-}
-
 // noteSelect counts one SELECT execution.
 func (db *DB) noteSelect(p *selectPlan) {
 	db.selects.Add(1)
@@ -347,7 +286,8 @@ func (db *DB) noteSelect(p *selectPlan) {
 	}
 }
 
-// Config controls an engine instance.
+// Config sizes an engine instance: what is fixed when it opens.
+// Behaviour that can change while it runs is Options.
 type Config struct {
 	// BufferBytes is the database buffer size. The paper's SAP R/3
 	// installation allots 10 MB by default.
@@ -360,15 +300,11 @@ type Config struct {
 	// CostModel is the virtual-clock model; zero value means
 	// cost.Default1996.
 	CostModel cost.Model
-	// Parallel is the intra-query parallel degree: sequential scans of
-	// large tables split across up to this many workers. 0 or 1 disables
-	// parallel execution.
+	// Parallel is the Options.Parallel the database opens with. It is the
+	// one option with a place here, because the frozen benchmark
+	// (bench/wire.go) opens its parallel database by this name; every
+	// other option starts at its zero value and changes with SetOptions.
 	Parallel int
-	// ArrayFetch enables the array interface: result rows ship in packets
-	// (one cost.RowShipBatch charge per packet) instead of one RowShip
-	// charge per row. Default off — the paper's interface is
-	// tuple-at-a-time.
-	ArrayFetch bool
 }
 
 // DefaultBufferBytes mirrors the paper's default RDBMS buffer (10 MB).
@@ -396,13 +332,12 @@ func Open(cfg Config) *DB {
 	}
 	disk := storage.NewDisk()
 	db := &DB{
-		disk:       disk,
-		pool:       storage.NewBufferPool(disk, cfg.BufferBytes),
-		ixCache:    ixCache,
-		model:      cfg.CostModel,
-		parallel:   cfg.Parallel,
-		arrayFetch: cfg.ArrayFetch,
+		disk:    disk,
+		pool:    storage.NewBufferPool(disk, cfg.BufferBytes),
+		ixCache: ixCache,
+		model:   cfg.CostModel,
 	}
+	db.opts.Store(&Options{Parallel: cfg.Parallel})
 	db.cat.Store(&catalog{
 		tables: make(map[string]*Table),
 		views:  make(map[string]*sqlparse.SelectStmt),
@@ -435,23 +370,6 @@ func (db *DB) newTree(unique bool) *btree.Tree {
 		t.SetCache(db.ixCache)
 	}
 	return t
-}
-
-// SetParallel changes the requested intra-query parallel degree. Plans
-// compiled after the call pick up the new degree; prepared statements keep
-// the degree they were planned with.
-func (db *DB) SetParallel(n int) {
-	db.mu.Lock()
-	db.parallel = n
-	db.mu.Unlock()
-	db.bumpPlanEpoch() // cached fingerprint plans carry the old degree
-}
-
-// parallelDegree returns the requested intra-query parallel degree.
-func (db *DB) parallelDegree() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.parallel
 }
 
 // Pool exposes the buffer pool (for harness hit-ratio reporting).

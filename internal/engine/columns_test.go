@@ -121,7 +121,7 @@ func TestNeededColumns(t *testing.T) {
 	s := vecDB(t, 1500, 0)
 	mustExec(t, s, `CREATE VIEW tt_by_grp AS SELECT grp AS g, SUM(v) AS total, COUNT(*) AS n, MAX(id) AS hi FROM tt GROUP BY grp`)
 	for _, degree := range []int{1, 2, 8} {
-		s.db.SetParallel(degree)
+		s.db.SetOptions(Options{Parallel: degree})
 		for _, c := range neededColumnsCases {
 			want := encodeRows(c.expect(mustExec(t, s, c.star).Rows))
 			if want == "" {

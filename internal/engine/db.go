@@ -157,14 +157,15 @@ func (s *Session) Exec(sql string, params ...val.Value) (*Result, error) {
 // it returns the rows affected. Rows that reached the sink before an error
 // stay delivered.
 func (s *Session) ExecTo(sink RowSink, sql string, params ...val.Value) (int64, error) {
-	stmt, entry, err := s.db.parse(sql)
+	o := s.db.opts.Load()
+	stmt, entry, err := s.db.parse(sql, o)
 	if err != nil {
 		return 0, err
 	}
 	s.db.ifaceCalls.Add(1)
 	s.Meter.Charge(cost.Interface, 1)
 	s.Meter.ChargeDuration(cost.Interface, optimizeCharge)
-	return s.execParsed(sink, stmt, entry, params)
+	return s.execParsed(sink, stmt, entry, params, o)
 }
 
 // Query is Exec restricted to SELECT statements.
@@ -179,7 +180,7 @@ func (s *Session) Query(sql string, params ...val.Value) (*Result, error) {
 	return res, nil
 }
 
-func (s *Session) execParsed(sink RowSink, stmt sqlparse.Statement, entry *parseEntry, params []val.Value) (int64, error) {
+func (s *Session) execParsed(sink RowSink, stmt sqlparse.Statement, entry *parseEntry, params []val.Value, o *Options) (int64, error) {
 	var n int64
 	var err error
 	switch st := stmt.(type) {
@@ -188,7 +189,7 @@ func (s *Session) execParsed(sink RowSink, stmt sqlparse.Statement, entry *parse
 		if err != nil {
 			return 0, err
 		}
-		return 0, s.runSelect(&runtime{sess: s, params: params}, plan, sink)
+		return 0, s.runSelect(&runtime{sess: s, params: params}, plan, sink, o.ArrayFetch)
 	case *sqlparse.CreateTable:
 		_, err = s.db.createTable(st)
 	case *sqlparse.CreateIndex:
@@ -218,9 +219,9 @@ func (s *Session) execParsed(sink RowSink, stmt sqlparse.Statement, entry *parse
 
 // runSelect executes a compiled plan on rt, streaming the result to sink
 // and charging client row shipping: one RowShip per row, or — under the
-// array interface — one RowShipBatch per packet once the row count is
-// known.
-func (s *Session) runSelect(rt *runtime, plan *selectPlan, sink RowSink) error {
+// array interface (array, from the statement's options snapshot) — one
+// RowShipBatch per packet once the row count is known.
+func (s *Session) runSelect(rt *runtime, plan *selectPlan, sink RowSink, array bool) error {
 	s.db.noteSelect(plan)
 	if err := sink.Header(plan.outCols); err != nil {
 		return err
@@ -228,7 +229,7 @@ func (s *Session) runSelect(rt *runtime, plan *selectPlan, sink RowSink) error {
 	if rt.ship == nil {
 		rt.ship = rt.shipRow
 	}
-	rt.out, rt.array, rt.shipped = sink, s.db.ArrayFetchEnabled(), 0
+	rt.out, rt.array, rt.shipped = sink, array, 0
 	if err := plan.run(rt, nil, rt.ship); err != nil {
 		return err
 	}
@@ -297,7 +298,8 @@ const (
 // peeking enabled, SELECT optimization is deferred to the first Query,
 // when the actual parameter values are available.
 func (s *Session) Prepare(sql string) (*Stmt, error) {
-	ast, entry, err := s.db.parse(sql)
+	o := s.db.opts.Load()
+	ast, entry, err := s.db.parse(sql, o)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +308,7 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 	st := &Stmt{sess: s, ast: ast, entry: entry}
 	if sel, ok := ast.(*sqlparse.SelectStmt); ok {
 		st.sel = sel
-		if s.db.peekEnabled() {
+		if o.PeekBinds {
 			return st, nil // the optimize charge moves to the first Query
 		}
 	}
@@ -333,10 +335,11 @@ func (st *Stmt) Query(params ...val.Value) (*Result, error) {
 // materialized; it returns the rows affected.
 func (st *Stmt) QueryTo(sink RowSink, params ...val.Value) (int64, error) {
 	s := st.sess
+	o := s.db.opts.Load()
 	s.db.ifaceCalls.Add(1)
 	s.Meter.Charge(cost.Interface, 1)
 	if st.sel == nil {
-		return s.execParsed(sink, st.ast, st.entry, params)
+		return s.execParsed(sink, st.ast, st.entry, params, o)
 	}
 	if st.plan != nil {
 		// DDL since the plan was made: keep it only if every table and view
@@ -349,7 +352,7 @@ func (st *Stmt) QueryTo(sink RowSink, params ...val.Value) (int64, error) {
 		}
 	}
 	if st.plan == nil {
-		if err := st.replan(params); err != nil {
+		if err := st.replan(params, o.PeekBinds); err != nil {
 			return 0, err
 		}
 	}
@@ -365,12 +368,12 @@ func (st *Stmt) QueryTo(sink RowSink, params ...val.Value) (int64, error) {
 	}
 	rt.busy, rt.params = true, params
 	defer rt.done()
-	if !s.db.adaptiveEnabled() || st.replans >= replanCap {
-		return 0, s.runSelect(rt, st.plan, sink)
+	if !o.Adaptive || st.replans >= replanCap {
+		return 0, s.runSelect(rt, st.plan, sink, o.ArrayFetch)
 	}
 	fb := &execFeedback{counts: make([]int64, len(st.plan.steps))}
 	rt.fb, rt.fbPlan = fb, st.plan
-	if err := s.runSelect(rt, st.plan, sink); err != nil {
+	if err := s.runSelect(rt, st.plan, sink, o.ArrayFetch); err != nil {
 		return 0, err
 	}
 	st.noteFeedback(fb)
@@ -380,11 +383,11 @@ func (st *Stmt) QueryTo(sink RowSink, params ...val.Value) (int64, error) {
 // replan (re)optimizes the statement with what is known now: the current
 // bind values when peeking is on, and any cardinalities observed by
 // earlier executions.
-func (st *Stmt) replan(params []val.Value) error {
+func (st *Stmt) replan(params []val.Value, peek bool) error {
 	s := st.sess
 	s.Meter.ChargeDuration(cost.Interface, optimizeCharge)
 	opts := &planOpts{feedback: st.feedback}
-	if s.db.peekEnabled() {
+	if peek {
 		opts.peek = params
 	}
 	plan, err := s.db.planSelect(st.sel, nil, opts)
@@ -440,7 +443,7 @@ func (st *Stmt) Explain() string {
 // a SELECT — the observability hook the Table 6 experiment uses to show
 // *why* the parameterized query misbehaves.
 func (s *Session) Explain(sql string, params ...val.Value) (string, error) {
-	ast, entry, err := s.db.parse(sql)
+	ast, entry, err := s.db.parse(sql, s.db.opts.Load())
 	if err != nil {
 		return "", err
 	}

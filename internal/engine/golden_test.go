@@ -93,7 +93,7 @@ func goldenPass(t *testing.T, rows int, cold bool) (*Session, []goldenRun) {
 	s := vecDB(t, rows, poolBytes)
 	var got []goldenRun
 	for _, deg := range degrees {
-		s.db.SetParallel(deg)
+		s.db.SetOptions(Options{Parallel: deg})
 		for _, q := range vecQueries {
 			got = append(got, record(t, s, cold, rows, deg, q))
 		}
@@ -188,7 +188,7 @@ func TestParallelGroupedSumBitExact(t *testing.T) {
 	const q = `SELECT grp, COUNT(*), SUM(v), AVG(v) FROM tt GROUP BY grp ORDER BY grp`
 	s := vecDB(t, 1500, 0)
 	serial := encodeRows(mustExec(t, s, q).Rows)
-	s.db.SetParallel(8)
+	s.db.SetOptions(Options{Parallel: 8})
 	base := s.db.Stats().ParallelRuns
 	if got := encodeRows(mustExec(t, s, q).Rows); got != serial {
 		t.Errorf("degree-8 grouped SUM differs from serial")

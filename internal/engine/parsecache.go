@@ -80,7 +80,6 @@ func (e *parseEntry) invalidatePlan() {
 // parseCache is the DB-level fingerprint table.
 type parseCache struct {
 	mu      sync.RWMutex
-	off     bool
 	n       int
 	entries map[uint64]*parseEntry
 }
@@ -136,42 +135,29 @@ func (pc *parseCache) insert(h uint64, sql string, ast sqlparse.Statement) *pars
 	return e
 }
 
-// enabled reports whether the fingerprint cache is on.
-func (pc *parseCache) enabled() bool {
-	pc.mu.RLock()
-	defer pc.mu.RUnlock()
-	return !pc.off
-}
-
-// SetParseCache toggles the statement-fingerprint cache (default on).
-// Turning it off also drops every cached AST and plan, so the
-// determinism suite's cache-off runs re-parse from scratch. Simulated
-// meter totals are identical either way; only real CPU moves.
-func (db *DB) SetParseCache(on bool) {
-	db.pcache.mu.Lock()
-	db.pcache.off = !on
-	if !on {
-		db.pcache.entries = nil
-		db.pcache.n = 0
-	}
-	db.pcache.mu.Unlock()
+// clear drops every cached AST and plan.
+func (pc *parseCache) clear() {
+	pc.mu.Lock()
+	pc.entries = nil
+	pc.n = 0
+	pc.mu.Unlock()
 }
 
 // Parse returns the statement's AST, serving repeated statement texts
 // from the fingerprint cache. Error texts are identical to
 // sqlparse.Parse's (parse failures are never cached).
 func (db *DB) Parse(sql string) (sqlparse.Statement, error) {
-	ast, _, err := db.parse(sql)
+	ast, _, err := db.parse(sql, db.opts.Load())
 	return ast, err
 }
 
 // parse is the engine's front-end entry point: every statement text
 // arriving through Exec, Prepare, Explain or ExplainAnalyze funnels
-// through here. A fingerprint hit returns the cached AST without
-// touching the lexer.
-func (db *DB) parse(sql string) (sqlparse.Statement, *parseEntry, error) {
+// through here with the options snapshot its statement loaded. A
+// fingerprint hit returns the cached AST without touching the lexer.
+func (db *DB) parse(sql string, o *Options) (sqlparse.Statement, *parseEntry, error) {
 	db.parseStatements.Add(1)
-	if !db.pcache.enabled() {
+	if o.NoParseCache {
 		db.parseMisses.Add(1)
 		ast, err := sqlparse.Parse(sql)
 		return ast, nil, err
@@ -191,8 +177,8 @@ func (db *DB) parse(sql string) (sqlparse.Statement, *parseEntry, error) {
 
 // bumpPlanEpoch invalidates every cached plan: any row write (the
 // optimizer's row estimates read live heap counts before ANALYZE), any
-// DDL, any statistics rebuild and any parallel-degree change moves the
-// epoch forward, and a cached plan is only served while its epoch
+// DDL, any statistics rebuild and any change of Options.Parallel moves
+// the epoch forward, and a cached plan is only served while its epoch
 // matches.
 func (db *DB) bumpPlanEpoch() { db.planEpoch.Add(1) }
 

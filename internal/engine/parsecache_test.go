@@ -52,7 +52,7 @@ func TestParseCacheSharedAcrossSessions(t *testing.T) {
 
 func TestParseCacheOff(t *testing.T) {
 	db, s := testDB(t)
-	db.SetParseCache(false)
+	db.SetOptions(Options{NoParseCache: true})
 	const q = `SELECT e_id FROM emp WHERE e_id = 7`
 	mustExec(t, s, q)
 	mustExec(t, s, q)
@@ -60,7 +60,7 @@ func TestParseCacheOff(t *testing.T) {
 	if hits != 0 {
 		t.Fatalf("cache_hits = %d with cache off, want 0", hits)
 	}
-	db.SetParseCache(true)
+	db.SetOptions(Options{})
 	mustExec(t, s, q) // repopulates
 	mustExec(t, s, q)
 	if _, hits, _ := parseStats(db); hits != 1 {
@@ -75,7 +75,7 @@ func TestParseCacheOff(t *testing.T) {
 func TestParseCacheMeterEquality(t *testing.T) {
 	run := func(cache bool) (int64, [][]val.Value) {
 		db, s := testDB(t)
-		db.SetParseCache(cache)
+		db.SetOptions(Options{NoParseCache: !cache})
 		start := int64(s.Meter.Elapsed())
 		var last [][]val.Value
 		for i := 0; i < 3; i++ {

@@ -62,7 +62,7 @@ func (pa *Partial) Rows() [][]val.Value {
 // is charged, because no result row crosses a client interface here (the
 // exchange that ships the partial charges its own NetShip).
 func (s *Session) QueryPartial(sql string, params ...val.Value) (*Partial, error) {
-	stmt, entry, err := s.db.parse(sql)
+	stmt, entry, err := s.db.parse(sql, s.db.opts.Load())
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func (s *Session) MergePartials(parts []*Partial, params ...val.Value) (*Result,
 	// single engine's.
 	out := &collect{Result: Result{Cols: p.outCols}}
 	res := &out.Result
-	rt := &runtime{sess: s, params: params, out: out, array: s.db.ArrayFetchEnabled()}
+	rt := &runtime{sess: s, params: params, out: out, array: s.db.opts.Load().ArrayFetch}
 	sink := newOutputSink(p, s.Meter, rt.shipRow)
 	sink.runs = len(parts)
 

@@ -131,6 +131,9 @@ type planOpts struct {
 	cat *catalog
 	// deps collects the names resolved against cat during the pass.
 	deps []planDep
+	// parallel is Options.Parallel, pinned with cat: every block of the
+	// statement plans against one degree.
+	parallel int
 }
 
 // peekVal resolves a sarg value expression to a plan-time constant: a
@@ -214,7 +217,7 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 		if opts != nil {
 			o = *opts
 		}
-		o.cat = db.snap()
+		o.cat, o.parallel = db.snap(), db.opts.Load().Parallel
 		opts = &o
 	}
 	p := &selectPlan{db: db, limit: s.Limit}
@@ -356,7 +359,7 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 			ri.cols = ri.table.Heap.Codec().Cols(ri.used)
 		}
 	}
-	p.planParallel()
+	p.planParallel(opts.parallel)
 	if top {
 		p.catVersion, p.deps = opts.cat.version, opts.deps
 	}
@@ -367,16 +370,15 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 // pays more in random-read partition starts than it saves by overlapping.
 const minPagesPerWorker = 8
 
-// planParallel decides the block's degree of parallelism. A block
-// qualifies when its leading step is a bare sequential scan of a base
+// planParallel decides the block's degree of parallelism, at most the
+// requested n. A block qualifies when its leading step is a bare sequential scan of a base
 // table wide enough to split (the page range partitions across workers and
 // every later pipeline step runs unchanged inside each worker), or when a
 // hash join builds from such a scan (the build partitions across workers
 // while the probe pipeline stays serial). Correlated blocks (re-run per
 // outer row) and LIMIT-without-ORDER-BY blocks (early exit beats overlap)
 // stay serial.
-func (p *selectPlan) planParallel() {
-	n := p.db.parallelDegree()
+func (p *selectPlan) planParallel(n int) {
 	if n < 2 || p.outerDepth != 0 {
 		return
 	}

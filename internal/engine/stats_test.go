@@ -220,8 +220,7 @@ func TestBindPeekingChoosesSeqScan(t *testing.T) {
 		t.Fatalf("blind plan = %q, want index scan", blind.Explain())
 	}
 
-	db.SetPeekBinds(true)
-	defer db.SetPeekBinds(false)
+	db.SetOptions(Options{PeekBinds: true})
 	peeked, err := s.Prepare(`SELECT o_qty FROM ords WHERE o_qty < ?`)
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +254,7 @@ func TestBindPeekingChoosesSeqScan(t *testing.T) {
 
 func TestAdaptiveReplanRecovers(t *testing.T) {
 	db, s := skewedTable(t)
-	db.SetAdaptive(true)
-	defer db.SetAdaptive(false)
+	db.SetOptions(Options{Adaptive: true})
 
 	st, err := s.Prepare(`SELECT o_qty FROM ords WHERE o_qty < ?`)
 	if err != nil {
@@ -325,12 +323,8 @@ func TestPreparedDeterminismAcrossDegrees(t *testing.T) {
 	db, s := skewedTable(t)
 	ref := mustExec(t, s, `SELECT o_id, o_qty FROM ords WHERE o_qty < 1500 ORDER BY o_id`)
 
-	db.SetPeekBinds(true)
-	db.SetAdaptive(true)
-	defer db.SetPeekBinds(false)
-	defer db.SetAdaptive(false)
 	for _, deg := range []int{1, 2, 8} {
-		db.SetParallel(deg)
+		db.SetOptions(Options{PeekBinds: true, Adaptive: true, Parallel: deg})
 		stmt, err := s.Prepare(`SELECT o_id, o_qty FROM ords WHERE o_qty < ? ORDER BY o_id`)
 		if err != nil {
 			t.Fatal(err)
@@ -352,7 +346,6 @@ func TestPreparedDeterminismAcrossDegrees(t *testing.T) {
 			}
 		}
 	}
-	db.SetParallel(0)
 }
 
 // TestExplainAnalyzeShowsEstimates pins the estimated-rows annotation on

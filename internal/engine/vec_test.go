@@ -48,7 +48,7 @@ func encodeRows(rows [][]val.Value) string {
 // counters see calls, rows and packets.
 func TestArrayFetchPackets(t *testing.T) {
 	vec := vecDB(t, 150, 0)
-	vec.db.SetArrayFetch(true)
+	vec.db.SetOptions(Options{ArrayFetch: true})
 	base := vec.db.Stats()
 	res := mustExec(t, vec, `SELECT id FROM tt`)
 	if len(res.Rows) != 150 {
@@ -83,7 +83,7 @@ func TestArrayFetchCheaperForBigResults(t *testing.T) {
 		return encodeRows(res.Rows), s.Meter.Lap(start)
 	}
 	perRow, perRowLap := lap()
-	s.db.SetArrayFetch(true)
+	s.db.SetOptions(Options{ArrayFetch: true})
 	array, arrayLap := lap()
 	if array != perRow {
 		t.Fatal("array fetch changed the result")

@@ -62,43 +62,8 @@ func (sys *System) insertLogical(s *engine.Session, t *LogicalTable, row []val.V
 // packing them into as few physical tuples as fit. All rows must agree on
 // the cluster-prefix columns.
 func (sys *System) insertClusterGroup(s *engine.Session, t *LogicalTable, rows [][]val.Value) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	var keyVals []val.Value
-	for _, kc := range t.ClusterPrefix {
-		keyVals = append(keyVals, rows[0][t.ColIndex(kc)])
-	}
-	var packed []string
-	for _, row := range rows {
-		packed = append(packed, t.packRow(row))
-		s.Meter.Charge(cost.Decode, 1)
-	}
-	pageNo := int64(0)
-	var cur strings.Builder
-	flush := func() error {
-		if cur.Len() == 0 {
-			return nil
-		}
-		phys := make([]val.Value, 0, len(keyVals)+2)
-		phys = append(phys, keyVals...)
-		phys = append(phys, val.Int(pageNo), val.Str(cur.String()))
-		cur.Reset()
-		pageNo++
-		return s.InsertRow(t.Name+clusterSuffix, phys)
-	}
-	for _, p := range packed {
-		if cur.Len() > 0 && cur.Len()+len(rowSep)+len(p) > clusterVarData {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		if cur.Len() > 0 {
-			cur.WriteString(rowSep)
-		}
-		cur.WriteString(p)
-	}
-	return flush()
+	s.Meter.Charge(cost.Decode, int64(len(rows))) // encode on the way in
+	return t.packCluster(rows, func(phys []val.Value) error { return s.InsertRow(t.Name+clusterSuffix, phys) })
 }
 
 // scanLogical streams a logical table's rows, optionally bounded by a

@@ -41,7 +41,8 @@ const (
 	rowSep = "\x02"
 )
 
-// Config controls an R/3 installation.
+// Config sizes an R/3 installation: what is fixed when it is installed.
+// Behaviour that can change while it runs is Options.
 type Config struct {
 	Release Release
 	Client  string // defaults to DefaultClient
@@ -49,9 +50,6 @@ type Config struct {
 	// the machine's memory belongs to the application server).
 	BufferBytes int
 	CostModel   cost.Model
-	// Parallel is the back-end RDBMS's intra-query parallel degree
-	// (0 or 1 = serial).
-	Parallel int
 	// TableBufferBytes, when positive, overrides the byte budget of every
 	// application-server table buffer enabled via SetBuffered and also
 	// bounds eviction-pressure-driven auto-resize (adaptive buffers
@@ -60,11 +58,6 @@ type Config struct {
 	// thrashes (35k misses, 34k evictions, nothing resident);
 	// SetBufferedFixed reproduces that pathology on demand.
 	TableBufferBytes int64
-	// ArrayInterface enables the back-end RDBMS's array-fetch interface:
-	// result rows ship in packets of cost.ArrayFetchRows instead of one
-	// network round trip per row. Off by default — the paper's Table 7
-	// measures the per-row interface the 1996 systems actually had.
-	ArrayInterface bool
 	// Durable turns on write-ahead logging in the back-end RDBMS: every
 	// SAP LUW becomes an engine transaction whose commit forces the log
 	// instead of flushing data pages (DESIGN.md §14). Off by default so
@@ -89,6 +82,10 @@ type System struct {
 	// retired accumulates counters of buffers that were disabled, so
 	// end-of-run metrics still see work done by short-lived buffers.
 	retired map[string]BufferStats
+
+	// itabSinglePass is Options.ITabSinglePass; the engine's share of the
+	// options lives in DB.
+	itabSinglePass atomic.Bool
 
 	// System-wide cursor-cache counters across every connection's
 	// statement cache (Open SQL, Native SQL, dictionary scans).
@@ -129,7 +126,7 @@ func Install(cfg Config) (*System, error) {
 		cfg.Client = DefaultClient
 	}
 	sys := &System{
-		DB:            engine.Open(engine.Config{BufferBytes: cfg.BufferBytes, CostModel: cfg.CostModel, Parallel: cfg.Parallel, ArrayFetch: cfg.ArrayInterface}),
+		DB:            engine.Open(engine.Config{BufferBytes: cfg.BufferBytes, CostModel: cfg.CostModel}),
 		Client:        cfg.Client,
 		version:       cfg.Release,
 		ddic:          make(map[string]*LogicalTable),
@@ -223,21 +220,34 @@ func (sys *System) invalidateForWrite(phys string, oldRow, newRow []val.Value) {
 	}
 }
 
-// SetPeekBinds toggles bind-value peeking on the back-end RDBMS: when
-// enabled, the first execution of a prepared Open/Native SQL statement
-// plans with the actual bound values instead of blind placeholders. Off
-// by default — the 2.2-era blind behavior the paper measures.
-func (sys *System) SetPeekBinds(on bool) { sys.DB.SetPeekBinds(on) }
+// Options is every switchable behaviour of a System: its back-end
+// engine's, plus the application server's own. The zero value is the
+// installation the paper measures; an ablation saves Options(), applies a
+// diff with SetOptions and puts back what it saved.
+type Options struct {
+	// Engine configures the back-end RDBMS (parallel degree, array
+	// fetch, bind peeking, adaptive replanning, parse cache).
+	Engine engine.Options
+	// ITabSinglePass makes internal tables declared through
+	// System.NewITab group in one streaming hash pass instead of the
+	// two-phase sort, materialize and rescan the paper measures in
+	// Section 4.2 (see ITab.GroupBy). The emitted groups are identical;
+	// only the charged work changes.
+	ITabSinglePass bool
+}
 
-// SetAdaptive toggles feedback-driven re-optimization on the back-end
-// RDBMS: cached plans whose cardinality estimate proves off by an order
-// of magnitude are invalidated and replanned with observed row counts.
-func (sys *System) SetAdaptive(on bool) { sys.DB.SetAdaptive(on) }
+// Options returns the system's current options.
+func (sys *System) Options() Options {
+	return Options{Engine: sys.DB.Options(), ITabSinglePass: sys.itabSinglePass.Load()}
+}
 
-// SetArrayFetch toggles the back-end RDBMS's array-fetch interface (see
-// Config.ArrayInterface) on a running system; experiments use it to
-// ablate the per-row interface cost of Table 7.
-func (sys *System) SetArrayFetch(on bool) { sys.DB.SetArrayFetch(on) }
+// SetOptions replaces the system's options; see engine.DB.SetOptions for
+// what a running statement sees. Internal tables already declared keep
+// the grouping strategy they were declared with.
+func (sys *System) SetOptions(o Options) {
+	sys.DB.SetOptions(o.Engine)
+	sys.itabSinglePass.Store(o.ITabSinglePass)
+}
 
 // Version returns the installed release.
 func (sys *System) Version() Release {

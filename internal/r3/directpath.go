@@ -2,7 +2,6 @@ package r3
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,9 +99,24 @@ func (w *dpWorker) owns(phys string) bool {
 	return ok
 }
 
-// record accounts one logical record entering through this lane: the
-// per-record interpretation CPU plus one consistency check per batch.
-func (w *dpWorker) record() {
+// wants implements populationSink: the lane replays only the generator
+// streams that feed a table it owns.
+func (w *dpWorker) wants(phys ...string) bool {
+	for _, p := range phys {
+		if w.owns(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// record accounts one logical record entering the load: the per-record
+// interpretation CPU plus one consistency check per batch, charged to the
+// lane owning the record's anchor table so it is paid exactly once.
+func (w *dpWorker) record(anchor string) {
+	if !w.owns(anchor) {
+		return
+	}
 	w.m.Charge(cost.TupleCPU, 1)
 	w.pending++
 	if w.pending >= checkBatch {
@@ -149,7 +163,7 @@ func (w *dpWorker) add(r SAPRow) error {
 
 // addClusterGroup packs one cluster key's logical rows into physical
 // tuples and appends them if this lane owns the cluster's table.
-func (w *dpWorker) addClusterGroup(table string, groups []F) error {
+func (w *dpWorker) addClusterGroup(table string, group []F) error {
 	sys := w.dp.sys
 	t := sys.Table(table)
 	if t == nil {
@@ -159,41 +173,12 @@ func (w *dpWorker) addClusterGroup(table string, groups []F) error {
 	if ld == nil {
 		return nil
 	}
-	var keyVals []val.Value
-	var cur strings.Builder
-	pageNo := int64(0)
-	flush := func() error {
-		if cur.Len() == 0 {
-			return nil
-		}
-		phys := append(append([]val.Value{}, keyVals...), val.Int(pageNo), val.Str(cur.String()))
-		cur.Reset()
-		pageNo++
-		return ld.Append(phys)
+	rows, err := sys.physRows(t, group)
+	if err != nil {
+		return err
 	}
-	for gi, fields := range groups {
-		row, err := sys.physRow(t, fields)
-		if err != nil {
-			return err
-		}
-		if gi == 0 {
-			for _, kc := range t.ClusterPrefix {
-				keyVals = append(keyVals, row[t.ColIndex(kc)])
-			}
-		}
-		w.m.Charge(cost.Decode, 1)
-		packed := t.packRow(row)
-		if cur.Len() > 0 && cur.Len()+len(rowSep)+len(packed) > clusterVarData {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		if cur.Len() > 0 {
-			cur.WriteString(rowSep)
-		}
-		cur.WriteString(packed)
-	}
-	return flush()
+	w.m.Charge(cost.Decode, int64(len(rows))) // encode on the way in
+	return t.packCluster(rows, ld.Append)
 }
 
 // Load streams the generated population through the direct path. The
@@ -224,7 +209,7 @@ func (d *DirectPath) Load(g *dbgen.Generator) error {
 		wg.Add(1)
 		go func(i int, w *dpWorker) {
 			defer wg.Done()
-			errs[i] = w.run(g)
+			errs[i] = walkPopulation(g, w)
 		}(i, w)
 	}
 	wg.Wait()
@@ -253,126 +238,4 @@ func (d *DirectPath) Load(g *dbgen.Generator) error {
 		b.invalidateAll()
 	}
 	return sys.DB.AnalyzeAll()
-}
-
-// run replays the generator streams this lane needs, in the serial
-// loader's stream order, emitting only owned tables. Batched per-record
-// charges go to the lane owning the record's anchor table so each
-// record's interpretation cost is paid exactly once.
-func (w *dpWorker) run(g *dbgen.Generator) error {
-	stxl := w.owns("STXL")
-	if stxl || w.owns("T005") || w.owns("T005T") {
-		for _, n := range g.NationRows() {
-			if w.owns("T005") {
-				w.record()
-			}
-			for _, r := range NationRows(n) {
-				if err := w.add(r); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if stxl || w.owns("T005U") {
-		for _, rg := range g.Regions() {
-			if w.owns("T005U") {
-				w.record()
-			}
-			for _, r := range RegionRows(rg) {
-				if err := w.add(r); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if stxl || w.owns("LFA1") {
-		if err := g.Suppliers(func(s dbgen.Supplier) error {
-			if w.owns("LFA1") {
-				w.record()
-			}
-			for _, r := range SupplierRows(s) {
-				if err := w.add(r); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if stxl || w.owns("MARA") || w.owns("MAKT") || w.owns(poolTableName) ||
-		w.owns("KONP") || w.owns("AUSP") {
-		if err := g.Parts(func(p dbgen.Part) error {
-			if w.owns("MARA") {
-				w.record()
-			}
-			for _, r := range PartRows(p) {
-				if err := w.add(r); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if stxl || w.owns("EINA") || w.owns("EINE") {
-		j := 0
-		if err := g.PartSupps(func(ps dbgen.PartSupp) error {
-			if w.owns("EINA") {
-				w.record()
-			}
-			for _, r := range PartSuppRows(ps, j%4) {
-				if err := w.add(r); err != nil {
-					return err
-				}
-			}
-			j++
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if stxl || w.owns("KNA1") {
-		if err := g.Customers(func(c dbgen.Customer) error {
-			if w.owns("KNA1") {
-				w.record()
-			}
-			for _, r := range CustomerRows(c) {
-				if err := w.add(r); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if stxl || w.owns("VBAK") || w.owns("VBAP") || w.owns("VBEP") ||
-		w.owns("KONV"+clusterSuffix) {
-		if err := g.Orders(func(o *dbgen.Order) error {
-			if w.owns("VBAK") {
-				w.record()
-			}
-			for _, r := range OrderHeaderRows(o) {
-				if err := w.add(r); err != nil {
-					return err
-				}
-			}
-			for _, li := range o.Lines {
-				if w.owns("VBAP") {
-					w.record()
-				}
-				for _, r := range LineItemRows(li) {
-					if err := w.add(r); err != nil {
-						return err
-					}
-				}
-			}
-			return w.addClusterGroup("KONV", KonvRows(o))
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

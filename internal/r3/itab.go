@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"r3bench/internal/cost"
@@ -28,29 +27,29 @@ type ITab struct {
 	names []string
 	rows  [][]val.Value
 	// singlePass selects streaming hash grouping for GroupBy instead of
-	// the two-phase sort-materialize-rescan strategy; see SetSinglePass.
+	// the two-phase sort-materialize-rescan strategy, fixed when the
+	// table is declared; see System.NewITab.
 	singlePass bool
 }
 
-// itabSinglePassDefault seeds the GroupBy strategy of newly declared
-// internal tables (see SetITabSinglePass). Off = the paper's two-phase
-// strategy.
-var itabSinglePassDefault atomic.Bool
-
-// SetITabSinglePass sets the default GroupBy strategy for internal
-// tables declared afterwards: true = single-pass streaming hash
-// grouping, false = the paper's two-phase sort-materialize-rescan.
-// Reports declare their work tables internally, so the Table 7 ablation
-// flips this around a run instead of reaching each ITab.
-func SetITabSinglePass(on bool) { itabSinglePassDefault.Store(on) }
-
-// NewITab declares an internal table with the given field names.
+// NewITab declares an internal table with the given field names, grouping
+// by the paper's two-phase strategy.
 func NewITab(m *cost.Meter, fields ...string) *ITab {
-	t := &ITab{meter: m, cols: make(map[string]int, len(fields)), names: fields,
-		singlePass: itabSinglePassDefault.Load()}
+	t := &ITab{meter: m, cols: make(map[string]int, len(fields)), names: fields}
 	for i, f := range fields {
 		t.cols[f] = i
 	}
+	return t
+}
+
+// NewITab declares an internal table on this system's application server:
+// it groups by the strategy of the system's options at the moment of
+// declaration (Options.ITabSinglePass). Reports declare their work tables
+// here, so the Table 7 ablation reaches them through the system's options
+// and one system's experiment never changes another system's reports.
+func (sys *System) NewITab(m *cost.Meter, fields ...string) *ITab {
+	t := NewITab(m, fields...)
+	t.singlePass = sys.itabSinglePass.Load()
 	return t
 }
 
@@ -119,24 +118,12 @@ type Agg struct {
 	Of func(row []val.Value) val.Value
 }
 
-// SetSinglePass selects GroupBy's strategy. Off (the default) is the
-// two-phase sort + materialize + rescan the paper measures. On is a
-// modern single-pass streaming hash grouping: one scan hashes each row
-// into its group accumulator and only the final groups are sorted for
-// emission — no secondary-storage round trip, no full-table sort. The
-// emitted groups, their order and every aggregate value are identical
-// (Go's stable sort keeps within-group rows in append order, so both
-// strategies accumulate each group's floats in the same sequence); only
-// the charged work changes. The EXPERIMENTS Table 7 ablation uses this
-// to ask how much of the client-side grouping penalty is strategy
-// rather than interface.
-func (t *ITab) SetSinglePass(on bool) { t.singlePass = on }
-
 // GroupBy performs SAP-style two-phase grouping: sort by the key fields,
 // write the sorted table to secondary storage, re-read it, and emit one
 // row of key values + aggregate results per group. The materialization
 // I/O is what makes this >3× the RDBMS's pipelined grouping (Table 7).
-// With SetSinglePass(true) it instead hash-groups in one streaming pass.
+// A table declared single-pass (Options.ITabSinglePass) instead
+// hash-groups in one streaming pass.
 func (t *ITab) GroupBy(keys []string, aggs []Agg, emit func(keyVals []val.Value, aggVals []val.Value) error) error {
 	if t.singlePass {
 		return t.groupBySinglePass(keys, aggs, emit)
@@ -229,7 +216,12 @@ func (t *ITab) GroupBy(keys []string, aggs []Agg, emit func(keyVals []val.Value,
 // plus the same per-row aggregate evaluation the two-phase loop
 // charges), then only the G result groups sort for key-ordered emission.
 // The full-table sort and the secondary-storage materialization of the
-// two-phase strategy disappear entirely.
+// two-phase strategy disappear entirely. The emitted groups, their order
+// and every aggregate value are identical (Go's stable sort keeps
+// within-group rows in append order, so both strategies accumulate each
+// group's floats in the same sequence); only the charged work changes.
+// The EXPERIMENTS Table 7 ablation uses this to ask how much of the
+// client-side grouping penalty is strategy rather than interface.
 //
 // Groups form by the key fields' val.Compare equality, matching the
 // two-phase sameKey test: CHAR values right-trim before hashing because

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"r3bench/internal/cost"
+	"r3bench/internal/engine"
 	"r3bench/internal/val"
 )
 
@@ -67,8 +68,8 @@ func TestSinglePassGroupingMatchesTwoPhase(t *testing.T) {
 			run := func(singlePass bool) (string, int64) {
 				m := cost.NewMeter(cost.Default1996())
 				tab := NewITab(m, "RF", "LS", "VAL", "RATE")
+				tab.singlePass = singlePass
 				fillITab(tab, rows)
-				tab.SetSinglePass(singlePass)
 				start := m.Elapsed()
 				var out string
 				err := tab.GroupBy(tc.keys, tc.aggs, func(kv, av []val.Value) error {
@@ -93,21 +94,32 @@ func TestSinglePassGroupingMatchesTwoPhase(t *testing.T) {
 	}
 }
 
-// TestITabSinglePassDefault pins the package-level default switch the
-// Table 7 ablation uses: tables declared while it is on group
-// single-pass; flipping it back restores the paper's strategy for new
-// tables without touching existing ones.
+// TestITabSinglePassDefault pins where an internal table's grouping
+// strategy comes from: a table declared through a System takes the
+// system's Options.ITabSinglePass at the moment of declaration — flipping
+// the option back restores the paper's strategy for new tables without
+// touching existing ones — and the package-level NewITab is two-phase
+// whatever any system says.
 func TestITabSinglePassDefault(t *testing.T) {
+	sys, err := Install(Config{Release: Release22})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := cost.NewMeter(cost.Default1996())
-	SetITabSinglePass(true)
-	on := NewITab(m, "K", "V")
-	SetITabSinglePass(false)
-	off := NewITab(m, "K", "V")
+	saved := sys.Options()
+	sys.SetOptions(Options{ITabSinglePass: true})
+	on := sys.NewITab(m, "K", "V")
+	free := NewITab(m, "K", "V")
+	sys.SetOptions(saved)
+	off := sys.NewITab(m, "K", "V")
 	if !on.singlePass {
-		t.Error("table declared under SetITabSinglePass(true) is two-phase")
+		t.Error("table declared under ITabSinglePass is two-phase")
 	}
 	if off.singlePass {
 		t.Error("table declared after restore is single-pass")
+	}
+	if free.singlePass {
+		t.Error("package-level NewITab took a system's strategy")
 	}
 }
 
@@ -118,7 +130,7 @@ func TestSinglePassGroupKeyEquality(t *testing.T) {
 	for _, singlePass := range []bool{false, true} {
 		m := cost.NewMeter(cost.Default1996())
 		tab := NewITab(m, "K", "V")
-		tab.SetSinglePass(singlePass)
+		tab.singlePass = singlePass
 		tab.Append(val.Str("A  "), val.Float(1))
 		tab.Append(val.Str("A"), val.Float(2))
 		tab.Append(val.Str("B"), val.Float(4))
@@ -134,5 +146,39 @@ func TestSinglePassGroupKeyEquality(t *testing.T) {
 		if len(got) != 2 || got[0] != "A  =3" || got[1] != "B=4" {
 			t.Errorf("singlePass=%v: groups = %v", singlePass, got)
 		}
+	}
+}
+
+// TestSystemOptionsRoundTrip: a system installs at the paper's
+// configuration, SetOptions publishes exactly the value it is given — the
+// engine's share lands in the back-end database, where System.Options
+// reads it back from — and what was saved can be put back.
+func TestSystemOptionsRoundTrip(t *testing.T) {
+	sys, err := Install(Config{Release: Release30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := sys.Options()
+	if saved != (Options{}) {
+		t.Fatalf("a fresh system has options %+v, want the zero value", saved)
+	}
+	all := Options{
+		Engine:         engine.Options{Parallel: 4, ArrayFetch: true, PeekBinds: true, Adaptive: true, NoParseCache: true},
+		ITabSinglePass: true,
+	}
+	sys.SetOptions(all)
+	if got := sys.Options(); got != all {
+		t.Fatalf("Options() = %+v after SetOptions(%+v)", got, all)
+	}
+	if got := sys.DB.Options(); got != all.Engine {
+		t.Fatalf("the back-end database runs with %+v, want %+v", got, all.Engine)
+	}
+	sys.DB.SetOptions(engine.Options{Parallel: 2})
+	if got := sys.Options(); got.Engine != (engine.Options{Parallel: 2}) || !got.ITabSinglePass {
+		t.Fatalf("Options() = %+v does not show the database's own options", got)
+	}
+	sys.SetOptions(saved)
+	if got := sys.Options(); got != saved {
+		t.Fatalf("Options() = %+v after putting back %+v", got, saved)
 	}
 }

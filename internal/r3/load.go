@@ -172,18 +172,89 @@ func KonvRows(o *dbgen.Order) []F {
 	return rows
 }
 
-// --- direct loader (experiment setup; not the timed Table 3 path) ---
+// --- the population walk, shared by both loaders ---
 
-// directLoader batches physical rows per physical table.
-type directLoader struct {
-	sys     *System
-	batches map[string][][]val.Value
+// populationSink receives the generated population mapped onto the SAP
+// schema. The walk decides the order — entity streams in Table 3's order,
+// each record's rows in mapping order, an order's pricing conditions as
+// one cluster group after its items — and a sink decides what to do with
+// what it is handed: where rows go, who owns which table, what is charged.
+type populationSink interface {
+	// wants reports whether the sink loads any of the physical tables; a
+	// stream that feeds none of them is not generated at all.
+	wants(phys ...string) bool
+	// record marks one business record, anchored at the table that pays
+	// for its interpretation, about to arrive through add.
+	record(anchor string)
+	add(r SAPRow) error
+	addClusterGroup(table string, rows []F) error
 }
 
-const directBatch = 4096
-
-func (dl *directLoader) fullRow(t *LogicalTable, fields F) ([]val.Value, error) {
-	return dl.sys.physRow(t, fields)
+// walkPopulation streams the whole population into s. Every comment text
+// lands in STXL, so a sink that wants STXL sees every stream.
+func walkPopulation(g *dbgen.Generator, s populationSink) error {
+	entity := func(anchor string, rows []SAPRow) error {
+		s.record(anchor)
+		for _, r := range rows {
+			if err := s.add(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if s.wants("STXL", "T005", "T005T") {
+		for _, n := range g.NationRows() {
+			if err := entity("T005", NationRows(n)); err != nil {
+				return err
+			}
+		}
+	}
+	if s.wants("STXL", "T005U") {
+		for _, rg := range g.Regions() {
+			if err := entity("T005U", RegionRows(rg)); err != nil {
+				return err
+			}
+		}
+	}
+	if s.wants("STXL", "LFA1") {
+		if err := g.Suppliers(func(sp dbgen.Supplier) error { return entity("LFA1", SupplierRows(sp)) }); err != nil {
+			return err
+		}
+	}
+	if s.wants("STXL", "MARA", "MAKT", poolTableName, "KONP", "AUSP") {
+		if err := g.Parts(func(p dbgen.Part) error { return entity("MARA", PartRows(p)) }); err != nil {
+			return err
+		}
+	}
+	if s.wants("STXL", "EINA", "EINE") {
+		j := 0
+		if err := g.PartSupps(func(ps dbgen.PartSupp) error {
+			err := entity("EINA", PartSuppRows(ps, j%4))
+			j++
+			return err
+		}); err != nil {
+			return err
+		}
+	}
+	if s.wants("STXL", "KNA1") {
+		if err := g.Customers(func(c dbgen.Customer) error { return entity("KNA1", CustomerRows(c)) }); err != nil {
+			return err
+		}
+	}
+	if s.wants("STXL", "VBAK", "VBAP", "VBEP", "KONV"+clusterSuffix) {
+		return g.Orders(func(o *dbgen.Order) error {
+			if err := entity("VBAK", OrderHeaderRows(o)); err != nil {
+				return err
+			}
+			for _, li := range o.Lines {
+				if err := entity("VBAP", LineItemRows(li)); err != nil {
+					return err
+				}
+			}
+			return s.addClusterGroup("KONV", KonvRows(o))
+		})
+	}
+	return nil
 }
 
 // physRow materializes a logical table's full-width row from a field
@@ -206,12 +277,79 @@ func (sys *System) physRow(t *LogicalTable, fields F) ([]val.Value, error) {
 	return row, nil
 }
 
+// packCluster packs logical rows that share one cluster key into as few
+// physical tuples as fit (clusterVarData bytes of packed data each) and
+// hands every tuple to emit. All rows must agree on the cluster-prefix
+// columns.
+func (t *LogicalTable) packCluster(rows [][]val.Value, emit func(phys []val.Value) error) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	var keyVals []val.Value
+	for _, kc := range t.ClusterPrefix {
+		keyVals = append(keyVals, rows[0][t.ColIndex(kc)])
+	}
+	var cur strings.Builder
+	pageNo := int64(0)
+	flush := func() error {
+		if cur.Len() == 0 {
+			return nil
+		}
+		phys := make([]val.Value, 0, len(keyVals)+2)
+		phys = append(phys, keyVals...)
+		phys = append(phys, val.Int(pageNo), val.Str(cur.String()))
+		cur.Reset()
+		pageNo++
+		return emit(phys)
+	}
+	for _, row := range rows {
+		packed := t.packRow(row)
+		if cur.Len() > 0 && cur.Len()+len(rowSep)+len(packed) > clusterVarData {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		if cur.Len() > 0 {
+			cur.WriteString(rowSep)
+		}
+		cur.WriteString(packed)
+	}
+	return flush()
+}
+
+// physRows materializes a cluster group's field assignments.
+func (sys *System) physRows(t *LogicalTable, group []F) ([][]val.Value, error) {
+	rows := make([][]val.Value, len(group))
+	for i, fields := range group {
+		row, err := sys.physRow(t, fields)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = row
+	}
+	return rows, nil
+}
+
+// --- direct loader (experiment setup; not the timed Table 3 path) ---
+
+// directLoader batches physical rows per physical table.
+type directLoader struct {
+	sys     *System
+	batches map[string][][]val.Value
+}
+
+const directBatch = 4096
+
+// The setup loader takes every table and charges nothing.
+func (dl *directLoader) wants(...string) bool { return true }
+func (dl *directLoader) record(string)        {}
+
 func (dl *directLoader) add(r SAPRow) error {
 	t := dl.sys.Table(r.Table)
 	if t == nil {
 		return fmt.Errorf("r3: unknown table %s", r.Table)
 	}
-	row, err := dl.fullRow(t, r.Fields)
+	row, err := dl.sys.physRow(t, r.Fields)
 	if err != nil {
 		return err
 	}
@@ -228,58 +366,25 @@ func (dl *directLoader) add(r SAPRow) error {
 
 // addClusterGroup packs one cluster key's logical rows into physical
 // tuples.
-func (dl *directLoader) addClusterGroup(table string, groups []F) error {
+func (dl *directLoader) addClusterGroup(table string, group []F) error {
 	t := dl.sys.Table(table)
 	if t == nil {
 		return fmt.Errorf("r3: unknown table %s", table)
 	}
+	rows, err := dl.sys.physRows(t, group)
+	if err != nil {
+		return err
+	}
 	if t.Kind == Transparent {
 		// After a 3.0 conversion the rows load individually.
-		for _, fields := range groups {
-			row, err := dl.fullRow(t, fields)
-			if err != nil {
-				return err
-			}
+		for _, row := range rows {
 			if err := dl.push(t.Name, row); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	var keyVals []val.Value
-	var cur strings.Builder
-	pageNo := int64(0)
-	flush := func() error {
-		if cur.Len() == 0 {
-			return nil
-		}
-		phys := append(append([]val.Value{}, keyVals...), val.Int(pageNo), val.Str(cur.String()))
-		cur.Reset()
-		pageNo++
-		return dl.push(t.Name+clusterSuffix, phys)
-	}
-	for gi, fields := range groups {
-		row, err := dl.fullRow(t, fields)
-		if err != nil {
-			return err
-		}
-		if gi == 0 {
-			for _, kc := range t.ClusterPrefix {
-				keyVals = append(keyVals, row[t.ColIndex(kc)])
-			}
-		}
-		packed := t.packRow(row)
-		if cur.Len() > 0 && cur.Len()+len(rowSep)+len(packed) > clusterVarData {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		if cur.Len() > 0 {
-			cur.WriteString(rowSep)
-		}
-		cur.WriteString(packed)
-	}
-	return flush()
+	return t.packCluster(rows, func(phys []val.Value) error { return dl.push(t.Name+clusterSuffix, phys) })
 }
 
 func (dl *directLoader) push(phys string, row []val.Value) error {
@@ -312,77 +417,7 @@ func (dl *directLoader) flushAll() error {
 // timing (experiment setup). The measured load path is BatchInput.
 func (sys *System) LoadDirect(g *dbgen.Generator) error {
 	dl := &directLoader{sys: sys, batches: make(map[string][][]val.Value)}
-	for _, n := range g.NationRows() {
-		for _, r := range NationRows(n) {
-			if err := dl.add(r); err != nil {
-				return err
-			}
-		}
-	}
-	for _, rg := range g.Regions() {
-		for _, r := range RegionRows(rg) {
-			if err := dl.add(r); err != nil {
-				return err
-			}
-		}
-	}
-	if err := g.Suppliers(func(s dbgen.Supplier) error {
-		for _, r := range SupplierRows(s) {
-			if err := dl.add(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := g.Parts(func(p dbgen.Part) error {
-		for _, r := range PartRows(p) {
-			if err := dl.add(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	j := 0
-	if err := g.PartSupps(func(ps dbgen.PartSupp) error {
-		for _, r := range PartSuppRows(ps, j%4) {
-			if err := dl.add(r); err != nil {
-				return err
-			}
-		}
-		j++
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := g.Customers(func(c dbgen.Customer) error {
-		for _, r := range CustomerRows(c) {
-			if err := dl.add(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := g.Orders(func(o *dbgen.Order) error {
-		for _, r := range OrderHeaderRows(o) {
-			if err := dl.add(r); err != nil {
-				return err
-			}
-		}
-		for _, li := range o.Lines {
-			for _, r := range LineItemRows(li) {
-				if err := dl.add(r); err != nil {
-					return err
-				}
-			}
-		}
-		return dl.addClusterGroup("KONV", KonvRows(o))
-	}); err != nil {
+	if err := walkPopulation(g, dl); err != nil {
 		return err
 	}
 	if err := dl.flushAll(); err != nil {

@@ -32,7 +32,7 @@ func (s *SAPImpl) fetchWithDiscount(sql string, cols []string) (*r3.ITab, error)
 			posnrIdx = i
 		}
 	}
-	tab := r3.NewITab(s.m, append(append([]string(nil), cols...), "DISC")...)
+	tab := s.sys.NewITab(s.m, append(append([]string(nil), cols...), "DISC")...)
 	for _, row := range res.Rows {
 		d, err := s.discountRate(row[vbelnIdx].AsStr(), row[posnrIdx].AsStr())
 		if err != nil {
@@ -103,7 +103,7 @@ WHERE `+mandt("P", "E")+`
 		}
 		// Recompute per-row charge columns into a second internal table
 		// (the 2.2 style: materialize, then group).
-		work := r3.NewITab(s.m, "RF", "LS", "QTY", "BASE", "DISCP", "CHARGE", "DISC")
+		work := s.sys.NewITab(s.m, "RF", "LS", "QTY", "BASE", "DISCP", "CHARGE", "DISC")
 		for i, row := range tab.Rows() {
 			qty := tab.Get(i, "KWMENG").AsFloat()
 			base := tab.Get(i, "NETWR").AsFloat()
@@ -226,7 +226,7 @@ WHERE `+mandt("S", "P", "E", "K", "C", "T1", "T2")+`
 		if err != nil {
 			return nil, err
 		}
-		work := r3.NewITab(s.m, "SUPP", "CUST", "YR", "REV")
+		work := s.sys.NewITab(s.m, "SUPP", "CUST", "YR", "REV")
 		for i, row := range tab.Rows() {
 			work.Append(row[3], row[4], yearOf(row[5]),
 				val.Float(tab.Get(i, "NETWR").AsFloat()*(1-tab.Get(i, "DISC").AsFloat())))
@@ -294,7 +294,7 @@ WHERE `+mandt("MK", "IA", "IE", "S", "P", "K", "T")+`
 		if err != nil {
 			return nil, err
 		}
-		work := r3.NewITab(s.m, "NATION", "YR", "PROFIT")
+		work := s.sys.NewITab(s.m, "NATION", "YR", "PROFIT")
 		for i, row := range tab.Rows() {
 			profit := tab.Get(i, "NETWR").AsFloat()*(1-tab.Get(i, "DISC").AsFloat()) -
 				row[4].AsFloat()*row[3].AsFloat()

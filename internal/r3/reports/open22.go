@@ -82,7 +82,7 @@ func (s *SAPImpl) open22Queries() map[int]func() ([][]val.Value, error) {
 	}
 
 	q[1] = func() ([][]val.Value, error) {
-		work := r3.NewITab(s.m, "RF", "LS", "QTY", "BASE", "DISCP", "CHARGE", "DISC")
+		work := s.sys.NewITab(s.m, "RF", "LS", "QTY", "BASE", "DISCP", "CHARGE", "DISC")
 		err := s.liSelect([]r3.Cond{r3.Le("EDATU", val.DateFromYMD(1998, 9, 2))}, func(r r3.Row) error {
 			vbeln, posnr := r.Get("VBELN").AsStr(), r.Get("POSNR").AsStr()
 			d, err := s.discountRate(vbeln, posnr)
@@ -200,7 +200,7 @@ func (s *SAPImpl) open22Queries() map[int]func() ([][]val.Value, error) {
 	}
 
 	q[3] = func() ([][]val.Value, error) {
-		work := r3.NewITab(s.m, "VBELN", "AUDAT", "LPRIO", "REV")
+		work := s.sys.NewITab(s.m, "VBELN", "AUDAT", "LPRIO", "REV")
 		err := s.liSelect([]r3.Cond{
 			r3.Lt("AUDAT", val.DateFromYMD(1995, 3, 15)),
 			r3.Gt("EDATU", val.DateFromYMD(1995, 3, 15)),
@@ -274,7 +274,7 @@ func (s *SAPImpl) open22Queries() map[int]func() ([][]val.Value, error) {
 	}
 
 	q[5] = func() ([][]val.Value, error) {
-		work := r3.NewITab(s.m, "LANDX", "REV")
+		work := s.sys.NewITab(s.m, "LANDX", "REV")
 		err := s.liSelect([]r3.Cond{
 			r3.Ge("AUDAT", val.DateFromYMD(1994, 1, 1)),
 			r3.Lt("AUDAT", val.DateFromYMD(1995, 1, 1)),
@@ -348,7 +348,7 @@ func (s *SAPImpl) open22Queries() map[int]func() ([][]val.Value, error) {
 	}
 
 	q[7] = func() ([][]val.Value, error) {
-		work := r3.NewITab(s.m, "SUPP", "CUST", "YR", "REV")
+		work := s.sys.NewITab(s.m, "SUPP", "CUST", "YR", "REV")
 		err := s.liSelect([]r3.Cond{
 			r3.Between("EDATU", val.DateFromYMD(1995, 1, 1), val.DateFromYMD(1996, 12, 31)),
 		}, func(r r3.Row) error {
@@ -460,7 +460,7 @@ func (s *SAPImpl) open22Queries() map[int]func() ([][]val.Value, error) {
 	}
 
 	q[9] = func() ([][]val.Value, error) {
-		work := r3.NewITab(s.m, "NATION", "YR", "PROFIT")
+		work := s.sys.NewITab(s.m, "NATION", "YR", "PROFIT")
 		err := s.liSelect(nil, func(r r3.Row) error {
 			mk, ok, err := s.o.SelectSingle("MAKT", []r3.Cond{
 				r3.Eq("MATNR", r.Get("MATNR")), r3.Eq("SPRAS", val.Str("EN"))})
@@ -526,7 +526,7 @@ func (s *SAPImpl) open22Queries() map[int]func() ([][]val.Value, error) {
 	}
 
 	q[10] = func() ([][]val.Value, error) {
-		work := r3.NewITab(s.m, "KUNNR", "NAME1", "ACCBL", "TELF1", "LANDX", "STRAS", "CLUSTD", "REV")
+		work := s.sys.NewITab(s.m, "KUNNR", "NAME1", "ACCBL", "TELF1", "LANDX", "STRAS", "CLUSTD", "REV")
 		err := s.liSelect([]r3.Cond{
 			r3.Ge("AUDAT", val.DateFromYMD(1993, 10, 1)),
 			r3.Lt("AUDAT", val.DateFromYMD(1994, 1, 1)),
@@ -585,7 +585,7 @@ func (s *SAPImpl) open22Queries() map[int]func() ([][]val.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		work := r3.NewITab(s.m, "MATNR", "VAL")
+		work := s.sys.NewITab(s.m, "MATNR", "VAL")
 		var total float64
 		for _, land := range germanLands {
 			err = s.o.Select("LFA1", []r3.Cond{r3.Eq("LAND1", land)}, func(sup r3.Row) error {
@@ -714,7 +714,7 @@ func (s *SAPImpl) open22Queries() map[int]func() ([][]val.Value, error) {
 	}
 
 	q[15] = func() ([][]val.Value, error) {
-		work := r3.NewITab(s.m, "LIFNR", "REV")
+		work := s.sys.NewITab(s.m, "LIFNR", "REV")
 		err := s.liSelect([]r3.Cond{
 			r3.Ge("EDATU", val.DateFromYMD(1996, 1, 1)),
 			r3.Lt("EDATU", val.DateFromYMD(1996, 4, 1)),
@@ -848,7 +848,7 @@ func (s *SAPImpl) open22Queries() map[int]func() ([][]val.Value, error) {
 			if trim(zc.Get("ATWRT")) != "MED BOX" {
 				return nil
 			}
-			lines := r3.NewITab(s.m, "KWMENG", "NETWR")
+			lines := s.sys.NewITab(s.m, "KWMENG", "NETWR")
 			err = s.o.Select("VBAP", []r3.Cond{r3.Eq("MATNR", matnr)}, func(r r3.Row) error {
 				lines.Append(r.Get("KWMENG"), r.Get("NETWR"))
 				return nil

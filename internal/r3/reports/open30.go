@@ -56,7 +56,7 @@ func (s *SAPImpl) open30Queries() map[int]func() ([][]val.Value, error) {
 		where = append(where,
 			r3.WhereA{Alias: "KT", Cond: r3.Eq("KSCHL", val.Str("TAX"))},
 			r3.WhereA{Alias: "E", Cond: r3.Le("EDATU", val.DateFromYMD(1998, 9, 2))})
-		work := r3.NewITab(s.m, "RF", "LS", "QTY", "BASE", "DISCP", "CHARGE", "DISC")
+		work := s.sys.NewITab(s.m, "RF", "LS", "QTY", "BASE", "DISCP", "CHARGE", "DISC")
 		err := s.o.SelectJoin(r3.JoinQuery{
 			Tables: tables, On: on, Where: where,
 			Select: []r3.ColRef{{Alias: "P", Col: "ABGRU"}, {Alias: "E", Col: "LFSTA"},
@@ -93,7 +93,7 @@ func (s *SAPImpl) open30Queries() map[int]func() ([][]val.Value, error) {
 	q[2] = func() ([][]val.Value, error) {
 		// Phase 1 (the manual unnesting): minimum European supply cost
 		// per material — MIN is a simple aggregate and pushes down.
-		mins := r3.NewITab(s.m, "MATNR", "MINC")
+		mins := s.sys.NewITab(s.m, "MATNR", "MINC")
 		err := s.o.SelectJoin(r3.JoinQuery{
 			Tables: []r3.JT{{Table: "EINA", Alias: "IA"}, {Table: "EINE", Alias: "IE"}, {Table: "LFA1", Alias: "S"}, {Table: "T005", Alias: "N"}, {Table: "T005U", Alias: "R"}},
 			On: []r3.On{{LA: "IA", LC: "INFNR", RA: "IE", RC: "INFNR"}, {LA: "IA", LC: "LIFNR", RA: "S", RC: "LIFNR"},
@@ -156,7 +156,7 @@ func (s *SAPImpl) open30Queries() map[int]func() ([][]val.Value, error) {
 			r3.WhereA{Alias: "C", Cond: r3.Eq("BRSCH", val.Str("BUILDING"))},
 			r3.WhereA{Alias: "K", Cond: r3.Lt("AUDAT", val.DateFromYMD(1995, 3, 15))},
 			r3.WhereA{Alias: "E", Cond: r3.Gt("EDATU", val.DateFromYMD(1995, 3, 15))})
-		work := r3.NewITab(s.m, "VBELN", "AUDAT", "LPRIO", "REV")
+		work := s.sys.NewITab(s.m, "VBELN", "AUDAT", "LPRIO", "REV")
 		err := s.o.SelectJoin(r3.JoinQuery{
 			Tables: tables, On: on, Where: where,
 			Select: []r3.ColRef{{Alias: "P", Col: "VBELN"}, {Alias: "K", Col: "AUDAT"},
@@ -189,7 +189,7 @@ func (s *SAPImpl) open30Queries() map[int]func() ([][]val.Value, error) {
 	q[4] = func() ([][]val.Value, error) {
 		// EXISTS is inexpressible: ship candidate rows and deduplicate
 		// client-side.
-		work := r3.NewITab(s.m, "VBELN", "SUBMI")
+		work := s.sys.NewITab(s.m, "VBELN", "SUBMI")
 		err := s.o.SelectJoin(r3.JoinQuery{
 			Tables: []r3.JT{{Table: "VBAK", Alias: "K"}, {Table: "VBAP", Alias: "P"}, {Table: "VBEP", Alias: "E"}},
 			On: []r3.On{{LA: "K", LC: "VBELN", RA: "P", RC: "VBELN"},
@@ -232,7 +232,7 @@ func (s *SAPImpl) open30Queries() map[int]func() ([][]val.Value, error) {
 	}
 
 	q[5] = func() ([][]val.Value, error) {
-		work := r3.NewITab(s.m, "LANDX", "REV")
+		work := s.sys.NewITab(s.m, "LANDX", "REV")
 		err := s.o.SelectJoin(r3.JoinQuery{
 			Tables: []r3.JT{{Table: "KNA1", Alias: "C"}, {Table: "VBAK", Alias: "K"}, {Table: "VBAP", Alias: "P"}, {Table: "LFA1", Alias: "S"},
 				{Table: "T005", Alias: "N"}, {Table: "T005U", Alias: "R"}, {Table: "T005T", Alias: "T"}, {Table: "KONV", Alias: "KD"}},
@@ -305,7 +305,7 @@ func (s *SAPImpl) open30Queries() map[int]func() ([][]val.Value, error) {
 			r3.WhereA{Alias: "T2", Cond: r3.In("LANDX", val.Str("FRANCE"), val.Str("GERMANY"))},
 			r3.WhereA{Alias: "E", Cond: r3.Between("EDATU",
 				val.DateFromYMD(1995, 1, 1), val.DateFromYMD(1996, 12, 31))})
-		work := r3.NewITab(s.m, "SUPP", "CUST", "YR", "REV")
+		work := s.sys.NewITab(s.m, "SUPP", "CUST", "YR", "REV")
 		err := s.o.SelectJoin(r3.JoinQuery{
 			Tables: tables, On: on, Where: where,
 			Select: []r3.ColRef{{Alias: "T1", Col: "LANDX", As: "SUPP"},
@@ -395,7 +395,7 @@ func (s *SAPImpl) open30Queries() map[int]func() ([][]val.Value, error) {
 			r3.On{LA: "S", LC: "LIFNR", RA: "P", RC: "LIFNR"},
 			r3.On{LA: "T", LC: "LAND1", RA: "S", RC: "LAND1"})
 		where = append(where, r3.WhereA{Alias: "MK", Cond: r3.Like("MAKTX", "%green%")})
-		work := r3.NewITab(s.m, "NATION", "YR", "PROFIT")
+		work := s.sys.NewITab(s.m, "NATION", "YR", "PROFIT")
 		err := s.o.SelectJoin(r3.JoinQuery{
 			Tables: tables, On: on, Where: where,
 			Select: []r3.ColRef{{Alias: "T", Col: "LANDX"}, {Alias: "K", Col: "AUDAT"},
@@ -436,7 +436,7 @@ func (s *SAPImpl) open30Queries() map[int]func() ([][]val.Value, error) {
 			r3.WhereA{Alias: "K", Cond: r3.Lt("AUDAT", val.DateFromYMD(1994, 1, 1))},
 			r3.WhereA{Alias: "P", Cond: r3.Eq("ABGRU", val.Str("R"))},
 			r3.WhereA{Alias: "X", Cond: r3.Eq("TDOBJECT", val.Str("KNA1"))})
-		work := r3.NewITab(s.m, "KUNNR", "NAME1", "ACCBL", "TELF1", "LANDX", "STRAS", "CLUSTD", "REV")
+		work := s.sys.NewITab(s.m, "KUNNR", "NAME1", "ACCBL", "TELF1", "LANDX", "STRAS", "CLUSTD", "REV")
 		err := s.o.SelectJoin(r3.JoinQuery{
 			Tables: tables, On: on, Where: where,
 			Select: []r3.ColRef{{Alias: "C", Col: "KUNNR"}, {Alias: "C", Col: "NAME1"},
@@ -472,7 +472,7 @@ func (s *SAPImpl) open30Queries() map[int]func() ([][]val.Value, error) {
 	q[11] = func() ([][]val.Value, error) {
 		// Unnested by hand: one shipment serves both the per-part sums and
 		// the grand total.
-		work := r3.NewITab(s.m, "MATNR", "VAL")
+		work := s.sys.NewITab(s.m, "MATNR", "VAL")
 		var total float64
 		err := s.o.SelectJoin(r3.JoinQuery{
 			Tables: []r3.JT{{Table: "EINA", Alias: "IA"}, {Table: "EINE", Alias: "IE"}, {Table: "LFA1", Alias: "S"}, {Table: "T005T", Alias: "T"}},
@@ -607,7 +607,7 @@ func (s *SAPImpl) open30Queries() map[int]func() ([][]val.Value, error) {
 		where = append(where,
 			r3.WhereA{Alias: "E", Cond: r3.Ge("EDATU", val.DateFromYMD(1996, 1, 1))},
 			r3.WhereA{Alias: "E", Cond: r3.Lt("EDATU", val.DateFromYMD(1996, 4, 1))})
-		work := r3.NewITab(s.m, "LIFNR", "REV")
+		work := s.sys.NewITab(s.m, "LIFNR", "REV")
 		err := s.o.SelectJoin(r3.JoinQuery{
 			Tables: tables, On: on, Where: where,
 			Select: []r3.ColRef{{Alias: "P", Col: "LIFNR"}, {Alias: "P", Col: "NETWR"},
@@ -737,7 +737,7 @@ func (s *SAPImpl) open30Queries() map[int]func() ([][]val.Value, error) {
 		var total float64
 		contributed := false
 		for _, matnr := range matnrs {
-			lines := r3.NewITab(s.m, "KWMENG", "NETWR")
+			lines := s.sys.NewITab(s.m, "KWMENG", "NETWR")
 			err := s.o.Select("VBAP", []r3.Cond{r3.Eq("MATNR", val.Str(matnr))}, func(r r3.Row) error {
 				lines.Append(r.Get("KWMENG"), r.Get("NETWR"))
 				return nil

@@ -26,31 +26,31 @@ func TestPhaseAttributionReconciles(t *testing.T) {
 	}
 	for _, degree := range []int{1, 2, 8} {
 		for _, c := range cases {
-			c.sys.DB.SetParallel(degree)
-			impl := New(c.sys, g, c.strategy)
-			ph := impl.EnablePhases()
-			m := impl.Meter()
-			start := m.Elapsed()
-			for qn := 1; qn <= 17; qn++ {
-				if _, err := impl.RunQuery(qn); err != nil {
-					c.sys.DB.SetParallel(0)
-					t.Fatalf("deg %d %s Q%d: %v", degree, c.strategy, qn, err)
+			func() {
+				defer apply(c.sys, func(o *r3.Options) { o.Engine.Parallel = degree })()
+				impl := New(c.sys, g, c.strategy)
+				ph := impl.EnablePhases()
+				m := impl.Meter()
+				start := m.Elapsed()
+				for qn := 1; qn <= 17; qn++ {
+					if _, err := impl.RunQuery(qn); err != nil {
+						t.Fatalf("deg %d %s Q%d: %v", degree, c.strategy, qn, err)
+					}
+					if total, lap := ph.Root.Total(), m.Lap(start); total != lap {
+						t.Errorf("deg %d %s Q%d: phase total %v != meter lap %v",
+							degree, c.strategy, qn, total, lap)
+					}
 				}
-				if total, lap := ph.Root.Total(), m.Lap(start); total != lap {
-					t.Errorf("deg %d %s Q%d: phase total %v != meter lap %v",
-						degree, c.strategy, qn, total, lap)
+				if ph.DB.Total() == 0 {
+					t.Errorf("deg %d %s: no DB-phase time attributed", degree, c.strategy)
 				}
-			}
-			if ph.DB.Total() == 0 {
-				t.Errorf("deg %d %s: no DB-phase time attributed", degree, c.strategy)
-			}
-			// Native 3.0 is pure EXEC SQL — nothing translates. Every
-			// other strategy goes through Open SQL somewhere (Native 2.2
-			// reads KONV with nested Open SQL selects).
-			if c.strategy != Native30 && ph.Translate.Total() == 0 {
-				t.Errorf("deg %d %s: no translate-phase time attributed", degree, c.strategy)
-			}
-			c.sys.DB.SetParallel(0)
+				// Native 3.0 is pure EXEC SQL — nothing translates. Every
+				// other strategy goes through Open SQL somewhere (Native 2.2
+				// reads KONV with nested Open SQL selects).
+				if c.strategy != Native30 && ph.Translate.Total() == 0 {
+					t.Errorf("deg %d %s: no translate-phase time attributed", degree, c.strategy)
+				}
+			}()
 		}
 	}
 }

@@ -25,22 +25,22 @@ func TestPhaseAttributionReconcilesArrayFetch(t *testing.T) {
 	}
 	for _, arrayFetch := range []bool{true, false} {
 		for _, c := range cases {
-			c.sys.DB.SetArrayFetch(arrayFetch)
-			impl := New(c.sys, g, c.strategy)
-			ph := impl.EnablePhases()
-			m := impl.Meter()
-			start := m.Elapsed()
-			for qn := 1; qn <= 17; qn++ {
-				if _, err := impl.RunQuery(qn); err != nil {
-					c.sys.DB.SetArrayFetch(false)
-					t.Fatalf("arrayFetch=%v %s Q%d: %v", arrayFetch, c.strategy, qn, err)
+			func() {
+				defer apply(c.sys, func(o *r3.Options) { o.Engine.ArrayFetch = arrayFetch })()
+				impl := New(c.sys, g, c.strategy)
+				ph := impl.EnablePhases()
+				m := impl.Meter()
+				start := m.Elapsed()
+				for qn := 1; qn <= 17; qn++ {
+					if _, err := impl.RunQuery(qn); err != nil {
+						t.Fatalf("arrayFetch=%v %s Q%d: %v", arrayFetch, c.strategy, qn, err)
+					}
+					if total, lap := ph.Root.Total(), m.Lap(start); total != lap {
+						t.Errorf("arrayFetch=%v %s Q%d: phase total %v != meter lap %v",
+							arrayFetch, c.strategy, qn, total, lap)
+					}
 				}
-				if total, lap := ph.Root.Total(), m.Lap(start); total != lap {
-					t.Errorf("arrayFetch=%v %s Q%d: phase total %v != meter lap %v",
-						arrayFetch, c.strategy, qn, total, lap)
-				}
-			}
-			c.sys.DB.SetArrayFetch(false)
+			}()
 		}
 	}
 }
@@ -52,8 +52,7 @@ func TestPhaseAttributionReconcilesArrayFetch(t *testing.T) {
 func TestArrayFetchReducesReportCost(t *testing.T) {
 	g, _, sys2, _ := fixtures(t)
 	run := func(arrayFetch bool) int64 {
-		sys2.DB.SetArrayFetch(arrayFetch)
-		defer sys2.DB.SetArrayFetch(false)
+		defer apply(sys2, func(o *r3.Options) { o.Engine.ArrayFetch = arrayFetch })()
 		impl := New(sys2, g, Open22)
 		m := impl.Meter()
 		start := m.Elapsed()

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"r3bench/internal/cost"
 	"r3bench/internal/dbgen"
 	"r3bench/internal/engine"
 	"r3bench/internal/r3"
@@ -59,6 +60,16 @@ func fixtures(t *testing.T) (*dbgen.Generator, *engine.DB, *r3.System, *r3.Syste
 		t.Fatal(fixErr)
 	}
 	return fixGen, fixRDB, fixSys2, fixSys3
+}
+
+// apply changes a shared fixture system's options by diff and returns the
+// function that puts back exactly what was there: `defer apply(...)()`.
+func apply(sys *r3.System, diff func(*r3.Options)) (restore func()) {
+	saved := sys.Options()
+	o := saved
+	diff(&o)
+	sys.SetOptions(o)
+	return func() { sys.SetOptions(saved) }
 }
 
 // canonicalize renders a row for cross-strategy comparison: numeric-ish
@@ -235,5 +246,63 @@ func TestUpdateFunctionsThroughBatchInput(t *testing.T) {
 	}
 	if got := sys.RowCount("VBAK"); got != before {
 		t.Fatalf("UF2 should remove as many orders as UF1 added: %d vs %d", got, before)
+	}
+}
+
+// TestITabStrategyBelongsToSystem runs the same report at the same time on
+// two systems of one process, one grouping two-phase (the paper's) and one
+// single-pass. Reports declare their work tables through their own system,
+// so the rows agree and each meter is charged its own system's strategy:
+// the two-phase materialization is the only page write a read-only report
+// makes. Run under -race (make race).
+func TestITabStrategyBelongsToSystem(t *testing.T) {
+	g := dbgen.New(0.001)
+	var systems [2]*r3.System
+	for i := range systems {
+		sys, err := r3.Install(r3.Config{Release: r3.Release22})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadDirect(g); err != nil {
+			t.Fatal(err)
+		}
+		systems[i] = sys
+	}
+	systems[1].SetOptions(r3.Options{ITabSinglePass: true})
+
+	var rows [2][]string
+	var writes [2]int64
+	var wg sync.WaitGroup
+	for i, sys := range systems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				impl := New(sys, g, Open22)
+				res, err := impl.RunQuery(1)
+				if err != nil {
+					t.Errorf("system %d: %v", i, err)
+					return
+				}
+				rows[i] = rows[i][:0]
+				for _, row := range res {
+					rows[i] = append(rows[i], canonRow(row))
+				}
+				writes[i] += impl.Meter().Count(cost.PageWrite)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(rows[0]) == 0 || strings.Join(rows[0], "\n") != strings.Join(rows[1], "\n") {
+		t.Errorf("the two strategies emitted different rows:\n%v\n%v", rows[0], rows[1])
+	}
+	if writes[0] == 0 {
+		t.Error("the two-phase system's report charged no materialization")
+	}
+	if writes[1] != 0 {
+		t.Errorf("the single-pass system's report charged %d page writes: another system's strategy leaked in", writes[1])
+	}
+	if systems[0].Options().ITabSinglePass || !systems[1].Options().ITabSinglePass {
+		t.Error("a report changed its system's options")
 	}
 }

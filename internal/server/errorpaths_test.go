@@ -36,7 +36,8 @@ func fakeServer(t *testing.T, handle func(net.Conn)) string {
 }
 
 func TestArrayFetchStatementErrorKeepsConnAlive(t *testing.T) {
-	db := engine.Open(engine.Config{ArrayFetch: true})
+	db := engine.Open(engine.Config{})
+	db.SetOptions(engine.Options{ArrayFetch: true})
 	addr := startServer(t, db)
 	c := dial(t, addr)
 
@@ -76,7 +77,8 @@ func TestArrayFetchStatementErrorKeepsConnAlive(t *testing.T) {
 }
 
 func TestCallbackAbortLatchesConnDead(t *testing.T) {
-	db := engine.Open(engine.Config{ArrayFetch: true})
+	db := engine.Open(engine.Config{})
+	db.SetOptions(engine.Options{ArrayFetch: true})
 	addr := startServer(t, db)
 	c := dial(t, addr)
 

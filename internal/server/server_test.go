@@ -120,7 +120,8 @@ func TestPreparedExec(t *testing.T) {
 }
 
 func TestArrayFetchStreams(t *testing.T) {
-	db := engine.Open(engine.Config{ArrayFetch: true})
+	db := engine.Open(engine.Config{})
+	db.SetOptions(engine.Options{ArrayFetch: true})
 	addr := startServer(t, db)
 	c := dial(t, addr)
 

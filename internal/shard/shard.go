@@ -33,11 +33,9 @@ import (
 type Config struct {
 	// Shards is the number of engine instances (≥1).
 	Shards int
-	// Parallel is each shard's intra-query parallel degree (0/1 serial).
-	Parallel int
-	// ArrayFetch enables the array interface on every shard and on the
-	// coordinator's final row shipping.
-	ArrayFetch bool
+	// Options configures every shard's engine; its ArrayFetch also
+	// governs the coordinator's final row shipping.
+	Options engine.Options
 }
 
 // Cluster is N engine shards plus the coordinator that plans and runs
@@ -47,7 +45,6 @@ type Config struct {
 // exchange state — which is all the power test needs.
 type Cluster struct {
 	n     int
-	par   int
 	dbs   []*engine.DB
 	model cost.Model
 	meter *cost.Meter
@@ -67,16 +64,13 @@ func Open(cfg Config) *Cluster {
 	model := cost.Default1996()
 	c := &Cluster{
 		n:     cfg.Shards,
-		par:   cfg.Parallel,
 		model: model,
 		meter: cost.NewMeter(model),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		c.dbs = append(c.dbs, engine.Open(engine.Config{
-			CostModel:  model,
-			Parallel:   cfg.Parallel,
-			ArrayFetch: cfg.ArrayFetch,
-		}))
+		db := engine.Open(engine.Config{CostModel: model})
+		db.SetOptions(cfg.Options)
+		c.dbs = append(c.dbs, db)
 	}
 	return c
 }

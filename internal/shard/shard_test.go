@@ -48,7 +48,7 @@ func serialBaseline(t *testing.T) []string {
 
 func loadedCluster(t *testing.T, shards, parallel int) *Cluster {
 	t.Helper()
-	c := Open(Config{Shards: shards, Parallel: parallel})
+	c := Open(Config{Shards: shards, Options: engine.Options{Parallel: parallel}})
 	if err := c.Load(dbgen.New(testSF)); err != nil {
 		t.Fatalf("cluster load (%d shards): %v", shards, err)
 	}

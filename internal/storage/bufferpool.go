@@ -103,10 +103,9 @@ type BufferPool struct {
 	seqMu    sync.Mutex
 	lastRead map[FileID]PageID
 
-	// Policy knobs (on by default; the determinism suite flips them to
-	// prove results are byte-identical either way).
-	midpoint  atomic.Bool
-	readahead atomic.Bool
+	// opts is the published policy snapshot (see Options): one atomic
+	// load per admission or readahead decision.
+	opts atomic.Pointer[Options]
 
 	raWindows atomic.Int64 // batched window fetches issued
 	raPages   atomic.Int64 // pages fetched speculatively (beyond the demand page)
@@ -137,8 +136,7 @@ func NewBufferPool(disk *Disk, capacityBytes int) *BufferPool {
 		capPages: capPages,
 		lastRead: make(map[FileID]PageID),
 	}
-	bp.midpoint.Store(true)
-	bp.readahead.Store(true)
+	bp.opts.Store(&Options{})
 	per := capPages / nShards
 	extra := capPages % nShards
 	for i := range bp.shards {
@@ -173,14 +171,24 @@ func (bp *BufferPool) shard(key pageKey) *poolShard {
 // CapacityPages returns the pool capacity in pages.
 func (bp *BufferPool) CapacityPages() int { return bp.capPages }
 
-// SetMidpoint toggles midpoint insertion (true by default). Off, newly
-// admitted pages go straight to the young sublist and the pool degrades
-// to the plain LRU of earlier releases.
-func (bp *BufferPool) SetMidpoint(on bool) { bp.midpoint.Store(on) }
+// Options is every switchable behaviour of a buffer pool. The zero value
+// is the pool every paper table runs on; the determinism suite flips the
+// fields to prove results are byte-identical either way.
+type Options struct {
+	// NoMidpoint sends newly admitted pages straight to the young
+	// sublist: the pool degrades to the plain LRU of earlier releases.
+	NoMidpoint bool
+	// NoReadahead makes every page a ScanRun reads charge its own
+	// sequential read instead of streaming in batched windows.
+	NoReadahead bool
+}
 
-// SetReadahead toggles sequential readahead for ScanRuns (true by
-// default). Off, every scanned page charges its own sequential read.
-func (bp *BufferPool) SetReadahead(on bool) { bp.readahead.Store(on) }
+// Options returns the pool's current options.
+func (bp *BufferPool) Options() Options { return *bp.opts.Load() }
+
+// SetOptions replaces the pool's options; admissions and readahead
+// decisions made after the call see the new value.
+func (bp *BufferPool) SetOptions(o Options) { bp.opts.Store(&o) }
 
 // SetWAL attaches the write-ahead log that observes dirty write-backs
 // (nil detaches). With no WAL attached, write-backs only charge the
@@ -189,7 +197,7 @@ func (bp *BufferPool) SetWAL(w *WAL) { bp.wal.Store(w) }
 
 // readaheadOn reports whether window fetches are currently worthwhile.
 func (bp *BufferPool) readaheadOn() bool {
-	return bp.readahead.Load() && bp.capPages >= minReadaheadPages
+	return !bp.opts.Load().NoReadahead && bp.capPages >= minReadaheadPages
 }
 
 // HitRatio returns the fraction of page requests served from the pool,
@@ -528,7 +536,7 @@ func (bp *BufferPool) admitLocked(sh *poolShard, key pageKey, data []byte, m *co
 		delete(sh.frames, vf.key)
 	}
 	f := &frame{key: key, data: data, ra: ra, shared: shared}
-	if bp.midpoint.Load() {
+	if !bp.opts.Load().NoMidpoint {
 		f.elem = sh.old.PushFront(f)
 		sh.oldLen.Add(1)
 	} else {

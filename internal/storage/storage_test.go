@@ -496,7 +496,7 @@ func TestScanResistance(t *testing.T) {
 	}
 
 	// Plain LRU control: the identical workload flushes the hot set.
-	pool.SetMidpoint(false)
+	pool.SetOptions(Options{NoMidpoint: true})
 	pool.DropFile(hot)
 	pool.DropFile(big)
 	heat()
@@ -563,7 +563,7 @@ func TestReadaheadChargesWindows(t *testing.T) {
 func TestReadaheadOffChargesPerPage(t *testing.T) {
 	disk := NewDisk()
 	pool := NewBufferPool(disk, 64*PageSize)
-	pool.SetReadahead(false)
+	pool.SetOptions(Options{NoReadahead: true})
 	f := disk.CreateFile()
 	const pages = 32
 	for i := 0; i < pages; i++ {
@@ -661,5 +661,30 @@ func TestScanOfNumericColumnsAllocatesNothingPerRow(t *testing.T) {
 	}
 	if !dst[13].IsNull() {
 		t.Errorf("unwanted CHAR column was decoded: %v", dst[13])
+	}
+}
+
+// TestPoolOptionsRoundTrip: a pool starts at the zero value (midpoint
+// insertion and readahead on), SetOptions publishes exactly what it is
+// given, and the zero value puts the defaults back.
+func TestPoolOptionsRoundTrip(t *testing.T) {
+	pool := NewBufferPool(NewDisk(), 64*PageSize)
+	if got := pool.Options(); got != (Options{}) {
+		t.Fatalf("a fresh pool has options %+v, want the zero value", got)
+	}
+	if !pool.readaheadOn() {
+		t.Error("readahead is off at the zero value")
+	}
+	both := Options{NoMidpoint: true, NoReadahead: true}
+	pool.SetOptions(both)
+	if got := pool.Options(); got != both {
+		t.Fatalf("Options() = %+v after SetOptions(%+v)", got, both)
+	}
+	if pool.readaheadOn() {
+		t.Error("NoReadahead left readahead on")
+	}
+	pool.SetOptions(Options{})
+	if got := pool.Options(); got != (Options{}) || !pool.readaheadOn() {
+		t.Fatalf("the zero value did not restore the defaults: %+v", got)
 	}
 }

@@ -3,6 +3,8 @@ package tpcd
 import (
 	"strings"
 	"testing"
+
+	"r3bench/internal/engine"
 )
 
 // TestExplainAnalyzeReconciles runs every TPC-D query under
@@ -16,7 +18,7 @@ func TestExplainAnalyzeReconciles(t *testing.T) {
 	db, _ := loadedDB(t)
 	qs := Queries(testSF)
 	for _, degree := range []int{1, 2, 8} {
-		db.SetParallel(degree)
+		db.SetOptions(engine.Options{Parallel: degree})
 		sess := db.NewSession()
 		for _, q := range qs {
 			for _, sql := range q.SQL {
@@ -45,15 +47,13 @@ func TestExplainAnalyzeReconciles(t *testing.T) {
 			}
 		}
 	}
-	db.SetParallel(1)
 }
 
 // TestExplainAnalyzeRender sanity-checks the rendered tree: operators,
 // rows and the parallel region show up.
 func TestExplainAnalyzeRender(t *testing.T) {
 	db, _ := loadedDB(t)
-	db.SetParallel(4)
-	defer db.SetParallel(1)
+	db.SetOptions(engine.Options{Parallel: 4})
 	sess := db.NewSession()
 	ap, err := sess.ExplainAnalyze(
 		`SELECT l_returnflag, COUNT(*) FROM lineitem WHERE l_quantity < 30 GROUP BY l_returnflag`)

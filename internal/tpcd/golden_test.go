@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"r3bench/internal/engine"
 	"r3bench/internal/val"
 )
 
@@ -36,7 +37,7 @@ func TestQueryGolden(t *testing.T) {
 	impl := NewRDBMS(db, g)
 	var got []goldenQuery
 	for _, deg := range []int{1, 2, 8} {
-		db.SetParallel(deg)
+		db.SetOptions(engine.Options{Parallel: deg})
 		for q := 1; q <= 17; q++ {
 			start := impl.Meter().Elapsed()
 			rows, err := impl.RunQuery(q)
@@ -94,8 +95,8 @@ func TestExplainAnalyzeAddsQueryLap(t *testing.T) {
 	dbProf, _ := loadedDB(t)
 	plain, prof := dbPlain.NewSession(), dbProf.NewSession()
 	for _, deg := range []int{1, 2} {
-		dbPlain.SetParallel(deg)
-		dbProf.SetParallel(deg)
+		dbPlain.SetOptions(engine.Options{Parallel: deg})
+		dbProf.SetOptions(engine.Options{Parallel: deg})
 		for _, q := range Queries(testSF) {
 			pStart, aStart := plain.Meter.Elapsed(), prof.Meter.Elapsed()
 			var pRows, aRows [][]val.Value

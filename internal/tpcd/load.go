@@ -38,6 +38,13 @@ func (l *tableLoader) flush() error {
 	return err
 }
 
+// rowSink is where the population walk puts one table's rows: add for
+// every row in canonical generator order, close once after the last.
+type rowSink struct {
+	add   func(row []val.Value) error
+	close func() error
+}
+
 // Load bulk-loads the generated population into the original TPC-D schema
 // through the RDBMS's bulk-loading interface — the path the paper notes
 // SAP R/3's batch input does not use — and gathers statistics.
@@ -62,153 +69,54 @@ func Load(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
 // shard. A nil keep loads everything; the generator streams stay
 // fixed-seed, so any partition of the population is byte-deterministic.
 func LoadPartition(db *engine.DB, g *dbgen.Generator, m *cost.Meter, keep func(table string, key int64) bool) error {
+	return load(db, g, m, keep, func(table string) (rowSink, error) {
+		l := &tableLoader{db: db, m: m, table: table}
+		return rowSink{l.add, l.flush}, nil
+	})
+}
+
+// LoadDirect bulk-loads the population through the engine's direct-path
+// loaders: full heap pages formatted below the WAL and indexes built
+// bottom-up from sorted (key, RID) runs, instead of per-batch BulkLoad
+// inserts with per-key index descents. The walk is LoadPartition's, so
+// each table receives its rows in canonical generator order and the
+// loaded database is byte-identical to Load's; closing a table's sink
+// seals its pages, builds its indexes and commits the extent.
+func LoadDirect(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
+	return load(db, g, m, nil, func(table string) (rowSink, error) {
+		dl, err := db.NewDirectLoader(table, m)
+		if err != nil {
+			return rowSink{}, err
+		}
+		return rowSink{dl.Append, dl.Close}, nil
+	})
+}
+
+// load creates the schema, walks the population into the sinks open hands
+// out — one per table, opened and closed by the goroutine that owns the
+// table — and gathers statistics. A nil keep admits every row.
+func load(db *engine.DB, g *dbgen.Generator, m *cost.Meter, keep func(table string, key int64) bool, open func(table string) (rowSink, error)) error {
 	if err := CreateSchema(db, m); err != nil {
 		return err
 	}
 	if keep == nil {
 		keep = func(string, int64) bool { return true }
 	}
-	newLoader := func(table string) *tableLoader {
-		return &tableLoader{db: db, m: m, table: table}
+	// table streams one table: fill calls add for each of its rows.
+	table := func(name string, fill func(add func([]val.Value) error) error) error {
+		sink, err := open(name)
+		if err != nil {
+			return err
+		}
+		if err := fill(sink.add); err != nil {
+			return err
+		}
+		return sink.close()
 	}
 
 	loaders := []func() error{
 		func() error { // REGION + NATION: tiny, share a goroutine
-			l := newLoader("REGION")
-			for _, r := range g.Regions() {
-				if err := l.add([]val.Value{val.Int(r.Key), val.Str(r.Name), val.Str(r.Comment)}); err != nil {
-					return err
-				}
-			}
-			if err := l.flush(); err != nil {
-				return err
-			}
-			l = newLoader("NATION")
-			for _, n := range g.NationRows() {
-				if err := l.add([]val.Value{val.Int(n.Key), val.Str(n.Name), val.Int(n.RegionKey), val.Str(n.Comment)}); err != nil {
-					return err
-				}
-			}
-			return l.flush()
-		},
-		func() error {
-			l := newLoader("SUPPLIER")
-			if err := g.Suppliers(func(s dbgen.Supplier) error {
-				if !keep("SUPPLIER", s.Key) {
-					return nil
-				}
-				return l.add(supplierRow(s))
-			}); err != nil {
-				return err
-			}
-			return l.flush()
-		},
-		func() error {
-			l := newLoader("PART")
-			if err := g.Parts(func(p dbgen.Part) error {
-				return l.add([]val.Value{val.Int(p.Key), val.Str(p.Name), val.Str(p.Mfgr),
-					val.Str(p.Brand), val.Str(p.Type), val.Int(p.Size), val.Str(p.Container),
-					val.Float(p.RetailPrice), val.Str(p.Comment)})
-			}); err != nil {
-				return err
-			}
-			return l.flush()
-		},
-		func() error {
-			l := newLoader("PARTSUPP")
-			if err := g.PartSupps(func(ps dbgen.PartSupp) error {
-				return l.add([]val.Value{val.Int(ps.PartKey), val.Int(ps.SuppKey),
-					val.Int(ps.AvailQty), val.Float(ps.SupplyCost), val.Str(ps.Comment)})
-			}); err != nil {
-				return err
-			}
-			return l.flush()
-		},
-		func() error {
-			l := newLoader("CUSTOMER")
-			if err := g.Customers(func(c dbgen.Customer) error {
-				if !keep("CUSTOMER", c.Key) {
-					return nil
-				}
-				return l.add([]val.Value{val.Int(c.Key), val.Str(c.Name), val.Str(c.Address),
-					val.Int(c.NationKey), val.Str(c.Phone), val.Float(c.AcctBal),
-					val.Str(c.MktSegment), val.Str(c.Comment)})
-			}); err != nil {
-				return err
-			}
-			return l.flush()
-		},
-		func() error { // ORDERS + LINEITEM arrive interleaved from one stream
-			lo := newLoader("ORDERS")
-			ll := newLoader("LINEITEM")
-			if err := g.Orders(func(o *dbgen.Order) error {
-				if !keep("ORDERS", o.Key) {
-					return nil
-				}
-				if err := lo.add(OrderRow(o)); err != nil {
-					return err
-				}
-				for _, li := range o.Lines {
-					if err := ll.add(LineitemRow(li)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-			if err := lo.flush(); err != nil {
-				return err
-			}
-			return ll.flush()
-		},
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, len(loaders))
-	for i, fn := range loaders {
-		wg.Add(1)
-		go func(i int, fn func() error) {
-			defer wg.Done()
-			errs[i] = fn()
-		}(i, fn)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return db.AnalyzeAll()
-}
-
-// LoadDirect bulk-loads the population through the engine's direct-path
-// loaders: full heap pages formatted below the WAL and indexes built
-// bottom-up from sorted (key, RID) runs, instead of per-batch BulkLoad
-// inserts with per-key index descents. The goroutine partitioning is
-// LoadPartition's — one per table, ORDERS+LINEITEM sharing the
-// interleaved stream — and each table receives its rows in canonical
-// generator order, so the loaded database is byte-identical to Load's.
-func LoadDirect(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
-	if err := CreateSchema(db, m); err != nil {
-		return err
-	}
-	// direct streams a table's rows into a fresh direct-path loader and
-	// closes it (sealing pages, building indexes, committing the extent).
-	direct := func(table string, fill func(add func(row []val.Value) error) error) error {
-		dl, err := db.NewDirectLoader(table, m)
-		if err != nil {
-			return err
-		}
-		if err := fill(dl.Append); err != nil {
-			return err
-		}
-		return dl.Close()
-	}
-
-	loaders := []func() error{
-		func() error { // REGION + NATION: tiny, share a goroutine
-			if err := direct("REGION", func(add func([]val.Value) error) error {
+			if err := table("REGION", func(add func([]val.Value) error) error {
 				for _, r := range g.Regions() {
 					if err := add([]val.Value{val.Int(r.Key), val.Str(r.Name), val.Str(r.Comment)}); err != nil {
 						return err
@@ -218,7 +126,7 @@ func LoadDirect(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
 			}); err != nil {
 				return err
 			}
-			return direct("NATION", func(add func([]val.Value) error) error {
+			return table("NATION", func(add func([]val.Value) error) error {
 				for _, n := range g.NationRows() {
 					if err := add([]val.Value{val.Int(n.Key), val.Str(n.Name), val.Int(n.RegionKey), val.Str(n.Comment)}); err != nil {
 						return err
@@ -228,12 +136,18 @@ func LoadDirect(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
 			})
 		},
 		func() error {
-			return direct("SUPPLIER", func(add func([]val.Value) error) error {
-				return g.Suppliers(func(s dbgen.Supplier) error { return add(supplierRow(s)) })
+			return table("SUPPLIER", func(add func([]val.Value) error) error {
+				return g.Suppliers(func(s dbgen.Supplier) error {
+					if !keep("SUPPLIER", s.Key) {
+						return nil
+					}
+					return add([]val.Value{val.Int(s.Key), val.Str(s.Name), val.Str(s.Address),
+						val.Int(s.NationKey), val.Str(s.Phone), val.Float(s.AcctBal), val.Str(s.Comment)})
+				})
 			})
 		},
 		func() error {
-			return direct("PART", func(add func([]val.Value) error) error {
+			return table("PART", func(add func([]val.Value) error) error {
 				return g.Parts(func(p dbgen.Part) error {
 					return add([]val.Value{val.Int(p.Key), val.Str(p.Name), val.Str(p.Mfgr),
 						val.Str(p.Brand), val.Str(p.Type), val.Int(p.Size), val.Str(p.Container),
@@ -242,7 +156,7 @@ func LoadDirect(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
 			})
 		},
 		func() error {
-			return direct("PARTSUPP", func(add func([]val.Value) error) error {
+			return table("PARTSUPP", func(add func([]val.Value) error) error {
 				return g.PartSupps(func(ps dbgen.PartSupp) error {
 					return add([]val.Value{val.Int(ps.PartKey), val.Int(ps.SuppKey),
 						val.Int(ps.AvailQty), val.Float(ps.SupplyCost), val.Str(ps.Comment)})
@@ -250,8 +164,11 @@ func LoadDirect(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
 			})
 		},
 		func() error {
-			return direct("CUSTOMER", func(add func([]val.Value) error) error {
+			return table("CUSTOMER", func(add func([]val.Value) error) error {
 				return g.Customers(func(c dbgen.Customer) error {
+					if !keep("CUSTOMER", c.Key) {
+						return nil
+					}
 					return add([]val.Value{val.Int(c.Key), val.Str(c.Name), val.Str(c.Address),
 						val.Int(c.NationKey), val.Str(c.Phone), val.Float(c.AcctBal),
 						val.Str(c.MktSegment), val.Str(c.Comment)})
@@ -259,20 +176,23 @@ func LoadDirect(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
 			})
 		},
 		func() error { // ORDERS + LINEITEM arrive interleaved from one stream
-			lo, err := db.NewDirectLoader("ORDERS", m)
+			orders, err := open("ORDERS")
 			if err != nil {
 				return err
 			}
-			ll, err := db.NewDirectLoader("LINEITEM", m)
+			lines, err := open("LINEITEM")
 			if err != nil {
 				return err
 			}
 			if err := g.Orders(func(o *dbgen.Order) error {
-				if err := lo.Append(OrderRow(o)); err != nil {
+				if !keep("ORDERS", o.Key) {
+					return nil
+				}
+				if err := orders.add(OrderRow(o)); err != nil {
 					return err
 				}
 				for _, li := range o.Lines {
-					if err := ll.Append(LineitemRow(li)); err != nil {
+					if err := lines.add(LineitemRow(li)); err != nil {
 						return err
 					}
 				}
@@ -280,10 +200,10 @@ func LoadDirect(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
 			}); err != nil {
 				return err
 			}
-			if err := lo.Close(); err != nil {
+			if err := orders.close(); err != nil {
 				return err
 			}
-			return ll.Close()
+			return lines.close()
 		},
 	}
 
@@ -303,11 +223,6 @@ func LoadDirect(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
 		}
 	}
 	return db.AnalyzeAll()
-}
-
-func supplierRow(s dbgen.Supplier) []val.Value {
-	return []val.Value{val.Int(s.Key), val.Str(s.Name), val.Str(s.Address),
-		val.Int(s.NationKey), val.Str(s.Phone), val.Float(s.AcctBal), val.Str(s.Comment)}
 }
 
 // OrderRow converts a generated order to the ORDERS layout.

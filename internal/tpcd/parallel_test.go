@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"r3bench/internal/engine"
+	"r3bench/internal/storage"
 	"r3bench/internal/val"
 )
 
@@ -36,7 +38,7 @@ func TestParallelResultsByteIdentical(t *testing.T) {
 	}
 
 	for _, deg := range []int{1, 2, 8} {
-		db.SetParallel(deg)
+		db.SetOptions(engine.Options{Parallel: deg})
 		for q := 1; q <= 17; q++ {
 			rows, err := impl.RunQuery(q)
 			if err != nil {
@@ -53,7 +55,7 @@ func TestParallelResultsByteIdentical(t *testing.T) {
 // vacuously: at degree 4 the big-scan queries must actually plan parallel.
 func TestParallelPlansEngage(t *testing.T) {
 	db, g := loadedDB(t)
-	db.SetParallel(4)
+	db.SetOptions(engine.Options{Parallel: 4})
 	sess := db.NewSession()
 	qs := Queries(g.SF)
 	engaged := 0
@@ -98,12 +100,8 @@ func TestParallelDeterminismWithOptimizerKnobs(t *testing.T) {
 		serial[q] = encodeResult(rows)
 	}
 
-	db.SetPeekBinds(true)
-	db.SetAdaptive(true)
-	defer db.SetPeekBinds(false)
-	defer db.SetAdaptive(false)
 	for _, deg := range []int{1, 2, 8} {
-		db.SetParallel(deg)
+		db.SetOptions(engine.Options{PeekBinds: true, Adaptive: true, Parallel: deg})
 		for q := 1; q <= 17; q++ {
 			rows, err := impl.RunQuery(q)
 			if err != nil {
@@ -114,7 +112,6 @@ func TestParallelDeterminismWithOptimizerKnobs(t *testing.T) {
 			}
 		}
 	}
-	db.SetParallel(0)
 }
 
 // TestParallelDeterminismWithCacheKnobs re-runs the byte-identical check
@@ -135,30 +132,23 @@ func TestParallelDeterminismWithCacheKnobs(t *testing.T) {
 		serial[q] = encodeResult(rows)
 	}
 
-	pool := db.Pool()
-	defer pool.SetMidpoint(true)
-	defer pool.SetReadahead(true)
-	for _, knobs := range []struct{ midpoint, readahead bool }{
-		{false, false}, // the seed's plain LRU, per-page charging
-		{true, false},
-		{false, true},
+	for _, knobs := range []storage.Options{
+		{NoMidpoint: true, NoReadahead: true}, // the seed's plain LRU, per-page charging
+		{NoReadahead: true},
+		{NoMidpoint: true},
 	} {
-		pool.SetMidpoint(knobs.midpoint)
-		pool.SetReadahead(knobs.readahead)
+		db.Pool().SetOptions(knobs)
 		for _, deg := range []int{1, 2, 8} {
-			db.SetParallel(deg)
+			db.SetOptions(engine.Options{Parallel: deg})
 			for q := 1; q <= 17; q++ {
 				rows, err := impl.RunQuery(q)
 				if err != nil {
-					t.Fatalf("midpoint=%v readahead=%v parallel=%d Q%d: %v",
-						knobs.midpoint, knobs.readahead, deg, q, err)
+					t.Fatalf("%+v parallel=%d Q%d: %v", knobs, deg, q, err)
 				}
 				if got := encodeResult(rows); got != serial[q] {
-					t.Errorf("midpoint=%v readahead=%v parallel=%d Q%d result differs from serial run",
-						knobs.midpoint, knobs.readahead, deg, q)
+					t.Errorf("%+v parallel=%d Q%d result differs from serial run", knobs, deg, q)
 				}
 			}
 		}
 	}
-	db.SetParallel(0)
 }

@@ -2,6 +2,8 @@ package tpcd
 
 import (
 	"testing"
+
+	"r3bench/internal/engine"
 )
 
 // TestParseCacheByteIdenticalAcrossDegrees asserts the fingerprint
@@ -16,13 +18,12 @@ import (
 func TestParseCacheByteIdenticalAcrossDegrees(t *testing.T) {
 	dbHot, g := loadedDB(t)
 	dbCold, _ := loadedDB(t)
-	dbCold.SetParseCache(false)
 	hot := NewRDBMS(dbHot, g)
 	cold := NewRDBMS(dbCold, g)
 
 	for _, deg := range []int{1, 2, 8} {
-		dbHot.SetParallel(deg)
-		dbCold.SetParallel(deg)
+		dbHot.SetOptions(engine.Options{Parallel: deg})
+		dbCold.SetOptions(engine.Options{Parallel: deg, NoParseCache: true})
 		for pass := 1; pass <= 2; pass++ {
 			for q := 1; q <= 17; q++ {
 				hStart, cStart := hot.Meter().Elapsed(), cold.Meter().Elapsed()
@@ -46,9 +47,6 @@ func TestParseCacheByteIdenticalAcrossDegrees(t *testing.T) {
 			}
 		}
 	}
-	dbHot.SetParallel(0)
-	dbCold.SetParallel(0)
-
 	st := dbHot.Stats()
 	if st.ParseHits == 0 {
 		t.Error("cached run recorded no fingerprint hits")

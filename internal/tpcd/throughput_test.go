@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"r3bench/internal/engine"
 )
 
 // TestPermutationsCoverAllQueries: every stream's order is a true
@@ -61,8 +63,7 @@ func TestThroughputStreamsByteIdentical(t *testing.T) {
 	for _, deg := range []int{1, 2} {
 		for _, streams := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("deg%d_streams%d", deg, streams), func(t *testing.T) {
-				db.SetParallel(deg)
-				defer db.SetParallel(0)
+				db.SetOptions(engine.Options{Parallel: deg})
 				results := make([]*StreamResult, streams)
 				var wg sync.WaitGroup
 				for i := 0; i < streams; i++ {

@@ -6,27 +6,18 @@
 #
 # The default regex covers the power test per strategy plus the parallel
 # degrees, per-query parallel pairs (DESIGN.md §5), the ORDER BY-heavy
-# serial queries, the Q1 aggregation benchmark (DESIGN.md §10), whose
-# real allocs/op land in the snapshot for the benchdiff
-# -max-allocs-increase gate (B/op is recorded beside them, ungated), and
-# the SQL front-end parse benchmarks
-# (DESIGN.md §11) — wall-clock only, no simulated time — whose allocs/op
-# feed the -max-parse-allocs ceiling. Set BENCH_OUT to redirect the output file
-# (bench_diff.sh uses this for throwaway snapshots). The snapshot also
-# embeds a metrics-registry dump from a small harness run (table8
-# exercises the table buffer, readahead and admission control; the
-# throughput experiment sweeps 1/2/4/8 concurrent query streams with the
-# dialog mix; shardscale sweeps the power test over 1/2/4/8 engine
-# shards) under "metrics", including pool.hit_ratio, pool.readahead.*,
-# table_buffer.*.admission_rejects for the benchdiff hit-ratio gate,
-# throughput.qph.streamsN for its -min-qph-ratio gate,
-# shardscale.simms.shardsN plus shardscale.net.rows_shipped[.class] for
-# its -min-shard-scaling gate, loadpath.simms.* plus
-# loadpath.wal.* (the loadpath experiment ablates WAL, group commit and
-# direct-path load against batch input) for its -min-load-speedup gate,
-# and warehouse.* (the warehouse experiment ablates change-capture
-# incremental refresh against full re-extraction and aggregate query
-# rewrite against fact-table scans) for its -min-refresh-speedup gate.
+# serial queries, the Q1 aggregation benchmark (DESIGN.md §10) and the SQL
+# front-end parse benchmarks (DESIGN.md §11) — wall-clock only, no
+# simulated time. Real allocs/op land in the snapshot beside sim_ms (B/op
+# too, ungated). Set BENCH_OUT to redirect the output file (bench_diff.sh
+# uses this for throwaway snapshots). The snapshot also embeds, under
+# "metrics", the registry dump of a small harness run: table8 exercises the
+# table buffer, readahead and admission control; throughput sweeps 1/2/4/8
+# concurrent query streams with the dialog mix; shardscale sweeps the power
+# test over 1/2/4/8 engine shards; loadpath ablates WAL, group commit and
+# direct-path load against batch input; warehouse ablates incremental
+# refresh and aggregate rewrite. Which of these numbers are gated, and
+# how, is cmd/benchdiff's gate table (DESIGN.md §7).
 set -eu
 
 cd "$(dirname "$0")/.."
