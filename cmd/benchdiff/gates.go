@@ -16,9 +16,10 @@ type gate struct {
 	// title heads the gate's section of the report; consecutive gates
 	// with one title judge the same rows and share the section.
 	title string
-	// Selector. field "sim_ms" or "allocs_per_op" selects that field of
-	// the benchmarks (in NEW's order, removed ones appended; an
-	// allocs_per_op of 0 is unmeasured); field "" selects metrics, sorted
+	// Selector. field "sim_ms", "allocs_per_op" or "bytes_per_op" selects
+	// that field of the benchmarks (in NEW's order, removed ones appended;
+	// an allocs_per_op or bytes_per_op of 0 is unmeasured); field ""
+	// selects metrics, sorted
 	// by name. prefix/suffix filter the names, names containing except
 	// are exempt. With num and den set the section still lists the
 	// selection, but what is judged is NEW[num]/NEW[den], printed under
@@ -52,6 +53,11 @@ var gates = []gate{
 	// when the simulated clock is unchanged.
 	{title: "allocs/op", field: "allocs_per_op", matched: true, cmp: growthPct, limit: 10, label: "ALLOCS",
 		fail: "a benchmark's allocs/op grew by more than %.4g%%"},
+	// The width of what is in flight — frames and hash-build rows as wide as
+	// the columns read — lives in B/op: the slabs stay as many whatever
+	// they hold, so allocs/op cannot see it.
+	{title: "bytes/op", field: "bytes_per_op", matched: true, format: "%.0f", cmp: growthPct, limit: 10, label: "BYTES",
+		fail: "a benchmark's bytes/op grew by more than %.4g%%"},
 	// The front end's budget is absolute, not relative (the pooled parser
 	// measures 11 on a TPC-D Q1-class statement); "Old" is the preserved
 	// pre-rewrite parser kept for contrast.

@@ -31,6 +31,7 @@ type benchmark struct {
 	Name        string  `json:"name"`
 	SimMS       float64 `json:"sim_ms"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 }
 
 func load(path string) (*snapshot, error) {
@@ -89,10 +90,13 @@ func (g gate) selectRows(oldS, newS *snapshot) []row {
 			}
 		}
 		for _, b := range s.Benchmarks {
-			if g.field == "sim_ms" {
+			switch {
+			case g.field == "sim_ms":
 				take(b.Name, b.SimMS)
-			} else if g.field == "allocs_per_op" && b.AllocsPerOp > 0 {
+			case g.field == "allocs_per_op" && b.AllocsPerOp > 0:
 				take(b.Name, b.AllocsPerOp)
+			case g.field == "bytes_per_op" && b.BytesPerOp > 0:
+				take(b.Name, b.BytesPerOp)
 			}
 		}
 	}

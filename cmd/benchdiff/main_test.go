@@ -31,6 +31,10 @@ func allocSnap(pairs ...any) *snapshot {
 	return s
 }
 
+func bytesSnap(name string, bytes float64) *snapshot {
+	return &snapshot{Benchmarks: []benchmark{{Name: name, BytesPerOp: bytes}}}
+}
+
 func metricSnap(pairs ...any) *snapshot {
 	s := &snapshot{Metrics: map[string]float64{}}
 	for i := 0; i < len(pairs); i += 2 {
@@ -288,6 +292,7 @@ func TestGateTable(t *testing.T) {
 	}{
 		"REGRESSION":   {snap("q", 100.0), snap("q", 111.0), "benchmark", "q"},
 		"ALLOCS":       {allocSnap("q", 100.0), allocSnap("q", 111.0), "allocs/op", "q"},
+		"BYTES":        {bytesSnap("q", 100.0), bytesSnap("q", 111.0), "bytes/op", "q"},
 		"PARSE-ALLOCS": {&snapshot{}, allocSnap("BenchmarkParseX", 17.0), "parse allocs/op (ceiling)", "BenchmarkParseX"},
 		"QPH":          {metricSnap("throughput.qph.streams2", 100.0), metricSnap("throughput.qph.streams2", 49.0), "queries/hour", "throughput.qph.streams2"},
 		"SCALING": {metricSnap(), metricSnap("shardscale.simms.shards1", 140.0, "shardscale.simms.shards4", 100.0),

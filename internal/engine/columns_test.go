@@ -110,6 +110,56 @@ var neededColumnsCases = []struct {
 		star:   `SELECT * FROM tt WHERE grp IN (SELECT g_id FROM dim WHERE g_name = 'GROUP2') AND id < 50 ORDER BY id`,
 		expect: pick(0),
 	},
+	// The layout's edge cases: a frame has slots for the columns read only,
+	// so a relation can be zero slots wide, one table two different widths,
+	// and one slot read from two depths.
+	{
+		name:   "no column read at all",
+		narrow: `SELECT COUNT(*) FROM tt`,
+		star:   `SELECT * FROM tt`,
+		expect: countOf,
+	},
+	{
+		name:   "two relations, no column read of either",
+		narrow: `SELECT COUNT(*) FROM tt, dim`,
+		star:   `SELECT * FROM tt, dim`,
+		expect: countOf,
+	},
+	{
+		name:   "LEFT OUTER JOIN whose right side nobody reads",
+		narrow: `SELECT t.id FROM tt t LEFT OUTER JOIN dim d ON t.grp < 2 WHERE t.id < 70 ORDER BY t.id`,
+		star:   `SELECT * FROM tt t LEFT OUTER JOIN dim d ON t.grp < 2 WHERE t.id < 70 ORDER BY t.id`,
+		expect: pick(0),
+	},
+	{
+		name:   "one table under two aliases reading different columns",
+		narrow: `SELECT a.pad, b.v FROM tt a, tt b WHERE a.id = b.grp AND b.id < 40 ORDER BY b.id`,
+		star:   `SELECT * FROM tt a, tt b WHERE a.id = b.grp AND b.id < 40 ORDER BY b.id`,
+		expect: pick(3, 6),
+	},
+	{
+		name:   "one column read by the block and by its correlated sub-block",
+		narrow: `SELECT g_id, (SELECT COUNT(*) FROM tt WHERE grp = g_id) FROM dim WHERE g_id > 0 ORDER BY g_id`,
+		star:   `SELECT *, (SELECT COUNT(*) FROM tt WHERE grp = g_id) FROM dim WHERE g_id > 0 ORDER BY g_id`,
+		expect: pick(0, 2),
+	},
+	{
+		name:   "derived relation of which one output column is read",
+		narrow: `SELECT hi FROM tt_by_grp`,
+		star:   `SELECT * FROM tt_by_grp`,
+		expect: pick(3),
+	},
+	{
+		name:   "derived relation joined on one column, another projected",
+		narrow: `SELECT d.g_name, x.n FROM dim d, tt_by_grp x WHERE x.g = d.g_id ORDER BY d.g_name`,
+		star:   `SELECT * FROM dim d, tt_by_grp x WHERE x.g = d.g_id ORDER BY d.g_name`,
+		expect: pick(1, 4),
+	},
+}
+
+// countOf is the expectation of a COUNT(*) over the SELECT * form's rows.
+func countOf(star [][]val.Value) [][]val.Value {
+	return [][]val.Value{{val.Int(int64(len(star)))}}
 }
 
 // TestNeededColumns is the metamorphic check on column pruning. There is
@@ -219,19 +269,35 @@ func TestDeleteMaintainsIndexesFromFullRow(t *testing.T) {
 	}
 }
 
+// kibPerRun is the KiB fn allocates per call, averaged over n calls after a
+// first one that fills the caches.
+func kibPerRun(n int, fn func()) float64 {
+	var before, after stdruntime.MemStats
+	fn()
+	stdruntime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	stdruntime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n) / 1024
+}
+
 // TestAllocationBudget is the tier-1 guard on allocation, per row and per
-// call. Per row: a Q6- and a Q1-shaped statement, a hash join that builds
-// on tt and a scan that filters on a CHAR column, over the golden fixture's
-// 1500 rows, may allocate about twice what they do today (43, 141, 91 and
-// 37 times per execution — parse, plan, batches, groups). One allocation
-// per scanned or built row would be 1500 more — which is what the CHAR
-// filter cost (1537) while decoding a CHAR made a string of it. pad gets a
+// call, in allocations and in bytes. Per row: a Q6- and a Q1-shaped
+// statement, a hash join that builds on tt and a scan that filters on a CHAR
+// column, over the golden fixture's 1500 rows, may allocate about twice what
+// they do today: 43, 141, 91 and 37 times per execution (parse, plan,
+// batches, groups) and 166, 177, 315 and 123 KiB. One allocation per scanned
+// or built row would be 1500 more — which is what the CHAR filter cost (1537)
+// while decoding a CHAR made a string of it — and frames and build rows as
+// wide as the catalog's rows instead of the columns read were 200, 212, 1044
+// and 200 KiB: tt has four columns, a TPC-D table sixteen. pad gets a
 // multi-byte value first: Go allocates nothing for the one-byte string the
 // fixture stores, which would hide a scan that copies it. A row that is
 // materialised into a Result costs 1.01 allocations, its value slice plus
 // its share of a slab chunk for the CHAR bytes, however many CHAR columns
 // it has (one more each before). Per call: a prepared primary-key lookup
-// allocates 9 times and under 1 KiB to return its row (27 times and 26 KiB
+// allocates 9 times and 0.98 KiB to return its row (27 times and 26 KiB
 // when every execution built its run state and a 64-frame batch), and a
 // correlated EXISTS costs its outer block 4 allocations per outer row, not
 // a run state each (16).
@@ -239,16 +305,19 @@ func TestAllocationBudget(t *testing.T) {
 	s := vecDB(t, 1500, 0)
 	mustExec(t, s, `UPDATE tt SET pad = 'padding'`)
 	for _, c := range []struct {
-		q      string
-		budget float64
+		q           string
+		budget, kib float64
 	}{
-		{`SELECT SUM(v * grp) FROM tt WHERE v > 100 AND id < 1400`, 90},
-		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 280},
-		{`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.grp AND a.id < 1400`, 180},
-		{`SELECT COUNT(*) FROM tt WHERE pad = 'padding' AND id < 1400`, 74},
+		{`SELECT SUM(v * grp) FROM tt WHERE v > 100 AND id < 1400`, 90, 332},
+		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 280, 354},
+		{`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.grp AND a.id < 1400`, 180, 630},
+		{`SELECT COUNT(*) FROM tt WHERE pad = 'padding' AND id < 1400`, 74, 246},
 	} {
 		if n := testing.AllocsPerRun(10, func() { mustExec(t, s, c.q) }); n > c.budget {
 			t.Errorf("%q allocates %.0f times per execution, budget %.0f", c.q, n, c.budget)
+		}
+		if kib := kibPerRun(10, func() { mustExec(t, s, c.q) }); kib > c.kib {
+			t.Errorf("%q allocates %.0f KiB per execution, budget %.0f", c.q, kib, c.kib)
 		}
 	}
 
@@ -272,14 +341,8 @@ func TestAllocationBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(100, lookup); n > 18 {
 		t.Errorf("a prepared primary-key lookup allocates %.0f times, budget 18", n)
 	}
-	var before, after stdruntime.MemStats
-	stdruntime.ReadMemStats(&before)
-	for i := 0; i < 1000; i++ {
-		lookup()
-	}
-	stdruntime.ReadMemStats(&after)
-	if kib := float64(after.TotalAlloc-before.TotalAlloc) / 1000 / 1024; kib > 6 {
-		t.Errorf("a prepared primary-key lookup allocates %.1f KiB, budget 6", kib)
+	if kib := kibPerRun(1000, lookup); kib > 2 {
+		t.Errorf("a prepared primary-key lookup allocates %.2f KiB, budget 2", kib)
 	}
 
 	exists, err := s.Prepare(`SELECT COUNT(*) FROM tt a WHERE a.id < ? AND EXISTS (SELECT b.id FROM tt b WHERE b.id = a.id AND b.pad = 'padding')`)

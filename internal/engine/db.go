@@ -697,7 +697,7 @@ func (s *Session) execUpdate(st *sqlparse.UpdateStmt, params []val.Value) (int64
 	for i, c := range t.Cols {
 		entries[i] = scopeEntry{table: t.Name, column: c.Name}
 	}
-	cc := &compiler{db: s.db, sc: newScope(nil, entries)}
+	cc := &compiler{db: s.db, sc: fullRowScope(entries)}
 	type setFn struct {
 		col int
 		fn  exprFn

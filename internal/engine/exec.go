@@ -148,7 +148,7 @@ func (s *filterStep) bound() *relInfo { return nil }
 
 // runAccess streams the relation's rows into be.row under the access path
 // plus extra filters: the heap decodes the columns the block reads
-// (rel.cols) straight into the relation's slots of the current frame.
+// (rel.cols) straight into the relation's stretch of the current frame.
 // pages, when set, narrows a heap scan to that page range — one lane's
 // partition of a parallel scan.
 func runAccess(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, pages *[2]int, next func() error) error {
@@ -175,10 +175,10 @@ func runAccess(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, pages
 	if pages != nil {
 		loPage, hiPage = pages[0], pages[1]
 	}
-	off := rel.offset
+	lo, hi := rel.offset, rel.end()
 	// next may install a new current frame, so the destination is looked
 	// up per row.
-	dst := func() []val.Value { return be.row[off : off+rel.nCols] }
+	dst := func() []val.Value { return be.row[lo:hi] }
 	return heap.ScanRange(loPage, hiPage, be.rt.meter(), rel.cols, dst, emitRow)
 }
 
@@ -258,14 +258,14 @@ func runIndexScan(be *blockExec, rel *relInfo, ap accessPath, emitRow func(stora
 	defer func() { be.idxDepth-- }()
 
 	m := be.rt.meter()
-	off := rel.offset
+	lo, hi := rel.offset, rel.end()
 	it := ap.index.Tree.Seek(k.lo, m)
 	for it.Next() {
 		cmp := bytes.Compare(it.Key, k.hi)
 		if cmp > 0 || (k.hiStrict && cmp >= 0) {
 			break
 		}
-		if err := rel.table.Heap.FetchCols(it.RID, m, rel.cols, be.row[off:off+rel.nCols]); err != nil {
+		if err := rel.table.Heap.FetchCols(it.RID, m, rel.cols, be.row[lo:hi]); err != nil {
 			if errors.Is(err, storage.ErrDeadRID) {
 				// The row was deleted between the index probe and the heap
 				// fetch by a concurrent writer: read-committed skips it.
@@ -281,16 +281,20 @@ func runIndexScan(be *blockExec, rel *relInfo, ap accessPath, emitRow func(stora
 }
 
 // runDerived materializes the derived relation (a view with aggregation
-// or a subquery) and scans the result. Uncorrelated derived relations are
-// cached for the whole statement; correlated ones re-run per execution.
+// or a subquery) and scans the result, copying the output columns the block
+// reads into the frame. Uncorrelated derived relations are cached for the
+// whole statement; correlated ones re-run per execution.
 func runDerived(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, next func() error) error {
 	rows, err := materializeSub(be.rt, rel.derived, outerOf(be))
 	if err != nil {
 		return err
 	}
-	off := rel.offset
 	for _, r := range rows {
-		copy(be.row[off:off+rel.nCols], r)
+		for c, slot := range rel.slots {
+			if slot >= 0 {
+				be.row[slot] = r[c]
+			}
+		}
 		ok, err := evalFilters(be, ap.filters)
 		if err != nil {
 			return err
@@ -336,9 +340,21 @@ func materializeSub(rt *runtime, sub *selectPlan, outer rowStack) ([][]val.Value
 			return rows, nil
 		}
 	}
+	// The rows are carved out of shared chunks, one row first and four
+	// times as many each time up to subChunkRows: a one-row result costs
+	// what its row does, n rows O(log n + n/subChunkRows) allocations.
 	var rows [][]val.Value
+	var chunk []val.Value
+	chunkRows := 0
 	err := sub.run(rt, outer, func(r []val.Value) error {
-		rows = append(rows, append([]val.Value(nil), r...))
+		if len(chunk) < len(r) {
+			chunkRows = min(max(4*chunkRows, 1), subChunkRows)
+			chunk = make([]val.Value, chunkRows*len(r))
+		}
+		row := chunk[:len(r):len(r)]
+		chunk = chunk[len(r):]
+		copy(row, r)
+		rows = append(rows, row)
 		return nil
 	})
 	if err != nil {
@@ -356,6 +372,9 @@ func materializeSub(rt *runtime, sub *selectPlan, outer rowStack) ([][]val.Value
 	return rows, nil
 }
 
+// subChunkRows bounds the chunks a materialized sub-block's rows share.
+const subChunkRows = 256
+
 // --- hash join step ---
 
 // hashStep builds a hash table over its relation once per block execution
@@ -371,12 +390,13 @@ type hashStep struct {
 
 func (s *hashStep) bound() *relInfo { return s.rel }
 
-// hashTable is the built side of a hash join. Build rows live in slab
-// chunks and are named by index; the rows of one key form a chain through
-// links, in the order they were added, so a probe meets its matches in
-// build-scan order.
+// hashTable is the built side of a hash join. A build row is as wide as the
+// columns the block reads of the build relation (relInfo.width, possibly
+// none); the rows live in slab chunks and are named by index, and the rows of
+// one key form a chain through links, in the order they were added, so a
+// probe meets its matches in build-scan order.
 type hashTable struct {
-	nCols  int
+	width  int
 	chunks [][]val.Value    // hashChunkRows rows each; the last may be short
 	links  []hashLink       // per row index
 	heads  map[string]int32 // key → first row of its chain
@@ -397,25 +417,26 @@ const (
 	hashChunkMin  = 16
 )
 
-func newHashTable(nCols int) *hashTable {
+func newHashTable(width int) *hashTable {
 	return &hashTable{
-		nCols:  nCols,
-		chunks: [][]val.Value{make([]val.Value, 0, hashChunkMin*nCols)},
+		width:  width,
+		chunks: [][]val.Value{make([]val.Value, 0, hashChunkMin*width)},
 		heads:  make(map[string]int32),
 	}
 }
 
 // add appends one build row under key.
 func (t *hashTable) add(key []byte, row []val.Value) {
-	c := len(t.chunks) - 1
-	switch n := len(t.chunks[c]); {
-	case n == hashChunkRows*t.nCols:
-		t.chunks = append(t.chunks, make([]val.Value, 0, hashChunkRows*t.nCols))
-		c++
-	case n == cap(t.chunks[c]):
-		t.chunks[c] = append(make([]val.Value, 0, 2*n), t.chunks[c]...)
+	i := int32(len(t.links))
+	c, at := int(i)/hashChunkRows, int(i)%hashChunkRows*t.width
+	switch {
+	case c == len(t.chunks):
+		t.chunks = append(t.chunks, make([]val.Value, 0, hashChunkRows*t.width))
+	case at == cap(t.chunks[c]) && at > 0:
+		// The first chunk is full at its current size (at > 0: rows of no
+		// width fill nothing).
+		t.chunks[c] = append(make([]val.Value, 0, 2*at), t.chunks[c]...)
 	}
-	i := int32(c*hashChunkRows + len(t.chunks[c])/t.nCols)
 	t.chunks[c] = append(t.chunks[c], row...)
 	t.links = append(t.links, hashLink{next: -1, tail: i})
 	if h, ok := t.heads[string(key)]; ok {
@@ -437,8 +458,8 @@ func (t *hashTable) first(key []byte) int32 {
 
 // row returns build row i.
 func (t *hashTable) row(i int32) []val.Value {
-	at := int(i) % hashChunkRows * t.nCols
-	return t.chunks[int(i)/hashChunkRows][at : at+t.nCols]
+	at := int(i) % hashChunkRows * t.width
+	return t.chunks[int(i)/hashChunkRows][at : at+t.width]
 }
 
 // absorb moves a later lane's table o in behind t's rows: o's chunks are
@@ -468,9 +489,9 @@ func (t *hashTable) absorb(o *hashTable) {
 
 // build scans the relation through its access path into a fresh hash table
 // and charges the build.
-func (s *hashStep) build(rt *runtime, outer rowStack, nSlots int) (*hashTable, error) {
-	ht := newHashTable(s.rel.nCols)
-	nRows, err := s.buildInto(ht, rt, outer, nSlots, nil)
+func (s *hashStep) build(rt *runtime, outer rowStack) (*hashTable, error) {
+	ht := newHashTable(s.rel.width)
+	nRows, err := s.buildInto(ht, rt, outer, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -483,11 +504,15 @@ func (s *hashStep) build(rt *runtime, outer rowStack, nSlots int) (*hashTable, e
 // — and returns the number of rows scanned. A row with a NULL key column
 // equals no probe key and stays out of the table, but counts as built.
 // Scan charges land on rt's meter; the build itself is charged once, by
-// chargeBuild.
-func (s *hashStep) buildInto(ht *hashTable, rt *runtime, outer rowStack, nSlots int, pages *[2]int) (int64, error) {
+// chargeBuild. The scan runs in a scratch frame that ends with the build
+// relation's stretch: its key expressions and pushed filters read no other.
+func (s *hashStep) buildInto(ht *hashTable, rt *runtime, outer rowStack, pages *[2]int) (int64, error) {
 	be := newBlockExec(rt, outer)
-	be.setRow(make([]val.Value, nSlots))
-	built := be.row[s.rel.offset : s.rel.offset+s.rel.nCols]
+	be.setRow(make([]val.Value, s.rel.end()))
+	if framePoison != nil {
+		framePoison(be.row)
+	}
+	built := be.row[s.rel.offset:]
 	var key []byte
 	var nRows int64
 	err := runAccess(be, s.rel, s.access, nil, pages, func() error {
@@ -517,7 +542,8 @@ func joinKey(dst []byte, fns []exprFn, rt *runtime, stack rowStack) ([]byte, boo
 }
 
 // chargeBuild charges a finished build of nRows rows: per-row CPU, plus
-// spill I/O when the build side exceeds working memory.
+// spill I/O when the build side exceeds working memory. rowBytes is the full
+// row's: the simulated engine builds full rows, whatever the process keeps.
 func (s *hashStep) chargeBuild(m *cost.Meter, nRows int64) {
 	m.Charge(cost.TupleCPU, nRows)
 	buildBytes := float64(nRows) * s.rel.rowBytes
@@ -551,10 +577,7 @@ func (s *outerStep) run(be *blockExec, next func() error) error {
 		return err
 	}
 	if !matched {
-		off := s.rel.offset
-		for i := 0; i < s.rel.nCols; i++ {
-			be.row[off+i] = val.Null
-		}
+		clear(be.row[s.rel.offset:s.rel.end()]) // the zero Value is NULL
 		return next()
 	}
 	return nil

@@ -112,7 +112,8 @@ type rowStack [][]val.Value
 // exprFn is a compiled expression.
 type exprFn func(rt *runtime, rows rowStack) (val.Value, error)
 
-// scopeEntry names one slot of a query's row layout.
+// scopeEntry names one logical position of a query's row: a column of a
+// FROM-list relation, in FROM order.
 type scopeEntry struct {
 	table  string // alias, upper case
 	column string // upper case
@@ -123,19 +124,47 @@ type scopeEntry struct {
 type scope struct {
 	parent *scope
 	cols   []scopeEntry
-	// used[i] records that some expression was bound to slot i — by this
-	// block or by a sub-block reaching it through the scope chain. It is
-	// what a block's scans read: planSelect turns each base relation's
-	// stretch of it into the column set its scan decodes.
-	used []bool
+	// slots[i] is where logical position i lives in the block's frames: -1
+	// while nothing reads it — it is then in no frame at all — and otherwise
+	// its physical slot. While the block is planned a read position only
+	// carries a mark (markRead); planSelect numbers the read positions once
+	// the marks and the join order are final (assignSlots), before the plan
+	// is published. Compiled column reads therefore hold a pointer into the
+	// table, not a number: a sub-block is compiled — and may reach one of
+	// these positions — before its parent's slots are assigned.
+	slots []int32
+}
+
+// markRead marks an entry of a slot table as read — by an expression of the
+// block or of a sub-block reaching it through the scope chain — until
+// assignSlots gives it its slot. (Any number but -1 is a mark.)
+func markRead(slot *int32) {
+	if *slot < 0 {
+		*slot = 0
+	}
 }
 
 func newScope(parent *scope, cols []scopeEntry) *scope {
-	return &scope{parent: parent, cols: cols, used: make([]bool, len(cols))}
+	sc := &scope{parent: parent, cols: cols, slots: make([]int32, len(cols))}
+	for i := range sc.slots {
+		sc.slots[i] = -1
+	}
+	return sc
+}
+
+// fullRowScope is the scope of expressions evaluated over a table's full
+// row (UPDATE's SET clause): position i is slot i.
+func fullRowScope(cols []scopeEntry) *scope {
+	sc := newScope(nil, cols)
+	for i := range sc.slots {
+		sc.slots[i] = int32(i)
+	}
+	return sc
 }
 
 // resolve finds (depth, index) for a column reference; depth 0 is this
-// scope. The slot it finds is marked used in the scope that owns it.
+// scope and index the logical position. The position is marked read in the
+// scope that owns it.
 func (sc *scope) resolve(tbl, col string) (int, int, error) {
 	depth := 0
 	for s := sc; s != nil; s = s.parent {
@@ -153,7 +182,7 @@ func (sc *scope) resolve(tbl, col string) (int, int, error) {
 			found = i
 		}
 		if found >= 0 {
-			s.used[found] = true
+			markRead(&s.slots[found])
 			return depth, found, nil
 		}
 		depth++
@@ -162,6 +191,16 @@ func (sc *scope) resolve(tbl, col string) (int, int, error) {
 		return 0, 0, fmt.Errorf("engine: unknown column %s.%s", tbl, col)
 	}
 	return 0, 0, fmt.Errorf("engine: unknown column %s", col)
+}
+
+// slot returns where the frames of the scope depth levels up keep logical
+// position idx, as resolve reported it: the entry of that scope's slot
+// table, final once the plan is published.
+func (sc *scope) slot(depth, idx int) *int32 {
+	for ; depth > 0; depth-- {
+		sc = sc.parent
+	}
+	return &sc.slots[idx]
 }
 
 // compiler compiles expressions of one query block.
@@ -218,12 +257,13 @@ func (c *compiler) compile(e sqlparse.Expr) (exprFn, error) {
 				c.maxDepth = depth
 			}
 		}
+		slot := c.sc.slot(depth, idx)
 		return func(rt *runtime, rows rowStack) (val.Value, error) {
 			fi := len(rows) - 1 - depth
 			if fi < 0 || fi >= len(rows) {
 				return val.Null, fmt.Errorf("engine: missing frame for depth %d", depth)
 			}
-			return rows[fi][idx], nil
+			return rows[fi][*slot], nil
 		}, nil
 
 	case *sqlparse.Unary:

@@ -60,8 +60,8 @@ func TestJoinSkipsNullKeys(t *testing.T) {
 func TestNestedIndexScansKeepTheirBounds(t *testing.T) {
 	s := vecDB(t, 300, 0)
 	tt, dim := s.db.Table("TT"), s.db.Table("DIM")
-	outer := &relInfo{table: tt, nCols: len(tt.Cols), cols: tt.Heap.Codec().AllCols()}
-	inner := &relInfo{table: dim, nCols: len(dim.Cols), offset: outer.nCols, cols: dim.Heap.Codec().AllCols()}
+	outer := &relInfo{table: tt, width: len(tt.Cols), cols: tt.Heap.Codec().AllCols()}
+	inner := &relInfo{table: dim, width: len(dim.Cols), offset: outer.width, cols: dim.Heap.Codec().AllCols()}
 	lit := func(i int64) exprFn {
 		return func(*runtime, rowStack) (val.Value, error) { return val.Int(i), nil }
 	}
@@ -69,12 +69,12 @@ func TestNestedIndexScansKeepTheirBounds(t *testing.T) {
 	probeAP := accessPath{index: dim.Indexes[0], eqFns: []exprFn{slotFn(1)}} // g_id = grp
 
 	be := newBlockExec(&runtime{sess: s}, nil)
-	be.setRow(make([]val.Value, outer.nCols+inner.nCols))
+	be.setRow(make([]val.Value, outer.width+inner.width))
 	n := 0
 	err := runAccess(be, outer, rangeAP, nil, nil, func() error {
 		return runAccess(be, inner, probeAP, nil, nil, func() error {
-			if be.row[1] != be.row[outer.nCols] {
-				t.Fatalf("joined grp %v to g_id %v", be.row[1], be.row[outer.nCols])
+			if be.row[1] != be.row[outer.width] {
+				t.Fatalf("joined grp %v to g_id %v", be.row[1], be.row[outer.width])
 			}
 			n++
 			return nil
@@ -90,39 +90,50 @@ func TestNestedIndexScansKeepTheirBounds(t *testing.T) {
 
 // TestHashTableChainsKeepBuildOrder: the rows of a key come back in the
 // order they were added — across chunk boundaries, and lane after lane
-// once a parallel build's tables are absorbed.
+// once a parallel build's tables are absorbed — whether the build rows
+// carry two values or, nothing but the key being read of them, none.
 func TestHashTableChainsKeepBuildOrder(t *testing.T) {
 	const keys, perLane = 7, 2*hashChunkRows + 90 // two full chunks and a short one per lane
 	key := func(k int) []byte { return val.AppendKey(nil, val.Int(int64(k))) }
-	var want [keys][]int64
-	seq := int64(0)
-	lane := func() *hashTable {
-		ht := newHashTable(2)
-		for i := 0; i < perLane; i++ {
-			k := (i * i) % keys
-			ht.add(key(k), []val.Value{val.Int(int64(k)), val.Int(seq)})
-			want[k] = append(want[k], seq)
-			seq++
+	for _, width := range []int{2, 0} {
+		var want [keys][]int64
+		seq := int64(0)
+		lane := func() *hashTable {
+			ht := newHashTable(width)
+			for i := 0; i < perLane; i++ {
+				k := (i * i) % keys
+				ht.add(key(k), []val.Value{val.Int(int64(k)), val.Int(seq)}[:width])
+				want[k] = append(want[k], seq)
+				seq++
+			}
+			return ht
 		}
-		return ht
-	}
-	ht := lane()
-	ht.absorb(lane())
-	ht.absorb(lane())
-	for k := 0; k < keys; k++ {
-		var got []int64
-		for r := ht.first(key(k)); r >= 0; r = ht.links[r].next {
-			if row := ht.row(r); row[0].AsInt() != int64(k) {
-				t.Fatalf("key %d chains to a row of key %v", k, row[0])
-			} else {
-				got = append(got, row[1].AsInt())
+		ht := lane()
+		ht.absorb(lane())
+		ht.absorb(lane())
+		for k := 0; k < keys; k++ {
+			var got []int64
+			for r := ht.first(key(k)); r >= 0; r = ht.links[r].next {
+				row := ht.row(r)
+				if len(row) != width {
+					t.Fatalf("width %d: row %d is %d wide", width, r, len(row))
+				}
+				// A lane's rows are numbered from a chunk boundary on.
+				at := int64(r)/(3*hashChunkRows)*perLane + int64(r)%(3*hashChunkRows)
+				if width > 0 {
+					if row[0].AsInt() != int64(k) {
+						t.Fatalf("key %d chains to a row of key %v", k, row[0])
+					}
+					at = row[1].AsInt()
+				}
+				got = append(got, at)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want[k]) {
+				t.Errorf("width %d, key %d: chain order %v, want %v", width, k, got, want[k])
 			}
 		}
-		if fmt.Sprint(got) != fmt.Sprint(want[k]) {
-			t.Errorf("key %d: chain order %v, want %v", k, got, want[k])
+		if r := ht.first(key(keys)); r != -1 {
+			t.Errorf("absent key found row %d", r)
 		}
-	}
-	if r := ht.first(key(keys)); r != -1 {
-		t.Errorf("absent key found row %d", r)
 	}
 }

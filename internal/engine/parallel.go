@@ -129,7 +129,7 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 			builtParallel = builtParallel || ht != nil
 		}
 		if ht == nil { // build side not partitionable: build serially
-			if ht, err = hs.build(rt, outer, p.nSlots); err != nil {
+			if ht, err = hs.build(rt, outer); err != nil {
 				restore()
 				return true, err
 			}
@@ -292,8 +292,8 @@ func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, sub
 	runPartitions(len(parts), func(i int) {
 		meters[i] = cost.NewMeter(model)
 		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: meters[i]}
-		tables[i] = newHashTable(s.rel.nCols)
-		counts[i], errs[i] = s.buildInto(tables[i], rtW, outer, p.nSlots, &parts[i])
+		tables[i] = newHashTable(s.rel.width)
+		counts[i], errs[i] = s.buildInto(tables[i], rtW, outer, &parts[i])
 	})
 	rt.sess.Meter.AddParallel(meters...)
 	for _, e := range errs {

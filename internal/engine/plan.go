@@ -16,11 +16,11 @@ import (
 type selectPlan struct {
 	db      *DB
 	steps   []stepper // left-deep join pipeline in execution order
-	nSlots  int       // width of the shared join row
+	nSlots  int       // width of a frame that every step has extended
 	outCols []string
 	sql     string
 	nRels   int
-	layout  []scopeEntry
+	layout  []scopeEntry // logical: every column of every relation, FROM order
 
 	// Output phase.
 	projections []exprFn
@@ -89,14 +89,19 @@ type relInfo struct {
 	alias   string
 	table   *Table      // base relation, or nil
 	derived *selectPlan // derived (view with aggregation etc.)
-	offset  int         // first slot in the shared row
-	nCols   int
-	// used is the relation's stretch of the block scope's marks while the
-	// block is being planned; cols is what they come to once planSelect
-	// returns — the columns a scan of the base table decodes. Every other
-	// slot of the relation is never read, so it is never written either.
-	used []bool
-	cols *val.ColSet
+	// A relation has two positions. Logical: pos is its first position in
+	// the block scope and slots its stretch of the scope's slot table, one
+	// entry per column (catalog width) — what name resolution, SELECT *,
+	// conjunct classification and sarg matching work with. Physical, known
+	// once planSelect returns (assignSlots): the columns some expression
+	// reads, in column order, occupy slots [offset, offset+width) of a frame
+	// — stretches follow step order — and cols is that set as a scan of the
+	// base table decodes it. A column nothing reads is in no frame.
+	pos    int
+	slots  []int32
+	offset int
+	width  int
+	cols   *val.ColSet
 
 	pushed []conjunct // single-relation conjuncts, applied at the scan
 	access accessPath // chosen access path
@@ -114,6 +119,10 @@ type relInfo struct {
 	// replanning); it overrides the estimate.
 	fbRows float64
 }
+
+// end is the slot after the relation's stretch: a frame this wide holds what
+// the steps up to the one binding the relation have bound.
+func (ri *relInfo) end() int { return ri.offset + ri.width }
 
 // planOpts carries optional optimizer inputs for one planning round.
 type planOpts struct {
@@ -272,18 +281,16 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 	}
 	p.nRels = len(rels)
 
-	// 2. Assign slots and build the block scope.
-	offset := 0
+	// 2. Build the block scope: every column of every relation, FROM order.
 	var entries []scopeEntry
 	for _, ri := range rels {
-		ri.offset = offset
-		offset += ri.nCols
+		ri.pos = len(entries)
 		entries = append(entries, db.relScopeEntries(ri)...)
 	}
-	p.nSlots = offset
 	sc := newScope(outerScope, entries)
-	for _, ri := range rels {
-		ri.used = sc.used[ri.offset : ri.offset+ri.nCols]
+	for i, end := len(rels)-1, len(entries); i >= 0; i-- {
+		ri := rels[i]
+		ri.slots, end = sc.slots[ri.pos:end:end], ri.pos
 	}
 	p.layout = entries
 	cc := &compiler{db: db, sc: sc, opts: opts}
@@ -352,18 +359,51 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 	if cc.maxParam > p.nParams {
 		p.nParams = cc.maxParam
 	}
-	// Every expression of this block and of the sub-blocks below it is
-	// bound by now, so the marks are final.
-	for _, ri := range rels {
-		if ri.table != nil {
-			ri.cols = ri.table.Heap.Codec().Cols(ri.used)
-		}
-	}
+	p.assignSlots()
 	p.planParallel(opts.parallel)
 	if top {
 		p.catVersion, p.deps = opts.cat.version, opts.deps
 	}
+	if planned != nil {
+		planned(p)
+	}
 	return p, nil
+}
+
+// planned is nil outside the test binary: TestSlotLayout sets it to see
+// every block as planSelect leaves it, sub-blocks and views included.
+var planned func(*selectPlan)
+
+// assignSlots lays out the block's frames. Every expression of the block and
+// of the sub-blocks below it is bound by now and the join order is chosen,
+// so the marks are final: each relation gets one consecutive stretch holding
+// only the columns read, the stretches in step order. A frame that steps
+// 0..i have extended is therefore full up to the end of step i's stretch and
+// needs to be no wider, and a block that reads every column of its relations
+// — SELECT *, a DML match scan — gets the catalog layout from the same rule.
+func (p *selectPlan) assignSlots() {
+	var buf [64]bool
+	n := 0
+	for _, st := range p.steps {
+		rel := st.bound()
+		if rel == nil {
+			continue
+		}
+		read := buf[:0]
+		rel.offset = n
+		for c, s := range rel.slots {
+			read = append(read, s >= 0)
+			if s >= 0 {
+				rel.slots[c] = int32(n)
+				n++
+			}
+		}
+		rel.width = n - rel.offset
+		if rel.table != nil {
+			rel.cols = rel.table.Heap.Codec().Cols(read)
+		}
+	}
+	p.nSlots = n
 }
 
 // minPagesPerWorker gates parallelism: a partition below this many pages
@@ -424,7 +464,7 @@ func (db *DB) buildRelInfo(bt *sqlparse.BaseTable, outerScope *scope, opts *plan
 		opts.deps = append(opts.deps, planDep{name: name, table: cat.tables[name], view: cat.views[name]})
 	}
 	if t := cat.table(name); t != nil {
-		ri := &relInfo{alias: alias, table: t, nCols: len(t.Cols)}
+		ri := &relInfo{alias: alias, table: t}
 		ri.baseRows = float64(t.RowEstimate())
 		if ri.baseRows < 1 {
 			ri.baseRows = 1
@@ -437,7 +477,7 @@ func (db *DB) buildRelInfo(bt *sqlparse.BaseTable, outerScope *scope, opts *plan
 		if err != nil {
 			return nil, fmt.Errorf("engine: expanding view %s: %w", name, err)
 		}
-		ri := &relInfo{alias: alias, derived: sub, nCols: len(sub.outCols)}
+		ri := &relInfo{alias: alias, derived: sub}
 		ri.baseRows = 1000 // no stats for derived relations
 		ri.rowBytes = float64(len(sub.outCols) * 24)
 		return ri, nil
@@ -447,13 +487,14 @@ func (db *DB) buildRelInfo(bt *sqlparse.BaseTable, outerScope *scope, opts *plan
 
 // relScopeEntries lists the scope entries contributed by one relation.
 func (db *DB) relScopeEntries(ri *relInfo) []scopeEntry {
-	out := make([]scopeEntry, 0, ri.nCols)
 	if ri.table != nil {
+		out := make([]scopeEntry, 0, len(ri.table.Cols))
 		for _, c := range ri.table.Cols {
 			out = append(out, scopeEntry{table: ri.alias, column: c.Name})
 		}
 		return out
 	}
+	out := make([]scopeEntry, 0, len(ri.derived.outCols))
 	for _, c := range ri.derived.outCols {
 		out = append(out, scopeEntry{table: ri.alias, column: strings.ToUpper(c)})
 	}
@@ -481,14 +522,8 @@ func (p *selectPlan) relMask(rels []*relInfo, e sqlparse.Expr, cc *compiler) uin
 	walk = func(e sqlparse.Expr) {
 		switch e := e.(type) {
 		case *sqlparse.ColumnRef:
-			if d, idx, err := cc.sc.resolve(e.Table, e.Column); err == nil && d == 0 {
-				// Find which relation owns slot idx.
-				for i, ri := range rels {
-					if idx >= ri.offset && idx < ri.offset+ri.nCols {
-						mask |= 1 << uint(i)
-						break
-					}
-				}
+			if i, _ := p.findRelCol(rels, cc, e); i >= 0 {
+				mask |= 1 << uint(i)
 			}
 		case *sqlparse.Unary:
 			walk(e.X)
@@ -653,8 +688,8 @@ func (p *selectPlan) findRelCol(rels []*relInfo, cc *compiler, cr *sqlparse.Colu
 		return -1, -1
 	}
 	for i, ri := range rels {
-		if idx >= ri.offset && idx < ri.offset+ri.nCols {
-			return i, idx - ri.offset
+		if idx >= ri.pos && idx < ri.pos+len(ri.slots) {
+			return i, idx - ri.pos
 		}
 	}
 	return -1, -1

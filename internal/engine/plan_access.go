@@ -540,7 +540,8 @@ func (p *selectPlan) fixedOrderSteps(pc planConsts, rels []*relInfo, conjs []con
 	return steps, nil
 }
 
-// slotFn returns an exprFn reading one slot of the current row.
+// slotFn returns an exprFn reading one slot of the current row — of a
+// post-aggregation row, whose layout is fixed: group values, then aggregates.
 func slotFn(idx int) exprFn {
 	return func(rt *runtime, rows rowStack) (val.Value, error) {
 		return rows[len(rows)-1][idx], nil
@@ -550,6 +551,9 @@ func slotFn(idx int) exprFn {
 // slotFn returns an exprFn reading the relation's column col from the
 // current row, and marks the column read.
 func (ri *relInfo) slotFn(col int) exprFn {
-	ri.used[col] = true
-	return slotFn(ri.offset + col)
+	slot := &ri.slots[col]
+	markRead(slot)
+	return func(rt *runtime, rows rowStack) (val.Value, error) {
+		return rows[len(rows)-1][*slot], nil
+	}
 }

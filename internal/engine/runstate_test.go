@@ -24,15 +24,16 @@ func TestBatchCapacitySchedule(t *testing.T) {
 		{vecBatchInitial, []int{64, 64, 64}},
 		{1, []int{1, 1, 1}},
 	} {
-		v := newVecRun(&selectPlan{nSlots: 3, steps: []stepper{&scanStep{rel: &relInfo{nCols: 3}}}}, nil, c.max)
-		b := &v.stages[0].out
+		v := newVecRun(&selectPlan{nSlots: 3, steps: []stepper{&scanStep{rel: &relInfo{width: 3}}}}, nil, c.max)
+		st := &v.stages[0]
+		b := &st.out
 		reached := 0 // the most frames rows have reached in any fill so far
 		for fill, want := range c.caps {
 			if b.cap != want {
 				t.Fatalf("max %d: capacity during fill %d = %d, want %d", c.max, fill+1, b.cap, want)
 			}
 			for b.n = 0; b.n < b.cap; b.n++ {
-				if f := b.frame(b.n); len(f) != 3 || cap(f) != 3 {
+				if f := st.frame(b.n); len(f) != 3 || cap(f) != 3 {
 					t.Fatalf("frame %d has len %d cap %d", b.n, len(f), cap(f))
 				}
 				reached = max(reached, b.n+1)

@@ -19,7 +19,7 @@ import (
 // which the meter defines as exactly n single-event charges, so the
 // simulated clock cannot tell a batch from n rows.
 //
-// One run is shaped by four things, all derived, none settable:
+// One run is shaped by five things, all derived, none settable:
 //   - batch capacity (selectPlan.batchCap): 1 for a block that can stop
 //     early, so it never reads past the row that stops it; the growing
 //     64→1024 batch otherwise; a lane of a parallel scan stays at 64,
@@ -30,8 +30,14 @@ import (
 //   - columns read (relInfo.cols): a scan decodes only the columns some
 //     expression was bound to — marked by scope.resolve at any depth and by
 //     relInfo.slotFn, final once planSelect returns — straight into the
-//     relation's slots of the current frame; the other slots are never
-//     written and never read.
+//     relation's stretch of the current frame,
+//   - frame width (vecStage.hi): a frame has slots for the columns read and
+//     for nothing else. selectPlan.assignSlots numbers them last, relation
+//     by relation in step order, so what steps 0..i have bound is the frame
+//     prefix ending with step i's stretch and stage i's frames are that
+//     wide — a block reading 7 of LINEITEM's 16 columns moves 7 values per
+//     row per stage, and a relation nobody reads a column of (COUNT(*))
+//     moves none.
 //
 // Batch capacity is logical: it is when a stage flushes, which fixes the
 // order in which the stages reach the buffer pool and with it every
@@ -58,29 +64,38 @@ const batchSize = 1024
 // vecBatchInitial is the starting capacity of a growing batch.
 const vecBatchInitial = 64
 
-// vecBatch is a batch of pipeline frames. Every frame is one nSlots-wide
-// row backed by a slab allocation; a batch owns its frames exclusively —
-// steps copy rows between batches rather than sharing pointers, so
-// recycling a batch after a downstream flush can never corrupt rows still
-// in flight.
+// vecBatch is a batch of pipeline frames. Every frame is one row as wide as
+// its stage (vecStage.hi), backed by a slab allocation; a batch owns its
+// frames exclusively — steps copy rows between batches rather than sharing
+// pointers, so recycling a batch after a downstream flush can never corrupt
+// rows still in flight.
 type vecBatch struct {
-	nSlots int
 	max    int // capacity bound: the run's batch capacity
 	cap    int // current capacity: the batch flushes when n reaches it
 	frames [][]val.Value
 	n      int
 }
 
-// frame returns frame i, backing it first if no row has come this far: the
-// frames quadruple from two up to the capacity, one slab per step.
-func (b *vecBatch) frame(i int) []val.Value {
+// framePoison is nil outside the test binary. TestSlotLayout sets it to
+// overwrite every frame as it is handed out, so that reading a slot no step
+// has written since finds a sentinel, not NULL or the row of a batch ago.
+var framePoison func(frame []val.Value)
+
+// frame returns frame i of the stage's batch for a new row, backing it first
+// if no row has come this far: the frames quadruple from two up to the
+// capacity, one slab per step.
+func (s *vecStage) frame(i int) []val.Value {
+	b := &s.out
 	if i == len(b.frames) {
 		k := min(max(3*len(b.frames), 2), b.cap-len(b.frames))
 		b.frames = slices.Grow(b.frames, k)
-		slab := make([]val.Value, k*b.nSlots)
+		slab := make([]val.Value, k*s.hi)
 		for j := 0; j < k; j++ {
-			b.frames = append(b.frames, slab[j*b.nSlots:(j+1)*b.nSlots:(j+1)*b.nSlots])
+			b.frames = append(b.frames, slab[j*s.hi:(j+1)*s.hi:(j+1)*s.hi])
 		}
+	}
+	if framePoison != nil {
+		framePoison(b.frames[i])
 	}
 	return b.frames[i]
 }
@@ -95,8 +110,10 @@ type vecStage struct {
 	// out is the step's reusable output batch; it has no frames for steps
 	// that bind no relation (filters pass their compacted input through).
 	out vecBatch
-	// hi is the frame prefix holding every slot bound once the step has
-	// run; copying [0:hi] moves a frame between batches.
+	// hi is the width of out's frames: the prefix holding every slot bound
+	// once the step has run (slots follow step order) — or, when the next
+	// step to bind a relation works a frame at a time and so extends its
+	// input where it is, the prefix that step fills.
 	hi int
 }
 
@@ -140,10 +157,21 @@ func newVecRun(p *selectPlan, be *blockExec, capacity int) *vecRun {
 	hi := 0
 	for i, st := range p.steps {
 		if rel := st.bound(); rel != nil {
-			hi = max(hi, rel.offset+rel.nCols)
-			v.stages[i].out.nSlots = p.nSlots
+			hi = rel.end()
 		}
 		v.stages[i].hi = hi
+	}
+	in := 0 // the frame prefix the step after i writes into its input
+	for i := len(p.steps) - 1; i >= 0; i-- {
+		bound := v.stages[i].hi
+		v.stages[i].hi = max(bound, in)
+		switch p.steps[i].(type) {
+		case *filterStep: // hands its input on as it is
+		case *hashStep:
+			in = 0 // copies its input into its own batch
+		default:
+			in = bound
+		}
 	}
 	v.reset(capacity)
 	return v
@@ -231,8 +259,9 @@ func (v *vecRun) leadScan(lead *scanStep) error {
 		m := be.rt.meter()
 		defer m.SetSpan(m.SetSpan(be.prof.steps[0]))
 	}
-	out := &v.stages[0].out
-	be.setRow(out.frame(0))
+	st := &v.stages[0]
+	out := &st.out
+	be.setRow(st.frame(0))
 	return runAccess(be, lead.rel, lead.access, lead.extraFilters, v.pages, func() error {
 		out.n++
 		if out.n == out.cap {
@@ -240,7 +269,7 @@ func (v *vecRun) leadScan(lead *scanStep) error {
 				return err
 			}
 		}
-		be.setRow(out.frame(out.n))
+		be.setRow(st.frame(out.n))
 		return nil
 	})
 }
@@ -311,7 +340,7 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 	ht, ok := be.hashes[s]
 	if !ok {
 		var err error
-		if ht, err = s.build(be.rt, outerOf(be), v.p.nSlots); err != nil {
+		if ht, err = s.build(be.rt, outerOf(be)); err != nil {
 			return err
 		}
 		if be.hashes == nil {
@@ -320,10 +349,9 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 		be.hashes[s] = ht
 	}
 	m := be.rt.meter()
-	out := &v.stages[i].out
-	hi := v.stages[i].hi
-	off := s.rel.offset
-	nCols := s.rel.nCols
+	st := &v.stages[i]
+	out := &st.out
+	lo, hi := s.rel.offset, s.rel.end()
 	var pending int64 // probe-match TupleCPU events not yet posted
 	defer func() { m.Charge(cost.TupleCPU, pending) }()
 	for j := 0; j < n; j++ {
@@ -339,9 +367,9 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 		}
 		for r := ht.first(key); r >= 0; r = ht.links[r].next {
 			pending++
-			dst := out.frame(out.n)
-			copy(dst[:hi], frame[:hi])
-			copy(dst[off:off+nCols], ht.row(r))
+			dst := st.frame(out.n)
+			copy(dst[:lo], frame[:lo])
+			copy(dst[lo:hi], ht.row(r))
 			be.setRow(dst)
 			ok, err := evalFilters(be, s.filters)
 			if err != nil {
@@ -369,13 +397,14 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 // it touches, and its emissions collect into the step's output batch.
 func (v *vecRun) pushRowStep(i int, st rowStepper, in *vecBatch, n int) error {
 	be := v.be
-	out := &v.stages[i].out
-	hi := v.stages[i].hi
+	stage := &v.stages[i]
+	out := &stage.out
+	hi := st.bound().end() // what the frame holds once st has run
 	for j := 0; j < n; j++ {
 		frame := in.frames[j]
 		be.setRow(frame)
 		err := st.run(be, func() error {
-			copy(out.frame(out.n)[:hi], frame[:hi])
+			copy(stage.frame(out.n), frame[:hi])
 			out.n++
 			if out.n < out.cap {
 				return nil

@@ -189,7 +189,7 @@ func (h *HeapFile) Fetch(rid RID, m *cost.Meter, out []val.Value) ([]val.Value, 
 }
 
 // FetchCols decodes the columns in cols of the row at rid (random page
-// access) into their slots of dst, one full row wide. CHAR values are views
+// access) into dst, which is cols.Len() wide. CHAR values are views
 // of the page image (val.ColSet.Decode): valid for good, since the image is
 // never written again, but whoever keeps them long keeps the image.
 func (h *HeapFile) FetchCols(rid RID, m *cost.Meter, cols *val.ColSet, dst []val.Value) error {
@@ -283,9 +283,10 @@ func (h *HeapFile) Scan(m *cost.Meter, fn func(rid RID, row []val.Value) error) 
 }
 
 // ScanRange is the heap's scan loop: for every live row in pages [loPage,
-// hiPage), in file order, it decodes the columns in cols into the row-wide
-// slice dst returns and calls fn. dst is asked before each row, so a caller
-// that keeps a row where it was decoded hands out the next one's storage.
+// hiPage), in file order, it decodes the columns in cols into the slice dst
+// returns — cols.Len() wide — and calls fn. dst is asked before each row,
+// so a caller that keeps a row where it was decoded hands out the next
+// one's storage.
 // The whole file is one range; a narrower one is one partition of a
 // parallel scan. Page charging is range-local: the first page costs a
 // random read (the arm seeks there), subsequent pages are sequential or a

@@ -642,11 +642,11 @@ func TestScanOfNumericColumnsAllocatesNothingPerRow(t *testing.T) {
 		want[c] = true
 	}
 	cols := h.Codec().Cols(want)
-	dst := make([]val.Value, len(layout))
+	dst := make([]val.Value, cols.Len())
 	var sum float64
 	perScan := testing.AllocsPerRun(5, func() {
 		err := h.ScanRange(0, h.Pages(), nil, cols, func() []val.Value { return dst }, func(RID) error {
-			sum += dst[5].AsFloat()
+			sum += dst[1].AsFloat() // extendedprice
 			return nil
 		})
 		if err != nil {
@@ -658,9 +658,6 @@ func TestScanOfNumericColumnsAllocatesNothingPerRow(t *testing.T) {
 	}
 	if perScan >= nRows/100 {
 		t.Errorf("scan of %d rows allocated %.0f times: a per-row allocation is back", nRows, perScan)
-	}
-	if !dst[13].IsNull() {
-		t.Errorf("unwanted CHAR column was decoded: %v", dst[13])
 	}
 }
 

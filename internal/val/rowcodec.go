@@ -61,18 +61,21 @@ func (c *RowCodec) NumCols() int { return len(c.cols) }
 // decode does no work — and builds no string — for the columns left out.
 // A ColSet is immutable and shared freely between readers.
 type ColSet struct {
-	nCols    int
 	rowBytes int
 	fields   []colField
 }
 
 // colField locates one wanted column in the encoded row.
 type colField struct {
-	col   int // column index: its null bit and its destination slot
+	col   int // column index: its null bit
 	off   int // byte offset of the field in the encoded row
 	width int
 	kind  Kind
 }
+
+// Len returns the number of columns in the set: the width Decode asks of
+// its destination.
+func (s *ColSet) Len() int { return len(s.fields) }
 
 // AllCols returns the set of every column.
 func (c *RowCodec) AllCols() *ColSet { return c.all }
@@ -94,7 +97,7 @@ func (c *RowCodec) Cols(want []bool) *ColSet {
 
 // newColSet lays out the n wanted columns (nil = all of them).
 func (c *RowCodec) newColSet(want []bool, n int) *ColSet {
-	s := &ColSet{nCols: len(c.cols), rowBytes: c.rowBytes, fields: make([]colField, 0, n)}
+	s := &ColSet{rowBytes: c.rowBytes, fields: make([]colField, 0, n)}
 	off := (len(c.cols) + 7) / 8
 	for i, ct := range c.cols {
 		if want == nil || want[i] {
@@ -169,9 +172,9 @@ func (c *RowCodec) Decode(src []byte, out []Value) ([]Value, error) {
 	return out, nil
 }
 
-// Decode decodes the set's columns of one encoded row straight into their
-// slots of dst, which must be one full row wide; the slots of columns
-// outside the set are left as they are.
+// Decode decodes the set's columns of one encoded row into dst, which is as
+// wide as the set: its k-th column, in column order, lands in dst[k]. The set
+// of every column therefore decodes a full row in place.
 //
 // A CHAR value is decoded as a right-trimmed view of src — no bytes are
 // copied — so the values in dst alias src, and src must never be written
@@ -184,32 +187,32 @@ func (s *ColSet) Decode(src []byte, dst []Value) error {
 	if len(src) != s.rowBytes {
 		return fmt.Errorf("val: decode: row is %d bytes, want %d", len(src), s.rowBytes)
 	}
-	if len(dst) != s.nCols {
-		return fmt.Errorf("val: decode: destination has %d slots for %d columns", len(dst), s.nCols)
+	if len(dst) != len(s.fields) {
+		return fmt.Errorf("val: decode: destination has %d slots for %d columns", len(dst), len(s.fields))
 	}
-	for _, f := range s.fields {
+	for k, f := range s.fields {
 		if src[f.col/8]&(1<<(f.col%8)) != 0 {
-			dst[f.col] = Null
+			dst[k] = Null
 			continue
 		}
 		field := src[f.off : f.off+f.width]
 		switch f.kind {
 		case KInt:
 			if f.width == 4 {
-				dst[f.col] = Int(int64(int32(binary.BigEndian.Uint32(field))))
+				dst[k] = Int(int64(int32(binary.BigEndian.Uint32(field))))
 			} else {
-				dst[f.col] = Int(int64(binary.BigEndian.Uint64(field)))
+				dst[k] = Int(int64(binary.BigEndian.Uint64(field)))
 			}
 		case KDate:
-			dst[f.col] = Date(int64(int32(binary.BigEndian.Uint32(field))))
+			dst[k] = Date(int64(int32(binary.BigEndian.Uint32(field))))
 		case KFloat:
-			dst[f.col] = Float(math.Float64frombits(binary.BigEndian.Uint64(field)))
+			dst[k] = Float(math.Float64frombits(binary.BigEndian.Uint64(field)))
 		case KStr:
 			end := len(field)
 			for end > 0 && field[end-1] == ' ' {
 				end--
 			}
-			dst[f.col] = Str(view(field[:end]))
+			dst[k] = Str(view(field[:end]))
 		}
 	}
 	return nil
