@@ -1,0 +1,167 @@
+package reports
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
+	"testing"
+
+	"r3bench/internal/cost"
+	"r3bench/internal/dbgen"
+	"r3bench/internal/r3"
+	"r3bench/internal/val"
+)
+
+var updateCharges = flag.Bool("update", false, "re-record testdata/report_charges.json")
+
+const chargesGolden = "testdata/report_charges.json"
+
+// chargedKinds are the event kinds a report charges as a pure function of
+// its code and the data: the same counts in every process. The page-read
+// kinds (SeqRead, RandRead, ReadAhead) are left out because they follow
+// buffer-pool residency, which the loaders' goroutines and map-ordered
+// flushes leave different from run to run (ROADMAP item 1); Check, Commit,
+// RowShipBatch, NetShip and WalWrite are never charged by a read-only
+// report at default options.
+var chargedKinds = []cost.Kind{
+	cost.TupleCPU, cost.SortCPU, cost.Interface, cost.RowShip,
+	cost.Translate, cost.Decode, cost.PageWrite,
+}
+
+// reportCharge is what one (strategy, query) pair charged and returned.
+type reportCharge struct {
+	Strategy string           `json:"strategy"`
+	Query    int              `json:"query"`
+	Counts   map[string]int64 `json:"counts"`
+	// SortNs is the simulated time under SortCPU: its count is one per
+	// sort, so the duration is what pins the sizes sorted.
+	SortNs int64 `json:"sort_ns"`
+	// Rows fingerprints the result: every value's kind and exact bytes, in
+	// emission order.
+	NRows int    `json:"nrows"`
+	Rows  string `json:"rows"`
+}
+
+// fingerprint hashes result rows exactly — no rounding, no trimming, order
+// kept — so a tail that reorders a float sum or a sort key shows.
+func fingerprint(rows [][]val.Value) string {
+	h := sha256.New()
+	for _, row := range rows {
+		for _, v := range row {
+			var s string
+			switch v.K {
+			case val.KFloat:
+				s = strconv.FormatFloat(v.F, 'g', -1, 64)
+			default:
+				s = v.AsStr()
+			}
+			fmt.Fprintf(h, "%d:%d:%s,", v.K, len(s), s)
+		}
+		h.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// TestReportCharges is the oracle of the fetch/tail split: on fixtures of
+// its own (so no other test's cursor caches, views or buffers are in play),
+// each strategy runs Q1–Q17 in order on one session and every pair's meter
+// delta and result rows must equal the checked-in golden, which was
+// recorded before the reports were refactored. Re-record with -update only
+// for a change that is meant to move a report's charges or answer.
+func TestReportCharges(t *testing.T) {
+	g := dbgen.New(testSF)
+	sys2, err := r3.Install(r3.Config{Release: r3.Release22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys2.LoadDirect(g); err != nil {
+		t.Fatal(err)
+	}
+	sys3, err := r3.Install(r3.Config{Release: r3.Release30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys3.LoadDirect(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys3.ConvertToTransparent("KONV", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys3.DropIndex("VBEP", "VBEP_EDATU"); err != nil {
+		t.Fatal(err)
+	}
+
+	var got []reportCharge
+	for _, c := range []struct {
+		sys      *r3.System
+		strategy Strategy
+	}{{sys2, Native22}, {sys3, Native30}, {sys2, Open22}, {sys3, Open30}} {
+		impl := New(c.sys, g, c.strategy)
+		m := impl.Meter()
+		for qn := 1; qn <= 17; qn++ {
+			before := make([]int64, len(chargedKinds))
+			for i, k := range chargedKinds {
+				before[i] = m.Count(k)
+			}
+			sortBefore := m.ByKind(cost.SortCPU)
+			rows, err := impl.RunQuery(qn)
+			if err != nil {
+				t.Fatalf("%s Q%d: %v", c.strategy, qn, err)
+			}
+			rc := reportCharge{Strategy: c.strategy.String(), Query: qn,
+				Counts: map[string]int64{}, SortNs: int64(m.ByKind(cost.SortCPU) - sortBefore),
+				NRows: len(rows), Rows: fingerprint(rows)}
+			for i, k := range chargedKinds {
+				rc.Counts[k.String()] = m.Count(k) - before[i]
+			}
+			got = append(got, rc)
+		}
+	}
+
+	// One pair a line, so a moved charge is a one-line diff.
+	var out []byte
+	for i, rc := range got {
+		line, err := json.Marshal(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sep := ",\n"
+		if i == 0 {
+			sep = "[\n"
+		}
+		out = append(append(out, sep...), line...)
+	}
+	out = append(out, "\n]\n"...)
+	if *updateCharges {
+		if err := os.WriteFile(chargesGolden, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(chargesGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out) == string(want) {
+		return
+	}
+	var wantRC []reportCharge
+	if err := json.Unmarshal(want, &wantRC); err != nil {
+		t.Fatal(err)
+	}
+	if len(wantRC) != len(got) {
+		t.Fatalf("golden has %d pairs, run has %d", len(wantRC), len(got))
+	}
+	for i := range got {
+		g, w := got[i], wantRC[i]
+		gj, _ := json.Marshal(g)
+		wj, _ := json.Marshal(w)
+		if string(gj) != string(wj) {
+			t.Errorf("%s Q%d:\n got  %s\n want %s", g.Strategy, g.Query, gj, wj)
+		}
+	}
+}
