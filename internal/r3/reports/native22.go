@@ -1,7 +1,7 @@
 package reports
 
 import (
-	"sort"
+	"slices"
 
 	"r3bench/internal/r3"
 	"r3bench/internal/val"
@@ -23,15 +23,7 @@ func (s *SAPImpl) fetchWithDiscount(sql string, cols []string) (*r3.ITab, error)
 	if err != nil {
 		return nil, err
 	}
-	vbelnIdx, posnrIdx := -1, -1
-	for i, c := range res.Cols {
-		switch c {
-		case "VBELN":
-			vbelnIdx = i
-		case "POSNR":
-			posnrIdx = i
-		}
-	}
+	vbelnIdx, posnrIdx := slices.Index(res.Cols, "VBELN"), slices.Index(res.Cols, "POSNR")
 	tab := s.sys.NewITab(s.m, append(append([]string(nil), cols...), "DISC")...)
 	for _, row := range res.Rows {
 		d, err := s.discountRate(row[vbelnIdx].AsStr(), row[posnrIdx].AsStr())
@@ -43,45 +35,12 @@ func (s *SAPImpl) fetchWithDiscount(sql string, cols []string) (*r3.ITab, error)
 	return tab, nil
 }
 
-// sortRows orders final client-side results.
-func sortRows(rows [][]val.Value, keys []int, desc []bool) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		for i, k := range keys {
-			c := val.Compare(rows[a][k], rows[b][k])
-			if c == 0 {
-				continue
-			}
-			if desc[i] {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-}
+func (s *SAPImpl) native22Fetches() fetchTable {
+	// Queries without discount/tax push down exactly as in 3.0; the ten
+	// below replace the rest.
+	q := s.native30Fetches()
 
-// yearOf extracts the year of a date value client-side.
-func yearOf(v val.Value) val.Value {
-	s := v.AsStr()
-	if len(s) < 4 {
-		return val.Null
-	}
-	y := 0
-	for i := 0; i < 4; i++ {
-		y = y*10 + int(s[i]-'0')
-	}
-	return val.Int(int64(y))
-}
-
-func (s *SAPImpl) native22Queries() map[int]func() ([][]val.Value, error) {
-	// Queries without discount/tax push down exactly as in 3.0.
-	shared := s.native30Queries()
-	q := map[int]func() ([][]val.Value, error){
-		2: shared[2], 4: shared[4], 11: shared[11], 12: shared[12],
-		13: shared[13], 16: shared[16], 17: shared[17],
-	}
-
-	q[1] = func() ([][]val.Value, error) {
+	q[1] = func() (tail, error) {
 		tab, err := s.fetchWithDiscount(`
 SELECT P.VBELN, P.POSNR, P.ABGRU, E.LFSTA, P.KWMENG, P.NETWR
 FROM VBAP P, VBEP E
@@ -103,32 +62,15 @@ WHERE `+mandt("P", "E")+`
 		}
 		// Recompute per-row charge columns into a second internal table
 		// (the 2.2 style: materialize, then group).
-		work := s.sys.NewITab(s.m, "RF", "LS", "QTY", "BASE", "DISCP", "CHARGE", "DISC")
+		work := q1Work{s.sys.NewITab(s.m, "RF", "LS", "QTY", "BASE", "DISCP", "CHARGE", "DISC")}
 		for i, row := range tab.Rows() {
-			qty := tab.Get(i, "KWMENG").AsFloat()
-			base := tab.Get(i, "NETWR").AsFloat()
-			d := tab.Get(i, "DISC").AsFloat()
-			work.Append(row[2], row[3], val.Float(qty), val.Float(base),
-				val.Float(base*(1-d)), val.Float(base*(1-d)*(1+taxes[i])), val.Float(d))
+			work.add(row[2], row[3], val.Float(tab.Get(i, "KWMENG").AsFloat()),
+				tab.Get(i, "NETWR").AsFloat(), tab.Get(i, "DISC").AsFloat(), taxes[i])
 		}
-		var out [][]val.Value
-		err = work.GroupBy([]string{"RF", "LS"}, []r3.Agg{
-			{Fn: "SUM", Of: func(r []val.Value) val.Value { return r[2] }},
-			{Fn: "SUM", Of: func(r []val.Value) val.Value { return r[3] }},
-			{Fn: "SUM", Of: func(r []val.Value) val.Value { return r[4] }},
-			{Fn: "SUM", Of: func(r []val.Value) val.Value { return r[5] }},
-			{Fn: "AVG", Of: func(r []val.Value) val.Value { return r[2] }},
-			{Fn: "AVG", Of: func(r []val.Value) val.Value { return r[3] }},
-			{Fn: "AVG", Of: func(r []val.Value) val.Value { return r[6] }},
-			{Fn: "COUNT", Of: func(r []val.Value) val.Value { return r[0] }},
-		}, func(kv, av []val.Value) error {
-			out = append(out, append(append([]val.Value(nil), kv...), av...))
-			return nil
-		})
-		return out, err
+		return work, nil
 	}
 
-	q[3] = func() ([][]val.Value, error) {
+	q[3] = func() (tail, error) {
 		tab, err := s.fetchWithDiscount(`
 SELECT P.VBELN, P.POSNR, P.NETWR, K.AUDAT, K.LPRIO
 FROM KNA1 C, VBAK K, VBAP P, VBEP E
@@ -137,29 +79,10 @@ WHERE `+mandt("C", "K", "P", "E")+`
   AND E.VBELN = P.VBELN AND E.POSNR = P.POSNR
   AND K.AUDAT < DATE '1995-03-15' AND E.EDATU > DATE '1995-03-15'`,
 			[]string{"VBELN", "POSNR", "NETWR", "AUDAT", "LPRIO"})
-		if err != nil {
-			return nil, err
-		}
-		var out [][]val.Value
-		err = tab.GroupBy([]string{"VBELN", "AUDAT", "LPRIO"}, []r3.Agg{
-			{Fn: "SUM", Of: func(r []val.Value) val.Value {
-				return val.Float(r[2].AsFloat() * (1 - r[5].AsFloat()))
-			}},
-		}, func(kv, av []val.Value) error {
-			out = append(out, []val.Value{kv[0], av[0], kv[1], kv[2]})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sortRows(out, []int{1, 2}, []bool{true, false})
-		if len(out) > 10 {
-			out = out[:10]
-		}
-		return out, nil
+		return q3Work{tab, netOf}, err
 	}
 
-	q[5] = func() ([][]val.Value, error) {
+	q[5] = func() (tail, error) {
 		tab, err := s.fetchWithDiscount(`
 SELECT P.VBELN, P.POSNR, P.NETWR, T.LANDX
 FROM KNA1 C, VBAK K, VBAP P, LFA1 S, T005 N, T005U R, T005T T
@@ -170,26 +93,10 @@ WHERE `+mandt("C", "K", "P", "S", "N", "R", "T")+`
   AND T.LAND1 = N.LAND1
   AND K.AUDAT >= DATE '1994-01-01' AND K.AUDAT < DATE '1995-01-01'`,
 			[]string{"VBELN", "POSNR", "NETWR", "LANDX"})
-		if err != nil {
-			return nil, err
-		}
-		var out [][]val.Value
-		err = tab.GroupBy([]string{"LANDX"}, []r3.Agg{
-			{Fn: "SUM", Of: func(r []val.Value) val.Value {
-				return val.Float(r[2].AsFloat() * (1 - r[4].AsFloat()))
-			}},
-		}, func(kv, av []val.Value) error {
-			out = append(out, []val.Value{kv[0], av[0]})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sortRows(out, []int{1}, []bool{true})
-		return out, nil
+		return q5Work{tab, netOf}, err
 	}
 
-	q[6] = func() ([][]val.Value, error) {
+	q[6] = func() (tail, error) {
 		tab, err := s.fetchWithDiscount(`
 SELECT P.VBELN, P.POSNR, P.NETWR
 FROM VBAP P, VBEP E
@@ -201,17 +108,16 @@ WHERE `+mandt("P", "E")+`
 		if err != nil {
 			return nil, err
 		}
-		var sum float64
+		rev := &discountRevenue{}
 		for i := range tab.Rows() {
-			d := tab.Get(i, "DISC").AsFloat()
-			if d >= 0.05 && d <= 0.07 {
-				sum += tab.Get(i, "NETWR").AsFloat() * d
+			if d := tab.Get(i, "DISC").AsFloat(); inQ6Range(d) {
+				rev.add(tab.Get(i, "NETWR").AsFloat(), d)
 			}
 		}
-		return [][]val.Value{{val.Float(sum)}}, nil
+		return rev, nil
 	}
 
-	q[7] = func() ([][]val.Value, error) {
+	q[7] = func() (tail, error) {
 		tab, err := s.fetchWithDiscount(`
 SELECT P.VBELN, P.POSNR, P.NETWR, T1.LANDX AS SUPP_NATION, T2.LANDX AS CUST_NATION, E.EDATU
 FROM LFA1 S, VBAP P, VBEP E, VBAK K, KNA1 C, T005T T1, T005T T2
@@ -226,22 +132,15 @@ WHERE `+mandt("S", "P", "E", "K", "C", "T1", "T2")+`
 		if err != nil {
 			return nil, err
 		}
-		work := s.sys.NewITab(s.m, "SUPP", "CUST", "YR", "REV")
+		work := q7Work{s.sys.NewITab(s.m, "SUPP", "CUST", "YR", "REV")}
 		for i, row := range tab.Rows() {
 			work.Append(row[3], row[4], yearOf(row[5]),
 				val.Float(tab.Get(i, "NETWR").AsFloat()*(1-tab.Get(i, "DISC").AsFloat())))
 		}
-		var out [][]val.Value
-		err = work.GroupBy([]string{"SUPP", "CUST", "YR"}, []r3.Agg{
-			{Fn: "SUM", Of: func(r []val.Value) val.Value { return r[3] }},
-		}, func(kv, av []val.Value) error {
-			out = append(out, []val.Value{kv[0], kv[1], kv[2], av[0]})
-			return nil
-		})
-		return out, err
+		return work, nil
 	}
 
-	q[8] = func() ([][]val.Value, error) {
+	q[8] = func() (tail, error) {
 		tab, err := s.fetchWithDiscount(`
 SELECT P.VBELN, P.POSNR, P.NETWR, K.AUDAT, T2.LANDX
 FROM MARA A, LFA1 S, VBAP P, VBAK K, KNA1 C, T005 N1, T005U R, T005T T2
@@ -256,33 +155,15 @@ WHERE `+mandt("A", "S", "P", "K", "C", "N1", "R", "T2")+`
 		if err != nil {
 			return nil, err
 		}
-		type share struct{ num, den float64 }
-		byYear := map[int64]*share{}
-		var years []int64
+		byYear := marketShare{}
 		for i, row := range tab.Rows() {
-			y := yearOf(row[3]).AsInt()
-			sh := byYear[y]
-			if sh == nil {
-				sh = &share{}
-				byYear[y] = sh
-				years = append(years, y)
-			}
-			vol := tab.Get(i, "NETWR").AsFloat() * (1 - tab.Get(i, "DISC").AsFloat())
-			sh.den += vol
-			if row[4].AsStr() == "BRAZIL" {
-				sh.num += vol
-			}
+			byYear.add(yearOf(row[3]).AsInt(), row[4].AsStr(),
+				tab.Get(i, "NETWR").AsFloat()*(1-tab.Get(i, "DISC").AsFloat()))
 		}
-		sort.Slice(years, func(a, b int) bool { return years[a] < years[b] })
-		var out [][]val.Value
-		for _, y := range years {
-			sh := byYear[y]
-			out = append(out, []val.Value{val.Int(y), val.Float(sh.num / sh.den)})
-		}
-		return out, nil
+		return byYear, nil
 	}
 
-	q[9] = func() ([][]val.Value, error) {
+	q[9] = func() (tail, error) {
 		tab, err := s.fetchWithDiscount(`
 SELECT P.VBELN, P.POSNR, P.NETWR, P.KWMENG, IE.NETPR, K.AUDAT, T.LANDX
 FROM MAKT MK, EINA IA, EINE IE, LFA1 S, VBAP P, VBAK K, T005T T
@@ -294,27 +175,16 @@ WHERE `+mandt("MK", "IA", "IE", "S", "P", "K", "T")+`
 		if err != nil {
 			return nil, err
 		}
-		work := s.sys.NewITab(s.m, "NATION", "YR", "PROFIT")
+		work := q9Work{s.sys.NewITab(s.m, "NATION", "YR", "PROFIT")}
 		for i, row := range tab.Rows() {
 			profit := tab.Get(i, "NETWR").AsFloat()*(1-tab.Get(i, "DISC").AsFloat()) -
 				row[4].AsFloat()*row[3].AsFloat()
 			work.Append(row[6], yearOf(row[5]), val.Float(profit))
 		}
-		var out [][]val.Value
-		err = work.GroupBy([]string{"NATION", "YR"}, []r3.Agg{
-			{Fn: "SUM", Of: func(r []val.Value) val.Value { return r[2] }},
-		}, func(kv, av []val.Value) error {
-			out = append(out, []val.Value{kv[0], kv[1], av[0]})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sortRows(out, []int{0, 1}, []bool{false, true})
-		return out, nil
+		return work, nil
 	}
 
-	q[10] = func() ([][]val.Value, error) {
+	q[10] = func() (tail, error) {
 		tab, err := s.fetchWithDiscount(`
 SELECT P.VBELN, P.POSNR, P.NETWR, C.KUNNR, C.NAME1, C.ACCBL, T.LANDX, C.STRAS, C.TELF1, X.CLUSTD
 FROM KNA1 C, VBAK K, VBAP P, T005T T, STXL X
@@ -324,29 +194,10 @@ WHERE `+mandt("C", "K", "P", "T", "X")+`
   AND P.ABGRU = 'R' AND T.LAND1 = C.LAND1
   AND X.TDOBJECT = 'KNA1' AND X.TDNAME = C.KUNNR`,
 			[]string{"VBELN", "POSNR", "NETWR", "KUNNR", "NAME1", "ACCBL", "LANDX", "STRAS", "TELF1", "CLUSTD"})
-		if err != nil {
-			return nil, err
-		}
-		var out [][]val.Value
-		err = tab.GroupBy([]string{"KUNNR", "NAME1", "ACCBL", "TELF1", "LANDX", "STRAS", "CLUSTD"},
-			[]r3.Agg{{Fn: "SUM", Of: func(r []val.Value) val.Value {
-				return val.Float(r[2].AsFloat() * (1 - r[10].AsFloat()))
-			}}},
-			func(kv, av []val.Value) error {
-				out = append(out, []val.Value{kv[0], kv[1], av[0], kv[2], kv[4], kv[5], kv[3], kv[6]})
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		sortRows(out, []int{2}, []bool{true})
-		if len(out) > 20 {
-			out = out[:20]
-		}
-		return out, nil
+		return q10Work{tab, netOf}, err
 	}
 
-	q[14] = func() ([][]val.Value, error) {
+	q[14] = func() (tail, error) {
 		tab, err := s.fetchWithDiscount(`
 SELECT P.VBELN, P.POSNR, P.NETWR, A.MTART
 FROM VBAP P, VBEP E, MARA A
@@ -357,21 +208,14 @@ WHERE `+mandt("P", "E", "A")+`
 		if err != nil {
 			return nil, err
 		}
-		var num, den float64
+		promo := &promoShare{}
 		for i, row := range tab.Rows() {
-			vol := tab.Get(i, "NETWR").AsFloat() * (1 - tab.Get(i, "DISC").AsFloat())
-			den += vol
-			if len(row[3].AsStr()) >= 5 && row[3].AsStr()[:5] == "PROMO" {
-				num += vol
-			}
+			promo.add(row[3].AsStr(), tab.Get(i, "NETWR").AsFloat()*(1-tab.Get(i, "DISC").AsFloat()))
 		}
-		if den == 0 {
-			return [][]val.Value{{val.Null}}, nil
-		}
-		return [][]val.Value{{val.Float(100 * num / den)}}, nil
+		return promo, nil
 	}
 
-	q[15] = func() ([][]val.Value, error) {
+	q[15] = func() (tail, error) {
 		tab, err := s.fetchWithDiscount(`
 SELECT P.VBELN, P.POSNR, P.NETWR, P.LIFNR
 FROM VBAP P, VBEP E
@@ -379,47 +223,14 @@ WHERE `+mandt("P", "E")+`
   AND E.VBELN = P.VBELN AND E.POSNR = P.POSNR
   AND E.EDATU >= DATE '1996-01-01' AND E.EDATU < DATE '1996-04-01'`,
 			[]string{"VBELN", "POSNR", "NETWR", "LIFNR"})
-		if err != nil {
-			return nil, err
-		}
-		type rev struct {
-			lifnr string
-			total float64
-		}
-		var tops []rev
-		err = tab.GroupBy([]string{"LIFNR"}, []r3.Agg{
-			{Fn: "SUM", Of: func(r []val.Value) val.Value {
-				return val.Float(r[2].AsFloat() * (1 - r[4].AsFloat()))
-			}},
-		}, func(kv, av []val.Value) error {
-			tops = append(tops, rev{kv[0].AsStr(), av[0].AsFloat()})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		best := -1.0
-		for _, t := range tops {
-			if t.total > best {
-				best = t.total
-			}
-		}
-		var out [][]val.Value
-		for _, t := range tops {
-			if t.total != best {
-				continue
-			}
+		return q15Work{tab, netOf, func(lifnr string) ([][]val.Value, error) {
 			res, err := s.n.Exec(`SELECT S.LIFNR, S.NAME1, S.STRAS, S.TELF1 FROM LFA1 S
-				WHERE `+mandt("S")+` AND S.LIFNR = ?`, val.Str(t.lifnr))
+				WHERE `+mandt("S")+` AND S.LIFNR = ?`, val.Str(lifnr))
 			if err != nil {
 				return nil, err
 			}
-			for _, r := range res.Rows {
-				out = append(out, append(append([]val.Value(nil), r...), val.Float(t.total)))
-			}
-		}
-		sortRows(out, []int{0}, []bool{false})
-		return out, nil
+			return res.Rows, nil
+		}}, err
 	}
 
 	return q

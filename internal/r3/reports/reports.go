@@ -61,13 +61,15 @@ type SAPImpl struct {
 	m        *cost.Meter
 	o        *r3.OpenSQL
 	n        *r3.NativeSQL
+	// fetches[q] is Qq's fetch in this session's strategy; built once by New.
+	fetches fetchTable
 }
 
 // New opens a report session of the given strategy against an installed,
 // loaded system.
 func New(sys *r3.System, g *dbgen.Generator, strategy Strategy) *SAPImpl {
 	m := cost.NewMeter(sys.DB.Model())
-	return &SAPImpl{
+	s := &SAPImpl{
 		sys:      sys,
 		gen:      g,
 		strategy: strategy,
@@ -75,6 +77,17 @@ func New(sys *r3.System, g *dbgen.Generator, strategy Strategy) *SAPImpl {
 		o:        sys.OpenSQL(m),
 		n:        sys.NativeSQL(m),
 	}
+	switch strategy {
+	case Native22:
+		s.fetches = s.native22Fetches()
+	case Native30:
+		s.fetches = s.native30Fetches()
+	case Open22:
+		s.fetches = s.open22Fetches()
+	default:
+		s.fetches = s.open30Fetches()
+	}
+	return s
 }
 
 // Name implements tpcd.Implementation.
@@ -98,32 +111,25 @@ func (s *SAPImpl) Meter() *cost.Meter { return s.m }
 
 // RunQuery implements tpcd.Implementation.
 func (s *SAPImpl) RunQuery(q int) ([][]val.Value, error) {
-	var table map[int]func() ([][]val.Value, error)
-	switch s.strategy {
-	case Native22:
-		table = s.native22Queries()
-	case Native30:
-		table = s.native30Queries()
-	case Open22:
-		table = s.open22Queries()
-	default:
-		table = s.open30Queries()
-	}
-	fn, ok := table[q]
-	if !ok {
+	if q < 1 || q >= len(s.fetches) {
 		return nil, fmt.Errorf("reports: no Q%d for %s", q, s.strategy)
 	}
-	rows, err := fn()
+	var rows [][]val.Value
+	t, err := s.fetches[q]()
+	if err == nil {
+		rows, err = t.rows()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("reports: %s Q%d: %w", s.strategy, q, err)
 	}
 	return rows, nil
 }
 
-// RunUF1 enters the new-order set through batch input — identical in all
-// strategies ("these two variants show virtually identical performance").
+// RunUF1 enters the new-order set through batch input charging this
+// report's meter — identical in all strategies ("these two variants show
+// virtually identical performance").
 func (s *SAPImpl) RunUF1() error {
-	b := s.batchInput()
+	b := s.sys.NewBatchInputWithMeter(1, s.m)
 	return s.gen.UF1Orders(func(o *dbgen.Order) error {
 		return b.EnterOrder(o)
 	})
@@ -131,7 +137,7 @@ func (s *SAPImpl) RunUF1() error {
 
 // RunUF2 deletes the delete set through batch input.
 func (s *SAPImpl) RunUF2() error {
-	b := s.batchInput()
+	b := s.sys.NewBatchInputWithMeter(1, s.m)
 	for _, k := range s.gen.UF2OrderKeys() {
 		if err := b.DeleteOrder(k); err != nil {
 			return err
@@ -140,49 +146,46 @@ func (s *SAPImpl) RunUF2() error {
 	return nil
 }
 
-// batchInput opens a batch-input session charging this report's meter.
-func (s *SAPImpl) batchInput() *r3.BatchInput {
-	return s.sys.NewBatchInputWithMeter(1, s.m)
-}
-
 // --- shared helpers ---
 
-// key16 is a local alias.
-func key16(n int64) string { return r3.Key16(n) }
-
-// sf passes the generator's scale factor (Q11's fraction).
-func (s *SAPImpl) sf() float64 { return s.gen.SF }
-
-// discountRate reads the DISC condition of one document item through a
-// nested Open SQL SELECT — the only way to reach KONV while it is a
-// cluster table. Returns l_discount (0.05 style).
-func (s *SAPImpl) discountRate(knumv, kposn string) (float64, error) {
+// konvRate reads one pricing condition of a document item through a nested
+// Open SQL SELECT — the only way to reach KONV while it is a cluster table
+// — as sign × KBETR per mille.
+func (s *SAPImpl) konvRate(knumv, kposn, kschl string, sign float64) (float64, error) {
 	var rate float64
 	err := s.o.Select("KONV", []r3.Cond{
 		r3.Eq("KNUMV", val.Str(knumv)), r3.Eq("KPOSN", val.Str(kposn)),
-		r3.Eq("KSCHL", val.Str("DISC")),
+		r3.Eq("KSCHL", val.Str(kschl)),
 	}, func(r r3.Row) error {
-		rate = -r.Get("KBETR").AsFloat() / 1000
+		rate = sign * r.Get("KBETR").AsFloat() / 1000
 		return r3.StopSelect
 	})
 	if err != nil && err != r3.StopSelect {
 		return 0, err
 	}
 	return rate, nil
+}
+
+// discountRate returns l_discount (0.05 style): the DISC condition is
+// stored as a negative rate.
+func (s *SAPImpl) discountRate(knumv, kposn string) (float64, error) {
+	return s.konvRate(knumv, kposn, "DISC", -1)
 }
 
 // taxRate reads the TAX condition of one document item.
 func (s *SAPImpl) taxRate(knumv, kposn string) (float64, error) {
-	var rate float64
-	err := s.o.Select("KONV", []r3.Cond{
-		r3.Eq("KNUMV", val.Str(knumv)), r3.Eq("KPOSN", val.Str(kposn)),
-		r3.Eq("KSCHL", val.Str("TAX")),
-	}, func(r r3.Row) error {
-		rate = r.Get("KBETR").AsFloat() / 1000
-		return r3.StopSelect
-	})
-	if err != nil && err != r3.StopSelect {
-		return 0, err
+	return s.konvRate(knumv, kposn, "TAX", 1)
+}
+
+// yearOf extracts the year of a date value client-side.
+func yearOf(v val.Value) val.Value {
+	s := v.AsStr()
+	if len(s) < 4 {
+		return val.Null
 	}
-	return rate, nil
+	y := 0
+	for i := 0; i < 4; i++ {
+		y = y*10 + int(s[i]-'0')
+	}
+	return val.Int(int64(y))
 }
