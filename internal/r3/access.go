@@ -41,31 +41,6 @@ func (sc *stmtCache) get(sql string) (*engine.Stmt, error) {
 	return st, nil
 }
 
-// insertLogical writes one logical row through the dictionary mapping.
-func (sys *System) insertLogical(s *engine.Session, t *LogicalTable, row []val.Value) error {
-	if len(row) != len(t.Cols) {
-		return fmt.Errorf("r3: %s: row width %d != %d", t.Name, len(row), len(t.Cols))
-	}
-	switch t.Kind {
-	case Transparent:
-		return s.InsertRow(t.Name, row)
-	case Pooled:
-		phys := []val.Value{val.Str(t.Name), val.Str(t.keyString(row)), val.Str(t.packRow(row))}
-		s.Meter.Charge(cost.Decode, 1) // encode on the way in
-		return s.InsertRow(poolTableName, phys)
-	default:
-		return sys.insertClusterGroup(s, t, [][]val.Value{row})
-	}
-}
-
-// insertClusterGroup writes logical rows that share one cluster key,
-// packing them into as few physical tuples as fit. All rows must agree on
-// the cluster-prefix columns.
-func (sys *System) insertClusterGroup(s *engine.Session, t *LogicalTable, rows [][]val.Value) error {
-	s.Meter.Charge(cost.Decode, int64(len(rows))) // encode on the way in
-	return t.packCluster(rows, func(phys []val.Value) error { return s.InsertRow(t.Name+clusterSuffix, phys) })
-}
-
 // scanLogical streams a logical table's rows, optionally bounded by a
 // prefix of its key, decoding pool/cluster storage as needed. For
 // transparent tables this goes through the given cursor cache.
@@ -321,16 +296,7 @@ func (sys *System) PhysicalSizes(name string) (int64, int64) {
 	if t == nil {
 		return 0, 0
 	}
-	var phys string
-	switch t.Kind {
-	case Transparent:
-		phys = t.Name
-	case Pooled:
-		phys = poolTableName
-	default:
-		phys = t.Name + clusterSuffix
-	}
-	et := sys.DB.Table(phys)
+	et := sys.DB.Table(t.physName())
 	if et == nil {
 		return 0, 0
 	}

@@ -351,6 +351,78 @@ func typeDDL(ct val.ColType) string {
 
 // --- logical row codecs for pool and cluster storage ---
 
+// physName names the physical table that stores the logical table's rows.
+func (t *LogicalTable) physName() string {
+	switch t.Kind {
+	case Transparent:
+		return t.Name
+	case Pooled:
+		return poolTableName
+	default:
+		return t.Name + clusterSuffix
+	}
+}
+
+// toPhysical is the dictionary's write mapping: it turns full-width logical
+// rows into the tuples of physName() that store them and hands each to
+// emit. A transparent row is its own tuple; a pool row becomes (TABNAME,
+// VARKEY, VARDATA); a cluster table's rows, which must agree on the
+// cluster-prefix columns, pack into as few tuples of clusterVarData bytes
+// as fit. Every write interface is an emitter over this one mapping and
+// keeps its own charges.
+func (t *LogicalTable) toPhysical(rows [][]val.Value, emit func(phys []val.Value) error) error {
+	switch t.Kind {
+	case Transparent:
+		for _, row := range rows {
+			if err := emit(row); err != nil {
+				return err
+			}
+		}
+		return nil
+	case Pooled:
+		for _, row := range rows {
+			phys := []val.Value{val.Str(t.Name), val.Str(t.keyString(row)), val.Str(t.packRow(row))}
+			if err := emit(phys); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	var keyVals []val.Value
+	for _, kc := range t.ClusterPrefix {
+		keyVals = append(keyVals, rows[0][t.ColIndex(kc)])
+	}
+	var cur strings.Builder
+	pageNo := int64(0)
+	flush := func() error {
+		if cur.Len() == 0 {
+			return nil
+		}
+		phys := make([]val.Value, 0, len(keyVals)+2)
+		phys = append(phys, keyVals...)
+		phys = append(phys, val.Int(pageNo), val.Str(cur.String()))
+		cur.Reset()
+		pageNo++
+		return emit(phys)
+	}
+	for _, row := range rows {
+		packed := t.packRow(row)
+		if cur.Len() > 0 && cur.Len()+len(rowSep)+len(packed) > clusterVarData {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		if cur.Len() > 0 {
+			cur.WriteString(rowSep)
+		}
+		cur.WriteString(packed)
+	}
+	return flush()
+}
+
 // keyString concatenates the fixed-width key values of a logical row.
 func (t *LogicalTable) keyString(row []val.Value) string {
 	var b strings.Builder

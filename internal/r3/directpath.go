@@ -9,7 +9,6 @@ import (
 	"r3bench/internal/cost"
 	"r3bench/internal/dbgen"
 	"r3bench/internal/engine"
-	"r3bench/internal/val"
 )
 
 // DirectPath is the modern load facility the paper's installation lacked
@@ -126,50 +125,15 @@ func (w *dpWorker) record(anchor string) {
 	w.dp.records.Add(1)
 }
 
-// add routes one logical row to its physical table if this lane owns it.
-func (w *dpWorker) add(r SAPRow) error {
-	sys := w.dp.sys
-	t := sys.Table(r.Table)
-	if t == nil {
-		return fmt.Errorf("r3: unknown table %s", r.Table)
-	}
-	switch t.Kind {
-	case Transparent:
-		ld := w.loaders[t.Name]
-		if ld == nil {
-			return nil
-		}
-		row, err := sys.physRow(t, r.Fields)
-		if err != nil {
-			return err
-		}
-		return ld.Append(row)
-	case Pooled:
-		ld := w.loaders[poolTableName]
-		if ld == nil {
-			return nil
-		}
-		row, err := sys.physRow(t, r.Fields)
-		if err != nil {
-			return err
-		}
-		w.m.Charge(cost.Decode, 1) // encode on the way in
-		return ld.Append([]val.Value{
-			val.Str(t.Name), val.Str(t.keyString(row)), val.Str(t.packRow(row))})
-	default:
-		return fmt.Errorf("r3: cluster table %s needs addClusterGroup", t.Name)
-	}
-}
-
-// addClusterGroup packs one cluster key's logical rows into physical
-// tuples and appends them if this lane owns the cluster's table.
-func (w *dpWorker) addClusterGroup(table string, group []F) error {
+// add maps logical rows to their physical table if this lane owns it;
+// ownership is tested before a row is built.
+func (w *dpWorker) add(table string, group ...F) error {
 	sys := w.dp.sys
 	t := sys.Table(table)
 	if t == nil {
 		return fmt.Errorf("r3: unknown table %s", table)
 	}
-	ld := w.loaders[t.Name+clusterSuffix]
+	ld := w.loaders[t.physName()]
 	if ld == nil {
 		return nil
 	}
@@ -177,8 +141,10 @@ func (w *dpWorker) addClusterGroup(table string, group []F) error {
 	if err != nil {
 		return err
 	}
-	w.m.Charge(cost.Decode, int64(len(rows))) // encode on the way in
-	return t.packCluster(rows, ld.Append)
+	if t.Kind != Transparent {
+		w.m.Charge(cost.Decode, int64(len(rows))) // encode on the way in
+	}
+	return t.toPhysical(rows, ld.Append)
 }
 
 // Load streams the generated population through the direct path. The

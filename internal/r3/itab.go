@@ -74,22 +74,29 @@ func (t *ITab) Get(i int, name string) val.Value { return t.rows[i][t.cols[name]
 // estRowBytes models the paged size of one internal-table row.
 func (t *ITab) estRowBytes() int64 { return int64(len(t.names)) * 24 }
 
-// Sort orders the table by the given fields ascending (SORT itab BY ...),
-// charging comparison CPU and — beyond the roll area — paging I/O.
+// chargeSort charges the comparison CPU of sorting n rows.
+func (t *ITab) chargeSort(n int) {
+	if n > 1 {
+		per := t.meter.Model().PerEvent[cost.SortCPU]
+		t.meter.ChargeDuration(cost.SortCPU, time.Duration(float64(n)*math.Log2(float64(n)))*per)
+	}
+}
+
+// sortBy charges a sort of the table and orders its rows by less.
+func (t *ITab) sortBy(less func(a, b []val.Value) bool) {
+	t.chargeSort(len(t.rows))
+	sort.SliceStable(t.rows, func(a, b int) bool { return less(t.rows[a], t.rows[b]) })
+}
+
+// Sort orders the table by the given fields ascending (SORT itab BY ...).
 func (t *ITab) Sort(fields ...string) {
 	idx := make([]int, len(fields))
 	for i, f := range fields {
 		idx[i] = t.cols[f]
 	}
-	n := int64(len(t.rows))
-	if n > 1 {
-		per := t.meter.Model().PerEvent[cost.SortCPU]
-		t.meter.ChargeDuration(cost.SortCPU, time.Duration(float64(n)*math.Log2(float64(n)))*per)
-	}
-	sort.SliceStable(t.rows, func(a, b int) bool {
+	t.sortBy(func(a, b []val.Value) bool {
 		for _, ci := range idx {
-			c := val.Compare(t.rows[a][ci], t.rows[b][ci])
-			if c != 0 {
+			if c := val.Compare(a[ci], b[ci]); c != 0 {
 				return c < 0
 			}
 		}
@@ -100,14 +107,7 @@ func (t *ITab) Sort(fields ...string) {
 // SortDesc orders by one field descending.
 func (t *ITab) SortDesc(field string) {
 	ci := t.cols[field]
-	n := int64(len(t.rows))
-	if n > 1 {
-		per := t.meter.Model().PerEvent[cost.SortCPU]
-		t.meter.ChargeDuration(cost.SortCPU, time.Duration(float64(n)*math.Log2(float64(n)))*per)
-	}
-	sort.SliceStable(t.rows, func(a, b int) bool {
-		return val.Compare(t.rows[a][ci], t.rows[b][ci]) > 0
-	})
+	t.sortBy(func(a, b []val.Value) bool { return val.Compare(a[ci], b[ci]) > 0 })
 }
 
 // Agg describes one aggregate computed by GroupBy: Fn over the value
@@ -287,10 +287,7 @@ func (t *ITab) groupBySinglePass(keys []string, aggs []Agg, emit func(keyVals []
 	}
 	// Sort only the groups so emission order matches the two-phase
 	// strategy's sorted output.
-	if n := int64(len(order)); n > 1 {
-		per := t.meter.Model().PerEvent[cost.SortCPU]
-		t.meter.ChargeDuration(cost.SortCPU, time.Duration(float64(n)*math.Log2(float64(n)))*per)
-	}
+	t.chargeSort(len(order))
 	sort.SliceStable(order, func(a, b int) bool {
 		for i := range idx {
 			c := val.Compare(order[a].keyVals[i], order[b].keyVals[i])

@@ -186,8 +186,9 @@ type populationSink interface {
 	// record marks one business record, anchored at the table that pays
 	// for its interpretation, about to arrive through add.
 	record(anchor string)
-	add(r SAPRow) error
-	addClusterGroup(table string, rows []F) error
+	// add takes logical rows of one table; rows of a cluster table arrive
+	// as one cluster key's whole group.
+	add(table string, rows ...F) error
 }
 
 // walkPopulation streams the whole population into s. Every comment text
@@ -196,7 +197,7 @@ func walkPopulation(g *dbgen.Generator, s populationSink) error {
 	entity := func(anchor string, rows []SAPRow) error {
 		s.record(anchor)
 		for _, r := range rows {
-			if err := s.add(r); err != nil {
+			if err := s.add(r.Table, r.Fields); err != nil {
 				return err
 			}
 		}
@@ -251,7 +252,7 @@ func walkPopulation(g *dbgen.Generator, s populationSink) error {
 					return err
 				}
 			}
-			return s.addClusterGroup("KONV", KonvRows(o))
+			return s.add("KONV", KonvRows(o)...)
 		})
 	}
 	return nil
@@ -277,47 +278,7 @@ func (sys *System) physRow(t *LogicalTable, fields F) ([]val.Value, error) {
 	return row, nil
 }
 
-// packCluster packs logical rows that share one cluster key into as few
-// physical tuples as fit (clusterVarData bytes of packed data each) and
-// hands every tuple to emit. All rows must agree on the cluster-prefix
-// columns.
-func (t *LogicalTable) packCluster(rows [][]val.Value, emit func(phys []val.Value) error) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	var keyVals []val.Value
-	for _, kc := range t.ClusterPrefix {
-		keyVals = append(keyVals, rows[0][t.ColIndex(kc)])
-	}
-	var cur strings.Builder
-	pageNo := int64(0)
-	flush := func() error {
-		if cur.Len() == 0 {
-			return nil
-		}
-		phys := make([]val.Value, 0, len(keyVals)+2)
-		phys = append(phys, keyVals...)
-		phys = append(phys, val.Int(pageNo), val.Str(cur.String()))
-		cur.Reset()
-		pageNo++
-		return emit(phys)
-	}
-	for _, row := range rows {
-		packed := t.packRow(row)
-		if cur.Len() > 0 && cur.Len()+len(rowSep)+len(packed) > clusterVarData {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		if cur.Len() > 0 {
-			cur.WriteString(rowSep)
-		}
-		cur.WriteString(packed)
-	}
-	return flush()
-}
-
-// physRows materializes a cluster group's field assignments.
+// physRows materializes the field assignments of several rows.
 func (sys *System) physRows(t *LogicalTable, group []F) ([][]val.Value, error) {
 	rows := make([][]val.Value, len(group))
 	for i, fields := range group {
@@ -344,29 +305,7 @@ const directBatch = 4096
 func (dl *directLoader) wants(...string) bool { return true }
 func (dl *directLoader) record(string)        {}
 
-func (dl *directLoader) add(r SAPRow) error {
-	t := dl.sys.Table(r.Table)
-	if t == nil {
-		return fmt.Errorf("r3: unknown table %s", r.Table)
-	}
-	row, err := dl.sys.physRow(t, r.Fields)
-	if err != nil {
-		return err
-	}
-	switch t.Kind {
-	case Transparent:
-		return dl.push(t.Name, row)
-	case Pooled:
-		return dl.push(poolTableName, []val.Value{
-			val.Str(t.Name), val.Str(t.keyString(row)), val.Str(t.packRow(row))})
-	default:
-		return fmt.Errorf("r3: cluster table %s needs addClusterGroup", t.Name)
-	}
-}
-
-// addClusterGroup packs one cluster key's logical rows into physical
-// tuples.
-func (dl *directLoader) addClusterGroup(table string, group []F) error {
+func (dl *directLoader) add(table string, group ...F) error {
 	t := dl.sys.Table(table)
 	if t == nil {
 		return fmt.Errorf("r3: unknown table %s", table)
@@ -375,16 +314,7 @@ func (dl *directLoader) addClusterGroup(table string, group []F) error {
 	if err != nil {
 		return err
 	}
-	if t.Kind == Transparent {
-		// After a 3.0 conversion the rows load individually.
-		for _, row := range rows {
-			if err := dl.push(t.Name, row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return t.packCluster(rows, func(phys []val.Value) error { return dl.push(t.Name+clusterSuffix, phys) })
+	return t.toPhysical(rows, func(phys []val.Value) error { return dl.push(t.physName(), phys) })
 }
 
 func (dl *directLoader) push(phys string, row []val.Value) error {

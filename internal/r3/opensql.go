@@ -387,65 +387,29 @@ var StopSelect = errStopSelect
 // Insert writes one logical row through the dictionary (used by the
 // batch-input facility and the update functions).
 func (o *OpenSQL) Insert(table string, fields map[string]val.Value) error {
-	t := o.sys.Table(table)
-	if t == nil {
-		return fmt.Errorf("r3: unknown table %s", table)
-	}
-	row := make([]val.Value, len(t.Cols))
-	row[0] = val.Str(o.sys.Client)
-	for name, v := range fields {
-		ci := t.ColIndex(name)
-		if ci < 0 {
-			return fmt.Errorf("r3: no field %s in %s", name, t.Name)
-		}
-		row[ci] = v
-	}
-	for i, col := range t.Cols {
-		if row[i].IsNull() && col.Type.Kind == val.KStr {
-			row[i] = val.Str("")
-		}
-	}
-	// Buffer invalidation happens in the engine write hook (Install), so
-	// every write interface — not just this one — keeps buffers coherent.
-	defer o.ph.enterDB(o.sess.Meter)()
-	return o.sys.insertLogical(o.sess, t, row)
+	return o.InsertGroup(table, []map[string]val.Value{fields})
 }
 
-// InsertGroup writes several logical rows of a cluster table that share a
-// cluster key in one shot (how SAP writes a document's conditions).
+// InsertGroup writes several logical rows of one table in one shot; rows of
+// a cluster table must share a cluster key (how SAP writes a document's
+// conditions).
 func (o *OpenSQL) InsertGroup(table string, rows []map[string]val.Value) error {
 	t := o.sys.Table(table)
 	if t == nil {
 		return fmt.Errorf("r3: unknown table %s", table)
 	}
-	full := make([][]val.Value, len(rows))
-	for ri, fields := range rows {
-		row := make([]val.Value, len(t.Cols))
-		row[0] = val.Str(o.sys.Client)
-		for name, v := range fields {
-			ci := t.ColIndex(name)
-			if ci < 0 {
-				return fmt.Errorf("r3: no field %s in %s", name, t.Name)
-			}
-			row[ci] = v
-		}
-		for i, col := range t.Cols {
-			if row[i].IsNull() && col.Type.Kind == val.KStr {
-				row[i] = val.Str("")
-			}
-		}
-		full[ri] = row
+	full, err := o.sys.physRows(t, rows)
+	if err != nil {
+		return err
 	}
-	defer o.ph.enterDB(o.sess.Meter)()
-	if t.Kind == Clustered {
-		return o.sys.insertClusterGroup(o.sess, t, full)
+	// Buffer invalidation happens in the engine write hook (Install), so
+	// every write interface — not just this one — keeps buffers coherent.
+	m := o.sess.Meter
+	defer o.ph.enterDB(m)()
+	if t.Kind != Transparent {
+		m.Charge(cost.Decode, int64(len(full))) // encode on the way in
 	}
-	for _, row := range full {
-		if err := o.sys.insertLogical(o.sess, t, row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.toPhysical(full, func(phys []val.Value) error { return o.sess.InsertRow(t.physName(), phys) })
 }
 
 // Delete removes logical rows by key prefix (MANDT implicit).

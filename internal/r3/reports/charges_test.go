@@ -165,3 +165,23 @@ func TestReportCharges(t *testing.T) {
 		}
 	}
 }
+
+// TestFetchTablesComplete checks the tables New builds: every strategy has
+// a fetch for each of Q1–Q17 (TestAllStrategiesAgree runs them), and a
+// query number outside the table is refused, not indexed.
+func TestFetchTablesComplete(t *testing.T) {
+	g, _, sys2, sys3 := fixtures(t)
+	for _, impl := range []*SAPImpl{New(sys2, g, Native22), New(sys3, g, Native30), New(sys2, g, Open22), New(sys3, g, Open30)} {
+		for qn := 1; qn <= 17; qn++ {
+			if impl.fetches[qn] == nil {
+				t.Errorf("%s: no fetch for Q%d", impl.Name(), qn)
+			}
+		}
+		for _, qn := range []int{-1, 0, 18} {
+			want := fmt.Sprintf("reports: no Q%d for %s", qn, impl.Name())
+			if _, err := impl.RunQuery(qn); err == nil || err.Error() != want {
+				t.Errorf("%s: RunQuery(%d) = %v, want %q", impl.Name(), qn, err, want)
+			}
+		}
+	}
+}
