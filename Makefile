@@ -3,7 +3,7 @@ GO ?= go
 # Newest committed snapshot is the regression baseline for bench-diff.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: all fmt-check vet build test race race-streams race-shards race-recovery race-warehouse race-views fuzz-smoke bench-smoke bench-wire-smoke bench-snapshot bench-diff ci check clean
+.PHONY: all fmt-check vet build test loc race race-streams race-shards race-recovery race-warehouse race-views fuzz-smoke bench-smoke bench-wire-smoke bench-snapshot bench-diff ci check clean
 
 all: check
 
@@ -21,6 +21,16 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Lines of Go per package outside bench/: non-test, then test (wc -l, so
+# comments and blanks count) — the figure ROADMAP's diet items are counted in.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs wc -l | awk ' \
+		$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); \
+			if ($$2 ~ /_test\.go$$/) { t[d] += $$1; T += $$1 } else { n[d] += $$1; N += $$1 } \
+			seen[d] = 1 } \
+		END { for (d in seen) printf "%-28s %7d %7d\n", d, n[d], t[d]; \
+			printf "%-28s %7d %7d\n", "total", N, T }' | sort
 
 race:
 	$(GO) test -race ./...
