@@ -82,21 +82,16 @@ func (t *ITab) chargeSort(n int) {
 	}
 }
 
-// sortBy charges a sort of the table and orders its rows by less.
-func (t *ITab) sortBy(less func(a, b []val.Value) bool) {
-	t.chargeSort(len(t.rows))
-	sort.SliceStable(t.rows, func(a, b int) bool { return less(t.rows[a], t.rows[b]) })
-}
-
 // Sort orders the table by the given fields ascending (SORT itab BY ...).
 func (t *ITab) Sort(fields ...string) {
 	idx := make([]int, len(fields))
 	for i, f := range fields {
 		idx[i] = t.cols[f]
 	}
-	t.sortBy(func(a, b []val.Value) bool {
+	t.chargeSort(len(t.rows))
+	sort.SliceStable(t.rows, func(a, b int) bool {
 		for _, ci := range idx {
-			if c := val.Compare(a[ci], b[ci]); c != 0 {
+			if c := val.Compare(t.rows[a][ci], t.rows[b][ci]); c != 0 {
 				return c < 0
 			}
 		}
@@ -107,7 +102,8 @@ func (t *ITab) Sort(fields ...string) {
 // SortDesc orders by one field descending.
 func (t *ITab) SortDesc(field string) {
 	ci := t.cols[field]
-	t.sortBy(func(a, b []val.Value) bool { return val.Compare(a[ci], b[ci]) > 0 })
+	t.chargeSort(len(t.rows))
+	sort.SliceStable(t.rows, func(a, b int) bool { return val.Compare(t.rows[a][ci], t.rows[b][ci]) > 0 })
 }
 
 // Agg describes one aggregate computed by GroupBy: Fn over the value

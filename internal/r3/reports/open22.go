@@ -129,7 +129,7 @@ func (s *SAPImpl) open22Fetches() (q fetchTable) {
 	}
 
 	q[2] = func() (tail, error) {
-		var out offers
+		var out q2Offers
 		// Drive from the SIZE characteristic, nesting everything else.
 		err := s.o.Select("AUSP", []r3.Cond{
 			r3.Eq("ATINN", val.Str("SIZE")), r3.Eq("ATFLV", val.Float(15)),

@@ -85,7 +85,7 @@ func (s *SAPImpl) open30Fetches() (q fetchTable) {
 		}
 		mins.Sort("MATNR")
 		// Phase 2: the main join, filtered against phase 1 client-side.
-		var out offers
+		var out q2Offers
 		err = s.o.SelectJoin(r3.JoinQuery{
 			Tables: []r3.JT{{Table: "MARA", Alias: "A"}, {Table: "AUSP", Alias: "Z"}, {Table: "EINA", Alias: "IA"}, {Table: "EINE", Alias: "IE"},
 				{Table: "LFA1", Alias: "S"}, {Table: "T005", Alias: "N"}, {Table: "T005U", Alias: "R"}, {Table: "T005T", Alias: "T"}, {Table: "STXL", Alias: "X"}},

@@ -140,10 +140,10 @@ func (w q1Work) rows() ([][]val.Value, error) {
 	return out, err
 }
 
-// offers is Q2's tail: the minimum-cost offers in order, the first hundred.
-type offers [][]val.Value
+// q2Offers is Q2's tail: the minimum-cost offers in order, the first hundred.
+type q2Offers [][]val.Value
 
-func (out offers) rows() ([][]val.Value, error) {
+func (out q2Offers) rows() ([][]val.Value, error) {
 	sortRows(out, []int{0, 2, 1, 3}, []bool{true, false, false, false})
 	return top(out, 100), nil
 }
