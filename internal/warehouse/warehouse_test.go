@@ -1,7 +1,7 @@
 package warehouse
 
 import (
-	"bufio"
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,68 +10,75 @@ import (
 	"r3bench/internal/r3"
 )
 
+// TestExtractAllRoundTrips: the extraction reports reconstruct the
+// generator's ASCII files from the SAP database to the byte — on Release
+// 2.2 with KONV read as a cluster, and on 3.0 after the conversion to a
+// transparent table.
 func TestExtractAllRoundTrips(t *testing.T) {
 	g := dbgen.New(0.002)
-	sys, err := r3.Install(r3.Config{Release: r3.Release30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.LoadDirect(g); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ConvertToTransparent("KONV", nil); err != nil {
-		t.Fatal(err)
-	}
 	// Reference ASCII files straight from the generator.
 	refDir := t.TempDir()
 	if _, err := g.WriteTbl(refDir); err != nil {
 		t.Fatal(err)
 	}
-	outDir := t.TempDir()
-	ex := New(sys)
-	results, err := ex.ExtractAll(outDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 8 {
-		t.Fatalf("extracted %d tables", len(results))
-	}
-	for _, res := range results {
-		if res.Rows == 0 {
-			t.Errorf("%s extracted no rows", res.Table)
-		}
-		if res.Elapsed <= 0 {
-			t.Errorf("%s charged no simulated time", res.Table)
-		}
-	}
-	// Row counts must match the reference exactly; LINEITEM must be the
-	// dominant cost, as in the paper's Table 9.
-	counts := func(dir, file string) int {
-		f, err := os.Open(filepath.Join(dir, file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		n := 0
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			n++
-		}
-		return n
-	}
-	var liTime, total int64
-	for _, res := range results {
-		ref := dbgen.TblFile(res.Table)
-		if got, want := counts(outDir, ref), counts(refDir, ref); got != want {
-			t.Errorf("%s: extracted %d rows, reference has %d", res.Table, got, want)
-		}
-		total += int64(res.Elapsed)
-		if res.Table == "LINEITEM" {
-			liTime = int64(res.Elapsed)
-		}
-	}
-	if liTime*2 < total {
-		t.Errorf("LINEITEM should dominate extraction cost: %d of %d", liTime, total)
+	for _, tc := range []struct {
+		name    string
+		release r3.Release
+		convert bool
+	}{
+		{"2.2 cluster KONV", r3.Release22, false},
+		{"3.0 transparent KONV", r3.Release30, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := r3.Install(r3.Config{Release: tc.release})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.LoadDirect(g); err != nil {
+				t.Fatal(err)
+			}
+			if tc.convert {
+				if err := sys.ConvertToTransparent("KONV", nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			outDir := t.TempDir()
+			results, err := New(sys).ExtractAll(outDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != 8 {
+				t.Fatalf("extracted %d tables", len(results))
+			}
+			// LINEITEM must be the dominant cost, as in the paper's Table 9.
+			var liTime, total int64
+			for _, res := range results {
+				if res.Elapsed <= 0 {
+					t.Errorf("%s charged no simulated time", res.Table)
+				}
+				file := dbgen.TblFile(res.Table)
+				got, err := os.ReadFile(filepath.Join(outDir, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := os.ReadFile(filepath.Join(refDir, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: extracted file differs from the generator's (%d vs %d bytes)", file, len(got), len(want))
+				}
+				if n := int64(bytes.Count(got, []byte("\n"))); n != res.Rows || n == 0 {
+					t.Errorf("%s: %d rows reported, %d lines written", res.Table, res.Rows, n)
+				}
+				total += int64(res.Elapsed)
+				if res.Table == "LINEITEM" {
+					liTime = int64(res.Elapsed)
+				}
+			}
+			if liTime*2 < total {
+				t.Errorf("LINEITEM should dominate extraction cost: %d of %d", liTime, total)
+			}
+		})
 	}
 }
