@@ -2,192 +2,18 @@ package dbgen
 
 import (
 	"bufio"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
+
+	"r3bench/internal/val"
 )
-
-// TblFile maps a TPC-D table name to its DBGEN .tbl file name. ORDER is
-// the one irregular case (DBGEN writes orders.tbl); every consumer of
-// the ASCII form — the generator itself, the warehouse extractor, tests
-// — goes through this one map instead of hard-coding the exception.
-func TblFile(table string) string {
-	switch strings.ToUpper(table) {
-	case "ORDER", "ORDERS":
-		return "orders.tbl"
-	default:
-		return strings.ToLower(table) + ".tbl"
-	}
-}
-
-// Line formatters shared by WriteTbl and WriteTblSorted so the two
-// modes emit byte-identical rows and differ only in row order.
-
-func regionLine(r Region) string {
-	return fmt.Sprintf("%d|%s|%s|\n", r.Key, r.Name, r.Comment)
-}
-
-func nationLine(n Nation) string {
-	return fmt.Sprintf("%d|%s|%d|%s|\n", n.Key, n.Name, n.RegionKey, n.Comment)
-}
-
-func supplierLine(s Supplier) string {
-	return fmt.Sprintf("%d|%s|%s|%d|%s|%.2f|%s|\n",
-		s.Key, s.Name, s.Address, s.NationKey, s.Phone, s.AcctBal, s.Comment)
-}
-
-func partLine(p Part) string {
-	return fmt.Sprintf("%d|%s|%s|%s|%s|%d|%s|%.2f|%s|\n",
-		p.Key, p.Name, p.Mfgr, p.Brand, p.Type, p.Size, p.Container, p.RetailPrice, p.Comment)
-}
-
-func partSuppLine(ps PartSupp) string {
-	return fmt.Sprintf("%d|%d|%d|%.2f|%s|\n",
-		ps.PartKey, ps.SuppKey, ps.AvailQty, ps.SupplyCost, ps.Comment)
-}
-
-func customerLine(c Customer) string {
-	return fmt.Sprintf("%d|%s|%s|%d|%s|%.2f|%s|%s|\n",
-		c.Key, c.Name, c.Address, c.NationKey, c.Phone, c.AcctBal, c.MktSegment, c.Comment)
-}
-
-func orderLine(o *Order) string {
-	return fmt.Sprintf("%d|%d|%s|%.2f|%s|%s|%s|%d|%s|\n",
-		o.Key, o.CustKey, o.Status, o.TotalPrice, o.Date.AsStr(),
-		o.Priority, o.Clerk, o.ShipPriority, o.Comment)
-}
-
-func lineitemLine(li Lineitem) string {
-	return fmt.Sprintf("%d|%d|%d|%d|%d|%.2f|%.2f|%.2f|%s|%s|%s|%s|%s|%s|%s|%s|\n",
-		li.OrderKey, li.PartKey, li.SuppKey, li.LineNumber, li.Quantity,
-		li.ExtendedPrice, li.Discount, li.Tax, li.ReturnFlag, li.LineStatus,
-		li.ShipDate.AsStr(), li.CommitDate.AsStr(), li.ReceiptDate.AsStr(),
-		li.ShipInstruct, li.ShipMode, li.Comment)
-}
 
 // WriteTbl writes the whole population as DBGEN-style pipe-delimited
 // .tbl files into dir, returning the total bytes written. This is the
 // ~200 MB ASCII form the paper starts from ("for SF=0.2, the DBGEN tool
 // generates an ASCII file of about 200 MB").
-func (g *Generator) WriteTbl(dir string) (int64, error) {
-	var total int64
-	write := func(name string, fill func(w *bufio.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriter(f)
-		if err := fill(w); err != nil {
-			f.Close()
-			return err
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		st, err := f.Stat()
-		if err == nil {
-			total += st.Size()
-		}
-		return f.Close()
-	}
-
-	if err := write("region.tbl", func(w *bufio.Writer) error {
-		for _, r := range g.Regions() {
-			if _, err := w.WriteString(regionLine(r)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return total, err
-	}
-	if err := write("nation.tbl", func(w *bufio.Writer) error {
-		for _, n := range g.NationRows() {
-			if _, err := w.WriteString(nationLine(n)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return total, err
-	}
-	if err := write("supplier.tbl", func(w *bufio.Writer) error {
-		return g.Suppliers(func(s Supplier) error {
-			_, err := w.WriteString(supplierLine(s))
-			return err
-		})
-	}); err != nil {
-		return total, err
-	}
-	if err := write("part.tbl", func(w *bufio.Writer) error {
-		return g.Parts(func(p Part) error {
-			_, err := w.WriteString(partLine(p))
-			return err
-		})
-	}); err != nil {
-		return total, err
-	}
-	if err := write("partsupp.tbl", func(w *bufio.Writer) error {
-		return g.PartSupps(func(ps PartSupp) error {
-			_, err := w.WriteString(partSuppLine(ps))
-			return err
-		})
-	}); err != nil {
-		return total, err
-	}
-	if err := write("customer.tbl", func(w *bufio.Writer) error {
-		return g.Customers(func(c Customer) error {
-			_, err := w.WriteString(customerLine(c))
-			return err
-		})
-	}); err != nil {
-		return total, err
-	}
-	var liW *bufio.Writer
-	if err := write("orders.tbl", func(w *bufio.Writer) error {
-		liF, err := os.Create(filepath.Join(dir, "lineitem.tbl"))
-		if err != nil {
-			return err
-		}
-		defer liF.Close()
-		liW = bufio.NewWriter(liF)
-		err = g.Orders(func(o *Order) error {
-			if _, err := w.WriteString(orderLine(o)); err != nil {
-				return err
-			}
-			for _, li := range o.Lines {
-				if _, err := liW.WriteString(lineitemLine(li)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if err := liW.Flush(); err != nil {
-			return err
-		}
-		st, err := liF.Stat()
-		if err == nil {
-			total += st.Size()
-		}
-		return nil
-	}); err != nil {
-		return total, err
-	}
-	return total, nil
-}
-
-// keyedLine is one formatted row with its primary key, buffered for the
-// sorted writer.
-type keyedLine struct {
-	k1, k2 int64
-	line   string
-}
+func (g *Generator) WriteTbl(dir string) (int64, error) { return g.writeTbl(dir, false) }
 
 // WriteTblSorted writes the same population as WriteTbl with every
 // table's rows sorted by primary key. Most streams already arrive in
@@ -197,106 +23,78 @@ type keyedLine struct {
 // Sorted input lets a direct-path loader build its indexes bottom-up
 // without a run sort, at the cost of buffering each table in memory
 // (~the table's ASCII size) before writing it.
-func (g *Generator) WriteTblSorted(dir string) (int64, error) {
-	var total int64
-	flush := func(name string, rows []keyedLine) error {
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].k1 != rows[j].k1 {
-				return rows[i].k1 < rows[j].k1
-			}
-			return rows[i].k2 < rows[j].k2
-		})
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriter(f)
-		for _, r := range rows {
-			if _, err := w.WriteString(r.line); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		st, err := f.Stat()
-		if err == nil {
-			total += st.Size()
-		}
-		return f.Close()
-	}
+func (g *Generator) WriteTblSorted(dir string) (int64, error) { return g.writeTbl(dir, true) }
 
-	var rows []keyedLine
-	for _, r := range g.Regions() {
-		rows = append(rows, keyedLine{k1: r.Key, line: regionLine(r)})
-	}
-	if err := flush("region.tbl", rows); err != nil {
-		return total, err
-	}
-	rows = nil
-	for _, n := range g.NationRows() {
-		rows = append(rows, keyedLine{k1: n.Key, line: nationLine(n)})
-	}
-	if err := flush("nation.tbl", rows); err != nil {
-		return total, err
-	}
-	rows = nil
-	if err := g.Suppliers(func(s Supplier) error {
-		rows = append(rows, keyedLine{k1: s.Key, line: supplierLine(s)})
-		return nil
-	}); err != nil {
-		return total, err
-	}
-	if err := flush("supplier.tbl", rows); err != nil {
-		return total, err
-	}
-	rows = nil
-	if err := g.Parts(func(p Part) error {
-		rows = append(rows, keyedLine{k1: p.Key, line: partLine(p)})
-		return nil
-	}); err != nil {
-		return total, err
-	}
-	if err := flush("part.tbl", rows); err != nil {
-		return total, err
-	}
-	rows = nil
-	if err := g.PartSupps(func(ps PartSupp) error {
-		rows = append(rows, keyedLine{k1: ps.PartKey, k2: ps.SuppKey, line: partSuppLine(ps)})
-		return nil
-	}); err != nil {
-		return total, err
-	}
-	if err := flush("partsupp.tbl", rows); err != nil {
-		return total, err
-	}
-	rows = nil
-	if err := g.Customers(func(c Customer) error {
-		rows = append(rows, keyedLine{k1: c.Key, line: customerLine(c)})
-		return nil
-	}); err != nil {
-		return total, err
-	}
-	if err := flush("customer.tbl", rows); err != nil {
-		return total, err
-	}
-	var orders, lines []keyedLine
-	if err := g.Orders(func(o *Order) error {
-		orders = append(orders, keyedLine{k1: o.Key, line: orderLine(o)})
-		for _, li := range o.Lines {
-			lines = append(lines, keyedLine{k1: li.OrderKey, k2: li.LineNumber, line: lineitemLine(li)})
+func (g *Generator) writeTbl(dir string, sorted bool) (int64, error) {
+	var total int64
+	for i := range Streams {
+		n, err := g.writeStream(dir, &Streams[i], sorted)
+		total += n
+		if err != nil {
+			return total, err
 		}
-		return nil
-	}); err != nil {
-		return total, err
 	}
-	if err := flush("orders.tbl", orders); err != nil {
-		return total, err
+	return total, nil
+}
+
+// keyedLine is one formatted row with its primary key, buffered for the
+// sorted writer.
+type keyedLine struct {
+	key  [2]int64
+	line string
+}
+
+// writeStream writes the files of one stream's tables. Both modes format a
+// row with the table's AppendLine, so they emit byte-identical rows and
+// differ only in row order: the sorted one holds every line back until the
+// stream ends and writes them by key.
+func (g *Generator) writeStream(dir string, s *Stream, sorted bool) (int64, error) {
+	files := make([]*os.File, len(s.Tables))
+	outs := make([]*bufio.Writer, len(s.Tables))
+	held := make([][]keyedLine, len(s.Tables))
+	for i, t := range s.Tables {
+		f, err := os.Create(filepath.Join(dir, t.File))
+		if err != nil {
+			return 0, err
+		}
+		defer f.Close() // for the error paths; the last loop checks Close
+		files[i], outs[i] = f, bufio.NewWriter(f)
 	}
-	if err := flush("lineitem.tbl", lines); err != nil {
-		return total, err
+	var total int64
+	var line []byte
+	err := s.Each(g, func(t *Table, row []val.Value) error {
+		i := s.Slot(t)
+		line = t.AppendLine(line[:0], row)
+		total += int64(len(line))
+		if sorted {
+			held[i] = append(held[i], keyedLine{t.Key(row), string(line)})
+			return nil
+		}
+		_, err := outs[i].Write(line)
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	for i, f := range files {
+		rows := held[i]
+		sort.Slice(rows, func(a, b int) bool {
+			if rows[a].key[0] != rows[b].key[0] {
+				return rows[a].key[0] < rows[b].key[0]
+			}
+			return rows[a].key[1] < rows[b].key[1]
+		})
+		for _, r := range rows {
+			if _, err := outs[i].WriteString(r.line); err != nil {
+				return 0, err
+			}
+		}
+		if err := outs[i].Flush(); err != nil {
+			return 0, err
+		}
+		if err := f.Close(); err != nil {
+			return 0, err
+		}
 	}
 	return total, nil
 }

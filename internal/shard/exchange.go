@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"r3bench/internal/cost"
+	"r3bench/internal/dbgen"
 	"r3bench/internal/val"
 )
 
@@ -31,21 +32,11 @@ type tempTable struct {
 
 // exchTables maps each exchangeable relation to its temp definition.
 // customer and supplier mirror the full tpcd schema (any query may read
-// any column); lineitem ships only the three columns Q17 touches, and
-// revenue0 is Q15's view shape.
+// any column), so they are dbgen's descriptors; lineitem ships only the
+// three columns Q17 touches, and revenue0 is Q15's view shape.
 var exchTables = map[string]tempTable{
-	"customer": {
-		cols: "c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal, c_mktsegment, c_comment",
-		ddl: `(c_custkey INTEGER PRIMARY KEY, c_name VARCHAR(25), c_address VARCHAR(40),
-			c_nationkey INTEGER, c_phone CHAR(15), c_acctbal DECIMAL(15,2),
-			c_mktsegment CHAR(10), c_comment VARCHAR(117))`,
-	},
-	"supplier": {
-		cols: "s_suppkey, s_name, s_address, s_nationkey, s_phone, s_acctbal, s_comment",
-		ddl: `(s_suppkey INTEGER PRIMARY KEY, s_name CHAR(25), s_address VARCHAR(40),
-			s_nationkey INTEGER, s_phone CHAR(15), s_acctbal DECIMAL(15,2),
-			s_comment VARCHAR(101))`,
-	},
+	"customer": {cols: dbgen.CustomerTable.ColumnList(), ddl: dbgen.CustomerTable.Definition()},
+	"supplier": {cols: dbgen.SupplierTable.ColumnList(), ddl: dbgen.SupplierTable.Definition()},
 	"lineitem": {
 		cols: "l_partkey, l_quantity, l_extendedprice",
 		ddl:  `(l_partkey INTEGER, l_quantity DECIMAL(15,2), l_extendedprice DECIMAL(15,2))`,

@@ -311,48 +311,9 @@ func (c *Cluster) RunUF1() error {
 	}); err != nil {
 		return err
 	}
-	meters := make([]*cost.Meter, c.n)
-	errs := make([]error, c.n)
-	var wg sync.WaitGroup
-	for i := 0; i < c.n; i++ {
-		meters[i] = cost.NewMeter(c.model)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.applyUF1(i, meters[i], buckets[i])
-		}(i)
-	}
-	wg.Wait()
-	c.meter.AddParallel(meters...)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *Cluster) applyUF1(shard int, m *cost.Meter, orders []*dbgen.Order) error {
-	sess := c.dbs[shard].NewSessionWithMeter(m)
-	insOrder, err := sess.Prepare(`INSERT INTO orders VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)`)
-	if err != nil {
-		return err
-	}
-	insLine, err := sess.Prepare(`INSERT INTO lineitem VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`)
-	if err != nil {
-		return err
-	}
-	for _, o := range orders {
-		if _, err := insOrder.Query(tpcd.OrderRow(o)...); err != nil {
-			return err
-		}
-		for _, li := range o.Lines {
-			if _, err := insLine.Query(tpcd.LineitemRow(li)...); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return c.lanes(nil, func(i int, m *cost.Meter) error {
+		return tpcd.ApplyUF1(c.dbs[i].NewSessionWithMeter(m), buckets[i])
+	})
 }
 
 // RunUF2 implements tpcd.Implementation: the delete set routes by
@@ -361,52 +322,14 @@ func (c *Cluster) RunUF2() error {
 	if c.gen == nil {
 		return fmt.Errorf("shard: cluster not loaded")
 	}
-	keys := c.gen.UF2OrderKeys()
 	buckets := make([][]int64, c.n)
-	for _, k := range keys {
+	for _, k := range c.gen.UF2OrderKeys() {
 		s := shardOf(k, c.n)
 		buckets[s] = append(buckets[s], k)
 	}
-	meters := make([]*cost.Meter, c.n)
-	errs := make([]error, c.n)
-	var wg sync.WaitGroup
-	for i := 0; i < c.n; i++ {
-		meters[i] = cost.NewMeter(c.model)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.applyUF2(i, meters[i], buckets[i])
-		}(i)
-	}
-	wg.Wait()
-	c.meter.AddParallel(meters...)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *Cluster) applyUF2(shard int, m *cost.Meter, keys []int64) error {
-	sess := c.dbs[shard].NewSessionWithMeter(m)
-	delLine, err := sess.Prepare(`DELETE FROM lineitem WHERE l_orderkey = ?`)
-	if err != nil {
-		return err
-	}
-	delOrder, err := sess.Prepare(`DELETE FROM orders WHERE o_orderkey = ?`)
-	if err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if _, err := delLine.Query(val.Int(k)); err != nil {
-			return err
-		}
-		if _, err := delOrder.Query(val.Int(k)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.lanes(nil, func(i int, m *cost.Meter) error {
+		return tpcd.ApplyUF2(c.dbs[i].NewSessionWithMeter(m), buckets[i])
+	})
 }
 
 var _ tpcd.Implementation = (*Cluster)(nil)

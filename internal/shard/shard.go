@@ -110,28 +110,12 @@ func (c *Cluster) Meter() *cost.Meter { return c.meter }
 func (c *Cluster) Load(g *dbgen.Generator) error {
 	c.gen = g
 	c.qs = tpcd.Queries(g.SF)
-	meters := make([]*cost.Meter, c.n)
-	errs := make([]error, c.n)
-	var wg sync.WaitGroup
-	for i := 0; i < c.n; i++ {
-		meters[i] = cost.NewMeter(c.model)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			keep := func(table string, key int64) bool {
-				return shardOf(key, c.n) == i
-			}
-			errs[i] = tpcd.LoadPartition(c.dbs[i], g, meters[i], keep)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	return c.lanes(nil, func(i int, m *cost.Meter) error {
+		keep := func(table string, key int64) bool {
+			return shardOf(key, c.n) == i
 		}
-	}
-	c.meter.AddParallel(meters...)
-	return nil
+		return tpcd.LoadPartition(c.dbs[i], g, m, keep)
+	})
 }
 
 // RowsShipped returns the total exchange rows that crossed shard
@@ -175,19 +159,21 @@ func (c *Cluster) noteShipped(q int, n int64) {
 	c.mu.Unlock()
 }
 
-// parallelPhase runs fn once per shard on a private lane meter, renders
-// the lanes under a span child of parent, and folds them into the
-// cluster meter with the parallel combining rule. It returns the first
-// error (all lanes run to completion first — partial exchanges must not
-// leave goroutines behind).
-func (c *Cluster) parallelPhase(parent *cost.Span, name string, fn func(shard int, m *cost.Meter) error) (*cost.Span, error) {
-	sp := parent.Child(name)
+// lanes runs fn once per shard, concurrently, each on a private meter, and
+// folds the meters into the cluster meter with the parallel combining rule
+// (max elapsed, summed resources). With a span, each lane renders under it
+// as "shard i" and the fold is booked to it. It returns the first error
+// (all lanes run to completion first — partial exchanges must not leave
+// goroutines behind).
+func (c *Cluster) lanes(sp *cost.Span, fn func(shard int, m *cost.Meter) error) error {
 	meters := make([]*cost.Meter, c.n)
 	errs := make([]error, c.n)
 	var wg sync.WaitGroup
 	for i := 0; i < c.n; i++ {
 		meters[i] = cost.NewMeter(c.model)
-		meters[i].SetSpan(sp.LaneChild(fmt.Sprintf("shard %d", i)))
+		if sp != nil {
+			meters[i].SetSpan(sp.LaneChild(fmt.Sprintf("shard %d", i)))
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -195,15 +181,23 @@ func (c *Cluster) parallelPhase(parent *cost.Span, name string, fn func(shard in
 		}(i)
 	}
 	wg.Wait()
-	prev := c.meter.SetSpan(sp)
+	if sp != nil {
+		prev := c.meter.SetSpan(sp)
+		defer c.meter.SetSpan(prev)
+	}
 	c.meter.AddParallel(meters...)
-	c.meter.SetSpan(prev)
 	for _, err := range errs {
 		if err != nil {
-			return sp, err
+			return err
 		}
 	}
-	return sp, nil
+	return nil
+}
+
+// parallelPhase is lanes under a span child of parent.
+func (c *Cluster) parallelPhase(parent *cost.Span, name string, fn func(shard int, m *cost.Meter) error) (*cost.Span, error) {
+	sp := parent.Child(name)
+	return sp, c.lanes(sp, fn)
 }
 
 // serialPhase runs fn on one private meter and folds it into the

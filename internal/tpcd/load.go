@@ -49,9 +49,9 @@ type rowSink struct {
 // through the RDBMS's bulk-loading interface — the path the paper notes
 // SAP R/3's batch input does not use — and gathers statistics.
 //
-// Tables load in parallel, one goroutine per table (ORDERS and LINEITEM
-// share one, since the generator emits them interleaved). Every dbgen
-// entity stream draws from its own fixed-seed RNG and every goroutine
+// Tables load in parallel, one goroutine per generator stream (ORDERS and
+// LINEITEM share one, since the generator emits them interleaved). Every
+// dbgen stream draws from its own fixed-seed RNG and every goroutine
 // fills only its own heap file(s), so the loaded database is byte-
 // identical to a serial load regardless of scheduling. The shared meter,
 // if any, is charged concurrently (it is thread-safe); all current
@@ -94,127 +94,20 @@ func LoadDirect(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
 
 // load creates the schema, walks the population into the sinks open hands
 // out — one per table, opened and closed by the goroutine that owns the
-// table — and gathers statistics. A nil keep admits every row.
+// table's generator stream — and gathers statistics. A nil keep admits
+// every row.
 func load(db *engine.DB, g *dbgen.Generator, m *cost.Meter, keep func(table string, key int64) bool, open func(table string) (rowSink, error)) error {
 	if err := CreateSchema(db, m); err != nil {
 		return err
 	}
-	if keep == nil {
-		keep = func(string, int64) bool { return true }
-	}
-	// table streams one table: fill calls add for each of its rows.
-	table := func(name string, fill func(add func([]val.Value) error) error) error {
-		sink, err := open(name)
-		if err != nil {
-			return err
-		}
-		if err := fill(sink.add); err != nil {
-			return err
-		}
-		return sink.close()
-	}
-
-	loaders := []func() error{
-		func() error { // REGION + NATION: tiny, share a goroutine
-			if err := table("REGION", func(add func([]val.Value) error) error {
-				for _, r := range g.Regions() {
-					if err := add([]val.Value{val.Int(r.Key), val.Str(r.Name), val.Str(r.Comment)}); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-			return table("NATION", func(add func([]val.Value) error) error {
-				for _, n := range g.NationRows() {
-					if err := add([]val.Value{val.Int(n.Key), val.Str(n.Name), val.Int(n.RegionKey), val.Str(n.Comment)}); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-		func() error {
-			return table("SUPPLIER", func(add func([]val.Value) error) error {
-				return g.Suppliers(func(s dbgen.Supplier) error {
-					if !keep("SUPPLIER", s.Key) {
-						return nil
-					}
-					return add([]val.Value{val.Int(s.Key), val.Str(s.Name), val.Str(s.Address),
-						val.Int(s.NationKey), val.Str(s.Phone), val.Float(s.AcctBal), val.Str(s.Comment)})
-				})
-			})
-		},
-		func() error {
-			return table("PART", func(add func([]val.Value) error) error {
-				return g.Parts(func(p dbgen.Part) error {
-					return add([]val.Value{val.Int(p.Key), val.Str(p.Name), val.Str(p.Mfgr),
-						val.Str(p.Brand), val.Str(p.Type), val.Int(p.Size), val.Str(p.Container),
-						val.Float(p.RetailPrice), val.Str(p.Comment)})
-				})
-			})
-		},
-		func() error {
-			return table("PARTSUPP", func(add func([]val.Value) error) error {
-				return g.PartSupps(func(ps dbgen.PartSupp) error {
-					return add([]val.Value{val.Int(ps.PartKey), val.Int(ps.SuppKey),
-						val.Int(ps.AvailQty), val.Float(ps.SupplyCost), val.Str(ps.Comment)})
-				})
-			})
-		},
-		func() error {
-			return table("CUSTOMER", func(add func([]val.Value) error) error {
-				return g.Customers(func(c dbgen.Customer) error {
-					if !keep("CUSTOMER", c.Key) {
-						return nil
-					}
-					return add([]val.Value{val.Int(c.Key), val.Str(c.Name), val.Str(c.Address),
-						val.Int(c.NationKey), val.Str(c.Phone), val.Float(c.AcctBal),
-						val.Str(c.MktSegment), val.Str(c.Comment)})
-				})
-			})
-		},
-		func() error { // ORDERS + LINEITEM arrive interleaved from one stream
-			orders, err := open("ORDERS")
-			if err != nil {
-				return err
-			}
-			lines, err := open("LINEITEM")
-			if err != nil {
-				return err
-			}
-			if err := g.Orders(func(o *dbgen.Order) error {
-				if !keep("ORDERS", o.Key) {
-					return nil
-				}
-				if err := orders.add(OrderRow(o)); err != nil {
-					return err
-				}
-				for _, li := range o.Lines {
-					if err := lines.add(LineitemRow(li)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-			if err := orders.close(); err != nil {
-				return err
-			}
-			return lines.close()
-		},
-	}
-
 	var wg sync.WaitGroup
-	errs := make([]error, len(loaders))
-	for i, fn := range loaders {
+	errs := make([]error, len(dbgen.Streams))
+	for i := range dbgen.Streams {
 		wg.Add(1)
-		go func(i int, fn func() error) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = fn()
-		}(i, fn)
+			errs[i] = loadStream(g, &dbgen.Streams[i], keep, open)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -225,18 +118,35 @@ func load(db *engine.DB, g *dbgen.Generator, m *cost.Meter, keep func(table stri
 	return db.AnalyzeAll()
 }
 
-// OrderRow converts a generated order to the ORDERS layout.
-func OrderRow(o *dbgen.Order) []val.Value {
-	return []val.Value{val.Int(o.Key), val.Int(o.CustKey), val.Str(o.Status),
-		val.Float(o.TotalPrice), o.Date, val.Str(o.Priority), val.Str(o.Clerk),
-		val.Int(o.ShipPriority), val.Str(o.Comment)}
+// loadStream walks one generator stream into the sinks of its tables. A
+// partitioned table's row is offered to keep by its partitioning key.
+func loadStream(g *dbgen.Generator, s *dbgen.Stream, keep func(table string, key int64) bool, open func(table string) (rowSink, error)) error {
+	sinks := make([]rowSink, len(s.Tables))
+	for i, t := range s.Tables {
+		var err error
+		if sinks[i], err = open(t.Name); err != nil {
+			return err
+		}
+	}
+	err := s.Each(g, func(t *dbgen.Table, row []val.Value) error {
+		if keep != nil && t.PartKey >= 0 && !keep(t.Name, row[t.PartKey].AsInt()) {
+			return nil
+		}
+		return sinks[s.Slot(t)].add(row)
+	})
+	if err != nil {
+		return err
+	}
+	for _, sink := range sinks {
+		if err := sink.close(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
+// OrderRow converts a generated order to the ORDERS layout.
+func OrderRow(o *dbgen.Order) []val.Value { return dbgen.OrderRow(o) }
+
 // LineitemRow converts a generated lineitem to the LINEITEM layout.
-func LineitemRow(li dbgen.Lineitem) []val.Value {
-	return []val.Value{val.Int(li.OrderKey), val.Int(li.PartKey), val.Int(li.SuppKey),
-		val.Int(li.LineNumber), val.Float(float64(li.Quantity)), val.Float(li.ExtendedPrice),
-		val.Float(li.Discount), val.Float(li.Tax), val.Str(li.ReturnFlag), val.Str(li.LineStatus),
-		li.ShipDate, li.CommitDate, li.ReceiptDate, val.Str(li.ShipInstruct),
-		val.Str(li.ShipMode), val.Str(li.Comment)}
-}
+func LineitemRow(li dbgen.Lineitem) []val.Value { return dbgen.LineitemRow(li) }

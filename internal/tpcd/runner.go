@@ -113,15 +113,32 @@ func (r *RDBMS) RunQuery(q int) ([][]val.Value, error) {
 // RunUF1 inserts the SF×1500 new orders and their lineitems row by row
 // through SQL (the RDBMS-side update function).
 func (r *RDBMS) RunUF1() error {
-	insOrder, err := r.sess.Prepare(`INSERT INTO orders VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)`)
+	var orders []*dbgen.Order
+	if err := r.gen.UF1Orders(func(o *dbgen.Order) error {
+		orders = append(orders, o)
+		return nil
+	}); err != nil {
+		return err
+	}
+	return ApplyUF1(r.sess, orders)
+}
+
+// RunUF2 deletes the SF×1500 delete-set orders and their lineitems.
+func (r *RDBMS) RunUF2() error { return ApplyUF2(r.sess, r.gen.UF2OrderKeys()) }
+
+// ApplyUF1 is update function 1 over one session: each order, then its
+// lineitems, through two prepared full-row INSERTs. A sharded cluster calls
+// it once per shard with the orders that shard owns.
+func ApplyUF1(sess *engine.Session, orders []*dbgen.Order) error {
+	insOrder, err := sess.Prepare(dbgen.OrdersTable.InsertSQL())
 	if err != nil {
 		return err
 	}
-	insLine, err := r.sess.Prepare(`INSERT INTO lineitem VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`)
+	insLine, err := sess.Prepare(dbgen.LineitemTable.InsertSQL())
 	if err != nil {
 		return err
 	}
-	return r.gen.UF1Orders(func(o *dbgen.Order) error {
+	for _, o := range orders {
 		if _, err := insOrder.Query(OrderRow(o)...); err != nil {
 			return err
 		}
@@ -130,21 +147,22 @@ func (r *RDBMS) RunUF1() error {
 				return err
 			}
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
-// RunUF2 deletes the SF×1500 delete-set orders and their lineitems.
-func (r *RDBMS) RunUF2() error {
-	delLine, err := r.sess.Prepare(`DELETE FROM lineitem WHERE l_orderkey = ?`)
+// ApplyUF2 is update function 2 over one session: per key, the order's
+// lineitems go first, then the order.
+func ApplyUF2(sess *engine.Session, keys []int64) error {
+	delLine, err := sess.Prepare(`DELETE FROM lineitem WHERE l_orderkey = ?`)
 	if err != nil {
 		return err
 	}
-	delOrder, err := r.sess.Prepare(`DELETE FROM orders WHERE o_orderkey = ?`)
+	delOrder, err := sess.Prepare(`DELETE FROM orders WHERE o_orderkey = ?`)
 	if err != nil {
 		return err
 	}
-	for _, k := range r.gen.UF2OrderKeys() {
+	for _, k := range keys {
 		if _, err := delLine.Query(val.Int(k)); err != nil {
 			return err
 		}

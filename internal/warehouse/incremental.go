@@ -3,9 +3,9 @@ package warehouse
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
+	"r3bench/internal/dbgen"
 	"r3bench/internal/r3"
 	"r3bench/internal/val"
 )
@@ -24,8 +24,9 @@ import (
 //	L|<lineitem.tbl row>   full 16-field LINEITEM payload
 //	D|<orderkey>|          tombstone: drop every fact row of that order
 //
-// The O/L payloads are byte-identical to the corresponding full-extract
-// rows, so Warehouse.ApplyDelta and Warehouse.Build share one parser.
+// The O/L payloads are the corresponding full-extract rows — the same
+// report functions write them — so Warehouse.ApplyDelta and Warehouse.Build
+// parse both with the tables' ParseLine.
 
 // Delta is one incremental maintenance batch.
 type Delta struct {
@@ -47,63 +48,30 @@ func (e *Extractor) ExtractDelta(inserted []int64, deleted []int64, w io.Writer)
 	for _, key := range inserted {
 		vbeln := val.Str(r3.Key16(key))
 		// Re-extract the order header through the dictionary.
-		row, ok, err := e.o.SelectSingle("VBAK", []r3.Cond{r3.Eq("VBELN", vbeln)})
+		hdr, ok, err := e.o.SelectSingle("VBAK", []r3.Cond{r3.Eq("VBELN", vbeln)})
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return nil, fmt.Errorf("warehouse: delta order %d not found", key)
 		}
-		cmt, err := e.comment("VBAK", row.Get("VBELN"))
+		row, err := e.orderRow(hdr)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := fmt.Fprintf(w, "O|%d|%d|%s|%.2f|%s|%s|%s|%d|%s|\n",
-			num(row.Get("VBELN")), num(row.Get("KUNNR")), row.Get("GBSTK").AsStr(),
-			row.Get("NETWR").AsFloat(), row.Get("AUDAT").AsStr(), row.Get("SUBMI").AsStr(),
-			row.Get("ERNAM").AsStr(), row.Get("LPRIO").AsInt(), cmt); err != nil {
+		if err := writeLine(w, "O|", dbgen.OrdersTable, row); err != nil {
 			return nil, err
 		}
 		d.InsertedOrders++
 		// And its lineitems, re-joining VBAP/VBEP/KONV/STXL per row
-		// exactly as the full extraction does, so the L| payload matches
-		// lineitem.tbl byte for byte.
+		// exactly as the full extraction does.
 		err = e.o.Select("VBAP", []r3.Cond{r3.Eq("VBELN", vbeln)}, func(p r3.Row) error {
-			posnr := p.Get("POSNR")
-			ep, ok, err := e.o.SelectSingle("VBEP", []r3.Cond{
-				r3.Eq("VBELN", vbeln), r3.Eq("POSNR", posnr),
-				r3.Eq("ETENR", val.Str("0001"))})
-			if err != nil || !ok {
-				return err
-			}
-			var discRate, taxRate float64
-			err = e.o.Select("KONV", []r3.Cond{
-				r3.Eq("KNUMV", vbeln), r3.Eq("KPOSN", posnr)}, func(k r3.Row) error {
-				switch strings.TrimSpace(k.Get("KSCHL").AsStr()) {
-				case "DISC":
-					discRate = -k.Get("KBETR").AsFloat() / 1000
-				case "TAX":
-					taxRate = k.Get("KBETR").AsFloat() / 1000
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			cmt, err := e.comment("VBAP", val.Str(vbeln.AsStr()+posnr.AsStr()))
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "L|%d|%d|%d|%d|%d|%.2f|%.2f|%.2f|%s|%s|%s|%s|%s|%s|%s|%s|\n",
-				num(vbeln), num(p.Get("MATNR")), num(p.Get("LIFNR")), num(posnr),
-				p.Get("KWMENG").AsInt(), p.Get("NETWR").AsFloat(), discRate, taxRate,
-				p.Get("ABGRU").AsStr(), ep.Get("LFSTA").AsStr(),
-				ep.Get("EDATU").AsStr(), ep.Get("WADAT").AsStr(), ep.Get("MBDAT").AsStr(),
-				p.Get("SDABW").AsStr(), p.Get("VSBED").AsStr(), cmt); err != nil {
+			row, err := e.lineitemRow(p)
+			if err != nil || row == nil {
 				return err
 			}
 			d.InsertedLines++
-			return nil
+			return writeLine(w, "L|", dbgen.LineitemTable, row)
 		})
 		if err != nil {
 			return nil, err

@@ -38,6 +38,7 @@ import (
 // aggSpec describes one materialized aggregate's vocabulary.
 type aggSpec struct {
 	table    string
+	key      []string          // the canonical dimension exprs, in the table's primary-key order
 	dims     map[string]string // canonical dimension expr -> aggregate column
 	measures map[string]string // canonical SUM argument -> aggregate measure column
 	countCol string            // column answering COUNT(*)
@@ -54,6 +55,7 @@ var factMeasures = map[string]string{
 var aggSpecs = []aggSpec{
 	{
 		table: "AGG_NATION_YEAR",
+		key:   []string{"col:L_NATIONKEY", "year:L_SHIPDATE"},
 		dims: map[string]string{
 			"col:L_NATIONKEY": "NATIONKEY",
 			"year:L_SHIPDATE": "SHIPYEAR",
@@ -63,6 +65,7 @@ var aggSpecs = []aggSpec{
 	},
 	{
 		table: "AGG_RFLS_MONTH",
+		key:   []string{"col:L_RETURNFLAG", "col:L_LINESTATUS", "year:L_SHIPDATE", "month:L_SHIPDATE"},
 		dims: map[string]string{
 			"col:L_RETURNFLAG": "RF",
 			"col:L_LINESTATUS": "LS",

@@ -136,6 +136,39 @@ type orderInfo struct {
 	orderDate val.Value
 }
 
+// dims are the conformed dimensions: each star table is a projection of one
+// extracted TPC-D table, named by column.
+var dims = []struct {
+	star string
+	src  *dbgen.Table
+	cols []int
+}{
+	{"REGION_D", dbgen.RegionTable, dbgen.RegionTable.Index("r_regionkey", "r_name")},
+	{"NATION_D", dbgen.NationTable, dbgen.NationTable.Index("n_nationkey", "n_name", "n_regionkey")},
+	{"CUSTOMER_D", dbgen.CustomerTable, dbgen.CustomerTable.Index("c_custkey", "c_name", "c_nationkey", "c_mktsegment")},
+	{"SUPPLIER_D", dbgen.SupplierTable, dbgen.SupplierTable.Index("s_suppkey", "s_name", "s_nationkey")},
+	{"PART_D", dbgen.PartTable, dbgen.PartTable.Index("p_partkey", "p_name", "p_brand", "p_type", "p_size")},
+}
+
+// What the fact transform reads of its three sources. factHead and factTail
+// are LINEITEM_F's columns left and right of the two the order supplies
+// (L_CUSTKEY, L_NATIONKEY) and before the L_ORDERDATE that ends the row.
+var (
+	custCols  = dbgen.CustomerTable.Index("c_custkey", "c_nationkey")
+	orderCols = dbgen.OrdersTable.Index("o_orderkey", "o_custkey", "o_orderdate")
+	factHead  = dbgen.LineitemTable.Index("l_orderkey", "l_linenumber", "l_partkey", "l_suppkey")
+	factTail  = dbgen.LineitemTable.Index("l_quantity", "l_extendedprice", "l_discount", "l_tax",
+		"l_returnflag", "l_linestatus", "l_shipdate")
+)
+
+// project appends the columns cols of row to dst.
+func project(dst, row []val.Value, cols []int) []val.Value {
+	for _, ci := range cols {
+		dst = append(dst, row[ci])
+	}
+	return dst
+}
+
 // Build loads the star schema from a directory of extracted .tbl files
 // (the output of Extractor.ExtractAll or dbgen.WriteTbl). Dimension and
 // fact rows go through the direct-path loader; each parsed input row is
@@ -145,57 +178,16 @@ func (w *Warehouse) Build(dir string) (*BuildStats, error) {
 	start := w.m.Elapsed()
 	st := &BuildStats{}
 
-	// Conformed dimensions. CUSTOMER_D doubles as the custkey→nationkey
-	// lookup the fact transform needs.
+	// CUSTOMER_D doubles as the custkey→nationkey lookup the fact
+	// transform needs.
 	custNation := make(map[int64]int64)
-	dims := []struct {
-		table string
-		file  string
-		row   func(f []string) ([]val.Value, error)
-	}{
-		{"REGION_D", "region.tbl", func(f []string) ([]val.Value, error) {
-			k, err := tblInt(f, 0)
-			return []val.Value{val.Int(k), val.Str(f[1])}, err
-		}},
-		{"NATION_D", "nation.tbl", func(f []string) ([]val.Value, error) {
-			k, err := tblInt(f, 0)
-			if err != nil {
-				return nil, err
-			}
-			rk, err := tblInt(f, 2)
-			return []val.Value{val.Int(k), val.Str(f[1]), val.Int(rk)}, err
-		}},
-		{"CUSTOMER_D", "customer.tbl", func(f []string) ([]val.Value, error) {
-			k, err := tblInt(f, 0)
-			if err != nil {
-				return nil, err
-			}
-			nk, err := tblInt(f, 3)
-			if err != nil {
-				return nil, err
-			}
-			custNation[k] = nk
-			return []val.Value{val.Int(k), val.Str(f[1]), val.Int(nk), val.Str(f[6])}, nil
-		}},
-		{"SUPPLIER_D", "supplier.tbl", func(f []string) ([]val.Value, error) {
-			k, err := tblInt(f, 0)
-			if err != nil {
-				return nil, err
-			}
-			nk, err := tblInt(f, 3)
-			return []val.Value{val.Int(k), val.Str(f[1]), val.Int(nk)}, err
-		}},
-		{"PART_D", "part.tbl", func(f []string) ([]val.Value, error) {
-			k, err := tblInt(f, 0)
-			if err != nil {
-				return nil, err
-			}
-			sz, err := tblInt(f, 5)
-			return []val.Value{val.Int(k), val.Str(f[1]), val.Str(f[3]), val.Str(f[4]), val.Int(sz)}, err
-		}},
-	}
 	for _, d := range dims {
-		n, err := w.loadTbl(d.table, filepath.Join(dir, d.file), d.row)
+		n, err := w.loadTbl(d.star, dir, d.src, func(r []val.Value) ([]val.Value, error) {
+			if d.src == dbgen.CustomerTable {
+				custNation[r[custCols[0]].AsInt()] = r[custCols[1]].AsInt()
+			}
+			return project(nil, r, d.cols), nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -204,36 +196,22 @@ func (w *Warehouse) Build(dir string) (*BuildStats, error) {
 
 	// The ORDER side of the fact grain: custkey and orderdate per order.
 	orders := make(map[int64]orderInfo)
-	if err := readTbl(filepath.Join(dir, dbgen.TblFile("ORDER")), func(f []string) error {
-		key, err := tblInt(f, 0)
-		if err != nil {
-			return err
-		}
-		ck, err := tblInt(f, 1)
-		if err != nil {
-			return err
-		}
-		od, err := val.ParseDate(f[4])
-		if err != nil {
-			return err
-		}
+	if err := readTbl(dir, dbgen.OrdersTable, func(r []val.Value) error {
 		w.m.Charge(cost.TupleCPU, 1)
-		orders[key] = orderInfo{custKey: ck, nationKey: custNation[ck], orderDate: od}
+		ck := r[orderCols[1]].AsInt()
+		orders[r[orderCols[0]].AsInt()] = orderInfo{custKey: ck, nationKey: custNation[ck], orderDate: r[orderCols[2]]}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 
-	n, err := w.loadTbl("LINEITEM_F", filepath.Join(dir, dbgen.TblFile("LINEITEM")), func(f []string) ([]val.Value, error) {
-		key, err := tblInt(f, 0)
-		if err != nil {
-			return nil, err
-		}
+	n, err := w.loadTbl("LINEITEM_F", dir, dbgen.LineitemTable, func(r []val.Value) ([]val.Value, error) {
+		key := r[factHead[0]].AsInt()
 		oi, ok := orders[key]
 		if !ok {
 			return nil, fmt.Errorf("warehouse: lineitem %d has no order", key)
 		}
-		return factRowFromTbl(f, oi)
+		return factRow(r, oi), nil
 	})
 	if err != nil {
 		return nil, err
@@ -249,22 +227,22 @@ func (w *Warehouse) Build(dir string) (*BuildStats, error) {
 	return st, nil
 }
 
-// loadTbl streams one .tbl file through the direct-path loader,
-// charging a tuple of transform CPU per input row.
-func (w *Warehouse) loadTbl(table, path string, row func(f []string) ([]val.Value, error)) (int64, error) {
+// loadTbl streams src's .tbl file in dir through the direct-path loader of
+// table, charging a tuple of transform CPU per input row.
+func (w *Warehouse) loadTbl(table, dir string, src *dbgen.Table, row func(r []val.Value) ([]val.Value, error)) (int64, error) {
 	dl, err := w.DB.NewDirectLoader(table, w.m)
 	if err != nil {
 		return 0, err
 	}
 	var n int64
-	if err := readTbl(path, func(f []string) error {
-		r, err := row(f)
+	if err := readTbl(dir, src, func(r []val.Value) error {
+		out, err := row(r)
 		if err != nil {
 			return err
 		}
 		w.m.Charge(cost.TupleCPU, 1)
 		n++
-		return dl.Append(r)
+		return dl.Append(out)
 	}); err != nil {
 		return 0, err
 	}
@@ -309,90 +287,45 @@ func aggNames() []string {
 	return names
 }
 
-// factRowFromTbl turns one 16-field lineitem.tbl payload plus its
-// order's info into a LINEITEM_F row.
-func factRowFromTbl(f []string, oi orderInfo) ([]val.Value, error) {
-	if len(f) < 16 {
-		return nil, fmt.Errorf("warehouse: short lineitem row (%d fields)", len(f))
-	}
-	key, err := tblInt(f, 0)
-	if err != nil {
-		return nil, err
-	}
-	partKey, err := tblInt(f, 1)
-	if err != nil {
-		return nil, err
-	}
-	suppKey, err := tblInt(f, 2)
-	if err != nil {
-		return nil, err
-	}
-	lineNo, err := tblInt(f, 3)
-	if err != nil {
-		return nil, err
-	}
-	qty, err := tblInt(f, 4)
-	if err != nil {
-		return nil, err
-	}
-	ext, err := tblFloat(f, 5)
-	if err != nil {
-		return nil, err
-	}
-	disc, err := tblFloat(f, 6)
-	if err != nil {
-		return nil, err
-	}
-	tax, err := tblFloat(f, 7)
-	if err != nil {
-		return nil, err
-	}
-	ship, err := val.ParseDate(f[10])
-	if err != nil {
-		return nil, err
-	}
-	return []val.Value{
-		val.Int(key), val.Int(lineNo),
-		val.Int(partKey), val.Int(suppKey), val.Int(oi.custKey), val.Int(oi.nationKey),
-		val.Int(qty), val.Float(ext), val.Float(disc), val.Float(tax),
-		val.Str(f[8]), val.Str(f[9]),
-		ship, oi.orderDate,
-	}, nil
+// factRow turns one parsed LINEITEM row plus its order's info into a
+// LINEITEM_F row.
+func factRow(li []val.Value, oi orderInfo) []val.Value {
+	row := project(make([]val.Value, 0, 14), li, factHead)
+	row = append(row, val.Int(oi.custKey), val.Int(oi.nationKey))
+	return append(project(row, li, factTail), oi.orderDate)
 }
 
-// readTbl streams pipe-delimited lines to fn.
-func readTbl(path string, fn func(fields []string) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
+// scanLines hands fn every non-empty line of r with its 1-based number.
+func scanLines(r io.Reader, fn func(lineNo int, line string) error) error {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if err := fn(strings.Split(line, "|")); err != nil {
-			return err
+	for n := 1; sc.Scan(); n++ {
+		if line := sc.Text(); line != "" {
+			if err := fn(n, line); err != nil {
+				return err
+			}
 		}
 	}
 	return sc.Err()
 }
 
-func tblInt(f []string, i int) (int64, error) {
-	if i >= len(f) {
-		return 0, fmt.Errorf("warehouse: missing field %d", i)
+// readTbl streams the rows of t's .tbl file in dir to fn. A line that does
+// not parse as a row of t — a truncated one, say — is an error naming the
+// file and the line.
+func readTbl(dir string, t *dbgen.Table, fn func(row []val.Value) error) error {
+	path := filepath.Join(dir, t.File)
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
-	return strconv.ParseInt(f[i], 10, 64)
-}
-
-func tblFloat(f []string, i int) (float64, error) {
-	if i >= len(f) {
-		return 0, fmt.Errorf("warehouse: missing field %d", i)
-	}
-	return strconv.ParseFloat(f[i], 64)
+	defer f.Close()
+	return scanLines(f, func(lineNo int, line string) error {
+		row, err := t.ParseLine(line)
+		if err != nil {
+			return fmt.Errorf("warehouse: %s:%d: %w", path, lineNo, err)
+		}
+		return fn(row)
+	})
 }
 
 // Refresh is one ApplyDelta's accounting.
@@ -404,22 +337,14 @@ type Refresh struct {
 	Elapsed       time.Duration
 }
 
-// Measure deltas per aggregate group, accumulated while old fact rows
-// come out and new ones go in. Delta sets are tiny (one update-function
-// batch), so plain float64 addition stays far inside the %.2f / %.4f
-// rendering tolerance of the stored totals.
+// aggDelta is the change to one aggregate group's measures, accumulated
+// while old fact rows come out and new ones go in. Delta sets are tiny (one
+// update-function batch), so plain float64 addition stays far inside the
+// %.2f / %.4f rendering tolerance of the stored totals.
 type aggDelta struct {
+	key      []val.Value // the group's dimension values, in primary-key order
 	qty, cnt int64
 	ext, rev float64
-}
-
-type rflsKey struct {
-	rf, ls      string
-	year, month int64
-}
-
-type nyKey struct {
-	nation, year int64
 }
 
 // ApplyDelta folds one ExtractDelta stream into the fact table and the
@@ -432,51 +357,41 @@ type nyKey struct {
 func (w *Warehouse) ApplyDelta(r io.Reader) (*Refresh, error) {
 	start := w.m.Elapsed()
 
-	// Parse the stream: order headers, line payloads, tombstones.
-	headers := make(map[int64][]string)
-	lines := make(map[int64][][]string)
-	tombs := make(map[int64]struct{})
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		f := strings.Split(line, "|")
-		switch f[0] {
+	// Parse the stream: order headers, line payloads, tombstones. A header
+	// or a tombstone marks its order as touched.
+	headers := make(map[int64][]val.Value)
+	lines := make(map[int64][][]val.Value)
+	touched := make(map[int64]struct{})
+	err := scanLines(r, func(lineNo int, line string) error {
+		var row []val.Value
+		var err error
+		switch tag, rest, _ := strings.Cut(line, "|"); tag {
 		case "O":
-			key, err := tblInt(f, 1)
-			if err != nil {
-				return nil, err
+			if row, err = dbgen.OrdersTable.ParseLine(rest); err == nil {
+				key := row[orderCols[0]].AsInt()
+				headers[key] = row
+				touched[key] = struct{}{}
 			}
-			headers[key] = f[1:]
 		case "L":
-			key, err := tblInt(f, 1)
-			if err != nil {
-				return nil, err
+			if row, err = dbgen.LineitemTable.ParseLine(rest); err == nil {
+				key := row[factHead[0]].AsInt()
+				lines[key] = append(lines[key], row)
 			}
-			lines[key] = append(lines[key], f[1:])
 		case "D":
-			key, err := tblInt(f, 1)
-			if err != nil {
-				return nil, err
+			var key int64
+			if key, err = strconv.ParseInt(strings.TrimSuffix(rest, "|"), 10, 64); err == nil {
+				touched[key] = struct{}{}
 			}
-			tombs[key] = struct{}{}
 		default:
-			return nil, fmt.Errorf("warehouse: bad delta line %q", line)
+			err = fmt.Errorf("bad delta line %q", line)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		if err != nil {
+			return fmt.Errorf("warehouse: delta line %d: %w", lineNo, err)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-
-	touched := make(map[int64]struct{}, len(headers)+len(tombs))
-	for k := range headers {
-		touched[k] = struct{}{}
-	}
-	for k := range tombs {
-		touched[k] = struct{}{}
 	}
 	keys := make([]int64, 0, len(touched))
 	for k := range touched {
@@ -500,29 +415,30 @@ func (w *Warehouse) ApplyDelta(r io.Reader) (*Refresh, error) {
 	}
 
 	st := &Refresh{}
-	dRFLS := make(map[rflsKey]*aggDelta)
-	dNY := make(map[nyKey]*aggDelta)
-	bump := func(rf, ls string, year, month, nation, qty int64, ext, rev float64, cnt int64) {
-		k1 := rflsKey{rf: rf, ls: ls, year: year, month: month}
-		d := dRFLS[k1]
-		if d == nil {
-			d = &aggDelta{}
-			dRFLS[k1] = d
+	// deltas[i] holds aggSpecs[i]'s touched groups under their encoded keys.
+	deltas := make([]map[string]*aggDelta, len(aggSpecs))
+	for i := range deltas {
+		deltas[i] = make(map[string]*aggDelta)
+	}
+	// bump adds sign × one fact row's measures to the row's group of every
+	// aggregate; dim maps a canonical dimension expression to the row's value.
+	bump := func(dim map[string]val.Value, sign, qty int64, ext, disc float64) {
+		for i, a := range aggSpecs {
+			key := make([]val.Value, len(a.key))
+			for j, expr := range a.key {
+				key[j] = dim[expr]
+			}
+			enc := string(val.EncodeKey(key...))
+			d := deltas[i][enc]
+			if d == nil {
+				d = &aggDelta{key: key}
+				deltas[i][enc] = d
+			}
+			d.qty += sign * qty
+			d.cnt += sign
+			d.ext += float64(sign) * ext
+			d.rev += float64(sign) * (ext * (1 - disc))
 		}
-		d.qty += qty
-		d.cnt += cnt
-		d.ext += ext
-		d.rev += rev
-		k2 := nyKey{nation: nation, year: year}
-		d = dNY[k2]
-		if d == nil {
-			d = &aggDelta{}
-			dNY[k2] = d
-		}
-		d.qty += qty
-		d.cnt += cnt
-		d.ext += ext
-		d.rev += rev
 	}
 
 	nationOf := make(map[int64]int64)
@@ -533,10 +449,9 @@ func (w *Warehouse) ApplyDelta(r io.Reader) (*Refresh, error) {
 			return nil, err
 		}
 		for _, row := range res.Rows {
-			ext := row[1].AsFloat()
-			rev := ext * (1 - row[2].AsFloat())
-			bump(row[3].AsStr(), row[4].AsStr(), row[5].AsInt(), row[6].AsInt(), row[7].AsInt(),
-				-row[0].AsInt(), -ext, -rev, -1)
+			bump(map[string]val.Value{"col:L_RETURNFLAG": row[3], "col:L_LINESTATUS": row[4],
+				"year:L_SHIPDATE": row[5], "month:L_SHIPDATE": row[6], "col:L_NATIONKEY": row[7]},
+				-1, row[0].AsInt(), row[1].AsFloat(), row[2].AsFloat())
 		}
 		if len(res.Rows) > 0 {
 			if _, err := delFact.Query(val.Int(key)); err != nil {
@@ -549,10 +464,7 @@ func (w *Warehouse) ApplyDelta(r io.Reader) (*Refresh, error) {
 		if !ok {
 			continue // pure tombstone
 		}
-		ck, err := tblInt(hdr, 1)
-		if err != nil {
-			return nil, err
-		}
+		ck := hdr[orderCols[1]].AsInt()
 		nk, ok := nationOf[ck]
 		if !ok {
 			nres, err := selNation.Query(val.Int(ck))
@@ -565,38 +477,30 @@ func (w *Warehouse) ApplyDelta(r io.Reader) (*Refresh, error) {
 			nk = nres.Rows[0][0].AsInt()
 			nationOf[ck] = nk
 		}
-		od, err := val.ParseDate(hdr[4])
-		if err != nil {
-			return nil, err
-		}
-		oi := orderInfo{custKey: ck, nationKey: nk, orderDate: od}
-		for _, lf := range lines[key] {
-			row, err := factRowFromTbl(lf, oi)
-			if err != nil {
-				return nil, err
-			}
+		oi := orderInfo{custKey: ck, nationKey: nk, orderDate: hdr[orderCols[2]]}
+		for _, li := range lines[key] {
+			row := factRow(li, oi)
 			w.m.Charge(cost.TupleCPU, 1)
 			if err := w.sess.InsertRow("LINEITEM_F", row); err != nil {
 				return nil, err
 			}
 			year, month := ymOf(row[12])
-			ext := row[7].AsFloat()
-			rev := ext * (1 - row[8].AsFloat())
-			bump(row[10].AsStr(), row[11].AsStr(), year, month, nk,
-				row[6].AsInt(), ext, rev, 1)
+			bump(map[string]val.Value{"col:L_RETURNFLAG": row[10], "col:L_LINESTATUS": row[11],
+				"year:L_SHIPDATE": val.Int(year), "month:L_SHIPDATE": val.Int(month), "col:L_NATIONKEY": val.Int(nk)},
+				1, row[6].AsInt(), row[7].AsFloat(), row[8].AsFloat())
 			st.RowsInserted++
 		}
 	}
 	w.sess.Commit()
 	st.Orders = len(keys)
 
-	// Patch the touched aggregate groups in place, in sorted group order
-	// so refresh cost and results are deterministic.
-	if err := w.patchRFLS(dRFLS, st); err != nil {
-		return nil, err
-	}
-	if err := w.patchNY(dNY, st); err != nil {
-		return nil, err
+	// Patch the touched aggregate groups in place. Last spec first: the
+	// order the refresh has always charged them in, which its simulated
+	// page reads depend on.
+	for i := len(aggSpecs) - 1; i >= 0; i-- {
+		if err := w.patchAgg(&aggSpecs[i], deltas[i], st); err != nil {
+			return nil, err
+		}
 	}
 	st.Elapsed = w.m.Lap(start)
 	return st, nil
@@ -615,133 +519,74 @@ func ymOf(v val.Value) (year, month int64) {
 	return y, m
 }
 
-func (w *Warehouse) patchRFLS(deltas map[rflsKey]*aggDelta, st *Refresh) error {
+// aggMeasures are every aggregate table's measure columns, in table order.
+const aggMeasures = "SUM_QTY, SUM_EXTPRICE, SUM_REVENUE, CNT"
+
+// patchAgg folds the deltas of one aggregate's touched groups into its
+// table: per group, update the row in place, insert a brand-new group, or
+// delete a group whose row count reached zero (the count is exact, so
+// "empty" is exact too). The four statements are generated from the
+// aggregate's key columns, and the groups are visited in primary-key order
+// (the encoded keys sort the way the index does), so refresh cost and
+// results are deterministic.
+func (w *Warehouse) patchAgg(a *aggSpec, deltas map[string]*aggDelta, st *Refresh) error {
 	if len(deltas) == 0 {
 		return nil
 	}
-	sel, err := w.sess.Prepare(`SELECT SUM_QTY, SUM_EXTPRICE, SUM_REVENUE, CNT FROM AGG_RFLS_MONTH
-		WHERE RF = ? AND LS = ? AND SHIPYEAR = ? AND SHIPMONTH = ?`)
+	cols := make([]string, len(a.key))
+	for i, expr := range a.key {
+		cols[i] = a.dims[expr]
+	}
+	where := " WHERE " + strings.Join(cols, " = ? AND ") + " = ?"
+	sel, err := w.sess.Prepare("SELECT " + aggMeasures + " FROM " + a.table + where)
 	if err != nil {
 		return err
 	}
-	upd, err := w.sess.Prepare(`UPDATE AGG_RFLS_MONTH SET SUM_QTY = ?, SUM_EXTPRICE = ?, SUM_REVENUE = ?, CNT = ?
-		WHERE RF = ? AND LS = ? AND SHIPYEAR = ? AND SHIPMONTH = ?`)
+	upd, err := w.sess.Prepare("UPDATE " + a.table + " SET " + strings.ReplaceAll(aggMeasures, ",", " = ?,") + " = ?" + where)
 	if err != nil {
 		return err
 	}
-	ins, err := w.sess.Prepare(`INSERT INTO AGG_RFLS_MONTH (RF, LS, SHIPYEAR, SHIPMONTH, SUM_QTY, SUM_EXTPRICE, SUM_REVENUE, CNT)
-		VALUES (?, ?, ?, ?, ?, ?, ?, ?)`)
+	ins, err := w.sess.Prepare("INSERT INTO " + a.table + " (" + strings.Join(cols, ", ") + ", " + aggMeasures +
+		") VALUES (?" + strings.Repeat(", ?", len(cols)+3) + ")")
 	if err != nil {
 		return err
 	}
-	del, err := w.sess.Prepare(`DELETE FROM AGG_RFLS_MONTH
-		WHERE RF = ? AND LS = ? AND SHIPYEAR = ? AND SHIPMONTH = ?`)
+	del, err := w.sess.Prepare("DELETE FROM " + a.table + where)
 	if err != nil {
 		return err
 	}
-	keys := make([]rflsKey, 0, len(deltas))
-	for k := range deltas {
-		keys = append(keys, k)
+	order := make([]string, 0, len(deltas))
+	for enc := range deltas {
+		order = append(order, enc)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.rf != b.rf {
-			return a.rf < b.rf
+	sort.Strings(order)
+	for _, enc := range order {
+		d := deltas[enc]
+		res, err := sel.Query(d.key...)
+		if err != nil {
+			return err
 		}
-		if a.ls != b.ls {
-			return a.ls < b.ls
+		switch {
+		case len(res.Rows) == 0 && d.cnt <= 0:
+			return fmt.Errorf("warehouse: negative delta for missing aggregate group %v", d.key)
+		case len(res.Rows) == 0:
+			_, err = ins.Query(append(append([]val.Value{}, d.key...),
+				val.Int(d.qty), val.Float(d.ext), val.Float(d.rev), val.Int(d.cnt))...)
+		case res.Rows[0][3].AsInt()+d.cnt == 0:
+			_, err = del.Query(d.key...)
+		default:
+			old := res.Rows[0]
+			_, err = upd.Query(append([]val.Value{
+				val.Int(old[0].AsInt() + d.qty),
+				val.Float(old[1].AsFloat() + d.ext),
+				val.Float(old[2].AsFloat() + d.rev),
+				val.Int(old[3].AsInt() + d.cnt),
+			}, d.key...)...)
 		}
-		if a.year != b.year {
-			return a.year < b.year
-		}
-		return a.month < b.month
-	})
-	for _, k := range keys {
-		pk := []val.Value{val.Str(k.rf), val.Str(k.ls), val.Int(k.year), val.Int(k.month)}
-		if err := w.patchGroup(sel, upd, ins, del, pk, deltas[k]); err != nil {
+		if err != nil {
 			return err
 		}
 		st.GroupsTouched++
 	}
 	return nil
-}
-
-func (w *Warehouse) patchNY(deltas map[nyKey]*aggDelta, st *Refresh) error {
-	if len(deltas) == 0 {
-		return nil
-	}
-	sel, err := w.sess.Prepare(`SELECT SUM_QTY, SUM_EXTPRICE, SUM_REVENUE, CNT FROM AGG_NATION_YEAR
-		WHERE NATIONKEY = ? AND SHIPYEAR = ?`)
-	if err != nil {
-		return err
-	}
-	upd, err := w.sess.Prepare(`UPDATE AGG_NATION_YEAR SET SUM_QTY = ?, SUM_EXTPRICE = ?, SUM_REVENUE = ?, CNT = ?
-		WHERE NATIONKEY = ? AND SHIPYEAR = ?`)
-	if err != nil {
-		return err
-	}
-	ins, err := w.sess.Prepare(`INSERT INTO AGG_NATION_YEAR (NATIONKEY, SHIPYEAR, SUM_QTY, SUM_EXTPRICE, SUM_REVENUE, CNT)
-		VALUES (?, ?, ?, ?, ?, ?)`)
-	if err != nil {
-		return err
-	}
-	del, err := w.sess.Prepare(`DELETE FROM AGG_NATION_YEAR
-		WHERE NATIONKEY = ? AND SHIPYEAR = ?`)
-	if err != nil {
-		return err
-	}
-	keys := make([]nyKey, 0, len(deltas))
-	for k := range deltas {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.nation != b.nation {
-			return a.nation < b.nation
-		}
-		return a.year < b.year
-	})
-	for _, k := range keys {
-		pk := []val.Value{val.Int(k.nation), val.Int(k.year)}
-		if err := w.patchGroup(sel, upd, ins, del, pk, deltas[k]); err != nil {
-			return err
-		}
-		st.GroupsTouched++
-	}
-	return nil
-}
-
-// patchGroup folds one group's delta into its aggregate row: update in
-// place, insert a brand-new group, or delete a group whose row count
-// reached zero (the count is exact, so "empty" is exact too).
-func (w *Warehouse) patchGroup(sel, upd, ins, del *engine.Stmt, pk []val.Value, d *aggDelta) error {
-	res, err := sel.Query(pk...)
-	if err != nil {
-		return err
-	}
-	switch {
-	case len(res.Rows) == 0:
-		if d.cnt <= 0 {
-			return fmt.Errorf("warehouse: negative delta for missing aggregate group %v", pk)
-		}
-		row := append(append([]val.Value{}, pk...),
-			val.Int(d.qty), val.Float(d.ext), val.Float(d.rev), val.Int(d.cnt))
-		_, err = ins.Query(row...)
-		return err
-	default:
-		old := res.Rows[0]
-		cnt := old[3].AsInt() + d.cnt
-		if cnt == 0 {
-			_, err = del.Query(pk...)
-			return err
-		}
-		args := []val.Value{
-			val.Int(old[0].AsInt() + d.qty),
-			val.Float(old[1].AsFloat() + d.ext),
-			val.Float(old[2].AsFloat() + d.rev),
-			val.Int(cnt),
-		}
-		_, err = upd.Query(append(args, pk...)...)
-		return err
-	}
 }

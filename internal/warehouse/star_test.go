@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"r3bench/internal/cost"
@@ -135,12 +136,12 @@ func deltaFromOrders(t *testing.T, g *dbgen.Generator) (*bytes.Buffer, []int64) 
 // a from-scratch build sees the post-batch population.
 func appendUF1(t *testing.T, g *dbgen.Generator, dir string) {
 	t.Helper()
-	of, err := os.OpenFile(filepath.Join(dir, dbgen.TblFile("ORDER")), os.O_APPEND|os.O_WRONLY, 0)
+	of, err := os.OpenFile(filepath.Join(dir, dbgen.OrdersTable.File), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer of.Close()
-	lf, err := os.OpenFile(filepath.Join(dir, dbgen.TblFile("LINEITEM")), os.O_APPEND|os.O_WRONLY, 0)
+	lf, err := os.OpenFile(filepath.Join(dir, dbgen.LineitemTable.File), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,5 +251,65 @@ func TestWorkloadGeneratorDeterministic(t *testing.T) {
 	}
 	if same == len(c) {
 		t.Fatal("different seeds produced identical workloads")
+	}
+}
+
+// truncateLastLine cuts the file's last line after its second field.
+func truncateLastLine(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+	last := strings.SplitAfter(lines[len(lines)-1], "|")
+	lines[len(lines)-1] = last[0] + last[1] + "\n"
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBuildRejectsShortLine: an extracted file is outside input; a line cut
+// short in any of the seven files Build reads is an error naming the file,
+// the line and the table, not an index-out-of-range panic.
+func TestBuildRejectsShortLine(t *testing.T) {
+	g := dbgen.New(0.001)
+	for _, src := range []*dbgen.Table{dbgen.RegionTable, dbgen.NationTable, dbgen.CustomerTable,
+		dbgen.SupplierTable, dbgen.PartTable, dbgen.OrdersTable, dbgen.LineitemTable} {
+		dir := writeTblDir(t, g)
+		truncateLastLine(t, filepath.Join(dir, src.File))
+		wh, err := NewWarehouse(cost.Model{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = wh.Build(dir)
+		if err == nil {
+			t.Fatalf("%s: Build accepted a truncated line", src.File)
+		}
+		for _, want := range []string{src.File + ":", src.Name, "2 fields"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", src.File, err, want)
+			}
+		}
+	}
+}
+
+// TestApplyDeltaRejectsShortLine is the same for a delta stream: a short
+// header, payload or tombstone line is an error with its line number.
+func TestApplyDeltaRejectsShortLine(t *testing.T) {
+	g := dbgen.New(0.001)
+	wh := buildFromTbl(t, writeTblDir(t, g), 1)
+	delta, _ := deltaFromOrders(t, g)
+	first, _, _ := strings.Cut(delta.String(), "\n") // an O| header
+	for _, bad := range []string{
+		strings.Join(strings.SplitAfter(first, "|")[:4], "") + "\n", // O|key|cust|status|
+		"L|1|2|3|\n",
+		"D|\n",
+		"D\n",
+	} {
+		_, err := wh.ApplyDelta(strings.NewReader(first + "\n" + bad))
+		if err == nil || !strings.Contains(err.Error(), "delta line 2") {
+			t.Errorf("delta line %q: got error %v, want one naming line 2", bad, err)
+		}
 	}
 }

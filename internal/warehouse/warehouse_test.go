@@ -52,11 +52,11 @@ func TestExtractAllRoundTrips(t *testing.T) {
 			}
 			// LINEITEM must be the dominant cost, as in the paper's Table 9.
 			var liTime, total int64
-			for _, res := range results {
+			for i, res := range results {
 				if res.Elapsed <= 0 {
 					t.Errorf("%s charged no simulated time", res.Table)
 				}
-				file := dbgen.TblFile(res.Table)
+				file := dbgen.Tables[i].File
 				got, err := os.ReadFile(filepath.Join(outDir, file))
 				if err != nil {
 					t.Fatal(err)
