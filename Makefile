@@ -3,7 +3,7 @@ GO ?= go
 # Newest committed snapshot is the regression baseline for bench-diff.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: all fmt-check vet build test loc race race-streams race-shards race-recovery race-warehouse race-views fuzz-smoke bench-smoke bench-wire-smoke bench-snapshot bench-diff ci check clean
+.PHONY: all fmt-check vet build test loc race race-streams race-shards race-recovery race-warehouse race-views fuzz-smoke bench-smoke bench-vet bench-wire-smoke bench-snapshot bench-diff ci check clean
 
 all: check
 
@@ -88,6 +88,13 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkPower22_RDBMS$$|BenchmarkAggQ1$$' -benchtime=1x -benchmem .
 
+# bench/ is its own Go module, so vet and test above never reach it, and
+# bench-wire-smoke below runs its binary but not bench/bench_test.go: vet and
+# test it in place, so a change beneath an exported name it calls shows here.
+bench-vet:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
+
 # bench/ is its own Go module, so build/vet/test above never compile it:
 # run the benchmark at smoke sizes so an engine API change cannot break it
 # unseen. The run exits non-zero unless every workload's answers are
@@ -107,9 +114,9 @@ bench-snapshot:
 bench-diff:
 	./scripts/bench_diff.sh $(BENCH_BASELINE)
 
-ci: fmt-check vet race race-streams race-shards race-recovery race-warehouse race-views fuzz-smoke bench-wire-smoke bench-diff
+ci: fmt-check vet race race-streams race-shards race-recovery race-warehouse race-views fuzz-smoke bench-vet bench-wire-smoke bench-diff
 
-check: vet build race bench-smoke bench-wire-smoke
+check: vet build race bench-smoke bench-vet bench-wire-smoke
 
 # What `go test -c` and bench/run.sh build into the work tree (both
 # git-ignored): compiled test binaries and the benchmark's build cache.

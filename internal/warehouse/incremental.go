@@ -28,6 +28,13 @@ import (
 // report functions write them — so Warehouse.ApplyDelta and Warehouse.Build
 // parse both with the tables' ParseLine.
 
+// tombstone is a D| line's payload: the primary key of ORDERS, written the
+// way orders.tbl writes it.
+var tombstone = &dbgen.Table{Name: "tombstone", Cols: dbgen.OrdersTable.Cols[:1], PK: []int{0}}
+
+// deltaTags maps a stream line's tag to the descriptor of its payload.
+var deltaTags = map[string]*dbgen.Table{"O": dbgen.OrdersTable, "L": dbgen.LineitemTable, "D": tombstone}
+
 // Delta is one incremental maintenance batch.
 type Delta struct {
 	InsertedOrders   int64
@@ -78,7 +85,7 @@ func (e *Extractor) ExtractDelta(inserted []int64, deleted []int64, w io.Writer)
 		}
 	}
 	for _, key := range deleted {
-		if _, err := fmt.Fprintf(w, "D|%d|\n", key); err != nil {
+		if err := writeLine(w, "D|", tombstone, []val.Value{val.Int(key)}); err != nil {
 			return nil, err
 		}
 	}

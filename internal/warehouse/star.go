@@ -363,30 +363,24 @@ func (w *Warehouse) ApplyDelta(r io.Reader) (*Refresh, error) {
 	lines := make(map[int64][][]val.Value)
 	touched := make(map[int64]struct{})
 	err := scanLines(r, func(lineNo int, line string) error {
-		var row []val.Value
-		var err error
-		switch tag, rest, _ := strings.Cut(line, "|"); tag {
-		case "O":
-			if row, err = dbgen.OrdersTable.ParseLine(rest); err == nil {
-				key := row[orderCols[0]].AsInt()
-				headers[key] = row
-				touched[key] = struct{}{}
-			}
-		case "L":
-			if row, err = dbgen.LineitemTable.ParseLine(rest); err == nil {
-				key := row[factHead[0]].AsInt()
-				lines[key] = append(lines[key], row)
-			}
-		case "D":
-			var key int64
-			if key, err = strconv.ParseInt(strings.TrimSuffix(rest, "|"), 10, 64); err == nil {
-				touched[key] = struct{}{}
-			}
-		default:
-			err = fmt.Errorf("bad delta line %q", line)
+		tag, rest, _ := strings.Cut(line, "|")
+		t, ok := deltaTags[tag]
+		if !ok {
+			return fmt.Errorf("warehouse: delta line %d: bad line %q", lineNo, line)
 		}
+		row, err := t.ParseLine(rest)
 		if err != nil {
 			return fmt.Errorf("warehouse: delta line %d: %w", lineNo, err)
+		}
+		key := t.Key(row)[0] // the order key leads all three primary keys
+		switch t {
+		case dbgen.OrdersTable:
+			headers[key] = row
+			touched[key] = struct{}{}
+		case dbgen.LineitemTable:
+			lines[key] = append(lines[key], row)
+		default:
+			touched[key] = struct{}{}
 		}
 		return nil
 	})
