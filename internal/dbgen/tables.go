@@ -8,16 +8,12 @@ import (
 	"r3bench/internal/val"
 )
 
-// The eight TPC-D tables, each described once. The DDL and INSERT texts of
-// internal/tpcd, the loaders' rows, the .tbl codec below, the warehouse's
-// extraction reports and star build, and the shard exchange's temp tables
-// all read these descriptors; no other non-test code spells a column order.
-
 // Verb is how a column's value is written in a .tbl file. It is not implied
 // by the SQL type: l_quantity is DECIMAL(15,2) in the schema and a whole
 // number in the file, as DBGEN writes it.
 type Verb byte
 
+// The four verbs; the comment gives the fmt verb the line formatters used.
 const (
 	Whole Verb = iota // %d
 	Money             // %.2f
@@ -41,92 +37,98 @@ type Table struct {
 	PartKey int   // column a sharded load partitions on; -1: replicated on every shard
 }
 
-var RegionTable = &Table{Name: "REGION", File: "region.tbl", PK: []int{0}, PartKey: -1, Cols: []Column{
-	{"r_regionkey", "INTEGER", Whole},
-	{"r_name", "CHAR(25)", Text},
-	{"r_comment", "VARCHAR(152)", Text},
-}}
+// The eight TPC-D tables, each described once. The DDL and INSERT texts of
+// internal/tpcd, the loaders' rows, the .tbl codec below, the warehouse's
+// extraction reports and star build, and the shard exchange's temp tables
+// all read these descriptors; no other non-test code spells a column order.
+var (
+	RegionTable = &Table{Name: "REGION", File: "region.tbl", PK: []int{0}, PartKey: -1, Cols: []Column{
+		{"r_regionkey", "INTEGER", Whole},
+		{"r_name", "CHAR(25)", Text},
+		{"r_comment", "VARCHAR(152)", Text},
+	}}
 
-var NationTable = &Table{Name: "NATION", File: "nation.tbl", PK: []int{0}, PartKey: -1, Cols: []Column{
-	{"n_nationkey", "INTEGER", Whole},
-	{"n_name", "CHAR(25)", Text},
-	{"n_regionkey", "INTEGER", Whole},
-	{"n_comment", "VARCHAR(152)", Text},
-}}
+	NationTable = &Table{Name: "NATION", File: "nation.tbl", PK: []int{0}, PartKey: -1, Cols: []Column{
+		{"n_nationkey", "INTEGER", Whole},
+		{"n_name", "CHAR(25)", Text},
+		{"n_regionkey", "INTEGER", Whole},
+		{"n_comment", "VARCHAR(152)", Text},
+	}}
 
-var SupplierTable = &Table{Name: "SUPPLIER", File: "supplier.tbl", PK: []int{0}, PartKey: 0, Cols: []Column{
-	{"s_suppkey", "INTEGER", Whole},
-	{"s_name", "CHAR(25)", Text},
-	{"s_address", "VARCHAR(40)", Text},
-	{"s_nationkey", "INTEGER", Whole},
-	{"s_phone", "CHAR(15)", Text},
-	{"s_acctbal", "DECIMAL(15,2)", Money},
-	{"s_comment", "VARCHAR(101)", Text},
-}}
+	SupplierTable = &Table{Name: "SUPPLIER", File: "supplier.tbl", PK: []int{0}, PartKey: 0, Cols: []Column{
+		{"s_suppkey", "INTEGER", Whole},
+		{"s_name", "CHAR(25)", Text},
+		{"s_address", "VARCHAR(40)", Text},
+		{"s_nationkey", "INTEGER", Whole},
+		{"s_phone", "CHAR(15)", Text},
+		{"s_acctbal", "DECIMAL(15,2)", Money},
+		{"s_comment", "VARCHAR(101)", Text},
+	}}
 
-var PartTable = &Table{Name: "PART", File: "part.tbl", PK: []int{0}, PartKey: -1, Cols: []Column{
-	{"p_partkey", "INTEGER", Whole},
-	{"p_name", "VARCHAR(55)", Text},
-	{"p_mfgr", "CHAR(25)", Text},
-	{"p_brand", "CHAR(10)", Text},
-	{"p_type", "VARCHAR(25)", Text},
-	{"p_size", "INTEGER", Whole},
-	{"p_container", "CHAR(10)", Text},
-	{"p_retailprice", "DECIMAL(15,2)", Money},
-	{"p_comment", "VARCHAR(23)", Text},
-}}
+	PartTable = &Table{Name: "PART", File: "part.tbl", PK: []int{0}, PartKey: -1, Cols: []Column{
+		{"p_partkey", "INTEGER", Whole},
+		{"p_name", "VARCHAR(55)", Text},
+		{"p_mfgr", "CHAR(25)", Text},
+		{"p_brand", "CHAR(10)", Text},
+		{"p_type", "VARCHAR(25)", Text},
+		{"p_size", "INTEGER", Whole},
+		{"p_container", "CHAR(10)", Text},
+		{"p_retailprice", "DECIMAL(15,2)", Money},
+		{"p_comment", "VARCHAR(23)", Text},
+	}}
 
-var PartSuppTable = &Table{Name: "PARTSUPP", File: "partsupp.tbl", PK: []int{0, 1}, PartKey: -1, Cols: []Column{
-	{"ps_partkey", "INTEGER", Whole},
-	{"ps_suppkey", "INTEGER", Whole},
-	{"ps_availqty", "INTEGER", Whole},
-	{"ps_supplycost", "DECIMAL(15,2)", Money},
-	{"ps_comment", "VARCHAR(199)", Text},
-}}
+	PartSuppTable = &Table{Name: "PARTSUPP", File: "partsupp.tbl", PK: []int{0, 1}, PartKey: -1, Cols: []Column{
+		{"ps_partkey", "INTEGER", Whole},
+		{"ps_suppkey", "INTEGER", Whole},
+		{"ps_availqty", "INTEGER", Whole},
+		{"ps_supplycost", "DECIMAL(15,2)", Money},
+		{"ps_comment", "VARCHAR(199)", Text},
+	}}
 
-var CustomerTable = &Table{Name: "CUSTOMER", File: "customer.tbl", PK: []int{0}, PartKey: 0, Cols: []Column{
-	{"c_custkey", "INTEGER", Whole},
-	{"c_name", "VARCHAR(25)", Text},
-	{"c_address", "VARCHAR(40)", Text},
-	{"c_nationkey", "INTEGER", Whole},
-	{"c_phone", "CHAR(15)", Text},
-	{"c_acctbal", "DECIMAL(15,2)", Money},
-	{"c_mktsegment", "CHAR(10)", Text},
-	{"c_comment", "VARCHAR(117)", Text},
-}}
+	CustomerTable = &Table{Name: "CUSTOMER", File: "customer.tbl", PK: []int{0}, PartKey: 0, Cols: []Column{
+		{"c_custkey", "INTEGER", Whole},
+		{"c_name", "VARCHAR(25)", Text},
+		{"c_address", "VARCHAR(40)", Text},
+		{"c_nationkey", "INTEGER", Whole},
+		{"c_phone", "CHAR(15)", Text},
+		{"c_acctbal", "DECIMAL(15,2)", Money},
+		{"c_mktsegment", "CHAR(10)", Text},
+		{"c_comment", "VARCHAR(117)", Text},
+	}}
 
-var OrdersTable = &Table{Name: "ORDERS", File: "orders.tbl", PK: []int{0}, PartKey: 0, Cols: []Column{
-	{"o_orderkey", "INTEGER", Whole},
-	{"o_custkey", "INTEGER", Whole},
-	{"o_orderstatus", "CHAR(1)", Text},
-	{"o_totalprice", "DECIMAL(15,2)", Money},
-	{"o_orderdate", "DATE", Day},
-	{"o_orderpriority", "CHAR(15)", Text},
-	{"o_clerk", "CHAR(15)", Text},
-	{"o_shippriority", "INTEGER", Whole},
-	{"o_comment", "VARCHAR(79)", Text},
-}}
+	OrdersTable = &Table{Name: "ORDERS", File: "orders.tbl", PK: []int{0}, PartKey: 0, Cols: []Column{
+		{"o_orderkey", "INTEGER", Whole},
+		{"o_custkey", "INTEGER", Whole},
+		{"o_orderstatus", "CHAR(1)", Text},
+		{"o_totalprice", "DECIMAL(15,2)", Money},
+		{"o_orderdate", "DATE", Day},
+		{"o_orderpriority", "CHAR(15)", Text},
+		{"o_clerk", "CHAR(15)", Text},
+		{"o_shippriority", "INTEGER", Whole},
+		{"o_comment", "VARCHAR(79)", Text},
+	}}
 
-// A lineitem partitions on its order's key, so an order and its lineitems
-// always land on one shard.
-var LineitemTable = &Table{Name: "LINEITEM", File: "lineitem.tbl", PK: []int{0, 3}, PartKey: 0, Cols: []Column{
-	{"l_orderkey", "INTEGER", Whole},
-	{"l_partkey", "INTEGER", Whole},
-	{"l_suppkey", "INTEGER", Whole},
-	{"l_linenumber", "INTEGER", Whole},
-	{"l_quantity", "DECIMAL(15,2)", Whole},
-	{"l_extendedprice", "DECIMAL(15,2)", Money},
-	{"l_discount", "DECIMAL(15,2)", Money},
-	{"l_tax", "DECIMAL(15,2)", Money},
-	{"l_returnflag", "CHAR(1)", Text},
-	{"l_linestatus", "CHAR(1)", Text},
-	{"l_shipdate", "DATE", Day},
-	{"l_commitdate", "DATE", Day},
-	{"l_receiptdate", "DATE", Day},
-	{"l_shipinstruct", "CHAR(25)", Text},
-	{"l_shipmode", "CHAR(10)", Text},
-	{"l_comment", "VARCHAR(44)", Text},
-}}
+	// A lineitem partitions on its order's key, so an order and its
+	// lineitems always land on one shard.
+	LineitemTable = &Table{Name: "LINEITEM", File: "lineitem.tbl", PK: []int{0, 3}, PartKey: 0, Cols: []Column{
+		{"l_orderkey", "INTEGER", Whole},
+		{"l_partkey", "INTEGER", Whole},
+		{"l_suppkey", "INTEGER", Whole},
+		{"l_linenumber", "INTEGER", Whole},
+		{"l_quantity", "DECIMAL(15,2)", Whole},
+		{"l_extendedprice", "DECIMAL(15,2)", Money},
+		{"l_discount", "DECIMAL(15,2)", Money},
+		{"l_tax", "DECIMAL(15,2)", Money},
+		{"l_returnflag", "CHAR(1)", Text},
+		{"l_linestatus", "CHAR(1)", Text},
+		{"l_shipdate", "DATE", Day},
+		{"l_commitdate", "DATE", Day},
+		{"l_receiptdate", "DATE", Day},
+		{"l_shipinstruct", "CHAR(25)", Text},
+		{"l_shipmode", "CHAR(10)", Text},
+		{"l_comment", "VARCHAR(44)", Text},
+	}}
+)
 
 // Tables lists the eight tables in loading order, which is also the order of
 // the paper's Table 9.

@@ -443,8 +443,7 @@ func (w *Warehouse) ApplyDelta(r io.Reader) (*Refresh, error) {
 			return nil, err
 		}
 		for _, row := range res.Rows {
-			bump(map[string]val.Value{"col:L_RETURNFLAG": row[3], "col:L_LINESTATUS": row[4],
-				"year:L_SHIPDATE": row[5], "month:L_SHIPDATE": row[6], "col:L_NATIONKEY": row[7]},
+			bump(factDims(row[3], row[4], row[5], row[6], row[7]),
 				-1, row[0].AsInt(), row[1].AsFloat(), row[2].AsFloat())
 		}
 		if len(res.Rows) > 0 {
@@ -479,8 +478,7 @@ func (w *Warehouse) ApplyDelta(r io.Reader) (*Refresh, error) {
 				return nil, err
 			}
 			year, month := ymOf(row[12])
-			bump(map[string]val.Value{"col:L_RETURNFLAG": row[10], "col:L_LINESTATUS": row[11],
-				"year:L_SHIPDATE": val.Int(year), "month:L_SHIPDATE": val.Int(month), "col:L_NATIONKEY": val.Int(nk)},
+			bump(factDims(row[10], row[11], val.Int(year), val.Int(month), val.Int(nk)),
 				1, row[6].AsInt(), row[7].AsFloat(), row[8].AsFloat())
 			st.RowsInserted++
 		}
@@ -498,6 +496,13 @@ func (w *Warehouse) ApplyDelta(r io.Reader) (*Refresh, error) {
 	}
 	st.Elapsed = w.m.Lap(start)
 	return st, nil
+}
+
+// factDims names one fact row's dimension values by the canonical
+// expressions an aggSpec's key lists.
+func factDims(rf, ls, year, month, nation val.Value) map[string]val.Value {
+	return map[string]val.Value{"col:L_RETURNFLAG": rf, "col:L_LINESTATUS": ls,
+		"year:L_SHIPDATE": year, "month:L_SHIPDATE": month, "col:L_NATIONKEY": nation}
 }
 
 // ymOf splits a date value into calendar year and month the same way
