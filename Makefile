@@ -76,11 +76,13 @@ race-views:
 	$(GO) test -race -count=3 -run 'TestClusterDecodeMatchesReference' ./internal/r3
 	$(GO) test -race -count=3 -run 'TestKeptRowsOwnTheirBytes' ./internal/warehouse
 
-# Five-second native-fuzz smoke of the SQL front end: FuzzParse asserts
+# Five-second native-fuzz smokes. The SQL front end: FuzzParse asserts
 # no panics, old/new parser validity agreement and AST stability under
-# arena reuse (the corpus seeds cover every statement shape).
+# arena reuse (the corpus seeds cover every statement shape). The key table
+# under join, GROUP BY and DISTINCT: FuzzKeyTable against a Go map.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime=5s ./internal/sqlparse
+	$(GO) test -run xxx -fuzz '^FuzzKeyTable$$' -fuzztime=5s ./internal/val
 
 # One pass over the headline benchmark plus the Q1 aggregation (allocs/op
 # shows the batch executor's real cost) to catch bench-path regressions

@@ -286,14 +286,18 @@ func kibPerRun(n int, fn func()) float64 {
 // call, in allocations and in bytes. Per row: a Q6- and a Q1-shaped
 // statement, a hash join that builds on tt and a scan that filters on a CHAR
 // column, over the golden fixture's 1500 rows, may allocate about twice what
-// they do today: 43, 141, 91 and 37 times per execution (parse, plan,
-// batches, groups) and 166, 177, 315 and 123 KiB. One allocation per scanned
+// they do today: 45, 118, 95 and 39 times per execution (parse, plan,
+// batches, groups) and 167, 176, 316 and 124 KiB. One allocation per scanned
 // or built row would be 1500 more — which is what the CHAR filter cost (1537)
 // while decoding a CHAR made a string of it — and frames and build rows as
 // wide as the catalog's rows instead of the columns read were 200, 212, 1044
-// and 200 KiB: tt has four columns, a TPC-D table sixteen. pad gets a
-// multi-byte value first: Go allocates nothing for the one-byte string the
-// fixture stores, which would hide a scan that copies it. A row that is
+// and 200 KiB: tt has four columns, a TPC-D table sixteen. A distinct join
+// key, group or DISTINCT value costs no allocation of its own — its bytes go
+// into the key table's slab (val.KeyTable), its state into a slab row — so
+// 700 more of them may cost 0.05 allocations each (0.01 today: slabs and
+// slots double), where a string per key in a Go map cost 1, 7 and 3. pad
+// gets a multi-byte value first: Go allocates nothing for the one-byte string
+// the fixture stores, which would hide a scan that copies it. A row that is
 // materialised into a Result costs 1.01 allocations, its value slice plus
 // its share of a slab chunk for the CHAR bytes, however many CHAR columns
 // it has (one more each before). Per call: a prepared primary-key lookup
@@ -309,7 +313,7 @@ func TestAllocationBudget(t *testing.T) {
 		budget, kib float64
 	}{
 		{`SELECT SUM(v * grp) FROM tt WHERE v > 100 AND id < 1400`, 90, 332},
-		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 280, 354},
+		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 236, 352},
 		{`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.grp AND a.id < 1400`, 180, 630},
 		{`SELECT COUNT(*) FROM tt WHERE pad = 'padding' AND id < 1400`, 74, 246},
 	} {
@@ -318,6 +322,19 @@ func TestAllocationBudget(t *testing.T) {
 		}
 		if kib := kibPerRun(10, func() { mustExec(t, s, c.q) }); kib > c.kib {
 			t.Errorf("%q allocates %.0f KiB per execution, budget %.0f", c.q, kib, c.kib)
+		}
+	}
+
+	for _, q := range []string{
+		`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.id AND b.id < %d`,
+		`SELECT id, COUNT(*) FROM tt WHERE id < %d GROUP BY id HAVING COUNT(*) > 1`, // no group becomes a row
+		`SELECT COUNT(DISTINCT id) FROM tt WHERE id < %d`,
+	} {
+		keys := func(n int) float64 {
+			return testing.AllocsPerRun(10, func() { mustExec(t, s, fmt.Sprintf(q, n)) })
+		}
+		if perKey := (keys(1400) - keys(700)) / 700; perKey > 0.05 {
+			t.Errorf("%q allocates %.3f times per distinct key, budget 0.05", q, perKey)
 		}
 	}
 

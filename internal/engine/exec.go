@@ -390,100 +390,105 @@ type hashStep struct {
 
 func (s *hashStep) bound() *relInfo { return s.rel }
 
-// hashTable is the built side of a hash join. A build row is as wide as the
-// columns the block reads of the build relation (relInfo.width, possibly
-// none); the rows live in slab chunks and are named by index, and the rows of
-// one key form a chain through links, in the order they were added, so a
-// probe meets its matches in build-scan order.
-type hashTable struct {
+// rowSlab holds rows of width values each in chunks, named by index: row i
+// is row i%slabChunkRows of chunk i/slabChunkRows. The first chunk starts at
+// slabChunkMin rows and doubles up to slabChunkRows, so a small table stays
+// small; the later ones are made full size and never move.
+type rowSlab[T any] struct {
 	width  int
-	chunks [][]val.Value    // hashChunkRows rows each; the last may be short
-	links  []hashLink       // per row index
-	heads  map[string]int32 // key → first row of its chain
+	chunks [][]T
 }
 
-// hashLink is one row's place in its key's chain.
-type hashLink struct {
-	next int32 // the following row with the same key, -1 at the end
-	tail int32 // at a chain's first row: its last row
-}
-
-// hashChunkRows is the row capacity of a slab chunk (row i is row
-// i%hashChunkRows of chunk i/hashChunkRows). A table's first chunk starts
-// at hashChunkMin rows and doubles up to that, so a small build stays
-// small; the later ones are made full size.
 const (
-	hashChunkRows = 256
-	hashChunkMin  = 16
+	slabChunkRows = 256
+	slabChunkMin  = 4
 )
 
-func newHashTable(width int) *hashTable {
-	return &hashTable{
-		width:  width,
-		chunks: [][]val.Value{make([]val.Value, 0, hashChunkMin*width)},
-		heads:  make(map[string]int32),
+// add appends row i — the caller counts — and returns it, zeroed.
+func (s *rowSlab[T]) add(i int) []T {
+	c, at := i/slabChunkRows, i%slabChunkRows*s.width
+	switch {
+	case c == len(s.chunks):
+		rows := slabChunkRows
+		if c == 0 {
+			rows = slabChunkMin
+		}
+		s.chunks = append(s.chunks, make([]T, 0, rows*s.width))
+	case at == cap(s.chunks[c]) && at > 0:
+		// The first chunk is full at its current size (at > 0: rows of no
+		// width fill nothing).
+		s.chunks[c] = append(make([]T, 0, 2*at), s.chunks[c]...)
 	}
+	s.chunks[c] = s.chunks[c][:at+s.width]
+	return s.chunks[c][at:]
+}
+
+// row returns row i.
+func (s *rowSlab[T]) row(i int) []T {
+	at := i % slabChunkRows * s.width
+	return s.chunks[i/slabChunkRows][at : at+s.width]
+}
+
+// hashTable is the built side of a hash join. A build row is as wide as the
+// columns the block reads of the build relation (relInfo.width, possibly
+// none); the rows are named by index, and the rows of one key form a chain
+// through next, in the order they were added, so a probe meets its matches
+// in build-scan order.
+type hashTable struct {
+	rows rowSlab[val.Value]
+	next []int32      // per row: the following row with the same key, -1 at the end
+	keys val.KeyTable // the distinct join keys
+	ends [][2]int32   // per key: the first and the last row of its chain
+}
+
+func newHashTable(width int) *hashTable {
+	return &hashTable{rows: rowSlab[val.Value]{width: width}}
 }
 
 // add appends one build row under key.
 func (t *hashTable) add(key []byte, row []val.Value) {
-	i := int32(len(t.links))
-	c, at := int(i)/hashChunkRows, int(i)%hashChunkRows*t.width
-	switch {
-	case c == len(t.chunks):
-		t.chunks = append(t.chunks, make([]val.Value, 0, hashChunkRows*t.width))
-	case at == cap(t.chunks[c]) && at > 0:
-		// The first chunk is full at its current size (at > 0: rows of no
-		// width fill nothing).
-		t.chunks[c] = append(make([]val.Value, 0, 2*at), t.chunks[c]...)
+	i := int32(len(t.next))
+	copy(t.rows.add(int(i)), row)
+	t.next = append(t.next, -1)
+	t.chain(key, i, i)
+}
+
+// chain puts the chain of rows head … tail behind the rows key already has.
+func (t *hashTable) chain(key []byte, head, tail int32) {
+	e, isNew := t.keys.Insert(key)
+	if isNew {
+		t.ends = append(t.ends, [2]int32{head, tail})
+		return
 	}
-	t.chunks[c] = append(t.chunks[c], row...)
-	t.links = append(t.links, hashLink{next: -1, tail: i})
-	if h, ok := t.heads[string(key)]; ok {
-		t.links[t.links[h].tail].next = i
-		t.links[h].tail = i
-	} else {
-		t.heads[string(key)] = i
-	}
+	t.next[t.ends[e][1]] = head
+	t.ends[e][1] = tail
 }
 
 // first returns the first row stored under key, -1 when there is none;
-// links[i].next walks on from it.
+// next[i] walks on from it.
 func (t *hashTable) first(key []byte) int32 {
-	if h, ok := t.heads[string(key)]; ok {
-		return h
+	if e := t.keys.Find(key); e >= 0 {
+		return t.ends[e][0]
 	}
 	return -1
 }
 
-// row returns build row i.
-func (t *hashTable) row(i int32) []val.Value {
-	at := int(i) % hashChunkRows * t.width
-	return t.chunks[int(i)/hashChunkRows][at : at+t.width]
-}
-
 // absorb moves a later lane's table o in behind t's rows: o's chunks are
 // taken over as they are, its row indexes shift past t's last chunk, and
-// each of its chains continues t's chain for the same key.
+// each of its chains — in the order o first saw their keys — continues t's
+// chain for the same key.
 func (t *hashTable) absorb(o *hashTable) {
-	base := int32(len(t.chunks) * hashChunkRows)
-	t.chunks = append(t.chunks, o.chunks...)
-	t.links = append(t.links, make([]hashLink, int(base)-len(t.links))...)
-	t.links = append(t.links, o.links...)
-	for i := int(base); i < len(t.links); i++ {
-		if l := &t.links[i]; l.next >= 0 {
-			l.next += base
+	base := int32(len(t.rows.chunks) * slabChunkRows)
+	t.rows.chunks = append(t.rows.chunks, o.rows.chunks...)
+	t.next = append(t.next, make([]int32, int(base)-len(t.next))...)
+	for _, n := range o.next {
+		if n >= 0 {
+			n += base
 		}
-		t.links[i].tail += base
+		t.next = append(t.next, n)
 	}
-	for k, h := range o.heads {
-		h += base
-		if th, ok := t.heads[k]; ok {
-			t.links[t.links[th].tail].next = h
-			t.links[th].tail = t.links[h].tail
-		} else {
-			t.heads[k] = h
-		}
+	for e, ends := range o.ends {
+		t.chain(o.keys.Key(int32(e)), ends[0]+base, ends[1]+base)
 	}
 }
 
@@ -585,12 +590,6 @@ func (s *outerStep) run(be *blockExec, next func() error) error {
 
 // --- block execution: joins → aggregation → projection → order/limit ---
 
-// groupAcc is one group's accumulator set.
-type groupAcc struct {
-	keys []val.Value
-	accs []aggState
-}
-
 // exactSumPrec is the mantissa precision of an exactSum accumulator: wide
 // enough (53-bit mantissa + full double exponent span + summand count
 // headroom) that adding float64 values never rounds, so the final Float64
@@ -604,17 +603,8 @@ type exactSum struct {
 	acc *big.Float
 }
 
-func (s *exactSum) add(x float64) {
-	if s.acc == nil {
-		s.acc = new(big.Float).SetPrec(exactSumPrec)
-	}
-	s.acc.Add(s.acc, new(big.Float).SetPrec(53).SetFloat64(x))
-}
-
-// addTmp is add with a caller-owned scratch operand: tmp must be a
-// big.Float of precision 53, so tmp.SetFloat64(x) represents exactly the
-// value the allocating path would build. The accumulated sum is
-// bit-identical; only the per-addition allocation disappears (an
+// addTmp adds x through a caller-owned scratch operand: tmp must be a
+// big.Float of precision 53, so tmp.SetFloat64(x) represents x exactly (an
 // accumulator reuses one scratch across a whole run).
 func (s *exactSum) addTmp(x float64, tmp *big.Float) {
 	if s.acc == nil {
@@ -650,32 +640,40 @@ type aggState struct {
 	allInt  bool
 	min     val.Value
 	max     val.Value
-	seen    map[string]val.Value // DISTINCT: encoded key → value
+	seen    *distinctSet // DISTINCT only
 	nonNull bool
+}
+
+// distinctSet is the values a DISTINCT aggregate has folded in, in the order
+// it first saw them.
+type distinctSet struct {
+	keys val.KeyTable
+	vals []val.Value // per key
 }
 
 func newAggState(spec aggSpec) aggState {
 	st := aggState{allInt: true}
 	if spec.distinct {
-		st.seen = make(map[string]val.Value)
+		st.seen = new(distinctSet)
 	}
 	return st
 }
 
-// add folds one input value into the aggregate. tmp is the accumulator's
-// reused big.Float scratch: float sums collect in the pending expansion and
-// reach the exact sum through it. A nil tmp (merging DISTINCT sets) adds
-// to the exact sum directly.
-func (st *aggState) add(spec aggSpec, v val.Value, tmp *big.Float) {
+// add folds one input value into the aggregate, using the scratch of the
+// accumulator a that st belongs to: a DISTINCT value is encoded into its key
+// buffer (the group key in it has been looked up by now), and float sums
+// collect in the pending expansion and reach the exact sum through its
+// big.Float.
+func (st *aggState) add(spec aggSpec, v val.Value, a *aggAccum) {
 	if spec.arg != nil && v.IsNull() {
 		return
 	}
 	if st.seen != nil {
-		k := string(val.AppendKey(nil, v))
-		if _, dup := st.seen[k]; dup {
+		a.keyBuf = val.AppendKey(a.keyBuf[:0], v)
+		if _, isNew := st.seen.keys.Insert(a.keyBuf); !isNew {
 			return
 		}
-		st.seen[k] = v
+		st.seen.vals = append(st.seen.vals, v)
 	}
 	st.count++
 	st.nonNull = true
@@ -686,12 +684,9 @@ func (st *aggState) add(spec aggSpec, v val.Value, tmp *big.Float) {
 		} else {
 			st.allInt = false
 		}
-		switch {
-		case tmp == nil:
-			st.sum.add(v.AsFloat())
-		case !st.exp.add(v.AsFloat()):
-			st.flushExp(tmp)
-			st.sum.addTmp(v.AsFloat(), tmp)
+		if !st.exp.add(v.AsFloat()) {
+			st.flushExp(a.tmp)
+			st.sum.addTmp(v.AsFloat(), a.tmp)
 		}
 	case "MIN":
 		if st.min.IsNull() || val.Compare(v, st.min) < 0 {
@@ -707,13 +702,14 @@ func (st *aggState) add(spec aggSpec, v val.Value, tmp *big.Float) {
 // merge folds another lane's accumulator for the same group into st. Every
 // combining operation here is order-independent (exact sums, min/max,
 // counts), so merging partitions in any order matches serial accumulation.
-func (st *aggState) merge(spec aggSpec, o *aggState) {
+func (st *aggState) merge(spec aggSpec, o *aggState, a *aggAccum) {
 	if st.seen != nil {
 		// DISTINCT: re-add the other lane's values so cross-lane
 		// duplicates are dropped exactly once.
-		for _, v := range o.seen {
-			st.add(spec, v, nil)
+		for _, v := range o.seen.vals {
+			st.add(spec, v, a)
 		}
+		st.flushExp(a.tmp)
 		return
 	}
 	st.count += o.count
@@ -794,8 +790,9 @@ type outputSink struct {
 	p       *selectPlan
 	m       *cost.Meter
 	emit    func([]val.Value) error
-	rows    []outRow // ORDER BY buffer
-	dedup   map[string]struct{}
+	rows    []outRow     // ORDER BY buffer
+	dedup   val.KeyTable // SELECT DISTINCT: the rows let through so far
+	keyBuf  []byte       // the row being looked up in dedup
 	emitted int
 	// runs > 1 marks the rows as that many pre-sorted partition runs
 	// (each worker charged its partial sort): finish charges a k-way
@@ -814,9 +811,6 @@ func newOutputSink(p *selectPlan, m *cost.Meter, emit func([]val.Value) error) *
 // are sized by the rows that went through them.
 func (o *outputSink) reset(m *cost.Meter, emit func([]val.Value) error) {
 	*o = outputSink{p: o.p, m: m, emit: emit}
-	if o.p.distinct {
-		o.dedup = make(map[string]struct{})
-	}
 }
 
 // addFrame projects one finalized group frame into a freshly allocated
@@ -837,12 +831,14 @@ func (o *outputSink) addFrame(rt *runtime, frame rowStack) error {
 // errStopIteration once LIMIT is satisfied on an unsorted plan.
 func (o *outputSink) add(r outRow) error {
 	p := o.p
-	if o.dedup != nil {
-		k := string(val.EncodeKey(r.proj...))
-		if _, dup := o.dedup[k]; dup {
+	if p.distinct {
+		o.keyBuf = o.keyBuf[:0]
+		for _, v := range r.proj {
+			o.keyBuf = val.AppendKey(o.keyBuf, v)
+		}
+		if _, isNew := o.dedup.Insert(o.keyBuf); !isNew {
 			return nil
 		}
-		o.dedup[k] = struct{}{}
 		o.m.Charge(cost.TupleCPU, 1)
 	}
 	if len(p.orderKeys) > 0 {
@@ -1050,26 +1046,49 @@ func (p *selectPlan) runSerial(rt *runtime, outer rowStack, emit func([]val.Valu
 // aggAccum accumulates grouped aggregate state for one lane of execution.
 // Serial runs use a single accumulator; parallel workers each fill their
 // own, and the coordinator merges them in partition order so first-seen
-// group order matches a serial scan of the concatenated partitions.
+// group order matches a serial scan of the concatenated partitions. The
+// key table numbers the groups in first-seen order; a group's key values
+// and aggregate states are the rows of two slabs under its number.
 type aggAccum struct {
 	p      *selectPlan
-	groups map[string]*groupAcc
-	order  []string // group keys in first-seen order
+	groups val.KeyTable
+	keys   rowSlab[val.Value]
+	accs   rowSlab[aggState]
 	nInput int64
-	// Scratch reused across every input row: the group-key buffers and the
-	// big.Float operand of the exact-sum additions.
+	// Scratch reused across every input row: the encoded key and the values
+	// of the row's group, and the big.Float operand of the exact-sum additions.
 	keyBuf []byte
-	keys   []val.Value
+	vals   []val.Value
 	tmp    *big.Float
 }
 
 func newAggAccum(p *selectPlan) *aggAccum {
 	return &aggAccum{
-		p:      p,
-		groups: make(map[string]*groupAcc),
-		keys:   make([]val.Value, 0, len(p.agg.groupFns)),
-		tmp:    new(big.Float).SetPrec(53),
+		p:    p,
+		keys: rowSlab[val.Value]{width: len(p.agg.groupFns)},
+		accs: rowSlab[aggState]{width: len(p.agg.specs)},
+		vals: make([]val.Value, 0, len(p.agg.groupFns)),
+		tmp:  new(big.Float).SetPrec(53),
 	}
+}
+
+// group returns the aggregate states of the group under the encoded key.
+// A new key starts a group — isNew — with the key values vals and the
+// states from, fresh ones when from is nil.
+func (a *aggAccum) group(key []byte, vals []val.Value, from []aggState) (accs []aggState, isNew bool) {
+	e, isNew := a.groups.Insert(key)
+	if !isNew {
+		return a.accs.row(int(e)), false
+	}
+	copy(a.keys.add(int(e)), vals)
+	accs = a.accs.add(int(e))
+	copy(accs, from)
+	if from == nil {
+		for i, spec := range a.p.agg.specs {
+			accs[i] = newAggState(spec)
+		}
+	}
+	return accs, true
 }
 
 // addRow folds one join-pipeline output row into the accumulator.
@@ -1077,28 +1096,20 @@ func (a *aggAccum) addRow(rt *runtime, stack rowStack) error {
 	p := a.p
 	a.nInput++
 	key := a.keyBuf[:0]
-	keys := a.keys[:0]
+	vals := a.vals[:0]
 	for _, gf := range p.agg.groupFns {
 		v, err := gf(rt, stack)
 		if err != nil {
 			return err
 		}
-		keys = append(keys, v)
+		vals = append(vals, v)
 		key = val.AppendKey(key, v)
 	}
 	a.keyBuf = key
-	g, ok := a.groups[string(key)]
-	if !ok {
-		g = &groupAcc{keys: append([]val.Value(nil), keys...), accs: make([]aggState, len(p.agg.specs))}
-		for i, spec := range p.agg.specs {
-			g.accs[i] = newAggState(spec)
-		}
-		a.groups[string(key)] = g
-		a.order = append(a.order, string(key))
-	}
+	accs, _ := a.group(key, vals, nil)
 	for i := range p.agg.specs {
 		spec := &p.agg.specs[i]
-		st := &g.accs[i]
+		st := &accs[i]
 		if spec.arg == nil { // COUNT(*)
 			st.count++
 			st.nonNull = true
@@ -1108,7 +1119,7 @@ func (a *aggAccum) addRow(rt *runtime, stack rowStack) error {
 		if err != nil {
 			return err
 		}
-		st.add(*spec, v, a.tmp)
+		st.add(*spec, v, a)
 	}
 	return nil
 }
@@ -1116,9 +1127,9 @@ func (a *aggAccum) addRow(rt *runtime, stack rowStack) error {
 // flushExpansions drains every group's pending expansion; must run before
 // the accumulated sums are read or merged.
 func (a *aggAccum) flushExpansions() {
-	for _, g := range a.groups {
-		for i := range g.accs {
-			g.accs[i].flushExp(a.tmp)
+	for _, chunk := range a.accs.chunks {
+		for i := range chunk {
+			chunk[i].flushExp(a.tmp)
 		}
 	}
 }
@@ -1127,16 +1138,14 @@ func (a *aggAccum) flushExpansions() {
 // order and appending groups new to a in o's first-seen order.
 func (a *aggAccum) merge(o *aggAccum) {
 	a.nInput += o.nInput
-	for _, k := range o.order {
-		og := o.groups[k]
-		g, ok := a.groups[k]
-		if !ok {
-			a.groups[k] = og
-			a.order = append(a.order, k)
+	for e := 0; e < o.groups.Len(); e++ {
+		from := o.accs.row(e)
+		accs, isNew := a.group(o.groups.Key(int32(e)), o.keys.row(e), from)
+		if isNew {
 			continue
 		}
 		for i, spec := range a.p.agg.specs {
-			g.accs[i].merge(spec, &og.accs[i])
+			accs[i].merge(spec, &from[i], a)
 		}
 	}
 }
@@ -1158,24 +1167,22 @@ func (p *selectPlan) finalizeGroups(rt *runtime, a *aggAccum, outer rowStack, si
 	m := rt.meter()
 
 	// A query with aggregates but no GROUP BY yields exactly one row,
-	// even over empty input.
-	if len(p.agg.groupFns) == 0 && len(a.order) == 0 {
-		g := &groupAcc{accs: make([]aggState, len(p.agg.specs))}
-		for i, spec := range p.agg.specs {
-			g.accs[i] = newAggState(spec)
-		}
-		a.groups[""] = g
-		a.order = append(a.order, "")
+	// even over empty input: the group of the empty key.
+	if len(p.agg.groupFns) == 0 {
+		a.group(nil, nil, nil)
 	}
 
-	for _, k := range a.order {
-		g := a.groups[k]
-		aggRow := make([]val.Value, len(g.keys)+len(p.agg.specs))
-		copy(aggRow, g.keys)
+	// Every group is finalized in the same row and frame: the sink projects
+	// a frame into a row of its own.
+	nKeys := len(p.agg.groupFns)
+	aggRow := make([]val.Value, nKeys+len(p.agg.specs))
+	frame := append(append(make(rowStack, 0, len(outer)+1), outer...), aggRow)
+	for e := 0; e < a.groups.Len(); e++ {
+		copy(aggRow, a.keys.row(e))
+		accs := a.accs.row(e)
 		for i, spec := range p.agg.specs {
-			aggRow[len(g.keys)+i] = g.accs[i].result(spec)
+			aggRow[nKeys+i] = accs[i].result(spec)
 		}
-		frame := append(append(rowStack{}, outer...), aggRow)
 		if p.havingFn != nil {
 			hv, err := p.havingFn(rt, frame)
 			if err != nil {

@@ -93,7 +93,7 @@ func TestNestedIndexScansKeepTheirBounds(t *testing.T) {
 // once a parallel build's tables are absorbed — whether the build rows
 // carry two values or, nothing but the key being read of them, none.
 func TestHashTableChainsKeepBuildOrder(t *testing.T) {
-	const keys, perLane = 7, 2*hashChunkRows + 90 // two full chunks and a short one per lane
+	const keys, perLane = 7, 2*slabChunkRows + 90 // two full chunks and a short one per lane
 	key := func(k int) []byte { return val.AppendKey(nil, val.Int(int64(k))) }
 	for _, width := range []int{2, 0} {
 		var want [keys][]int64
@@ -113,13 +113,13 @@ func TestHashTableChainsKeepBuildOrder(t *testing.T) {
 		ht.absorb(lane())
 		for k := 0; k < keys; k++ {
 			var got []int64
-			for r := ht.first(key(k)); r >= 0; r = ht.links[r].next {
-				row := ht.row(r)
+			for r := ht.first(key(k)); r >= 0; r = ht.next[r] {
+				row := ht.rows.row(int(r))
 				if len(row) != width {
 					t.Fatalf("width %d: row %d is %d wide", width, r, len(row))
 				}
 				// A lane's rows are numbered from a chunk boundary on.
-				at := int64(r)/(3*hashChunkRows)*perLane + int64(r)%(3*hashChunkRows)
+				at := int64(r)/(3*slabChunkRows)*perLane + int64(r)%(3*slabChunkRows)
 				if width > 0 {
 					if row[0].AsInt() != int64(k) {
 						t.Fatalf("key %d chains to a row of key %v", k, row[0])

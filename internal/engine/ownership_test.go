@@ -158,16 +158,15 @@ func (k *kept) render() string {
 		if pa.acc == nil {
 			continue
 		}
-		for _, gk := range pa.acc.order {
-			g := pa.acc.groups[gk]
-			fmt.Fprintf(&b, "%q %q:", gk, val.EncodeKey(g.keys...))
-			for i := range g.accs {
-				st := &g.accs[i]
+		for e := 0; e < pa.acc.groups.Len(); e++ {
+			fmt.Fprintf(&b, "%q %q:", pa.acc.groups.Key(int32(e)), val.EncodeKey(pa.acc.keys.row(e)...))
+			for _, st := range pa.acc.accs.row(e) {
 				var distinct []string
-				for dk, v := range st.seen {
-					distinct = append(distinct, dk+"="+v.String())
+				if st.seen != nil {
+					for d, v := range st.seen.vals {
+						distinct = append(distinct, string(st.seen.keys.Key(int32(d)))+"="+v.String())
+					}
 				}
-				sort.Strings(distinct)
 				fmt.Fprintf(&b, " %d %v %v %q", st.count, st.min, st.max, distinct)
 			}
 			b.WriteByte('\n')

@@ -36,7 +36,7 @@ type Partial struct {
 // otherwise.
 func (pa *Partial) ShipRows() int64 {
 	if pa.acc != nil {
-		return int64(len(pa.acc.order))
+		return int64(pa.acc.groups.Len())
 	}
 	return int64(len(pa.rows))
 }
@@ -114,16 +114,15 @@ func (pa *Partial) own() {
 	if pa.acc == nil {
 		return
 	}
-	for _, g := range pa.acc.groups {
-		chars.Own(g.keys)
-		for i := range g.accs {
-			st := &g.accs[i]
+	for _, chunk := range pa.acc.keys.chunks {
+		chars.Own(chunk)
+	}
+	for _, chunk := range pa.acc.accs.chunks {
+		for i := range chunk {
+			st := &chunk[i]
 			st.min.S, st.max.S = chars.Copy(st.min.S), chars.Copy(st.max.S)
-			for k, v := range st.seen {
-				if v.K == val.KStr {
-					v.S = chars.Copy(v.S)
-					st.seen[k] = v
-				}
+			if st.seen != nil {
+				chars.Own(st.seen.vals)
 			}
 		}
 	}
@@ -160,7 +159,7 @@ func (s *Session) MergePartials(parts []*Partial, params ...val.Value) (*Result,
 		acc := parts[0].acc
 		var groups int64
 		for _, q := range parts {
-			groups += int64(len(q.acc.order))
+			groups += int64(q.acc.groups.Len())
 		}
 		for _, q := range parts[1:] {
 			acc.merge(q.acc)

@@ -365,11 +365,11 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 		if !ok {
 			continue
 		}
-		for r := ht.first(key); r >= 0; r = ht.links[r].next {
+		for r := ht.first(key); r >= 0; r = ht.next[r] {
 			pending++
 			dst := st.frame(out.n)
 			copy(dst[:lo], frame[:lo])
-			copy(dst[lo:hi], ht.row(r))
+			copy(dst[lo:hi], ht.rows.row(int(r)))
 			be.setRow(dst)
 			ok, err := evalFilters(be, s.filters)
 			if err != nil {

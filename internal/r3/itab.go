@@ -114,6 +114,46 @@ type Agg struct {
 	Of func(row []val.Value) val.Value
 }
 
+// aggAcc is one aggregate's running state over the rows of one group. The
+// zero aggAcc has seen none: min and max are NULL.
+type aggAcc struct {
+	sum      float64
+	count    int64
+	min, max val.Value
+}
+
+// add folds v in; NULL counts for nothing.
+func (a *aggAcc) add(v val.Value) {
+	if v.IsNull() {
+		return
+	}
+	a.count++
+	a.sum += v.AsFloat()
+	if a.min.IsNull() || val.Compare(v, a.min) < 0 {
+		a.min = v
+	}
+	if a.max.IsNull() || val.Compare(v, a.max) > 0 {
+		a.max = v
+	}
+}
+
+// result returns the aggregate fn of what was added.
+func (a *aggAcc) result(fn string) val.Value {
+	switch {
+	case fn == "COUNT":
+		return val.Int(a.count)
+	case fn == "SUM" && a.count > 0:
+		return val.Float(a.sum)
+	case fn == "AVG" && a.count > 0:
+		return val.Float(a.sum / float64(a.count))
+	case fn == "MIN":
+		return a.min
+	case fn == "MAX":
+		return a.max
+	}
+	return val.Null
+}
+
 // GroupBy performs SAP-style two-phase grouping: sort by the key fields,
 // write the sorted table to secondary storage, re-read it, and emit one
 // row of key values + aggregate results per group. The materialization
@@ -155,44 +195,12 @@ func (t *ITab) GroupBy(keys []string, aggs []Agg, emit func(keyVals []val.Value,
 		}
 		aggVals := make([]val.Value, len(aggs))
 		for ai, a := range aggs {
-			var sum float64
-			var count int64
-			mn, mx := val.Null, val.Null
+			var acc aggAcc
 			for _, row := range group {
 				t.meter.Charge(cost.TupleCPU, 1)
-				v := a.Of(row)
-				if v.IsNull() {
-					continue
-				}
-				count++
-				sum += v.AsFloat()
-				if mn.IsNull() || val.Compare(v, mn) < 0 {
-					mn = v
-				}
-				if mx.IsNull() || val.Compare(v, mx) > 0 {
-					mx = v
-				}
+				acc.add(a.Of(row))
 			}
-			switch a.Fn {
-			case "SUM":
-				if count == 0 {
-					aggVals[ai] = val.Null
-				} else {
-					aggVals[ai] = val.Float(sum)
-				}
-			case "AVG":
-				if count == 0 {
-					aggVals[ai] = val.Null
-				} else {
-					aggVals[ai] = val.Float(sum / float64(count))
-				}
-			case "COUNT":
-				aggVals[ai] = val.Int(count)
-			case "MIN":
-				aggVals[ai] = mn
-			case "MAX":
-				aggVals[ai] = mx
-			}
+			aggVals[ai] = acc.result(a.Fn)
 		}
 		return emit(keyVals, aggVals)
 	}
@@ -227,15 +235,11 @@ func (t *ITab) groupBySinglePass(keys []string, aggs []Agg, emit func(keyVals []
 	for i, k := range keys {
 		idx[i] = t.cols[k]
 	}
-	type group struct {
-		keyVals []val.Value
-		sums    []float64
-		counts  []int64
-		mins    []val.Value
-		maxs    []val.Value
-	}
-	groups := make(map[string]*group)
-	var order []*group
+	// Groups are numbered in first-seen order; group g's key values are
+	// keyVals[g*len(idx):] and its accumulators accs[g*len(aggs):].
+	var groups val.KeyTable
+	var keyVals []val.Value
+	var accs []aggAcc
 	keyBuf := make([]byte, 0, 64)
 	for _, row := range t.rows {
 		t.meter.Charge(cost.TupleCPU, 1) // hash the grouping key, probe the table
@@ -247,47 +251,33 @@ func (t *ITab) groupBySinglePass(keys []string, aggs []Agg, emit func(keyVals []
 			}
 			keyBuf = val.AppendKey(keyBuf, v)
 		}
-		g := groups[string(keyBuf)]
-		if g == nil {
-			g = &group{
-				keyVals: make([]val.Value, len(idx)),
-				sums:    make([]float64, len(aggs)),
-				counts:  make([]int64, len(aggs)),
-				mins:    make([]val.Value, len(aggs)),
-				maxs:    make([]val.Value, len(aggs)),
+		g, isNew := groups.Insert(keyBuf)
+		if isNew {
+			for _, ci := range idx {
+				keyVals = append(keyVals, row[ci])
 			}
-			for i, ci := range idx {
-				g.keyVals[i] = row[ci]
-			}
-			for ai := range aggs {
-				g.mins[ai], g.maxs[ai] = val.Null, val.Null
-			}
-			groups[string(keyBuf)] = g
-			order = append(order, g)
+			accs = append(accs, make([]aggAcc, len(aggs))...)
 		}
 		for ai := range aggs {
 			t.meter.Charge(cost.TupleCPU, 1)
-			v := aggs[ai].Of(row)
-			if v.IsNull() {
-				continue
-			}
-			g.counts[ai]++
-			g.sums[ai] += v.AsFloat()
-			if g.mins[ai].IsNull() || val.Compare(v, g.mins[ai]) < 0 {
-				g.mins[ai] = v
-			}
-			if g.maxs[ai].IsNull() || val.Compare(v, g.maxs[ai]) > 0 {
-				g.maxs[ai] = v
-			}
+			accs[int(g)*len(aggs)+ai].add(aggs[ai].Of(row))
 		}
 	}
 	// Sort only the groups so emission order matches the two-phase
 	// strategy's sorted output.
+	keysOf := func(g int32) []val.Value {
+		at := int(g) * len(idx)
+		return keyVals[at : at+len(idx) : at+len(idx)]
+	}
+	order := make([]int32, groups.Len())
+	for g := range order {
+		order[g] = int32(g)
+	}
 	t.chargeSort(len(order))
 	sort.SliceStable(order, func(a, b int) bool {
+		ka, kb := keysOf(order[a]), keysOf(order[b])
 		for i := range idx {
-			c := val.Compare(order[a].keyVals[i], order[b].keyVals[i])
-			if c != 0 {
+			if c := val.Compare(ka[i], kb[i]); c != 0 {
 				return c < 0
 			}
 		}
@@ -296,28 +286,9 @@ func (t *ITab) groupBySinglePass(keys []string, aggs []Agg, emit func(keyVals []
 	for _, g := range order {
 		aggVals := make([]val.Value, len(aggs))
 		for ai, a := range aggs {
-			switch a.Fn {
-			case "SUM":
-				if g.counts[ai] == 0 {
-					aggVals[ai] = val.Null
-				} else {
-					aggVals[ai] = val.Float(g.sums[ai])
-				}
-			case "AVG":
-				if g.counts[ai] == 0 {
-					aggVals[ai] = val.Null
-				} else {
-					aggVals[ai] = val.Float(g.sums[ai] / float64(g.counts[ai]))
-				}
-			case "COUNT":
-				aggVals[ai] = val.Int(g.counts[ai])
-			case "MIN":
-				aggVals[ai] = g.mins[ai]
-			case "MAX":
-				aggVals[ai] = g.maxs[ai]
-			}
+			aggVals[ai] = accs[int(g)*len(aggs)+ai].result(a.Fn)
 		}
-		if err := emit(g.keyVals, aggVals); err != nil {
+		if err := emit(keysOf(g), aggVals); err != nil {
 			return err
 		}
 	}

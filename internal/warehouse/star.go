@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -343,6 +344,7 @@ type Refresh struct {
 // %.2f / %.4f rendering tolerance of the stored totals.
 type aggDelta struct {
 	key      []val.Value // the group's dimension values, in primary-key order
+	enc      []byte      // key, encoded: sorts the way the primary-key index does
 	qty, cnt int64
 	ext, rev float64
 }
@@ -409,25 +411,28 @@ func (w *Warehouse) ApplyDelta(r io.Reader) (*Refresh, error) {
 	}
 
 	st := &Refresh{}
-	// deltas[i] holds aggSpecs[i]'s touched groups under their encoded keys.
-	deltas := make([]map[string]*aggDelta, len(aggSpecs))
-	for i := range deltas {
-		deltas[i] = make(map[string]*aggDelta)
-	}
+	// groups[i] numbers aggSpecs[i]'s touched groups by their encoded keys;
+	// deltas[i] holds them under those numbers.
+	groups := make([]val.KeyTable, len(aggSpecs))
+	deltas := make([][]aggDelta, len(aggSpecs))
+	var enc []byte
 	// bump adds sign × one fact row's measures to the row's group of every
 	// aggregate; dim maps a canonical dimension expression to the row's value.
 	bump := func(dim map[string]val.Value, sign, qty int64, ext, disc float64) {
 		for i, a := range aggSpecs {
-			key := make([]val.Value, len(a.key))
-			for j, expr := range a.key {
-				key[j] = dim[expr]
+			enc = enc[:0]
+			for _, expr := range a.key {
+				enc = val.AppendKey(enc, dim[expr])
 			}
-			enc := string(val.EncodeKey(key...))
-			d := deltas[i][enc]
-			if d == nil {
-				d = &aggDelta{key: key}
-				deltas[i][enc] = d
+			g, isNew := groups[i].Insert(enc)
+			if isNew {
+				key := make([]val.Value, len(a.key))
+				for j, expr := range a.key {
+					key[j] = dim[expr]
+				}
+				deltas[i] = append(deltas[i], aggDelta{key: key, enc: groups[i].Key(g)})
 			}
+			d := &deltas[i][g]
 			d.qty += sign * qty
 			d.cnt += sign
 			d.ext += float64(sign) * ext
@@ -528,7 +533,7 @@ const aggMeasures = "SUM_QTY, SUM_EXTPRICE, SUM_REVENUE, CNT"
 // aggregate's key columns, and the groups are visited in primary-key order
 // (the encoded keys sort the way the index does), so refresh cost and
 // results are deterministic.
-func (w *Warehouse) patchAgg(a *aggSpec, deltas map[string]*aggDelta, st *Refresh) error {
+func (w *Warehouse) patchAgg(a *aggSpec, deltas []aggDelta, st *Refresh) error {
 	if len(deltas) == 0 {
 		return nil
 	}
@@ -554,13 +559,9 @@ func (w *Warehouse) patchAgg(a *aggSpec, deltas map[string]*aggDelta, st *Refres
 	if err != nil {
 		return err
 	}
-	order := make([]string, 0, len(deltas))
-	for enc := range deltas {
-		order = append(order, enc)
-	}
-	sort.Strings(order)
-	for _, enc := range order {
-		d := deltas[enc]
+	sort.Slice(deltas, func(i, j int) bool { return bytes.Compare(deltas[i].enc, deltas[j].enc) < 0 })
+	for i := range deltas {
+		d := &deltas[i]
 		res, err := sel.Query(d.key...)
 		if err != nil {
 			return err
