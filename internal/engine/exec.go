@@ -790,14 +790,20 @@ type outputSink struct {
 	p       *selectPlan
 	m       *cost.Meter
 	emit    func([]val.Value) error
-	rows    []outRow     // ORDER BY buffer
-	dedup   val.KeyTable // SELECT DISTINCT: the rows let through so far
-	keyBuf  []byte       // the row being looked up in dedup
+	rows    []outRow      // ORDER BY buffer
+	dedup   *distinctRows // SELECT DISTINCT only
 	emitted int
 	// runs > 1 marks the rows as that many pre-sorted partition runs
 	// (each worker charged its partial sort): finish charges a k-way
 	// merge instead of a full sort.
 	runs int
+}
+
+// distinctRows is the rows SELECT DISTINCT has let through so far, and the
+// buffer a row is encoded in to be looked up among them.
+type distinctRows struct {
+	keys val.KeyTable
+	buf  []byte
 }
 
 func newOutputSink(p *selectPlan, m *cost.Meter, emit func([]val.Value) error) *outputSink {
@@ -811,6 +817,9 @@ func newOutputSink(p *selectPlan, m *cost.Meter, emit func([]val.Value) error) *
 // are sized by the rows that went through them.
 func (o *outputSink) reset(m *cost.Meter, emit func([]val.Value) error) {
 	*o = outputSink{p: o.p, m: m, emit: emit}
+	if o.p.distinct {
+		o.dedup = new(distinctRows)
+	}
 }
 
 // addFrame projects one finalized group frame into a freshly allocated
@@ -831,12 +840,12 @@ func (o *outputSink) addFrame(rt *runtime, frame rowStack) error {
 // errStopIteration once LIMIT is satisfied on an unsorted plan.
 func (o *outputSink) add(r outRow) error {
 	p := o.p
-	if p.distinct {
-		o.keyBuf = o.keyBuf[:0]
+	if d := o.dedup; d != nil {
+		d.buf = d.buf[:0]
 		for _, v := range r.proj {
-			o.keyBuf = val.AppendKey(o.keyBuf, v)
+			d.buf = val.AppendKey(d.buf, v)
 		}
-		if _, isNew := o.dedup.Insert(o.keyBuf); !isNew {
+		if _, isNew := d.keys.Insert(d.buf); !isNew {
 			return nil
 		}
 		o.m.Charge(cost.TupleCPU, 1)
