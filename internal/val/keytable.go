@@ -36,7 +36,7 @@ type keyEntry struct {
 // one before up to keyChunkMax, the reach of an offset; a key longer than
 // that gets a chunk of its own.
 const (
-	keyChunkMin = 256
+	keyChunkMin = 64
 	keyOffBits  = 16
 	keyChunkMax = 1 << keyOffBits
 )
