@@ -286,8 +286,8 @@ func kibPerRun(n int, fn func()) float64 {
 // call, in allocations and in bytes. Per row: a Q6- and a Q1-shaped
 // statement, a hash join that builds on tt and a scan that filters on a CHAR
 // column, over the golden fixture's 1500 rows, may allocate about twice what
-// they do today: 45, 122, 97 and 39 times per execution (parse, plan,
-// batches, groups) and 166, 180, 297 and 123 KiB. One allocation per scanned
+// they do today: 45, 118, 95 and 39 times per execution (parse, plan,
+// batches, groups) and 167, 176, 298 and 124 KiB. One allocation per scanned
 // or built row would be 1500 more — which is what the CHAR filter cost (1537)
 // while decoding a CHAR made a string of it — and frames and build rows as
 // wide as the catalog's rows instead of the columns read were 200, 212, 1044
@@ -313,8 +313,8 @@ func TestAllocationBudget(t *testing.T) {
 		budget, kib float64
 	}{
 		{`SELECT SUM(v * grp) FROM tt WHERE v > 100 AND id < 1400`, 90, 332},
-		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 244, 354},
-		{`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.grp AND a.id < 1400`, 180, 594},
+		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 236, 352},
+		{`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.grp AND a.id < 1400`, 180, 596},
 		{`SELECT COUNT(*) FROM tt WHERE pad = 'padding' AND id < 1400`, 74, 246},
 	} {
 		if n := testing.AllocsPerRun(10, func() { mustExec(t, s, c.q) }); n > c.budget {

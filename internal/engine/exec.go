@@ -401,7 +401,7 @@ type rowSlab[T any] struct {
 
 const (
 	slabChunkRows = 256
-	slabChunkMin  = 1
+	slabChunkMin  = 4
 )
 
 // add appends row i — the caller counts — and returns it, zeroed.
