@@ -11,39 +11,127 @@ import (
 
 // stmtCache is a per-session cursor cache (paper Section 2.3: "using the
 // same cursor for, say, all the queries that retrieve the matching tuples
-// of the inner relation in a nested SELECT statement").
+// of the inner relation in a nested SELECT statement"), and the session's
+// fetch arena: every cursor copies the rows of an execution into arena
+// chunks — values into vals, CHAR bytes into chars — that all cursors of the
+// session share. The arena is append-only: a row handed out is never written
+// again, so a report keeps it (or a string cut from it) as long as it likes,
+// and a chunk goes when no kept row points into it.
 type stmtCache struct {
-	sys   *System
-	sess  *engine.Session
-	stmts map[string]*engine.Stmt
-	hits  int64
+	sys    *System
+	sess   *engine.Session
+	stmts  map[string]*cursor
+	params []val.Value // the parameters of the statement being executed
+	vals   []val.Value // the free tail of the current arena chunk
+	chars  val.Slab
 }
+
+// arenaChunk is the value count of an arena chunk (10 KiB): a SELECT SINGLE
+// fills a few dozen before one is allocated.
+const arenaChunk = 256
 
 func newStmtCache(sys *System, sess *engine.Session) *stmtCache {
-	return &stmtCache{sys: sys, sess: sess, stmts: make(map[string]*engine.Stmt)}
+	return &stmtCache{sys: sys, sess: sess, stmts: make(map[string]*cursor)}
 }
 
-// get returns a prepared cursor for the statement text, preparing it on
-// first use. Hits and misses also roll up into system-wide counters for
-// the metrics registry.
-func (sc *stmtCache) get(sql string) (*engine.Stmt, error) {
-	if st, ok := sc.stmts[sql]; ok {
-		sc.hits++
+// get returns the cursor for the statement text, preparing it on first use.
+// Hits and misses roll up into system-wide counters for the metrics
+// registry.
+func (sc *stmtCache) get(sql string) (*cursor, error) {
+	if c, ok := sc.stmts[sql]; ok {
 		sc.sys.cursorHits.Add(1)
-		return st, nil
+		return c, nil
 	}
+	return sc.prepare(sql)
+}
+
+// prepare opens a cursor for a statement text not in the cache.
+func (sc *stmtCache) prepare(sql string) (*cursor, error) {
 	sc.sys.cursorMisses.Add(1)
 	st, err := sc.sess.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	sc.stmts[sql] = st
-	return st, nil
+	c := &cursor{st: st, sc: sc}
+	sc.stmts[sql] = c
+	return c, nil
+}
+
+// keep copies a row whose strings the session already owns into the arena.
+func (sc *stmtCache) keep(row []val.Value) []val.Value {
+	if len(row) > len(sc.vals) {
+		sc.vals = make([]val.Value, max(len(row), arenaChunk))
+	}
+	own := sc.vals[:len(row):len(row)]
+	sc.vals = sc.vals[len(row):]
+	copy(own, row)
+	return own
+}
+
+// cursor is one statement of a session's cursor cache: the prepared engine
+// statement, and the rows of the execution being iterated.
+type cursor struct {
+	st   *engine.Stmt
+	sc   *stmtCache
+	rows [][]val.Value
+	busy bool // rows are being handed out
+}
+
+// Header implements engine.RowSink.
+func (c *cursor) Header([]string) error { return nil }
+
+// Row implements engine.RowSink: the row and its CHAR bytes go into the
+// session's arena.
+func (c *cursor) Row(row []val.Value) error {
+	own := c.sc.keep(row)
+	c.sc.chars.Own(own)
+	c.rows = append(c.rows, own)
+	return nil
+}
+
+// each executes the cursor with params — in ph's DB span — and hands fn
+// every row of the result. Every row is fetched before the first is handed
+// out, so a nested SELECT in fn reads its pages after the outer statement has
+// read all of its own, exactly as a materialised result does. The rows are
+// the arena's: fn may keep them. A cursor re-entered from fn runs the
+// re-entering execution on a cursor of its own.
+func (c *cursor) each(ph *Phases, params []val.Value, fn func([]val.Value) error) error {
+	if c.busy {
+		return (&cursor{st: c.st, sc: c.sc}).each(ph, params, fn)
+	}
+	c.busy = true
+	defer c.release()
+	restore := ph.enterDB(c.sc.sess.Meter)
+	_, err := c.st.QueryTo(c, params...)
+	restore()
+	if err != nil {
+		return err
+	}
+	for _, row := range c.rows {
+		if err := fn(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// release ends an iteration. The headers are cleared, so that the cursor pins
+// no row its reader let go of, and a header array grown past 64 rows goes:
+// the cache holds hundreds of cursors.
+func (c *cursor) release() {
+	clear(c.rows)
+	c.rows = c.rows[:0]
+	if cap(c.rows) > 64 {
+		c.rows = nil
+	}
+	c.busy = false
 }
 
 // scanLogical streams a logical table's rows, optionally bounded by a
-// prefix of its key, decoding pool/cluster storage as needed. For
-// transparent tables this goes through the given cursor cache.
+// prefix of its key, decoding pool/cluster storage as needed. A row is valid
+// only during its callback — pool and cluster rows are decoded into one
+// scratch row — but its strings are the session's: a caller that keeps the
+// row copies the slice (stmtCache.keep), not the bytes.
 func (sys *System) scanLogical(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
 	switch t.Kind {
 	case Transparent:
@@ -57,29 +145,19 @@ func (sys *System) scanLogical(sc *stmtCache, t *LogicalTable, keyPrefix []val.V
 
 func (sys *System) scanTransparent(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
 	var where []string
-	var params []val.Value
 	for i := range keyPrefix {
 		where = append(where, t.KeyCols[i]+" = ?")
-		params = append(params, keyPrefix[i])
 	}
 	sql := "SELECT * FROM " + t.Name
 	if len(where) > 0 {
 		sql += " WHERE " + strings.Join(where, " AND ")
 	}
-	st, err := sc.get(sql)
+	c, err := sc.get(sql)
 	if err != nil {
 		return err
 	}
-	res, err := st.Query(params...)
-	if err != nil {
-		return err
-	}
-	for _, row := range res.Rows {
-		if err := fn(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	sc.params = append(sc.params[:0], keyPrefix...)
+	return c.each(nil, sc.params, fn)
 }
 
 // poolScanSQL reads the pool's physical tuples of one table in a VARKEY range.
@@ -87,42 +165,35 @@ const poolScanSQL = `SELECT VARKEY, VARDATA FROM ` + poolTableName + ` WHERE TAB
 
 func (sys *System) scanPool(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
 	prefix := t.keyPrefixString(keyPrefix)
-	st, err := sc.get(poolScanSQL)
+	c, err := sc.get(poolScanSQL)
 	if err != nil {
 		return err
 	}
-	res, err := st.Query(val.Str(t.Name), val.Str(prefix), val.Str(prefix+"ÿ"))
-	if err != nil {
-		return err
-	}
+	sc.params = append(sc.params[:0], val.Str(t.Name), val.Str(prefix), val.Str(prefix+"ÿ"))
 	m := sc.sess.Meter
-	keyVals := make([]val.Value, len(t.physKey))
-	for _, phys := range res.Rows {
+	row := make([]val.Value, len(t.Cols))
+	return c.each(nil, sc.params, func(phys []val.Value) error {
 		m.Charge(cost.Decode, 1)
-		if err := t.decodeKeyString(phys[0].AsStr(), keyVals); err != nil {
+		if err := t.decodeKeyString(phys[0].AsStr(), row); err != nil {
 			return err
 		}
-		row, err := t.unpackRow(phys[1].AsStr(), keyVals)
-		if err != nil {
+		if err := t.unpackRow(row, phys[1].AsStr()); err != nil {
 			return err
 		}
-		if err := fn(row); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(row)
+	})
 }
 
 // decodeKeyString splits a fixed-width VARKEY back into the pool table's
-// key values, in physKey order.
-func (t *LogicalTable) decodeKeyString(vk string, keyVals []val.Value) error {
+// key columns of row.
+func (t *LogicalTable) decodeKeyString(vk string, row []val.Value) error {
 	off := 0
-	for j, ci := range t.physKey {
+	for _, ci := range t.physKey {
 		w := t.Cols[ci].Type.Width
 		if off+w > len(vk) {
 			return fmt.Errorf("r3: short VARKEY for %s", t.Name)
 		}
-		keyVals[j] = parseAs(strings.TrimRight(vk[off:off+w], " "), t.Cols[ci].Type)
+		row[ci] = parseAs(strings.TrimRight(vk[off:off+w], " "), t.Cols[ci].Type)
 		off += w
 	}
 	return nil
@@ -131,16 +202,17 @@ func (t *LogicalTable) decodeKeyString(vk string, keyVals []val.Value) error {
 func (sys *System) scanCluster(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
 	nPrefix := len(t.ClusterPrefix)
 	n := min(len(keyPrefix), nPrefix) // deeper prefixes filter after decode
-	st, err := sc.get(t.clusterSQL[n])
+	c, err := sc.get(t.clusterSQL[n])
 	if err != nil {
 		return err
 	}
-	res, err := st.Query(keyPrefix[:n]...)
-	if err != nil {
-		return err
-	}
+	sc.params = append(sc.params[:0], keyPrefix[:n]...)
 	m := sc.sess.Meter
-	for _, prow := range res.Rows {
+	row := make([]val.Value, len(t.Cols))
+	return c.each(nil, sc.params, func(prow []val.Value) error {
+		for j, ci := range t.physKey {
+			row[ci] = prow[j]
+		}
 		// The packed rows are walked where they lie in VARDATA; an empty
 		// VARDATA holds none.
 		blob := prow[nPrefix+1].AsStr()
@@ -148,28 +220,29 @@ func (sys *System) scanCluster(sc *stmtCache, t *LogicalTable, keyPrefix []val.V
 			var packed string
 			packed, blob, more = strings.Cut(blob, rowSep)
 			m.Charge(cost.Decode, 1)
-			row, err := t.unpackRow(packed, prow[:nPrefix])
-			if err != nil {
+			if err := t.unpackRow(row, packed); err != nil {
 				return err
 			}
-			// Apply any key-prefix bounds beyond the cluster prefix.
-			match := true
-			for i := nPrefix; i < len(keyPrefix); i++ {
-				ci := t.ColIndex(t.KeyCols[i])
-				if val.Compare(row[ci], keyPrefix[i]) != 0 {
-					match = false
-					break
-				}
-			}
-			if !match {
+			if !t.matchesKey(row, keyPrefix[n:], n) {
 				continue
 			}
 			if err := fn(row); err != nil {
 				return err
 			}
 		}
+		return nil
+	})
+}
+
+// matchesKey reports whether row's key columns from the (from)th on equal
+// vals.
+func (t *LogicalTable) matchesKey(row, vals []val.Value, from int) bool {
+	for i, v := range vals {
+		if val.Compare(row[t.ColIndex(t.KeyCols[from+i])], v) != 0 {
+			return false
+		}
 	}
-	return nil
+	return true
 }
 
 // deleteLogical removes logical rows matching a key prefix. For cluster

@@ -2,7 +2,6 @@ package r3
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -28,16 +27,17 @@ func TestPoolKeyRoundTrip(t *testing.T) {
 	}
 	row[a004.ColIndex("MATNR")] = val.Str(Key16(42))
 	vk := a004.keyString(row)
-	decoded := make([]val.Value, len(a004.KeyCols))
+	decoded := make([]val.Value, len(a004.Cols))
 	if err := a004.decodeKeyString(vk, decoded); err != nil {
 		t.Fatal(err)
 	}
-	for j, kc := range a004.KeyCols {
-		if got, want := decoded[j].AsStr(), row[a004.ColIndex(kc)].AsStr(); got != want {
+	for _, kc := range a004.KeyCols {
+		ci := a004.ColIndex(kc)
+		if got, want := decoded[ci].AsStr(), row[ci].AsStr(); got != want {
 			t.Fatalf("%s = %q, want %q", kc, got, want)
 		}
 	}
-	if decoded[slices.Index(a004.KeyCols, "MATNR")].AsStr() != Key16(42) {
+	if decoded[a004.ColIndex("MATNR")].AsStr() != Key16(42) {
 		t.Fatalf("MATNR = %v", decoded)
 	}
 }
@@ -65,12 +65,11 @@ func TestClusterPackRoundTrip(t *testing.T) {
 			}
 		}
 		packed := konv.packRow(row)
-		var keyVals []val.Value
-		for _, kc := range konv.ClusterPrefix {
-			keyVals = append(keyVals, row[konv.ColIndex(kc)])
+		out := make([]val.Value, len(konv.Cols))
+		for _, ci := range konv.physKey {
+			out[ci] = row[ci]
 		}
-		out, err := konv.unpackRow(packed, keyVals)
-		if err != nil {
+		if err := konv.unpackRow(out, packed); err != nil {
 			t.Fatal(err)
 		}
 		for i, c := range konv.Cols {

@@ -476,25 +476,21 @@ func (t *LogicalTable) packRow(row []val.Value) string {
 	return strings.Join(parts, fieldSep)
 }
 
-// unpackRow decodes a packed row back to logical values, restoring the
-// physical-key columns from keyVals (in physKey order). The fields are cut
-// out of packed where they lie: a CHAR value is a substring of it, and the
-// row is the only thing allocated.
-func (t *LogicalTable) unpackRow(packed string, keyVals []val.Value) ([]val.Value, error) {
-	out := make([]val.Value, len(t.Cols))
-	for j, ci := range t.physKey {
-		out[ci] = keyVals[j]
-	}
+// unpackRow decodes a packed row into the packed columns of row; the caller
+// sets the physical-key columns, and FILLER columns stay as they are (NULL).
+// The fields are cut out of packed where they lie: a CHAR value is a
+// substring of it, and nothing is allocated.
+func (t *LogicalTable) unpackRow(row []val.Value, packed string) error {
 	more := true
 	for _, ci := range t.packed {
 		if !more {
-			return nil, fmt.Errorf("r3: short packed row for %s", t.Name)
+			return fmt.Errorf("r3: short packed row for %s", t.Name)
 		}
 		var field string
 		field, packed, more = strings.Cut(packed, fieldSep)
-		out[ci] = parseAs(field, t.Cols[ci].Type)
+		row[ci] = parseAs(field, t.Cols[ci].Type)
 	}
-	return out, nil
+	return nil
 }
 
 func parseAs(s string, ct val.ColType) val.Value {

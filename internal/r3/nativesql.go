@@ -59,7 +59,11 @@ func (n *NativeSQL) Prepare(sql string) (*engine.Stmt, error) {
 		return nil, err
 	}
 	defer n.ph.enterDB(n.sess.Meter)()
-	return n.sc.get(sql)
+	c, err := n.sc.get(sql)
+	if err != nil {
+		return nil, err
+	}
+	return c.st, nil
 }
 
 // checkEncapsulation parses through the DB's fingerprint cache: the

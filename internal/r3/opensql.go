@@ -2,7 +2,6 @@ package r3
 
 import (
 	"fmt"
-	"strings"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/engine"
@@ -79,6 +78,7 @@ type OpenSQL struct {
 	sess *engine.Session
 	sc   *stmtCache
 	ph   *Phases
+	sql  []byte // the statement being translated
 	// Translations counts ABAP→SQL statement translations (cursor-cache
 	// misses).
 	Translations int64
@@ -100,33 +100,34 @@ func (o *OpenSQL) SetPhases(p *Phases) { o.ph = p }
 // System returns the owning R/3 system.
 func (o *OpenSQL) System() *System { return o.sys }
 
-// translate renders one condition into SQL with `?` placeholders,
-// appending its parameters.
-func translateCond(alias string, c Cond, params *[]val.Value) (string, error) {
-	col := c.Col
+// appendCond renders one condition onto sql with `?` placeholders and its
+// parameters onto params.
+func appendCond(sql []byte, params []val.Value, alias string, c Cond) ([]byte, []val.Value, error) {
 	if alias != "" {
-		col = alias + "." + col
+		sql = append(append(sql, alias...), '.')
 	}
+	sql = append(sql, c.Col...)
 	switch c.Op {
-	case "=", "<>", "<", "<=", ">", ">=", "LIKE":
-		*params = append(*params, c.Val)
-		return fmt.Sprintf("%s %s ?", col, c.Op), nil
-	case "NOT LIKE":
-		*params = append(*params, c.Val)
-		return fmt.Sprintf("%s NOT LIKE ?", col), nil
+	case "=", "<>", "<", "<=", ">", ">=", "LIKE", "NOT LIKE":
+		sql = append(append(append(sql, ' '), c.Op...), " ?"...)
+		params = append(params, c.Val)
 	case "BETWEEN":
-		*params = append(*params, c.Val, c.Hi)
-		return fmt.Sprintf("%s BETWEEN ? AND ?", col), nil
+		sql = append(sql, " BETWEEN ? AND ?"...)
+		params = append(params, c.Val, c.Hi)
 	case "IN":
-		qs := make([]string, len(c.Vals))
+		sql = append(sql, " IN ("...)
 		for i, v := range c.Vals {
-			qs[i] = "?"
-			*params = append(*params, v)
+			if i > 0 {
+				sql = append(sql, ", "...)
+			}
+			sql = append(sql, '?')
+			params = append(params, v)
 		}
-		return fmt.Sprintf("%s IN (%s)", col, strings.Join(qs, ", ")), nil
+		sql = append(sql, ')')
 	default:
-		return "", fmt.Errorf("r3: unsupported Open SQL operator %q", c.Op)
+		return sql, params, fmt.Errorf("r3: unsupported Open SQL operator %q", c.Op)
 	}
+	return sql, params, nil
 }
 
 // evalCond applies a condition client-side (for encapsulated tables).
@@ -221,32 +222,31 @@ func (o *OpenSQL) Select(table string, conds []Cond, fn func(Row) error) error {
 	if t.Kind != Transparent {
 		return o.selectEncapsulated(t, conds, fn)
 	}
-	params := []val.Value{val.Str(o.sys.Client)}
-	where := []string{"MANDT = ?"}
+	o.sql = append(append(append(o.sql[:0], "SELECT * FROM "...), t.Name...), " WHERE MANDT = ?"...)
+	params := append(o.sc.params[:0], val.Str(o.sys.Client))
 	for _, c := range conds {
-		sql, err := translateCond("", c, &params)
-		if err != nil {
-			return err
-		}
-		where = append(where, sql)
-	}
-	sqlText := "SELECT * FROM " + t.Name + " WHERE " + strings.Join(where, " AND ")
-	st, err := o.prepare(sqlText)
-	if err != nil {
-		return err
-	}
-	restore := o.ph.enterDB(o.sess.Meter)
-	res, err := st.Query(params...)
-	restore()
-	if err != nil {
-		return err
-	}
-	for _, vals := range res.Rows {
-		if err := fn(rowFor(t, vals)); err != nil {
+		var err error
+		o.sql = append(o.sql, " AND "...)
+		if o.sql, params, err = appendCond(o.sql, params, "", c); err != nil {
 			return err
 		}
 	}
-	return nil
+	o.sc.params = params
+	cur, err := o.cursor(o.sql)
+	if err != nil {
+		return err
+	}
+	return cur.each(o.ph, params, func(vals []val.Value) error { return fn(rowFor(t, vals)) })
+}
+
+// keyEq returns the index of the first equality on col among conds, or -1.
+func keyEq(conds []Cond, col string) int {
+	for i, c := range conds {
+		if c.Col == col && c.Op == "=" {
+			return i
+		}
+	}
+	return -1
 }
 
 // condsPinFullKey reports whether conds pin every primary-key column
@@ -255,32 +255,27 @@ func (o *OpenSQL) Select(table string, conds []Cond, fn func(Row) error) error {
 // for buffer insertion (SelectSingle reaches Select through its DB path).
 func condsPinFullKey(t *LogicalTable, conds []Cond) bool {
 	for _, kc := range t.KeyCols[1:] {
-		found := false
-		for _, c := range conds {
-			if c.Col == kc && c.Op == "=" {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if keyEq(conds, kc) < 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// prepare goes through the cursor cache, charging one ABAP→SQL
-// translation per new statement shape.
-func (o *OpenSQL) prepare(sqlText string) (*engine.Stmt, error) {
-	if _, cached := o.sc.stmts[sqlText]; !cached {
-		restore := o.ph.enterTranslate(o.sess.Meter)
-		o.sess.Meter.Charge(cost.Translate, 1)
-		restore()
-		o.Translations++
+// cursor returns the session's cursor for a translated statement, charging
+// one ABAP→SQL translation per new statement text. Only a miss makes a
+// string of text.
+func (o *OpenSQL) cursor(text []byte) (*cursor, error) {
+	if c, ok := o.sc.stmts[string(text)]; ok {
+		o.sys.cursorHits.Add(1)
+		return c, nil
 	}
-	restore := o.ph.enterDB(o.sess.Meter)
-	defer restore()
-	return o.sc.get(sqlText)
+	restore := o.ph.enterTranslate(o.sess.Meter)
+	o.sess.Meter.Charge(cost.Translate, 1)
+	restore()
+	o.Translations++
+	defer o.ph.enterDB(o.sess.Meter)()
+	return o.sc.prepare(string(text))
 }
 
 // selectEncapsulated reads a pool/cluster table: leading key equalities
@@ -290,22 +285,17 @@ func (o *OpenSQL) selectEncapsulated(t *LogicalTable, conds []Cond, fn func(Row)
 	restore := o.ph.enterTranslate(o.sess.Meter)
 	o.sess.Meter.Charge(cost.Translate, 1)
 	restore()
-	prefix := []val.Value{val.Str(o.sys.Client)}
-	remaining := conds
+	// Bit i of used marks conds[i] as taken into the key prefix.
+	var used uint64
+	prefix := make([]val.Value, 1, 8)
+	prefix[0] = val.Str(o.sys.Client)
 	for len(prefix) < len(t.KeyCols) {
-		next := t.KeyCols[len(prefix)]
-		found := false
-		for i, c := range remaining {
-			if c.Col == next && c.Op == "=" {
-				prefix = append(prefix, c.Val)
-				remaining = append(append([]Cond(nil), remaining[:i]...), remaining[i+1:]...)
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := keyEq(conds, t.KeyCols[len(prefix)])
+		if i < 0 || i >= 64 {
 			break
 		}
+		prefix = append(prefix, conds[i].Val)
+		used |= 1 << i
 	}
 	m := o.sess.Meter
 	restoreDB := o.ph.enterDB(m)
@@ -314,13 +304,16 @@ func (o *OpenSQL) selectEncapsulated(t *LogicalTable, conds []Cond, fn func(Row)
 		// Decoded rows filter and deliver in the application server.
 		restoreClient := o.ph.enterClient(m)
 		defer restoreClient()
-		for _, c := range remaining {
+		for i, c := range conds {
+			if used&(1<<i) != 0 {
+				continue
+			}
 			m.Charge(cost.TupleCPU, 1)
 			if !evalCond(t, vals, c) {
 				return nil
 			}
 		}
-		return fn(rowFor(t, vals))
+		return fn(rowFor(t, o.sc.keep(vals)))
 	})
 }
 
@@ -334,22 +327,16 @@ func (o *OpenSQL) SelectSingle(table string, conds []Cond) (Row, bool, error) {
 		return Row{}, false, fmt.Errorf("r3: unknown table %s", table)
 	}
 	// The key must be fully specified (MANDT is implicit).
-	keyVals := make([]val.Value, 0, len(t.KeyCols))
-	keyVals = append(keyVals, val.Str(o.sys.Client))
 	for _, kc := range t.KeyCols[1:] {
-		found := false
-		for _, c := range conds {
-			if c.Col == kc && c.Op == "=" {
-				keyVals = append(keyVals, c.Val)
-				found = true
-				break
-			}
-		}
-		if !found {
+		if keyEq(conds, kc) < 0 {
 			return Row{}, false, fmt.Errorf("r3: SELECT SINGLE on %s requires the full key (missing %s)", table, kc)
 		}
 	}
 	if buf := o.sys.Buffer(t.Name); buf != nil {
+		keyVals := []val.Value{val.Str(o.sys.Client)}
+		for _, kc := range t.KeyCols[1:] {
+			keyVals = append(keyVals, conds[keyEq(conds, kc)].Val)
+		}
 		key := t.keyPrefixString(keyVals)
 		if vals, hit := buf.lookup(key, o.sess.Meter); hit {
 			return rowFor(t, vals), true, nil

@@ -140,12 +140,13 @@ func (o *OpenSQL) SelectJoin(q JoinQuery, fn func(Row) error) error {
 	for _, on := range q.On {
 		where = append(where, fmt.Sprintf("%s.%s = %s.%s", on.LA, on.LC, on.RA, on.RC))
 	}
+	var cond []byte
 	for _, w := range q.Where {
-		sql, err := translateCond(w.Alias, w.Cond, &params)
-		if err != nil {
+		var err error
+		if cond, params, err = appendCond(cond[:0], params, w.Alias, w.Cond); err != nil {
 			return err
 		}
-		where = append(where, sql)
+		where = append(where, string(cond))
 	}
 
 	text := "SELECT " + strings.Join(sel, ", ") + " FROM " + strings.Join(from, ", ") +
@@ -182,13 +183,7 @@ func (o *OpenSQL) SelectJoin(q JoinQuery, fn func(Row) error) error {
 		text += fmt.Sprintf(" LIMIT %d", q.Limit)
 	}
 
-	st, err := o.prepare(text)
-	if err != nil {
-		return err
-	}
-	restore := o.ph.enterDB(o.sess.Meter)
-	res, err := st.Query(params...)
-	restore()
+	cur, err := o.cursor([]byte(text))
 	if err != nil {
 		return err
 	}
@@ -196,15 +191,11 @@ func (o *OpenSQL) SelectJoin(q JoinQuery, fn func(Row) error) error {
 	for i, n := range outNames {
 		cols[n] = i
 	}
-	for _, vals := range res.Rows {
-		if err := fn(Row{cols: cols, vals: vals}); err != nil {
-			if err == errStopSelect {
-				return nil
-			}
-			return err
-		}
+	err = cur.each(o.ph, params, func(vals []val.Value) error { return fn(Row{cols: cols, vals: vals}) })
+	if err == errStopSelect {
+		return nil
 	}
-	return nil
+	return err
 }
 
 // CreateJoinView defines an SAP join view: Release 2.2's only vehicle for
