@@ -49,11 +49,13 @@ import (
 // belongs to the statement's runtime and is reset, not rebuilt, when the
 // block runs again — per outer row for a correlated sub-block, per
 // execution for a prepared Stmt, which keeps its runtime. What stays behind
-// between executions is O(plan shape), never O(rows): frames, projection
-// slabs, sort buffers, DISTINCT sets, hash tables and cached sub-block
-// results are dropped when the statement ends (the cursor caches hold
-// hundreds of Stmts: keeping each one's 64-frame batches took the R/3
-// report run's live heap from 45 to 180 MiB, keeping two frames to 50.5).
+// between executions is O(plan shape) kept, O(rows) never: a stage keeps its
+// frames while they are the first two a run backs, a recycling projection
+// its one-row slab, both cleared when the execution ends; larger batches,
+// growing projection slabs, sort buffers, DISTINCT sets, hash tables and
+// cached sub-block results are dropped (the cursor caches hold hundreds of
+// Stmts: keeping each one's 64-frame batches took the R/3 report run's live
+// heap from 45 to 180 MiB).
 //
 // Under ExplainAnalyze each stage installs its operator's span around its
 // own work and counts the rows it hands on per batch.
@@ -188,12 +190,26 @@ func (v *vecRun) reset(capacity int) {
 	v.projPos, v.projCap = 0, 0 // the next projected row starts a slab
 }
 
-// drop lets go of everything sized by the rows of the runs so far.
+// drop lets go of everything sized by the rows of the runs so far and keeps
+// what the plan sized: a stage's frames while they are the first two a run
+// backs, and the one-row slab a recycling projection reuses. What it keeps it
+// clears, so that no page-image view outlives the statement.
 func (v *vecRun) drop() {
 	for i := range v.stages {
-		v.stages[i].out.frames = nil
+		out := &v.stages[i].out
+		if len(out.frames) > 2 {
+			out.frames = nil
+		}
+		for _, f := range out.frames {
+			clear(f)
+		}
 	}
-	v.projSlab, v.keySlab = nil, nil
+	if v.recycle {
+		clear(v.projSlab)
+	} else {
+		v.projSlab = nil
+	}
+	v.keySlab = nil
 	v.sinkFrame, v.add = nil, nil // they close over the accumulator and the sink's caller
 }
 
