@@ -26,6 +26,10 @@ type ITab struct {
 	cols  map[string]int
 	names []string
 	rows  [][]val.Value
+	// free is the unused tail of the chunk rows are carved from: a chunk
+	// holds as many rows as the table already has, at least four, at most
+	// itabChunkMax values. Sort permutes rows, never the values under them.
+	free []val.Value
 	// singlePass selects streaming hash grouping for GroupBy instead of
 	// the two-phase sort-materialize-rescan strategy, fixed when the
 	// table is declared; see System.NewITab.
@@ -53,10 +57,20 @@ func (sys *System) NewITab(m *cost.Meter, fields ...string) *ITab {
 	return t
 }
 
-// Append adds one row (APPEND TO itab).
+// itabChunkMax bounds the value count of an internal table's row chunk.
+const itabChunkMax = 1024
+
+// Append adds a copy of one row (APPEND TO itab).
 func (t *ITab) Append(vals ...val.Value) {
 	t.meter.Charge(cost.TupleCPU, 1)
-	t.rows = append(t.rows, append([]val.Value(nil), vals...))
+	if len(vals) > len(t.free) {
+		n := min(max(4, len(t.rows))*len(vals), itabChunkMax)
+		t.free = make([]val.Value, max(n, len(vals)))
+	}
+	row := t.free[:len(vals):len(vals)]
+	t.free = t.free[len(vals):]
+	copy(row, vals)
+	t.rows = append(t.rows, row)
 }
 
 // Len returns the row count.
@@ -122,13 +136,16 @@ type aggAcc struct {
 	min, max val.Value
 }
 
-// add folds v in; NULL counts for nothing.
-func (a *aggAcc) add(v val.Value) {
+// add folds v in for the aggregate fn; NULL counts for nothing. Only SUM and
+// AVG read v as a number: COUNT, MIN and MAX take CHAR values as they are.
+func (a *aggAcc) add(fn string, v val.Value) {
 	if v.IsNull() {
 		return
 	}
 	a.count++
-	a.sum += v.AsFloat()
+	if fn == "SUM" || fn == "AVG" {
+		a.sum += v.AsFloat()
+	}
 	if a.min.IsNull() || val.Compare(v, a.min) < 0 {
 		a.min = v
 	}
@@ -198,7 +215,7 @@ func (t *ITab) GroupBy(keys []string, aggs []Agg, emit func(keyVals []val.Value,
 			var acc aggAcc
 			for _, row := range group {
 				t.meter.Charge(cost.TupleCPU, 1)
-				acc.add(a.Of(row))
+				acc.add(a.Fn, a.Of(row))
 			}
 			aggVals[ai] = acc.result(a.Fn)
 		}
@@ -260,7 +277,7 @@ func (t *ITab) groupBySinglePass(keys []string, aggs []Agg, emit func(keyVals []
 		}
 		for ai := range aggs {
 			t.meter.Charge(cost.TupleCPU, 1)
-			accs[int(g)*len(aggs)+ai].add(aggs[ai].Of(row))
+			accs[int(g)*len(aggs)+ai].add(aggs[ai].Fn, aggs[ai].Of(row))
 		}
 	}
 	// Sort only the groups so emission order matches the two-phase

@@ -25,12 +25,14 @@ func (s *SAPImpl) fetchWithDiscount(sql string, cols []string) (*r3.ITab, error)
 	}
 	vbelnIdx, posnrIdx := slices.Index(res.Cols, "VBELN"), slices.Index(res.Cols, "POSNR")
 	tab := s.sys.NewITab(s.m, append(append([]string(nil), cols...), "DISC")...)
+	var scratch []val.Value // the row and its discount, copied by Append
 	for _, row := range res.Rows {
 		d, err := s.discountRate(row[vbelnIdx].AsStr(), row[posnrIdx].AsStr())
 		if err != nil {
 			return nil, err
 		}
-		tab.Append(append(append([]val.Value(nil), row...), val.Float(d))...)
+		scratch = append(append(scratch[:0], row...), val.Float(d))
+		tab.Append(scratch...)
 	}
 	return tab, nil
 }
