@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
@@ -15,13 +14,46 @@ type pageKey struct {
 }
 
 type frame struct {
-	key    pageKey
-	data   []byte
-	dirty  bool
-	elem   *list.Element
-	young  bool // resident in the young sublist (proven by a second touch)
-	ra     bool // admitted by readahead; first demand touch still pending
-	shared bool // the image's bit (pageImage), cached so that a hit takes no disk lock: see handOut
+	key        pageKey
+	data       []byte
+	prev, next *frame // neighbours in the frame's sublist
+	dirty      bool
+	young      bool // resident in the young sublist (proven by a second touch)
+	ra         bool // admitted by readahead; first demand touch still pending
+	shared     bool // the image's bit (pageImage), cached so that a hit takes no disk lock: see handOut
+}
+
+// lru is one recency sublist: a ring of frames linked through their prev and
+// next fields and a sentinel, front (most recent) first. Linking and
+// unlinking allocate nothing.
+type lru struct{ root frame }
+
+func (l *lru) init() { l.root.prev, l.root.next = &l.root, &l.root }
+
+// back returns the least recent frame, nil for an empty list.
+func (l *lru) back() *frame {
+	if l.root.prev == &l.root {
+		return nil
+	}
+	return l.root.prev
+}
+
+func (l *lru) pushFront(f *frame) {
+	f.prev, f.next = &l.root, l.root.next
+	f.next.prev, l.root.next = f, f
+}
+
+func (l *lru) moveToFront(f *frame) {
+	if l.root.next != f {
+		unlink(f)
+		l.pushFront(f)
+	}
+}
+
+// unlink takes f out of its sublist.
+func unlink(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
 }
 
 // maxPoolShards bounds the number of lock shards; tiny pools collapse to
@@ -60,8 +92,8 @@ type poolShard struct {
 	capacity int
 	youngCap int // capacity - old-sublist target
 	frames   map[pageKey]*frame
-	young    *list.List // pages touched at least twice; front = most recent
-	old      *list.List // unproven pages (scans live here); evicted first
+	young    lru // pages touched at least twice
+	old      lru // unproven pages (scans live here); evicted first
 
 	// Counters are atomics so stat readers (HitRatio, ShardStats, the
 	// metrics registry) never contend with — or race against — the
@@ -148,13 +180,10 @@ func NewBufferPool(disk *Disk, capacityBytes int) *BufferPool {
 		if oldTarget < 1 {
 			oldTarget = 1
 		}
-		bp.shards[i] = &poolShard{
-			capacity: c,
-			youngCap: c - oldTarget,
-			frames:   make(map[pageKey]*frame),
-			young:    list.New(),
-			old:      list.New(),
-		}
+		sh := &poolShard{capacity: c, youngCap: c - oldTarget, frames: make(map[pageKey]*frame)}
+		sh.young.init()
+		sh.old.init()
+		bp.shards[i] = sh
 	}
 	return bp
 }
@@ -439,14 +468,10 @@ func (sh *poolShard) registerHit(f *frame) {
 	case f.ra:
 		f.ra = false
 		sh.raHits.Add(1)
-		if f.young {
-			sh.young.MoveToFront(f.elem)
-		} else {
-			sh.old.MoveToFront(f.elem)
-		}
+		sh.sublist(f).moveToFront(f)
 	case f.young:
 		sh.hits.Add(1)
-		sh.young.MoveToFront(f.elem)
+		sh.young.moveToFront(f)
 	default:
 		// Second touch: the page proved itself; move it to the young
 		// sublist and demote young overflow back to the old list's head.
@@ -455,23 +480,42 @@ func (sh *poolShard) registerHit(f *frame) {
 	}
 }
 
+// sublist returns the sublist f is linked into.
+func (sh *poolShard) sublist(f *frame) *lru {
+	if f.young {
+		return &sh.young
+	}
+	return &sh.old
+}
+
 // promote moves an old-sublist frame to the young sublist. Caller holds
 // sh.mu.
 func (sh *poolShard) promote(f *frame) {
-	sh.old.Remove(f.elem)
+	unlink(f)
 	sh.oldLen.Add(-1)
-	f.elem = sh.young.PushFront(f)
+	sh.young.pushFront(f)
 	f.young = true
 	sh.youngLen.Add(1)
-	for int(sh.youngLen.Load()) > sh.youngCap && sh.young.Len() > 1 {
-		tail := sh.young.Back()
-		tf := tail.Value.(*frame)
-		sh.young.Remove(tail)
+	for int(sh.youngLen.Load()) > sh.youngCap && sh.youngLen.Load() > 1 {
+		tf := sh.young.back()
+		unlink(tf)
 		sh.youngLen.Add(-1)
 		tf.young = false
-		tf.elem = sh.old.PushFront(tf)
+		sh.old.pushFront(tf)
 		sh.oldLen.Add(1)
 	}
+}
+
+// remove takes a resident frame out of its sublist and the frame map. Caller
+// holds sh.mu.
+func (sh *poolShard) remove(f *frame) {
+	unlink(f)
+	if f.young {
+		sh.youngLen.Add(-1)
+	} else {
+		sh.oldLen.Add(-1)
+	}
+	delete(sh.frames, f.key)
 }
 
 // admit inserts a freshly read page, unless a concurrent reader admitted
@@ -484,11 +528,7 @@ func (bp *BufferPool) admit(key pageKey, data []byte, m *cost.Meter, ra bool) []
 	defer sh.mu.Unlock()
 	if f, ok := sh.frames[key]; ok {
 		if !ra {
-			if f.young {
-				sh.young.MoveToFront(f.elem)
-			} else {
-				sh.old.MoveToFront(f.elem)
-			}
+			sh.sublist(f).moveToFront(f)
 		}
 		return bp.handOut(f)
 	}
@@ -510,14 +550,11 @@ func (bp *BufferPool) admitLocked(sh *poolShard, key pageKey, data []byte, m *co
 	if cur, s, err := bp.disk.image(key.file, key.page); err == nil {
 		data, shared = cur, s
 	}
-	for sh.young.Len()+sh.old.Len() >= sh.capacity {
-		victim := sh.old.Back()
-		fromOld := true
-		if victim == nil {
-			victim = sh.young.Back()
-			fromOld = false
+	for len(sh.frames) >= sh.capacity {
+		vf := sh.old.back()
+		if vf == nil {
+			vf = sh.young.back()
 		}
-		vf := victim.Value.(*frame)
 		if vf.dirty {
 			if m != nil {
 				m.Charge(cost.PageWrite, 1)
@@ -526,22 +563,15 @@ func (bp *BufferPool) admitLocked(sh *poolShard, key pageKey, data []byte, m *co
 				w.stableWrite(vf.key.file, vf.key.page, m)
 			}
 		}
-		if fromOld {
-			sh.old.Remove(victim)
-			sh.oldLen.Add(-1)
-		} else {
-			sh.young.Remove(victim)
-			sh.youngLen.Add(-1)
-		}
-		delete(sh.frames, vf.key)
+		sh.remove(vf)
 	}
 	f := &frame{key: key, data: data, ra: ra, shared: shared}
 	if !bp.opts.Load().NoMidpoint {
-		f.elem = sh.old.PushFront(f)
+		sh.old.pushFront(f)
 		sh.oldLen.Add(1)
 	} else {
 		f.young = true
-		f.elem = sh.young.PushFront(f)
+		sh.young.pushFront(f)
 		sh.youngLen.Add(1)
 	}
 	sh.frames[key] = f
@@ -679,14 +709,7 @@ func (bp *BufferPool) DropFile(file FileID) {
 		sh.mu.Lock()
 		for key, f := range sh.frames {
 			if key.file == file {
-				if f.young {
-					sh.young.Remove(f.elem)
-					sh.youngLen.Add(-1)
-				} else {
-					sh.old.Remove(f.elem)
-					sh.oldLen.Add(-1)
-				}
-				delete(sh.frames, key)
+				sh.remove(f)
 			}
 		}
 		sh.mu.Unlock()
