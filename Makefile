@@ -68,12 +68,13 @@ race-warehouse:
 # on for the one unsafe.String in the module — a view equals the copying
 # decode and never changes under its holder (not across eviction, rewrite
 # and recovery), nothing that outlives a statement is one, and the in-place
-# R/3 cluster decode equals the strings.Split reference.
+# R/3 cluster decode equals the strings.Split reference, and the rows Open SQL
+# hands out are the session arena's, unchanged by later executions.
 race-views:
 	$(GO) test -race -count=3 -run 'TestColSetViewsMatchCopy|TestSlabOwns' ./internal/val
 	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite' ./internal/storage
 	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes' ./internal/engine
-	$(GO) test -race -count=3 -run 'TestClusterDecodeMatchesReference' ./internal/r3
+	$(GO) test -race -count=3 -run 'TestClusterDecodeMatchesReference|TestOpenSQLRowsOwnTheirBytes' ./internal/r3
 	$(GO) test -race -count=3 -run 'TestKeptRowsOwnTheirBytes' ./internal/warehouse
 
 # Five-second native-fuzz smokes. The SQL front end: FuzzParse asserts
@@ -84,11 +85,11 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime=5s ./internal/sqlparse
 	$(GO) test -run xxx -fuzz '^FuzzKeyTable$$' -fuzztime=5s ./internal/val
 
-# One pass over the headline benchmark plus the Q1 aggregation (allocs/op
-# shows the batch executor's real cost) to catch bench-path regressions
-# fast.
+# One pass over the headline benchmark, the Q1 aggregation (allocs/op
+# shows the batch executor's real cost) and the 2.2G reports (their nested
+# Open SQL SELECTs) to catch bench-path regressions fast.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkPower22_RDBMS$$|BenchmarkAggQ1$$' -benchtime=1x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkPower22_RDBMS$$|BenchmarkAggQ1$$|BenchmarkPower22_NativeSQL$$' -benchtime=1x -benchmem .
 
 # bench/ is its own Go module, so vet and test above never reach it, and
 # bench-wire-smoke below runs its binary but not bench/bench_test.go: vet and

@@ -103,7 +103,8 @@ type Result struct {
 // and Row is where a row leaves it. A sink that encodes or prints the row
 // before it returns needs nothing; one that keeps the row copies the slice
 // and gives the strings storage of their own (val.Slab.Own), as the
-// materialising sink behind Exec and Query does — a kept view would pin its
+// materialising sink behind Exec and Query does, and an R/3 Open SQL cursor
+// into its session's arena — a kept view would pin its
 // whole 8 KiB image, superseded or not.
 type RowSink interface {
 	Header(cols []string) error
