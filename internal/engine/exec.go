@@ -782,14 +782,16 @@ func (p *selectPlan) projectInto(rt *runtime, frame rowStack, r outRow) error {
 }
 
 // outputSink is the output phase of a block — DISTINCT dedup, ORDER BY
-// collection, LIMIT, emission — shared by serial execution and the
-// parallel coordinator. In parallel plans the workers project rows and the
-// coordinator feeds them through add in partition order, so the emitted
-// sequence is identical to a serial scan of the concatenated partitions.
+// collection, LIMIT, emission — and holds what a drained block leaves at
+// the finalization boundary (selectPlan.drain) until finish. In parallel plans
+// the workers project rows and the coordinator feeds them through add in
+// partition order (merge), so the emitted sequence is identical to a serial
+// scan of the concatenated partitions.
 type outputSink struct {
 	p       *selectPlan
 	m       *cost.Meter
 	emit    func([]val.Value) error
+	acc     *aggAccum     // aggregate plans: the drained groups, un-finalized
 	rows    []outRow      // ORDER BY buffer
 	dedup   *distinctRows // SELECT DISTINCT only
 	emitted int
@@ -867,9 +869,54 @@ func (o *outputSink) add(r outRow) error {
 	return nil
 }
 
-// finish sorts, limits and emits the collected rows of a sorting plan.
-func (o *outputSink) finish() error {
+// merge folds drained runs into the sink in order: the lanes of a parallel
+// block, or the shards' partials of one statement (MergePartials). Group
+// accumulators merge into the first run's, charging a k-way merge of n rows —
+// the input rows the lanes grouped, or, byGroups, the groups the shards
+// shipped; projected rows go through add, so DISTINCT and LIMIT see them in
+// run order.
+func (o *outputSink) merge(runs []Partial, byGroups bool) error {
+	o.runs = len(runs)
+	acc := runs[0].acc
+	if acc == nil {
+		for _, run := range runs {
+			for _, r := range run.rows {
+				if err := o.add(r); err != nil {
+					if err == errStopIteration {
+						return nil
+					}
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	var n int64
+	for _, run := range runs {
+		if byGroups {
+			n += run.ShipRows()
+		} else {
+			n += run.acc.nInput
+		}
+	}
+	for _, run := range runs[1:] {
+		acc.merge(run.acc)
+	}
+	chargeMergeRuns(o.m, n, int64(len(runs)))
+	o.acc = acc
+	return nil
+}
+
+// finish is a block's output phase: a drained aggregate plan's groups go
+// through HAVING and projection, and a sorting plan's rows are sorted,
+// limited and emitted.
+func (o *outputSink) finish(rt *runtime, outer rowStack) error {
 	p := o.p
+	if o.acc != nil {
+		if err := p.finalizeGroups(rt, o.acc, outer, o); err != nil && err != errStopIteration {
+			return err
+		}
+	}
 	if len(p.orderKeys) == 0 {
 		return nil
 	}
@@ -924,15 +971,23 @@ func (p *selectPlan) sortKeyOf(keys []val.Value, dst []byte) []byte {
 
 // run executes the block, calling emit for every output row (a reused
 // buffer is not used: emitted rows are safe to retain only if copied; the
-// engine's own callers copy).
+// engine's own callers copy): it drains the block, then finishes its output.
 func (p *selectPlan) run(rt *runtime, outer rowStack, emit func([]val.Value) error) error {
-	if p.parallel >= 2 && rt.m == nil {
-		handled, err := p.runParallel(rt, outer, emit)
-		if handled {
-			return err
-		}
+	var lanes outputSink
+	o := &lanes
+	br, err := p.drain(rt, outer, emit, o)
+	if br != nil {
+		defer br.release()
+		o = br.sink
 	}
-	return p.runSerial(rt, outer, emit, nil)
+	if err != nil {
+		return err
+	}
+	if pp := rt.planProf(p); pp != nil {
+		m := rt.meter()
+		defer m.SetSpan(m.SetSpan(pp.output))
+	}
+	return o.finish(rt, outer)
 }
 
 // batchCap is the block's batch capacity, derived from the plan: a block
@@ -1004,52 +1059,59 @@ func (br *blockRun) drop() {
 	*br.sink = outputSink{p: br.p}
 }
 
-// runSerial is the single-goroutine pipeline. hashes, when non-nil, holds
-// hash tables pre-built by a parallel build.
-func (p *selectPlan) runSerial(rt *runtime, outer rowStack, emit func([]val.Value) error, hashes map[*hashStep]*hashTable) error {
+// drain runs the block up to its finalization boundary — as parallel lanes
+// merged on the coordinator, or serially — and leaves the output in a sink:
+// an aggregate plan's groups in acc, a sorting plan's projected rows,
+// unsorted, in rows; any other plan has emitted its rows. QueryPartial stops
+// here; run goes on to the sink's finish. A serial drain returns the block's
+// run state, whose sink holds the output and which the caller releases once
+// that sink is finished. Parallel lanes merge into *lanes and return none:
+// the caller keeps that sink on its stack until it is finished, so the split
+// costs an execution no allocation.
+func (p *selectPlan) drain(rt *runtime, outer rowStack, emit func([]val.Value) error, lanes *outputSink) (*blockRun, error) {
+	var hashes map[*hashStep]*hashTable
+	if p.parallel >= 2 && rt.m == nil {
+		merged, shared, err := p.runParallel(rt, outer, lanes, emit)
+		if merged || err != nil {
+			return nil, err
+		}
+		hashes = shared
+	}
 	br := rt.acquire(p, outer, emit)
-	defer br.release()
-	be, v, sink := br.be, br.v, br.sink
+	return br, br.drainSerial(rt, hashes)
+}
+
+// drainSerial is the single-goroutine pipeline. hashes, when non-nil, holds
+// hash tables pre-built by a parallel build.
+func (br *blockRun) drainSerial(rt *runtime, hashes map[*hashStep]*hashTable) error {
+	p, be, v := br.p, br.be, br.v
 	be.hashes = hashes
 	be.prof = rt.planProf(p)
 	be.fb = rt.fbFor(p)
-	m := rt.meter()
-
-	var acc *aggAccum
-	var err error
-	if p.agg != nil {
-		acc, err = v.aggregate()
-	} else {
+	if p.agg == nil {
 		// The sink copies what it emits, so the slab is recycled unless
 		// ORDER BY retains the rows.
-		err = v.project(br.add, len(p.orderKeys) == 0)
+		if err := v.project(br.add, len(p.orderKeys) == 0); err != nil && err != errStopIteration {
+			return err
+		}
+		return nil
 	}
+	acc, err := v.aggregate()
 	if err != nil && err != errStopIteration {
 		return err
 	}
-	// The pipeline is drained; the rest is the block's output phase.
+	// The pipeline is drained; the grouping sort is the output phase's.
+	m := rt.meter()
 	if be.prof != nil {
 		defer m.SetSpan(m.SetSpan(be.prof.output))
 	}
-	if acc != nil {
-		// The engine's grouping is pipelined sort-group (sort, then
-		// aggregate while streaming): sort the input once, no intermediate
-		// materialization — the paper's point of contrast with SAP R/3's
-		// two-phase materialized grouping (Section 4.2).
-		chargeSort(m, acc.nInput, 48)
-		if err := p.finalizeGroups(rt, acc, outer, sink); err != nil && err != errStopIteration {
-			return err
-		}
-	}
-	// Partial execution of a sorting non-aggregate plan: the collected
-	// rows ship unsorted; the coordinator sorts and limits once, above
-	// the gather. (Aggregate partials were captured in finalizeGroups
-	// and left the sink empty — finish on it is a no-op.)
-	if pa := rt.partial; pa != nil && pa.plan == p && p.agg == nil && len(p.orderKeys) > 0 {
-		pa.rows = append(pa.rows, sink.rows...)
-		return nil
-	}
-	return sink.finish()
+	// The engine's grouping is pipelined sort-group (sort, then aggregate
+	// while streaming): sort the input once, no intermediate
+	// materialization — the paper's point of contrast with SAP R/3's
+	// two-phase materialized grouping (Section 4.2).
+	chargeSort(m, acc.nInput, 48)
+	br.sink.acc = acc
+	return nil
 }
 
 // aggAccum accumulates grouped aggregate state for one lane of execution.
@@ -1160,19 +1222,9 @@ func (a *aggAccum) merge(o *aggAccum) {
 }
 
 // finalizeGroups runs the accumulated groups through HAVING into the sink.
-// The caller charges the grouping sort (full sort when serial, partial
-// sorts + merge when parallel).
+// The drain charged the grouping sort (full sort when serial, partial sorts
+// + merge when parallel).
 func (p *selectPlan) finalizeGroups(rt *runtime, a *aggAccum, outer rowStack, sink *outputSink) error {
-	// A partial execution stops here: the accumulated groups ship to the
-	// distributed coordinator un-finalized, so HAVING, projection over
-	// exact sums, ORDER BY and LIMIT all run once, above the gather
-	// (MergePartials). Serial and parallel runs (lane accumulators already
-	// merged in partition order) both funnel their top-level accumulator
-	// through this point.
-	if pa := rt.partial; pa != nil && pa.plan == p {
-		pa.acc = a
-		return nil
-	}
 	m := rt.meter()
 
 	// A query with aggregates but no GROUP BY yields exactly one row,

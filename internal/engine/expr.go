@@ -33,13 +33,6 @@ type runtime struct {
 	// otherwise. Subquery blocks share the runtime but are not recorded.
 	fb     *execFeedback
 	fbPlan *selectPlan
-	// partial, when non-nil, captures the top-level plan's un-finalized
-	// output (grouped aggregate state, or projected-but-unsorted rows)
-	// instead of finalizing it — the shard executor's half of a
-	// distributed aggregation (partial.go). Subquery blocks share the
-	// runtime but are never captured: the capture sites compare the
-	// running plan against partial.plan.
-	partial *Partial
 
 	// runs is the run state of every plan block that has executed under
 	// this runtime, so a block that runs again — a correlated sub-block per

@@ -76,26 +76,17 @@ func partitionPages(pages, k int) [][2]int {
 	return parts
 }
 
-// partResult is one worker's partition output.
-type partResult struct {
-	rows []outRow  // projected rows, scan order (non-aggregated plans)
-	acc  *aggAccum // partial group state (aggregated plans)
-	m    *cost.Meter
-	fb   *execFeedback // per-lane step row counts (adaptive replanning)
-	err  error
-}
-
-// runParallel executes the block with p.parallel partition workers.
-// handled=false means the plan cannot be split at run time (e.g. the table
-// shrank below the gate) and the caller should fall back to serial
-// execution.
-func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Value) error) (handled bool, err error) {
-	var parts [][2]int
+// runParallel drains the block with p.parallel partition workers and merges
+// their runs, in partition order, into o, the coordinator's sink for emit. A
+// plan that cannot be split at run time (e.g. the table shrank below the
+// gate) is not merged; it returns the hash tables built here, to drain
+// serially over.
+func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emit func([]val.Value) error) (bool, map[*hashStep]*hashTable, error) {
+	var pages [][2]int
 	lead, leadOK := p.steps[0].(*scanStep)
 	if leadOK && lead.rel.table != nil && lead.access.index == nil {
-		parts = partitionPages(lead.rel.table.Heap.Pages(), p.parallel)
+		pages = partitionPages(lead.rel.table.Heap.Pages(), p.parallel)
 	}
-	partitionedLead := len(parts) >= 2
 
 	// Workers share the statement's subquery cache under one lock; their
 	// runtimes carry private lane meters.
@@ -109,7 +100,6 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 	// share a read-only build side instead of each building their own —
 	// partitioned parallel build when the build side is a wide-enough
 	// base-table scan, serial coordinator build otherwise.
-	builtParallel := false
 	shared := make(map[*hashStep]*hashTable)
 	for si := 1; si < len(p.steps); si++ {
 		hs, ok := p.steps[si].(*hashStep)
@@ -121,31 +111,27 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 			restore = rt.spanScope(pp.steps[si])
 		}
 		var ht *hashTable
+		var err error
 		if hs.rel.table != nil && hs.access.index == nil {
-			if ht, err = p.parallelBuild(rt, outer, hs, subMu, model); err != nil {
-				restore()
-				return true, err
-			}
-			builtParallel = builtParallel || ht != nil
+			ht, err = p.parallelBuild(rt, outer, hs, subMu, model)
 		}
-		if ht == nil { // build side not partitionable: build serially
-			if ht, err = hs.build(rt, outer); err != nil {
-				restore()
-				return true, err
-			}
+		if ht == nil && err == nil { // build side not partitionable: build serially
+			ht, err = hs.build(rt, outer)
+		}
+		restore()
+		if err != nil {
+			return false, nil, err
 		}
 		shared[hs] = ht
-		restore()
 	}
 
-	if !partitionedLead {
-		if !builtParallel && len(shared) == 0 {
-			return false, nil
+	if len(pages) < 2 {
+		if len(shared) > 0 {
+			// Build-only parallelism: probe pipeline runs serially over the
+			// pre-built (shared) hash tables.
+			rt.sess.db.parallelRuns.Add(1)
 		}
-		rt.sess.db.parallelRuns.Add(1)
-		// Build-only parallelism: probe pipeline runs serially over the
-		// pre-built (shared) hash tables.
-		return true, p.runSerial(rt, outer, emit, shared)
+		return false, shared, nil
 	}
 	rt.sess.db.parallelRuns.Add(1)
 	fbMain := rt.fbFor(p)
@@ -154,31 +140,38 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 	// "parallel" span; the span itself receives the max-combined lane
 	// elapsed when AddParallel runs, so totals reconcile.
 	var par *cost.Span
-	laneSpans := make([]*cost.Span, len(parts))
+	var laneSpans []*cost.Span
 	if pp != nil {
-		par = rt.prof.parallelSpan(p, len(parts))
-		for i := range parts {
+		par = rt.prof.parallelSpan(p, len(pages))
+		laneSpans = make([]*cost.Span, len(pages))
+		for i := range pages {
 			laneSpans[i] = par.LaneChild(fmt.Sprintf("worker %d", i))
 		}
 	}
 
-	results := make([]partResult, len(parts))
-	runPartitions(len(parts), func(i int) {
+	// Each lane drains its partition into a run of its own: rows or an
+	// accumulator, a meter, and — under adaptive replanning — step counts.
+	runs := make([]Partial, len(pages))
+	meters := make([]*cost.Meter, len(pages))
+	errs := make([]error, len(pages))
+	var fbs []execFeedback
+	if fbMain != nil {
+		fbs = make([]execFeedback, len(pages))
+	}
+	runPartitions(len(pages), func(i int) {
 		m := cost.NewMeter(model)
+		meters[i] = m
 		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: m}
 		// Every hash table was built above, so lanes only read shared.
 		beW := newBlockExec(rtW, outer)
 		beW.hashes = shared
-		if laneSpans[i] != nil {
+		if laneSpans != nil {
 			rtW.prof = newExecProfile(laneSpans[i])
 			beW.prof = rtW.prof.planFor(p)
 		}
-
-		res := &results[i]
-		res.m = m
-		if fbMain != nil {
-			res.fb = &execFeedback{counts: make([]int64, len(fbMain.counts))}
-			beW.fb = res.fb
+		if fbs != nil {
+			fbs[i].counts = make([]int64, len(fbMain.counts))
+			beW.fb = &fbs[i]
 		}
 		// A lane's batches stay at the initial capacity and do not grow: the
 		// lanes run side by side on every processor, and slabs grown to
@@ -188,18 +181,19 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 		// (A parallel plan never stops early — planParallel — so capacity is
 		// free to choose.)
 		v := newVecRun(p, beW, vecBatchInitial)
-		v.pages = &parts[i]
+		v.pages = &pages[i]
+		run := &runs[i]
 		if p.agg != nil {
-			res.acc, res.err = v.aggregate()
+			run.acc, errs[i] = v.aggregate()
 		} else {
 			// The coordinator reads the rows after the lane is gone: no
 			// slab recycling.
-			res.err = v.project(func(r outRow) error {
-				res.rows = append(res.rows, r)
+			errs[i] = v.project(func(r outRow) error {
+				run.rows = append(run.rows, r)
 				return nil
 			}, false)
 		}
-		if res.err != nil {
+		if errs[i] != nil {
 			return
 		}
 		if beW.prof != nil {
@@ -208,70 +202,34 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, emit func([]val.Va
 		// Each worker sorts its partition's output; the coordinator only
 		// merges the pre-sorted runs.
 		if p.agg != nil {
-			chargeSort(m, res.acc.nInput, 48)
+			chargeSort(m, run.acc.nInput, 48)
 		} else if len(p.orderKeys) > 0 {
-			chargeSort(m, int64(len(res.rows)), int64(len(p.projections)+len(p.orderKeys))*24)
+			chargeSort(m, int64(len(run.rows)), int64(len(p.projections)+len(p.orderKeys))*24)
 		}
 	})
 
-	meters := make([]*cost.Meter, len(results))
-	for i := range results {
-		meters[i] = results[i].m
-	}
-	restorePar := noopRestore
-	if par != nil {
-		restorePar = rt.spanScope(par)
-	}
+	restorePar := rt.spanScope(par)
 	rt.sess.Meter.AddParallel(meters...)
 	restorePar()
-	for i := range results {
-		if results[i].err != nil {
-			return true, results[i].err
+	for _, err := range errs {
+		if err != nil {
+			return false, nil, err
 		}
 	}
-	if fbMain != nil {
-		// Sum lane counts in partition order — addition commutes, so the
-		// totals match the serial execution's counts exactly.
-		for i := range results {
-			for j, c := range results[i].fb.counts {
-				fbMain.counts[j] += c
-			}
+	// Sum lane counts in partition order — addition commutes, so the totals
+	// match the serial execution's counts exactly.
+	for _, fb := range fbs {
+		for j, c := range fb.counts {
+			fbMain.counts[j] += c
 		}
 	}
 
 	if pp != nil {
 		defer rt.spanScope(pp.output)()
 	}
-	sink := newOutputSink(p, rt.meter(), emit)
-	sink.runs = len(results)
-	if p.agg != nil {
-		acc := results[0].acc
-		for i := 1; i < len(results); i++ {
-			acc.merge(results[i].acc)
-		}
-		chargeMergeRuns(rt.meter(), acc.nInput, int64(len(results)))
-		if err := p.finalizeGroups(rt, acc, outer, sink); err != nil && err != errStopIteration {
-			return true, err
-		}
-		return true, sink.finish()
-	}
-	for i := range results {
-		for _, r := range results[i].rows {
-			if err := sink.add(r); err != nil {
-				if err == errStopIteration {
-					return true, nil
-				}
-				return true, err
-			}
-		}
-	}
-	// Partial execution: ship the merged-but-unsorted rows to the
-	// distributed coordinator, which sorts and limits above the gather.
-	if pa := rt.partial; pa != nil && pa.plan == p && len(p.orderKeys) > 0 {
-		pa.rows = append(pa.rows, sink.rows...)
-		return true, nil
-	}
-	return true, sink.finish()
+	o.p = p
+	o.reset(rt.meter(), emit)
+	return true, nil, o.merge(runs, false)
 }
 
 // parallelBuild builds a hash-join table by partitioned parallel scan of

@@ -12,21 +12,22 @@ import (
 // runs the same SELECT text on every shard and must combine the pieces
 // into exactly the rows a single engine would produce. Finalized results
 // cannot be combined that way — an AVG is already divided, a float SUM
-// already rounded — so QueryPartial stops each shard's execution at the
-// point where the engine's own parallel lanes stop: grouped aggregate
-// state (exact big.Float sums, min/max, DISTINCT sets) for aggregate
-// plans, projected-but-unsorted rows for plain plans. MergePartials then
-// merges the accumulators in shard order — the same order-preserving,
-// order-independent-in-value merge the intra-query workers use — and
-// finalizes once: HAVING, projection, ORDER BY, LIMIT, row shipping.
-// Byte-identical distributed results follow from the exactness of the
-// accumulator merge, not from any luck in float evaluation order.
+// already rounded — so QueryPartial runs only the first half of a block's
+// execution, its drain (selectPlan.drain): grouped aggregate state (exact
+// big.Float sums, min/max, DISTINCT sets) for aggregate plans, projected-
+// but-unsorted rows for plain plans. MergePartials then merges the shards'
+// partials in shard order exactly as the parallel coordinator merges its
+// lanes' (outputSink.merge) and finalizes once: HAVING, projection, ORDER
+// BY, LIMIT, row shipping. Byte-identical distributed results follow from
+// the exactness of the accumulator merge, not from any luck in float
+// evaluation order.
 
-// Partial is one shard's un-finalized SELECT execution. It is single-use:
-// MergePartials consumes the accumulators in place.
+// Partial is a block's execution drained to its finalization boundary: one
+// parallel lane's run, or one shard's SELECT (QueryPartial). It is
+// single-use: merging consumes the accumulators in place.
 type Partial struct {
 	plan *selectPlan
-	acc  *aggAccum // aggregate plans: merged per-lane group state
+	acc  *aggAccum // aggregate plans: the groups, sums exact
 	rows []outRow  // non-aggregate plans: projected rows, unsorted
 }
 
@@ -56,8 +57,8 @@ func (pa *Partial) Rows() [][]val.Value {
 	return out
 }
 
-// QueryPartial parses, plans and executes one SELECT up to — but not
-// including — finalization. The modelled parse/optimize and execution
+// QueryPartial parses, plans and drains one SELECT — up to, but not
+// including, finalization. The modelled parse/optimize and execution
 // charges land on the session meter exactly as Exec's would; no RowShip
 // is charged, because no result row crosses a client interface here (the
 // exchange that ships the partial charges its own NetShip).
@@ -87,17 +88,24 @@ func (s *Session) QueryPartial(sql string, params ...val.Value) (*Partial, error
 	}
 	s.db.noteSelect(plan)
 	pa := &Partial{plan: plan}
-	rt := &runtime{sess: s, params: params, partial: pa}
-	// Plans that neither aggregate nor sort emit rows straight through;
-	// collect them here (order: pipeline order, i.e. this shard's
-	// partition order).
-	err = plan.run(rt, nil, func(row []val.Value) error {
+	rt := &runtime{sess: s, params: params}
+	// Plans that neither aggregate nor sort emit rows as they drain; collect
+	// them here (order: pipeline order, i.e. this shard's partition order).
+	var lanes outputSink
+	o := &lanes
+	br, err := plan.drain(rt, nil, func(row []val.Value) error {
 		pa.rows = append(pa.rows, outRow{proj: append([]val.Value(nil), row...)})
 		return nil
-	})
+	}, o)
+	if br != nil {
+		defer br.release()
+		o = br.sink
+	}
 	if err != nil {
 		return nil, err
 	}
+	pa.acc = o.acc
+	pa.rows = append(pa.rows, o.rows...)
 	pa.own()
 	return pa, nil
 }
@@ -139,53 +147,27 @@ func (s *Session) MergePartials(parts []*Partial, params ...val.Value) (*Result,
 		return nil, fmt.Errorf("engine: MergePartials of no partials")
 	}
 	p := parts[0].plan
-	for _, q := range parts[1:] {
+	runs := make([]Partial, len(parts))
+	for i, q := range parts {
 		if (q.acc == nil) != (parts[0].acc == nil) {
 			return nil, fmt.Errorf("engine: MergePartials of mismatched partials")
 		}
-		if q.plan.agg != nil && p.agg != nil && len(q.plan.agg.specs) != len(p.agg.specs) {
+		if q.acc != nil && len(q.plan.agg.specs) != len(p.agg.specs) {
 			return nil, fmt.Errorf("engine: MergePartials of mismatched aggregate plans")
 		}
+		runs[i] = *q
 	}
 	// The merged rows ship to the client exactly as runSelect ships a
 	// single engine's.
 	out := &collect{Result: Result{Cols: p.outCols}}
-	res := &out.Result
 	rt := &runtime{sess: s, params: params, out: out, array: s.db.opts.Load().ArrayFetch}
 	sink := newOutputSink(p, s.Meter, rt.shipRow)
-	sink.runs = len(parts)
-
-	if parts[0].acc != nil {
-		acc := parts[0].acc
-		var groups int64
-		for _, q := range parts {
-			groups += int64(q.acc.groups.Len())
-		}
-		for _, q := range parts[1:] {
-			acc.merge(q.acc)
-		}
-		// The coordinator merges the shipped group partials, not the
-		// shards' raw input: k pre-grouped runs of `groups` rows total.
-		chargeMergeRuns(s.Meter, groups, int64(len(parts)))
-		if err := p.finalizeGroups(rt, acc, nil, sink); err != nil && err != errStopIteration {
-			return nil, err
-		}
-	} else {
-		for _, q := range parts {
-			for _, r := range q.rows {
-				if err := sink.add(r); err != nil {
-					if err == errStopIteration {
-						rt.shipDone()
-						return res, nil
-					}
-					return nil, err
-				}
-			}
-		}
+	if err := sink.merge(runs, true); err != nil {
+		return nil, err
 	}
-	if err := sink.finish(); err != nil {
+	if err := sink.finish(rt, nil); err != nil {
 		return nil, err
 	}
 	rt.shipDone()
-	return res, nil
+	return &out.Result, nil
 }

@@ -1,22 +1,23 @@
-// Exchange operators: broadcast (all-gather a partitioned table onto
-// every shard), gather (collect a partitioned table onto shard 0), and
-// shuffle (repartition rows by a different key). All three materialize
-// the shipped rows as a temporary table on the receiving shard(s) and
-// the coordinator rewrites the query text to read the temp instead of
-// the base table — the engine plans it like any other table, and the
-// CREATE/DROP DDL bumps the plan-cache epoch so no stale plan survives.
+// The exchange operator: every shard extracts its slice of a partitioned
+// table, sends each row where the exchange's route says — every shard
+// (broadcast), shard 0 (gather) or the row's owner under a different key
+// (shuffle) — and the receiving shards materialize what they got as a
+// temporary table. The coordinator rewrites the query text to read the temp
+// instead of the base table; the engine plans it like any other table, and
+// the CREATE/DROP DDL bumps the plan-cache epoch so no stale plan survives.
 //
-// Costing: every row that crosses a shard boundary charges cost.NetShip
-// on the *sender's* lane meter (plus per-packet latency via
-// cost.ChargeNetShip); rows a shard keeps for itself are free. The
-// receiver pays the materialization (BulkLoad page writes) on its own
-// lane. Lanes combine into the cluster meter under the exchange's span
-// node, whose row count is the number of crossing rows.
+// Costing: every (row, receiver) pair whose receiver is not the sender
+// crosses a shard boundary and charges cost.NetShip on the *sender's* lane
+// meter (plus per-packet latency via cost.ChargeNetShip); rows a shard
+// keeps for itself are free. The receivers pay the materialization on
+// their own lanes. Lanes combine into the cluster meter under the
+// exchange's span node, whose row count is the number of crossing rows.
 package shard
 
 import (
+	"fmt"
+	"slices"
 	"strings"
-	"sync"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/dbgen"
@@ -33,7 +34,8 @@ type tempTable struct {
 // exchTables maps each exchangeable relation to its temp definition.
 // customer and supplier mirror the full tpcd schema (any query may read
 // any column), so they are dbgen's descriptors; lineitem ships only the
-// three columns Q17 touches, and revenue0 is Q15's view shape.
+// three columns Q17 touches, and revenue0 is Q15's view shape (its rows
+// come from a partial merge, not an extraction).
 var exchTables = map[string]tempTable{
 	"customer": {cols: dbgen.CustomerTable.ColumnList(), ddl: dbgen.CustomerTable.Definition()},
 	"supplier": {cols: dbgen.SupplierTable.ColumnList(), ddl: dbgen.SupplierTable.Definition()},
@@ -41,10 +43,58 @@ var exchTables = map[string]tempTable{
 		cols: "l_partkey, l_quantity, l_extendedprice",
 		ddl:  `(l_partkey INTEGER, l_quantity DECIMAL(15,2), l_extendedprice DECIMAL(15,2))`,
 	},
-	"revenue0": {
-		cols: "supplier_no, total_revenue",
-		ddl:  `(supplier_no INTEGER PRIMARY KEY, total_revenue DECIMAL(15,2))`,
-	},
+	"revenue0": {ddl: `(supplier_no INTEGER PRIMARY KEY, total_revenue DECIMAL(15,2))`},
+}
+
+// route says where an exchange sends a row.
+type route int
+
+const (
+	broadcast route = iota // every shard
+	gather                 // shard 0, where the coordinator runs
+	shuffle                // shardOf(row[key]): repartition by another key
+)
+
+func (r route) String() string { return [...]string{"broadcast", "gather", "shuffle"}[r] }
+
+// input is one relation a statement reads from a temp instead of in place:
+// a partitioned table an exchange moves by route, or — merged — the
+// query's view, whose body runs as shard partials merged at the coordinator
+// and lands on shard 0.
+type input struct {
+	table  string
+	route  route
+	key    int  // shuffle: the routing column's index in the projection
+	merged bool // the view's merged result; route is gather
+}
+
+// temp names the temp table the input lands in: the table plus a suffix
+// saying how it got there (_bx, _gx, _sx; _dx for a merged view).
+func (in input) temp() string {
+	if in.merged {
+		return in.table + "_dx"
+	}
+	return in.table + "_" + in.route.String()[:1] + "x"
+}
+
+// receivers returns how many shards an input lands on.
+func (in input) receivers(n int) int {
+	if in.route == gather {
+		return 1
+	}
+	return n
+}
+
+// to returns the receivers of row as the shard range [lo, hi).
+func (in input) to(row []val.Value, n int) (lo, hi int) {
+	switch in.route {
+	case broadcast:
+		return 0, n
+	case gather:
+		return 0, 1
+	}
+	d := shardOf(row[in.key].AsInt(), n)
+	return d, d + 1
 }
 
 // isIdentByte reports whether b can appear inside an SQL identifier.
@@ -80,199 +130,101 @@ func rewriteIdent(sql, from, to string) string {
 	return b.String()
 }
 
-// extract pulls one shard's slice of a relation through the engine's
-// partial path: full execution charges (parse, optimize, scan) on m, but
-// no client RowShip — the rows leave through an exchange, not through
-// the SQL interface.
-func (c *Cluster) extract(shard int, m *cost.Meter, sql string) ([][]val.Value, error) {
-	sess := c.dbs[shard].NewSessionWithMeter(m)
-	pa, err := sess.QueryPartial(sql)
+// exchange moves input in into its temp: each shard extracts its slice
+// through the engine's partial path — full execution charges (parse,
+// optimize, scan) on its lane, but no client RowShip, because the rows
+// leave through the exchange, not through the SQL interface — and sends
+// every row to its receivers, charging the crossings once per sender. A row
+// that goes to several receivers is copied for all but the first: insertRow
+// coerces values in place, so each receiver loads its own, exactly as each
+// would deserialize its own frames off the wire. A receiver's rows arrive in
+// sender order, then sender pipeline order — deterministic.
+func (c *Cluster) exchange(q int, parent *cost.Span, in input) error {
+	info, tmp := exchTables[in.table], in.temp()
+	sent := make([][][][]val.Value, c.n) // [sender][receiver] rows
+	crossed := make([]int64, c.n)
+	sp, err := c.parallelPhase(parent, fmt.Sprintf("%s(%s→%s)", in.route, in.table, tmp), func(i int, m *cost.Meter) error {
+		pa, err := c.dbs[i].NewSessionWithMeter(m).QueryPartial("SELECT " + info.cols + " FROM " + in.table)
+		if err != nil {
+			return err
+		}
+		to := make([][][]val.Value, in.receivers(c.n))
+		for _, row := range pa.Rows() {
+			lo, hi := in.to(row, c.n)
+			for d := lo; d < hi; d++ {
+				r := row
+				if d > lo {
+					r = slices.Clone(row)
+				}
+				to[d] = append(to[d], r)
+				if d != i {
+					crossed[i]++
+				}
+			}
+		}
+		sent[i] = to
+		cost.ChargeNetShip(m, crossed[i])
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return pa.Rows(), nil
+	got := make([][][]val.Value, in.receivers(c.n))
+	for d := range got {
+		for _, to := range sent {
+			got[d] = append(got[d], to[d]...)
+		}
+	}
+	if err := c.land(parent, tmp, info.ddl, got); err != nil {
+		return err
+	}
+	c.noteShipped(q, sp, crossed)
+	return nil
 }
 
-// materialize creates temp table name on one shard and loads the
-// exchanged rows into it, then refreshes its stats. The receiving end
-// of an exchange lands rows in memory-resident scratch space — no redo
-// logging, no forced flush, no durable commit — so the lane is charged
-// per-row insert CPU (plus the CREATE's dialog step), not the
+// land creates temp table name on each receiving shard d and loads rows[d]
+// into it, then refreshes its stats: on every shard as parallel lanes, or —
+// one receiver — on shard 0 alone, folded with the serial rule. The
+// receiving end of an exchange lands rows in memory-resident scratch space
+// — no redo logging, no forced flush, no durable commit — so a lane is
+// charged per-row insert CPU (plus the CREATE's dialog step), not the
 // PageWrite/Commit costs a persistent bulk load would pay. Reads of the
 // temp during the downstream plan still charge normally.
-func (c *Cluster) materialize(shard int, m *cost.Meter, name, ddl string, rows [][]val.Value) error {
-	sess := c.dbs[shard].NewSessionWithMeter(m)
-	if _, err := sess.Exec("CREATE TABLE " + name + " " + ddl); err != nil {
+func (c *Cluster) land(parent *cost.Span, name, ddl string, rows [][][]val.Value) error {
+	load := func(d int, m *cost.Meter) error {
+		if _, err := c.dbs[d].NewSessionWithMeter(m).Exec("CREATE TABLE " + name + " " + ddl); err != nil {
+			return err
+		}
+		if err := c.dbs[d].BulkLoad(name, rows[d], nil); err != nil {
+			return err
+		}
+		m.Charge(cost.TupleCPU, int64(len(rows[d])))
+		return c.dbs[d].Analyze(name)
+	}
+	phase := "materialize(" + name + ")"
+	if len(rows) == 1 {
+		_, err := c.serialPhase(parent, phase, func(m *cost.Meter) error { return load(0, m) })
 		return err
 	}
-	if err := c.dbs[shard].BulkLoad(name, rows, nil); err != nil {
-		return err
-	}
-	m.Charge(cost.TupleCPU, int64(len(rows)))
-	return c.dbs[shard].Analyze(name)
+	_, err := c.parallelPhase(parent, phase, load)
+	return err
 }
 
-// dropTemps drops temp tables from the listed shards in parallel lanes
-// under a cleanup span. Missing temps (a failed exchange) are ignored.
-func (c *Cluster) dropTemps(parent *cost.Span, names []string, shards []int) {
-	if len(names) == 0 || len(shards) == 0 {
+// dropTemps drops temp tables under a cleanup span, in parallel lanes: from
+// shard 0 alone when only it received them, else from every shard. Missing
+// temps (a failed exchange) are ignored.
+func (c *Cluster) dropTemps(parent *cost.Span, names []string, shard0 bool) {
+	if len(names) == 0 {
 		return
 	}
 	c.parallelPhase(parent, "cleanup", func(i int, m *cost.Meter) error {
-		for _, on := range shards {
-			if on != i {
-				continue
-			}
-			sess := c.dbs[i].NewSessionWithMeter(m)
-			for _, name := range names {
-				sess.Exec("DROP TABLE " + name) // best-effort
-			}
+		if shard0 && i != 0 {
+			return nil
+		}
+		sess := c.dbs[i].NewSessionWithMeter(m)
+		for _, name := range names {
+			sess.Exec("DROP TABLE " + name) // best-effort
 		}
 		return nil
 	})
-}
-
-func allShards(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// broadcast all-gathers partitioned table `table` onto every shard as
-// temp `tmp`: each shard extracts its partition, ships it to the other
-// n-1 shards (crossings charged on the sender), and every shard
-// materializes the full relation. Returns the crossing-row count.
-func (c *Cluster) broadcast(q int, parent *cost.Span, table, tmp string) (int64, error) {
-	info := exchTables[table]
-	parts := make([][][]val.Value, c.n)
-	var crossed int64
-	var mu sync.Mutex
-	sp, err := c.parallelPhase(parent, "broadcast("+table+"→"+tmp+")", func(i int, m *cost.Meter) error {
-		rows, err := c.extract(i, m, "SELECT "+info.cols+" FROM "+table)
-		if err != nil {
-			return err
-		}
-		parts[i] = rows
-		n := int64(len(rows)) * int64(c.n-1)
-		cost.ChargeNetShip(m, n)
-		mu.Lock()
-		crossed += n
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var full [][]val.Value
-	for _, rows := range parts {
-		full = append(full, rows...)
-	}
-	_, err = c.parallelPhase(parent, "materialize("+tmp+")", func(i int, m *cost.Meter) error {
-		// Every shard loads the same logical rows, but insertRow coerces
-		// values in place — each receiver needs its own copy, exactly as
-		// each would deserialize its own frames off the wire.
-		mine := make([][]val.Value, len(full))
-		for r, row := range full {
-			mine[r] = append([]val.Value(nil), row...)
-		}
-		return c.materialize(i, m, tmp, info.ddl, mine)
-	})
-	if err != nil {
-		return 0, err
-	}
-	sp.AddRows(crossed)
-	c.noteShipped(q, crossed)
-	return crossed, nil
-}
-
-// gather collects partitioned table `table` onto shard 0 as temp `tmp`.
-// Shard 0's own partition stays put (no crossing, no charge); every
-// other shard ships its slice to the coordinator's shard.
-func (c *Cluster) gather(q int, parent *cost.Span, table, tmp string) (int64, error) {
-	info := exchTables[table]
-	parts := make([][][]val.Value, c.n)
-	var crossed int64
-	var mu sync.Mutex
-	sp, err := c.parallelPhase(parent, "gather("+table+"→"+tmp+")", func(i int, m *cost.Meter) error {
-		rows, err := c.extract(i, m, "SELECT "+info.cols+" FROM "+table)
-		if err != nil {
-			return err
-		}
-		parts[i] = rows
-		if i != 0 {
-			cost.ChargeNetShip(m, int64(len(rows)))
-			mu.Lock()
-			crossed += int64(len(rows))
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var full [][]val.Value
-	for _, rows := range parts {
-		full = append(full, rows...)
-	}
-	_, err = c.serialPhase(parent, "materialize("+tmp+")", func(m *cost.Meter) error {
-		return c.materialize(0, m, tmp, info.ddl, full)
-	})
-	if err != nil {
-		return 0, err
-	}
-	sp.AddRows(crossed)
-	c.noteShipped(q, crossed)
-	return crossed, nil
-}
-
-// shuffle repartitions `table` by the key in column keyIdx of the temp
-// projection: each shard extracts its slice, routes every row to
-// shardOf(key), ships the rows whose owner differs (charged on the
-// sender), and each shard materializes exactly its new partition. Row
-// order within a destination is sender-shard order, then sender
-// pipeline order — deterministic.
-func (c *Cluster) shuffle(q int, parent *cost.Span, table, tmp string, keyIdx int) (int64, error) {
-	info := exchTables[table]
-	buckets := make([][][][]val.Value, c.n) // [sender][dest][row]
-	var crossed int64
-	var mu sync.Mutex
-	sp, err := c.parallelPhase(parent, "shuffle("+table+"→"+tmp+")", func(i int, m *cost.Meter) error {
-		rows, err := c.extract(i, m, "SELECT "+info.cols+" FROM "+table)
-		if err != nil {
-			return err
-		}
-		dest := make([][][]val.Value, c.n)
-		var moved int64
-		for _, row := range rows {
-			d := shardOf(row[keyIdx].AsInt(), c.n)
-			dest[d] = append(dest[d], row)
-			if d != i {
-				moved++
-			}
-		}
-		buckets[i] = dest
-		cost.ChargeNetShip(m, moved)
-		mu.Lock()
-		crossed += moved
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	_, err = c.parallelPhase(parent, "materialize("+tmp+")", func(i int, m *cost.Meter) error {
-		var mine [][]val.Value
-		for sender := 0; sender < c.n; sender++ {
-			mine = append(mine, buckets[sender][i]...)
-		}
-		return c.materialize(i, m, tmp, info.ddl, mine)
-	})
-	if err != nil {
-		return 0, err
-	}
-	sp.AddRows(crossed)
-	c.noteShipped(q, crossed)
-	return crossed, nil
 }

@@ -150,8 +150,14 @@ func (c *Cluster) LastSpan() *cost.Span {
 	return c.lastSpan
 }
 
-// noteShipped books n exchange rows against query q.
-func (c *Cluster) noteShipped(q int, n int64) {
+// noteShipped books the rows each sender of an exchange moved across shard
+// boundaries against query q and the exchange's span.
+func (c *Cluster) noteShipped(q int, sp *cost.Span, crossed []int64) {
+	var n int64
+	for _, x := range crossed {
+		n += x
+	}
+	sp.AddRows(n)
 	c.mu.Lock()
 	if q >= 1 && q < len(c.shipped) {
 		c.shipped[q] += n
