@@ -45,9 +45,11 @@ race-streams:
 
 # Sharded scale-out smoke under the race detector: Q1–Q17 byte-identical
 # across 1/2/4/8 shards at parallel degrees 1/2, exact per-shard meter
-# reconciliation at the exchange boundaries, and distributed UF1/UF2.
+# reconciliation at the exchange boundaries, distributed UF1/UF2, the
+# recorded laps, shipped rows and phases of every query (the golden), and
+# the exchanges' row counts and spans.
 race-shards:
-	$(GO) test -race -count=1 -run 'TestClusterByteIdenticalAcrossShardCounts|TestClusterMeterReconciliation|TestClusterUpdateFunctions' ./internal/shard
+	$(GO) test -race -count=1 -run 'TestClusterByteIdenticalAcrossShardCounts|TestClusterMeterReconciliation|TestClusterUpdateFunctions|TestClusterChargesGolden|TestClusterShipsRows|TestClusterSpansShowExchanges' ./internal/shard
 
 # Crash-recovery torture under the race detector: cut the WAL at every
 # record boundary and mid-record, verify committed rows visible and
