@@ -71,11 +71,13 @@ race-warehouse:
 # decode and never changes under its holder (not across eviction, rewrite
 # and recovery), nothing that outlives a statement is one, and the in-place
 # R/3 cluster decode equals the strings.Split reference, and the rows Open SQL
-# hands out are the session arena's, unchanged by later executions.
+# hands out are the session arena's, unchanged by later executions; a view
+# streamed into its reader's scan, which runs the reader's pipeline from
+# inside the view's plan.
 race-views:
 	$(GO) test -race -count=3 -run 'TestColSetViewsMatchCopy|TestSlabOwns' ./internal/val
 	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite' ./internal/storage
-	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes' ./internal/engine
+	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestClusterDecodeMatchesReference|TestOpenSQLRowsOwnTheirBytes' ./internal/r3
 	$(GO) test -race -count=3 -run 'TestKeptRowsOwnTheirBytes' ./internal/warehouse
 

@@ -12,6 +12,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -461,13 +462,15 @@ func (db *DB) Table(name string) *Table {
 	return db.snap().table(name)
 }
 
-// TableNames returns all table names.
+// TableNames returns all table names in order. AnalyzeAll scans in this
+// order, and the last tables it scans are the ones left in a small pool.
 func (db *DB) TableNames() []string {
 	c := db.snap()
 	names := make([]string, 0, len(c.tables))
 	for n := range c.tables {
 		names = append(names, n)
 	}
+	slices.Sort(names)
 	return names
 }
 

@@ -291,11 +291,14 @@ func kibPerRun(n int, fn func()) float64 {
 // or built row would be 1500 more — which is what the CHAR filter cost (1537)
 // while decoding a CHAR made a string of it — and frames and build rows as
 // wide as the catalog's rows instead of the columns read were 200, 212, 1044
-// and 200 KiB: tt has four columns, a TPC-D table sixteen. A distinct join
-// key, group or DISTINCT value costs no allocation of its own — its bytes go
-// into the key table's slab (val.KeyTable), its state into a slab row — so
-// 700 more of them may cost 0.05 allocations each (0.01 today: slabs and
-// slots double), where a string per key in a Go map cost 1, 7 and 3. pad
+// and 200 KiB: tt has four columns, a TPC-D table sixteen. A SELECT * over a
+// join view read alone streams the view's 1500 rows into its own scan: 97
+// allocations and 497 KiB, 0.33 KiB per view row, where a copy of the view
+// before the scan cost 949 KiB, so its budget is 0.5 KiB per view row. A
+// distinct join key, group or DISTINCT value costs no allocation of its own —
+// its bytes go into the key table's slab (val.KeyTable), its state into a slab
+// row — so 700 more of them may cost 0.05 allocations each (0.01 today: slabs
+// and slots double), where a string per key in a Go map cost 1, 7 and 3. pad
 // gets a multi-byte value first: Go allocates nothing for the one-byte string
 // the fixture stores, which would hide a scan that copies it. A row that is
 // materialised into a Result costs 1.01 allocations, its value slice plus
@@ -309,6 +312,7 @@ func kibPerRun(n int, fn func()) float64 {
 func TestAllocationBudget(t *testing.T) {
 	s := vecDB(t, 1500, 0)
 	mustExec(t, s, `UPDATE tt SET pad = 'padding'`)
+	mustExec(t, s, `CREATE VIEW tt_dim AS SELECT t.id, t.grp, t.v, t.pad, d.g_name FROM tt t, dim d WHERE t.grp = d.g_id`)
 	for _, c := range []struct {
 		q           string
 		budget, kib float64
@@ -317,6 +321,7 @@ func TestAllocationBudget(t *testing.T) {
 		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 236, 352},
 		{`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.grp AND a.id < 1400`, 180, 596},
 		{`SELECT COUNT(*) FROM tt WHERE pad = 'padding' AND id < 1400`, 74, 246},
+		{`SELECT * FROM tt_dim WHERE v > 990`, 194, 750},
 	} {
 		if n := testing.AllocsPerRun(10, func() { mustExec(t, s, c.q) }); n > c.budget {
 			t.Errorf("%q allocates %.0f times per execution, budget %.0f", c.q, n, c.budget)

@@ -283,26 +283,17 @@ func runIndexScan(be *blockExec, rel *relInfo, ap accessPath, emitRow func(stora
 // runDerived materializes the derived relation (a view with aggregation
 // or a subquery) and scans the result, copying the output columns the block
 // reads into the frame. Uncorrelated derived relations are cached for the
-// whole statement; correlated ones re-run per execution.
+// whole statement; correlated ones re-run per execution. A derived relation
+// its block reads exactly once never comes here — the block's only relation,
+// both uncorrelated, no LIMIT without ORDER BY, no subquery in the block
+// (selectPlan.planStream): it streams into the lead batch (vecRun.leadScan).
 func runDerived(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, next func() error) error {
 	rows, err := materializeSub(be.rt, rel.derived, outerOf(be))
 	if err != nil {
 		return err
 	}
 	for _, r := range rows {
-		for c, slot := range rel.slots {
-			if slot >= 0 {
-				be.row[slot] = r[c]
-			}
-		}
-		ok, err := evalFilters(be, ap.filters)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		ok, err = evalFilters(be, extra)
+		ok, err := derivedRow(be, rel, ap, extra, r)
 		if err != nil {
 			return err
 		}
@@ -314,6 +305,21 @@ func runDerived(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, next
 		}
 	}
 	return nil
+}
+
+// derivedRow copies the columns the block reads of derived row r into the
+// current frame and reports whether the frame passes the scan's filters.
+func derivedRow(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, r []val.Value) (bool, error) {
+	for c, slot := range rel.slots {
+		if slot >= 0 {
+			be.row[slot] = r[c]
+		}
+	}
+	ok, err := evalFilters(be, ap.filters)
+	if err != nil || !ok {
+		return false, err
+	}
+	return evalFilters(be, extra)
 }
 
 // outerOf returns the outer frames of a block execution (everything above

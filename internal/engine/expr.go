@@ -211,6 +211,9 @@ type compiler struct {
 	maxDepth int
 	// maxParam tracks the highest parameter index seen (1-based count).
 	maxParam int
+	// subqueries counts the subquery blocks compiled: a block evaluating
+	// one never streams its derived relation (selectPlan.planStream).
+	subqueries int
 	// hook, when set, intercepts sub-expressions before normal
 	// compilation; used for post-aggregation rewriting.
 	hook func(e sqlparse.Expr) (exprFn, bool, error)

@@ -89,6 +89,10 @@ type relInfo struct {
 	alias   string
 	table   *Table      // base relation, or nil
 	derived *selectPlan // derived (view with aggregation etc.)
+	// stream marks a derived relation its block reads exactly once: its
+	// plan runs into the lead batch instead of a materialized copy
+	// (selectPlan.planStream).
+	stream bool
 	// A relation has two positions. Logical: pos is its first position in
 	// the block scope and slots its stretch of the scope's slot table, one
 	// entry per column (catalog width) — what name resolution, SELECT *,
@@ -361,6 +365,7 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 	}
 	p.assignSlots()
 	p.planParallel(opts.parallel)
+	p.planStream(cc.subqueries)
 	if top {
 		p.catVersion, p.deps = opts.cat.version, opts.deps
 	}
@@ -448,7 +453,23 @@ func (p *selectPlan) planParallel(n int) {
 	p.parallel = n
 }
 
-// buildRelInfo resolves one FROM table: base table, view (merged or
+// planStream lets the block's derived relation stream (relInfo.stream) when
+// the block reads it exactly once and does no storage work while it runs, so
+// that the pool sees the same accesses, and the meter the same charges, as
+// when it is materialized first: the relation is the block's only one, the
+// derived plan is uncorrelated, the block is uncorrelated and cannot stop
+// early (a full batchCap) and none of its expressions runs a subquery. Every
+// other derived relation materializes through the statement's cache.
+func (p *selectPlan) planStream(subqueries int) {
+	if len(p.steps) != 1 || subqueries > 0 || p.batchCap() != batchSize {
+		return
+	}
+	if rel := p.steps[0].bound(); rel.derived != nil && !rel.derived.correlated {
+		rel.stream = true
+	}
+}
+
+// buildRelInfo resolves one FROM table: base table, view (streamed or
 // materialized), or error.
 func (db *DB) buildRelInfo(bt *sqlparse.BaseTable, outerScope *scope, opts *planOpts) (*relInfo, error) {
 	name := strings.ToUpper(bt.Name)

@@ -171,6 +171,7 @@ func (p *selectPlan) planOutput(cc *compiler, s *sqlparse.SelectStmt) error {
 	if post.maxParam > cc.maxParam {
 		cc.maxParam = post.maxParam
 	}
+	cc.subqueries += post.subqueries
 	return nil
 }
 

@@ -9,10 +9,11 @@ import (
 )
 
 // absorbSub merges a subplan's correlation depth and parameter count into
-// the enclosing block's compiler. A subplan that reaches depth >= 2
-// relative to itself references *our* enclosing queries, making this
-// block correlated too.
+// the enclosing block's compiler and counts it. A subplan that reaches
+// depth >= 2 relative to itself references *our* enclosing queries, making
+// this block correlated too.
 func (c *compiler) absorbSub(sub *selectPlan) {
+	c.subqueries++
 	if sub.outerDepth >= 2 {
 		c.usedOuter = true
 		if d := sub.outerDepth - 1; d > c.maxDepth {

@@ -268,25 +268,48 @@ func (v *vecRun) flush(i int) error {
 // current row is always the batch's next free frame, so a row that passes
 // the scan's filters is kept by advancing to the next frame. The storage
 // layer charges page I/O and per-tuple CPU per row it reads, whatever the
-// hand-off granularity.
+// hand-off granularity. A streamed derived relation (relInfo.stream) runs
+// its plan with the lead batch as its output instead of materializing it.
 func (v *vecRun) leadScan(lead *scanStep) error {
 	be := v.be
 	if be.prof != nil {
 		m := be.rt.meter()
 		defer m.SetSpan(m.SetSpan(be.prof.steps[0]))
 	}
+	be.setRow(v.stages[0].frame(0))
+	if lead.rel.stream {
+		return v.streamLead(lead)
+	}
+	return runAccess(be, lead.rel, lead.access, lead.extraFilters, v.pages, v.keepLead)
+}
+
+// keepLead keeps the current row in the lead batch, flushing a full batch,
+// and makes the next free frame the current row.
+func (v *vecRun) keepLead() error {
 	st := &v.stages[0]
 	out := &st.out
-	be.setRow(st.frame(0))
-	return runAccess(be, lead.rel, lead.access, lead.extraFilters, v.pages, func() error {
-		out.n++
-		if out.n == out.cap {
-			if err := v.flush(0); err != nil {
-				return err
-			}
+	out.n++
+	if out.n == out.cap {
+		if err := v.flush(0); err != nil {
+			return err
 		}
-		be.setRow(st.frame(out.n))
-		return nil
+	}
+	v.be.setRow(st.frame(out.n))
+	return nil
+}
+
+// streamLead runs the lead's derived plan, each row it emits going through
+// the scan's filters into the lead batch. It is kept apart from leadScan: a
+// closure handed to the sub-plan escapes, and only a streaming run pays for
+// it.
+func (v *vecRun) streamLead(lead *scanStep) error {
+	be := v.be
+	return lead.rel.derived.run(be.rt, outerOf(be), func(r []val.Value) error {
+		ok, err := derivedRow(be, lead.rel, lead.access, lead.extraFilters, r)
+		if err != nil || !ok {
+			return err
+		}
+		return v.keepLead()
 	})
 }
 
