@@ -84,14 +84,13 @@ func addEngineMetrics(reg *metrics.Registry, prefix string, db *engine.DB) {
 	young, old := pool.Occupancy()
 	reg.SetInt(prefix+".pool.young", young)
 	reg.SetInt(prefix+".pool.old", old)
-	if ic := db.IndexCache(); ic != nil {
-		st := ic.Stats()
-		reg.SetInt(prefix+".index_cache.hits", st.Hits)
-		reg.SetInt(prefix+".index_cache.misses", st.Misses)
-		reg.SetInt(prefix+".index_cache.scan_bypass", st.ScanBypass)
-		reg.SetInt(prefix+".index_cache.resident", int64(st.Resident))
-		reg.Set(prefix+".index_cache.hit_ratio", ic.HitRatio())
-	}
+	ic := db.IndexCache()
+	ixs := ic.Stats()
+	reg.SetInt(prefix+".index_cache.hits", ixs.Hits)
+	reg.SetInt(prefix+".index_cache.misses", ixs.Misses)
+	reg.SetInt(prefix+".index_cache.scan_bypass", ixs.ScanBypass)
+	reg.SetInt(prefix+".index_cache.resident", int64(ixs.Resident))
+	reg.Set(prefix+".index_cache.hit_ratio", ic.HitRatio())
 	for i, sh := range pool.Stats() {
 		base := fmt.Sprintf("%s.pool.shard%d.", prefix, i)
 		reg.SetInt(base+"hits", sh.Hits)

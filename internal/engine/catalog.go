@@ -293,11 +293,6 @@ type Config struct {
 	// BufferBytes is the database buffer size. The paper's SAP R/3
 	// installation allots 10 MB by default.
 	BufferBytes int
-	// IndexCacheBytes is the modelled share of the buffer given over to
-	// index leaf pages (see btree.PageCache): probes of resident leaves
-	// are buffer hits and charge no I/O. 0 means DefaultIndexCacheBytes;
-	// negative disables the model, charging every probe a random read.
-	IndexCacheBytes int64
 	// CostModel is the virtual-clock model; zero value means
 	// cost.Default1996.
 	CostModel cost.Model
@@ -311,9 +306,10 @@ type Config struct {
 // DefaultBufferBytes mirrors the paper's default RDBMS buffer (10 MB).
 const DefaultBufferBytes = 10 << 20
 
-// DefaultIndexCacheBytes is the default modelled index-page share of the
-// buffer: a fifth of the paper's 10 MB default.
-const DefaultIndexCacheBytes = 2 << 20
+// indexCacheBytes is the modelled share of the buffer given over to index
+// leaf pages (see btree.PageCache), a fifth of the paper's 10 MB default:
+// probes of resident leaves are buffer hits and charge no I/O.
+const indexCacheBytes = 2 << 20
 
 // Open creates an empty database.
 func Open(cfg Config) *DB {
@@ -324,18 +320,11 @@ func Open(cfg Config) *DB {
 	if cfg.CostModel == zero {
 		cfg.CostModel = cost.Default1996()
 	}
-	var ixCache *btree.PageCache
-	switch {
-	case cfg.IndexCacheBytes == 0:
-		ixCache = btree.NewPageCache(DefaultIndexCacheBytes)
-	case cfg.IndexCacheBytes > 0:
-		ixCache = btree.NewPageCache(cfg.IndexCacheBytes)
-	}
 	disk := storage.NewDisk()
 	db := &DB{
 		disk:    disk,
 		pool:    storage.NewBufferPool(disk, cfg.BufferBytes),
-		ixCache: ixCache,
+		ixCache: btree.NewPageCache(indexCacheBytes),
 		model:   cfg.CostModel,
 	}
 	db.opts.Store(&Options{Parallel: cfg.Parallel})
@@ -359,17 +348,15 @@ func (db *DB) publish(c *catalog) {
 	db.cat.Store(c)
 }
 
-// IndexCache exposes the shared index-page residence model (nil when
-// disabled) for harness metrics.
+// IndexCache exposes the shared index-page residence model for harness
+// metrics.
 func (db *DB) IndexCache() *btree.PageCache { return db.ixCache }
 
 // newTree creates an index tree attached to the database's index-page
 // cache.
 func (db *DB) newTree(unique bool) *btree.Tree {
 	t := btree.New(unique)
-	if db.ixCache != nil {
-		t.SetCache(db.ixCache)
-	}
+	t.SetCache(db.ixCache)
 	return t
 }
 

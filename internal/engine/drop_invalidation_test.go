@@ -26,7 +26,7 @@ func residentHeapPages(db *DB, tab *Table) int {
 // its pages from the residence models immediately, not leave dead pages
 // holding buffer slots until they age out of the LRU.
 func TestDropReleasesResidentPages(t *testing.T) {
-	db := Open(Config{BufferBytes: 1 << 20, IndexCacheBytes: 1 << 20})
+	db := Open(Config{BufferBytes: 1 << 20})
 	// Residence models only register touches on metered work.
 	s := db.NewSessionWithMeter(cost.NewMeter(db.Model()))
 	mustExec := func(sql string) {

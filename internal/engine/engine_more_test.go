@@ -213,36 +213,6 @@ func TestEmptyScalarSubqueryIsNull(t *testing.T) {
 	}
 }
 
-// --- LIKE semantics ---
-
-func TestLikePatterns(t *testing.T) {
-	cases := []struct {
-		s, pat string
-		want   bool
-	}{
-		{"hello", "hello", true},
-		{"hello", "h%", true},
-		{"hello", "%o", true},
-		{"hello", "%ell%", true},
-		{"hello", "h_llo", true},
-		{"hello", "h__xo", false},
-		{"hello", "", false},
-		{"", "%", true},
-		{"", "_", false},
-		{"abc", "%%%", true},
-		{"a%b", "a%b", true}, // % in pattern still matches literally-ish
-		{"green almond", "%green%", true},
-		{"MEDIUM POLISHED TIN", "MEDIUM POLISHED%", true},
-		{"PROMO BURNISHED TIN", "PROMO%", true},
-		{"aXbYc", "a_b_c", true},
-	}
-	for _, c := range cases {
-		if got := likeMatch(c.s, c.pat); got != c.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.s, c.pat, got, c.want)
-		}
-	}
-}
-
 // --- DISTINCT / LIMIT interactions ---
 
 func TestDistinctWithNulls(t *testing.T) {

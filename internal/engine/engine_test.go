@@ -248,6 +248,13 @@ func TestExistsAndInSubquery(t *testing.T) {
 	if res.Rows[0][0].AsInt() != 25 {
 		t.Fatalf("in subquery count = %v", res.Rows[0][0])
 	}
+	// An aggregate left of IN makes its block an aggregating one.
+	mustExec(t, s, `CREATE TABLE t (a INTEGER, b INTEGER)`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 2), (3, 4)`)
+	res = mustExec(t, s, `SELECT SUM(a) IN (SELECT b FROM t) FROM t`)
+	if len(res.Rows) != 1 || !res.Rows[0][0].IsTrue() {
+		t.Fatalf("aggregate in subquery = %v", res.Rows)
+	}
 }
 
 func TestViews(t *testing.T) {

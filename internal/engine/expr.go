@@ -404,7 +404,7 @@ func (c *compiler) compile(e sqlparse.Expr) (exprFn, error) {
 			if xv.IsNull() || pv.IsNull() {
 				return val.Null, nil
 			}
-			return val.Bool(likeMatch(xv.AsStr(), pv.AsStr()) != not), nil
+			return val.Bool(val.Like(xv.AsStr(), pv.AsStr()) != not), nil
 		}, nil
 
 	case *sqlparse.CaseExpr:
@@ -741,34 +741,6 @@ func atoi(s string) int {
 		n = n*10 + int(s[i]-'0')
 	}
 	return n
-}
-
-// likeMatch implements SQL LIKE with % (any run) and _ (any single byte).
-func likeMatch(s, pat string) bool {
-	// Iterative two-pointer algorithm with backtracking on the last %.
-	si, pi := 0, 0
-	star, sMark := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pat) && pat[pi] == '%':
-			star = pi
-			sMark = si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			sMark++
-			si = sMark
-		default:
-			return false
-		}
-	}
-	for pi < len(pat) && pat[pi] == '%' {
-		pi++
-	}
-	return pi == len(pat)
 }
 
 func isAggregateName(name string) bool {

@@ -152,13 +152,11 @@ type planOpts struct {
 // peekVal resolves a sarg value expression to a plan-time constant: a
 // literal always, a parameter only when bind peeking supplied values.
 func (cc *compiler) peekVal(e sqlparse.Expr) (val.Value, bool) {
-	switch x := e.(type) {
-	case *sqlparse.Literal:
+	if x, ok := e.(*sqlparse.Literal); ok {
 		return x.Val, true
-	case *sqlparse.Param:
-		if cc.opts != nil && x.Index >= 0 && x.Index < len(cc.opts.peek) {
-			return cc.opts.peek[x.Index], true
-		}
+	}
+	if x, ok := e.(*sqlparse.Param); ok && cc.opts != nil && x.Index >= 0 && x.Index < len(cc.opts.peek) {
+		return cc.opts.peek[x.Index], true
 	}
 	return val.Null, false
 }
@@ -536,58 +534,20 @@ func splitConjuncts(e sqlparse.Expr) []sqlparse.Expr {
 // through the scope chain, so it is only safe to evaluate once every
 // relation is bound.
 func (p *selectPlan) relMask(rels []*relInfo, e sqlparse.Expr, cc *compiler) uint64 {
-	full := uint64(1)<<uint(len(rels)) - 1
 	var mask uint64
 	hasSub := false
-	var walk func(e sqlparse.Expr)
-	walk = func(e sqlparse.Expr) {
-		switch e := e.(type) {
-		case *sqlparse.ColumnRef:
-			if i, _ := p.findRelCol(rels, cc, e); i >= 0 {
+	sqlparse.Inspect(e, func(n sqlparse.Node) bool {
+		if _, ok := n.(*sqlparse.SelectStmt); ok {
+			hasSub = true
+		} else if cr, ok := n.(*sqlparse.ColumnRef); ok {
+			if i, _ := p.findRelCol(rels, cc, cr); i >= 0 {
 				mask |= 1 << uint(i)
 			}
-		case *sqlparse.Unary:
-			walk(e.X)
-		case *sqlparse.Binary:
-			walk(e.L)
-			walk(e.R)
-		case *sqlparse.Between:
-			walk(e.X)
-			walk(e.Lo)
-			walk(e.Hi)
-		case *sqlparse.InList:
-			walk(e.X)
-			for _, x := range e.List {
-				walk(x)
-			}
-		case *sqlparse.InSubquery:
-			hasSub = true
-		case *sqlparse.Exists:
-			hasSub = true
-		case *sqlparse.IsNull:
-			walk(e.X)
-		case *sqlparse.Like:
-			walk(e.X)
-			walk(e.Pattern)
-		case *sqlparse.FuncCall:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *sqlparse.CaseExpr:
-			for _, w := range e.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			if e.Else != nil {
-				walk(e.Else)
-			}
-		case *sqlparse.ScalarSubquery:
-			hasSub = true
 		}
-	}
-	walk(e)
+		return !hasSub
+	})
 	if hasSub {
-		return full
+		return uint64(1)<<uint(len(rels)) - 1
 	}
 	return mask
 }
@@ -735,14 +695,10 @@ func sargShape(rels []*relInfo, cc *compiler, p *selectPlan, b *sqlparse.Binary)
 
 // exprConst reports whether e references none of this block's relations
 // (it may reference parameters or outer queries — both constant during a
-// scan of this block).
+// scan of this block). An expression with a subquery never is: relMask
+// gives it every relation, because bounding index scans with a subquery
+// would force evaluation order, so it stays a filter.
 func exprConst(rels []*relInfo, cc *compiler, p *selectPlan, e sqlparse.Expr) bool {
-	switch e.(type) {
-	case *sqlparse.ScalarSubquery, *sqlparse.Exists, *sqlparse.InSubquery:
-		// Subqueries can be constant, but bounding index scans with them
-		// would force evaluation order; keep them as filters.
-		return false
-	}
 	return p.relMask(rels, e, cc) == 0
 }
 

@@ -210,48 +210,18 @@ func aggArgAST(fc *sqlparse.FuncCall) sqlparse.Expr {
 	return fc.Args[0]
 }
 
-// hasAggExpr reports whether the expression contains an aggregate call.
+// hasAggExpr reports whether the expression contains an aggregate call
+// of its own block: a subquery's aggregates are the subquery's.
 func hasAggExpr(e sqlparse.Expr) bool {
-	switch e := e.(type) {
-	case *sqlparse.FuncCall:
-		if isAggregateName(e.Name) {
-			return true
+	found := false
+	sqlparse.Inspect(e, func(n sqlparse.Node) bool {
+		if fc, ok := n.(*sqlparse.FuncCall); ok && isAggregateName(fc.Name) {
+			found = true
 		}
-		for _, a := range e.Args {
-			if hasAggExpr(a) {
-				return true
-			}
-		}
-	case *sqlparse.Unary:
-		return hasAggExpr(e.X)
-	case *sqlparse.Binary:
-		return hasAggExpr(e.L) || hasAggExpr(e.R)
-	case *sqlparse.Between:
-		return hasAggExpr(e.X) || hasAggExpr(e.Lo) || hasAggExpr(e.Hi)
-	case *sqlparse.InList:
-		if hasAggExpr(e.X) {
-			return true
-		}
-		for _, x := range e.List {
-			if hasAggExpr(x) {
-				return true
-			}
-		}
-	case *sqlparse.IsNull:
-		return hasAggExpr(e.X)
-	case *sqlparse.Like:
-		return hasAggExpr(e.X) || hasAggExpr(e.Pattern)
-	case *sqlparse.CaseExpr:
-		for _, w := range e.Whens {
-			if hasAggExpr(w.Cond) || hasAggExpr(w.Then) {
-				return true
-			}
-		}
-		if e.Else != nil {
-			return hasAggExpr(e.Else)
-		}
-	}
-	return false
+		_, sub := n.(*sqlparse.SelectStmt)
+		return !found && !sub
+	})
+	return found
 }
 
 // exprEqual performs structural AST comparison (used to match GROUP BY

@@ -522,7 +522,7 @@ func (s *TableStats) selLike(col int, pattern string) float64 {
 	if len(cs.LikeSample) > 0 {
 		matches := 0
 		for _, sv := range cs.LikeSample {
-			if likeMatch(sv, pattern) {
+			if val.Like(sv, pattern) {
 				matches++
 			}
 		}

@@ -87,92 +87,19 @@ func (n *NativeSQL) checkEncapsulation(sql string) error {
 // including subqueries.
 func referencedTables(stmt sqlparse.Statement) []string {
 	var out []string
-	add := func(name string) { out = append(out, strings.ToUpper(name)) }
-
-	var walkSel func(s *sqlparse.SelectStmt)
-	var walkExpr func(e sqlparse.Expr)
-	var walkRef func(r sqlparse.TableRef)
-	walkRef = func(r sqlparse.TableRef) {
-		switch r := r.(type) {
-		case *sqlparse.BaseTable:
-			add(r.Name)
-		case *sqlparse.Join:
-			walkRef(r.Left)
-			walkRef(r.Right)
-			walkExpr(r.On)
-		}
-	}
-	walkExpr = func(e sqlparse.Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *sqlparse.Unary:
-			walkExpr(e.X)
-		case *sqlparse.Binary:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *sqlparse.Between:
-			walkExpr(e.X)
-			walkExpr(e.Lo)
-			walkExpr(e.Hi)
-		case *sqlparse.InList:
-			walkExpr(e.X)
-			for _, x := range e.List {
-				walkExpr(x)
-			}
-		case *sqlparse.InSubquery:
-			walkExpr(e.X)
-			walkSel(e.Sub)
-		case *sqlparse.Exists:
-			walkSel(e.Sub)
-		case *sqlparse.ScalarSubquery:
-			walkSel(e.Sub)
-		case *sqlparse.IsNull:
-			walkExpr(e.X)
-		case *sqlparse.Like:
-			walkExpr(e.X)
-			walkExpr(e.Pattern)
-		case *sqlparse.FuncCall:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *sqlparse.CaseExpr:
-			for _, w := range e.Whens {
-				walkExpr(w.Cond)
-				walkExpr(w.Then)
-			}
-			walkExpr(e.Else)
-		}
-	}
-	walkSel = func(s *sqlparse.SelectStmt) {
-		for _, r := range s.From {
-			walkRef(r)
-		}
-		walkExpr(s.Where)
-		walkExpr(s.Having)
-		for _, it := range s.Select {
-			walkExpr(it.Expr)
-		}
-		for _, g := range s.GroupBy {
-			walkExpr(g)
-		}
-		for _, o := range s.OrderBy {
-			walkExpr(o.Expr)
-		}
-	}
-
 	switch st := stmt.(type) {
-	case *sqlparse.SelectStmt:
-		walkSel(st)
 	case *sqlparse.InsertStmt:
-		add(st.Table)
-	case *sqlparse.DeleteStmt:
-		add(st.Table)
-		walkExpr(st.Where)
+		out = append(out, strings.ToUpper(st.Table))
 	case *sqlparse.UpdateStmt:
-		add(st.Table)
-		walkExpr(st.Where)
-	case *sqlparse.CreateView:
-		walkSel(st.Query)
+		out = append(out, strings.ToUpper(st.Table))
+	case *sqlparse.DeleteStmt:
+		out = append(out, strings.ToUpper(st.Table))
 	}
+	sqlparse.Inspect(stmt, func(n sqlparse.Node) bool {
+		if bt, ok := n.(*sqlparse.BaseTable); ok {
+			out = append(out, strings.ToUpper(bt.Name))
+		}
+		return true
+	})
 	return out
 }

@@ -153,9 +153,9 @@ func evalCond(t *LogicalTable, row []val.Value, c Cond) bool {
 	case "BETWEEN":
 		return val.Compare(v, c.Val) >= 0 && val.Compare(v, c.Hi) <= 0
 	case "LIKE":
-		return likeClient(v.AsStr(), c.Val.AsStr())
+		return val.Like(v.AsStr(), c.Val.AsStr())
 	case "NOT LIKE":
-		return !likeClient(v.AsStr(), c.Val.AsStr())
+		return !val.Like(v.AsStr(), c.Val.AsStr())
 	case "IN":
 		for _, x := range c.Vals {
 			if val.Compare(v, x) == 0 {
@@ -165,32 +165,6 @@ func evalCond(t *LogicalTable, row []val.Value, c Cond) bool {
 		return false
 	}
 	return false
-}
-
-// likeClient is the application server's LIKE matcher.
-func likeClient(s, pat string) bool {
-	si, pi := 0, 0
-	star, mark := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pat) && pat[pi] == '%':
-			star, mark = pi, si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			mark++
-			si = mark
-		default:
-			return false
-		}
-	}
-	for pi < len(pat) && pat[pi] == '%' {
-		pi++
-	}
-	return pi == len(pat)
 }
 
 // rowFor wraps logical values in a named Row.

@@ -14,7 +14,10 @@ import (
 //     that are doubly invalid: a parse error can preempt a later lex
 //     error the old whole-input lexer saw first);
 //  3. round-trip stability — a reused Parser (arena recycling) and a
-//     second pooled Parse both reproduce the first AST exactly.
+//     second pooled Parse both reproduce the first AST exactly;
+//  4. Inspect visits every Statement, TableRef and Expr node a reflection
+//     walk of the AST reaches, each once — so a node type or child field
+//     added without a case in Inspect fails here.
 func FuzzParse(f *testing.F) {
 	for _, src := range corpus {
 		f.Add(src)
@@ -45,5 +48,46 @@ func FuzzParse(f *testing.F) {
 		if !reflect.DeepEqual(ast1, ast2) || !reflect.DeepEqual(ast1, astR) {
 			t.Fatalf("AST unstable on %q", src)
 		}
+		visited := map[Node]int{}
+		Inspect(ast1, func(n Node) bool { visited[n]++; return true })
+		if want := reachable(reflect.ValueOf(ast1), map[Node]int{}); !reflect.DeepEqual(visited, want) {
+			t.Fatalf("Inspect visited %d nodes, reflection reaches %d, on %q", len(visited), len(want), src)
+		}
 	})
+}
+
+var nodeTypes = []reflect.Type{
+	reflect.TypeOf((*Statement)(nil)).Elem(),
+	reflect.TypeOf((*TableRef)(nil)).Elem(),
+	reflect.TypeOf((*Expr)(nil)).Elem(),
+}
+
+// reachable counts into seen the nodes a walk of v's exported fields reaches.
+func reachable(v reflect.Value, seen map[Node]int) map[Node]int {
+	switch v.Kind() {
+	case reflect.Interface:
+		reachable(v.Elem(), seen)
+	case reflect.Pointer:
+		if v.IsNil() {
+			break
+		}
+		for _, t := range nodeTypes {
+			if v.Type().Implements(t) {
+				seen[v.Interface()]++
+				break
+			}
+		}
+		reachable(v.Elem(), seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				reachable(v.Field(i), seen)
+			}
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			reachable(v.Index(i), seen)
+		}
+	}
+	return seen
 }

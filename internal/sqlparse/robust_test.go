@@ -17,6 +17,7 @@ var corpus = []string{
 	`CREATE UNIQUE INDEX i ON t (a, b)`,
 	`SELECT CASE WHEN a > 0 THEN 'p' WHEN a < 0 THEN 'n' ELSE 'z' END FROM t`,
 	`SELECT a FROM t WHERE x LIKE '%y%' AND d >= DATE '1995-01-01' AND q IS NOT NULL`,
+	`CREATE VIEW v AS SELECT -a, (SELECT MAX(b) FROM u) FROM t WHERE NOT a IN (SELECT c FROM w)`,
 }
 
 // TestParserNeverPanics mutates valid statements at random byte positions

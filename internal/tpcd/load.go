@@ -38,13 +38,6 @@ func (l *tableLoader) flush() error {
 	return err
 }
 
-// rowSink is where the population walk puts one table's rows: add for
-// every row in canonical generator order, close once after the last.
-type rowSink struct {
-	add   func(row []val.Value) error
-	close func() error
-}
-
 // Load bulk-loads the generated population into the original TPC-D schema
 // through the RDBMS's bulk-loading interface — the path the paper notes
 // SAP R/3's batch input does not use — and gathers statistics.
@@ -69,34 +62,6 @@ func Load(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
 // shard. A nil keep loads everything; the generator streams stay
 // fixed-seed, so any partition of the population is byte-deterministic.
 func LoadPartition(db *engine.DB, g *dbgen.Generator, m *cost.Meter, keep func(table string, key int64) bool) error {
-	return load(db, g, m, keep, func(table string) (rowSink, error) {
-		l := &tableLoader{db: db, m: m, table: table}
-		return rowSink{l.add, l.flush}, nil
-	})
-}
-
-// LoadDirect bulk-loads the population through the engine's direct-path
-// loaders: full heap pages formatted below the WAL and indexes built
-// bottom-up from sorted (key, RID) runs, instead of per-batch BulkLoad
-// inserts with per-key index descents. The walk is LoadPartition's, so
-// each table receives its rows in canonical generator order and the
-// loaded database is byte-identical to Load's; closing a table's sink
-// seals its pages, builds its indexes and commits the extent.
-func LoadDirect(db *engine.DB, g *dbgen.Generator, m *cost.Meter) error {
-	return load(db, g, m, nil, func(table string) (rowSink, error) {
-		dl, err := db.NewDirectLoader(table, m)
-		if err != nil {
-			return rowSink{}, err
-		}
-		return rowSink{dl.Append, dl.Close}, nil
-	})
-}
-
-// load creates the schema, walks the population into the sinks open hands
-// out — one per table, opened and closed by the goroutine that owns the
-// table's generator stream — and gathers statistics. A nil keep admits
-// every row.
-func load(db *engine.DB, g *dbgen.Generator, m *cost.Meter, keep func(table string, key int64) bool, open func(table string) (rowSink, error)) error {
 	if err := CreateSchema(db, m); err != nil {
 		return err
 	}
@@ -106,7 +71,7 @@ func load(db *engine.DB, g *dbgen.Generator, m *cost.Meter, keep func(table stri
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = loadStream(g, &dbgen.Streams[i], keep, open)
+			errs[i] = loadStream(db, g, m, &dbgen.Streams[i], keep)
 		}(i)
 	}
 	wg.Wait()
@@ -118,27 +83,24 @@ func load(db *engine.DB, g *dbgen.Generator, m *cost.Meter, keep func(table stri
 	return db.AnalyzeAll()
 }
 
-// loadStream walks one generator stream into the sinks of its tables. A
+// loadStream walks one generator stream into the loaders of its tables. A
 // partitioned table's row is offered to keep by its partitioning key.
-func loadStream(g *dbgen.Generator, s *dbgen.Stream, keep func(table string, key int64) bool, open func(table string) (rowSink, error)) error {
-	sinks := make([]rowSink, len(s.Tables))
+func loadStream(db *engine.DB, g *dbgen.Generator, m *cost.Meter, s *dbgen.Stream, keep func(table string, key int64) bool) error {
+	loaders := make([]tableLoader, len(s.Tables))
 	for i, t := range s.Tables {
-		var err error
-		if sinks[i], err = open(t.Name); err != nil {
-			return err
-		}
+		loaders[i] = tableLoader{db: db, m: m, table: t.Name}
 	}
 	err := s.Each(g, func(t *dbgen.Table, row []val.Value) error {
 		if keep != nil && t.PartKey >= 0 && !keep(t.Name, row[t.PartKey].AsInt()) {
 			return nil
 		}
-		return sinks[s.Slot(t)].add(row)
+		return loaders[s.Slot(t)].add(row)
 	})
 	if err != nil {
 		return err
 	}
-	for _, sink := range sinks {
-		if err := sink.close(); err != nil {
+	for i := range loaders {
+		if err := loaders[i].flush(); err != nil {
 			return err
 		}
 	}

@@ -229,6 +229,35 @@ func Compare(a, b Value) int {
 // predicate evaluation handles unknown separately).
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// Like reports whether s matches the SQL LIKE pattern pat: % matches any
+// run of bytes, _ any single byte. Both the engine and the application
+// server's client-side filter match with it.
+func Like(s, pat string) bool {
+	// Iterative two-pointer algorithm with backtracking on the last %.
+	si, pi := 0, 0
+	star, mark := -1, 0
+	for si < len(s) {
+		switch {
+		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == s[si]):
+			si++
+			pi++
+		case pi < len(pat) && pat[pi] == '%':
+			star, mark = pi, si
+			pi++
+		case star >= 0:
+			pi = star + 1
+			mark++
+			si = mark
+		default:
+			return false
+		}
+	}
+	for pi < len(pat) && pat[pi] == '%' {
+		pi++
+	}
+	return pi == len(pat)
+}
+
 type arithOp int
 
 const (

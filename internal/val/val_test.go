@@ -91,6 +91,34 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+func TestLikePatterns(t *testing.T) {
+	cases := []struct {
+		s, pat string
+		want   bool
+	}{
+		{"hello", "hello", true},
+		{"hello", "h%", true},
+		{"hello", "%o", true},
+		{"hello", "%ell%", true},
+		{"hello", "h_llo", true},
+		{"hello", "h__xo", false},
+		{"hello", "", false},
+		{"", "%", true},
+		{"", "_", false},
+		{"abc", "%%%", true},
+		{"a%b", "a%b", true}, // % in pattern still matches literally-ish
+		{"green almond", "%green%", true},
+		{"MEDIUM POLISHED TIN", "MEDIUM POLISHED%", true},
+		{"PROMO BURNISHED TIN", "PROMO%", true},
+		{"aXbYc", "a_b_c", true},
+	}
+	for _, c := range cases {
+		if got := Like(c.s, c.pat); got != c.want {
+			t.Errorf("Like(%q, %q) = %v, want %v", c.s, c.pat, got, c.want)
+		}
+	}
+}
+
 func TestArithmetic(t *testing.T) {
 	if v := Add(Int(2), Int(3)); v != Int(5) {
 		t.Errorf("2+3 = %v", v)
