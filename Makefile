@@ -37,10 +37,11 @@ race:
 
 # Multi-stream concurrency smoke under the race detector: 2/4/8 TPC-D
 # query streams byte-identical vs solo, concurrent dialog streams
-# against the R/3 table buffer, and concurrent wire-protocol clients.
+# against the R/3 table buffer, concurrent batch-input sessions on one
+# system, and concurrent wire-protocol clients.
 race-streams:
 	$(GO) test -race -count=1 -run 'TestThroughputStreamsByteIdentical|TestRunThroughputReportsQPH' ./internal/tpcd
-	$(GO) test -race -count=1 -run 'TestConcurrentDialogStreams|TestConcurrentSetBufferedChurn' ./internal/r3
+	$(GO) test -race -count=1 -run 'TestConcurrentDialogStreams|TestConcurrentSetBufferedChurn|TestConcurrentBatchInputSessions' ./internal/r3
 	$(GO) test -race -count=1 -run 'TestConcurrentClients' ./internal/server
 
 # Sharded scale-out smoke under the race detector: Q1–Q17 byte-identical

@@ -65,46 +65,13 @@ func runLoadVariant(cfg *Config, v loadVariant, g *dbgen.Generator) (*r3.System,
 		return sys, dp.Elapsed(), dp.Records(), nil
 	}
 	b := sys.NewBatchInput(2)
-	if err := batchInputAll(b, g); err != nil {
+	if err := b.Load(g, nil); err != nil {
 		return nil, 0, 0, err
 	}
 	if err := sys.DB.AnalyzeAll(); err != nil {
 		return nil, 0, 0, err
 	}
 	return sys, b.Elapsed(), b.Records(), nil
-}
-
-// batchInputAll drives the full population through the batch-input
-// facility in Table 3's entity order.
-func batchInputAll(b *r3.BatchInput, g *dbgen.Generator) error {
-	for _, n := range g.NationRows() {
-		if err := b.EnterNation(n); err != nil {
-			return err
-		}
-	}
-	for _, r := range g.Regions() {
-		if err := b.EnterRegion(r); err != nil {
-			return err
-		}
-	}
-	if err := g.Suppliers(b.EnterSupplier); err != nil {
-		return err
-	}
-	if err := g.Parts(b.EnterPart); err != nil {
-		return err
-	}
-	j := 0
-	if err := g.PartSupps(func(ps dbgen.PartSupp) error {
-		err := b.EnterPartSupp(ps, j%4)
-		j++
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := g.Customers(b.EnterCustomer); err != nil {
-		return err
-	}
-	return g.Orders(b.EnterOrder)
 }
 
 // queryFingerprint renders Q1–Q17 answers to a canonical form.

@@ -26,6 +26,14 @@ type BatchInput struct {
 	lanes   []biLane
 	next    int
 	records int64
+	cur     *biLane // the open record's lane; nil between records
+	anchor  string  // the open record's anchor table
+
+	// The entity stream being entered, the records before it, and Load's
+	// per-stream callback.
+	stream string
+	from   int64
+	mark   func(anchor string, records int64)
 }
 
 // biLane is one simulated batch-input process: its own Open SQL session
@@ -35,14 +43,30 @@ type biLane struct {
 	m *cost.Meter
 }
 
-// dialogScale calibrates the per-record dialog cost by record type,
+// dialogScale calibrates the per-record dialog cost by anchor table,
 // derived from the paper's Table 3 (seconds per record at two workers):
 // orders/lineitems ≈ 2.9 s, parts ≈ 2.9 s, customers ≈ 1.8 s,
 // partsupps ≈ 1.4 s, suppliers ≈ 1.1 s.
 var dialogScale = map[string]float64{
-	"ORDER": 1.0, "LINEITEM": 1.0, "PART": 1.0,
-	"CUSTOMER": 0.62, "PARTSUPP": 0.47, "SUPPLIER": 0.37,
-	"NATION": 0.1, "REGION": 0.1,
+	"VBAK": 1.0, "VBAP": 1.0, "MARA": 1.0,
+	"KNA1": 0.62, "EINA": 0.47, "LFA1": 0.37,
+	"T005": 0.1, "T005U": 0.1,
+}
+
+// dialogCheck is one existence check of the dialog: a SELECT SINGLE on the
+// check table, keyed by the anchor row's field of the same name.
+type dialogCheck struct{ table, field string }
+
+// dialogChecks lists, per anchor table, the existence checks another
+// application program runs before a record's anchor row is inserted. The
+// line item's pricing read (A004, then the KONP position it names) is the
+// one check whose key is not a field of the row, so it is coded in add.
+var dialogChecks = map[string][]dialogCheck{
+	"LFA1": {{"T005", "LAND1"}},
+	"KNA1": {{"T005", "LAND1"}},
+	"EINA": {{"MARA", "MATNR"}, {"LFA1", "LIFNR"}},
+	"VBAK": {{"KNA1", "KUNNR"}},
+	"VBAP": {{"MARA", "MATNR"}, {"LFA1", "LIFNR"}},
 }
 
 // NewBatchInput opens a batch-input session with its own virtual clock.
@@ -67,9 +91,6 @@ func (sys *System) NewBatchInputWithMeter(workers int, m *cost.Meter) *BatchInpu
 	}
 	return b
 }
-
-// Workers returns the number of parallel batch-input processes.
-func (b *BatchInput) Workers() int { return len(b.lanes) }
 
 // meters collects the per-lane clocks.
 func (b *BatchInput) meters() []*cost.Meter {
@@ -97,150 +118,90 @@ func (b *BatchInput) Elapsed() time.Duration {
 // Records returns how many records were entered.
 func (b *BatchInput) Records() int64 { return b.records }
 
-// lane picks the next lane, round-robin over whole records (a document
-// and all its items enter through one process).
-func (b *BatchInput) lane() *biLane {
-	l := &b.lanes[b.next%len(b.lanes)]
-	b.next++
-	return l
-}
+// BatchInput is the third populationSink: the dialog takes every table.
+func (b *BatchInput) wants(...string) bool { return true }
 
-// dialog charges one record's consistency-check pipeline to the lane.
-func (b *BatchInput) dialog(l *biLane, recordType string) {
-	scale := dialogScale[recordType]
-	if scale == 0 {
-		scale = 1
+// record ends the record before with its commit — a line item (VBAP) is
+// the exception: it joins its order's document —, puts a new record on the
+// next lane round-robin and charges the lane the record's dialog. A record
+// opening a new entity stream first reports the one that ended to mark.
+func (b *BatchInput) record(anchor string) {
+	if anchor != "VBAP" {
+		b.commit()
+		if anchor != b.stream {
+			b.endStream(anchor)
+		}
+		b.cur = &b.lanes[b.next%len(b.lanes)]
+		b.next++
 	}
-	base := l.m.Model().PerEvent[cost.Check]
-	l.m.ChargeDuration(cost.Check, time.Duration(scale*float64(base)))
+	b.anchor = anchor
+	base := b.cur.m.Model().PerEvent[cost.Check]
+	b.cur.m.ChargeDuration(cost.Check, time.Duration(dialogScale[anchor]*float64(base)))
 	b.records++
 }
 
-// exists runs one existence check (a SELECT SINGLE another application
-// program would issue during the dialog).
-func (b *BatchInput) exists(l *biLane, table string, conds ...Cond) bool {
-	_, ok, err := l.o.SelectSingle(table, conds)
-	return err == nil && ok
-}
-
-// EnterNation enters one country.
-func (b *BatchInput) EnterNation(n dbgen.Nation) error {
-	l := b.lane()
-	b.dialog(l, "NATION")
-	for _, r := range NationRows(n) {
-		if err := l.o.Insert(r.Table, r.Fields); err != nil {
-			return err
+// add runs the record's existence checks on its anchor row — the check
+// table's, then a line item's pricing read — and inserts the rows through
+// Open SQL. The checks' answers are not used, only what they charge.
+func (b *BatchInput) add(table string, rows ...F) error {
+	o := b.cur.o
+	if table == b.anchor {
+		for _, c := range dialogChecks[table] {
+			o.SelectSingle(c.table, []Cond{Eq(c.field, rows[0][c.field])})
+		}
+		if table == "VBAP" {
+			// Pricing: find the condition record through A004 (a pool-table
+			// read) and its KONP position.
+			if cond, ok, _ := o.SelectSingle("A004", []Cond{
+				Eq("KAPPL", str("V")), Eq("KSCHL", str("PR00")), Eq("MATNR", rows[0]["MATNR"])}); ok {
+				o.SelectSingle("KONP", []Cond{Eq("KNUMH", cond.Get("KNUMH")), Eq("KOPOS", str("01"))})
+			}
 		}
 	}
-	l.o.Commit()
-	return nil
+	return o.InsertGroup(table, rows)
 }
 
-// EnterRegion enters one region.
-func (b *BatchInput) EnterRegion(r dbgen.Region) error {
-	l := b.lane()
-	b.dialog(l, "REGION")
-	for _, row := range RegionRows(r) {
-		if err := l.o.Insert(row.Table, row.Fields); err != nil {
-			return err
-		}
+// commit ends the record being entered, if there is one.
+func (b *BatchInput) commit() {
+	if b.cur != nil {
+		b.cur.o.Commit()
+		b.cur = nil
 	}
-	l.o.Commit()
-	return nil
 }
 
-// EnterSupplier enters one supplier: country existence check, master
-// record, commit.
-func (b *BatchInput) EnterSupplier(s dbgen.Supplier) error {
-	l := b.lane()
-	b.dialog(l, "SUPPLIER")
-	b.exists(l, "T005", Eq("LAND1", val.Str(Key16(s.NationKey))))
-	for _, r := range SupplierRows(s) {
-		if err := l.o.Insert(r.Table, r.Fields); err != nil {
-			return err
-		}
+// endStream reports the entity stream that ended to Load's mark and starts
+// counting the stream next opens.
+func (b *BatchInput) endStream(next string) {
+	if b.mark != nil && b.stream != "" {
+		b.mark(b.stream, b.records-b.from)
 	}
-	l.o.Commit()
-	return nil
+	b.stream, b.from = next, b.records
 }
 
-// EnterPart enters one material master across all its SAP tables.
-func (b *BatchInput) EnterPart(p dbgen.Part) error {
-	l := b.lane()
-	b.dialog(l, "PART")
-	for _, r := range PartRows(p) {
-		if err := l.o.Insert(r.Table, r.Fields); err != nil {
-			return err
-		}
+// Load enters the whole population through the dialog, in Table 3's
+// entity order. mark, if not nil, is called once per entity stream — named
+// by its anchor table — after that stream's last commit, with the records
+// the stream entered.
+func (b *BatchInput) Load(g *dbgen.Generator, mark func(anchor string, records int64)) error {
+	b.mark = mark
+	defer func() { b.mark = nil }()
+	if err := walkPopulation(g, b); err != nil {
+		return err
 	}
-	l.o.Commit()
-	return nil
-}
-
-// EnterPartSupp enters one purchasing info record after checking that
-// material and vendor exist.
-func (b *BatchInput) EnterPartSupp(ps dbgen.PartSupp, j int) error {
-	l := b.lane()
-	b.dialog(l, "PARTSUPP")
-	b.exists(l, "MARA", Eq("MATNR", val.Str(Key16(ps.PartKey))))
-	b.exists(l, "LFA1", Eq("LIFNR", val.Str(Key16(ps.SuppKey))))
-	for _, r := range PartSuppRows(ps, j) {
-		if err := l.o.Insert(r.Table, r.Fields); err != nil {
-			return err
-		}
-	}
-	l.o.Commit()
-	return nil
-}
-
-// EnterCustomer enters one customer master.
-func (b *BatchInput) EnterCustomer(c dbgen.Customer) error {
-	l := b.lane()
-	b.dialog(l, "CUSTOMER")
-	b.exists(l, "T005", Eq("LAND1", val.Str(Key16(c.NationKey))))
-	for _, r := range CustomerRows(c) {
-		if err := l.o.Insert(r.Table, r.Fields); err != nil {
-			return err
-		}
-	}
-	l.o.Commit()
+	b.commit()
+	b.endStream("")
 	return nil
 }
 
 // EnterOrder enters one sales order with all its items — the transaction
 // whose per-record checking makes the paper's ORDER+LINEITEM load take
-// 25 days 19 hours 55 minutes. Every item re-validates customer,
-// material, vendor and pricing before the document commits as one unit.
+// 25 days 19 hours 55 minutes. Every item re-validates material, vendor
+// and pricing before the document commits as one unit.
 func (b *BatchInput) EnterOrder(o *dbgen.Order) error {
-	l := b.lane()
-	b.dialog(l, "ORDER")
-	b.exists(l, "KNA1", Eq("KUNNR", val.Str(Key16(o.CustKey))))
-	for _, r := range OrderHeaderRows(o) {
-		if err := l.o.Insert(r.Table, r.Fields); err != nil {
-			return err
-		}
-	}
-	for _, li := range o.Lines {
-		b.dialog(l, "LINEITEM")
-		matnr := Key16(li.PartKey)
-		b.exists(l, "MARA", Eq("MATNR", val.Str(matnr)))
-		b.exists(l, "LFA1", Eq("LIFNR", val.Str(Key16(li.SuppKey))))
-		// Pricing: find the condition record through A004 (a pool-table
-		// read) and its KONP position.
-		if row, ok, _ := l.o.SelectSingle("A004", []Cond{
-			Eq("KAPPL", val.Str("V")), Eq("KSCHL", val.Str("PR00")), Eq("MATNR", val.Str(matnr))}); ok {
-			b.exists(l, "KONP", Eq("KNUMH", row.Get("KNUMH")), Eq("KOPOS", val.Str("01")))
-		}
-		for _, r := range LineItemRows(li) {
-			if err := l.o.Insert(r.Table, r.Fields); err != nil {
-				return err
-			}
-		}
-	}
-	if err := l.o.InsertGroup("KONV", KonvRows(o)); err != nil {
+	if err := walkOrder(o, b); err != nil {
 		return err
 	}
-	l.o.Commit()
+	b.commit()
 	return nil
 }
 
@@ -249,11 +210,11 @@ func (b *BatchInput) EnterOrder(o *dbgen.Order) error {
 // checking discipline.
 func (b *BatchInput) DeleteOrder(orderKey int64) error {
 	vbeln := Key16(orderKey)
-	l := b.lane()
-	b.dialog(l, "ORDER")
+	b.record("VBAK")
+	o := b.cur.o
 	// Collect the items first (the dialog reads the document).
 	var posnrs []string
-	err := l.o.Select("VBAP", []Cond{Eq("VBELN", val.Str(vbeln))}, func(r Row) error {
+	err := o.Select("VBAP", []Cond{Eq("VBELN", val.Str(vbeln))}, func(r Row) error {
 		posnrs = append(posnrs, r.Get("POSNR").AsStr())
 		return nil
 	})
@@ -261,26 +222,26 @@ func (b *BatchInput) DeleteOrder(orderKey int64) error {
 		return err
 	}
 	for _, p := range posnrs {
-		b.dialog(l, "LINEITEM")
-		if err := l.o.Delete("VBAP", val.Str(vbeln), val.Str(p)); err != nil {
+		b.record("VBAP")
+		if err := o.Delete("VBAP", val.Str(vbeln), val.Str(p)); err != nil {
 			return err
 		}
-		if err := l.o.Delete("VBEP", val.Str(vbeln), val.Str(p)); err != nil {
+		if err := o.Delete("VBEP", val.Str(vbeln), val.Str(p)); err != nil {
 			return err
 		}
-		if err := l.o.Delete("STXL", val.Str("VBAP"), val.Str(vbeln+p)); err != nil {
+		if err := o.Delete("STXL", val.Str("VBAP"), val.Str(vbeln+p)); err != nil {
 			return err
 		}
 	}
-	if err := l.o.Delete("KONV", val.Str(vbeln)); err != nil {
+	if err := o.Delete("KONV", val.Str(vbeln)); err != nil {
 		return err
 	}
-	if err := l.o.Delete("VBAK", val.Str(vbeln)); err != nil {
+	if err := o.Delete("VBAK", val.Str(vbeln)); err != nil {
 		return err
 	}
-	if err := l.o.Delete("STXL", val.Str("VBAK"), val.Str(vbeln)); err != nil {
+	if err := o.Delete("STXL", val.Str("VBAK"), val.Str(vbeln)); err != nil {
 		return err
 	}
-	l.o.Commit()
+	b.commit()
 	return nil
 }

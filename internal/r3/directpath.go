@@ -64,9 +64,6 @@ func (sys *System) NewDirectPath(workers int) *DirectPath {
 	return d
 }
 
-// Workers returns the parallel degree.
-func (d *DirectPath) Workers() int { return d.workers }
-
 // Records returns how many logical records were loaded.
 func (d *DirectPath) Records() int64 { return d.records.Load() }
 

@@ -9,9 +9,10 @@ import (
 )
 
 // This file maps TPC-D business entities onto the SAP schema (the
-// vertical partitioning of the paper's Table 1) and provides the direct
-// loader used to set up query experiments. Timed loading — the paper's
-// Table 3 — goes through the batch-input facility instead.
+// vertical partitioning of the paper's Table 1), walks the population in
+// one order for every loader, and provides the direct loader used to set
+// up query experiments. Timed loading — the paper's Table 3 — walks the
+// same population through the batch-input facility instead.
 
 // F is shorthand for a logical row's field assignment.
 type F = map[string]val.Value
@@ -172,13 +173,14 @@ func KonvRows(o *dbgen.Order) []F {
 	return rows
 }
 
-// --- the population walk, shared by both loaders ---
+// --- the population walk, shared by the three loaders ---
 
 // populationSink receives the generated population mapped onto the SAP
 // schema. The walk decides the order — entity streams in Table 3's order,
 // each record's rows in mapping order, an order's pricing conditions as
 // one cluster group after its items — and a sink decides what to do with
 // what it is handed: where rows go, who owns which table, what is charged.
+// The sinks are the setup loader, the direct path's lanes and batch input.
 type populationSink interface {
 	// wants reports whether the sink loads any of the physical tables; a
 	// stream that feeds none of them is not generated at all.
@@ -191,46 +193,62 @@ type populationSink interface {
 	add(table string, rows ...F) error
 }
 
+// walkRecord hands s one business record: its anchor, then its rows.
+func walkRecord(s populationSink, anchor string, rows []SAPRow) error {
+	s.record(anchor)
+	for _, r := range rows {
+		if err := s.add(r.Table, r.Fields); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walkOrder hands s one sales order: the header, each line item, then the
+// document's pricing conditions as one cluster group.
+func walkOrder(o *dbgen.Order, s populationSink) error {
+	if err := walkRecord(s, "VBAK", OrderHeaderRows(o)); err != nil {
+		return err
+	}
+	for _, li := range o.Lines {
+		if err := walkRecord(s, "VBAP", LineItemRows(li)); err != nil {
+			return err
+		}
+	}
+	return s.add("KONV", KonvRows(o)...)
+}
+
 // walkPopulation streams the whole population into s. Every comment text
 // lands in STXL, so a sink that wants STXL sees every stream.
 func walkPopulation(g *dbgen.Generator, s populationSink) error {
-	entity := func(anchor string, rows []SAPRow) error {
-		s.record(anchor)
-		for _, r := range rows {
-			if err := s.add(r.Table, r.Fields); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	if s.wants("STXL", "T005", "T005T") {
 		for _, n := range g.NationRows() {
-			if err := entity("T005", NationRows(n)); err != nil {
+			if err := walkRecord(s, "T005", NationRows(n)); err != nil {
 				return err
 			}
 		}
 	}
 	if s.wants("STXL", "T005U") {
 		for _, rg := range g.Regions() {
-			if err := entity("T005U", RegionRows(rg)); err != nil {
+			if err := walkRecord(s, "T005U", RegionRows(rg)); err != nil {
 				return err
 			}
 		}
 	}
 	if s.wants("STXL", "LFA1") {
-		if err := g.Suppliers(func(sp dbgen.Supplier) error { return entity("LFA1", SupplierRows(sp)) }); err != nil {
+		if err := g.Suppliers(func(sp dbgen.Supplier) error { return walkRecord(s, "LFA1", SupplierRows(sp)) }); err != nil {
 			return err
 		}
 	}
 	if s.wants("STXL", "MARA", "MAKT", poolTableName, "KONP", "AUSP") {
-		if err := g.Parts(func(p dbgen.Part) error { return entity("MARA", PartRows(p)) }); err != nil {
+		if err := g.Parts(func(p dbgen.Part) error { return walkRecord(s, "MARA", PartRows(p)) }); err != nil {
 			return err
 		}
 	}
 	if s.wants("STXL", "EINA", "EINE") {
 		j := 0
 		if err := g.PartSupps(func(ps dbgen.PartSupp) error {
-			err := entity("EINA", PartSuppRows(ps, j%4))
+			err := walkRecord(s, "EINA", PartSuppRows(ps, j%4))
 			j++
 			return err
 		}); err != nil {
@@ -238,22 +256,12 @@ func walkPopulation(g *dbgen.Generator, s populationSink) error {
 		}
 	}
 	if s.wants("STXL", "KNA1") {
-		if err := g.Customers(func(c dbgen.Customer) error { return entity("KNA1", CustomerRows(c)) }); err != nil {
+		if err := g.Customers(func(c dbgen.Customer) error { return walkRecord(s, "KNA1", CustomerRows(c)) }); err != nil {
 			return err
 		}
 	}
 	if s.wants("STXL", "VBAK", "VBAP", "VBEP", "KONV"+clusterSuffix) {
-		return g.Orders(func(o *dbgen.Order) error {
-			if err := entity("VBAK", OrderHeaderRows(o)); err != nil {
-				return err
-			}
-			for _, li := range o.Lines {
-				if err := entity("VBAP", LineItemRows(li)); err != nil {
-					return err
-				}
-			}
-			return s.add("KONV", KonvRows(o)...)
-		})
+		return g.Orders(func(o *dbgen.Order) error { return walkOrder(o, s) })
 	}
 	return nil
 }

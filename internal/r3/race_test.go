@@ -2,10 +2,12 @@ package r3
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"r3bench/internal/cost"
+	"r3bench/internal/dbgen"
 	"r3bench/internal/val"
 )
 
@@ -148,6 +150,49 @@ func TestConcurrentDialogStreams(t *testing.T) {
 	}
 	if after := sys.Buffer("MARA").Stats().Invalidations; after <= before {
 		t.Fatalf("delete of a resident key produced no invalidation (%d -> %d)", before, after)
+	}
+}
+
+// TestConcurrentBatchInputSessions is the throughput experiment's dialog
+// shape under -race: four sessions, each its own BatchInput on one System,
+// enter disjoint slices of the UF1 orders at once (SF 0.01's set, fifteen
+// orders keyed above the loaded population); the order tables must then
+// hold exactly what one session entering them all leaves.
+func TestConcurrentBatchInputSessions(t *testing.T) {
+	var orders []*dbgen.Order
+	dbgen.New(0.01).UF1Orders(func(o *dbgen.Order) error {
+		orders = append(orders, o)
+		return nil
+	})
+	concurrent, _ := installedSys(t, Release22)
+	const sessions = 4
+	var wg sync.WaitGroup
+	for w := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := concurrent.NewBatchInput(1)
+			for i := w; i < len(orders); i += sessions {
+				if err := b.EnterOrder(orders[i]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	serial, _ := installedSys(t, Release22)
+	b := serial.NewBatchInput(1)
+	for _, o := range orders {
+		if err := b.EnterOrder(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"VBAK", "VBAP", "VBEP", "KONV"} {
+		got, want := renderPhysical(t, concurrent, concurrent.Table(name)), renderPhysical(t, serial, serial.Table(name))
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: %d rows after the concurrent sessions, %d after one", name, len(got), len(want))
+		}
 	}
 }
 

@@ -25,6 +25,23 @@ func renderRows(rows [][]val.Value) []string {
 	return out
 }
 
+// renderPhysical renders the physical tuples that hold logical table lt.
+func renderPhysical(t *testing.T, sys *System, lt *LogicalTable) []string {
+	t.Helper()
+	sql, params := "SELECT * FROM "+lt.Name, []val.Value(nil)
+	switch lt.Kind {
+	case Pooled:
+		sql, params = "SELECT * FROM "+poolTableName+" WHERE TABNAME = ?", []val.Value{val.Str(lt.Name)}
+	case Clustered:
+		sql += clusterSuffix
+	}
+	res, err := sys.DB.NewSessionWithMeter(nil).Query(sql, params...)
+	if err != nil {
+		t.Fatalf("%s: %v", lt.Name, err)
+	}
+	return renderRows(res.Rows)
+}
+
 // TestWritersAgree enters the same population through the three write
 // interfaces — batch input (OpenSQL.Insert / InsertGroup), the setup loader
 // (System.LoadDirect) and the direct path (DirectPath.Load) — and checks,
@@ -38,36 +55,7 @@ func TestWritersAgree(t *testing.T) {
 		name string
 		load func(sys *System) error
 	}{
-		{"batch input", func(sys *System) error {
-			b := sys.NewBatchInput(1)
-			for _, n := range g.NationRows() {
-				if err := b.EnterNation(n); err != nil {
-					return err
-				}
-			}
-			for _, r := range g.Regions() {
-				if err := b.EnterRegion(r); err != nil {
-					return err
-				}
-			}
-			if err := g.Suppliers(b.EnterSupplier); err != nil {
-				return err
-			}
-			if err := g.Parts(b.EnterPart); err != nil {
-				return err
-			}
-			j := 0
-			if err := g.PartSupps(func(ps dbgen.PartSupp) error {
-				j++
-				return b.EnterPartSupp(ps, (j-1)%4)
-			}); err != nil {
-				return err
-			}
-			if err := g.Customers(b.EnterCustomer); err != nil {
-				return err
-			}
-			return g.Orders(b.EnterOrder)
-		}},
+		{"batch input", func(sys *System) error { return sys.NewBatchInput(1).Load(g, nil) }},
 		{"LoadDirect", func(sys *System) error { return sys.LoadDirect(g) }},
 		{"DirectPath", func(sys *System) error { return sys.NewDirectPath(2).Load(g) }},
 	}
@@ -85,25 +73,13 @@ func TestWritersAgree(t *testing.T) {
 			t.Fatalf("%s: %v", l.name, err)
 		}
 		phys, logi := rendering{}, rendering{}
-		sess := sys.DB.NewSessionWithMeter(nil)
-		sc := newStmtCache(sys, sess)
+		sc := newStmtCache(sys, sys.DB.NewSessionWithMeter(nil))
 		names = names[:0]
 		for _, lt := range sys.Tables() {
 			names = append(names, lt.Name)
-			sql, params := "SELECT * FROM "+lt.Name, []val.Value(nil)
-			switch lt.Kind {
-			case Pooled:
-				sql, params = "SELECT * FROM "+poolTableName+" WHERE TABNAME = ?", []val.Value{val.Str(lt.Name)}
-			case Clustered:
-				sql += clusterSuffix
-			}
-			res, err := sess.Query(sql, params...)
-			if err != nil {
-				t.Fatalf("%s: %s: %v", l.name, lt.Name, err)
-			}
-			phys[lt.Name] = renderRows(res.Rows)
+			phys[lt.Name] = renderPhysical(t, sys, lt)
 			var rows [][]val.Value
-			err = sys.scanLogical(sc, lt, nil, func(row []val.Value) error {
+			err := sys.scanLogical(sc, lt, nil, func(row []val.Value) error {
 				rows = append(rows, slices.Clone(row))
 				return nil
 			})
