@@ -186,3 +186,112 @@ func TestConcurrentDDLAndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConcurrentPreparedDMLWithIndexDDL races two sessions' prepared DML,
+// each on keys of its own, against a third session that creates and drops an
+// index on t, so that the plans the statements on t keep between executions
+// go stale under them again and again, while those on u see the catalog move
+// and keep theirs. Every execution must succeed, and the rows come out as a
+// serial run leaves them, with one primary-key entry per row. DDL is not
+// serialized against statements in flight: a row inserted while CREATE INDEX
+// scans can miss the new index, for a prepared statement as for an ad hoc
+// one. So the writers delete only from u and never change t_c's column.
+func TestConcurrentPreparedDMLWithIndexDDL(t *testing.T) {
+	db := Open(Config{})
+	mustExec(t, db.NewSession(), `CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER, c INTEGER)`)
+	mustExec(t, db.NewSession(), `CREATE TABLE u (a INTEGER PRIMARY KEY)`)
+	const writers, each = 2, 150
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+1)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := db.NewSession()
+			var stmts []*Stmt
+			for _, sql := range []string{`INSERT INTO t VALUES (?, 0, ?)`, `UPDATE t SET b = ? WHERE a = ?`,
+				`INSERT INTO u VALUES (?)`, `DELETE FROM u WHERE a = ?`} {
+				st, err := s.Prepare(sql)
+				if err != nil {
+					errs <- err
+					return
+				}
+				stmts = append(stmts, st)
+			}
+			for i := int64(0); i < each; i++ {
+				a := int64(w*each) + i
+				_, err := stmts[0].Query(val.Int(a), val.Int(a))
+				if err == nil {
+					_, err = stmts[1].Query(val.Int(a%7), val.Int(a))
+				}
+				if err == nil {
+					_, err = stmts[2].Query(val.Int(a))
+				}
+				if err == nil && i%3 == 0 {
+					_, err = stmts[3].Query(val.Int(a))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	ddl := make(chan struct{})
+	go func() {
+		defer close(ddl)
+		s := db.NewSession()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, sql := range []string{`CREATE INDEX t_c ON t (c)`, `DROP INDEX t_c`} {
+				if _, err := s.Exec(sql); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-ddl
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	rows := mustExec(t, s, `SELECT a, b, c FROM t ORDER BY a`).Rows
+	kept := mustExec(t, s, `SELECT a FROM u ORDER BY a`).Rows
+	if len(rows) != writers*each {
+		t.Fatalf("t holds %d rows, want %d", len(rows), writers*each)
+	}
+	k := 0
+	for a := int64(0); a < writers*each; a++ {
+		if r := rows[a]; r[0].AsInt() != a || r[1].AsInt() != a%7 || r[2].AsInt() != a {
+			t.Fatalf("row %d of t is %v", a, r)
+		}
+		if a%each%3 == 0 {
+			continue
+		}
+		if k >= len(kept) || kept[k][0].AsInt() != a {
+			t.Fatalf("u keeps %v, missing %d", kept, a)
+		}
+		k++
+	}
+	for _, c := range []struct {
+		table string
+		rows  int
+	}{{"T", len(rows)}, {"U", len(kept)}} {
+		tab := db.Table(c.table)
+		if n := tab.Indexes[0].Tree.Entries(); n != tab.Heap.Rows() || n != int64(c.rows) {
+			t.Fatalf("%s: %d primary-key entries, %d heap rows, %d rows read", c.table, n, tab.Heap.Rows(), c.rows)
+		}
+	}
+	if len(kept) != k {
+		t.Fatalf("u holds %d rows, want %d", len(kept), k)
+	}
+}

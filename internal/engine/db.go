@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -203,12 +204,11 @@ func (s *Session) execParsed(sink RowSink, stmt sqlparse.Statement, entry *parse
 		err = s.db.createView(st)
 	case *sqlparse.DropView:
 		err = s.db.dropView(st.Name)
-	case *sqlparse.InsertStmt:
-		n, err = s.execInsert(st, params)
-	case *sqlparse.DeleteStmt:
-		n, err = s.execDelete(st, params)
-	case *sqlparse.UpdateStmt:
-		n, err = s.execUpdate(st, params)
+	case *sqlparse.InsertStmt, *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
+		var d *dmlPlan
+		if d, err = s.db.planDML(s.db.snap(), st); err == nil {
+			n, err = s.runDML(&runtime{sess: s, params: params}, d)
+		}
 	default:
 		err = fmt.Errorf("engine: unsupported statement %T", stmt)
 	}
@@ -267,15 +267,16 @@ func chargeArrayShip(m *cost.Meter, n int64) int64 {
 type Stmt struct {
 	sess  *Session
 	plan  *selectPlan
+	dml   *dmlPlan // INSERT, UPDATE or DELETE: planned at the first execution
 	ast   sqlparse.Statement
 	sel   *sqlparse.SelectStmt // non-nil for SELECT statements
 	entry *parseEntry          // fingerprint-cache entry, nil when uncached
 
-	// catVersion is the catalog version plan was last checked against.
+	// catVersion is the catalog version plan or dml was last checked against.
 	catVersion int64
 	// rt is the statement's own runtime: a Stmt belongs to one goroutine at
-	// a time, so the run state of its plan's blocks is kept from execution
-	// to execution (see vec.go) and dropped with the plan.
+	// a time, so the run state of its plan's blocks, or its DML's, is kept
+	// from execution to execution (see vec.go) and dropped with the plan.
 	rt *runtime
 
 	// Adaptive-replanning state: observed cardinalities by relation
@@ -327,7 +328,8 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 // interface round trip and normally no re-optimization. A deferred
 // (peeking) or invalidated (adaptive) statement replans first, and so does
 // one whose tables or views DDL has changed since it was planned; it fails
-// if it can no longer be planned.
+// if it can no longer be planned. A DML statement plans at its first
+// execution and after DDL on its tables, uncharged: Prepare charged it.
 func (st *Stmt) Query(params ...val.Value) (*Result, error) {
 	return materialize(func(sink RowSink) (int64, error) { return st.QueryTo(sink, params...) })
 }
@@ -339,23 +341,26 @@ func (st *Stmt) QueryTo(sink RowSink, params ...val.Value) (int64, error) {
 	o := s.db.opts.Load()
 	s.db.ifaceCalls.Add(1)
 	s.Meter.Charge(cost.Interface, 1)
-	if st.sel == nil {
+	if _, _, dml := dmlTarget(st.ast); st.sel == nil && !dml {
 		return s.execParsed(sink, st.ast, st.entry, params, o)
 	}
-	if st.plan != nil {
-		// DDL since the plan was made: keep it only if every table and view
-		// it resolved is still the one it resolved.
-		if cat := s.db.snap(); cat.version != st.catVersion {
-			if !st.plan.current(cat) {
-				st.plan, st.rt = nil, nil
-			}
-			st.catVersion = cat.version
+	// DDL since the plan was made: keep it only if every table and view it
+	// resolved is still the one it resolved.
+	cat := s.db.snap()
+	if cat.version != st.catVersion {
+		if st.plan != nil && !st.plan.deps.current(cat) || st.dml != nil && !st.dml.deps.current(cat) {
+			st.plan, st.dml, st.rt = nil, nil, nil
 		}
+		st.catVersion = cat.version
 	}
-	if st.plan == nil {
-		if err := st.replan(params, o.PeekBinds); err != nil {
-			return 0, err
-		}
+	var err error
+	if st.sel == nil && st.dml == nil {
+		st.dml, err = s.db.planDML(cat, st.ast)
+	} else if st.sel != nil && st.plan == nil {
+		err = st.replan(params, o.PeekBinds)
+	}
+	if err != nil {
+		return 0, err
 	}
 	// The statement owns its runtime, and with it the run state of every
 	// block of the plan; an execution started from inside this one's row
@@ -369,6 +374,13 @@ func (st *Stmt) QueryTo(sink RowSink, params ...val.Value) (int64, error) {
 	}
 	rt.busy, rt.params = true, params
 	defer rt.done()
+	if st.dml != nil {
+		n, err := s.runDML(rt, st.dml)
+		if err != nil {
+			return 0, err
+		}
+		return n, sink.Header(nil)
+	}
 	if !o.Adaptive || st.replans >= replanCap {
 		return 0, s.runSelect(rt, st.plan, sink, o.ArrayFetch)
 	}
@@ -428,16 +440,20 @@ func (st *Stmt) noteFeedback(fb *execFeedback) {
 	st.sess.db.opt.replans.Add(1)
 }
 
-// Explain renders the statement's current plan, or a placeholder while a
-// peeking statement has not yet seen its first bind values.
+// Explain renders the statement's current plan — a SELECT's, or the match
+// scan of an UPDATE or DELETE —, or a placeholder while a peeking SELECT has
+// not yet seen its first bind values or a DML statement has not yet run.
 func (st *Stmt) Explain() string {
-	if st.sel == nil {
-		return "(not a SELECT)\n"
-	}
-	if st.plan == nil {
+	_, _, dml := dmlTarget(st.ast)
+	switch {
+	case st.plan != nil:
+		return st.plan.explainString()
+	case st.dml != nil && st.dml.match != nil:
+		return st.dml.match.explainString()
+	case st.sel != nil || dml && st.dml == nil:
 		return "(not yet planned: optimization deferred to the first execution)\n"
 	}
-	return st.plan.explainString()
+	return "(not a SELECT, UPDATE or DELETE)\n"
 }
 
 // Explain returns a one-line-per-step description of the plan chosen for
@@ -515,66 +531,192 @@ func describeStep(st stepper) string {
 
 // --- DML ---
 
-// evalConst evaluates an expression with no row context (INSERT values,
-// parameters allowed) under the statement's runtime.
-func (s *Session) evalConst(rt *runtime, e sqlparse.Expr) (val.Value, error) {
-	cc := &compiler{db: s.db, sc: &scope{}}
-	fn, err := cc.compile(e)
-	if err != nil {
-		return val.Null, err
-	}
-	return fn(rt, nil)
+// dmlPlan is an INSERT, UPDATE or DELETE compiled once. Exec plans and runs
+// it; a prepared Stmt plans it at its first execution and keeps it while
+// every name it resolved (deps) is still the one it resolved, as it keeps a
+// SELECT's plan.
+type dmlPlan struct {
+	table *Table
+	// INSERT: the table column each VALUES position fills, and one function
+	// per VALUES expression.
+	cols   []int
+	values [][]exprFn
+	// UPDATE and DELETE: the single-table scan of the rows WHERE matches,
+	// and UPDATE's SET functions over a matched row (nil for DELETE).
+	match *selectPlan
+	sets  []setFn
+	deps  planDeps
 }
 
-func (s *Session) execInsert(st *sqlparse.InsertStmt, params []val.Value) (int64, error) {
-	t := s.db.Table(st.Table)
-	if t == nil {
-		return 0, errNoTable(st.Table)
+type setFn struct {
+	col int
+	fn  exprFn
+}
+
+// dmlTarget returns a DML statement's table and WHERE clause; ok is false
+// for any other statement.
+func dmlTarget(stmt sqlparse.Statement) (table string, where sqlparse.Expr, ok bool) {
+	switch st := stmt.(type) {
+	case *sqlparse.InsertStmt:
+		return st.Table, nil, true
+	case *sqlparse.UpdateStmt:
+		return st.Table, st.Where, true
+	case *sqlparse.DeleteStmt:
+		return st.Table, st.Where, true
 	}
-	rt := &runtime{sess: s, params: params}
-	colMap := make([]int, 0, len(st.Cols))
-	if len(st.Cols) > 0 {
+	return "", nil, false
+}
+
+// planDML compiles a DML statement against the catalog snapshot cat. It
+// charges nothing: the statement's optimize charge is Exec's or Prepare's.
+func (db *DB) planDML(cat *catalog, stmt sqlparse.Statement) (*dmlPlan, error) {
+	name, where, _ := dmlTarget(stmt)
+	up := strings.ToUpper(name)
+	t := cat.tables[up]
+	if t == nil {
+		return nil, errNoTable(name)
+	}
+	opts := &planOpts{cat: cat, parallel: db.opts.Load().Parallel, deps: planDeps{{name: up, table: t}}}
+	d := &dmlPlan{table: t}
+	switch st := stmt.(type) {
+	case *sqlparse.InsertStmt:
+		if len(st.Cols) == 0 {
+			for i := range t.Cols {
+				d.cols = append(d.cols, i)
+			}
+		}
 		for _, cn := range st.Cols {
 			ci := t.ColIndex(cn)
 			if ci < 0 {
-				return 0, fmt.Errorf("engine: no column %s in %s", cn, t.Name)
+				return nil, fmt.Errorf("engine: no column %s in %s", cn, t.Name)
 			}
-			colMap = append(colMap, ci)
+			d.cols = append(d.cols, ci)
+		}
+		cc := &compiler{db: db, sc: &scope{}, opts: opts}
+		for _, exprRow := range st.Rows {
+			if len(exprRow) != len(d.cols) {
+				return nil, fmt.Errorf("engine: INSERT has %d values for %d columns", len(exprRow), len(d.cols))
+			}
+			fns := make([]exprFn, len(exprRow))
+			for i, e := range exprRow {
+				var err error
+				if fns[i], err = cc.compile(e); err != nil {
+					return nil, err
+				}
+			}
+			d.values = append(d.values, fns)
+		}
+		d.deps = opts.deps
+		return d, nil
+	case *sqlparse.UpdateStmt:
+		entries := make([]scopeEntry, len(t.Cols))
+		for i, c := range t.Cols {
+			entries[i] = scopeEntry{table: t.Name, column: c.Name}
+		}
+		cc := &compiler{db: db, sc: fullRowScope(entries), opts: opts}
+		for _, a := range st.Set {
+			ci := t.ColIndex(a.Column)
+			if ci < 0 {
+				return nil, fmt.Errorf("engine: no column %s in %s", a.Column, t.Name)
+			}
+			fn, err := cc.compile(a.Value)
+			if err != nil {
+				return nil, err
+			}
+			d.sets = append(d.sets, setFn{col: ci, fn: fn})
 		}
 	}
-	var n int64
-	for _, exprRow := range st.Rows {
-		row := make([]val.Value, len(t.Cols))
-		if len(colMap) > 0 {
-			if len(exprRow) != len(colMap) {
-				return 0, fmt.Errorf("engine: INSERT has %d values for %d columns", len(exprRow), len(colMap))
-			}
-			for i, e := range exprRow {
-				v, err := s.evalConst(rt, e)
-				if err != nil {
-					return 0, err
-				}
-				row[colMap[i]] = v
-			}
+	sel := &sqlparse.SelectStmt{
+		Select: []sqlparse.SelectItem{{Star: true}},
+		From:   []sqlparse.TableRef{&sqlparse.BaseTable{Name: t.Name, Alias: t.Name}},
+		Where:  where,
+		Limit:  -1,
+	}
+	var err error
+	if d.match, err = db.planSelect(sel, nil, opts); err != nil {
+		return nil, err
+	}
+	d.match.parallel = 0 // runDML runs the match scan serially
+	d.deps = opts.deps
+	return d, nil
+}
+
+// dmlRows are the RIDs and rows a DML statement matched or inserts, row i
+// at vals[i*width:]. A prepared Stmt's runtime keeps them, cleared, up to
+// batchSize values, so no page-image view outlives the statement.
+type dmlRows struct {
+	rids []storage.RID
+	vals []val.Value
+}
+
+// runDML executes a compiled DML statement on rt and returns the rows it
+// affected. The match scan runs on the block's run state in rt (blockRun) at
+// batch capacity 1, so that each match reaches the sink while be.curRID
+// still names it.
+func (s *Session) runDML(rt *runtime, d *dmlPlan) (int64, error) {
+	if rt.dml == nil {
+		rt.dml = &dmlRows{}
+	}
+	r := rt.dml
+	r.rids, r.vals = r.rids[:0], r.vals[:0]
+	if d.match == nil {
+		return s.runInsert(rt, r, d)
+	}
+	br := rt.acquire(d.match, nil, nil)
+	defer br.release()
+	br.v.reset(1)
+	br.v.sinkFrame = func() error {
+		r.rids = append(r.rids, br.be.curRID)
+		r.vals = append(r.vals, br.be.row...)
+		return nil
+	}
+	if err := br.v.drive(); err != nil {
+		return 0, err
+	}
+	t, w := d.table, len(d.table.Cols)
+	for i, rid := range r.rids {
+		var err error
+		if d.sets == nil {
+			err = s.deleteRow(t, rid, r.vals[i*w:(i+1)*w])
 		} else {
-			if len(exprRow) != len(t.Cols) {
-				return 0, fmt.Errorf("engine: INSERT has %d values for %d columns", len(exprRow), len(t.Cols))
-			}
-			for i, e := range exprRow {
-				v, err := s.evalConst(rt, e)
-				if err != nil {
-					return 0, err
-				}
-				row[i] = v
-			}
+			err = s.updateRow(rt, d, rid, r.vals[i*w:(i+1)*w])
 		}
-		if err := s.db.insertRowTx(s.currentTx(), t, row, s.Meter); err != nil {
+		if err != nil {
 			return 0, err
 		}
-		n++
 	}
 	s.autocommit(t)
-	return n, nil
+	return int64(len(r.rids)), nil
+}
+
+// runInsert evaluates every VALUES row before it stores the first, so a
+// failing expression inserts nothing, and when a later row fails a
+// constraint it undoes the rows it stored before, as insertRowTx undoes
+// its own index entries.
+func (s *Session) runInsert(rt *runtime, r *dmlRows, d *dmlPlan) (int64, error) {
+	t, w, n := d.table, len(d.table.Cols), len(d.values)
+	r.vals = slices.Grow(r.vals, n*w)[:n*w]
+	for j, fns := range d.values {
+		for i, fn := range fns {
+			v, err := fn(rt, nil)
+			if err != nil {
+				return 0, err
+			}
+			r.vals[j*w+d.cols[i]] = v
+		}
+	}
+	for j := 0; j < n; j++ {
+		rid, err := s.db.insertRowTx(s.currentTx(), t, r.vals[j*w:(j+1)*w], s.Meter)
+		if err != nil {
+			for j--; j >= 0; j-- {
+				_ = s.deleteRow(t, r.rids[j], r.vals[j*w:(j+1)*w])
+			}
+			return 0, err
+		}
+		r.rids = append(r.rids, rid)
+	}
+	s.autocommit(t)
+	return int64(n), nil
 }
 
 // autocommit ends the statement's implicit transaction: under WAL the
@@ -590,26 +732,21 @@ func (s *Session) autocommit(t *Table) {
 	s.Meter.Charge(cost.Commit, 1)
 }
 
-// insertRow validates, coerces, stores and indexes one row in the
-// system transaction.
-func (db *DB) insertRow(t *Table, row []val.Value, m *cost.Meter) error {
-	return db.insertRowTx(0, t, row, m)
-}
-
-// insertRowTx is insertRow on behalf of transaction tx.
-func (db *DB) insertRowTx(tx int64, t *Table, row []val.Value, m *cost.Meter) error {
+// insertRowTx validates, coerces, stores and indexes one row on behalf of
+// transaction tx (0: the system transaction) and returns where it went.
+func (db *DB) insertRowTx(tx int64, t *Table, row []val.Value, m *cost.Meter) (storage.RID, error) {
 	if len(row) != len(t.Cols) {
-		return fmt.Errorf("engine: row width %d != %d for %s", len(row), len(t.Cols), t.Name)
+		return storage.RID{}, fmt.Errorf("engine: row width %d != %d for %s", len(row), len(t.Cols), t.Name)
 	}
 	for i, c := range t.Cols {
 		row[i] = coerceToType(row[i], c.Type)
 		if c.NotNull && row[i].IsNull() {
-			return fmt.Errorf("engine: NULL in NOT NULL column %s.%s", t.Name, c.Name)
+			return storage.RID{}, fmt.Errorf("engine: NULL in NOT NULL column %s.%s", t.Name, c.Name)
 		}
 	}
 	rid, err := t.Heap.InsertTx(tx, row, m)
 	if err != nil {
-		return err
+		return rid, err
 	}
 	w := db.wal.Load()
 	for i, ix := range t.Indexes {
@@ -619,142 +756,70 @@ func (db *DB) insertRowTx(tx int64, t *Table, row []val.Value, m *cost.Meter) er
 				_ = t.Indexes[j].Tree.Delete(t.Indexes[j].keyFor(row), rid, m)
 			}
 			_ = t.Heap.Delete(rid, m)
-			return fmt.Errorf("engine: %s: %w", t.Name, err)
+			return rid, fmt.Errorf("engine: %s: %w", t.Name, err)
 		}
 		if w != nil {
 			ix.Tree.StampLSN(w.Size())
 		}
 	}
 	db.noteWrite(t.Name, nil, row)
+	return rid, nil
+}
+
+// deleteRow deletes the row at rid, whose values are row, from the heap and
+// from every index, in the session's transaction.
+func (s *Session) deleteRow(t *Table, rid storage.RID, row []val.Value) error {
+	if err := t.Heap.DeleteTx(s.currentTx(), rid, s.Meter); err != nil {
+		return err
+	}
+	w := s.db.WAL()
+	for _, ix := range t.Indexes {
+		if err := ix.Tree.Delete(ix.keyFor(row), rid, s.Meter); err != nil {
+			return err
+		}
+		if w != nil {
+			ix.Tree.StampLSN(w.Size())
+		}
+	}
+	s.db.noteWrite(t.Name, row, nil)
 	return nil
 }
 
-// collectMatches runs a single-table scan/index plan for DML, returning
-// matching RIDs and row copies.
-func (s *Session) collectMatches(t *Table, where sqlparse.Expr, params []val.Value) ([]storage.RID, [][]val.Value, error) {
-	sel := &sqlparse.SelectStmt{
-		Select: []sqlparse.SelectItem{{Star: true}},
-		From:   []sqlparse.TableRef{&sqlparse.BaseTable{Name: t.Name, Alias: t.Name}},
-		Where:  where,
-		Limit:  -1,
+// updateRow applies the SET functions to the row at rid, whose values are
+// oldRow, in the session's transaction.
+func (s *Session) updateRow(rt *runtime, d *dmlPlan, rid storage.RID, oldRow []val.Value) error {
+	t := d.table
+	newRow := append([]val.Value(nil), oldRow...)
+	for _, sf := range d.sets {
+		v, err := sf.fn(rt, rowStack{oldRow})
+		if err != nil {
+			return err
+		}
+		newRow[sf.col] = coerceToType(v, t.Cols[sf.col].Type)
+		if t.Cols[sf.col].NotNull && newRow[sf.col].IsNull() {
+			return fmt.Errorf("engine: NULL in NOT NULL column %s.%s", t.Name, t.Cols[sf.col].Name)
+		}
 	}
-	plan, err := s.db.planSelect(sel, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	rt := &runtime{sess: s, params: params}
-	be := newBlockExec(rt, nil)
-	var rids []storage.RID
-	var rows [][]val.Value
-	// Batch capacity 1: each match reaches the sink while be.curRID still
-	// names it.
-	v := newVecRun(plan, be, 1)
-	v.sinkFrame = func() error {
-		rids = append(rids, be.curRID)
-		rows = append(rows, append([]val.Value(nil), be.row...))
-		return nil
-	}
-	if err = v.drive(); err != nil {
-		return nil, nil, err
-	}
-	return rids, rows, nil
-}
-
-func (s *Session) execDelete(st *sqlparse.DeleteStmt, params []val.Value) (int64, error) {
-	t := s.db.Table(st.Table)
-	if t == nil {
-		return 0, errNoTable(st.Table)
-	}
-	rids, rows, err := s.collectMatches(t, st.Where, params)
-	if err != nil {
-		return 0, err
+	if err := t.Heap.UpdateTx(s.currentTx(), rid, newRow, s.Meter); err != nil {
+		return err
 	}
 	w := s.db.WAL()
-	for i, rid := range rids {
-		if err := t.Heap.DeleteTx(s.currentTx(), rid, s.Meter); err != nil {
-			return 0, err
-		}
-		for _, ix := range t.Indexes {
-			if err := ix.Tree.Delete(ix.keyFor(rows[i]), rid, s.Meter); err != nil {
-				return 0, err
+	for _, ix := range t.Indexes {
+		oldKey, newKey := ix.keyFor(oldRow), ix.keyFor(newRow)
+		if string(oldKey) != string(newKey) {
+			if err := ix.Tree.Delete(oldKey, rid, s.Meter); err != nil {
+				return err
+			}
+			if err := ix.Tree.Insert(newKey, rid, s.Meter); err != nil {
+				return err
 			}
 			if w != nil {
 				ix.Tree.StampLSN(w.Size())
 			}
 		}
-		s.db.noteWrite(t.Name, rows[i], nil)
 	}
-	s.autocommit(t)
-	return int64(len(rids)), nil
-}
-
-func (s *Session) execUpdate(st *sqlparse.UpdateStmt, params []val.Value) (int64, error) {
-	t := s.db.Table(st.Table)
-	if t == nil {
-		return 0, errNoTable(st.Table)
-	}
-	// Compile SET expressions against the table's row.
-	entries := make([]scopeEntry, len(t.Cols))
-	for i, c := range t.Cols {
-		entries[i] = scopeEntry{table: t.Name, column: c.Name}
-	}
-	cc := &compiler{db: s.db, sc: fullRowScope(entries)}
-	type setFn struct {
-		col int
-		fn  exprFn
-	}
-	var sets []setFn
-	for _, a := range st.Set {
-		ci := t.ColIndex(a.Column)
-		if ci < 0 {
-			return 0, fmt.Errorf("engine: no column %s in %s", a.Column, t.Name)
-		}
-		fn, err := cc.compile(a.Value)
-		if err != nil {
-			return 0, err
-		}
-		sets = append(sets, setFn{col: ci, fn: fn})
-	}
-	rids, rows, err := s.collectMatches(t, st.Where, params)
-	if err != nil {
-		return 0, err
-	}
-	rt := &runtime{sess: s, params: params}
-	for i, rid := range rids {
-		oldRow := rows[i]
-		newRow := append([]val.Value(nil), oldRow...)
-		for _, sf := range sets {
-			v, err := sf.fn(rt, rowStack{oldRow})
-			if err != nil {
-				return 0, err
-			}
-			newRow[sf.col] = coerceToType(v, t.Cols[sf.col].Type)
-			if t.Cols[sf.col].NotNull && newRow[sf.col].IsNull() {
-				return 0, fmt.Errorf("engine: NULL in NOT NULL column %s.%s", t.Name, t.Cols[sf.col].Name)
-			}
-		}
-		if err := t.Heap.UpdateTx(s.currentTx(), rid, newRow, s.Meter); err != nil {
-			return 0, err
-		}
-		w := s.db.WAL()
-		for _, ix := range t.Indexes {
-			oldKey, newKey := ix.keyFor(oldRow), ix.keyFor(newRow)
-			if string(oldKey) != string(newKey) {
-				if err := ix.Tree.Delete(oldKey, rid, s.Meter); err != nil {
-					return 0, err
-				}
-				if err := ix.Tree.Insert(newKey, rid, s.Meter); err != nil {
-					return 0, err
-				}
-				if w != nil {
-					ix.Tree.StampLSN(w.Size())
-				}
-			}
-		}
-		s.db.noteWrite(t.Name, oldRow, newRow)
-	}
-	s.autocommit(t)
-	return int64(len(rids)), nil
+	s.db.noteWrite(t.Name, oldRow, newRow)
+	return nil
 }
 
 // InsertRow inserts one row without committing — the building block for
@@ -766,7 +831,8 @@ func (db *DB) InsertRow(tableName string, row []val.Value, m *cost.Meter) error 
 	if t == nil {
 		return errNoTable(tableName)
 	}
-	return db.insertRow(t, row, m)
+	_, err := db.insertRowTx(0, t, row, m)
+	return err
 }
 
 // InsertRow inserts one row in the session's open transaction without
@@ -778,7 +844,8 @@ func (s *Session) InsertRow(tableName string, row []val.Value) error {
 	if t == nil {
 		return errNoTable(tableName)
 	}
-	return s.db.insertRowTx(s.currentTx(), t, row, s.Meter)
+	_, err := s.db.insertRowTx(s.currentTx(), t, row, s.Meter)
+	return err
 }
 
 // FlushTable forces the table's dirty pages (part of a commit).
@@ -799,20 +866,19 @@ func (db *DB) BulkLoad(tableName string, rows [][]val.Value, m *cost.Meter) erro
 	if t == nil {
 		return errNoTable(tableName)
 	}
-	if w := db.wal.Load(); w != nil {
-		tx := w.Begin()
-		for _, row := range rows {
-			if err := db.insertRowTx(tx, t, row, m); err != nil {
-				return err
-			}
-		}
-		w.Commit(tx, m)
-		return nil
+	var tx int64
+	w := db.wal.Load()
+	if w != nil {
+		tx = w.Begin()
 	}
 	for _, row := range rows {
-		if err := db.insertRow(t, row, m); err != nil {
+		if _, err := db.insertRowTx(tx, t, row, m); err != nil {
 			return err
 		}
+	}
+	if w != nil {
+		w.Commit(tx, m)
+		return nil
 	}
 	t.Heap.Flush(m)
 	if m != nil {

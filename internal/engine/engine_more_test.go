@@ -291,3 +291,50 @@ func TestUpdateAdjustsIndexes(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedInsertLeavesNoRows: a multi-row INSERT is one statement, so when
+// one of its rows fails none of them stays — not one whose parameter is
+// missing (ad hoc or prepared), nor the first of two that share a primary
+// key, with or without WAL, committed by the next statement or recovered
+// after a crash.
+func TestFailedInsertLeavesNoRows(t *testing.T) {
+	for _, wal := range []bool{false, true} {
+		db := Open(Config{})
+		s := db.NewSession()
+		mustExec(t, s, `CREATE TABLE t (a INTEGER PRIMARY KEY, b CHAR(4))`)
+		if wal {
+			db.EnableWAL(1)
+		}
+		ins, err := s.Prepare(`INSERT INTO t VALUES (?, 'a'), (?, 'b')`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			what string
+			run  func() (*Result, error)
+		}{
+			{"a row with an unbound parameter", func() (*Result, error) { return s.Exec(`INSERT INTO t VALUES (1, 'a'), (?, 'b')`) }},
+			{"a prepared INSERT given one of two values", func() (*Result, error) { return ins.Query(val.Int(2)) }},
+			{"two rows with one key", func() (*Result, error) { return s.Exec(`INSERT INTO t VALUES (7, 'x'), (7, 'y')`) }},
+		} {
+			if res, err := c.run(); err == nil {
+				t.Errorf("wal %v, %s: %v, want an error", wal, c.what, res)
+			}
+		}
+		mustExec(t, s, `INSERT INTO t VALUES (8, 'z')`) // commits the open transaction
+		if wal {
+			if _, err := db.CrashRecover(-1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := mustExec(t, s, `SELECT a, b FROM t`)
+		if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 8 {
+			t.Errorf("wal %v: the table holds %v, want only row 8", wal, res.Rows)
+		}
+		tab := db.Table("T")
+		if n := tab.Indexes[0].Tree.Entries(); n != 1 || tab.Heap.Rows() != 1 {
+			t.Errorf("wal %v: %d index entries for %d rows, want 1 and 1", wal, n, tab.Heap.Rows())
+		}
+		mustExec(t, s, `INSERT INTO t VALUES (7, 'y')`)
+	}
+}

@@ -39,6 +39,8 @@ type runtime struct {
 	// outer row, any block of a prepared Stmt per execution — resets its
 	// state instead of rebuilding it.
 	runs []*blockRun
+	// dml holds the rows a DML statement matched or inserts (runDML).
+	dml *dmlRows
 	// busy marks a Stmt's runtime as executing: a Stmt re-entered from its
 	// own row sink runs on a runtime of its own.
 	busy bool
@@ -65,6 +67,12 @@ func (rt *runtime) subs() map[*selectPlan][][]val.Value {
 func (rt *runtime) done() {
 	for _, br := range rt.runs {
 		br.drop()
+	}
+	if d := rt.dml; d != nil {
+		clear(d.vals)
+		if cap(d.vals) > batchSize {
+			rt.dml = nil
+		}
 	}
 	clear(rt.subCache)
 	rt.params, rt.out, rt.fb, rt.fbPlan = nil, nil, nil, nil

@@ -19,7 +19,7 @@ import (
 // changes under its holder, and nothing that outlives a statement is one.
 
 // TestUpdateOnTinyPoolKeepsIndexes updates an indexed CHAR column of a
-// table several times the size of a 16-page pool. execUpdate writes the new
+// table several times the size of a 16-page pool. updateRow writes the new
 // row to the heap before it computes the old row's index key from the
 // match scan's values, and by then the pages those values were decoded from
 // have long been evicted: the heap write must copy the image they alias, or

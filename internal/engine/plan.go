@@ -48,7 +48,7 @@ type selectPlan struct {
 	// and deps every name it — or a view or sub-block below it — resolved
 	// there: what a prepared Stmt checks before it runs the plan again.
 	catVersion int64
-	deps       []planDep
+	deps       planDeps
 }
 
 // planDep is one catalog name as a plan resolved it: a table or a view.
@@ -58,11 +58,14 @@ type planDep struct {
 	view  *sqlparse.SelectStmt
 }
 
+// planDeps are the names a SELECT or DML plan resolved.
+type planDeps []planDep
+
 // current reports whether every name the plan resolved still means in cat
 // what it meant when the plan was made. DDL publishes a fresh *Table for
 // the table it touches (index list included), so identity is enough.
-func (p *selectPlan) current(cat *catalog) bool {
-	for _, d := range p.deps {
+func (ds planDeps) current(cat *catalog) bool {
+	for _, d := range ds {
 		if cat.tables[d.name] != d.table || cat.views[d.name] != d.view {
 			return false
 		}
@@ -143,7 +146,7 @@ type planOpts struct {
 	// concurrent DDL publishes new ones.
 	cat *catalog
 	// deps collects the names resolved against cat during the pass.
-	deps []planDep
+	deps planDeps
 	// parallel is Options.Parallel, pinned with cat: every block of the
 	// statement plans against one degree.
 	parallel int
@@ -374,7 +377,8 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 }
 
 // planned is nil outside the test binary: TestSlotLayout sets it to see
-// every block as planSelect leaves it, sub-blocks and views included.
+// every block as planSelect leaves it, sub-blocks and views included, and
+// TestPreparedDMLSeesDDL to count the blocks a statement plans.
 var planned func(*selectPlan)
 
 // assignSlots lays out the block's frames. Every expression of the block and

@@ -78,7 +78,7 @@ func buildTortureDB(t *testing.T) (*DB, []tortureSnap) {
 	tx := w.Begin()
 	for i := int64(90); i <= 92; i++ {
 		row := []val.Value{val.Int(i), val.Int(7), val.Str("loser")}
-		if err := db.insertRowTx(tx, tab, row, nil); err != nil {
+		if _, err := db.insertRowTx(tx, tab, row, nil); err != nil {
 			t.Fatalf("uncommitted insert: %v", err)
 		}
 	}

@@ -286,3 +286,113 @@ func TestPreparedStmtSeesDDL(t *testing.T) {
 	load(5000, 50)
 	rows(50)
 }
+
+// TestPreparedDMLSeesDDL is TestPreparedStmtSeesDDL for INSERT, UPDATE and
+// DELETE, which keep their plan between executions too: an INSERT prepared
+// before CREATE INDEX maintains the new index, an UPDATE and a DELETE planned
+// through an index stop probing it once it is dropped (the dropped tree
+// misses a row inserted since), each names its dropped table in its error and
+// works again once the table is re-created, and DDL on another table makes
+// none of them plan again.
+func TestPreparedDMLSeesDDL(t *testing.T) {
+	db := Open(Config{})
+	s := db.NewSession()
+	load := func() {
+		t.Helper()
+		mustExec(t, s, `CREATE TABLE D (ID INTEGER PRIMARY KEY, N INTEGER, V INTEGER, PAD CHAR(200))`)
+		for lo := 0; lo < 3000; lo += 100 {
+			var vals []string
+			for i := lo; i < lo+100; i++ {
+				vals = append(vals, fmt.Sprintf("(%d, %d, 0, 'x')", i, i%300))
+			}
+			mustExec(t, s, `INSERT INTO D VALUES `+strings.Join(vals, ", "))
+		}
+		mustExec(t, s, `CREATE INDEX D_N ON D (N)`)
+		if err := db.AnalyzeAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load()
+	mustExec(t, s, `CREATE TABLE OTHER (X INTEGER PRIMARY KEY)`)
+	prepare := func(sql string) *Stmt {
+		t.Helper()
+		st, err := s.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	ins := prepare(`INSERT INTO D VALUES (?, ?, 0, 'y')`)
+	upd := prepare(`UPDATE D SET V = V + 1 WHERE N = ?`)
+	del := prepare(`DELETE FROM D WHERE N = ?`)
+	if !strings.Contains(upd.Explain(), "not yet planned") {
+		t.Errorf("before its first execution the UPDATE explains as\n%s", upd.Explain())
+	}
+	run := func(st *Stmt, want int64, params ...val.Value) {
+		t.Helper()
+		res, err := st.Query(params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RowsAffected != want {
+			t.Fatalf("%s affected %d rows, want %d", st.Explain(), res.RowsAffected, want)
+		}
+	}
+	indexed := func() {
+		t.Helper()
+		d := db.Table("D")
+		for _, ix := range d.Indexes {
+			if ix.Tree.Entries() != d.Heap.Rows() {
+				t.Fatalf("index %s has %d entries for %d rows", ix.Name, ix.Tree.Entries(), d.Heap.Rows())
+			}
+		}
+	}
+	run(upd, 10, val.Int(1))
+	run(del, 10, val.Int(2))
+	run(ins, 1, val.Int(10000), val.Int(3))
+	for _, st := range []*Stmt{upd, del} {
+		if !strings.Contains(st.Explain(), "index scan D via D_N") {
+			t.Fatalf("fixture: the statement does not match through D_N:\n%s", st.Explain())
+		}
+	}
+
+	// DDL on another table: the same plans, not one block planned again.
+	mustExec(t, s, `CREATE INDEX OTHER_X ON OTHER (X)`)
+	before := []*dmlPlan{ins.dml, upd.dml, del.dml}
+	blocks := 0
+	planned = func(*selectPlan) { blocks++ }
+	defer func() { planned = nil }()
+	run(upd, 10, val.Int(1))
+	run(del, 0, val.Int(2))
+	run(ins, 1, val.Int(10001), val.Int(3))
+	planned = nil
+	if blocks != 0 || ins.dml != before[0] || upd.dml != before[1] || del.dml != before[2] {
+		t.Errorf("after DDL on another table the statements planned %d blocks; plans kept: %v %v %v",
+			blocks, ins.dml == before[0], upd.dml == before[1], del.dml == before[2])
+	}
+
+	mustExec(t, s, `CREATE INDEX D_V ON D (V)`)
+	run(ins, 1, val.Int(10002), val.Int(4))
+	indexed()
+
+	mustExec(t, s, `DROP INDEX D_N`)
+	mustExec(t, s, `INSERT INTO D VALUES (20000, 5, 0, 'z')`)
+	run(upd, 11, val.Int(5))
+	if strings.Contains(upd.Explain(), "D_N") {
+		t.Errorf("the UPDATE still matches through the dropped index:\n%s", upd.Explain())
+	}
+	run(del, 11, val.Int(5))
+	indexed()
+
+	mustExec(t, s, `DROP TABLE D`)
+	for i, st := range []*Stmt{ins, upd, del} {
+		if _, err := st.Query(val.Int(30000), val.Int(6)); err == nil || !strings.Contains(err.Error(), "D") {
+			t.Errorf("with its table dropped the %s returned %v, want an error naming D", []string{"INSERT", "UPDATE", "DELETE"}[i], err)
+		}
+	}
+	load()
+	run(ins, 1, val.Int(30000), val.Int(6))
+	run(upd, 11, val.Int(6))
+	run(del, 11, val.Int(6))
+	indexed()
+}
