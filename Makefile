@@ -55,9 +55,11 @@ race-shards:
 # Crash-recovery torture under the race detector: cut the WAL at every
 # record boundary and mid-record, verify committed rows visible and
 # uncommitted rows gone, index<->heap consistency after each cut, and
-# recovery after concurrent group-committed sessions.
+# recovery after concurrent group-committed sessions; prepared and ad hoc
+# DML against a map model through index DDL, table re-creation and crash
+# recovery, and two sessions' prepared DML while a third publishes index DDL.
 race-recovery:
-	$(GO) test -race -count=1 -run 'TestRecoveryTortureEveryBoundary|TestRecoveryAfterConcurrentCommits' ./internal/engine
+	$(GO) test -race -count=1 -run 'TestRecoveryTortureEveryBoundary|TestRecoveryAfterConcurrentCommits|TestPreparedDMLAgainstModel|TestConcurrentPreparedDMLWithIndexDDL' ./internal/engine
 
 # Warehouse identity smoke under the race detector: the generated
 # workload byte-identical with the aggregate rewrite off and on,
