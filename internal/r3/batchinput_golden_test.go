@@ -65,9 +65,8 @@ func TestBatchInputGolden(t *testing.T) {
 		}
 	}
 
-	// The fixture is loaded through batch input, not LoadDirect: the setup
-	// loader's final flush is map-ordered, so the pool residency it leaves —
-	// and the page reads of what runs next — vary from run to run.
+	// The fixture was loaded through batch input, which leaves no
+	// statistics; give it those LoadDirect would have built.
 	if err := fixture.DB.AnalyzeAll(); err != nil {
 		t.Fatal(err)
 	}

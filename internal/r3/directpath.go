@@ -149,21 +149,19 @@ func (w *dpWorker) add(table string, group ...F) error {
 // does: dbgen streams are pure functions of (SF, seed).
 func (d *DirectPath) Load(g *dbgen.Generator) error {
 	sys := d.sys
-	// Assign physical tables to lanes round-robin in weight order.
-	owner := make(map[string]int, len(dpTableOrder))
-	for i, phys := range dpTableOrder {
-		owner[phys] = i % d.workers
-	}
 	ws := make([]*dpWorker, d.workers)
 	for i := range ws {
 		ws[i] = &dpWorker{dp: d, m: d.meters[i], loaders: make(map[string]*engine.DirectLoader)}
 	}
-	for phys, wi := range owner {
-		ld, err := sys.DB.NewDirectLoader(phys, d.meters[wi])
+	// Assign physical tables to lanes round-robin in weight order:
+	// dpTableOrder[i] belongs to lane i % workers.
+	for i, phys := range dpTableOrder {
+		w := ws[i%d.workers]
+		ld, err := sys.DB.NewDirectLoader(phys, w.m)
 		if err != nil {
 			return err
 		}
-		ws[wi].loaders[phys] = ld
+		w.loaders[phys] = ld
 	}
 
 	var wg sync.WaitGroup
@@ -181,12 +179,10 @@ func (d *DirectPath) Load(g *dbgen.Generator) error {
 			return err
 		}
 	}
-	// Close every channel: seal pages, build indexes, commit.
-	for _, w := range ws {
-		for _, ld := range w.loaders {
-			if err := ld.Close(); err != nil {
-				return err
-			}
+	// Close every channel in weight order: seal pages, build indexes, commit.
+	for i, phys := range dpTableOrder {
+		if err := ws[i%d.workers].loaders[phys].Close(); err != nil {
+			return err
 		}
 	}
 	// The load wrote below the row-level write hook, so invalidate the

@@ -270,7 +270,7 @@ func walkPopulation(g *dbgen.Generator, s populationSink) error {
 // assignment, injecting the client and defaulting absent CHAR columns.
 func (sys *System) physRow(t *LogicalTable, fields F) ([]val.Value, error) {
 	row := make([]val.Value, len(t.Cols))
-	row[0] = val.Str(sys.Client)
+	row[0] = val.Str(DefaultClient)
 	for name, v := range fields {
 		ci := t.ColIndex(name)
 		if ci < 0 {
@@ -342,8 +342,10 @@ func (dl *directLoader) flushOne(phys string) error {
 	return dl.sys.DB.BulkLoad(phys, rows, nil)
 }
 
+// flushAll bulk-loads the leftover batches in dpTableOrder, so the pool
+// residency the load leaves is the same every run.
 func (dl *directLoader) flushAll() error {
-	for phys := range dl.batches {
+	for _, phys := range dpTableOrder {
 		if err := dl.flushOne(phys); err != nil {
 			return err
 		}
