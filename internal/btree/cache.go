@@ -127,10 +127,3 @@ func (c *PageCache) HitRatio() float64 {
 	}
 	return float64(h) / float64(h+m)
 }
-
-// ResetStats zeroes the counters without dropping cached leaves.
-func (c *PageCache) ResetStats() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.bypass.Store(0)
-}

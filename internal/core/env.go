@@ -30,11 +30,6 @@ type Config struct {
 	// configuration; an ablation applies a diff for the length of one
 	// measurement and puts back what the run started with.
 	Options r3.Options
-	// TableBufferBytes, when positive, overrides the capacity of every
-	// application-server table buffer the R/3 systems enable (see
-	// r3.Config.TableBufferBytes). 0 keeps each experiment's own budget —
-	// including the undersized MARA buffer of Table 8.
-	TableBufferBytes int64
 	// TableBufferFixed pins table-buffer budgets (SetBufferedFixed): no
 	// eviction-pressure auto-resize, so the paper's undersized-cache
 	// pathologies reproduce exactly as printed. Default off = adaptive.
@@ -98,7 +93,7 @@ func (e *Env) RDB() (*engine.DB, error) {
 // install creates an R/3 system of the given release under the run's
 // options and loads the population into it.
 func (e *Env) install(release r3.Release) (*r3.System, error) {
-	sys, err := r3.Install(r3.Config{Release: release, TableBufferBytes: e.cfg.TableBufferBytes})
+	sys, err := r3.Install(r3.Config{Release: release})
 	if err != nil {
 		return nil, err
 	}

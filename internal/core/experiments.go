@@ -516,9 +516,6 @@ func runTable8(cfg *Config) error {
 	// The last (largest) buffer stays live so metrics collected after the
 	// run see its resident rows — tearing it down here was why the
 	// table_buffer.MARA.resident gauge always read 0.
-	if cfg.TableBufferBytes > 0 {
-		cfg.printf("\n(table-buffer override active: every cache above ran at %d bytes)\n", cfg.TableBufferBytes)
-	}
 	if cfg.TableBufferFixed {
 		cfg.printf("\n(paper: 0%% / 11%% / 85%% hit ratio; 1h48m / 1h50m / 35m)\n")
 	} else {

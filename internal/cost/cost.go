@@ -229,13 +229,6 @@ func (m *Meter) SetSpan(s *Span) *Span {
 	return prev
 }
 
-// CurrentSpan returns the current attribution target (nil when none).
-func (m *Meter) CurrentSpan() *Span {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cur
-}
-
 // Elapsed returns total simulated time charged so far.
 func (m *Meter) Elapsed() time.Duration {
 	m.mu.Lock()

@@ -124,7 +124,7 @@ func (a *Analyzed) String() string { return a.Root.Render() }
 // each run against their own child span of the session meter.
 func (s *Session) ExplainAnalyze(sql string, params ...val.Value) (*Analyzed, error) {
 	o := s.db.opts.Load()
-	ast, entry, err := s.db.parse(sql, o)
+	ast, entry, err := s.db.parse(sql)
 	if err != nil {
 		return nil, err
 	}

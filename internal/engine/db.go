@@ -160,7 +160,7 @@ func (s *Session) Exec(sql string, params ...val.Value) (*Result, error) {
 // stay delivered.
 func (s *Session) ExecTo(sink RowSink, sql string, params ...val.Value) (int64, error) {
 	o := s.db.opts.Load()
-	stmt, entry, err := s.db.parse(sql, o)
+	stmt, entry, err := s.db.parse(sql)
 	if err != nil {
 		return 0, err
 	}
@@ -301,7 +301,7 @@ const (
 // when the actual parameter values are available.
 func (s *Session) Prepare(sql string) (*Stmt, error) {
 	o := s.db.opts.Load()
-	ast, entry, err := s.db.parse(sql, o)
+	ast, entry, err := s.db.parse(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +460,7 @@ func (st *Stmt) Explain() string {
 // a SELECT — the observability hook the Table 6 experiment uses to show
 // *why* the parameterized query misbehaves.
 func (s *Session) Explain(sql string, params ...val.Value) (string, error) {
-	ast, entry, err := s.db.parse(sql, s.db.opts.Load())
+	ast, entry, err := s.db.parse(sql)
 	if err != nil {
 		return "", err
 	}
@@ -846,16 +846,6 @@ func (s *Session) InsertRow(tableName string, row []val.Value) error {
 	}
 	_, err := s.db.insertRowTx(s.currentTx(), t, row, s.Meter)
 	return err
-}
-
-// FlushTable forces the table's dirty pages (part of a commit).
-func (db *DB) FlushTable(tableName string, m *cost.Meter) error {
-	t := db.Table(tableName)
-	if t == nil {
-		return errNoTable(tableName)
-	}
-	t.Heap.Flush(m)
-	return nil
 }
 
 // BulkLoad appends rows through the bulk-loading interface: validation and

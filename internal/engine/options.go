@@ -28,10 +28,6 @@ type Options struct {
 	// >= feedbackFactor is invalidated and replanned with the observed
 	// cardinality (at most replanCap times per statement).
 	Adaptive bool
-	// NoParseCache turns the statement-fingerprint cache off (see
-	// parsecache.go). Simulated meter totals are identical either way;
-	// only real CPU moves.
-	NoParseCache bool
 }
 
 // Options returns the database's current options.
@@ -41,14 +37,9 @@ func (db *DB) Options() Options { return *db.opts.Load() }
 // after the call see the new value; a statement already running keeps
 // the snapshot it loaded. Parallel is the one option a fingerprint-cached
 // plan carries (peeked and feedback-driven plans are never cached, the
-// rest is read per execution), so changing it retires the cached plans;
-// turning the parse cache off also drops every cached AST, so cache-off
-// runs re-parse from scratch.
+// rest is read per execution), so changing it retires the cached plans.
 func (db *DB) SetOptions(o Options) {
 	old := db.opts.Swap(&o)
-	if o.NoParseCache {
-		db.pcache.clear()
-	}
 	if o.Parallel != old.Parallel {
 		db.bumpPlanEpoch()
 	}

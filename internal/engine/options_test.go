@@ -19,7 +19,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 	if got := db.Options(); got != (Options{Parallel: 4}) {
 		t.Fatalf("Config{Parallel: 4} opened with %+v", got)
 	}
-	all := Options{Parallel: 8, ArrayFetch: true, PeekBinds: true, Adaptive: true, NoParseCache: true}
+	all := Options{Parallel: 8, ArrayFetch: true, PeekBinds: true, Adaptive: true}
 	db.SetOptions(all)
 	if got := db.Options(); got != all {
 		t.Fatalf("Options() = %+v after SetOptions(%+v)", got, all)
@@ -107,7 +107,7 @@ func TestConcurrentSetOptions(t *testing.T) {
 		defer flips.Done()
 		modes := []Options{
 			{}, {Parallel: 4}, {ArrayFetch: true}, {PeekBinds: true, Adaptive: true},
-			{NoParseCache: true}, {Parallel: 2, ArrayFetch: true, PeekBinds: true},
+			{Parallel: 2, ArrayFetch: true, PeekBinds: true},
 		}
 		for i := 0; ; i++ {
 			select {

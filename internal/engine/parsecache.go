@@ -15,8 +15,8 @@ import (
 // still epoch-valid, the optimizer too. The cache saves real CPU and
 // real allocations only — every simulated-meter charge (Interface,
 // optimizeCharge, RowShip) is made exactly as before on both the hit
-// and the miss path, so the 1996 virtual clock is byte-identical with
-// the cache on or off.
+// and the miss path, so the 1996 virtual clock is byte-identical whether
+// a statement hits or misses.
 
 // parseCacheCap bounds the fingerprint table. Past it new statements
 // parse uncached rather than evict: the workloads' hot sets (TPC-D
@@ -135,33 +135,20 @@ func (pc *parseCache) insert(h uint64, sql string, ast sqlparse.Statement) *pars
 	return e
 }
 
-// clear drops every cached AST and plan.
-func (pc *parseCache) clear() {
-	pc.mu.Lock()
-	pc.entries = nil
-	pc.n = 0
-	pc.mu.Unlock()
-}
-
 // Parse returns the statement's AST, serving repeated statement texts
 // from the fingerprint cache. Error texts are identical to
 // sqlparse.Parse's (parse failures are never cached).
 func (db *DB) Parse(sql string) (sqlparse.Statement, error) {
-	ast, _, err := db.parse(sql, db.opts.Load())
+	ast, _, err := db.parse(sql)
 	return ast, err
 }
 
 // parse is the engine's front-end entry point: every statement text
 // arriving through Exec, Prepare, Explain or ExplainAnalyze funnels
-// through here with the options snapshot its statement loaded. A
-// fingerprint hit returns the cached AST without touching the lexer.
-func (db *DB) parse(sql string, o *Options) (sqlparse.Statement, *parseEntry, error) {
+// through here. A fingerprint hit returns the cached AST without
+// touching the lexer.
+func (db *DB) parse(sql string) (sqlparse.Statement, *parseEntry, error) {
 	db.parseStatements.Add(1)
-	if o.NoParseCache {
-		db.parseMisses.Add(1)
-		ast, err := sqlparse.Parse(sql)
-		return ast, nil, err
-	}
 	h := fingerprint(sql)
 	if e := db.pcache.lookup(h, sql); e != nil {
 		db.parseHits.Add(1)

@@ -50,49 +50,59 @@ func TestParseCacheSharedAcrossSessions(t *testing.T) {
 	}
 }
 
-func TestParseCacheOff(t *testing.T) {
+// TestParseCacheKeysRawBytes: the fingerprint covers the raw statement
+// bytes, so a text that differs only in trailing whitespace is a new
+// statement and misses, while repeating a text hits. The miss sides of
+// the meter-equality tests rely on this.
+func TestParseCacheKeysRawBytes(t *testing.T) {
 	db, s := testDB(t)
-	db.SetOptions(Options{NoParseCache: true})
 	const q = `SELECT e_id FROM emp WHERE e_id = 7`
 	mustExec(t, s, q)
-	mustExec(t, s, q)
-	_, hits, _ := parseStats(db)
-	if hits != 0 {
-		t.Fatalf("cache_hits = %d with cache off, want 0", hits)
+	mustExec(t, s, q+" ")
+	mustExec(t, s, q+"  ")
+	if _, hits, _ := parseStats(db); hits != 0 {
+		t.Fatalf("cache_hits = %d for texts differing in whitespace, want 0", hits)
 	}
-	db.SetOptions(Options{})
-	mustExec(t, s, q) // repopulates
-	mustExec(t, s, q)
+	mustExec(t, s, q+" ")
 	if _, hits, _ := parseStats(db); hits != 1 {
-		t.Fatalf("cache_hits = %d after re-enable, want 1", hits)
+		t.Fatalf("cache_hits = %d after repeating a text, want 1", hits)
 	}
 }
 
 // TestParseCacheMeterEquality runs the same mixed statement sequence on
-// two identical databases, cache on vs off, and requires bit-identical
-// simulated meters: the fingerprint cache must be invisible to the
-// virtual clock.
+// two identical databases, one repeating its statement texts (hits) and
+// one making every text unique with trailing whitespace (misses), and
+// requires bit-identical simulated meters: the fingerprint cache must be
+// invisible to the virtual clock.
 func TestParseCacheMeterEquality(t *testing.T) {
-	run := func(cache bool) (int64, [][]val.Value) {
+	run := func(hit bool) (int64, [][]val.Value) {
 		db, s := testDB(t)
-		db.SetOptions(Options{NoParseCache: !cache})
+		pad := ""
+		exec := func(q string) *Result {
+			if !hit {
+				pad += " "
+			}
+			return mustExec(t, s, q+pad)
+		}
 		start := int64(s.Meter.Elapsed())
 		var last [][]val.Value
 		for i := 0; i < 3; i++ {
-			mustExec(t, s, `SELECT d_name, COUNT(*) FROM emp, dept WHERE e_dept = d_id GROUP BY d_name ORDER BY d_name`)
-			mustExec(t, s, `UPDATE emp SET e_salary = e_salary + 1 WHERE e_id = 3`)
-			res := mustExec(t, s, `SELECT e_id, e_salary FROM emp WHERE e_id <= 5 ORDER BY e_id`)
-			last = res.Rows
+			exec(`SELECT d_name, COUNT(*) FROM emp, dept WHERE e_dept = d_id GROUP BY d_name ORDER BY d_name`)
+			exec(`UPDATE emp SET e_salary = e_salary + 1 WHERE e_id = 3`)
+			last = exec(`SELECT e_id, e_salary FROM emp WHERE e_id <= 5 ORDER BY e_id`).Rows
+		}
+		if _, hits, _ := parseStats(db); (hits > 0) != hit {
+			t.Fatalf("hit=%v run recorded %d fingerprint hits", hit, hits)
 		}
 		return int64(s.Meter.Elapsed()) - start, last
 	}
-	onTime, onRows := run(true)
-	offTime, offRows := run(false)
-	if onTime != offTime {
-		t.Fatalf("simulated time diverged: cache on %d, off %d", onTime, offTime)
+	hitTime, hitRows := run(true)
+	missTime, missRows := run(false)
+	if hitTime != missTime {
+		t.Fatalf("simulated time diverged: hits %d, misses %d", hitTime, missTime)
 	}
-	if !reflect.DeepEqual(onRows, offRows) {
-		t.Fatal("results diverged between cache on and off")
+	if !reflect.DeepEqual(hitRows, missRows) {
+		t.Fatal("results diverged between hits and misses")
 	}
 }
 

@@ -63,7 +63,7 @@ func (pa *Partial) Rows() [][]val.Value {
 // is charged, because no result row crosses a client interface here (the
 // exchange that ships the partial charges its own NetShip).
 func (s *Session) QueryPartial(sql string, params ...val.Value) (*Partial, error) {
-	stmt, entry, err := s.db.parse(sql, s.db.opts.Load())
+	stmt, entry, err := s.db.parse(sql)
 	if err != nil {
 		return nil, err
 	}

@@ -50,9 +50,8 @@ type bufEntry struct {
 	row []val.Value
 }
 
-// defaultTableBufferCeiling bounds auto-resize when the operator has not
-// set Config.TableBufferBytes: 8 MB mirrors a generously configured R/3
-// table-buffer pool relative to the 10 MB database buffer.
+// defaultTableBufferCeiling bounds auto-resize: 8 MB mirrors a generously
+// configured R/3 table-buffer pool relative to the 10 MB database buffer.
 const defaultTableBufferCeiling = 8 << 20
 
 // newTableBuffer builds a buffer for one table. maxBytes > capBytes
@@ -251,18 +250,10 @@ func (b *TableBuffer) HitRatio() float64 {
 	return float64(b.hits) / float64(total)
 }
 
-// ResetStats zeroes the hit/miss counters (the buffer content stays).
-func (b *TableBuffer) ResetStats() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.hits, b.misses = 0, 0
-}
-
 // SetBuffered enables application-server buffering for a table with the
 // given byte budget (0 disables). Returns the buffer for stats access.
 // The buffer is adaptive: sustained eviction pressure doubles the budget
-// per epoch, bounded by Config.TableBufferBytes when set (which then also
-// overrides the initial size) and by defaultTableBufferCeiling otherwise.
+// per epoch, up to defaultTableBufferCeiling (or capBytes, if larger).
 func (sys *System) SetBuffered(table string, capBytes int64) *TableBuffer {
 	return sys.setBuffered(table, capBytes, false)
 }
@@ -281,12 +272,6 @@ func (sys *System) setBuffered(table string, capBytes int64, fixed bool) *TableB
 	}
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
-	if capBytes > 0 && sys.tableBufBytes > 0 {
-		// Operator-tuned sizing (Config.TableBufferBytes) wins over the
-		// per-call budget, so a whole run can be re-measured with
-		// right-sized buffers without touching every SetBuffered site.
-		capBytes = sys.tableBufBytes
-	}
 	if old := sys.buffers[t.Name]; old != nil {
 		// Replacing or disabling: fold the counters into the retired
 		// bucket so cumulative metrics survive the buffer itself.
@@ -298,13 +283,7 @@ func (sys *System) setBuffered(table string, capBytes int64, fixed bool) *TableB
 	}
 	var maxBytes int64
 	if !fixed {
-		maxBytes = int64(defaultTableBufferCeiling)
-		if sys.tableBufBytes > 0 {
-			maxBytes = sys.tableBufBytes
-		}
-		if maxBytes < capBytes {
-			maxBytes = capBytes
-		}
+		maxBytes = max(defaultTableBufferCeiling, capBytes)
 	}
 	var rowBytes int64
 	for _, col := range t.Cols {

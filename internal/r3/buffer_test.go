@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"r3bench/internal/cost"
-	"r3bench/internal/dbgen"
 	"r3bench/internal/val"
 )
 
@@ -77,34 +76,6 @@ func TestRightSizedBufferRetainsResidents(t *testing.T) {
 		t.Errorf("right-sized buffer flagged undersized: %+v", st)
 	}
 	sys.SetBuffered("MARA", 0)
-}
-
-// TestTableBufferBytesOverride pins the Config.TableBufferBytes knob: it
-// overrides every SetBuffered budget while it is set, and disabling a
-// buffer still works.
-func TestTableBufferBytesOverride(t *testing.T) {
-	sys, err := Install(Config{Release: Release22, TableBufferBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.LoadDirect(dbgen.New(testSF)); err != nil {
-		t.Fatal(err)
-	}
-	// The per-call budget says "nothing fits"; the override wins.
-	buf := sys.SetBuffered("MARA", 1)
-	o := sys.OpenSQL(cost.NewMeter(sys.DB.Model()))
-	key := []Cond{Eq("MATNR", val.Str(Key16(7)))}
-	for i := 0; i < 10; i++ {
-		if _, ok, err := o.SelectSingle("MARA", key); err != nil || !ok {
-			t.Fatalf("lookup %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	if r := buf.HitRatio(); r < 0.89 {
-		t.Errorf("hit ratio %.2f under override, want ~0.9 (override ignored?)", r)
-	}
-	if sys.SetBuffered("MARA", 0) != nil || sys.Buffer("MARA") != nil {
-		t.Error("capBytes=0 must still disable buffering under an override")
-	}
 }
 
 // TestAdmissionTwoTouch pins the admission protocol: once a buffer has

@@ -76,7 +76,7 @@ func TestBufferCoherencyNativeSQLUpdate(t *testing.T) {
 	cacheMara(t, o, matnr)
 
 	if _, err := n.Exec(`UPDATE MARA SET MTART = ? WHERE MANDT = ? AND MATNR = ?`,
-		val.Str("NATIVEUPD"), val.Str(sys.Client), val.Str(matnr)); err != nil {
+		val.Str("NATIVEUPD"), val.Str(DefaultClient), val.Str(matnr)); err != nil {
 		t.Fatal(err)
 	}
 	row, ok, err := o.SelectSingle("MARA", maraKey(matnr))
@@ -97,7 +97,7 @@ func TestBufferCoherencyNativeSQLDelete(t *testing.T) {
 	cacheMara(t, o, matnr)
 
 	if _, err := n.Exec(`DELETE FROM MARA WHERE MANDT = ? AND MATNR = ?`,
-		val.Str(sys.Client), val.Str(matnr)); err != nil {
+		val.Str(DefaultClient), val.Str(matnr)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := o.SelectSingle("MARA", maraKey(matnr)); ok {
@@ -117,7 +117,7 @@ func TestBufferCoherencyPreparedDML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Query(val.Str("PREPUPD"), val.Str(sys.Client), val.Str(matnr)); err != nil {
+	if _, err := st.Query(val.Str("PREPUPD"), val.Str(DefaultClient), val.Str(matnr)); err != nil {
 		t.Fatal(err)
 	}
 	row, ok, err := o.SelectSingle("MARA", maraKey(matnr))
@@ -139,7 +139,7 @@ func TestBufferCoherencyEngineSession(t *testing.T) {
 	// A raw engine session bypasses every R/3 interface entirely.
 	s := sys.DB.NewSessionWithMeter(nil)
 	if _, err := s.Exec(`UPDATE MARA SET MTART = ? WHERE MANDT = ? AND MATNR = ?`,
-		val.Str("RAWUPD"), val.Str(sys.Client), val.Str(matnr)); err != nil {
+		val.Str("RAWUPD"), val.Str(DefaultClient), val.Str(matnr)); err != nil {
 		t.Fatal(err)
 	}
 	row, ok, err := o.SelectSingle("MARA", maraKey(matnr))

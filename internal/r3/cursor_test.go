@@ -8,6 +8,7 @@ import (
 
 	"r3bench/internal/cost"
 	"r3bench/internal/dbgen"
+	"r3bench/internal/race"
 	"r3bench/internal/val"
 )
 
@@ -181,7 +182,7 @@ func TestOpenSQLCallAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if n > c.budget {
+		if !race.Enabled && n > c.budget {
 			t.Errorf("%s allocates %.2f times per call, budget %.1f", c.what, n, c.budget)
 		} else {
 			t.Logf("%s: %.2f allocations per call", c.what, n)

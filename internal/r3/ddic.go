@@ -45,19 +45,10 @@ const (
 // Behaviour that can change while it runs is Options.
 type Config struct {
 	Release Release
-	Client  string // defaults to DefaultClient
 	// BufferBytes is the RDBMS buffer (paper default: 10 MB; the rest of
 	// the machine's memory belongs to the application server).
 	BufferBytes int
 	CostModel   cost.Model
-	// TableBufferBytes, when positive, overrides the byte budget of every
-	// application-server table buffer enabled via SetBuffered and also
-	// bounds eviction-pressure-driven auto-resize (adaptive buffers
-	// otherwise grow toward an 8 MB default ceiling). The paper's Table 8
-	// shows what a pinned undersized budget does: the MARA buffer
-	// thrashes (35k misses, 34k evictions, nothing resident);
-	// SetBufferedFixed reproduces that pathology on demand.
-	TableBufferBytes int64
 	// Durable turns on write-ahead logging in the back-end RDBMS: every
 	// SAP LUW becomes an engine transaction whose commit forces the log
 	// instead of flushing data pages (DESIGN.md §14). Off by default so
@@ -71,14 +62,10 @@ type Config struct {
 // System is one installed SAP R/3 instance plus its back-end RDBMS.
 type System struct {
 	DB      *engine.DB
-	Client  string
 	mu      sync.RWMutex
 	version Release
 	ddic    map[string]*LogicalTable
-	// tableBufBytes, when positive, overrides the capacity passed to
-	// SetBuffered (operator-tuned buffer sizing; Config.TableBufferBytes).
-	tableBufBytes int64
-	buffers       map[string]*TableBuffer
+	buffers map[string]*TableBuffer
 	// retired accumulates counters of buffers that were disabled, so
 	// end-of-run metrics still see work done by short-lived buffers.
 	retired map[string]BufferStats
@@ -122,17 +109,12 @@ func (sys *System) CursorStats() (hits, misses int64) {
 // Install creates a fresh R/3 system: data dictionary, physical schema
 // and indexes on an empty engine.
 func Install(cfg Config) (*System, error) {
-	if cfg.Client == "" {
-		cfg.Client = DefaultClient
-	}
 	sys := &System{
-		DB:            engine.Open(engine.Config{BufferBytes: cfg.BufferBytes, CostModel: cfg.CostModel}),
-		Client:        cfg.Client,
-		version:       cfg.Release,
-		ddic:          make(map[string]*LogicalTable),
-		tableBufBytes: cfg.TableBufferBytes,
-		buffers:       make(map[string]*TableBuffer),
-		retired:       make(map[string]BufferStats),
+		DB:      engine.Open(engine.Config{BufferBytes: cfg.BufferBytes, CostModel: cfg.CostModel}),
+		version: cfg.Release,
+		ddic:    make(map[string]*LogicalTable),
+		buffers: make(map[string]*TableBuffer),
+		retired: make(map[string]BufferStats),
 	}
 	for _, t := range sapTables() {
 		sys.ddic[t.Name] = t

@@ -163,7 +163,7 @@ func TestSystemOptionsRoundTrip(t *testing.T) {
 		t.Fatalf("a fresh system has options %+v, want the zero value", saved)
 	}
 	all := Options{
-		Engine:         engine.Options{Parallel: 4, ArrayFetch: true, PeekBinds: true, Adaptive: true, NoParseCache: true},
+		Engine:         engine.Options{Parallel: 4, ArrayFetch: true, PeekBinds: true, Adaptive: true},
 		ITabSinglePass: true,
 	}
 	sys.SetOptions(all)

@@ -197,7 +197,7 @@ func (o *OpenSQL) Select(table string, conds []Cond, fn func(Row) error) error {
 		return o.selectEncapsulated(t, conds, fn)
 	}
 	o.sql = append(append(append(o.sql[:0], "SELECT * FROM "...), t.Name...), " WHERE MANDT = ?"...)
-	params := append(o.sc.params[:0], val.Str(o.sys.Client))
+	params := append(o.sc.params[:0], val.Str(DefaultClient))
 	for _, c := range conds {
 		var err error
 		o.sql = append(o.sql, " AND "...)
@@ -262,7 +262,7 @@ func (o *OpenSQL) selectEncapsulated(t *LogicalTable, conds []Cond, fn func(Row)
 	// Bit i of used marks conds[i] as taken into the key prefix.
 	var used uint64
 	prefix := make([]val.Value, 1, 8)
-	prefix[0] = val.Str(o.sys.Client)
+	prefix[0] = val.Str(DefaultClient)
 	for len(prefix) < len(t.KeyCols) {
 		i := keyEq(conds, t.KeyCols[len(prefix)])
 		if i < 0 || i >= 64 {
@@ -307,7 +307,7 @@ func (o *OpenSQL) SelectSingle(table string, conds []Cond) (Row, bool, error) {
 		}
 	}
 	if buf := o.sys.Buffer(t.Name); buf != nil {
-		keyVals := []val.Value{val.Str(o.sys.Client)}
+		keyVals := []val.Value{val.Str(DefaultClient)}
 		for _, kc := range t.KeyCols[1:] {
 			keyVals = append(keyVals, conds[keyEq(conds, kc)].Val)
 		}
@@ -379,7 +379,7 @@ func (o *OpenSQL) Delete(table string, keyVals ...val.Value) error {
 	if t == nil {
 		return fmt.Errorf("r3: unknown table %s", table)
 	}
-	prefix := append([]val.Value{val.Str(o.sys.Client)}, keyVals...)
+	prefix := append([]val.Value{val.Str(DefaultClient)}, keyVals...)
 	defer o.ph.enterDB(o.sess.Meter)()
 	return o.sys.deleteLogical(o.sess, t, prefix)
 }

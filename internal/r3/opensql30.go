@@ -135,7 +135,7 @@ func (o *OpenSQL) SelectJoin(q JoinQuery, fn func(Row) error) error {
 		}
 		from = append(from, jt.Table+" "+a)
 		where = append(where, a+".MANDT = ?")
-		params = append(params, val.Str(o.sys.Client))
+		params = append(params, val.Str(DefaultClient))
 	}
 	for _, on := range q.On {
 		where = append(where, fmt.Sprintf("%s.%s = %s.%s", on.LA, on.LC, on.RA, on.RC))
@@ -223,7 +223,7 @@ func (sys *System) CreateJoinView(name string, q JoinQuery) error {
 		}
 		tables[a] = t
 		from = append(from, jt.Table+" "+a)
-		where = append(where, a+".MANDT = '"+sys.Client+"'")
+		where = append(where, a+".MANDT = '"+DefaultClient+"'")
 	}
 	for _, on := range q.On {
 		// Key relationship check: the right column must belong to the

@@ -82,7 +82,7 @@ func TestConcurrentDialogStreams(t *testing.T) {
 					} else {
 						// Native SQL update: the hook's old+new invalidation.
 						if _, err := nat.Exec(`UPDATE MARA SET MTART = ? WHERE MANDT = ? AND MATNR = ?`,
-							val.Str("NATCHURN"), val.Str(sys.Client), val.Str(matnr)); err != nil {
+							val.Str("NATCHURN"), val.Str(DefaultClient), val.Str(matnr)); err != nil {
 							errs <- err
 							return
 						}

@@ -135,10 +135,6 @@ type BufferPool struct {
 	seqMu    sync.Mutex
 	lastRead map[FileID]PageID
 
-	// opts is the published policy snapshot (see Options): one atomic
-	// load per admission or readahead decision.
-	opts atomic.Pointer[Options]
-
 	raWindows atomic.Int64 // batched window fetches issued
 	raPages   atomic.Int64 // pages fetched speculatively (beyond the demand page)
 
@@ -168,7 +164,6 @@ func NewBufferPool(disk *Disk, capacityBytes int) *BufferPool {
 		capPages: capPages,
 		lastRead: make(map[FileID]PageID),
 	}
-	bp.opts.Store(&Options{})
 	per := capPages / nShards
 	extra := capPages % nShards
 	for i := range bp.shards {
@@ -200,34 +195,14 @@ func (bp *BufferPool) shard(key pageKey) *poolShard {
 // CapacityPages returns the pool capacity in pages.
 func (bp *BufferPool) CapacityPages() int { return bp.capPages }
 
-// Options is every switchable behaviour of a buffer pool. The zero value
-// is the pool every paper table runs on; the determinism suite flips the
-// fields to prove results are byte-identical either way.
-type Options struct {
-	// NoMidpoint sends newly admitted pages straight to the young
-	// sublist: the pool degrades to the plain LRU of earlier releases.
-	NoMidpoint bool
-	// NoReadahead makes every page a ScanRun reads charge its own
-	// sequential read instead of streaming in batched windows.
-	NoReadahead bool
-}
-
-// Options returns the pool's current options.
-func (bp *BufferPool) Options() Options { return *bp.opts.Load() }
-
-// SetOptions replaces the pool's options; admissions and readahead
-// decisions made after the call see the new value.
-func (bp *BufferPool) SetOptions(o Options) { bp.opts.Store(&o) }
-
 // SetWAL attaches the write-ahead log that observes dirty write-backs
 // (nil detaches). With no WAL attached, write-backs only charge the
 // cost model, exactly as before durability existed.
 func (bp *BufferPool) SetWAL(w *WAL) { bp.wal.Store(w) }
 
-// readaheadOn reports whether window fetches are currently worthwhile.
-func (bp *BufferPool) readaheadOn() bool {
-	return !bp.opts.Load().NoReadahead && bp.capPages >= minReadaheadPages
-}
+// readaheadOn reports whether window fetches are worthwhile: a pool
+// under minReadaheadPages charges every page of a run on its own.
+func (bp *BufferPool) readaheadOn() bool { return bp.capPages >= minReadaheadPages }
 
 // HitRatio returns the fraction of page requests served from the pool,
 // counting both resident hits and readahead hits.
@@ -566,14 +541,8 @@ func (bp *BufferPool) admitLocked(sh *poolShard, key pageKey, data []byte, m *co
 		sh.remove(vf)
 	}
 	f := &frame{key: key, data: data, ra: ra, shared: shared}
-	if !bp.opts.Load().NoMidpoint {
-		sh.old.pushFront(f)
-		sh.oldLen.Add(1)
-	} else {
-		f.young = true
-		sh.young.pushFront(f)
-		sh.youngLen.Add(1)
-	}
+	sh.old.pushFront(f)
+	sh.oldLen.Add(1)
 	sh.frames[key] = f
 	return f
 }
@@ -717,16 +686,4 @@ func (bp *BufferPool) DropFile(file FileID) {
 	bp.seqMu.Lock()
 	delete(bp.lastRead, file)
 	bp.seqMu.Unlock()
-}
-
-// ResetStats zeroes hit/miss/readahead counters (occupancy is state, not
-// a counter, and stays).
-func (bp *BufferPool) ResetStats() {
-	for _, sh := range bp.shards {
-		sh.hits.Store(0)
-		sh.misses.Store(0)
-		sh.raHits.Store(0)
-	}
-	bp.raWindows.Store(0)
-	bp.raPages.Store(0)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"r3bench/internal/cost"
+	"r3bench/internal/race"
 )
 
 // poolModel is the buffer pool's replacement policy written out on slices:
@@ -100,11 +101,7 @@ func (m *poolModel) admit(key pageKey, ra bool) {
 	if ra {
 		s.ra[key] = true
 	}
-	if m.bp.Options().NoMidpoint {
-		s.young = slices.Insert(s.young, 0, key)
-	} else {
-		s.old = slices.Insert(s.old, 0, key)
-	}
+	s.old = slices.Insert(s.old, 0, key)
 }
 
 // get is Get, and Mutate: a request that admits the page on a miss.
@@ -197,11 +194,11 @@ func gone(before, after map[pageKey]residency) []pageKey {
 }
 
 // TestPoolReplacementAgainstModel drives a two-shard pool with random
-// sequences of Get, ScanRun runs (with readahead windows), Mutate, DropFile
-// and policy switches, and after every operation compares it with the
-// policy's model: which pages it evicted, which are resident, in which
-// sublist, with which readahead flag, the sublist sizes and the hit, miss and
-// readahead-hit counters. Recency order inside a sublist is not observable
+// sequences of Get, ScanRun runs (with readahead windows), Mutate and
+// DropFile, and after every operation compares it with the policy's model:
+// which pages it evicted, which are resident, in which sublist, with which
+// readahead flag, the sublist sizes and the hit, miss and readahead-hit
+// counters. Recency order inside a sublist is not observable
 // directly; a wrong order shows up as a wrong eviction some operations later.
 // (The evictions compared are those of pages resident before the operation:
 // a readahead window can admit and evict a page within one ScanRun.)
@@ -233,7 +230,7 @@ func TestPoolReplacementAgainstModel(t *testing.T) {
 		for op := 0; op < 4000; op++ {
 			before, modelBefore := poolResidents(bp), model.residents()
 			var what string
-			switch k := r.Intn(100); {
+			switch k := r.Intn(97); {
 			case k < 50:
 				key := page()
 				what = fmt.Sprintf("Get %v", key)
@@ -264,15 +261,11 @@ func TestPoolReplacementAgainstModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				model.get(key)
-			case k < 97:
+			default:
 				f := files[r.Intn(len(files))]
 				what = fmt.Sprintf("DropFile %d", f)
 				bp.DropFile(f)
 				model.dropFile(f)
-			default:
-				o := Options{NoMidpoint: r.Intn(3) == 0, NoReadahead: r.Intn(3) == 0}
-				what = fmt.Sprintf("SetOptions %+v", o)
-				bp.SetOptions(o)
 			}
 
 			after, modelAfter := poolResidents(bp), model.residents()
@@ -323,7 +316,7 @@ func TestPoolHitAllocatesNothing(t *testing.T) {
 		p++
 	})
 	st := bp.Stats()[0]
-	if n != 0 || st.Misses != pages || st.Young == 0 || st.Old == 0 {
+	if (!race.Enabled && n != 0) || st.Misses != pages || st.Young == 0 || st.Old == 0 {
 		t.Errorf("a hit allocates %.2f times (%+v)", n, st)
 	}
 }

@@ -395,9 +395,6 @@ func (w *WAL) FlushedLSN() int64 {
 	return w.flushedLSN
 }
 
-// GroupSize returns the group-commit batch size.
-func (w *WAL) GroupSize() int { return w.groupSize }
-
 // Boundaries returns the end-LSN of every whole record currently in the
 // log — the cut points a crash can land exactly on. Recovery torture
 // tests iterate these (and offsets in between, for torn tails).

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"r3bench/internal/engine"
-	"r3bench/internal/storage"
 	"r3bench/internal/val"
 )
 
@@ -109,45 +108,6 @@ func TestParallelDeterminismWithOptimizerKnobs(t *testing.T) {
 			}
 			if got := encodeResult(rows); got != serial[q] {
 				t.Errorf("knobs on, parallel=%d Q%d result differs from serial run", deg, q)
-			}
-		}
-	}
-}
-
-// TestParallelDeterminismWithCacheKnobs re-runs the byte-identical check
-// with the buffer-replacement knobs flipped: midpoint insertion and
-// sequential readahead change which pages are resident and how I/O is
-// charged, but must never change what a query returns — at any parallel
-// degree, in any on/off combination.
-func TestParallelDeterminismWithCacheKnobs(t *testing.T) {
-	db, g := loadedDB(t)
-	impl := NewRDBMS(db, g)
-
-	serial := make([]string, 18)
-	for q := 1; q <= 17; q++ {
-		rows, err := impl.RunQuery(q)
-		if err != nil {
-			t.Fatalf("serial Q%d: %v", q, err)
-		}
-		serial[q] = encodeResult(rows)
-	}
-
-	for _, knobs := range []storage.Options{
-		{NoMidpoint: true, NoReadahead: true}, // the seed's plain LRU, per-page charging
-		{NoReadahead: true},
-		{NoMidpoint: true},
-	} {
-		db.Pool().SetOptions(knobs)
-		for _, deg := range []int{1, 2, 8} {
-			db.SetOptions(engine.Options{Parallel: deg})
-			for q := 1; q <= 17; q++ {
-				rows, err := impl.RunQuery(q)
-				if err != nil {
-					t.Fatalf("%+v parallel=%d Q%d: %v", knobs, deg, q, err)
-				}
-				if got := encodeResult(rows); got != serial[q] {
-					t.Errorf("%+v parallel=%d Q%d result differs from serial run", knobs, deg, q)
-				}
 			}
 		}
 	}

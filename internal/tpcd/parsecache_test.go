@@ -8,10 +8,12 @@ import (
 
 // TestParseCacheByteIdenticalAcrossDegrees asserts the fingerprint
 // cache's end-to-end guarantee on the real workload: every TPC-D query
-// returns byte-identical results with the statement cache on (the
-// default) and off, at serial and parallel degrees, and each query
+// returns byte-identical results whether its statement texts hit the
+// cache or miss it, at serial and parallel degrees, and each query
 // charges the two meters identically — the cache saves only real CPU,
-// never simulated time. The suite runs twice per degree, so the second
+// never simulated time. The miss side runs every statement text made
+// unique by trailing whitespace; the fingerprint covers the raw bytes, so
+// each execution misses. The suite runs twice per degree, so the second
 // pass exercises warm AST and plan hits on the cached side (Q15's view
 // DDL bumps the plan epoch in both passes, exercising invalidation on
 // the way).
@@ -20,10 +22,18 @@ func TestParseCacheByteIdenticalAcrossDegrees(t *testing.T) {
 	dbCold, _ := loadedDB(t)
 	hot := NewRDBMS(dbHot, g)
 	cold := NewRDBMS(dbCold, g)
+	coldHits := dbCold.Stats().ParseHits
+	texts, pad := Queries(g.SF), ""
+	unique := func(q int) {
+		for i, sql := range texts[q-1].SQL {
+			pad += " "
+			cold.qs[q-1].SQL[i] = sql + pad
+		}
+	}
 
 	for _, deg := range []int{1, 2, 8} {
 		dbHot.SetOptions(engine.Options{Parallel: deg})
-		dbCold.SetOptions(engine.Options{Parallel: deg, NoParseCache: true})
+		dbCold.SetOptions(engine.Options{Parallel: deg})
 		for pass := 1; pass <= 2; pass++ {
 			for q := 1; q <= 17; q++ {
 				hStart, cStart := hot.Meter().Elapsed(), cold.Meter().Elapsed()
@@ -31,6 +41,7 @@ func TestParseCacheByteIdenticalAcrossDegrees(t *testing.T) {
 				if err != nil {
 					t.Fatalf("deg=%d pass=%d cached Q%d: %v", deg, pass, q, err)
 				}
+				unique(q)
 				cRows, err := cold.RunQuery(q)
 				if err != nil {
 					t.Fatalf("deg=%d pass=%d uncached Q%d: %v", deg, pass, q, err)
@@ -55,7 +66,7 @@ func TestParseCacheByteIdenticalAcrossDegrees(t *testing.T) {
 		t.Errorf("statements %d != hits %d + misses %d",
 			st.ParseStatements, st.ParseHits, st.ParseMisses)
 	}
-	if cs := dbCold.Stats(); cs.ParseHits != 0 {
-		t.Errorf("uncached run recorded %d fingerprint hits", cs.ParseHits)
+	if hits := dbCold.Stats().ParseHits - coldHits; hits != 0 {
+		t.Errorf("uncached run recorded %d fingerprint hits", hits)
 	}
 }

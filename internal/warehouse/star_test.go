@@ -57,7 +57,7 @@ func runWorkload(t *testing.T, wh *Warehouse, qs []WorkloadQuery) []string {
 // every generated workload query answers byte-identically with the
 // aggregate rewrite off and on, the hook hits exactly the queries the
 // generator marked rewritable, and this holds at parallel degrees 1
-// and 2 (run under -race by make race-warehouse).
+// and 2 (run under -race by make race).
 func TestWorkloadRewriteByteIdentical(t *testing.T) {
 	g := dbgen.New(0.002)
 	dir := writeTblDir(t, g)
