@@ -3,7 +3,7 @@ GO ?= go
 # Newest committed snapshot is the regression baseline for bench-diff.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: all fmt-check vet build test loc race race-streams race-shards race-recovery race-warehouse race-views fuzz-smoke bench-smoke bench-vet bench-wire-smoke bench-snapshot bench-diff ci check clean
+.PHONY: all fmt-check vet build test loc race race-views fuzz-smoke bench-smoke bench-vet bench-wire-smoke bench-snapshot bench-diff ci check clean
 
 all: check
 
@@ -34,39 +34,6 @@ loc:
 
 race:
 	$(GO) test -race ./...
-
-# Multi-stream concurrency smoke under the race detector: 2/4/8 TPC-D
-# query streams byte-identical vs solo, concurrent dialog streams
-# against the R/3 table buffer, concurrent batch-input sessions on one
-# system, and concurrent wire-protocol clients.
-race-streams:
-	$(GO) test -race -count=1 -run 'TestThroughputStreamsByteIdentical|TestRunThroughputReportsQPH' ./internal/tpcd
-	$(GO) test -race -count=1 -run 'TestConcurrentDialogStreams|TestConcurrentSetBufferedChurn|TestConcurrentBatchInputSessions' ./internal/r3
-	$(GO) test -race -count=1 -run 'TestConcurrentClients' ./internal/server
-
-# Sharded scale-out smoke under the race detector: Q1–Q17 byte-identical
-# across 1/2/4/8 shards at parallel degrees 1/2, exact per-shard meter
-# reconciliation at the exchange boundaries, distributed UF1/UF2, the
-# recorded laps, shipped rows and phases of every query (the golden), and
-# the exchanges' row counts and spans.
-race-shards:
-	$(GO) test -race -count=1 -run 'TestClusterByteIdenticalAcrossShardCounts|TestClusterMeterReconciliation|TestClusterUpdateFunctions|TestClusterChargesGolden|TestClusterShipsRows|TestClusterSpansShowExchanges' ./internal/shard
-
-# Crash-recovery torture under the race detector: cut the WAL at every
-# record boundary and mid-record, verify committed rows visible and
-# uncommitted rows gone, index<->heap consistency after each cut, and
-# recovery after concurrent group-committed sessions; prepared and ad hoc
-# DML against a map model through index DDL, table re-creation and crash
-# recovery, and two sessions' prepared DML while a third publishes index DDL.
-race-recovery:
-	$(GO) test -race -count=1 -run 'TestRecoveryTortureEveryBoundary|TestRecoveryAfterConcurrentCommits|TestPreparedDMLAgainstModel|TestConcurrentPreparedDMLWithIndexDDL' ./internal/engine
-
-# Warehouse identity smoke under the race detector: the generated
-# workload byte-identical with the aggregate rewrite off and on,
-# refresh-then-query identical to rebuild-then-query (both at parallel
-# degrees 1/2), and change capture surfacing exactly the touched orders.
-race-warehouse:
-	$(GO) test -race -count=1 -run 'TestWorkloadRewriteByteIdentical|TestRefreshMatchesRebuild|TestChangeLogCapturesOrderKeys' ./internal/warehouse
 
 # CHAR values are views of page images (val.ColSet.Decode): the tests of
 # that rule's two ends under the race detector, which also turns checkptr
@@ -124,7 +91,7 @@ bench-snapshot:
 bench-diff:
 	./scripts/bench_diff.sh $(BENCH_BASELINE)
 
-ci: fmt-check vet race race-streams race-shards race-recovery race-warehouse race-views fuzz-smoke bench-vet bench-wire-smoke bench-diff
+ci: fmt-check vet race race-views fuzz-smoke bench-vet bench-wire-smoke bench-diff
 
 check: vet build race bench-smoke bench-vet bench-wire-smoke
 
