@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -13,11 +14,11 @@ import (
 	"r3bench/internal/val"
 )
 
-// -update rewrites testdata/q_golden.json from this run instead of
-// comparing against it. The checked-in file was recorded from the
+// -update rewrites the package's goldens under testdata from this run
+// instead of comparing against them. q_golden.json was recorded from the
 // row-at-a-time pipeline the batch executor replaced, so regenerate it
 // only for a change that is meant to move results or the simulated clock.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/q_golden.json from this run")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens from this run")
 
 // goldenQuery is one recorded TPC-D query execution: its result (SHA-256
 // of encodeResult) and the simulated time it charged.
@@ -87,43 +88,95 @@ func TestQueryGolden(t *testing.T) {
 }
 
 // TestExplainAnalyzeAddsQueryLap pins what one executor makes true by
-// construction: profiling is the same run with spans installed, so for
-// every TPC-D query at degrees 1 and 2 ExplainAnalyze charges exactly the
-// simulated time a plain execution charges and returns the same rows.
+// construction: profiling is the same run with spans installed. For every
+// TPC-D query, with the array interface off and on, at degrees 1 and 2,
+// ExplainAnalyze charges exactly the simulated time a plain execution
+// charges, returns the same rows and moves the interface counters the same
+// way. The span tree of every SELECT and the counters after each case must
+// equal testdata/analyze_golden.txt (-update re-records).
 func TestExplainAnalyzeAddsQueryLap(t *testing.T) {
 	dbPlain, _ := loadedDB(t)
 	dbProf, _ := loadedDB(t)
 	plain, prof := dbPlain.NewSession(), dbProf.NewSession()
-	for _, deg := range []int{1, 2} {
-		dbPlain.SetOptions(engine.Options{Parallel: deg})
-		dbProf.SetOptions(engine.Options{Parallel: deg})
-		for _, q := range Queries(testSF) {
-			pStart, aStart := plain.Meter.Elapsed(), prof.Meter.Elapsed()
-			var pRows, aRows [][]val.Value
-			for _, sql := range q.SQL {
-				res, err := plain.Exec(sql)
-				if err != nil {
-					t.Fatalf("deg=%d Q%d: %v", deg, q.Num, err)
-				}
-				if res.Cols == nil {
-					// Q15's CREATE VIEW / DROP VIEW bracket its SELECT.
-					if _, err := prof.Exec(sql); err != nil {
-						t.Fatalf("deg=%d Q%d: %v", deg, q.Num, err)
+	var b strings.Builder
+	for _, array := range []bool{false, true} {
+		for _, deg := range []int{1, 2} {
+			dbPlain.SetOptions(engine.Options{Parallel: deg, ArrayFetch: array})
+			dbProf.SetOptions(engine.Options{Parallel: deg, ArrayFetch: array})
+			fmt.Fprintf(&b, "== array fetch %v, degree %d\n", array, deg)
+			for _, q := range Queries(testSF) {
+				pStart, aStart := plain.Meter.Elapsed(), prof.Meter.Elapsed()
+				var pRows, aRows [][]val.Value
+				for _, sql := range q.SQL {
+					res, err := plain.Exec(sql)
+					if err != nil {
+						t.Fatalf("array=%v deg=%d Q%d: %v", array, deg, q.Num, err)
 					}
-					continue
+					if res.Cols == nil {
+						// Q15's CREATE VIEW / DROP VIEW bracket its SELECT.
+						if _, err := prof.Exec(sql); err != nil {
+							t.Fatalf("array=%v deg=%d Q%d: %v", array, deg, q.Num, err)
+						}
+						continue
+					}
+					ap, err := prof.ExplainAnalyze(sql)
+					if err != nil {
+						t.Fatalf("array=%v deg=%d Q%d analyzed: %v", array, deg, q.Num, err)
+					}
+					pRows, aRows = res.Rows, ap.Result.Rows
+					fmt.Fprintf(&b, "Q%d\n%s", q.Num, ap)
 				}
-				ap, err := prof.ExplainAnalyze(sql)
-				if err != nil {
-					t.Fatalf("deg=%d Q%d analyzed: %v", deg, q.Num, err)
+				if encodeResult(pRows) != encodeResult(aRows) {
+					t.Errorf("array=%v deg=%d Q%d: ExplainAnalyze returned different rows", array, deg, q.Num)
 				}
-				pRows, aRows = res.Rows, ap.Result.Rows
+				if p, a := plain.Meter.Lap(pStart), prof.Meter.Lap(aStart); p != a {
+					t.Errorf("array=%v deg=%d Q%d: Exec charged %v, ExplainAnalyze %v", array, deg, q.Num, p, a)
+				}
 			}
-			if encodeResult(pRows) != encodeResult(aRows) {
-				t.Errorf("deg=%d Q%d: ExplainAnalyze returned different rows", deg, q.Num)
+			p, a := ifaceCounters(dbPlain.Stats()), ifaceCounters(dbProf.Stats())
+			if p != a {
+				t.Errorf("array=%v deg=%d: Exec counted %s, ExplainAnalyze %s", array, deg, p, a)
 			}
-			if p, a := plain.Meter.Lap(pStart), prof.Meter.Lap(aStart); p != a {
-				t.Errorf("deg=%d Q%d: Exec charged %v, ExplainAnalyze %v", deg, q.Num, p, a)
+			fmt.Fprintf(&b, "%s\n", a)
+		}
+	}
+	checkTextGolden(t, "testdata/analyze_golden.txt", b.String())
+}
+
+// ifaceCounters renders the execution counters a SELECT moves.
+func ifaceCounters(st engine.EngineStats) string {
+	return fmt.Sprintf("selects=%d interface_calls=%d rows_shipped=%d packets=%d",
+		st.Selects, st.InterfaceCalls, st.RowsShipped, st.Packets)
+}
+
+// checkTextGolden compares got with the golden file at path, or rewrites
+// the file under -update.
+func checkTextGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		if i >= len(g) || i >= len(w) || g[i] != w[i] {
+			gl, wl := "(end)", "(end)"
+			if i < len(g) {
+				gl = g[i]
 			}
+			if i < len(w) {
+				wl = w[i]
+			}
+			t.Fatalf("%s: first difference at line %d:\ngot  %s\nwant %s", path, i+1, gl, wl)
 		}
 	}
 }

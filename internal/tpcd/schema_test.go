@@ -2,7 +2,6 @@ package tpcd
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -39,19 +38,5 @@ func TestSchemaFromDescriptors(t *testing.T) {
 			fmt.Fprintf(&b, "  index %s (%s) unique=%v clustered=%v\n", ix.Name, colNames(ix.ColIdxs), ix.Unique, ix.Clustered)
 		}
 	}
-	got := b.String()
-	const path = "testdata/schema_golden.txt"
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("catalog after CreateSchema:\n%s\nwant:\n%s", got, want)
-	}
+	checkTextGolden(t, "testdata/schema_golden.txt", b.String())
 }
