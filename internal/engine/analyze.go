@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"r3bench/internal/cost"
-	"r3bench/internal/sqlparse"
 	"r3bench/internal/val"
 )
 
@@ -16,6 +15,7 @@ import (
 // executing, and the root span reconciles with the session meter.
 type execProfile struct {
 	root *cost.Span
+	ship *cost.Span // the statement's row-ship span; nil in a parallel lane's profile
 	mu   sync.Mutex
 	// plans memoises span sets per compiled plan. Subqueries share the
 	// statement's runtime, so keying by plan keeps their operators
@@ -119,64 +119,29 @@ type Analyzed struct {
 // simulated elapsed, rows produced and dominant event classes.
 func (a *Analyzed) String() string { return a.Root.Render() }
 
-// ExplainAnalyze executes a SELECT with per-operator cost attribution:
-// every pipeline step, the output phase, parse+optimize and row shipping
-// each run against their own child span of the session meter.
+// ExplainAnalyze executes a SELECT with per-operator cost attribution. It
+// is Exec's run with spans installed: the front half runs under the
+// parse+optimize span, then every pipeline step, the output phase and row
+// shipping charge their own child span of the session meter.
 func (s *Session) ExplainAnalyze(sql string, params ...val.Value) (*Analyzed, error) {
 	o := s.db.opts.Load()
-	ast, entry, err := s.db.parse(sql)
+	root := cost.NewSpan("statement")
+	prev := s.Meter.SetSpan(root.Child("parse+optimize"))
+	defer s.Meter.SetSpan(prev)
+	plan, _, err := s.compile(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := ast.(*sqlparse.SelectStmt)
-	if !ok {
+	if plan == nil {
 		return nil, fmt.Errorf("engine: EXPLAIN ANALYZE supports only SELECT")
 	}
-
-	root := cost.NewSpan("statement")
-	prevRoot := s.Meter.SetSpan(root)
-	defer s.Meter.SetSpan(prevRoot)
-
-	// Mirror Exec's interface + optimize charges so an analyzed run costs
-	// the same as a plain one.
-	opt := root.Child("parse+optimize")
-	prev := s.Meter.SetSpan(opt)
-	s.db.ifaceCalls.Add(1)
-	s.Meter.Charge(cost.Interface, 1)
-	s.Meter.ChargeDuration(cost.Interface, optimizeCharge)
-	plan, err := s.db.planFor(entry, sel)
-	s.Meter.SetSpan(prev)
-	if err != nil {
-		return nil, err
-	}
-
+	s.Meter.SetSpan(root)
 	prof := newExecProfile(root)
 	prof.planFor(plan) // create operator spans ahead of row-ship, in plan order
-	ship := root.Child("row-ship")
-
-	arrayFetch := o.ArrayFetch
-	rt := &runtime{sess: s, params: params, prof: prof}
-	out := &collect{Result: Result{Cols: plan.outCols}}
-	res := &out.Result
-	err = plan.run(rt, nil, func(row []val.Value) error {
-		if !arrayFetch {
-			p := s.Meter.SetSpan(ship)
-			s.Meter.Charge(cost.RowShip, 1)
-			s.Meter.SetSpan(p)
-		}
-		ship.AddRows(1)
-		return out.Row(row)
-	})
-	if err != nil {
+	prof.ship = root.Child("row-ship")
+	out := &collect{}
+	if err := s.runSelect(&runtime{sess: s, params: params, prof: prof}, plan, out, o.ArrayFetch); err != nil {
 		return nil, err
 	}
-	s.db.ifaceRows.Add(int64(len(res.Rows)))
-	if arrayFetch {
-		p := s.Meter.SetSpan(ship)
-		packets := chargeArrayShip(s.Meter, int64(len(res.Rows)))
-		s.Meter.SetSpan(p)
-		s.db.ifacePackets.Add(packets)
-	}
-	s.db.noteSelect(plan)
-	return &Analyzed{Result: res, Root: root}, nil
+	return &Analyzed{Result: &out.Result, Root: root}, nil
 }

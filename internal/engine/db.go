@@ -160,14 +160,40 @@ func (s *Session) Exec(sql string, params ...val.Value) (*Result, error) {
 // stay delivered.
 func (s *Session) ExecTo(sink RowSink, sql string, params ...val.Value) (int64, error) {
 	o := s.db.opts.Load()
-	stmt, entry, err := s.db.parse(sql)
+	plan, stmt, err := s.compile(sql)
 	if err != nil {
 		return 0, err
 	}
+	if plan != nil {
+		return 0, s.runSelect(&runtime{sess: s, params: params}, plan, sink, o.ArrayFetch)
+	}
+	s.chargeCall()
+	return s.execParsed(sink, stmt, params)
+}
+
+// compile is the front half of every SELECT run from its text — ExecTo's,
+// ExplainAnalyze's and QueryPartial's: the parse, one interface call with
+// its parse+optimize round, and the plan. Any other statement comes back
+// parsed, uncharged and unplanned, for ExecTo to run or the others to refuse.
+func (s *Session) compile(sql string) (*selectPlan, sqlparse.Statement, error) {
+	stmt, entry, err := s.db.parse(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	sel, ok := stmt.(*sqlparse.SelectStmt)
+	if !ok {
+		return nil, stmt, nil
+	}
+	s.chargeCall()
+	plan, err := s.db.planFor(entry, sel)
+	return plan, stmt, err
+}
+
+// chargeCall charges one interface round trip with its parse+optimize round.
+func (s *Session) chargeCall() {
 	s.db.ifaceCalls.Add(1)
 	s.Meter.Charge(cost.Interface, 1)
 	s.Meter.ChargeDuration(cost.Interface, optimizeCharge)
-	return s.execParsed(sink, stmt, entry, params, o)
 }
 
 // Query is Exec restricted to SELECT statements.
@@ -182,16 +208,11 @@ func (s *Session) Query(sql string, params ...val.Value) (*Result, error) {
 	return res, nil
 }
 
-func (s *Session) execParsed(sink RowSink, stmt sqlparse.Statement, entry *parseEntry, params []val.Value, o *Options) (int64, error) {
+// execParsed runs a parsed statement that is not a SELECT.
+func (s *Session) execParsed(sink RowSink, stmt sqlparse.Statement, params []val.Value) (int64, error) {
 	var n int64
 	var err error
 	switch st := stmt.(type) {
-	case *sqlparse.SelectStmt:
-		plan, err := s.db.planFor(entry, st)
-		if err != nil {
-			return 0, err
-		}
-		return 0, s.runSelect(&runtime{sess: s, params: params}, plan, sink, o.ArrayFetch)
 	case *sqlparse.CreateTable:
 		_, err = s.db.createTable(st)
 	case *sqlparse.CreateIndex:
@@ -221,7 +242,8 @@ func (s *Session) execParsed(sink RowSink, stmt sqlparse.Statement, entry *parse
 // runSelect executes a compiled plan on rt, streaming the result to sink
 // and charging client row shipping: one RowShip per row, or — under the
 // array interface (array, from the statement's options snapshot) — one
-// RowShipBatch per packet once the row count is known.
+// RowShipBatch per packet once the row count is known. A profiled rt
+// (ExplainAnalyze) is the same run with its operator spans installed.
 func (s *Session) runSelect(rt *runtime, plan *selectPlan, sink RowSink, array bool) error {
 	s.db.noteSelect(plan)
 	if err := sink.Header(plan.outCols); err != nil {
@@ -239,25 +261,19 @@ func (s *Session) runSelect(rt *runtime, plan *selectPlan, sink RowSink, array b
 }
 
 // shipDone books a shipped result with the interface counters and, under
-// the array interface, charges its packets.
+// the array interface, charges its packets: one RowShipBatch per started
+// packet of cost.ArrayFetchRows rows.
 func (rt *runtime) shipDone() {
 	db := rt.sess.db
 	db.ifaceRows.Add(rt.shipped)
-	if rt.array {
-		db.ifacePackets.Add(chargeArrayShip(rt.sess.Meter, rt.shipped))
+	if rt.prof != nil {
+		rt.prof.ship.AddRows(rt.shipped)
 	}
-}
-
-// chargeArrayShip charges packet-granular row shipping for n result rows
-// and returns the packet count: one RowShipBatch event per started packet
-// of cost.ArrayFetchRows rows. Zero rows ship zero packets.
-func chargeArrayShip(m *cost.Meter, n int64) int64 {
-	if n <= 0 {
-		return 0
+	if rt.array && rt.shipped > 0 {
+		packets := (rt.shipped + cost.ArrayFetchRows - 1) / cost.ArrayFetchRows
+		rt.chargeShip(cost.RowShipBatch, packets)
+		db.ifacePackets.Add(packets)
 	}
-	packets := (n + cost.ArrayFetchRows - 1) / cost.ArrayFetchRows
-	m.Charge(cost.RowShipBatch, packets)
-	return packets
 }
 
 // Stmt is a prepared statement: parsed and optimized once, re-executable
@@ -342,7 +358,7 @@ func (st *Stmt) QueryTo(sink RowSink, params ...val.Value) (int64, error) {
 	s.db.ifaceCalls.Add(1)
 	s.Meter.Charge(cost.Interface, 1)
 	if _, _, dml := dmlTarget(st.ast); st.sel == nil && !dml {
-		return s.execParsed(sink, st.ast, st.entry, params, o)
+		return s.execParsed(sink, st.ast, params)
 	}
 	// DDL since the plan was made: keep it only if every table and view it
 	// resolved is still the one it resolved.
@@ -820,19 +836,6 @@ func (s *Session) updateRow(rt *runtime, d *dmlPlan, rid storage.RID, oldRow []v
 	}
 	s.db.noteWrite(t.Name, oldRow, newRow)
 	return nil
-}
-
-// InsertRow inserts one row without committing — the building block for
-// higher layers (SAP R/3's tuple-at-a-time inserts) that manage their own
-// transaction boundaries. The row joins the system transaction; layers
-// that need crash atomicity insert through Session.InsertRow instead.
-func (db *DB) InsertRow(tableName string, row []val.Value, m *cost.Meter) error {
-	t := db.Table(tableName)
-	if t == nil {
-		return errNoTable(tableName)
-	}
-	_, err := db.insertRowTx(0, t, row, m)
-	return err
 }
 
 // InsertRow inserts one row in the session's open transaction without

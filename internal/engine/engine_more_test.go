@@ -338,3 +338,74 @@ func TestFailedInsertLeavesNoRows(t *testing.T) {
 		mustExec(t, s, `INSERT INTO t VALUES (7, 'y')`)
 	}
 }
+
+// --- refusals of the SELECT-only entry points ---
+
+// TestSelectOnlyRefusals pins the errors of the entry points that run only
+// a SELECT, or only one a shard can compute a piece of. A statement that
+// is not a SELECT is refused before any simulated time is charged.
+func TestSelectOnlyRefusals(t *testing.T) {
+	_, s := testDB(t)
+	partial := func(sql string) *Partial {
+		t.Helper()
+		pa, err := s.QueryPartial(sql)
+		if err != nil {
+			t.Fatalf("QueryPartial(%q): %v", sql, err)
+		}
+		return pa
+	}
+	const update = `UPDATE emp SET e_salary = 0 WHERE e_id = 1`
+	cases := []struct {
+		name, want string
+		uncharged  bool
+		run        func() error
+	}{
+		{"ExplainAnalyze UPDATE", "EXPLAIN ANALYZE supports only SELECT", true, func() error {
+			_, err := s.ExplainAnalyze(update)
+			return err
+		}},
+		{"QueryPartial UPDATE", "QueryPartial requires a SELECT", true, func() error {
+			_, err := s.QueryPartial(update)
+			return err
+		}},
+		{"Explain UPDATE", "EXPLAIN supports only SELECT", true, func() error {
+			_, err := s.Explain(update)
+			return err
+		}},
+		{"QueryPartial LIMIT", "LIMIT without ORDER BY", false, func() error {
+			_, err := s.QueryPartial(`SELECT e_id FROM emp LIMIT 3`)
+			return err
+		}},
+		{"QueryPartial DISTINCT", "DISTINCT without ORDER BY", false, func() error {
+			_, err := s.QueryPartial(`SELECT DISTINCT e_dept FROM emp`)
+			return err
+		}},
+		{"MergePartials none", "of no partials", true, func() error {
+			_, err := s.MergePartials(nil)
+			return err
+		}},
+		{"MergePartials aggregate and rows", "mismatched partials", false, func() error {
+			_, err := s.MergePartials([]*Partial{
+				partial(`SELECT COUNT(*) FROM emp`), partial(`SELECT e_id FROM emp`)})
+			return err
+		}},
+		{"MergePartials aggregate counts", "mismatched aggregate plans", false, func() error {
+			_, err := s.MergePartials([]*Partial{
+				partial(`SELECT COUNT(*) FROM emp`), partial(`SELECT COUNT(*), SUM(e_salary) FROM emp`)})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		start := s.Meter.Elapsed()
+		err := c.run()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+		if lap := s.Meter.Lap(start); c.uncharged && lap != 0 {
+			t.Errorf("%s: refusal charged %v", c.name, lap)
+		}
+	}
+	if n := mustExec(t, s, `SELECT e_salary FROM emp WHERE e_id = 1`).Rows[0][0]; n.AsFloat() == 0 {
+		t.Errorf("a refused UPDATE ran: e_salary = %v", n)
+	}
+}

@@ -26,7 +26,7 @@ type runtime struct {
 	// means charge the session meter directly.
 	m *cost.Meter
 	// prof collects per-operator span attribution when the statement runs
-	// under ExplainAnalyze; nil otherwise.
+	// under ExplainAnalyze, row shipping included; nil otherwise.
 	prof *execProfile
 	// fb records per-step produced-row counts for the plan fbPlan when a
 	// prepared statement executes with adaptive replanning enabled; nil
@@ -83,10 +83,23 @@ func (rt *runtime) done() {
 // tuple-at-a-time shipping unless the array interface ships packets.
 func (rt *runtime) shipRow(row []val.Value) error {
 	if !rt.array {
-		rt.sess.Meter.Charge(cost.RowShip, 1)
+		rt.chargeShip(cost.RowShip, 1)
 	}
 	rt.shipped++
 	return rt.out.Row(row)
+}
+
+// chargeShip charges n row-shipping events of kind k to the session meter:
+// on the profile's row-ship span when the statement is profiled.
+func (rt *runtime) chargeShip(k cost.Kind, n int64) {
+	m := rt.sess.Meter
+	if rt.prof == nil {
+		m.Charge(k, n)
+		return
+	}
+	prev := m.SetSpan(rt.prof.ship)
+	m.Charge(k, n)
+	m.SetSpan(prev)
 }
 
 func (rt *runtime) meter() *cost.Meter {

@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"r3bench/internal/cost"
-	"r3bench/internal/sqlparse"
 	"r3bench/internal/val"
 )
 
@@ -63,20 +61,12 @@ func (pa *Partial) Rows() [][]val.Value {
 // is charged, because no result row crosses a client interface here (the
 // exchange that ships the partial charges its own NetShip).
 func (s *Session) QueryPartial(sql string, params ...val.Value) (*Partial, error) {
-	stmt, entry, err := s.db.parse(sql)
+	plan, _, err := s.compile(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := stmt.(*sqlparse.SelectStmt)
-	if !ok {
+	if plan == nil {
 		return nil, fmt.Errorf("engine: QueryPartial requires a SELECT statement")
-	}
-	s.db.ifaceCalls.Add(1)
-	s.Meter.Charge(cost.Interface, 1)
-	s.Meter.ChargeDuration(cost.Interface, optimizeCharge)
-	plan, err := s.db.planFor(entry, sel)
-	if err != nil {
-		return nil, err
 	}
 	if plan.agg == nil && len(plan.orderKeys) == 0 {
 		if plan.limit >= 0 {

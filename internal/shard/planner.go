@@ -105,34 +105,16 @@ func (c *Cluster) RunQuery(q int) ([][]val.Value, error) {
 		c.mu.Unlock()
 	}()
 	if c.n == 1 {
-		return c.runLocal(qu)
+		// The one-shard degenerate cluster: plain statement execution on the
+		// only shard, charges straight on the cluster meter — exactly the
+		// isolated RDBMS, plus the coordinator's span.
+		return qu.Run(c.dbs[0].NewSessionWithMeter(c.meter))
 	}
 	rows, err := c.run(q, root, qu, strategies[q])
 	if err != nil {
 		return nil, fmt.Errorf("shard: Q%d: %w", q, err)
 	}
 	return rows, nil
-}
-
-// runLocal is the one-shard degenerate cluster: plain statement
-// execution on the only shard, charges straight on the cluster meter —
-// exactly the isolated RDBMS, plus the coordinator's span.
-func (c *Cluster) runLocal(qu tpcd.Query) ([][]val.Value, error) {
-	sess := c.dbs[0].NewSessionWithMeter(c.meter)
-	var last *engine.Result
-	for _, sql := range qu.SQL {
-		res, err := sess.Exec(sql)
-		if err != nil {
-			return nil, err
-		}
-		if res.Cols != nil {
-			last = res
-		}
-	}
-	if last == nil {
-		return nil, nil
-	}
-	return last.Rows, nil
 }
 
 // statement splits a query's text into the SELECT that answers it and the

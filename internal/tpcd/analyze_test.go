@@ -48,42 +48,3 @@ func TestExplainAnalyzeReconciles(t *testing.T) {
 		}
 	}
 }
-
-// TestExplainAnalyzeRender sanity-checks the rendered tree: operators,
-// rows and the parallel region show up.
-func TestExplainAnalyzeRender(t *testing.T) {
-	db, _ := loadedDB(t)
-	db.SetOptions(engine.Options{Parallel: 4})
-	sess := db.NewSession()
-	ap, err := sess.ExplainAnalyze(
-		`SELECT l_returnflag, COUNT(*) FROM lineitem WHERE l_quantity < 30 GROUP BY l_returnflag`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ap.String()
-	for _, want := range []string{"statement", "parse+optimize", "row-ship", "parallel", "rows="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestExplainAnalyzeMatchesExec pins that an analyzed run charges the
-// session meter the same simulated time as a plain Exec of the same
-// statement (profiling must not distort the clock).
-func TestExplainAnalyzeMatchesExec(t *testing.T) {
-	db, _ := loadedDB(t)
-	const sql = `SELECT SUM(l_extendedprice * l_discount) FROM lineitem
-	             WHERE l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24`
-	s1 := db.NewSession()
-	if _, err := s1.Exec(sql); err != nil {
-		t.Fatal(err)
-	}
-	s2 := db.NewSession()
-	if _, err := s2.ExplainAnalyze(sql); err != nil {
-		t.Fatal(err)
-	}
-	if s1.Meter.Elapsed() != s2.Meter.Elapsed() {
-		t.Errorf("Exec charged %v, ExplainAnalyze charged %v", s1.Meter.Elapsed(), s2.Meter.Elapsed())
-	}
-}

@@ -94,20 +94,28 @@ func (r *RDBMS) RunQuery(q int) ([][]val.Value, error) {
 	if q < 1 || q > 17 {
 		return nil, fmt.Errorf("tpcd: no query Q%d", q)
 	}
-	var last *engine.Result
-	for _, sql := range r.qs[q-1].SQL {
-		res, err := r.sess.Exec(sql)
+	rows, err := r.qs[q-1].Run(r.sess)
+	if err != nil {
+		return nil, fmt.Errorf("tpcd: Q%d: %w", q, err)
+	}
+	return rows, nil
+}
+
+// Run executes the query's statements in order on sess and returns the rows
+// of the last one that has columns: the SELECT that answers it, which Q15's
+// CREATE VIEW and DROP VIEW bracket.
+func (qu Query) Run(sess *engine.Session) ([][]val.Value, error) {
+	var rows [][]val.Value
+	for _, sql := range qu.SQL {
+		res, err := sess.Exec(sql)
 		if err != nil {
-			return nil, fmt.Errorf("tpcd: Q%d: %w", q, err)
+			return nil, err
 		}
 		if res.Cols != nil {
-			last = res
+			rows = res.Rows
 		}
 	}
-	if last == nil {
-		return nil, nil
-	}
-	return last.Rows, nil
+	return rows, nil
 }
 
 // RunUF1 inserts the SF×1500 new orders and their lineitems row by row

@@ -49,16 +49,11 @@ type QueryStream struct {
 // revenue0 view becomes revenue0_s<id>), mirroring TPC-D's per-stream
 // view naming.
 func NewQueryStream(db *engine.DB, g *dbgen.Generator, id int) *QueryStream {
-	base := Queries(g.SF)
-	qs := make([]Query, len(base))
-	copy(qs, base)
+	qs := Queries(g.SF) // a fresh suite, so Q15 can be rewritten in place
 	view := fmt.Sprintf("revenue0_s%d", id)
-	q15 := qs[14]
-	rewritten := Query{Num: q15.Num, Name: q15.Name, SQL: make([]string, len(q15.SQL))}
-	for i, sql := range q15.SQL {
-		rewritten.SQL[i] = strings.ReplaceAll(sql, "revenue0", view)
+	for i, sql := range qs[14].SQL {
+		qs[14].SQL[i] = strings.ReplaceAll(sql, "revenue0", view)
 	}
-	qs[14] = rewritten
 	return &QueryStream{ID: id, sess: db.NewSession(), qs: qs}
 }
 
@@ -70,20 +65,11 @@ func (s *QueryStream) RunQuery(q int) ([][]val.Value, error) {
 	if q < 1 || q > 17 {
 		return nil, fmt.Errorf("tpcd: no query Q%d", q)
 	}
-	var last *engine.Result
-	for _, sql := range s.qs[q-1].SQL {
-		res, err := s.sess.Exec(sql)
-		if err != nil {
-			return nil, fmt.Errorf("tpcd: stream %d Q%d: %w", s.ID, q, err)
-		}
-		if res.Cols != nil {
-			last = res
-		}
+	rows, err := s.qs[q-1].Run(s.sess)
+	if err != nil {
+		return nil, fmt.Errorf("tpcd: stream %d Q%d: %w", s.ID, q, err)
 	}
-	if last == nil {
-		return nil, nil
-	}
-	return last.Rows, nil
+	return rows, nil
 }
 
 // StreamResult is one stream's outcome: its simulated elapsed time and

@@ -23,6 +23,9 @@ func TestProgramsSmoke(t *testing.T) {
 		{name: "quickstart", args: []string{"./examples/quickstart"}, want: "tuple-cpu"},
 		{name: "salesorder", args: []string{"./examples/salesorder"}, want: "buffer hit ratio"},
 		{name: "r3bench table6", args: []string{"./cmd/r3bench", "-exp", "table6", "-sf", "0.002"}, want: "wall time"},
+		// powertest drives tpcd.RDBMS.RunQuery beside the four report strategies.
+		{name: "powertest", args: []string{"./examples/powertest", "-sf", "0.001"}, want: "vs DB"},
+		{name: "warehouse", args: []string{"./examples/warehouse", "-sf", "0.001"}, want: "total"},
 		{
 			name: "sqlshell",
 			args: []string{"./cmd/sqlshell", "-load", "0.001"},
