@@ -148,27 +148,28 @@ func (s *filterStep) bound() *relInfo { return nil }
 
 // runAccess streams the relation's rows into be.row under the access path
 // plus extra filters: the heap decodes the columns the block reads
-// (rel.cols) straight into the relation's stretch of the current frame.
-// pages, when set, narrows a heap scan to that page range — one lane's
-// partition of a parallel scan.
+// (rel.cols) straight into the relation's stretch of the current frame. A
+// filter reads scan columns only, so a heap scan decodes those first and the
+// output-only columns only for the rows the filters pass. pages, when set,
+// narrows a heap scan to that page range — one lane's partition of a
+// parallel scan.
 func runAccess(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, pages *[2]int, next func() error) error {
 	if rel.derived != nil {
 		return runDerived(be, rel, ap, extra, next)
 	}
-	emitRow := func(rid storage.RID) error {
+	pass := func() (bool, error) {
 		ok, err := evalFilters(be, ap.filters)
 		if err != nil || !ok {
-			return err
+			return false, err
 		}
-		ok, err = evalFilters(be, extra)
-		if err != nil || !ok {
-			return err
-		}
+		return evalFilters(be, extra)
+	}
+	emit := func(rid storage.RID) error {
 		be.curRID = rid
 		return next()
 	}
 	if ap.index != nil {
-		return runIndexScan(be, rel, ap, emitRow)
+		return runIndexScan(be, rel, ap, pass, emit)
 	}
 	heap := rel.table.Heap
 	loPage, hiPage := 0, heap.Pages()
@@ -179,7 +180,7 @@ func runAccess(be *blockExec, rel *relInfo, ap accessPath, extra []exprFn, pages
 	// next may install a new current frame, so the destination is looked
 	// up per row.
 	dst := func() []val.Value { return be.row[lo:hi] }
-	return heap.ScanRange(loPage, hiPage, be.rt.meter(), rel.cols, dst, emitRow)
+	return heap.ScanRange(loPage, hiPage, be.rt.meter(), rel.cols, dst, pass, emit)
 }
 
 // boundVal normalises an index-scan bound: stored CHAR values are
@@ -238,9 +239,10 @@ func (ap *accessPath) bounds(be *blockExec, k *idxKeys) (bool, error) {
 	return true, nil
 }
 
-// runIndexScan walks the access path's index range and fetches the heap
-// rows into the current frame.
-func runIndexScan(be *blockExec, rel *relInfo, ap accessPath, emitRow func(storage.RID) error) error {
+// runIndexScan walks the access path's index range, fetches the heap rows
+// into the current frame — every column read: a probe fetches few — and
+// emits the ones pass keeps.
+func runIndexScan(be *blockExec, rel *relInfo, ap accessPath, pass func() (bool, error), emit func(storage.RID) error) error {
 	d := be.idxDepth
 	if d == len(be.idxKeys) {
 		buf := make([]byte, 64)
@@ -273,7 +275,14 @@ func runIndexScan(be *blockExec, rel *relInfo, ap accessPath, emitRow func(stora
 			}
 			return err
 		}
-		if err := emitRow(it.RID); err != nil {
+		ok, err := pass()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		if err := emit(it.RID); err != nil {
 			return err
 		}
 	}
@@ -435,9 +444,10 @@ func (s *rowSlab[T]) row(i int) []T {
 	return s.chunks[i/slabChunkRows][at : at+s.width]
 }
 
-// hashTable is the built side of a hash join. A build row is as wide as the
-// columns the block reads of the build relation (relInfo.width, possibly
-// none); the rows are named by index, and the rows of one key form a chain
+// hashTable is the built side of a hash join. A build row holds the output
+// columns of the build relation (relInfo.out, possibly none): its key and
+// filter columns were read by the build scan and nothing reads them again.
+// The rows are named by index, and the rows of one key form a chain
 // through next, in the order they were added, so a probe meets its matches
 // in build-scan order.
 type hashTable struct {
@@ -501,7 +511,7 @@ func (t *hashTable) absorb(o *hashTable) {
 // build scans the relation through its access path into a fresh hash table
 // and charges the build.
 func (s *hashStep) build(rt *runtime, outer rowStack) (*hashTable, error) {
-	ht := newHashTable(s.rel.width)
+	ht := newHashTable(s.rel.out)
 	nRows, err := s.buildInto(ht, rt, outer, nil)
 	if err != nil {
 		return nil, err
@@ -516,14 +526,15 @@ func (s *hashStep) build(rt *runtime, outer rowStack) (*hashTable, error) {
 // equals no probe key and stays out of the table, but counts as built.
 // Scan charges land on rt's meter; the build itself is charged once, by
 // chargeBuild. The scan runs in a scratch frame that ends with the build
-// relation's stretch: its key expressions and pushed filters read no other.
+// relation's stretch: its key expressions and pushed filters read no other,
+// and the table keeps the stretch's output columns.
 func (s *hashStep) buildInto(ht *hashTable, rt *runtime, outer rowStack, pages *[2]int) (int64, error) {
 	be := newBlockExec(rt, outer)
 	be.setRow(make([]val.Value, s.rel.end()))
 	if framePoison != nil {
 		framePoison(be.row)
 	}
-	built := be.row[s.rel.offset:]
+	built := be.row[s.rel.offset:s.rel.outEnd()]
 	var key []byte
 	var nRows int64
 	err := runAccess(be, s.rel, s.access, nil, pages, func() error {
@@ -554,7 +565,8 @@ func joinKey(dst []byte, fns []exprFn, rt *runtime, stack rowStack) ([]byte, boo
 
 // chargeBuild charges a finished build of nRows rows: per-row CPU, plus
 // spill I/O when the build side exceeds working memory. rowBytes is the full
-// row's: the simulated engine builds full rows, whatever the process keeps.
+// row's: the simulated engine builds full rows, whatever the process keeps
+// of them (the output columns).
 func (s *hashStep) chargeBuild(m *cost.Meter, nRows int64) {
 	m.Charge(cost.TupleCPU, nRows)
 	buildBytes := float64(nRows) * s.rel.rowBytes

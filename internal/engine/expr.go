@@ -141,25 +141,46 @@ type scope struct {
 	// slots[i] is where logical position i lives in the block's frames: -1
 	// while nothing reads it — it is then in no frame at all — and otherwise
 	// its physical slot. While the block is planned a read position only
-	// carries a mark (markRead); planSelect numbers the read positions once
-	// the marks and the join order are final (assignSlots), before the plan
-	// is published. Compiled column reads therefore hold a pointer into the
-	// table, not a number: a sub-block is compiled — and may reach one of
-	// these positions — before its parent's slots are assigned.
+	// carries a mark (markRead): the roles of its reads so far. planSelect
+	// numbers the read positions once the marks and the join order are
+	// final (assignSlots), before the plan is published. Compiled column
+	// reads therefore hold a pointer into the table, not a number: a
+	// sub-block is compiled — and may reach one of these positions — before
+	// its parent's slots are assigned.
 	slots []int32
+	// role is what a read resolved in this scope is marked with: roleOut,
+	// but while a WHERE or ON conjunct compiles, the role its shape gives it
+	// (classifyConjunct). A sub-block compiled inside the expression reaches
+	// the scope's positions under the same role: it runs where the
+	// expression runs.
+	role int32
 }
 
-// markRead marks an entry of a slot table as read — by an expression of the
-// block or of a sub-block reaching it through the scope chain — until
-// assignSlots gives it its slot. (Any number but -1 is a mark.)
-func markRead(slot *int32) {
+// The roles of a read column, or'ed into its mark. A relation's scan column
+// is read at its own step — by a pushed conjunct, an ON filter, its hash
+// build key — and an output column after it: by a later probe key, a hash
+// join's residual filter, a later filter, a correlated sub-block or the
+// sink. A mark without a role (0) is an equi-join column whose roles wait
+// for the join order (markEdges).
+const (
+	roleScan int32 = 1 << iota
+	roleOut
+)
+
+// markRead marks an entry of a slot table as read in the given role — by an
+// expression of the block or of a sub-block reaching it through the scope
+// chain — until assignSlots gives it its slot. (Any number but -1 is a
+// mark; a table whose slots are final has role 0 and keeps them.)
+func markRead(slot *int32, role int32) {
 	if *slot < 0 {
-		*slot = 0
+		*slot = role
+	} else {
+		*slot |= role
 	}
 }
 
 func newScope(parent *scope, cols []scopeEntry) *scope {
-	sc := &scope{parent: parent, cols: cols, slots: make([]int32, len(cols))}
+	sc := &scope{parent: parent, cols: cols, slots: make([]int32, len(cols)), role: roleOut}
 	for i := range sc.slots {
 		sc.slots[i] = -1
 	}
@@ -173,13 +194,25 @@ func fullRowScope(cols []scopeEntry) *scope {
 	for i := range sc.slots {
 		sc.slots[i] = int32(i)
 	}
+	sc.role = 0
 	return sc
 }
 
 // resolve finds (depth, index) for a column reference; depth 0 is this
 // scope and index the logical position. The position is marked read in the
-// scope that owns it.
+// scope that owns it, in that scope's current role.
 func (sc *scope) resolve(tbl, col string) (int, int, error) {
+	s, depth, found, err := sc.find(tbl, col)
+	if err != nil {
+		return 0, 0, err
+	}
+	markRead(&s.slots[found], s.role)
+	return depth, found, nil
+}
+
+// find is resolve without the mark: it also returns the scope that owns the
+// position.
+func (sc *scope) find(tbl, col string) (*scope, int, int, error) {
 	depth := 0
 	for s := sc; s != nil; s = s.parent {
 		found := -1
@@ -191,20 +224,19 @@ func (sc *scope) resolve(tbl, col string) (int, int, error) {
 				continue
 			}
 			if found >= 0 {
-				return 0, 0, fmt.Errorf("engine: ambiguous column %s", col)
+				return nil, 0, 0, fmt.Errorf("engine: ambiguous column %s", col)
 			}
 			found = i
 		}
 		if found >= 0 {
-			markRead(&s.slots[found])
-			return depth, found, nil
+			return s, depth, found, nil
 		}
 		depth++
 	}
 	if tbl != "" {
-		return 0, 0, fmt.Errorf("engine: unknown column %s.%s", tbl, col)
+		return nil, 0, 0, fmt.Errorf("engine: unknown column %s.%s", tbl, col)
 	}
-	return 0, 0, fmt.Errorf("engine: unknown column %s", col)
+	return nil, 0, 0, fmt.Errorf("engine: unknown column %s", col)
 }
 
 // slot returns where the frames of the scope depth levels up keep logical

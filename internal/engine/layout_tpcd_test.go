@@ -1,11 +1,13 @@
 package engine_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"r3bench/internal/dbgen"
 	"r3bench/internal/engine"
 	"r3bench/internal/tpcd"
+	"r3bench/internal/val"
 )
 
 // TestSlotLayoutTPCD is TestSlotLayout over the real workload: every block
@@ -23,4 +25,36 @@ func TestSlotLayoutTPCD(t *testing.T) {
 		stmts = append(stmts, q.SQL...)
 	}
 	engine.CheckLayouts(t, db.NewSession(), stmts)
+}
+
+// TestScanDecodesOutputColumnsForSurvivors: over TPC-D Q1–Q17, a scan
+// decodes a row's output-only columns only when the row has passed its
+// filters, so the values decoded stay at most 0.8 of the tuples examined
+// times the columns read of them — what decoding every read column of every
+// examined tuple costs.
+func TestScanDecodesOutputColumnsForSurvivors(t *testing.T) {
+	const sf = 0.002
+	db := engine.Open(engine.Config{})
+	if err := tpcd.Load(db, dbgen.New(sf), nil); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	var examined, decoded atomic.Int64
+	val.DecodeHook = func(width, n int) {
+		examined.Add(int64(width))
+		decoded.Add(int64(n))
+	}
+	defer func() { val.DecodeHook = nil }()
+	for _, q := range tpcd.Queries(sf) {
+		for _, stmt := range q.SQL {
+			if _, err := s.Exec(stmt); err != nil {
+				t.Fatalf("Q%d: %v", q.Num, err)
+			}
+		}
+	}
+	ratio := float64(decoded.Load()) / float64(examined.Load())
+	t.Logf("Q1–Q17 decoded %d values of %d examined (%.3f)", decoded.Load(), examined.Load(), ratio)
+	if ratio > 0.8 {
+		t.Errorf("values decoded are %.3f of the tuples examined times their width, want at most 0.8", ratio)
+	}
 }

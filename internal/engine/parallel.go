@@ -250,7 +250,7 @@ func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, sub
 	runPartitions(len(parts), func(i int) {
 		meters[i] = cost.NewMeter(model)
 		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: meters[i]}
-		tables[i] = newHashTable(s.rel.width)
+		tables[i] = newHashTable(s.rel.out)
 		counts[i], errs[i] = s.buildInto(tables[i], rtW, outer, &parts[i])
 	})
 	rt.sess.Meter.AddParallel(meters...)

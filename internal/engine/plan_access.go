@@ -549,10 +549,11 @@ func slotFn(idx int) exprFn {
 }
 
 // slotFn returns an exprFn reading the relation's column col from the
-// current row, and marks the column read.
+// current row, and marks the column read. The planner reads join-edge
+// columns by slot, so the roles come with the join order (markEdges).
 func (ri *relInfo) slotFn(col int) exprFn {
 	slot := &ri.slots[col]
-	markRead(slot)
+	markRead(slot, 0)
 	return func(rt *runtime, rows rowStack) (val.Value, error) {
 		return rows[len(rows)-1][*slot], nil
 	}

@@ -19,7 +19,7 @@ import (
 // which the meter defines as exactly n single-event charges, so the
 // simulated clock cannot tell a batch from n rows.
 //
-// One run is shaped by five things, all derived, none settable:
+// One run is shaped by six things, all derived, none settable:
 //   - batch capacity (selectPlan.batchCap): 1 for a block that can stop
 //     early, so it never reads past the row that stops it; the growing
 //     64→1024 batch otherwise; a lane of a parallel scan stays at 64,
@@ -31,12 +31,22 @@ import (
 //     expression was bound to — marked by scope.resolve at any depth and by
 //     relInfo.slotFn, final once planSelect returns — straight into the
 //     relation's stretch of the current frame,
+//   - column roles: a column read at its relation's own step — by a pushed
+//     conjunct, an ON filter, its build key — is a scan column; one read
+//     after it — by a later probe key, a hash join's residual filter, a
+//     later filter, a correlated sub-block, the sink — an output column;
+//     some are both. A heap scan decodes the scan columns, runs its filters
+//     and decodes the output-only columns for the rows that pass; a hash
+//     build row keeps the output columns only,
 //   - frame width (vecStage.hi): a frame has slots for the columns read and
 //     for nothing else. selectPlan.assignSlots numbers them last, relation
-//     by relation in step order, so what steps 0..i have bound is the frame
-//     prefix ending with step i's stretch and stage i's frames are that
-//     wide — a block reading 7 of LINEITEM's 16 columns moves 7 values per
-//     row per stage, and a relation nobody reads a column of (COUNT(*))
+//     by relation in step order, output columns first, each relation's
+//     stretch starting where the previous one's output columns end: what
+//     steps 0..i keep is the frame prefix ending with step i's output
+//     columns, and stage i's frames are that wide (the lead's, its whole
+//     stretch) — a block reading 7 of LINEITEM's 16 columns moves at most
+//     7 values per row per stage, and a relation nobody reads a column of
+//     after its own step (COUNT(*), a build side read only as its key)
 //     moves none.
 //
 // Batch capacity is logical: it is when a stage flushes, which fixes the
@@ -112,10 +122,11 @@ type vecStage struct {
 	// out is the step's reusable output batch; it has no frames for steps
 	// that bind no relation (filters pass their compacted input through).
 	out vecBatch
-	// hi is the width of out's frames: the prefix holding every slot bound
-	// once the step has run (slots follow step order) — or, when the next
-	// step to bind a relation works a frame at a time and so extends its
-	// input where it is, the prefix that step fills.
+	// hi is the width of out's frames: the prefix holding the output columns
+	// of every relation bound once the step has run (the lead's whole
+	// stretch, which its scan decodes in place) — or, when the next step to
+	// bind a relation works a frame at a time and so extends its input where
+	// it is, the prefix that step fills.
 	hi int
 }
 
@@ -159,20 +170,22 @@ func newVecRun(p *selectPlan, be *blockExec, capacity int) *vecRun {
 	hi := 0
 	for i, st := range p.steps {
 		if rel := st.bound(); rel != nil {
-			hi = rel.end()
+			hi = rel.outEnd()
+			if i == 0 { // the lead scan decodes its whole stretch in place
+				hi = rel.end()
+			}
 		}
 		v.stages[i].hi = hi
 	}
 	in := 0 // the frame prefix the step after i writes into its input
 	for i := len(p.steps) - 1; i >= 0; i-- {
-		bound := v.stages[i].hi
-		v.stages[i].hi = max(bound, in)
-		switch p.steps[i].(type) {
+		v.stages[i].hi = max(v.stages[i].hi, in)
+		switch st := p.steps[i].(type) {
 		case *filterStep: // hands its input on as it is
 		case *hashStep:
 			in = 0 // copies its input into its own batch
 		default:
-			in = bound
+			in = st.bound().end()
 		}
 	}
 	v.reset(capacity)
@@ -390,7 +403,7 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 	m := be.rt.meter()
 	st := &v.stages[i]
 	out := &st.out
-	lo, hi := s.rel.offset, s.rel.end()
+	lo, hi := s.rel.offset, s.rel.outEnd()
 	var pending int64 // probe-match TupleCPU events not yet posted
 	defer func() { m.Charge(cost.TupleCPU, pending) }()
 	for j := 0; j < n; j++ {
@@ -438,7 +451,7 @@ func (v *vecRun) pushRowStep(i int, st rowStepper, in *vecBatch, n int) error {
 	be := v.be
 	stage := &v.stages[i]
 	out := &stage.out
-	hi := st.bound().end() // what the frame holds once st has run
+	hi := st.bound().outEnd() // what later steps read of the frame once st has run
 	for j := 0; j < n; j++ {
 		frame := in.frames[j]
 		be.setRow(frame)

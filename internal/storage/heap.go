@@ -278,7 +278,7 @@ func (h *HeapFile) UpdateTx(tx int64, rid RID, row []val.Value, m *cost.Meter) e
 func (h *HeapFile) Scan(m *cost.Meter, fn func(rid RID, row []val.Value) error) error {
 	row := make([]val.Value, h.codec.NumCols())
 	return h.ScanRange(0, h.Pages(), m, h.codec.AllCols(),
-		func() []val.Value { return row },
+		func() []val.Value { return row }, nil,
 		func(rid RID) error { return fn(rid, row) })
 }
 
@@ -286,7 +286,10 @@ func (h *HeapFile) Scan(m *cost.Meter, fn func(rid RID, row []val.Value) error) 
 // hiPage), in file order, it decodes the columns in cols into the slice dst
 // returns — cols.Len() wide — and calls fn. dst is asked before each row,
 // so a caller that keeps a row where it was decoded hands out the next
-// one's storage.
+// one's storage. A row is decoded without its output-only columns first
+// (val.ColSet.DecodeScan) and, when pass is set, handed to pass; only a row
+// pass keeps gets them and goes on to fn. Every row examined is charged one
+// TupleCPU.
 // The whole file is one range; a narrower one is one partition of a
 // parallel scan. Page charging is range-local: the first page costs a
 // random read (the arm seeks there), subsequent pages are sequential or a
@@ -294,7 +297,7 @@ func (h *HeapFile) Scan(m *cost.Meter, fn func(rid RID, row []val.Value) error) 
 // untouched, so concurrent partitions charge deterministically, and the
 // run's limit keeps readahead from prefetching into a neighboring
 // partition's range.
-func (h *HeapFile) ScanRange(loPage, hiPage int, m *cost.Meter, cols *val.ColSet, dst func() []val.Value, fn func(rid RID) error) error {
+func (h *HeapFile) ScanRange(loPage, hiPage int, m *cost.Meter, cols *val.ColSet, dst func() []val.Value, pass func() (bool, error), fn func(rid RID) error) error {
 	if n := h.disk.NumPages(h.file); hiPage > n {
 		hiPage = n
 	}
@@ -310,11 +313,27 @@ func (h *HeapFile) ScanRange(loPage, hiPage int, m *cost.Meter, cols *val.ColSet
 				continue
 			}
 			off := h.slotOffset(s)
-			if err := cols.Decode(page[off:off+h.codec.RowBytes()], dst()); err != nil {
+			row, d := page[off:off+h.codec.RowBytes()], dst()
+			if err := cols.DecodeScan(row, d); err != nil {
 				return err
 			}
 			if m != nil {
 				m.Charge(cost.TupleCPU, 1)
+			}
+			if pass != nil {
+				ok, err := pass()
+				if err != nil {
+					if err == ErrStopScan {
+						return nil
+					}
+					return err
+				}
+				if !ok {
+					continue
+				}
+			}
+			if err := cols.DecodeOutputOnly(row, d); err != nil {
+				return err
 			}
 			if err := fn(RID{Page: PageID(p), Slot: uint16(s)}); err != nil {
 				if err == ErrStopScan {
