@@ -490,16 +490,24 @@ type Iterator struct {
 
 // Seek returns an iterator positioned before the first entry with logical
 // key >= start (nil start means the beginning). The probe charges one
-// random read.
+// random read. Seek inlines into its caller, so an iterator the caller
+// keeps to itself lives on the caller's stack: an index probe allocates
+// nothing.
 func (t *Tree) Seek(start []byte, m *cost.Meter) *Iterator {
+	it := &Iterator{}
+	t.seek(it, start, m)
+	return it
+}
+
+// seek positions it for Seek.
+func (t *Tree) seek(it *Iterator, start []byte, m *cost.Meter) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	it := &Iterator{tree: t, m: m, perLeaf: t.entriesPerLeaf(), start: start}
+	*it = Iterator{tree: t, m: m, perLeaf: t.entriesPerLeaf(), start: start}
 	it.position()
 	if m != nil && !(t.cache != nil && t.cache.touch(it.leaf, true)) {
 		m.Charge(cost.RandRead, 1)
 	}
-	return it
 }
 
 // position places the iterator just before the entry Next must return:

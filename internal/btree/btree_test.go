@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"r3bench/internal/cost"
+	"r3bench/internal/race"
 	"r3bench/internal/storage"
 	"r3bench/internal/val"
 )
@@ -508,5 +509,42 @@ func TestRangeScanPastDeletedRunIsBounded(t *testing.T) {
 	}
 	if leaves := checkShape(t, tr); leaves > base+400/(fanout/2)+2 {
 		t.Errorf("%d leaves for 1000 loaded and 400 live stream entries (loaded alone: %d)", leaves, base)
+	}
+}
+
+// TestIndexProbeAllocatesNothing: a Seek+Next range loop written like the
+// executor's index scan — the iterator kept to the loop — allocates nothing,
+// because Seek inlines and its iterator stays on the caller's stack.
+func TestIndexProbeAllocatesNothing(t *testing.T) {
+	tr := New(true)
+	for i := 0; i < 10000; i++ {
+		if err := tr.Insert(key(i), rid(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.SetCache(NewPageCache(1 << 20))
+	m := cost.NewMeter(cost.Default1996())
+	// The bounds are encoded beforehand: EncodeKey allocates.
+	los, his := make([][]byte, 64), make([][]byte, 64)
+	for i := range los {
+		los[i], his[i] = key(i*150), key(i*150+2)
+	}
+	var probe, found int
+	n := testing.AllocsPerRun(1000, func() {
+		lo, hi := los[probe%len(los)], his[probe%len(his)]
+		probe++
+		it := tr.Seek(lo, m)
+		for it.Next() {
+			if bytes.Compare(it.Key, hi) > 0 {
+				break
+			}
+			found++
+		}
+	})
+	if found != 3*probe {
+		t.Fatalf("%d probes found %d entries, want 3 each", probe, found)
+	}
+	if !race.Enabled && n != 0 {
+		t.Errorf("an index probe allocates %.2f times", n)
 	}
 }

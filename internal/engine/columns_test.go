@@ -345,10 +345,12 @@ func kibPerRun(n int, fn func()) float64 {
 // call, in allocations and in bytes. Per row: a Q6- and a Q1-shaped
 // statement, a hash join that builds on tt and a scan that filters on a CHAR
 // column, over the golden fixture's 1500 rows, may allocate about twice what
-// they do today: 45, 118, 83 and 39 times per execution (parse, plan,
-// batches, groups) and 167, 176, 181 and 124 KiB. One allocation per scanned
-// or built row would be 1500 more — which is what the CHAR filter cost (1537)
-// while decoding a CHAR made a string of it — and frames and build rows as
+// they do today: 45, 106, 83 and 39 times per execution (parse, plan,
+// batches, groups; the Q1 shape 118 while each of its 4 groups made its
+// output row, its keys and its sort key apart) and 167, 176, 181 and 124
+// KiB. One allocation per scanned or built row would be 1500 more — which is
+// what the CHAR filter cost (1537) while decoding a CHAR made a string of
+// it — and frames and build rows as
 // wide as the catalog's rows instead of the columns read were 200, 212, 1044
 // and 200 KiB: tt has four columns, a TPC-D table sixteen. The join's build
 // rows hold the build side's output columns only — none: b.grp is read only
@@ -361,21 +363,29 @@ func kibPerRun(n int, fn func()) float64 {
 // distinct join key, group or DISTINCT value costs no allocation of its own —
 // its bytes go into the key table's slab (val.KeyTable), its state into a slab
 // row — so 700 more of them may cost 0.05 allocations each (0.01 today: slabs
-// and slots double), where a string per key in a Go map cost 1, 7 and 3. pad
-// gets a multi-byte value first: Go allocates nothing for the one-byte string
-// the fixture stores, which would hide a scan that copies it. A row that is
+// and slots double), where a string per key in a Go map cost 1, 7 and 3. So
+// may 700 more rows an ORDER BY sorts, or groups a GROUP BY sorts: the sort
+// keys go into one buffer and the group rows into one slab (0.001 and 0.014
+// today; 3 and 5 while each row's key grew a slice of its own and each group
+// made its row and its keys apart). SUM is left out: its exact result costs
+// 3 allocations per group. pad gets a multi-byte value first: Go allocates
+// nothing for the one-byte string the fixture stores, which would hide a
+// scan that copies it. A row that is
 // materialised into a Result costs 1.01 allocations, its value slice plus
 // its share of a slab chunk for the CHAR bytes, however many CHAR columns
 // it has (one more each before). Per call: a prepared primary-key lookup
-// allocates 6 times and 0.47 KiB to return its row (9 times and 0.98 KiB
-// when every execution backed its two frames and its projection slab afresh,
+// allocates 5 times and 0.33 KiB to return its row (6 times and 0.47 KiB
+// while its index probe put the B-tree iterator on the heap, 9 times and
+// 0.98 KiB when every execution backed its two frames and its projection
+// slab afresh,
 // 27 times and 26 KiB when it built its run state and a 64-frame batch), and a
-// correlated EXISTS costs its outer block 4 allocations per outer row, not
-// a run state each (16). A prepared DML statement keeps its plan and its
-// match scan's run state: a one-row INSERT, a one-row UPDATE by primary key
-// and a DELETE of 4 rows by a key range allocate 4, 10 and 13 times (14, 79
-// and 89 while every execution compiled its VALUES or planned its match
-// scan afresh).
+// correlated EXISTS costs its outer block 2 allocations per outer row, not
+// a run state each (16; 3 while its index probe put the iterator on the
+// heap). A prepared DML statement keeps its plan and its match scan's run
+// state: a one-row INSERT, a one-row UPDATE by primary key and a DELETE of 4
+// rows by a key range allocate 4, 9 and 12 times (10 and 13 while the match
+// scan's probe put its iterator on the heap; 14, 79 and 89 while every
+// execution compiled its VALUES or planned its match scan afresh).
 func TestAllocationBudget(t *testing.T) {
 	s := vecDB(t, 1500, 0)
 	mustExec(t, s, `UPDATE tt SET pad = 'padding'`)
@@ -385,7 +395,7 @@ func TestAllocationBudget(t *testing.T) {
 		budget, kib float64
 	}{
 		{`SELECT SUM(v * grp) FROM tt WHERE v > 100 AND id < 1400`, 90, 332},
-		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 236, 352},
+		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 212, 352},
 		{`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.grp AND a.id < 1400`, 166, 362},
 		{`SELECT COUNT(*) FROM tt WHERE pad = 'padding' AND id < 1400`, 74, 246},
 		{`SELECT * FROM tt_dim WHERE v > 990`, 194, 750},
@@ -402,12 +412,14 @@ func TestAllocationBudget(t *testing.T) {
 		`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.id AND b.id < %d`,
 		`SELECT id, COUNT(*) FROM tt WHERE id < %d GROUP BY id HAVING COUNT(*) > 1`, // no group becomes a row
 		`SELECT COUNT(DISTINCT id) FROM tt WHERE id < %d`,
+		`SELECT id, v FROM tt WHERE id < %d ORDER BY v DESC, id LIMIT 3`,                 // a sort key per row
+		`SELECT id, MAX(v) FROM tt WHERE id < %d GROUP BY id ORDER BY 2 DESC, 1 LIMIT 3`, // a row and a sort key per group
 	} {
 		keys := func(n int) float64 {
 			return testing.AllocsPerRun(10, func() { mustExec(t, s, fmt.Sprintf(q, n)) })
 		}
 		if perKey := (keys(1400) - keys(700)) / 700; !race.Enabled && perKey > 0.05 {
-			t.Errorf("%q allocates %.3f times per distinct key, budget 0.05", q, perKey)
+			t.Errorf("%q allocates %.3f times per distinct key or sorted row, budget 0.05", q, perKey)
 		}
 	}
 
@@ -428,8 +440,8 @@ func TestAllocationBudget(t *testing.T) {
 			t.Fatalf("%v, %v", res, err)
 		}
 	}
-	if n := testing.AllocsPerRun(100, lookup); !race.Enabled && n > 12 {
-		t.Errorf("a prepared primary-key lookup allocates %.0f times, budget 12", n)
+	if n := testing.AllocsPerRun(100, lookup); !race.Enabled && n > 10 {
+		t.Errorf("a prepared primary-key lookup allocates %.0f times, budget 10", n)
 	}
 	if kib := kibPerRun(1000, lookup); kib > 1 {
 		t.Errorf("a prepared primary-key lookup allocates %.2f KiB, budget 1", kib)
@@ -446,8 +458,8 @@ func TestAllocationBudget(t *testing.T) {
 			}
 		})
 	}
-	if perRow := (outer(1010) - outer(10)) / 1000; !race.Enabled && perRow > 8 {
-		t.Errorf("a correlated EXISTS allocates %.1f times per outer row, budget 8", perRow)
+	if perRow := (outer(1010) - outer(10)) / 1000; !race.Enabled && perRow > 4 {
+		t.Errorf("a correlated EXISTS allocates %.1f times per outer row, budget 4", perRow)
 	}
 
 	next, lo := int64(10000), int64(0)
@@ -461,11 +473,11 @@ func TestAllocationBudget(t *testing.T) {
 			next++
 			return []val.Value{val.Int(next - 1), val.Int(next % 4), val.Float(1.5)}
 		}, 1, 8},
-		{`UPDATE tt SET v = v + ? WHERE id = ?`, func() []val.Value { return []val.Value{val.Float(1), val.Int(10000)} }, 1, 20},
+		{`UPDATE tt SET v = v + ? WHERE id = ?`, func() []val.Value { return []val.Value{val.Float(1), val.Int(10000)} }, 1, 18},
 		{`DELETE FROM tt WHERE id >= ? AND id < ?`, func() []val.Value {
 			lo += 4
 			return []val.Value{val.Int(lo - 4), val.Int(lo)}
-		}, 4, 26},
+		}, 4, 24},
 	} {
 		st, err := s.Prepare(c.sql)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -817,6 +818,9 @@ type outputSink struct {
 	// (each worker charged its partial sort): finish charges a k-way
 	// merge instead of a full sort.
 	runs int
+	// groupRows is the free tail of the slab finalizeGroups sizes for every
+	// group's output row; addFrame cuts the rows from it.
+	groupRows []val.Value
 }
 
 // distinctRows is the rows SELECT DISTINCT has let through so far, and the
@@ -842,14 +846,16 @@ func (o *outputSink) reset(m *cost.Meter, emit func([]val.Value) error) {
 	}
 }
 
-// addFrame projects one finalized group frame into a freshly allocated
-// output row and adds it.
+// addFrame projects one finalized group frame into the next output row of
+// the group slab and adds it.
 func (o *outputSink) addFrame(rt *runtime, frame rowStack) error {
 	p := o.p
-	r := outRow{proj: make([]val.Value, len(p.projections))}
-	if len(p.orderKeys) > 0 {
-		r.keys = make([]val.Value, len(p.orderKeys))
+	nProj, nKeys := len(p.projections), len(p.orderKeys)
+	r := outRow{proj: o.groupRows[:nProj:nProj]}
+	if nKeys > 0 {
+		r.keys = o.groupRows[nProj : nProj+nKeys : nProj+nKeys]
 	}
+	o.groupRows = o.groupRows[nProj+nKeys:]
 	if err := p.projectInto(rt, frame, r); err != nil {
 		return err
 	}
@@ -943,8 +949,17 @@ func (o *outputSink) finish(rt *runtime, outer rowStack) error {
 	} else {
 		chargeSort(o.m, int64(len(o.rows)), int64(len(p.projections)+len(p.orderKeys))*24)
 	}
+	// Every row's sort key goes into one buffer, sized by the first key. A
+	// key cut before the buffer grew keeps the old array, which holds the
+	// same bytes.
+	var keys []byte
 	for i := range o.rows {
-		o.rows[i].sortKey = p.sortKeyOf(o.rows[i].keys, nil)
+		start := len(keys)
+		keys = p.sortKeyOf(o.rows[i].keys, keys)
+		if i == 0 {
+			keys = slices.Grow(keys, len(keys)*(len(o.rows)-1))
+		}
+		o.rows[i].sortKey = keys[start:]
 	}
 	sort.SliceStable(o.rows, func(i, j int) bool {
 		return bytes.Compare(o.rows[i].sortKey, o.rows[j].sortKey) < 0
@@ -1252,7 +1267,8 @@ func (p *selectPlan) finalizeGroups(rt *runtime, a *aggAccum, outer rowStack, si
 	}
 
 	// Every group is finalized in the same row and frame: the sink projects
-	// a frame into a row of its own.
+	// a frame into a row of its own, cut from one slab for all the groups.
+	sink.groupRows = make([]val.Value, a.groups.Len()*(len(p.projections)+len(p.orderKeys)))
 	nKeys := len(p.agg.groupFns)
 	aggRow := make([]val.Value, nKeys+len(p.agg.specs))
 	frame := append(append(make(rowStack, 0, len(outer)+1), outer...), aggRow)

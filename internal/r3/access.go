@@ -24,6 +24,10 @@ type stmtCache struct {
 	params []val.Value // the parameters of the statement being executed
 	vals   []val.Value // the free tail of the current arena chunk
 	chars  val.Slab
+	// decode holds one pool/cluster decode row per nesting depth of
+	// scanLogical; depth is the number in use.
+	decode [][]val.Value
+	depth  int
 }
 
 // arenaChunk is the value count of an arena chunk (10 KiB): a SELECT SINGLE
@@ -56,6 +60,26 @@ func (sc *stmtCache) prepare(sql string) (*cursor, error) {
 	sc.stmts[sql] = c
 	return c, nil
 }
+
+// decodeRow returns the cleared decode row of the next nesting depth, n
+// values wide: a scanLogical run from a callback of another decodes into a
+// row of its own. The caller hands the depth back with popDecode.
+func (sc *stmtCache) decodeRow(n int) []val.Value {
+	if sc.depth == len(sc.decode) {
+		sc.decode = append(sc.decode, nil)
+	}
+	row := sc.decode[sc.depth]
+	if cap(row) < n {
+		row = make([]val.Value, n)
+		sc.decode[sc.depth] = row
+	}
+	sc.depth++
+	row = row[:n]
+	clear(row)
+	return row
+}
+
+func (sc *stmtCache) popDecode() { sc.depth-- }
 
 // keep copies a row whose strings the session already owns into the arena.
 func (sc *stmtCache) keep(row []val.Value) []val.Value {
@@ -129,9 +153,10 @@ func (c *cursor) release() {
 
 // scanLogical streams a logical table's rows, optionally bounded by a
 // prefix of its key, decoding pool/cluster storage as needed. A row is valid
-// only during its callback — pool and cluster rows are decoded into one
-// scratch row — but its strings are the session's: a caller that keeps the
-// row copies the slice (stmtCache.keep), not the bytes.
+// only during its callback — pool and cluster rows are decoded into the
+// session's decode row of the scan's nesting depth (stmtCache.decodeRow) —
+// but its strings are the session's: a caller that keeps the row copies the
+// slice (stmtCache.keep), not the bytes.
 func (sys *System) scanLogical(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
 	switch t.Kind {
 	case Transparent:
@@ -171,7 +196,8 @@ func (sys *System) scanPool(sc *stmtCache, t *LogicalTable, keyPrefix []val.Valu
 	}
 	sc.params = append(sc.params[:0], val.Str(t.Name), val.Str(prefix), val.Str(prefix+"ÿ"))
 	m := sc.sess.Meter
-	row := make([]val.Value, len(t.Cols))
+	row := sc.decodeRow(len(t.Cols))
+	defer sc.popDecode()
 	return c.each(nil, sc.params, func(phys []val.Value) error {
 		m.Charge(cost.Decode, 1)
 		if err := t.decodeKeyString(phys[0].AsStr(), row); err != nil {
@@ -208,7 +234,8 @@ func (sys *System) scanCluster(sc *stmtCache, t *LogicalTable, keyPrefix []val.V
 	}
 	sc.params = append(sc.params[:0], keyPrefix[:n]...)
 	m := sc.sess.Meter
-	row := make([]val.Value, len(t.Cols))
+	row := sc.decodeRow(len(t.Cols))
+	defer sc.popDecode()
 	return c.each(nil, sc.params, func(prow []val.Value) error {
 		for j, ci := range t.physKey {
 			row[ci] = prow[j]

@@ -127,12 +127,15 @@ func TestOpenSQLRowsOwnTheirBytes(t *testing.T) {
 
 // TestOpenSQLCallAllocationBudget: a nested SELECT costs its rows, not its
 // call. In the steady state — cursor cached, statement planned — a SELECT
-// SINGLE on KNA1 allocates 1 time and a KONV probe (document, item and
-// condition type: the discount lookup of the 2.2G reports) 2 times: no SQL
-// text, parameter list, condition list or result is built per call, and the
-// rows go into the session's arena (17 and 14 while they were). Budget: half an
-// allocation over that, so that one more per statement execution fails — a
-// closure of the scan path escaping to the heap cost exactly that.
+// SINGLE on KNA1 and a KONV probe (document, item and condition type: the
+// discount lookup of the 2.2G reports) allocate nothing: no SQL text,
+// parameter list, condition list or result is built per call, the rows go
+// into the session's arena (17 and 14 allocations while they were), the
+// index probe's B-tree iterator stays on the stack and the cluster rows are
+// decoded into the session's decode row of their nesting depth (1 and 2
+// while the iterator and a decode row per scan were heap-allocated). Budget:
+// half an allocation, so that one per statement execution fails — a closure
+// of the scan path escaping to the heap cost exactly that.
 func TestOpenSQLCallAllocationBudget(t *testing.T) {
 	sys := cursorSys(t, 0)
 	o := sys.OpenSQL(cost.NewMeter(sys.DB.Model()))
@@ -148,14 +151,14 @@ func TestOpenSQLCallAllocationBudget(t *testing.T) {
 		budget float64
 		call   func() error
 	}{
-		{"SELECT SINGLE KNA1", 1.5, func() error {
+		{"SELECT SINGLE KNA1", 0.5, func() error {
 			_, ok, err := o.SelectSingle("KNA1", []Cond{Eq("KUNNR", keys[doc%len(keys)])})
 			if err == nil && !ok {
 				err = fmt.Errorf("no customer %v", keys[doc%len(keys)])
 			}
 			return err
 		}},
-		{"KONV probe", 2.5, func() error {
+		{"KONV probe", 0.5, func() error {
 			found := false
 			err := o.Select("KONV", []Cond{
 				Eq("KNUMV", keys[doc%len(keys)]), Eq("KPOSN", posnr), Eq("KSCHL", val.Str("DISC")),
@@ -187,5 +190,57 @@ func TestOpenSQLCallAllocationBudget(t *testing.T) {
 		} else {
 			t.Logf("%s: %.2f allocations per call", c.what, n)
 		}
+	}
+}
+
+// TestNestedScanKeepsOuterRow: scanLogical decodes pool and cluster rows into
+// one row per nesting depth, so a pool scan run from a cluster scan's
+// callback, run from a pool scan's callback, all on one session, leaves each
+// outer row as it was — also when the innermost scan stops early — and hands
+// every depth back.
+func TestNestedScanKeepsOuterRow(t *testing.T) {
+	sys := cursorSys(t, 0)
+	sc := newStmtCache(sys, sys.DB.NewSessionWithMeter(nil))
+	a004, konv := sys.Table("A004"), sys.Table("KONV")
+	matnr := a004.ColIndex("MATNR")
+	intact := func(what string, row []val.Value, inner func() error) error {
+		snap := deepCopy(row)
+		err := inner()
+		if !reflect.DeepEqual(row, snap) {
+			t.Errorf("%s row changed under its callback's inner scan:\n%v\nwas\n%v", what, row, snap)
+		}
+		return err
+	}
+	var outer, mid, innermost int
+	err := sys.scanLogical(sc, a004, nil, func(row []val.Value) error {
+		if outer++; outer > 20 {
+			return nil
+		}
+		return intact("A004", row, func() error {
+			prefix := []val.Value{val.Str(DefaultClient), val.Str(Key16(int64(outer)))}
+			return sys.scanLogical(sc, konv, prefix, func(krow []val.Value) error {
+				mid++
+				return intact("KONV", krow, func() error {
+					prefix := []val.Value{val.Str(DefaultClient), val.Str("V"), val.Str("PR00"), row[matnr]}
+					err := sys.scanLogical(sc, a004, prefix, func([]val.Value) error {
+						innermost++
+						return StopSelect
+					})
+					if err == StopSelect {
+						err = nil
+					}
+					return err
+				})
+			})
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid < 20 || innermost != mid {
+		t.Fatalf("fixture: %d outer rows, %d KONV rows, %d inner A004 rows", outer, mid, innermost)
+	}
+	if sc.depth != 0 || len(sc.decode) != 3 {
+		t.Errorf("after the scans %d decode rows are in use, %d made; want 0 and 3", sc.depth, len(sc.decode))
 	}
 }

@@ -294,9 +294,10 @@ func TestClusterDecodeMatchesReference(t *testing.T) {
 
 // TestClusterRowAllocationBudget: on top of the cursor's fetch of the
 // physical tuples, the R/3 layer allocates nothing per logical row it decodes:
-// the rows are decoded into one scratch row, their fields cut out of VARDATA
-// where they lie (one []val.Value per logical row before; 2.1 per cluster row
-// and 4.0 per pool row while the decode split strings). Budget: 0.05.
+// the rows are decoded into the session's decode row of the scan's nesting
+// depth, their fields cut out of VARDATA where they lie (one []val.Value per
+// logical row before; 2.1 per cluster row and 4.0 per pool row while the
+// decode split strings). Budget: 0.05.
 func TestClusterRowAllocationBudget(t *testing.T) {
 	sys, err := Install(Config{Release: Release22})
 	if err != nil {

@@ -511,7 +511,10 @@ func (bp *BufferPool) admit(key pageKey, data []byte, m *cost.Meter, ra bool) []
 }
 
 // admitLocked inserts a fresh frame, evicting as needed. Caller holds
-// sh.mu and has verified the key is absent.
+// sh.mu and has verified the key is absent. The new page takes over the
+// struct of the frame it evicted — only its image is new, and an image
+// handed out before stays the reader's — so a miss allocates a frame only
+// while the shard is filling.
 //
 // The disk image is re-read under the shard lock: copy-on-write publishes
 // a page's new version while holding this same lock, so a slice read
@@ -525,6 +528,7 @@ func (bp *BufferPool) admitLocked(sh *poolShard, key pageKey, data []byte, m *co
 	if cur, s, err := bp.disk.image(key.file, key.page); err == nil {
 		data, shared = cur, s
 	}
+	var f *frame
 	for len(sh.frames) >= sh.capacity {
 		vf := sh.old.back()
 		if vf == nil {
@@ -539,8 +543,12 @@ func (bp *BufferPool) admitLocked(sh *poolShard, key pageKey, data []byte, m *co
 			}
 		}
 		sh.remove(vf)
+		f = vf
 	}
-	f := &frame{key: key, data: data, ra: ra, shared: shared}
+	if f == nil {
+		f = new(frame)
+	}
+	*f = frame{key: key, data: data, ra: ra, shared: shared}
 	sh.old.pushFront(f)
 	sh.oldLen.Add(1)
 	sh.frames[key] = f

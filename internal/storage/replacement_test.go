@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -318,5 +319,65 @@ func TestPoolHitAllocatesNothing(t *testing.T) {
 	st := bp.Stats()[0]
 	if (!race.Enabled && n != 0) || st.Misses != pages || st.Young == 0 || st.Old == 0 {
 		t.Errorf("a hit allocates %.2f times (%+v)", n, st)
+	}
+}
+
+// TestPoolMissAllocatesNothing: once a shard is full, an admission takes over
+// the struct of the frame it evicted, so a cyclic scan over twice the pool —
+// every request a miss, a readahead window or a readahead hit — allocates
+// nothing. The frame is recycled, never the image: a page image handed out
+// before its frame went to another page keeps its bytes, also after that
+// page is written.
+func TestPoolMissAllocatesNothing(t *testing.T) {
+	disk := NewDisk()
+	bp := NewBufferPool(disk, minPagesPerShard*PageSize)
+	if len(bp.shards) != 1 || !bp.readaheadOn() {
+		t.Fatalf("fixture: %d shards, readahead %v", len(bp.shards), bp.readaheadOn())
+	}
+	file := disk.CreateFile()
+	const pages = 2 * minPagesPerShard
+	for p := 0; p < pages; p++ {
+		id := disk.AllocPage(file)
+		disk.writePage(file, id, bytes.Repeat([]byte{byte(p)}, PageSize))
+	}
+	run := bp.NewScanRun(file, pages)
+	var p PageID
+	get := func() []byte {
+		data, err := run.Get(p%pages, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p++
+		return data
+	}
+	for p < pages { // fill the shard
+		get()
+	}
+
+	held := get() // page 0, evicted again below
+	want := bytes.Clone(held)
+	sh := bp.shards[0]
+	f0 := sh.frames[pageKey{file, 0}]
+	before := sh.misses.Load()
+	n := testing.AllocsPerRun(1000, func() { get() })
+	if misses := sh.misses.Load() - before; (!race.Enabled && n != 0) || misses < 100 {
+		t.Errorf("%d misses of a full pool allocate %.2f times per request", misses, n)
+	}
+	if f0.key.page == 0 || sh.frames[f0.key] != f0 {
+		t.Fatalf("page 0's frame was not recycled: holds page %d", f0.key.page)
+	}
+	if err := bp.Mutate(file, f0.key.page, nil, func(data []byte) (bool, error) {
+		for i := range data {
+			data[i] = 0xFF
+		}
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held, want) {
+		t.Fatal("recycling page 0's frame for another page changed the image a reader holds")
+	}
+	if got, err := bp.Get(file, f0.key.page, nil); err != nil || got[0] != 0xFF {
+		t.Fatalf("the write to page %d did not land: %v", f0.key.page, err)
 	}
 }
