@@ -70,6 +70,51 @@ func TestDocPathsExist(t *testing.T) {
 	}
 }
 
+// TestLanesOnlyInCost keeps every concurrent fan-out on one primitive: no
+// non-test file under internal/ or cmd/ outside internal/cost declares a
+// sync.WaitGroup. Overlapping lanes run through cost.Lanes.Run, which waits
+// for them, returns the first error in lane order and leaves the meters for
+// the caller to fold — the clock's one rule for overlapping work.
+func TestLanesOnlyInCost(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+			if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") ||
+				strings.HasSuffix(path, "_test.go") || filepath.Dir(path) == filepath.Join("internal", "cost") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			syncName := ""
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"sync"` {
+					syncName = "sync"
+					if imp.Name != nil {
+						syncName = imp.Name.Name
+					}
+				}
+			}
+			if syncName == "" {
+				return nil
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "WaitGroup" {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == syncName {
+						t.Errorf("%s: sync.WaitGroup outside internal/cost; run the lanes with cost.Lanes.Run", fset.Position(sel.Pos()))
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // metricNames returns the metric names the newest BENCH_*.json records.
 func metricNames(t *testing.T) map[string]bool {
 	t.Helper()

@@ -93,3 +93,19 @@ func normalize(cfg *Config) {
 func (cfg *Config) printf(format string, args ...any) {
 	fmt.Fprintf(cfg.Out, format, args...)
 }
+
+// sweep returns the widths a scaling experiment runs at: 1, 2, 4, … up to
+// max, then max itself if it is not a power of two; max <= 0 means 8.
+func sweep(max int) []int {
+	if max <= 0 {
+		max = 8
+	}
+	var ns []int
+	for n := 1; n <= max; n *= 2 {
+		ns = append(ns, n)
+	}
+	if ns[len(ns)-1] != max {
+		ns = append(ns, max)
+	}
+	return ns
+}

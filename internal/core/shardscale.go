@@ -24,17 +24,7 @@ func init() {
 
 func runShardScale(cfg *Config) error {
 	env, reg := cfg.envOf(), cfg.registry()
-	maxShards := cfg.Shards
-	if maxShards <= 0 {
-		maxShards = 8
-	}
-	var counts []int
-	for n := 1; n <= maxShards; n *= 2 {
-		counts = append(counts, n)
-	}
-	if counts[len(counts)-1] != maxShards {
-		counts = append(counts, maxShards)
-	}
+	counts := sweep(cfg.Shards)
 
 	results := make([]*tpcd.PowerResult, 0, len(counts))
 	clusters := make([]*shard.Cluster, 0, len(counts))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"r3bench/internal/cost"
@@ -56,72 +55,53 @@ func runThroughput(cfg *Config) error {
 		return err
 	}
 
-	maxStreams := cfg.Streams
-	if maxStreams <= 0 {
-		maxStreams = 8
-	}
-	var counts []int
-	for n := 1; n <= maxStreams; n *= 2 {
-		counts = append(counts, n)
-	}
-	if counts[len(counts)-1] != maxStreams {
-		counts = append(counts, maxStreams)
-	}
-
 	cfg.printf("%-8s  %8s  %14s  %10s  %8s  %14s\n",
 		"streams", "queries", "wall (sim)", "QphD", "orders", "dialog wall")
 	var nextKey atomic.Int64
 	nextKey.Store(dialogKeyBase)
-	for _, n := range counts {
+	for _, n := range sweep(cfg.Streams) {
 		// One dialog stream per query stream, each on its own virtual
 		// clock: enter a slice of the UF1 orders through batch input,
 		// then look up every entered line's material through Open SQL —
-		// the salesorder example's transaction mix.
-		dialogMeters := make([]*cost.Meter, n)
-		dialogErrs := make([]error, n)
+		// the salesorder example's transaction mix. Lane 0 drives the
+		// query streams, which charge their sessions' clocks, so its meter
+		// stays at zero and the lanes' Elapsed is the dialogs' wall; lane
+		// w > 0 runs dialog w-1.
+		lanes := cost.NewLanes(sys.DB.Model(), n+1)
+		var tr *tpcd.ThroughputResult
 		var orders atomic.Int64
-		var dialogWG sync.WaitGroup
-		for w := 0; w < n; w++ {
-			dialogMeters[w] = cost.NewMeter(sys.DB.Model())
-			dialogWG.Add(1)
-			go func(w int) {
-				defer dialogWG.Done()
-				m := dialogMeters[w]
-				bi := sys.NewBatchInputWithMeter(1, m)
-				o := sys.OpenSQL(m)
-				for i := w; i < len(uf1); i += n {
-					ord := *uf1[i]
-					ord.Key = nextKey.Add(1)
-					ord.Lines = append([]dbgen.Lineitem(nil), ord.Lines...)
-					for j := range ord.Lines {
-						ord.Lines[j].OrderKey = ord.Key
-					}
-					if err := bi.EnterOrder(&ord); err != nil {
-						dialogErrs[w] = err
-						return
-					}
-					orders.Add(1)
-					for _, l := range ord.Lines {
-						matnr := val.Str(r3.Key16(l.PartKey))
-						if _, _, err := o.SelectSingle("MARA", []r3.Cond{r3.Eq("MATNR", matnr)}); err != nil {
-							dialogErrs[w] = err
-							return
-						}
+		err := lanes.Run(func(w int, m *cost.Meter) error {
+			if w == 0 {
+				var err error
+				tr, err = tpcd.RunThroughput(rdb, g, n)
+				return err
+			}
+			bi := sys.NewBatchInputWithMeter(1, m)
+			o := sys.OpenSQL(m)
+			for i := w - 1; i < len(uf1); i += n {
+				ord := *uf1[i]
+				ord.Key = nextKey.Add(1)
+				ord.Lines = append([]dbgen.Lineitem(nil), ord.Lines...)
+				for j := range ord.Lines {
+					ord.Lines[j].OrderKey = ord.Key
+				}
+				if err := bi.EnterOrder(&ord); err != nil {
+					return err
+				}
+				orders.Add(1)
+				for _, l := range ord.Lines {
+					matnr := val.Str(r3.Key16(l.PartKey))
+					if _, _, err := o.SelectSingle("MARA", []r3.Cond{r3.Eq("MATNR", matnr)}); err != nil {
+						return err
 					}
 				}
-			}(w)
-		}
-		tr, err := tpcd.RunThroughput(rdb, g, n)
-		dialogWG.Wait()
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		for _, derr := range dialogErrs {
-			if derr != nil {
-				return derr
-			}
-		}
-		dialogWall := cost.MaxElapsed(dialogMeters...)
+		dialogWall := lanes.Elapsed()
 		cfg.printf("%-8d  %8d  %14s  %10.1f  %8d  %14s\n",
 			n, tr.Queries, cost.Fmt(tr.Wall), tr.QPH, orders.Load(), cost.Fmt(dialogWall))
 		cfg.registry().Set(fmt.Sprintf("throughput.qph.streams%d", n), tr.QPH)

@@ -282,48 +282,26 @@ func (m *Meter) snapshot() (time.Duration, [numKinds]time.Duration, [numKinds]in
 // using the parallel combining rule: elapsed virtual time advances by the
 // *maximum* worker elapsed (the lanes overlap on the wall clock), while
 // per-kind resource totals and event counts accumulate as *sums* (every
-// page was still read, every tuple still touched). This is the one shared
-// code path for combining parallel lanes — the engine's intra-query
-// workers and SAP R/3's batch-input processes both go through it.
+// page was still read, every tuple still touched). It is how a session or
+// cluster clock absorbs Lanes after Run: the engine's partition workers
+// (a parallel drain and a parallel hash build) and the shard cluster's
+// per-shard lanes.
 //
 // After a merge m's grand total is deliberately smaller than the sum of
 // its per-kind buckets: the difference is exactly the time hidden by
 // overlapping the workers.
-func (m *Meter) AddParallel(workers ...*Meter) {
-	var maxTotal time.Duration
-	var kinds [numKinds]time.Duration
-	var events [numKinds]int64
-	for _, w := range workers {
-		if w == nil {
-			continue
-		}
-		total, byKind, nEvents := w.snapshot()
-		if total > maxTotal {
-			maxTotal = total
-		}
-		for k := 0; k < int(numKinds); k++ {
-			kinds[k] += byKind[k]
-			events[k] += nEvents[k]
-		}
-	}
-	m.mu.Lock()
-	m.total += maxTotal
-	for k := 0; k < int(numKinds); k++ {
-		m.byKind[k] += kinds[k]
-		m.nEvents[k] += events[k]
-	}
-	cur := m.cur
-	m.mu.Unlock()
-	if cur != nil {
-		cur.addCombined(maxTotal, kinds, events)
-	}
-}
+func (m *Meter) AddParallel(workers ...*Meter) { m.fold(true, workers) }
 
 // AddSum folds src meters into m by plain summation of totals, per-kind
 // durations and event counts — the serial combining rule, used to report
 // aggregate resource consumption across lanes.
-func (m *Meter) AddSum(srcs ...*Meter) {
-	var sumTotal time.Duration
+func (m *Meter) AddSum(srcs ...*Meter) { m.fold(false, srcs) }
+
+// fold adds the srcs' per-kind time and events to m, and to m's total
+// either the largest src total (parallel) or their sum; nil srcs are
+// skipped. The current span is credited with the same amounts.
+func (m *Meter) fold(parallel bool, srcs []*Meter) {
+	var elapsed time.Duration
 	var kinds [numKinds]time.Duration
 	var events [numKinds]int64
 	for _, w := range srcs {
@@ -331,14 +309,18 @@ func (m *Meter) AddSum(srcs ...*Meter) {
 			continue
 		}
 		total, byKind, nEvents := w.snapshot()
-		sumTotal += total
+		if !parallel {
+			elapsed += total
+		} else if total > elapsed {
+			elapsed = total
+		}
 		for k := 0; k < int(numKinds); k++ {
 			kinds[k] += byKind[k]
 			events[k] += nEvents[k]
 		}
 	}
 	m.mu.Lock()
-	m.total += sumTotal
+	m.total += elapsed
 	for k := 0; k < int(numKinds); k++ {
 		m.byKind[k] += kinds[k]
 		m.nEvents[k] += events[k]
@@ -346,23 +328,8 @@ func (m *Meter) AddSum(srcs ...*Meter) {
 	cur := m.cur
 	m.mu.Unlock()
 	if cur != nil {
-		cur.addCombined(sumTotal, kinds, events)
+		cur.addCombined(elapsed, kinds, events)
 	}
-}
-
-// MaxElapsed returns the largest elapsed time among the meters: the
-// simulated wall clock of lanes that ran in parallel.
-func MaxElapsed(ms ...*Meter) time.Duration {
-	var max time.Duration
-	for _, m := range ms {
-		if m == nil {
-			continue
-		}
-		if e := m.Elapsed(); e > max {
-			max = e
-		}
-	}
-	return max
 }
 
 // Breakdown renders a per-kind cost report, largest contributor first,

@@ -173,17 +173,3 @@ func TestAddSum(t *testing.T) {
 		t.Errorf("counts not summed: SeqRead=%d Commit=%d", m.Count(SeqRead), m.Count(Commit))
 	}
 }
-
-func TestMaxElapsed(t *testing.T) {
-	model := Default1996()
-	a := NewMeter(model)
-	a.Charge(SeqRead, 5)
-	b := NewMeter(model)
-	b.Charge(SeqRead, 9)
-	if got := MaxElapsed(a, b); got != b.Elapsed() {
-		t.Errorf("MaxElapsed = %v, want %v", got, b.Elapsed())
-	}
-	if got := MaxElapsed(); got != 0 {
-		t.Errorf("MaxElapsed() = %v, want 0", got)
-	}
-}

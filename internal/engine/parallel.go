@@ -19,15 +19,18 @@ import (
 // order) is order-compatible with concatenation, a parallel run produces
 // output byte-identical to the serial run.
 //
-// Virtual-clock accounting follows the parallel combining rule
-// (cost.Meter.AddParallel): each worker charges a private meter; elapsed
+// Virtual-clock accounting follows the parallel combining rule: the
+// partitions run as cost.Lanes, each worker charging its lane's meter, and
+// the session meter folds the lanes with cost.Meter.AddParallel — elapsed
 // session time advances by the slowest worker while resource totals sum.
 
 // parallelSlots bounds worker goroutines across all concurrently running
-// parallel operations in the process. The coordinator always runs
-// partition 0 on its own goroutine, so progress never depends on slot
-// availability, and workers never spawn nested parallel work (their
-// runtime carries a lane meter, which disables parallel dispatch).
+// parallel operations in the process. cost.Lanes.Run runs lane 0 on the
+// coordinator's own goroutine and every other lane takes a slot inside its
+// lane function (laneSlot), so the coordinator's partition never waits for
+// a slot and progress never depends on slot availability; workers never
+// spawn nested parallel work (their runtime carries a lane meter, which
+// disables parallel dispatch).
 var parallelSlots = make(chan struct{}, func() int {
 	n := 2 * stdruntime.GOMAXPROCS(0)
 	if n < 4 {
@@ -36,21 +39,14 @@ var parallelSlots = make(chan struct{}, func() int {
 	return n
 }())
 
-// runPartitions executes fn(i) for every partition: 1..n-1 on pooled
-// goroutines, 0 inline on the caller.
-func runPartitions(n int, fn func(int)) {
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			parallelSlots <- struct{}{}
-			defer func() { <-parallelSlots }()
-			fn(i)
-		}(i)
+// laneSlot holds a parallelSlots slot for worker lane i > 0 until the
+// returned release runs; the coordinator's lane 0 takes none.
+func laneSlot(i int) (release func()) {
+	if i > 0 {
+		parallelSlots <- struct{}{}
+		return func() { <-parallelSlots }
 	}
-	fn(0)
-	wg.Wait()
+	return func() {}
 }
 
 // partitionPages splits [0, pages) into at most k contiguous non-empty
@@ -152,15 +148,13 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emi
 	// Each lane drains its partition into a run of its own: rows or an
 	// accumulator, a meter, and — under adaptive replanning — step counts.
 	runs := make([]Partial, len(pages))
-	meters := make([]*cost.Meter, len(pages))
-	errs := make([]error, len(pages))
 	var fbs []execFeedback
 	if fbMain != nil {
 		fbs = make([]execFeedback, len(pages))
 	}
-	runPartitions(len(pages), func(i int) {
-		m := cost.NewMeter(model)
-		meters[i] = m
+	lanes := cost.NewLanes(model, len(pages))
+	err := lanes.Run(func(i int, m *cost.Meter) error {
+		defer laneSlot(i)()
 		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: m}
 		// Every hash table was built above, so lanes only read shared.
 		beW := newBlockExec(rtW, outer)
@@ -183,18 +177,19 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emi
 		v := newVecRun(p, beW, vecBatchInitial)
 		v.pages = &pages[i]
 		run := &runs[i]
+		var err error
 		if p.agg != nil {
-			run.acc, errs[i] = v.aggregate()
+			run.acc, err = v.aggregate()
 		} else {
 			// The coordinator reads the rows after the lane is gone: no
 			// slab recycling.
-			errs[i] = v.project(func(r outRow) error {
+			err = v.project(func(r outRow) error {
 				run.rows = append(run.rows, r)
 				return nil
 			}, false)
 		}
-		if errs[i] != nil {
-			return
+		if err != nil {
+			return err
 		}
 		if beW.prof != nil {
 			defer m.SetSpan(m.SetSpan(beW.prof.output))
@@ -206,15 +201,14 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emi
 		} else if len(p.orderKeys) > 0 {
 			chargeSort(m, int64(len(run.rows)), int64(len(p.projections)+len(p.orderKeys))*24)
 		}
+		return nil
 	})
 
 	restorePar := rt.spanScope(par)
-	rt.sess.Meter.AddParallel(meters...)
+	rt.sess.Meter.AddParallel(lanes...)
 	restorePar()
-	for _, err := range errs {
-		if err != nil {
-			return false, nil, err
-		}
+	if err != nil {
+		return false, nil, err
 	}
 	// Sum lane counts in partition order — addition commutes, so the totals
 	// match the serial execution's counts exactly.
@@ -245,19 +239,18 @@ func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, sub
 	subCache := rt.subs()
 	tables := make([]*hashTable, len(parts))
 	counts := make([]int64, len(parts))
-	meters := make([]*cost.Meter, len(parts))
-	errs := make([]error, len(parts))
-	runPartitions(len(parts), func(i int) {
-		meters[i] = cost.NewMeter(model)
-		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: meters[i]}
+	lanes := cost.NewLanes(model, len(parts))
+	err := lanes.Run(func(i int, m *cost.Meter) error {
+		defer laneSlot(i)()
+		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: m}
 		tables[i] = newHashTable(s.rel.out)
-		counts[i], errs[i] = s.buildInto(tables[i], rtW, outer, &parts[i])
+		var err error
+		counts[i], err = s.buildInto(tables[i], rtW, outer, &parts[i])
+		return err
 	})
-	rt.sess.Meter.AddParallel(meters...)
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
+	rt.sess.Meter.AddParallel(lanes...)
+	if err != nil {
+		return nil, err
 	}
 	merged := tables[0]
 	nRows := counts[0]

@@ -20,27 +20,21 @@ import (
 // modelled as lanes: whole records round-robin onto lanes, each lane
 // charging its own meter, and elapsed time is the slowest lane — the same
 // combining rule (elapsed = max, resources = sum) the engine's parallel
-// executor uses, via the shared cost.Meter primitives.
+// executor uses, via cost.Lanes.
 type BatchInput struct {
 	sys     *System
-	lanes   []biLane
+	lanes   []*OpenSQL // one Open SQL session per lane, charging meters[i]
+	meters  cost.Lanes
 	next    int
 	records int64
-	cur     *biLane // the open record's lane; nil between records
-	anchor  string  // the open record's anchor table
+	cur     *OpenSQL // the open record's lane; nil between records
+	anchor  string   // the open record's anchor table
 
 	// The entity stream being entered, the records before it, and Load's
 	// per-stream callback.
 	stream string
 	from   int64
 	mark   func(anchor string, records int64)
-}
-
-// biLane is one simulated batch-input process: its own Open SQL session
-// charging its own virtual clock.
-type biLane struct {
-	o *OpenSQL
-	m *cost.Meter
 }
 
 // dialogScale calibrates the per-record dialog cost by anchor table,
@@ -81,39 +75,20 @@ func (sys *System) NewBatchInputWithMeter(workers int, m *cost.Meter) *BatchInpu
 	if workers < 1 {
 		workers = 1
 	}
-	b := &BatchInput{sys: sys, lanes: make([]biLane, workers)}
-	for i := range b.lanes {
-		lm := m
-		if i > 0 {
-			lm = cost.NewMeter(sys.DB.Model())
-		}
-		b.lanes[i] = biLane{o: sys.OpenSQL(lm), m: lm}
+	b := &BatchInput{sys: sys, meters: append(cost.Lanes{m}, cost.NewLanes(sys.DB.Model(), workers-1)...)}
+	for _, lm := range b.meters {
+		b.lanes = append(b.lanes, sys.OpenSQL(lm))
 	}
 	return b
 }
 
-// meters collects the per-lane clocks.
-func (b *BatchInput) meters() []*cost.Meter {
-	ms := make([]*cost.Meter, len(b.lanes))
-	for i := range b.lanes {
-		ms[i] = b.lanes[i].m
-	}
-	return ms
-}
-
 // Meter returns a snapshot of total resource consumption across all
 // lanes (serial combining rule: everything sums).
-func (b *BatchInput) Meter() *cost.Meter {
-	m := cost.NewMeter(b.sys.DB.Model())
-	m.AddSum(b.meters()...)
-	return m
-}
+func (b *BatchInput) Meter() *cost.Meter { return b.meters.Total(b.sys.DB.Model()) }
 
 // Elapsed returns the simulated wall time: the slowest lane, since the
 // parallel batch-input processes overlap.
-func (b *BatchInput) Elapsed() time.Duration {
-	return cost.MaxElapsed(b.meters()...)
-}
+func (b *BatchInput) Elapsed() time.Duration { return b.meters.Elapsed() }
 
 // Records returns how many records were entered.
 func (b *BatchInput) Records() int64 { return b.records }
@@ -131,12 +106,13 @@ func (b *BatchInput) record(anchor string) {
 		if anchor != b.stream {
 			b.endStream(anchor)
 		}
-		b.cur = &b.lanes[b.next%len(b.lanes)]
+		b.cur = b.lanes[b.next%len(b.lanes)]
 		b.next++
 	}
 	b.anchor = anchor
-	base := b.cur.m.Model().PerEvent[cost.Check]
-	b.cur.m.ChargeDuration(cost.Check, time.Duration(dialogScale[anchor]*float64(base)))
+	m := b.cur.Meter()
+	base := m.Model().PerEvent[cost.Check]
+	m.ChargeDuration(cost.Check, time.Duration(dialogScale[anchor]*float64(base)))
 	b.records++
 }
 
@@ -144,7 +120,7 @@ func (b *BatchInput) record(anchor string) {
 // table's, then a line item's pricing read — and inserts the rows through
 // Open SQL. The checks' answers are not used, only what they charge.
 func (b *BatchInput) add(table string, rows ...F) error {
-	o := b.cur.o
+	o := b.cur
 	if table == b.anchor {
 		for _, c := range dialogChecks[table] {
 			o.SelectSingle(c.table, []Cond{Eq(c.field, rows[0][c.field])})
@@ -164,7 +140,7 @@ func (b *BatchInput) add(table string, rows ...F) error {
 // commit ends the record being entered, if there is one.
 func (b *BatchInput) commit() {
 	if b.cur != nil {
-		b.cur.o.Commit()
+		b.cur.Commit()
 		b.cur = nil
 	}
 }
@@ -211,7 +187,7 @@ func (b *BatchInput) EnterOrder(o *dbgen.Order) error {
 func (b *BatchInput) DeleteOrder(orderKey int64) error {
 	vbeln := Key16(orderKey)
 	b.record("VBAK")
-	o := b.cur.o
+	o := b.cur
 	// Collect the items first (the dialog reads the document).
 	var posnrs []string
 	err := o.Select("VBAP", []Cond{Eq("VBELN", val.Str(vbeln))}, func(r Row) error {

@@ -2,7 +2,6 @@ package r3
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,8 +26,7 @@ import (
 // argument tpcd.LoadPartition makes).
 type DirectPath struct {
 	sys     *System
-	workers int
-	meters  []*cost.Meter
+	lanes   cost.Lanes
 	records atomic.Int64
 }
 
@@ -57,11 +55,7 @@ func (sys *System) NewDirectPath(workers int) *DirectPath {
 	if workers < 1 {
 		workers = 1
 	}
-	d := &DirectPath{sys: sys, workers: workers, meters: make([]*cost.Meter, workers)}
-	for i := range d.meters {
-		d.meters[i] = cost.NewMeter(sys.DB.Model())
-	}
-	return d
+	return &DirectPath{sys: sys, lanes: cost.NewLanes(sys.DB.Model(), workers)}
 }
 
 // Records returns how many logical records were loaded.
@@ -69,16 +63,10 @@ func (d *DirectPath) Records() int64 { return d.records.Load() }
 
 // Elapsed returns the simulated wall time: the slowest lane, since the
 // lanes overlap.
-func (d *DirectPath) Elapsed() time.Duration {
-	return cost.MaxElapsed(d.meters...)
-}
+func (d *DirectPath) Elapsed() time.Duration { return d.lanes.Elapsed() }
 
 // Meter returns a snapshot of total resource consumption across lanes.
-func (d *DirectPath) Meter() *cost.Meter {
-	m := cost.NewMeter(d.sys.DB.Model())
-	m.AddSum(d.meters...)
-	return m
-}
+func (d *DirectPath) Meter() *cost.Meter { return d.lanes.Total(d.sys.DB.Model()) }
 
 // dpWorker is one load lane: the physical tables it owns and their open
 // direct-path channels.
@@ -149,14 +137,14 @@ func (w *dpWorker) add(table string, group ...F) error {
 // does: dbgen streams are pure functions of (SF, seed).
 func (d *DirectPath) Load(g *dbgen.Generator) error {
 	sys := d.sys
-	ws := make([]*dpWorker, d.workers)
-	for i := range ws {
-		ws[i] = &dpWorker{dp: d, m: d.meters[i], loaders: make(map[string]*engine.DirectLoader)}
+	ws := make([]*dpWorker, len(d.lanes))
+	for i, m := range d.lanes {
+		ws[i] = &dpWorker{dp: d, m: m, loaders: make(map[string]*engine.DirectLoader)}
 	}
 	// Assign physical tables to lanes round-robin in weight order:
 	// dpTableOrder[i] belongs to lane i % workers.
 	for i, phys := range dpTableOrder {
-		w := ws[i%d.workers]
+		w := ws[i%len(ws)]
 		ld, err := sys.DB.NewDirectLoader(phys, w.m)
 		if err != nil {
 			return err
@@ -164,24 +152,12 @@ func (d *DirectPath) Load(g *dbgen.Generator) error {
 		w.loaders[phys] = ld
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, d.workers)
-	for i, w := range ws {
-		wg.Add(1)
-		go func(i int, w *dpWorker) {
-			defer wg.Done()
-			errs[i] = walkPopulation(g, w)
-		}(i, w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := d.lanes.Run(func(i int, _ *cost.Meter) error { return walkPopulation(g, ws[i]) }); err != nil {
+		return err
 	}
 	// Close every channel in weight order: seal pages, build indexes, commit.
 	for i, phys := range dpTableOrder {
-		if err := ws[i%d.workers].loaders[phys].Close(); err != nil {
+		if err := ws[i%len(ws)].loaders[phys].Close(); err != nil {
 			return err
 		}
 	}

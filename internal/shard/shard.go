@@ -12,7 +12,7 @@
 //
 // Exchange traffic is charged to the virtual clock as cost.NetShip
 // (per-row transfer plus per-packet latency); per-shard work runs on
-// private lane meters combined with cost.Meter.AddParallel, the same
+// private cost.Lanes folded with cost.Meter.AddParallel, the same
 // max-elapsed/sum-resources rule the intra-query workers use. The span
 // tree recorded for every query therefore reconciles exactly with the
 // cluster meter — the paper's Tables 4/5 interface-crossing ledger,
@@ -165,39 +165,26 @@ func (c *Cluster) noteShipped(q int, sp *cost.Span, crossed []int64) {
 	c.mu.Unlock()
 }
 
-// lanes runs fn once per shard, concurrently, each on a private meter, and
+// lanes runs fn once per shard as cost.Lanes, each on a private meter, and
 // folds the meters into the cluster meter with the parallel combining rule
 // (max elapsed, summed resources). With a span, each lane renders under it
 // as "shard i" and the fold is booked to it. It returns the first error
 // (all lanes run to completion first — partial exchanges must not leave
 // goroutines behind).
 func (c *Cluster) lanes(sp *cost.Span, fn func(shard int, m *cost.Meter) error) error {
-	meters := make([]*cost.Meter, c.n)
-	errs := make([]error, c.n)
-	var wg sync.WaitGroup
-	for i := 0; i < c.n; i++ {
-		meters[i] = cost.NewMeter(c.model)
-		if sp != nil {
-			meters[i].SetSpan(sp.LaneChild(fmt.Sprintf("shard %d", i)))
+	lanes := cost.NewLanes(c.model, c.n)
+	if sp != nil {
+		for i, m := range lanes {
+			m.SetSpan(sp.LaneChild(fmt.Sprintf("shard %d", i)))
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i, meters[i])
-		}(i)
 	}
-	wg.Wait()
+	err := lanes.Run(fn)
 	if sp != nil {
 		prev := c.meter.SetSpan(sp)
 		defer c.meter.SetSpan(prev)
 	}
-	c.meter.AddParallel(meters...)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	c.meter.AddParallel(lanes...)
+	return err
 }
 
 // parallelPhase is lanes under a span child of parent.

@@ -1,8 +1,6 @@
 package tpcd
 
 import (
-	"sync"
-
 	"r3bench/internal/cost"
 	"r3bench/internal/dbgen"
 	"r3bench/internal/engine"
@@ -13,7 +11,7 @@ import (
 const loadBatch = 4096
 
 // tableLoader batches rows of one table for bulk loading. Each parallel
-// loader goroutine owns its own tableLoader(s), so batches never mix.
+// loader lane owns its own tableLoader(s), so batches never mix.
 type tableLoader struct {
 	db    *engine.DB
 	m     *cost.Meter
@@ -42,9 +40,9 @@ func (l *tableLoader) flush() error {
 // through the RDBMS's bulk-loading interface — the path the paper notes
 // SAP R/3's batch input does not use — and gathers statistics.
 //
-// Tables load in parallel, one goroutine per generator stream (ORDERS and
+// Tables load in parallel, one lane per generator stream (ORDERS and
 // LINEITEM share one, since the generator emits them interleaved). Every
-// dbgen stream draws from its own fixed-seed RNG and every goroutine
+// dbgen stream draws from its own fixed-seed RNG and every lane
 // fills only its own heap file(s), so the loaded database is byte-
 // identical to a serial load regardless of scheduling. The shared meter,
 // if any, is charged concurrently (it is thread-safe); all current
@@ -65,20 +63,12 @@ func LoadPartition(db *engine.DB, g *dbgen.Generator, m *cost.Meter, keep func(t
 	if err := CreateSchema(db, m); err != nil {
 		return err
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(dbgen.Streams))
-	for i := range dbgen.Streams {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = loadStream(db, g, m, &dbgen.Streams[i], keep)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	// The streams charge the shared meter, so their lanes carry none.
+	err := make(cost.Lanes, len(dbgen.Streams)).Run(func(i int, _ *cost.Meter) error {
+		return loadStream(db, g, m, &dbgen.Streams[i], keep)
+	})
+	if err != nil {
+		return err
 	}
 	return db.AnalyzeAll()
 }

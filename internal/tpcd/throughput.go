@@ -3,7 +3,6 @@ package tpcd
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"r3bench/internal/cost"
@@ -115,35 +114,29 @@ type ThroughputResult struct {
 }
 
 // RunThroughput drives n concurrent query streams to completion. The
-// streams genuinely overlap (one goroutine each, shared engine); their
-// virtual clocks advance independently, and the test's simulated wall
-// time is the slowest stream's elapsed — the parallel-composition rule
-// the cost model uses everywhere (cost.MaxElapsed).
+// streams genuinely overlap (one lane each, shared engine); their virtual
+// clocks advance independently, and the test's simulated wall time is the
+// slowest stream's elapsed — the parallel-composition rule the cost model
+// uses everywhere (cost.Lanes.Elapsed).
 func RunThroughput(db *engine.DB, g *dbgen.Generator, n int) (*ThroughputResult, error) {
 	streams := make([]*QueryStream, n)
+	lanes := make(cost.Lanes, n)
 	for i := range streams {
 		streams[i] = NewQueryStream(db, g, i)
+		lanes[i] = streams[i].Meter()
 	}
-	results := make([]*StreamResult, n)
-	var wg sync.WaitGroup
-	for i, s := range streams {
-		wg.Add(1)
-		go func(i int, s *QueryStream) {
-			defer wg.Done()
-			results[i] = s.RunStream(false)
-		}(i, s)
+	tr := &ThroughputResult{Streams: n, PerStream: make([]*StreamResult, n)}
+	err := lanes.Run(func(i int, _ *cost.Meter) error {
+		tr.PerStream[i] = streams[i].RunStream(false)
+		return tr.PerStream[i].Err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	tr := &ThroughputResult{Streams: n, PerStream: results}
-	meters := make([]*cost.Meter, n)
-	for i, s := range streams {
-		meters[i] = s.Meter()
-		if results[i].Err != nil {
-			return nil, results[i].Err
-		}
-		tr.Queries += len(results[i].Order)
+	for _, sr := range tr.PerStream {
+		tr.Queries += len(sr.Order)
 	}
-	tr.Wall = cost.MaxElapsed(meters...)
+	tr.Wall = lanes.Elapsed()
 	if h := tr.Wall.Hours(); h > 0 {
 		tr.QPH = float64(tr.Queries) / h
 	}

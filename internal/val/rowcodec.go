@@ -240,7 +240,14 @@ func (s *ColSet) decode(src []byte, dst []Value, lo, hi, width int) error {
 		case KFloat:
 			dst[k] = Float(math.Float64frombits(binary.BigEndian.Uint64(field)))
 		case KStr:
+			// Strip the blank padding eight bytes at a time first: on
+			// wide CHAR columns this is the hottest loop of a scan, and a
+			// byte-at-a-time loop alone runs up to twice as slow at some
+			// code alignments, which a change to any other package moves.
 			end := len(field)
+			for end >= 8 && binary.LittleEndian.Uint64(field[end-8:end]) == 0x2020202020202020 {
+				end -= 8
+			}
 			for end > 0 && field[end-1] == ' ' {
 				end--
 			}

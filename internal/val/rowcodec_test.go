@@ -3,6 +3,7 @@ package val
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -62,6 +63,14 @@ func TestRowCodecTruncationAndPadding(t *testing.T) {
 	dec, _ = c.Decode(enc, nil)
 	if dec[0].AsStr() != "x" {
 		t.Errorf("padding must be trimmed on decode: got %q", dec[0].AsStr())
+	}
+	// Padding longer than a word, beside interior blanks.
+	c = NewRowCodec([]ColType{Char(24)})
+	for _, want := range []string{"", "a", "ab      cd", "abcdefgh         i", "abcdefghijklmnop", strings.Repeat("z", 24)} {
+		enc, _ = c.Encode(nil, []Value{Str(want)})
+		if dec, _ = c.Decode(enc, nil); dec[0].AsStr() != want {
+			t.Errorf("Char(24) %q decoded as %q", want, dec[0].AsStr())
+		}
 	}
 }
 
