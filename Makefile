@@ -43,9 +43,12 @@ race:
 # R/3 cluster decode equals the strings.Split reference, and the rows Open SQL
 # hands out are the session arena's, unchanged by later executions; a view
 # streamed into its reader's scan, which runs the reader's pipeline from
-# inside the view's plan; and Q1–Q17 with their output-only CHAR columns
-# decoded from the page image after the filters ran.
+# inside the view's plan; Q1–Q17 with their output-only CHAR columns
+# decoded from the page image after the filters ran; and the B-tree keys an
+# Iterator hands out, which no later insert, delete, split or compaction
+# writes again.
 race-views:
+	$(GO) test -race -count=3 -run 'TestKeyViewsSurviveWrites' ./internal/btree
 	$(GO) test -race -count=3 -run 'TestColSetViewsMatchCopy|TestSlabOwns' ./internal/val
 	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite' ./internal/storage
 	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors' ./internal/engine
