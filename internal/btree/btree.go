@@ -11,12 +11,20 @@
 // Non-unique trees keep a total order by storing composite entry keys:
 // the logical key followed by a 6-byte RID suffix. Unique trees store the
 // logical key alone.
+//
+// A node keeps its entries in a pointer-free array of fixed records in key
+// order and their key bytes in one append-only slab. Bytes once written to
+// a slab are never written again: an insert appends, a delete drops only
+// the record, and a split or a growth copies the live keys into a fresh
+// slab. So a key an Iterator hands out stays as it was after any later
+// write, and a write allocates only when a node splits or grows.
 package btree
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -37,10 +45,83 @@ const ridBytes = 6
 
 type node struct {
 	leaf     bool
-	keys     [][]byte // entry keys (leaf) or separators (internal)
-	rids     []storage.RID
+	ents     []entry // entries (leaf) or separators (internal), in key order
+	slab     []byte  // their key bytes, append-only
 	children []*node
 	next     *node // leaf chain
+	// lruPrev and lruNext link a resident leaf into its PageCache's LRU
+	// ring; both are nil while the leaf is not resident.
+	lruPrev, lruNext *node
+}
+
+// entry locates one key in its node's slab and carries the entry's RID
+// (zero for a separator), flattened so the record has no padding.
+type entry struct {
+	off  uint32 // first key byte in the slab
+	page storage.PageID
+	klen uint16
+	slot uint16
+}
+
+// key returns entry i's key, a view of the slab cut so that an append to
+// it cannot write into the slab.
+func (n *node) key(i int) []byte {
+	e := &n.ents[i]
+	end := e.off + uint32(e.klen)
+	return n.slab[e.off:end:end]
+}
+
+// rid returns entry i's RID.
+func (n *node) rid(i int) storage.RID {
+	return storage.RID{Page: n.ents[i].page, Slot: n.ents[i].slot}
+}
+
+// room is how many entries a node of k entries makes room for when it
+// moves to a fresh entry array and slab: half as many again, but never
+// past the fanout+1 a node holds before it splits.
+func room(k int) int { return max(1, min(max(k/2, 4), fanout+1-k)) }
+
+// insert puts (ek, rid) at position i. The key goes to the end of the slab;
+// a slab the node leaves is left to the views cut from it. A full entry
+// array moves the node to a fresh array and slab. A slab full before its
+// array was filled by the dead keys of deletes — the node churns — so its
+// fresh slab has room for as many keys again as the node holds: churn
+// copies a live key once per that many inserts.
+func (n *node) insert(i int, ek []byte, rid storage.RID) {
+	switch more := room(len(n.ents)); {
+	case len(n.ents) == cap(n.ents):
+		n.ents, n.slab = n.copyOut(0, len(n.ents), more, len(ek))
+	case len(n.slab)+len(ek) > cap(n.slab):
+		n.slab = n.pack(n.ents, max(more, len(n.ents)), len(ek))
+	}
+	off := len(n.slab)
+	n.slab = append(n.slab, ek...)
+	n.ents = slices.Insert(n.ents, i, entry{off: uint32(off), klen: uint16(len(ek)), page: rid.Page, slot: rid.Slot})
+}
+
+// copyOut returns entries lo..hi of n in a fresh entry array and slab with
+// room for more entries (see pack).
+func (n *node) copyOut(lo, hi, more, extra int) ([]entry, []byte) {
+	ents := append(make([]entry, 0, hi-lo+more), n.ents[lo:hi]...)
+	return ents, n.pack(ents, more, extra)
+}
+
+// pack copies the keys of ents, entries of n, into a fresh slab back to back
+// in entry order, with room for more keys of their average length and extra
+// bytes besides, and points ents at it.
+func (n *node) pack(ents []entry, more, extra int) []byte {
+	size := 0
+	for _, e := range ents {
+		size += int(e.klen)
+	}
+	slab := make([]byte, 0, size+extra+more*size/max(len(ents), 1))
+	for i := range ents {
+		e := &ents[i]
+		off := len(slab)
+		slab = append(slab, n.slab[e.off:e.off+uint32(e.klen)]...)
+		e.off = uint32(off)
+	}
+	return slab
 }
 
 // Tree is a B+-tree index. Safe for concurrent readers xor one writer via
@@ -87,7 +168,9 @@ func (t *Tree) LSN() int64 { return t.lsn.Load() }
 
 // SetCache attaches a (usually shared) residence model for the tree's
 // leaf pages; nil detaches it. Not safe to call concurrently with
-// readers — wire it at index-creation time.
+// readers — wire it at index-creation time. A leaf links into one cache's
+// LRU at a time, so a tree moving to another cache first calls
+// ReleaseCache.
 func (t *Tree) SetCache(c *PageCache) { t.cache = c }
 
 // New returns an empty tree. If unique is true, Insert rejects duplicate
@@ -106,25 +189,34 @@ func (t *Tree) Entries() int64 {
 	return t.entries
 }
 
-// entryKey builds the stored key for (key, rid).
-func (t *Tree) entryKey(key []byte, rid storage.RID) []byte {
-	if t.unique {
-		return append([]byte(nil), key...)
+// maxKey bounds a logical key's length: an entry record keeps the stored
+// key's, RID suffix included, in 16 bits.
+const maxKey = math.MaxUint16 - ridBytes
+
+// appendEntryKey appends the stored key for (key, rid) to dst.
+func (t *Tree) appendEntryKey(dst, key []byte, rid storage.RID) ([]byte, error) {
+	if len(key) > maxKey {
+		return nil, fmt.Errorf("btree: key of %d bytes exceeds the %d an index entry holds", len(key), maxKey)
 	}
-	ek := make([]byte, 0, len(key)+ridBytes)
-	ek = append(ek, key...)
-	var suf [ridBytes]byte
-	binary.BigEndian.PutUint32(suf[0:4], uint32(rid.Page))
-	binary.BigEndian.PutUint16(suf[4:6], rid.Slot)
-	return append(ek, suf[:]...)
+	dst = append(dst, key...)
+	if !t.unique {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(rid.Page))
+		dst = binary.BigEndian.AppendUint16(dst, rid.Slot)
+	}
+	return dst, nil
 }
+
+// probeKeySize is the stack buffer a write builds its entry key in; a
+// longer key spills to the heap.
+const probeKeySize = 128
 
 // logicalKey strips the RID suffix from a stored entry key.
 func (t *Tree) logicalKey(ek []byte) []byte {
 	if t.unique {
 		return ek
 	}
-	return ek[:len(ek)-ridBytes]
+	n := len(ek) - ridBytes
+	return ek[:n:n]
 }
 
 // SizeBytes returns the modelled on-disk size of the index.
@@ -162,8 +254,8 @@ func (t *Tree) entriesPerLeaf() int64 {
 func (t *Tree) descend(ek []byte) *node {
 	n := t.root
 	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool {
-			return bytes.Compare(n.keys[i], ek) > 0
+		i := sort.Search(len(n.ents), func(i int) bool {
+			return bytes.Compare(n.key(i), ek) > 0
 		})
 		n = n.children[i]
 	}
@@ -175,12 +267,16 @@ func (t *Tree) descend(ek []byte) *node {
 func (t *Tree) Insert(key []byte, rid storage.RID, m *cost.Meter) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ek := t.entryKey(key, rid)
+	var buf [probeKeySize]byte
+	ek, err := t.appendEntryKey(buf[:0], key, rid)
+	if err != nil {
+		return err
+	}
 	leaf := t.descend(ek)
-	i := sort.Search(len(leaf.keys), func(i int) bool {
-		return bytes.Compare(leaf.keys[i], ek) >= 0
+	i := sort.Search(len(leaf.ents), func(i int) bool {
+		return bytes.Compare(leaf.key(i), ek) >= 0
 	})
-	if t.unique && i < len(leaf.keys) && bytes.Equal(leaf.keys[i], ek) {
+	if t.unique && i < len(leaf.ents) && bytes.Equal(leaf.key(i), ek) {
 		return fmt.Errorf("btree: duplicate key %x", key)
 	}
 	t.version++
@@ -192,12 +288,7 @@ func (t *Tree) Insert(key []byte, rid storage.RID, m *cost.Meter) error {
 		}
 		m.Charge(cost.TupleCPU, 1)
 	}
-	leaf.keys = append(leaf.keys, nil)
-	leaf.rids = append(leaf.rids, storage.RID{})
-	copy(leaf.keys[i+1:], leaf.keys[i:])
-	copy(leaf.rids[i+1:], leaf.rids[i:])
-	leaf.keys[i] = ek
-	leaf.rids[i] = rid
+	leaf.insert(i, ek, rid)
 	t.entries++
 	t.keyByte += int64(len(key))
 	t.splitPath(ek)
@@ -207,21 +298,20 @@ func (t *Tree) Insert(key []byte, rid storage.RID, m *cost.Meter) error {
 // splitPath re-walks from the root splitting any overfull node on the
 // descent path to ek. Only one leaf grew, so this restores invariants.
 func (t *Tree) splitPath(ek []byte) {
-	if len(t.root.keys) > fanout {
-		left, sep, right := split(t.root)
-		t.root = &node{keys: [][]byte{sep}, children: []*node{left, right}}
+	if len(t.root.ents) > fanout {
+		left, sep, right := split(t.root, ek)
+		t.root = &node{children: []*node{left, right}}
+		t.root.insert(0, sep, storage.RID{})
 	}
 	n := t.root
 	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool {
-			return bytes.Compare(n.keys[i], ek) > 0
+		i := sort.Search(len(n.ents), func(i int) bool {
+			return bytes.Compare(n.key(i), ek) > 0
 		})
 		c := n.children[i]
-		if len(c.keys) > fanout {
-			left, sep, right := split(c)
-			n.keys = append(n.keys, nil)
-			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = sep
+		if len(c.ents) > fanout {
+			left, sep, right := split(c, ek)
+			n.insert(i, sep, storage.RID{})
 			n.children = append(n.children, nil)
 			copy(n.children[i+2:], n.children[i+1:])
 			n.children[i] = left
@@ -237,24 +327,38 @@ func (t *Tree) splitPath(ek []byte) {
 }
 
 // split divides an overfull node in two and returns (left, separator,
-// right).
-func split(n *node) (*node, []byte, *node) {
-	mid := len(n.keys) / 2
-	right := &node{leaf: n.leaf}
+// right). Both halves move to fresh entry arrays and slabs holding just
+// their keys, and the half ek went to has room to grow — room for all the
+// entries the half can take before it splits when ek is the node's last or
+// first key, since ascending keys (an order number, a date) keep landing at
+// the right edge and descending ones at the left. The separator is a view
+// of the old slab, which the caller copies into the parent.
+func split(n *node, ek []byte) (*node, []byte, *node) {
+	mid := len(n.ents) / 2
+	sep := n.key(mid)
+	from := mid + 1 // an internal node's middle separator moves up alone
 	if n.leaf {
-		right.keys = append(right.keys, n.keys[mid:]...)
-		right.rids = append(right.rids, n.rids[mid:]...)
-		n.keys = n.keys[:mid:mid]
-		n.rids = n.rids[:mid:mid]
+		from = mid
+	}
+	leftMore, rightMore := 0, room(len(n.ents)-from)
+	if bytes.Compare(ek, n.key(len(n.ents)-1)) >= 0 {
+		rightMore = fanout + 1 - (len(n.ents) - from)
+	} else if bytes.Compare(ek, sep) < 0 {
+		leftMore, rightMore = room(mid), 0
+		if bytes.Compare(ek, n.key(0)) <= 0 {
+			leftMore = fanout + 1 - mid
+		}
+	}
+	right := &node{leaf: n.leaf}
+	right.ents, right.slab = n.copyOut(from, len(n.ents), rightMore, 0)
+	n.ents, n.slab = n.copyOut(0, mid, leftMore, 0)
+	if n.leaf {
 		right.next = n.next
 		n.next = right
-		return n, append([]byte(nil), right.keys[0]...), right
+	} else {
+		right.children = append(right.children, n.children[from:]...)
+		n.children = n.children[:from:from]
 	}
-	sep := n.keys[mid]
-	right.keys = append(right.keys, n.keys[mid+1:]...)
-	right.children = append(right.children, n.children[mid+1:]...)
-	n.keys = n.keys[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
 	return n, sep, right
 }
 
@@ -287,13 +391,37 @@ func (t *Tree) BulkBuild(entries []BulkEntry, m *cost.Meter) error {
 	}
 	t.version++
 
-	// Pack the leaf level off the sorted run.
+	// Pack the leaf level off the sorted run, each leaf's slab sized to the
+	// keys it takes.
 	var leaves []*node
 	var keyBytes int64
-	cur := &node{leaf: true}
+	newLeaf := func(lo int) *node {
+		hi := min(lo+bulkLeafFill, len(entries))
+		size := 0
+		if !t.unique {
+			size = (hi - lo) * ridBytes
+		}
+		for _, e := range entries[lo:hi] {
+			size += len(e.Key)
+		}
+		return &node{leaf: true, ents: make([]entry, 0, hi-lo), slab: make([]byte, 0, size)}
+	}
+	cur := newLeaf(0)
 	var prev []byte
 	for i := range entries {
-		ek := t.entryKey(entries[i].Key, entries[i].RID)
+		if len(cur.ents) >= bulkLeafFill {
+			leaves = append(leaves, cur)
+			next := newLeaf(i)
+			cur.next = next
+			cur = next
+		}
+		off := len(cur.slab)
+		var err error
+		if cur.slab, err = t.appendEntryKey(cur.slab, entries[i].Key, entries[i].RID); err != nil {
+			return err
+		}
+		cur.ents = append(cur.ents, entry{off: uint32(off), klen: uint16(len(cur.slab) - off), page: entries[i].RID.Page, slot: entries[i].RID.Slot})
+		ek := cur.key(len(cur.ents) - 1)
 		if prev != nil {
 			switch c := bytes.Compare(prev, ek); {
 			case c > 0:
@@ -303,14 +431,6 @@ func (t *Tree) BulkBuild(entries []BulkEntry, m *cost.Meter) error {
 			}
 		}
 		prev = ek
-		if len(cur.keys) >= bulkLeafFill {
-			leaves = append(leaves, cur)
-			next := &node{leaf: true}
-			cur.next = next
-			cur = next
-		}
-		cur.keys = append(cur.keys, ek)
-		cur.rids = append(cur.rids, entries[i].RID)
 		keyBytes += int64(len(entries[i].Key))
 	}
 	leaves = append(leaves, cur)
@@ -331,7 +451,7 @@ func (t *Tree) BulkBuild(entries []BulkEntry, m *cost.Meter) error {
 				p = &node{}
 			}
 			if len(p.children) > 0 {
-				p.keys = append(p.keys, firstKey(child))
+				p.insert(len(p.ents), firstKey(child), storage.RID{})
 			}
 			p.children = append(p.children, child)
 		}
@@ -353,7 +473,7 @@ func firstKey(n *node) []byte {
 	for !n.leaf {
 		n = n.children[0]
 	}
-	return n.keys[0]
+	return n.key(0)
 }
 
 // ReleaseCache eagerly removes the tree's leaves from the attached page
@@ -379,12 +499,16 @@ func (t *Tree) ReleaseCache() {
 func (t *Tree) Delete(key []byte, rid storage.RID, m *cost.Meter) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ek := t.entryKey(key, rid)
+	var buf [probeKeySize]byte
+	ek, err := t.appendEntryKey(buf[:0], key, rid)
+	if err != nil {
+		return err
+	}
 	leaf := t.descend(ek)
-	i := sort.Search(len(leaf.keys), func(i int) bool {
-		return bytes.Compare(leaf.keys[i], ek) >= 0
+	i := sort.Search(len(leaf.ents), func(i int) bool {
+		return bytes.Compare(leaf.key(i), ek) >= 0
 	})
-	if i >= len(leaf.keys) || !bytes.Equal(leaf.keys[i], ek) {
+	if i >= len(leaf.ents) || !bytes.Equal(leaf.key(i), ek) {
 		return fmt.Errorf("btree: delete of missing key %x", key)
 	}
 	if m != nil {
@@ -396,14 +520,13 @@ func (t *Tree) Delete(key []byte, rid storage.RID, m *cost.Meter) error {
 		m.Charge(cost.TupleCPU, 1)
 	}
 	t.version++
-	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
-	leaf.rids = append(leaf.rids[:i], leaf.rids[i+1:]...)
+	leaf.ents = slices.Delete(leaf.ents, i, i+1)
 	t.entries--
 	t.keyByte -= int64(len(key))
 	// Lazy deletion: underfull leaves are tolerated, as in many real
 	// engines; the size model uses entry counts, not node counts. An empty
 	// leaf is not: it leaves the tree.
-	if len(leaf.keys) == 0 {
+	if len(leaf.ents) == 0 {
 		t.dropEmptyLeaf(ek)
 	}
 	return nil
@@ -428,8 +551,8 @@ func (t *Tree) dropEmptyLeaf(ek []byte) {
 	path := hops[:0]
 	n := t.root
 	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool {
-			return bytes.Compare(n.keys[i], ek) > 0
+		i := sort.Search(len(n.ents), func(i int) bool {
+			return bytes.Compare(n.key(i), ek) > 0
 		})
 		path = append(path, hop{n, i})
 		n = n.children[i]
@@ -452,11 +575,11 @@ func (t *Tree) dropEmptyLeaf(ek []byte) {
 	for d := len(path) - 1; d >= 0; d-- {
 		p, i := path[d].n, path[d].i
 		p.children = slices.Delete(p.children, i, i+1)
-		if len(p.keys) > 0 {
+		if len(p.ents) > 0 {
 			// Either neighbouring separator will do: the range given up
 			// holds no entry.
 			k := max(i-1, 0)
-			p.keys = slices.Delete(p.keys, k, k+1)
+			p.ents = slices.Delete(p.ents, k, k+1)
 		}
 		if len(p.children) > 0 {
 			return
@@ -524,8 +647,8 @@ func (it *Iterator) position() {
 	}
 	n := t.descend(key)
 	it.leaf = n
-	it.idx = sort.Search(len(n.keys), func(i int) bool {
-		return bytes.Compare(n.keys[i], key) >= after
+	it.idx = sort.Search(len(n.ents), func(i int) bool {
+		return bytes.Compare(n.key(i), key) >= after
 	}) - 1
 	it.version = t.version
 }
@@ -540,16 +663,16 @@ func (it *Iterator) Next() bool {
 		it.position()
 	}
 	it.idx++
-	for it.leaf != nil && it.idx >= len(it.leaf.keys) {
+	for it.leaf != nil && it.idx >= len(it.leaf.ents) {
 		it.leaf = it.leaf.next
 		it.idx = 0
 	}
 	if it.leaf == nil {
 		return false
 	}
-	it.last = it.leaf.keys[it.idx]
+	it.last = it.leaf.key(it.idx)
 	it.Key = it.tree.logicalKey(it.last)
-	it.RID = it.leaf.rids[it.idx]
+	it.RID = it.leaf.rid(it.idx)
 	it.seen++
 	if it.m != nil {
 		it.m.Charge(cost.TupleCPU, 1)

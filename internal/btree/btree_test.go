@@ -361,19 +361,19 @@ func checkShape(t *testing.T, tr *Tree) int {
 	var walk func(n *node)
 	walk = func(n *node) {
 		if n.leaf {
-			if len(n.keys) == 0 && n != tr.root {
+			if len(n.ents) == 0 && n != tr.root {
 				t.Fatal("empty leaf in the tree")
 			}
 			leaves = append(leaves, n)
 			return
 		}
-		if len(n.children) == 0 || len(n.keys) != len(n.children)-1 {
-			t.Fatalf("internal node with %d keys, %d children", len(n.keys), len(n.children))
+		if len(n.children) == 0 || len(n.ents) != len(n.children)-1 {
+			t.Fatalf("internal node with %d keys, %d children", len(n.ents), len(n.children))
 		}
 		for i, c := range n.children {
 			walk(c)
-			if i > 0 && bytes.Compare(n.keys[i-1], firstKey(c)) > 0 {
-				t.Fatalf("separator %x above its right subtree's first key %x", n.keys[i-1], firstKey(c))
+			if i > 0 && bytes.Compare(n.key(i-1), firstKey(c)) > 0 {
+				t.Fatalf("separator %x above its right subtree's first key %x", n.key(i-1), firstKey(c))
 			}
 		}
 	}
@@ -387,7 +387,8 @@ func checkShape(t *testing.T, tr *Tree) int {
 		if l.next != want {
 			t.Fatalf("leaf %d of %d: chain does not lead to the next leaf of the tree", i, len(leaves))
 		}
-		for _, k := range l.keys {
+		for i := range l.ents {
+			k := l.key(i)
 			if prev != nil && bytes.Compare(prev, k) >= 0 {
 				t.Fatalf("entry keys out of order at leaf %d", i)
 			}

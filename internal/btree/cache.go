@@ -22,10 +22,10 @@ package btree
 // the modelled resident set tracks the tree's actual granularity.
 // Dropping an index calls Tree.ReleaseCache, which purges its leaves
 // eagerly so a dead tree never occupies residence slots live indexes
-// could use.
+// could use. The LRU is a ring through the leaves' own lruPrev/lruNext
+// links, so a touch, an admission and an eviction allocate nothing.
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -36,10 +36,10 @@ import (
 const cacheEntryBytes = 32
 
 type PageCache struct {
-	mu    sync.Mutex
-	cap   int // leaf nodes
-	lru   *list.List
-	elems map[*node]*list.Element
+	mu       sync.Mutex
+	cap      int  // leaf nodes
+	resident int  // leaf nodes in the ring
+	ring     node // sentinel: ring.lruNext is the most recent leaf, ring.lruPrev the least
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -53,11 +53,21 @@ func NewPageCache(capBytes int64) *PageCache {
 	if capNodes < 1 {
 		capNodes = 1
 	}
-	return &PageCache{
-		cap:   capNodes,
-		lru:   list.New(),
-		elems: make(map[*node]*list.Element),
-	}
+	c := &PageCache{cap: capNodes}
+	c.ring.lruPrev, c.ring.lruNext = &c.ring, &c.ring
+	return c
+}
+
+func (c *PageCache) pushFront(n *node) {
+	n.lruPrev, n.lruNext = &c.ring, c.ring.lruNext
+	n.lruNext.lruPrev, c.ring.lruNext = n, n
+	c.resident++
+}
+
+func (c *PageCache) unlink(n *node) {
+	n.lruPrev.lruNext, n.lruNext.lruPrev = n.lruNext, n.lruPrev
+	n.lruPrev, n.lruNext = nil, nil
+	c.resident--
 }
 
 // touch reports whether leaf n is resident, refreshing its LRU position.
@@ -66,8 +76,9 @@ func NewPageCache(capBytes int64) *PageCache {
 func (c *PageCache) touch(n *node, admit bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.elems[n]; ok {
-		c.lru.MoveToFront(e)
+	if n.lruNext != nil {
+		c.unlink(n)
+		c.pushFront(n)
 		c.hits.Add(1)
 		return true
 	}
@@ -76,12 +87,10 @@ func (c *PageCache) touch(n *node, admit bool) bool {
 		c.bypass.Add(1)
 		return false
 	}
-	for c.lru.Len() >= c.cap {
-		back := c.lru.Back()
-		delete(c.elems, back.Value.(*node))
-		c.lru.Remove(back)
+	for c.resident >= c.cap {
+		c.unlink(c.ring.lruPrev)
 	}
-	c.elems[n] = c.lru.PushFront(n)
+	c.pushFront(n)
 	return false
 }
 
@@ -90,9 +99,8 @@ func (c *PageCache) touch(n *node, admit bool) bool {
 func (c *PageCache) release(n *node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.elems[n]; ok {
-		c.lru.Remove(e)
-		delete(c.elems, n)
+	if n.lruNext != nil {
+		c.unlink(n)
 	}
 }
 
@@ -108,7 +116,7 @@ type PageCacheStats struct {
 // Stats snapshots the counters.
 func (c *PageCache) Stats() PageCacheStats {
 	c.mu.Lock()
-	resident := c.lru.Len()
+	resident := c.resident
 	c.mu.Unlock()
 	return PageCacheStats{
 		Hits:       c.hits.Load(),
