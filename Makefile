@@ -46,11 +46,12 @@ race:
 # inside the view's plan; Q1–Q17 with their output-only CHAR columns
 # decoded from the page image after the filters ran; and the B-tree keys an
 # Iterator hands out, which no later insert, delete, split or compaction
-# writes again.
+# writes again; and the WAL's stable page images, each the page as it was
+# when it became durable, whatever the heap writes after.
 race-views:
 	$(GO) test -race -count=3 -run 'TestKeyViewsSurviveWrites' ./internal/btree
 	$(GO) test -race -count=3 -run 'TestColSetViewsMatchCopy|TestSlabOwns' ./internal/val
-	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite' ./internal/storage
+	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite|TestStableImagesAreSnapshots' ./internal/storage
 	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestClusterDecodeMatchesReference|TestOpenSQLRowsOwnTheirBytes' ./internal/r3
 	$(GO) test -race -count=3 -run 'TestKeptRowsOwnTheirBytes' ./internal/warehouse
