@@ -140,7 +140,8 @@ type BufferPool struct {
 
 	// wal, when set, is told about every dirty-page write-back (flush or
 	// eviction): the page's current image becomes its durable version,
-	// after the WAL rule forces any unflushed log it depends on.
+	// after the WAL rule forces any unflushed log it depends on. The WAL
+	// keeps that image itself, so it takes it as a reader does (writeBack).
 	wal atomic.Pointer[WAL]
 }
 
@@ -431,9 +432,40 @@ func (bp *BufferPool) touch(key pageKey) ([]byte, bool) {
 func (bp *BufferPool) handOut(f *frame) []byte {
 	if !f.shared {
 		f.shared = true
-		bp.disk.markShared(f.key.file, f.key.page)
+		bp.disk.share(f.key.file, f.key.page)
 	}
 	return f.data
+}
+
+// share hands the page's current image to a reader that goes around the
+// frame lookup — the WAL taking a baseline or a direct-path page — with the
+// same rule as Get: the image is shared from here on, through the frame's
+// bit when the page is resident and the disk's when it is not. Skipping the
+// frame would leave its cached bit unshared, and the next Mutate would write
+// the reader's image in place. It is no access: no counter or recency moves.
+func (bp *BufferPool) share(file FileID, page PageID) ([]byte, error) {
+	key := pageKey{file, page}
+	sh := bp.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if f, ok := sh.frames[key]; ok {
+		return bp.handOut(f), nil
+	}
+	return bp.disk.share(file, page)
+}
+
+// writeBack charges a dirty frame's write-back and, under a WAL, makes its
+// image the page's durable version. The WAL keeps the image, so the frame
+// hands it out: the next Mutate copies the page instead of writing the
+// durable image in place. Caller holds the frame's shard lock.
+func (bp *BufferPool) writeBack(w *WAL, f *frame, m *cost.Meter) {
+	if m != nil {
+		m.Charge(cost.PageWrite, 1)
+	}
+	if w != nil {
+		w.stableWrite(f.key, bp.handOut(f), m)
+	}
+	f.dirty = false
 }
 
 // registerHit applies the hit-path counter and recency bookkeeping for a
@@ -535,12 +567,7 @@ func (bp *BufferPool) admitLocked(sh *poolShard, key pageKey, data []byte, m *co
 			vf = sh.young.back()
 		}
 		if vf.dirty {
-			if m != nil {
-				m.Charge(cost.PageWrite, 1)
-			}
-			if w := bp.wal.Load(); w != nil {
-				w.stableWrite(vf.key.file, vf.key.page, m)
-			}
+			bp.writeBack(bp.wal.Load(), vf, m)
 		}
 		sh.remove(vf)
 		f = vf
@@ -619,7 +646,7 @@ func (sh *poolShard) mutateLocked(bp *BufferPool, f *frame, fn func(data []byte)
 		copy(cp, f.data)
 		f.data = cp
 		f.shared = false
-		bp.disk.writePage(f.key.file, f.key.page, cp)
+		bp.disk.writePage(f.key.file, f.key.page, cp, false)
 	}
 	wrote, err := fn(f.data)
 	if wrote {
@@ -647,13 +674,7 @@ func (bp *BufferPool) FlushFile(file FileID, m *cost.Meter) {
 		sh.mu.Lock()
 		for _, f := range sh.frames {
 			if f.key.file == file && f.dirty {
-				if m != nil {
-					m.Charge(cost.PageWrite, 1)
-				}
-				if w != nil {
-					w.stableWrite(f.key.file, f.key.page, m)
-				}
-				f.dirty = false
+				bp.writeBack(w, f, m)
 			}
 		}
 		sh.mu.Unlock()
@@ -667,13 +688,7 @@ func (bp *BufferPool) FlushAll(m *cost.Meter) {
 		sh.mu.Lock()
 		for _, f := range sh.frames {
 			if f.dirty {
-				if m != nil {
-					m.Charge(cost.PageWrite, 1)
-				}
-				if w != nil {
-					w.stableWrite(f.key.file, f.key.page, m)
-				}
-				f.dirty = false
+				bp.writeBack(w, f, m)
 			}
 		}
 		sh.mu.Unlock()

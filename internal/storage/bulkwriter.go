@@ -97,7 +97,7 @@ func (b *BulkWriter) sealPage() error {
 	if pid != b.cur {
 		return fmt.Errorf("storage: direct path lost exclusive use of file %d (page %d, want %d)", h.file, pid, b.cur)
 	}
-	h.disk.writePage(h.file, pid, b.page)
+	h.disk.writePage(h.file, pid, b.page, false)
 	if b.m != nil {
 		b.m.Charge(cost.PageWrite, 1)
 	}
@@ -114,13 +114,17 @@ func (b *BulkWriter) sealPage() error {
 
 // sealExtent logs the allocation of the finished page run and makes the
 // pages durable: the extent record stamps their LSNs, so the first
-// stable write forces it (one log force per extent, not per page).
+// stable write forces it (one log force per extent, not per page). The
+// WAL keeps each page's image, taken as a reader takes it (BufferPool.share).
 func (b *BulkWriter) sealExtent() {
 	h := b.h
 	if b.extentLen > 0 && h.wal != nil {
 		h.wal.LogExtent(b.tx, h.file, b.extentStart, b.extentLen)
 		for i := 0; i < b.extentLen; i++ {
-			h.wal.stableWrite(h.file, b.extentStart+PageID(i), b.m)
+			pid := b.extentStart + PageID(i)
+			if data, err := h.pool.share(h.file, pid); err == nil {
+				h.wal.stableWrite(pageKey{h.file, pid}, data, b.m)
+			}
 		}
 	}
 	b.extentStart += PageID(b.extentLen)

@@ -111,26 +111,30 @@ func (d *Disk) image(id FileID, p PageID) (data []byte, shared bool, err error) 
 	return pages[p].data, pages[p].shared, nil
 }
 
-// markShared records that the page's current image went out to a reader.
-func (d *Disk) markShared(id FileID, p PageID) {
+// share records that the page's current image went out to a reader, and
+// returns the image.
+func (d *Disk) share(id FileID, p PageID) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if pages, ok := d.files[id]; ok && int(p) < len(pages) {
-		pages[p].shared = true
+	pages, ok := d.files[id]
+	if !ok || int(p) >= len(pages) {
+		return nil, fmt.Errorf("storage: share of page %d of file %d, dropped or past its end", p, id)
 	}
+	pages[p].shared = true
+	return pages[p].data, nil
 }
 
-// writePage publishes data as the page's new, unshared image: the caller
-// has made the slice itself and handed it to nobody. Internal: the buffer
+// writePage publishes data as the page's new image. Internal: the buffer
 // pool calls it when a copy-on-write supersedes the image the disk array
 // held, keeping the invariant that the disk and the resident frame always
 // point at the current version while readers may retain the old immutable
-// bytes; the direct-path writer and recovery install pages they built
-// privately.
-func (d *Disk) writePage(id FileID, p PageID, data []byte) {
+// bytes, and the direct-path writer installs pages it built privately — those
+// images are unshared, since their caller made the slice and handed it to
+// nobody. Recovery installs stable images the WAL holds, which are shared.
+func (d *Disk) writePage(id FileID, p PageID, data []byte, shared bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if pages, ok := d.files[id]; ok && int(p) < len(pages) {
-		pages[p] = pageImage{data: data}
+		pages[p] = pageImage{data: data, shared: shared}
 	}
 }

@@ -58,7 +58,8 @@ func (h *HeapFile) File() FileID { return h.file }
 
 // SetWAL puts the heap under write-ahead logging: every mutation logs a
 // redo/undo record before the page can reach disk, and the file's
-// current pages become the recovery baseline. nil detaches.
+// current pages become the recovery baseline — taken through the pool,
+// since frames of the file may be resident and unshared. nil detaches.
 func (h *HeapFile) SetWAL(w *WAL) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -67,7 +68,7 @@ func (h *HeapFile) SetWAL(w *WAL) {
 	}
 	h.wal = w
 	if w != nil {
-		w.AttachFile(h.file)
+		w.AttachFile(h.file, h.pool)
 	}
 }
 
@@ -357,22 +358,38 @@ var ErrStopScan = fmt.Errorf("storage: stop scan")
 // Recovery helpers. They run single-threaded after a simulated crash, below
 // the pool, whose frames for the file have been dropped. Images that readers
 // were handed before the crash — and the values decoded from them — are left
-// as they are: restorePage first gives every page a fresh private copy, and
-// redo*/undoDelete write only into those copies, which no reader can hold
-// before recovery returns.
+// as they are: restorePage installs the WAL's stable image itself, shared,
+// or a fresh zero page, and redo*/undoDelete write through ownPage, which
+// copies a shared image the first time recovery writes it. So recovery
+// copies only the pages it redoes, and writes only into copies no reader can
+// hold before recovery returns.
 
-// restorePage resets page pid to img (nil = zeroes), installing a fresh
-// unshared copy as the page's storage.
+// restorePage resets page pid to img, the stable image the WAL keeps,
+// installed shared (nil = a fresh zero page).
 func (h *HeapFile) restorePage(pid PageID, img []byte) {
-	cp := make([]byte, PageSize)
-	copy(cp, img)
-	h.disk.writePage(h.file, pid, cp)
+	if img == nil {
+		h.disk.writePage(h.file, pid, make([]byte, PageSize), false)
+		return
+	}
+	h.disk.writePage(h.file, pid, img, true)
+}
+
+// ownPage returns page pid's image for recovery to write into, copying it
+// first — once — if it is shared.
+func (h *HeapFile) ownPage(pid PageID) ([]byte, error) {
+	page, shared, err := h.disk.image(h.file, pid)
+	if err != nil || !shared {
+		return page, err
+	}
+	cp := append([]byte(nil), page...)
+	h.disk.writePage(h.file, pid, cp, false)
+	return cp, nil
 }
 
 // redoInsert replays a row append: write the image, extend the slot
 // count, clear any tombstone.
 func (h *HeapFile) redoInsert(pid PageID, slot int, row []byte) error {
-	page, err := h.disk.readPage(h.file, pid)
+	page, err := h.ownPage(pid)
 	if err != nil {
 		return err
 	}
@@ -387,7 +404,7 @@ func (h *HeapFile) redoInsert(pid PageID, slot int, row []byte) error {
 
 // redoDelete replays a tombstone (also the undo of an insert).
 func (h *HeapFile) redoDelete(pid PageID, slot int) error {
-	page, err := h.disk.readPage(h.file, pid)
+	page, err := h.ownPage(pid)
 	if err != nil {
 		return err
 	}
@@ -401,7 +418,7 @@ func (h *HeapFile) redoDelete(pid PageID, slot int) error {
 // redoWrite replays an in-place overwrite with the given image (redo
 // uses the after image, undo the before image).
 func (h *HeapFile) redoWrite(pid PageID, slot int, row []byte) error {
-	page, err := h.disk.readPage(h.file, pid)
+	page, err := h.ownPage(pid)
 	if err != nil {
 		return err
 	}
@@ -413,7 +430,7 @@ func (h *HeapFile) redoWrite(pid PageID, slot int, row []byte) error {
 // undoDelete rolls a tombstone back: restore the old image and clear
 // the bit.
 func (h *HeapFile) undoDelete(pid PageID, slot int, oldRow []byte) error {
-	page, err := h.disk.readPage(h.file, pid)
+	page, err := h.ownPage(pid)
 	if err != nil {
 		return err
 	}

@@ -338,7 +338,7 @@ func TestPoolMissAllocatesNothing(t *testing.T) {
 	const pages = 2 * minPagesPerShard
 	for p := 0; p < pages; p++ {
 		id := disk.AllocPage(file)
-		disk.writePage(file, id, bytes.Repeat([]byte{byte(p)}, PageSize))
+		disk.writePage(file, id, bytes.Repeat([]byte{byte(p)}, PageSize), false)
 	}
 	run := bp.NewScanRun(file, pages)
 	var p PageID

@@ -25,7 +25,9 @@ import (
 // log offset `cut` discards everything volatile — buffer-pool frames
 // and all page writes newer than their stable images — and Recover
 // rebuilds exactly the committed state from stable images plus the
-// surviving log prefix.
+// surviving log prefix. A stable image is the page's own image, taken
+// the way a reader takes it: shared, so the next write copies the page
+// (DESIGN.md §12, "The concurrency model") and the image stays as it was.
 
 // Log record types.
 const (
@@ -54,6 +56,11 @@ const defaultCkptEvery = 4 << 20
 // record covers up to this many bulk-formatted pages.
 const extentPages = 64
 
+// walChunk is the size of one piece of the log. The log is a list of
+// chunks of this size that are never moved or regrown: an append that
+// fills the tail chunk goes on in a new one, so a record may straddle two.
+const walChunk = 1 << 20
+
 type stablePage struct {
 	lsn  int64 // end-LSN of the last record logged against the page
 	data []byte
@@ -79,7 +86,8 @@ type WAL struct {
 	mu   sync.Mutex
 	disk *Disk
 
-	buf        []byte // the log; volatile past flushedLSN
+	chunks     [][]byte // the log, walChunk bytes a chunk; volatile past flushedLSN
+	size       int64    // log length: the next record's start LSN
 	flushedLSN int64
 	nextTx     int64
 	groupSize  int
@@ -88,10 +96,10 @@ type WAL struct {
 	files   map[FileID]bool        // heap files under WAL protection
 	pageLSN map[pageKey]int64      // last LSN logged against each page
 	stable  map[pageKey]stablePage // newest durable image of each page
-	base    map[pageKey][]byte     // immutable snapshot taken at AttachFile
+	base    map[pageKey][]byte     // the image each page had at AttachFile
 	// versions retains every stable image (per page, LSN-ascending) so
 	// tests can recover at an arbitrary historical cut; off by default
-	// because it copies a page per stable write.
+	// because it keeps every stable image a page ever had alive.
 	retain   bool
 	versions map[pageKey][]stablePage
 
@@ -139,23 +147,25 @@ func (w *WAL) SetRetain(on bool) {
 	w.mu.Unlock()
 }
 
-// AttachFile puts a heap file under WAL protection, snapshotting its
-// current pages as the immutable recovery baseline (LSN 0). Attach
-// before the first logged mutation of the file.
-func (w *WAL) AttachFile(f FileID) {
+// AttachFile puts a heap file under WAL protection, keeping its current
+// pages as the recovery baseline (LSN 0). The images are taken from pool
+// the way a reader takes them (BufferPool.share), so no later write
+// reaches them. Attach before the first logged mutation of the file.
+func (w *WAL) AttachFile(f FileID, pool *BufferPool) {
+	imgs := make([][]byte, w.disk.NumPages(f))
+	for p := range imgs {
+		imgs[p], _ = pool.share(f, PageID(p))
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.files[f] = true
-	n := w.disk.NumPages(f)
-	for p := 0; p < n; p++ {
-		data, err := w.disk.readPage(f, PageID(p))
-		if err != nil {
+	for p, data := range imgs {
+		if data == nil {
 			continue
 		}
 		key := pageKey{f, PageID(p)}
-		cp := append([]byte(nil), data...)
-		w.base[key] = cp
-		sp := stablePage{lsn: 0, data: cp}
+		w.base[key] = data
+		sp := stablePage{lsn: 0, data: data}
 		w.stable[key] = sp
 		if w.retain {
 			w.versions[key] = append(w.versions[key], sp)
@@ -201,22 +211,62 @@ func (w *WAL) Begin() int64 {
 	return tx
 }
 
-// appendLocked frames and appends one record, returning its end-LSN.
-func (w *WAL) appendLocked(typ byte, tx int64, payload []byte) int64 {
-	start := len(w.buf)
+// appendLocked frames one record whose payload is the concatenation of
+// parts straight into the log tail, and returns its end-LSN.
+func (w *WAL) appendLocked(typ byte, tx int64, parts ...[]byte) int64 {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	var hdr [walHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
 	hdr[4] = typ
 	binary.BigEndian.PutUint64(hdr[5:13], uint64(tx))
-	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, payload...)
-	sum := crc32.ChecksumIEEE(w.buf[start+4:])
+	w.write(hdr[:4], 0)
+	sum := w.write(hdr[4:], 0)
+	for _, p := range parts {
+		sum = w.write(p, sum)
+	}
 	var tr [walTrailerLen]byte
 	binary.BigEndian.PutUint32(tr[:], sum)
-	w.buf = append(w.buf, tr[:]...)
+	w.write(tr[:], 0)
 	w.stats.Records++
-	w.stats.Bytes += int64(walHeaderLen + len(payload) + walTrailerLen)
-	return int64(len(w.buf))
+	w.stats.Bytes += int64(walHeaderLen + n + walTrailerLen)
+	return w.size
+}
+
+// write copies b to the log tail, starting a chunk where the last is full,
+// and returns sum, the CRC-32 of the bytes before b, updated over b. The
+// checksum reads the copy in the log, not b: crc32 calls through a function
+// value, so a caller's stack buffer handed to it would move to the heap.
+func (w *WAL) write(b []byte, sum uint32) uint32 {
+	for len(b) > 0 {
+		i := int(w.size / walChunk)
+		if i == len(w.chunks) {
+			w.chunks = append(w.chunks, make([]byte, walChunk))
+		}
+		dst := w.chunks[i][w.size%walChunk:]
+		n := copy(dst, b)
+		sum = crc32.Update(sum, crc32.IEEETable, dst[:n])
+		w.size += int64(n)
+		b = b[n:]
+	}
+	return sum
+}
+
+// view returns log bytes [off, end): a view into the chunk that holds
+// them, or, when they straddle chunks, a copy appended to scratch, which
+// is returned grown.
+func (w *WAL) view(off, end int64, scratch []byte) ([]byte, []byte) {
+	if o := off % walChunk; end-off <= walChunk-o {
+		return w.chunks[off/walChunk][o : o+end-off], scratch
+	}
+	start := len(scratch)
+	for ; off < end; off += walChunk - off%walChunk {
+		o := off % walChunk
+		scratch = append(scratch, w.chunks[off/walChunk][o:min(walChunk, o+end-off)]...)
+	}
+	return scratch[start:], scratch
 }
 
 func putSlotHeader(p []byte, file FileID, page PageID, slot int) {
@@ -228,34 +278,30 @@ func putSlotHeader(p []byte, file FileID, page PageID, slot int) {
 // LogInsert records a row appended at (page,slot) and stamps the page's
 // LSN. row is the encoded fixed-width image.
 func (w *WAL) LogInsert(tx int64, file FileID, page PageID, slot int, row []byte) {
+	var hd [10]byte
+	putSlotHeader(hd[:], file, page, slot)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	p := make([]byte, 10+len(row))
-	putSlotHeader(p, file, page, slot)
-	copy(p[10:], row)
-	w.pageLSN[pageKey{file, page}] = w.appendLocked(recInsert, tx, p)
+	w.pageLSN[pageKey{file, page}] = w.appendLocked(recInsert, tx, hd[:], row)
 }
 
 // LogDelete records a tombstone at (page,slot); oldRow is kept for undo.
 func (w *WAL) LogDelete(tx int64, file FileID, page PageID, slot int, oldRow []byte) {
+	var hd [10]byte
+	putSlotHeader(hd[:], file, page, slot)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	p := make([]byte, 10+len(oldRow))
-	putSlotHeader(p, file, page, slot)
-	copy(p[10:], oldRow)
-	w.pageLSN[pageKey{file, page}] = w.appendLocked(recDelete, tx, p)
+	w.pageLSN[pageKey{file, page}] = w.appendLocked(recDelete, tx, hd[:], oldRow)
 }
 
 // LogUpdate records an in-place overwrite with both images.
 func (w *WAL) LogUpdate(tx int64, file FileID, page PageID, slot int, oldRow, newRow []byte) {
+	var hd [14]byte
+	putSlotHeader(hd[:], file, page, slot)
+	binary.BigEndian.PutUint32(hd[10:14], uint32(len(oldRow)))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	p := make([]byte, 14+len(oldRow)+len(newRow))
-	putSlotHeader(p, file, page, slot)
-	binary.BigEndian.PutUint32(p[10:14], uint32(len(oldRow)))
-	copy(p[14:], oldRow)
-	copy(p[14+len(oldRow):], newRow)
-	w.pageLSN[pageKey{file, page}] = w.appendLocked(recUpdate, tx, p)
+	w.pageLSN[pageKey{file, page}] = w.appendLocked(recUpdate, tx, hd[:], oldRow, newRow)
 }
 
 // LogExtent records a direct-path allocation of n pages starting at
@@ -304,7 +350,7 @@ func (w *WAL) Force(m *cost.Meter) {
 // (cost.Commit, the rotational wait) plus the sequential streaming of
 // the log pages (cost.WalWrite). Caller holds w.mu.
 func (w *WAL) forceLocked(m *cost.Meter) {
-	delta := int64(len(w.buf)) - w.flushedLSN
+	delta := w.size - w.flushedLSN
 	if delta <= 0 {
 		if w.pending > 0 {
 			w.retireGroupLocked()
@@ -321,7 +367,7 @@ func (w *WAL) forceLocked(m *cost.Meter) {
 	if w.pending > 0 {
 		w.retireGroupLocked()
 	}
-	w.flushedLSN = int64(len(w.buf))
+	w.flushedLSN = w.size
 }
 
 func (w *WAL) retireGroupLocked() {
@@ -356,25 +402,22 @@ func (w *WAL) maybeCheckpoint(m *cost.Meter) {
 	w.mu.Unlock()
 }
 
-// stableWrite records that the page's current disk image just became
-// durable (write-back or direct-path write). The WAL rule is enforced
-// here: if the page carries an unflushed LSN, the log is forced first.
-// Pages of unattached files are ignored.
-func (w *WAL) stableWrite(file FileID, page PageID, m *cost.Meter) {
+// stableWrite records that data, the page's current image, just became
+// durable (write-back or direct-path write). The caller has handed the
+// image out as to a reader, so nobody writes it again and the WAL keeps
+// it as it is. The WAL rule is enforced here: if the page carries an
+// unflushed LSN, the log is forced first. Pages of unattached files are
+// ignored.
+func (w *WAL) stableWrite(key pageKey, data []byte, m *cost.Meter) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.files[file] {
+	if !w.files[key.file] {
 		return
 	}
-	key := pageKey{file, page}
 	if w.pageLSN[key] > w.flushedLSN {
 		w.forceLocked(m)
 	}
-	data, err := w.disk.readPage(file, page)
-	if err != nil {
-		return
-	}
-	sp := stablePage{lsn: w.pageLSN[key], data: append([]byte(nil), data...)}
+	sp := stablePage{lsn: w.pageLSN[key], data: data}
 	w.stable[key] = sp
 	if w.retain {
 		w.versions[key] = append(w.versions[key], sp)
@@ -385,7 +428,7 @@ func (w *WAL) stableWrite(file FileID, page PageID, m *cost.Meter) {
 func (w *WAL) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return int64(len(w.buf))
+	return w.size
 }
 
 // FlushedLSN returns the durable watermark.
@@ -401,7 +444,7 @@ func (w *WAL) FlushedLSN() int64 {
 func (w *WAL) Boundaries() []int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	recs, _ := w.parseLocked(int64(len(w.buf)))
+	recs, _ := w.parseLocked(w.size)
 	out := make([]int64, len(recs))
 	for i, r := range recs {
 		out[i] = r.lsn
@@ -430,28 +473,35 @@ type walRec struct {
 	n     int    // extent
 }
 
-// parseLocked decodes the valid record prefix of w.buf[:limit]. A
-// record that extends past limit, or whose checksum fails, ends the
-// prefix — exactly how a torn tail is dropped after a crash.
+// parseLocked decodes the valid record prefix of the log's first limit
+// bytes. A record that extends past limit, or whose checksum fails, ends
+// the prefix — exactly how a torn tail is dropped after a crash. The
+// records' row images are views of the log, except that a record which
+// straddles two chunks is copied, whole, into one scratch buffer.
 func (w *WAL) parseLocked(limit int64) ([]walRec, int64) {
 	var recs []walRec
+	var scratch []byte
 	off := int64(0)
 	for off+walHeaderLen+walTrailerLen <= limit {
-		plen := int64(binary.BigEndian.Uint32(w.buf[off : off+4]))
+		var lb []byte
+		lb, scratch = w.view(off, off+4, scratch)
+		plen := int64(binary.BigEndian.Uint32(lb))
 		end := off + walHeaderLen + plen + walTrailerLen
 		if end > limit {
 			break
 		}
-		body := w.buf[off+4 : end-walTrailerLen]
-		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(w.buf[end-walTrailerLen:end]) {
+		var rec []byte
+		rec, scratch = w.view(off, end, scratch)
+		tr := len(rec) - walTrailerLen
+		if crc32.ChecksumIEEE(rec[4:tr]) != binary.BigEndian.Uint32(rec[tr:]) {
 			break
 		}
 		r := walRec{
 			lsn: end,
-			typ: w.buf[off+4],
-			tx:  int64(binary.BigEndian.Uint64(w.buf[off+5 : off+13])),
+			typ: rec[4],
+			tx:  int64(binary.BigEndian.Uint64(rec[5:13])),
 		}
-		p := w.buf[off+walHeaderLen : off+walHeaderLen+plen]
+		p := rec[walHeaderLen:tr]
 		switch r.typ {
 		case recInsert, recDelete:
 			r.file = FileID(binary.BigEndian.Uint32(p[0:4]))
@@ -532,8 +582,8 @@ type RecoveryStats struct {
 func (w *WAL) Recover(cut int64, heaps map[FileID]*HeapFile, m *cost.Meter) (RecoveryStats, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if cut < 0 || cut > int64(len(w.buf)) {
-		cut = int64(len(w.buf))
+	if cut < 0 || cut > w.size {
+		cut = w.size
 	}
 	recs, limit := w.parseLocked(cut)
 	var st RecoveryStats
@@ -656,8 +706,11 @@ func (w *WAL) Recover(cut int64, heaps map[FileID]*HeapFile, m *cost.Meter) (Rec
 		h.recount()
 	}
 
-	// The WAL continues from the surviving prefix.
-	w.buf = w.buf[:limit]
+	// The WAL continues from the surviving prefix: the chunks past it go.
+	keep := (limit + walChunk - 1) / walChunk
+	clear(w.chunks[keep:])
+	w.chunks = w.chunks[:keep]
+	w.size = limit
 	w.flushedLSN = limit
 	w.pending = 0
 	w.pageLSN = restored
