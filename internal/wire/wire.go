@@ -66,24 +66,53 @@ const (
 // corrupt rather than trusted with the allocation.
 const MaxFrame = 64 << 20
 
-// WriteFrame sends one length-prefixed frame.
+// WriteFrame sends one length-prefixed frame. A stream that takes single
+// bytes (io.ByteWriter, as bufio.Writer does) gets the length a byte at a
+// time, so that no header array escapes to the heap on every frame.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	n := uint32(len(payload))
+	if bw, ok := w.(io.ByteWriter); ok {
+		for shift := 24; shift >= 0; shift -= 8 {
+			if err := bw.WriteByte(byte(n >> shift)); err != nil {
+				return err
+			}
+		}
+	} else {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], n)
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// ReadFrame receives one frame, reusing buf when it is big enough.
+// ReadFrame receives one frame, reusing buf when it is big enough. Like
+// WriteFrame it reads the length a byte at a time from a stream that gives
+// single bytes (io.ByteReader, as bufio.Reader does); either way a stream
+// that ends before the header does fails with io.EOF, one that ends inside
+// it with io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+	var n uint32
+	if br, ok := r.(io.ByteReader); ok {
+		for i := 0; i < 4; i++ {
+			b, err := br.ReadByte()
+			if err != nil {
+				if i > 0 && err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return nil, err
+			}
+			n = n<<8 | uint32(b)
+		}
+	} else {
+		var hdr [4]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil, err
+		}
+		n = binary.BigEndian.Uint32(hdr[:])
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}

@@ -1,12 +1,14 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
 	"strings"
 	"testing"
 
+	"r3bench/internal/race"
 	"r3bench/internal/val"
 )
 
@@ -32,6 +34,61 @@ func TestFrameRoundTripReusesBuffer(t *testing.T) {
 			t.Fatalf("frame %d: got %v, want %v", i, got, want)
 		}
 		scratch = got // the caller's reuse contract
+	}
+}
+
+// TestFrameHeadersAllocateNothing: through bufio, as the server and the
+// client frame every message, neither writing nor reading a frame allocates
+// (one allocation each way while the 4-byte header escaped to the heap);
+// without io.ByteWriter and io.ByteReader the same bytes go out and come
+// back, and a stream cut inside the header fails the same way.
+func TestFrameHeadersAllocateNothing(t *testing.T) {
+	payload := bytes.Repeat([]byte{MsgRowBatch, 7}, 20)
+	var out bytes.Buffer
+	w := bufio.NewWriter(&out)
+	const runs = 100
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := WriteFrame(w, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); !race.Enabled && n != 0 {
+		t.Errorf("WriteFrame through bufio allocates %.2f times per frame, want 0", n)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stream := out.Bytes()
+	var plain bytes.Buffer
+	for range runs + 1 {
+		if err := WriteFrame(struct{ io.Writer }{&plain}, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(plain.Bytes(), stream) {
+		t.Fatal("WriteFrame writes different bytes with and without io.ByteWriter")
+	}
+
+	r := bufio.NewReader(bytes.NewReader(stream))
+	buf := make([]byte, 0, len(payload))
+	if n := testing.AllocsPerRun(runs, func() {
+		got, err := ReadFrame(r, buf)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%v, %v", got, err)
+		}
+	}); !race.Enabled && n != 0 {
+		t.Errorf("ReadFrame through bufio allocates %.2f times per frame, want 0", n)
+	}
+
+	for cut := 0; cut < 4; cut++ {
+		want := io.ErrUnexpectedEOF
+		if cut == 0 {
+			want = io.EOF
+		}
+		for _, r := range []io.Reader{bytes.NewReader(stream[:cut]), struct{ io.Reader }{bytes.NewReader(stream[:cut])}} {
+			if _, err := ReadFrame(r, nil); err != want {
+				t.Errorf("a stream cut after %d header bytes: err = %v, want %v", cut, err, want)
+			}
+		}
 	}
 }
 
