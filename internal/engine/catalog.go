@@ -76,14 +76,25 @@ type Index struct {
 	Tree      *btree.Tree
 }
 
-// keyFor builds the index key for a full table row.
+// keyFor builds the index key for a full table row, in storage of its own:
+// for a bulk build, which keeps its keys.
 func (ix *Index) keyFor(row []val.Value) []byte {
-	key := make([]byte, 0, 16*len(ix.ColIdxs))
-	for _, ci := range ix.ColIdxs {
-		key = val.AppendKey(key, row[ci])
-	}
-	return key
+	return ix.appendKey(make([]byte, 0, 16*len(ix.ColIdxs)), row)
 }
+
+// appendKey appends the index key of a full table row to dst. The DML paths
+// build their keys in a keyScratch on the stack: btree.Tree.Insert and
+// Delete keep nothing of the key they are handed.
+func (ix *Index) appendKey(dst []byte, row []val.Value) []byte {
+	for _, ci := range ix.ColIdxs {
+		dst = val.AppendKey(dst, row[ci])
+	}
+	return dst
+}
+
+// keyScratch is the stack buffer a DML path builds an index key in; a
+// longer key spills to the heap.
+type keyScratch [128]byte
 
 // catalog is one immutable published version of the schema. Readers load
 // the current version with a single atomic pointer read and then resolve
