@@ -50,12 +50,13 @@ race:
 # when it became durable, whatever the heap writes after; and the blocks
 # that hand on their first rows one at a time (planUnobserved), whose one
 # frame per stage is rewritten under the row sink and the wire encoder on
-# every row, against the growing batch.
+# every row, against the growing batch; and the packed hash-build rows,
+# whose CHAR headers stay views of the byte slice they were built from.
 race-views:
 	$(GO) test -race -count=3 -run 'TestKeyViewsSurviveWrites' ./internal/btree
 	$(GO) test -race -count=3 -run 'TestColSetViewsMatchCopy|TestSlabOwns' ./internal/val
 	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite|TestStableImagesAreSnapshots' ./internal/storage
-	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors|TestUnobservedCapacityChargesAlike|TestUnobservedAllocationsFlat' ./internal/engine
+	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors|TestUnobservedCapacityChargesAlike|TestUnobservedAllocationsFlat|TestPackedRowsRoundTrip' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestRoundTripAllocationBudget' ./internal/server
 	$(GO) test -race -count=3 -run 'TestClusterDecodeMatchesReference|TestOpenSQLRowsOwnTheirBytes' ./internal/r3
 	$(GO) test -race -count=3 -run 'TestKeptRowsOwnTheirBytes' ./internal/warehouse
@@ -63,10 +64,12 @@ race-views:
 # Five-second native-fuzz smokes. The SQL front end: FuzzParse asserts
 # no panics, old/new parser validity agreement and AST stability under
 # arena reuse (the corpus seeds cover every statement shape). The key table
-# under join, GROUP BY and DISTINCT: FuzzKeyTable against a Go map.
+# under join, GROUP BY and DISTINCT: FuzzKeyTable against a Go map. The hash
+# join's packed build rows: FuzzPackedRows against a [][]val.Value model.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime=5s ./internal/sqlparse
 	$(GO) test -run xxx -fuzz '^FuzzKeyTable$$' -fuzztime=5s ./internal/val
+	$(GO) test -run xxx -fuzz '^FuzzPackedRows$$' -fuzztime=5s ./internal/engine
 
 # One pass over the headline benchmark, the Q1 aggregation (allocs/op
 # shows the batch executor's real cost) and the 2.2G reports (their nested

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/big"
@@ -445,28 +446,142 @@ func (s *rowSlab[T]) row(i int) []T {
 	return s.chunks[i/slabChunkRows][at : at+s.width]
 }
 
+// packedRows holds a hash table's build rows, width values each, in chunks
+// named by index and grown as a rowSlab's are. A chunk is one []byte holding
+// per row an 8-byte payload per value — I for INT and DATE, the bits of F for
+// DECIMAL, nothing for NULL and CHAR — then a kind byte per value, then the
+// row's 4-byte chain link: 9×width+4 bytes, against 40 a value as
+// val.Values. A CHAR value's string header goes into the chunk's strs, made
+// when the chunk first holds one; it stays what the scan decoded, a view of
+// the page image.
+type packedRows struct {
+	width  int
+	stride int   // bytes per row: 9*width+4
+	n      int32 // the index the next row gets
+	chunks []packedChunk
+}
+
+// packedChunk is one chunk of a packedRows.
+type packedChunk struct {
+	b    []byte   // the rows, stride bytes each
+	strs []string // by value index: the CHAR values; nil until the chunk holds one
+}
+
+func newPackedRows(width int) packedRows {
+	return packedRows{width: width, stride: 9*width + 4}
+}
+
+// add appends row, its link ending its chain, and returns its index.
+func (s *packedRows) add(row []val.Value) int32 {
+	i := s.n
+	s.n++
+	c, at := int(i/slabChunkRows), int(i%slabChunkRows)*s.stride
+	switch {
+	case c == len(s.chunks):
+		rows := slabChunkRows
+		if c == 0 {
+			rows = slabChunkMin
+		}
+		s.chunks = append(s.chunks, packedChunk{b: make([]byte, 0, rows*s.stride)})
+	case at == cap(s.chunks[c].b): // the first chunk is full at its current size
+		s.chunks[c].b = append(make([]byte, 0, 2*at), s.chunks[c].b...)
+	}
+	ch := &s.chunks[c]
+	ch.b = ch.b[:at+s.stride]
+	rec := ch.b[at:]
+	kinds := rec[8*s.width : 9*s.width]
+	for j, v := range row {
+		var p uint64
+		switch v.K {
+		case val.KInt, val.KDate:
+			p = uint64(v.I)
+		case val.KFloat:
+			p = math.Float64bits(v.F)
+		case val.KStr:
+			ch.chars(int(i%slabChunkRows)*s.width, s.stride, s.width)[j] = v.S
+		}
+		binary.LittleEndian.PutUint64(rec[8*j:], p)
+		kinds[j] = byte(v.K)
+	}
+	s.setLink(i, -1)
+	return i
+}
+
+// chars returns the CHAR slots of the row whose values start at value
+// index at, making the chunk's the first time — or again, when the first
+// chunk has doubled since.
+func (ch *packedChunk) chars(at, stride, width int) []string {
+	if at >= len(ch.strs) {
+		grown := make([]string, cap(ch.b)/stride*width)
+		copy(grown, ch.strs)
+		ch.strs = grown
+	}
+	return ch.strs[at : at+width]
+}
+
+// load writes row i into dst, width values, and returns the row that
+// follows it in its chain, -1 at the end.
+func (s *packedRows) load(i int32, dst []val.Value) int32 {
+	ch := &s.chunks[i/slabChunkRows]
+	at := int(i % slabChunkRows)
+	rec := ch.b[at*s.stride : (at+1)*s.stride]
+	kinds := rec[8*s.width : 9*s.width]
+	dst = dst[:len(kinds)]
+	for j, k := range kinds {
+		p := binary.LittleEndian.Uint64(rec[8*j:])
+		switch k := val.Kind(k); k {
+		case val.KFloat:
+			dst[j] = val.Value{K: k, F: math.Float64frombits(p)}
+		case val.KStr:
+			dst[j] = val.Value{K: k, S: ch.strs[at*s.width+j]}
+		default: // INT, DATE; NULL's payload is zero
+			dst[j] = val.Value{K: k, I: int64(p)}
+		}
+	}
+	return int32(binary.LittleEndian.Uint32(rec[9*s.width:]))
+}
+
+// setLink makes next follow row i in its chain.
+func (s *packedRows) setLink(i, next int32) {
+	at := int(i%slabChunkRows)*s.stride + 9*s.width
+	binary.LittleEndian.PutUint32(s.chunks[i/slabChunkRows].b[at:], uint32(next))
+}
+
+// adopt takes over o's chunks behind s's last one and returns the index
+// o's row 0 now has: o's links are rewritten in place to the new indexes.
+func (s *packedRows) adopt(o *packedRows) int32 {
+	base := int32(len(s.chunks) * slabChunkRows)
+	for _, ch := range o.chunks {
+		for at := 9 * s.width; at < len(ch.b); at += s.stride {
+			if n := int32(binary.LittleEndian.Uint32(ch.b[at:])); n >= 0 {
+				binary.LittleEndian.PutUint32(ch.b[at:], uint32(n+base))
+			}
+		}
+	}
+	s.chunks = append(s.chunks, o.chunks...)
+	s.n = base + o.n
+	return base
+}
+
 // hashTable is the built side of a hash join. A build row holds the output
 // columns of the build relation (relInfo.out, possibly none): its key and
 // filter columns were read by the build scan and nothing reads them again.
-// The rows are named by index, and the rows of one key form a chain
-// through next, in the order they were added, so a probe meets its matches
-// in build-scan order.
+// The rows are named by index, and the rows of one key form a chain through
+// the links packedRows keeps beside them, in the order they were added, so
+// a probe meets its matches in build-scan order.
 type hashTable struct {
-	rows rowSlab[val.Value]
-	next []int32      // per row: the following row with the same key, -1 at the end
+	rows packedRows
 	keys val.KeyTable // the distinct join keys
 	ends [][2]int32   // per key: the first and the last row of its chain
 }
 
 func newHashTable(width int) *hashTable {
-	return &hashTable{rows: rowSlab[val.Value]{width: width}}
+	return &hashTable{rows: newPackedRows(width)}
 }
 
 // add appends one build row under key.
 func (t *hashTable) add(key []byte, row []val.Value) {
-	i := int32(len(t.next))
-	copy(t.rows.add(int(i)), row)
-	t.next = append(t.next, -1)
+	i := t.rows.add(row)
 	t.chain(key, i, i)
 }
 
@@ -477,12 +592,12 @@ func (t *hashTable) chain(key []byte, head, tail int32) {
 		t.ends = append(t.ends, [2]int32{head, tail})
 		return
 	}
-	t.next[t.ends[e][1]] = head
+	t.rows.setLink(t.ends[e][1], head)
 	t.ends[e][1] = tail
 }
 
 // first returns the first row stored under key, -1 when there is none;
-// next[i] walks on from it.
+// rows.load walks on from it.
 func (t *hashTable) first(key []byte) int32 {
 	if e := t.keys.Find(key); e >= 0 {
 		return t.ends[e][0]
@@ -495,15 +610,7 @@ func (t *hashTable) first(key []byte) int32 {
 // each of its chains — in the order o first saw their keys — continues t's
 // chain for the same key.
 func (t *hashTable) absorb(o *hashTable) {
-	base := int32(len(t.rows.chunks) * slabChunkRows)
-	t.rows.chunks = append(t.rows.chunks, o.rows.chunks...)
-	t.next = append(t.next, make([]int32, int(base)-len(t.next))...)
-	for _, n := range o.next {
-		if n >= 0 {
-			n += base
-		}
-		t.next = append(t.next, n)
-	}
+	base := t.rows.adopt(&o.rows)
 	for e, ends := range o.ends {
 		t.chain(o.keys.Key(int32(e)), ends[0]+base, ends[1]+base)
 	}

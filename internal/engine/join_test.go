@@ -89,20 +89,27 @@ func TestNestedIndexScansKeepTheirBounds(t *testing.T) {
 }
 
 // TestHashTableChainsKeepBuildOrder: the rows of a key come back in the
-// order they were added — across chunk boundaries, and lane after lane
-// once a parallel build's tables are absorbed — whether the build rows
-// carry two values or, nothing but the key being read of them, none.
+// order they were added, values and all — across chunk boundaries, and lane
+// after lane once a parallel build's tables are absorbed — whether the build
+// rows carry three values (a CHAR among them, NULL in every fifth) or,
+// nothing but the key being read of them, none.
 func TestHashTableChainsKeepBuildOrder(t *testing.T) {
 	const keys, perLane = 7, 2*slabChunkRows + 90 // two full chunks and a short one per lane
 	key := func(k int) []byte { return val.AppendKey(nil, val.Int(int64(k))) }
-	for _, width := range []int{2, 0} {
+	name := func(seq int64) val.Value {
+		if seq%5 == 0 {
+			return val.Null
+		}
+		return val.Str(fmt.Sprint("r", seq))
+	}
+	for _, width := range []int{3, 0} {
 		var want [keys][]int64
 		seq := int64(0)
 		lane := func() *hashTable {
 			ht := newHashTable(width)
 			for i := 0; i < perLane; i++ {
 				k := (i * i) % keys
-				ht.add(key(k), []val.Value{val.Int(int64(k)), val.Int(seq)}[:width])
+				ht.add(key(k), []val.Value{val.Int(int64(k)), val.Int(seq), name(seq)}[:width])
 				want[k] = append(want[k], seq)
 				seq++
 			}
@@ -111,22 +118,25 @@ func TestHashTableChainsKeepBuildOrder(t *testing.T) {
 		ht := lane()
 		ht.absorb(lane())
 		ht.absorb(lane())
+		row := make([]val.Value, width)
 		for k := 0; k < keys; k++ {
 			var got []int64
-			for r := ht.first(key(k)); r >= 0; r = ht.next[r] {
-				row := ht.rows.row(int(r))
-				if len(row) != width {
-					t.Fatalf("width %d: row %d is %d wide", width, r, len(row))
-				}
+			for r := ht.first(key(k)); r >= 0; {
 				// A lane's rows are numbered from a chunk boundary on.
 				at := int64(r)/(3*slabChunkRows)*perLane + int64(r)%(3*slabChunkRows)
+				r = ht.rows.load(r, row)
 				if width > 0 {
-					if row[0].AsInt() != int64(k) {
+					if row[0] != val.Int(int64(k)) {
 						t.Fatalf("key %d chains to a row of key %v", k, row[0])
 					}
 					at = row[1].AsInt()
+					if row[2] != name(at) {
+						t.Fatalf("row %d carries %#v, want %#v", at, row[2], name(at))
+					}
 				}
-				got = append(got, at)
+				if got = append(got, at); len(got) > len(want[k]) {
+					t.Fatalf("width %d, key %d: chain runs past its %d rows: %v", width, k, len(want[k]), got)
+				}
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want[k]) {
 				t.Errorf("width %d, key %d: chain order %v, want %v", width, k, got, want[k])

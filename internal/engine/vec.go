@@ -40,7 +40,9 @@ import (
 //     later filter, a correlated sub-block, the sink — an output column;
 //     some are both. A heap scan decodes the scan columns, runs its filters
 //     and decodes the output-only columns for the rows that pass; a hash
-//     build row keeps the output columns only,
+//     build row keeps the output columns only, packed 9 bytes a value with
+//     its chain link in the chunk (packedRows), and a probe rebuilds them
+//     in its output frame,
 //   - frame width (vecStage.hi): a frame has slots for the columns read and
 //     for nothing else. selectPlan.assignSlots numbers them last, relation
 //     by relation in step order, output columns first, each relation's
@@ -410,10 +412,11 @@ func (v *vecRun) push(i int, in *vecBatch, n int) error {
 }
 
 // pushHash probes the hash table with a whole batch: probe keys reuse one
-// key buffer, matches copy into the step's output batch, and the
-// per-match TupleCPU events post as one Charge per posting point instead
-// of one meter round trip per row. Events are counted match by match, so
-// a run stopped inside a probe has charged only the matches it reached.
+// key buffer, matches are rebuilt from their packed build rows straight
+// into the step's output batch, and the per-match TupleCPU events post as
+// one Charge per posting point instead of one meter round trip per row.
+// Events are counted match by match, so a run stopped inside a probe has
+// charged only the matches it reached.
 func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 	be := v.be
 	ht, ok := be.hashes[s]
@@ -444,11 +447,11 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 		if !ok {
 			continue
 		}
-		for r := ht.first(key); r >= 0; r = ht.next[r] {
+		for r := ht.first(key); r >= 0; {
 			pending++
 			dst := st.frame(out.n)
 			copy(dst[:lo], frame[:lo])
-			copy(dst[lo:hi], ht.rows.row(int(r)))
+			r = ht.rows.load(r, dst[lo:hi])
 			be.setRow(dst)
 			ok, err := evalFilters(be, s.filters)
 			if err != nil {

@@ -2,6 +2,7 @@ package r3
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -245,7 +246,7 @@ func (sys *System) Table(name string) *LogicalTable {
 	return sys.ddic[strings.ToUpper(name)]
 }
 
-// Tables lists all logical tables.
+// Tables lists all logical tables, sorted by name.
 func (sys *System) Tables() []*LogicalTable {
 	sys.mu.RLock()
 	defer sys.mu.RUnlock()
@@ -253,6 +254,7 @@ func (sys *System) Tables() []*LogicalTable {
 	for _, t := range sys.ddic {
 		out = append(out, t)
 	}
+	slices.SortFunc(out, func(a, b *LogicalTable) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 

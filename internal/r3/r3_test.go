@@ -30,8 +30,12 @@ func TestInstallSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.Tables()) != 17 {
-		t.Fatalf("dictionary has %d tables, want 17", len(sys.Tables()))
+	tables := sys.Tables()
+	if len(tables) != 17 {
+		t.Fatalf("dictionary has %d tables, want 17", len(tables))
+	}
+	if !slices.IsSortedFunc(tables, func(a, b *LogicalTable) int { return strings.Compare(a.Name, b.Name) }) {
+		t.Error("Tables is not sorted by name")
 	}
 	if !sys.Encapsulated("A004") || !sys.Encapsulated("KONV") {
 		t.Error("A004 and KONV must be encapsulated by default")
