@@ -51,12 +51,14 @@ race:
 # that hand on their first rows one at a time (planUnobserved), whose one
 # frame per stage is rewritten under the row sink and the wire encoder on
 # every row, against the growing batch; and the packed hash-build rows,
-# whose CHAR headers stay views of the byte slice they were built from.
+# whose CHAR headers stay views of the byte slice they were built from; and
+# recovery at every log boundary, which installs stable images and
+# baselines it shares with the disk.
 race-views:
 	$(GO) test -race -count=3 -run 'TestKeyViewsSurviveWrites' ./internal/btree
 	$(GO) test -race -count=3 -run 'TestColSetViewsMatchCopy|TestSlabOwns' ./internal/val
 	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite|TestStableImagesAreSnapshots' ./internal/storage
-	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors|TestUnobservedCapacityChargesAlike|TestUnobservedAllocationsFlat|TestPackedRowsRoundTrip' ./internal/engine
+	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors|TestUnobservedCapacityChargesAlike|TestUnobservedAllocationsFlat|TestPackedRowsRoundTrip|TestRecoveryTortureEveryBoundary' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestRoundTripAllocationBudget' ./internal/server
 	$(GO) test -race -count=3 -run 'TestClusterDecodeMatchesReference|TestOpenSQLRowsOwnTheirBytes' ./internal/r3
 	$(GO) test -race -count=3 -run 'TestKeptRowsOwnTheirBytes' ./internal/warehouse

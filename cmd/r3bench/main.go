@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	r3bench [-sf 0.02] [-parallel 1] [-streams 8] [-shards 8] [-table-buffer-fixed] [-array-fetch] [-exp all|ID,ID,...]
+//	r3bench [-sf 0.02] [-parallel 1] [-streams 8] [-shards 8] [-array-fetch] [-exp all|ID,ID,...]
 //
 // `r3bench -h` lists the experiment IDs (they come from the registry in
 // internal/core, where every experiment registers itself).
@@ -33,7 +33,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiments to run: all, or comma-separated from "+strings.Join(core.IDs(), ","))
 	streams := flag.Int("streams", 0, "largest concurrent query-stream count the throughput experiment sweeps to (0 = default 8)")
 	shards := flag.Int("shards", 0, "widest engine-shard cluster the shardscale experiment sweeps to (0 = default 8)")
-	tableBufFixed := flag.Bool("table-buffer-fixed", false, "pin table-buffer budgets (no eviction-pressure auto-resize; reproduces the paper's undersized-cache sweeps literally)")
 	arrayFetch := flag.Bool("array-fetch", false, "ship result rows in array-fetch packets instead of one interface round trip per row (off = the paper's per-row interface)")
 	showMetrics := flag.Bool("metrics", false, "print the cumulative metrics registry after the run")
 	metricsJSON := flag.String("metrics-json", "", "write the metrics registry as JSON to this file")
@@ -56,8 +55,8 @@ func main() {
 	}
 
 	cfg := &core.Config{SF: *sf, Streams: *streams, Shards: *shards,
-		Options:          r3.Options{Engine: engine.Options{Parallel: *parallel, ArrayFetch: *arrayFetch}},
-		TableBufferFixed: *tableBufFixed, Out: os.Stdout}
+		Options: r3.Options{Engine: engine.Options{Parallel: *parallel, ArrayFetch: *arrayFetch}},
+		Out:     os.Stdout}
 	start := time.Now()
 	var err error
 	if *exp == "all" {

@@ -30,10 +30,6 @@ type Config struct {
 	// configuration; an ablation applies a diff for the length of one
 	// measurement and puts back what the run started with.
 	Options r3.Options
-	// TableBufferFixed pins table-buffer budgets (SetBufferedFixed): no
-	// eviction-pressure auto-resize, so the paper's undersized-cache
-	// pathologies reproduce exactly as printed. Default off = adaptive.
-	TableBufferFixed bool
 	// Streams is the largest stream count the throughput experiment
 	// drives (it sweeps 1, 2, 4, ... up to this). 0 means the default 8.
 	Streams int

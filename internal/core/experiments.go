@@ -479,49 +479,48 @@ func runTable8(cfg *Config) error {
 	// The paper's 2 MB and 20 MB caches, scaled with SF so the working
 	// set relationship (nothing fits / everything fits) is preserved.
 	scale := cfg.SF / 0.2
-	caches := []struct {
+	type cache struct {
 		label string
 		bytes int64
-	}{
+	}
+	caches := []cache{
 		{"No Caching", 0},
 		{"2 MB Cache", int64(2 << 20 * scale)},
 		{"20 MB Cache", int64(20 << 20 * scale)},
 	}
-	setBuffered := sys.SetBuffered
-	if cfg.TableBufferFixed {
-		// Pinned budgets reproduce the paper's sweep literally: the 2 MB
-		// cache must stay on the thrashing side of the knee.
-		setBuffered = sys.SetBufferedFixed
-	}
-	cfg.printf("%-14s  %10s  %14s\n", "", "hit ratio", "cost for MARA")
-	for _, c := range caches {
-		buf := setBuffered("MARA", c.bytes)
-		m := cost.NewMeter(sys.DB.Model())
-		o := sys.OpenSQL(m)
-
-		// Figure 5: for every VBAP tuple a separate query on MARA.
-		err := o.Select("VBAP", nil, func(r r3.Row) error {
-			_, _, err := o.SelectSingle("MARA", []r3.Cond{r3.Eq("MATNR", r.Get("MATNR"))})
-			return err
-		})
-		if err != nil {
-			return err
+	// Figure 5: for every VBAP tuple a separate query on MARA.
+	sweep := func(setBuffered func(string, int64) *r3.TableBuffer, rows []cache) error {
+		cfg.printf("%-14s  %10s  %14s\n", "", "hit ratio", "cost for MARA")
+		for _, c := range rows {
+			buf := setBuffered("MARA", c.bytes)
+			m := cost.NewMeter(sys.DB.Model())
+			o := sys.OpenSQL(m)
+			err := o.Select("VBAP", nil, func(r r3.Row) error {
+				_, _, err := o.SelectSingle("MARA", []r3.Cond{r3.Eq("MATNR", r.Get("MATNR"))})
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			ratio := 0.0
+			if buf != nil {
+				ratio = buf.HitRatio()
+			}
+			cfg.printf("%-14s  %9.0f%%  %14s\n", c.label, ratio*100, cost.Fmt(m.Elapsed()))
 		}
-		ratio := 0.0
-		if buf != nil {
-			ratio = buf.HitRatio()
-		}
-		cfg.printf("%-14s  %9.0f%%  %14s\n", c.label, ratio*100, cost.Fmt(m.Elapsed()))
+		return nil
 	}
-	// The last (largest) buffer stays live so metrics collected after the
-	// run see its resident rows — tearing it down here was why the
-	// table_buffer.MARA.resident gauge always read 0.
-	if cfg.TableBufferFixed {
-		cfg.printf("\n(paper: 0%% / 11%% / 85%% hit ratio; 1h48m / 1h50m / 35m)\n")
-	} else {
-		cfg.printf("\n(adaptive buffers: eviction pressure grows the 2 MB cache out of its\nthrash; rerun with -table-buffer-fixed for the paper's literal sweep:\n0%% / 11%% / 85%% hit ratio; 1h48m / 1h50m / 35m)\n")
+	// The paper's sweep, budgets pinned: the 2 MB cache stays on the
+	// thrashing side of the knee.
+	if err := sweep(sys.SetBufferedFixed, caches); err != nil {
+		return err
 	}
-	return nil
+	cfg.printf("\n(paper: 0%% / 11%% / 85%% hit ratio; 1h48m / 1h50m / 35m)\n")
+	// Ablation: adaptive buffers, whose eviction pressure grows the 2 MB
+	// cache out of its thrash. The last (largest) buffer stays live so
+	// metrics collected after the run see its resident rows.
+	cfg.printf("\nadaptive buffers (eviction pressure grows an undersized cache):\n")
+	return sweep(sys.SetBuffered, caches[1:])
 }
 
 // --- Table 9: warehouse extraction ---

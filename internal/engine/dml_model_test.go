@@ -136,7 +136,6 @@ func runDMLModel(t *testing.T, seed int64) {
 	const create = `CREATE TABLE M (ID INTEGER PRIMARY KEY, K INTEGER, V CHAR(12), PAD CHAR(150))`
 	mustExec(t, s, create)
 	w := db.EnableWAL(4)
-	w.SetRetain(true) // a cut can go back to any commit
 	m := &dmlModel{rows: map[int64]modelRow{}}
 	indexes := map[string]string{"M_K": "K", "M_V": "V"}
 	built := map[string]bool{}

@@ -382,14 +382,6 @@ func (sys *System) DropIndex(table, index string) error {
 	return nil
 }
 
-// SetVersion switches the installed release (the upgrade's software
-// half; ConvertToTransparent is the data half).
-func (sys *System) SetVersion(r Release) {
-	sys.mu.Lock()
-	sys.version = r
-	sys.mu.Unlock()
-}
-
 // PhysicalSizes returns (data, index) bytes of a logical table's storage.
 func (sys *System) PhysicalSizes(name string) (int64, int64) {
 	t := sys.Table(name)

@@ -265,7 +265,8 @@ func (sys *System) Encapsulated(name string) bool {
 	return t != nil && t.Kind != Transparent
 }
 
-// createPhysical realizes the dictionary on the RDBMS.
+// createPhysical realizes the dictionary on the RDBMS, table by table in
+// name order, so every install lays out its files and pages alike.
 func (sys *System) createPhysical() error {
 	s := sys.DB.NewSessionWithMeter(nil)
 	// The shared table pool.
@@ -274,7 +275,7 @@ func (sys *System) createPhysical() error {
 		 PRIMARY KEY (TABNAME, VARKEY))`, poolTableName)); err != nil {
 		return err
 	}
-	for _, t := range sys.ddic {
+	for _, t := range sys.Tables() {
 		if err := sys.createPhysicalFor(s, t); err != nil {
 			return err
 		}
@@ -307,9 +308,14 @@ func (sys *System) createPhysicalFor(s *engine.Session, t *LogicalTable) error {
 		if _, err := s.Exec(fmt.Sprintf("CREATE TABLE %s (%s)", t.Name, strings.Join(parts, ", "))); err != nil {
 			return err
 		}
-		for ixName, cols := range t.Indexes {
+		names := make([]string, 0, len(t.Indexes))
+		for ixName := range t.Indexes {
+			names = append(names, ixName)
+		}
+		slices.Sort(names)
+		for _, ixName := range names {
 			if _, err := s.Exec(fmt.Sprintf("CREATE INDEX %s ON %s (%s)",
-				ixName, t.Name, strings.Join(cols, ", "))); err != nil {
+				ixName, t.Name, strings.Join(t.Indexes[ixName], ", "))); err != nil {
 				return err
 			}
 		}

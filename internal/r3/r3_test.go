@@ -211,15 +211,18 @@ func TestOpenSQLJoin30(t *testing.T) {
 }
 
 func TestConvertKonvToTransparent(t *testing.T) {
-	sys, _ := installedSys(t, Release22)
-	before := sys.RowCount("KONV")
-	clusterData, _ := sys.PhysicalSizes("KONV")
-
 	// 2.2 cannot convert a cluster table.
-	if err := sys.ConvertToTransparent("KONV", nil); err == nil {
+	sys22, _ := installedSys(t, Release22)
+	if err := sys22.ConvertToTransparent("KONV", nil); err == nil {
 		t.Fatal("2.2 must refuse to convert a cluster table")
 	}
-	sys.SetVersion(Release30)
+
+	sys, _ := installedSys(t, Release30)
+	before := sys.RowCount("KONV")
+	clusterData, _ := sys.PhysicalSizes("KONV")
+	if !sys.Encapsulated("KONV") {
+		t.Fatal("KONV is not a cluster table on a fresh 3.0 install")
+	}
 	if err := sys.ConvertToTransparent("KONV", nil); err != nil {
 		t.Fatal(err)
 	}

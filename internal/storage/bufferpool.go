@@ -463,7 +463,7 @@ func (bp *BufferPool) writeBack(w *WAL, f *frame, m *cost.Meter) {
 		m.Charge(cost.PageWrite, 1)
 	}
 	if w != nil {
-		w.stableWrite(f.key, bp.handOut(f), m)
+		w.stableWrite(f.key, bp.handOut(f), false, m)
 	}
 	f.dirty = false
 }
@@ -527,8 +527,7 @@ func (sh *poolShard) remove(f *frame) {
 
 // admit inserts a freshly read page, unless a concurrent reader admitted
 // it first (then the cached copy wins). ra marks a speculative readahead
-// admission. Midpoint on, new pages enter the old sublist; off, they go
-// straight to the young list (plain LRU).
+// admission. New pages enter the old sublist (admitLocked).
 func (bp *BufferPool) admit(key pageKey, data []byte, m *cost.Meter, ra bool) []byte {
 	sh := bp.shard(key)
 	sh.mu.Lock()

@@ -115,7 +115,8 @@ func (b *BulkWriter) sealPage() error {
 // sealExtent logs the allocation of the finished page run and makes the
 // pages durable: the extent record stamps their LSNs, so the first
 // stable write forces it (one log force per extent, not per page). The
-// WAL keeps each page's image, taken as a reader takes it (BufferPool.share).
+// WAL keeps each page's image, taken as a reader takes it (BufferPool.share),
+// as its stable image and as its baseline: no log record carries the rows.
 func (b *BulkWriter) sealExtent() {
 	h := b.h
 	if b.extentLen > 0 && h.wal != nil {
@@ -123,7 +124,7 @@ func (b *BulkWriter) sealExtent() {
 		for i := 0; i < b.extentLen; i++ {
 			pid := b.extentStart + PageID(i)
 			if data, err := h.pool.share(h.file, pid); err == nil {
-				h.wal.stableWrite(pageKey{h.file, pid}, data, b.m)
+				h.wal.stableWrite(pageKey{h.file, pid}, data, true, b.m)
 			}
 		}
 	}

@@ -24,7 +24,8 @@ import (
 // FlushAll, dirty eviction, or a direct-path bulk write). A crash at
 // log offset `cut` discards everything volatile — buffer-pool frames
 // and all page writes newer than their stable images — and Recover
-// rebuilds exactly the committed state from stable images plus the
+// rebuilds exactly the committed state from stable images (or, past a
+// stable image newer than the cut, each page's baseline) plus the
 // surviving log prefix. A stable image is the page's own image, taken
 // the way a reader takes it: shared, so the next write copies the page
 // (DESIGN.md §12, "The concurrency model") and the image stays as it was.
@@ -96,12 +97,10 @@ type WAL struct {
 	files   map[FileID]bool        // heap files under WAL protection
 	pageLSN map[pageKey]int64      // last LSN logged against each page
 	stable  map[pageKey]stablePage // newest durable image of each page
-	base    map[pageKey][]byte     // the image each page had at AttachFile
-	// versions retains every stable image (per page, LSN-ascending) so
-	// tests can recover at an arbitrary historical cut; off by default
-	// because it keeps every stable image a page ever had alive.
-	retain   bool
-	versions map[pageKey][]stablePage
+	// base is each page's baseline, the image redo can start from when
+	// the stable image is newer than a cut: the page at AttachFile (LSN
+	// 0) or, for a direct-path page, the page its extent sealed.
+	base map[pageKey]stablePage
 
 	flusher   func(m *cost.Meter) // checkpoint hook (pool.FlushAll); runs outside mu
 	ckptEvery int64
@@ -125,8 +124,7 @@ func NewWAL(disk *Disk, groupSize int) *WAL {
 		files:     make(map[FileID]bool),
 		pageLSN:   make(map[pageKey]int64),
 		stable:    make(map[pageKey]stablePage),
-		base:      make(map[pageKey][]byte),
-		versions:  make(map[pageKey][]stablePage),
+		base:      make(map[pageKey]stablePage),
 		ckptEvery: defaultCkptEvery,
 	}
 }
@@ -136,14 +134,6 @@ func NewWAL(disk *Disk, groupSize int) *WAL {
 func (w *WAL) SetFlusher(fn func(m *cost.Meter)) {
 	w.mu.Lock()
 	w.flusher = fn
-	w.mu.Unlock()
-}
-
-// SetRetain toggles full stable-image retention, needed to Recover at a
-// historical cut without falling back to whole-log redo.
-func (w *WAL) SetRetain(on bool) {
-	w.mu.Lock()
-	w.retain = on
 	w.mu.Unlock()
 }
 
@@ -164,12 +154,9 @@ func (w *WAL) AttachFile(f FileID, pool *BufferPool) {
 			continue
 		}
 		key := pageKey{f, PageID(p)}
-		w.base[key] = data
 		sp := stablePage{lsn: 0, data: data}
+		w.base[key] = sp
 		w.stable[key] = sp
-		if w.retain {
-			w.versions[key] = append(w.versions[key], sp)
-		}
 	}
 }
 
@@ -192,11 +179,6 @@ func (w *WAL) DetachFile(f FileID) {
 	for key := range w.base {
 		if key.file == f {
 			delete(w.base, key)
-		}
-	}
-	for key := range w.versions {
-		if key.file == f {
-			delete(w.versions, key)
 		}
 	}
 }
@@ -405,10 +387,11 @@ func (w *WAL) maybeCheckpoint(m *cost.Meter) {
 // stableWrite records that data, the page's current image, just became
 // durable (write-back or direct-path write). The caller has handed the
 // image out as to a reader, so nobody writes it again and the WAL keeps
-// it as it is. The WAL rule is enforced here: if the page carries an
-// unflushed LSN, the log is forced first. Pages of unattached files are
-// ignored.
-func (w *WAL) stableWrite(key pageKey, data []byte, m *cost.Meter) {
+// it as it is. baseline marks a direct-path page: its rows are in no log
+// record, so the image also becomes the page's baseline. The WAL rule is
+// enforced here: if the page carries an unflushed LSN, the log is forced
+// first. Pages of unattached files are ignored.
+func (w *WAL) stableWrite(key pageKey, data []byte, baseline bool, m *cost.Meter) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !w.files[key.file] {
@@ -419,8 +402,8 @@ func (w *WAL) stableWrite(key pageKey, data []byte, m *cost.Meter) {
 	}
 	sp := stablePage{lsn: w.pageLSN[key], data: data}
 	w.stable[key] = sp
-	if w.retain {
-		w.versions[key] = append(w.versions[key], sp)
+	if baseline {
+		w.base[key] = sp
 	}
 }
 
@@ -533,27 +516,19 @@ func (w *WAL) parseLocked(limit int64) ([]walRec, int64) {
 	return recs, off
 }
 
-// stableAtLocked returns the newest durable image of key with LSN ≤
-// limit, or (nil, 0) meaning the page never reached disk and restores
-// to zeroes. Without retention the fallback past an overwritten stable
-// image is the attach-time base (LSN 0) — correct, just more redo.
-func (w *WAL) stableAtLocked(key pageKey, limit int64) ([]byte, int64) {
-	if w.retain {
-		vs := w.versions[key]
-		for i := len(vs) - 1; i >= 0; i-- {
-			if vs[i].lsn <= limit {
-				return vs[i].data, vs[i].lsn
-			}
-		}
-		return nil, 0
-	}
+// stableAtLocked returns the image key restarts from after a crash at
+// limit: its stable image if that is no newer than limit, else its
+// baseline if that is not, else no image (zeroes, LSN 0). Redo replays
+// every record newer than the image's LSN, which rebuilds the page from
+// any of the three: every change to a page after its baseline is logged.
+func (w *WAL) stableAtLocked(key pageKey, limit int64) stablePage {
 	if sp, ok := w.stable[key]; ok && sp.lsn <= limit {
-		return sp.data, sp.lsn
+		return sp
 	}
-	if b, ok := w.base[key]; ok {
-		return b, 0
+	if sp, ok := w.base[key]; ok && sp.lsn <= limit {
+		return sp
 	}
-	return nil, 0
+	return stablePage{}
 }
 
 // RecoveryStats summarizes one restart recovery.
@@ -569,11 +544,12 @@ type RecoveryStats struct {
 
 // Recover simulates a crash at log offset cut (< 0 means "no bytes
 // lost") and rebuilds exactly the committed state: every attached page
-// is reset to its newest durable image, the surviving log prefix is
-// replayed in LSN order onto pages whose restored LSN predates the
-// record (redo), then records of transactions without a durable commit
-// are rolled back in reverse order (undo). heaps maps each attached
-// FileID to its handler; their row counts are rebuilt afterwards.
+// is reset to its stable image, its baseline or zeroes (stableAtLocked),
+// the surviving log prefix is replayed in LSN order onto pages whose
+// restored LSN predates the record (redo), then records of transactions
+// without a durable commit are rolled back in reverse order (undo). heaps
+// maps each attached FileID to its handler; their row counts are rebuilt
+// afterwards.
 // Indexes are not WAL-logged — callers rebuild them bottom-up from the
 // recovered heaps.
 //
@@ -608,7 +584,7 @@ func (w *WAL) Recover(cut int64, heaps map[FileID]*HeapFile, m *cost.Meter) (Rec
 	st.Lost = len(losers)
 
 	// Restore: drop all volatile frames and reset every page to its
-	// newest durable image (zeroes if it never reached disk).
+	// stable image, its baseline or zeroes (stableAtLocked).
 	restored := make(map[pageKey]int64, len(w.pageLSN))
 	newStable := make(map[pageKey]stablePage)
 	for f, h := range heaps {
@@ -619,11 +595,11 @@ func (w *WAL) Recover(cut int64, heaps map[FileID]*HeapFile, m *cost.Meter) (Rec
 		n := w.disk.NumPages(f)
 		for p := 0; p < n; p++ {
 			key := pageKey{f, PageID(p)}
-			img, lsn := w.stableAtLocked(key, limit)
-			h.restorePage(PageID(p), img)
-			restored[key] = lsn
-			if img != nil {
-				newStable[key] = stablePage{lsn: lsn, data: img}
+			sp := w.stableAtLocked(key, limit)
+			h.restorePage(PageID(p), sp.data)
+			restored[key] = sp.lsn
+			if sp.data != nil {
+				newStable[key] = sp
 			}
 			st.PagesRestored++
 			if m != nil {
@@ -715,15 +691,9 @@ func (w *WAL) Recover(cut int64, heaps map[FileID]*HeapFile, m *cost.Meter) (Rec
 	w.pending = 0
 	w.pageLSN = restored
 	w.stable = newStable
-	if w.retain {
-		for key, vs := range w.versions {
-			kept := vs[:0]
-			for _, v := range vs {
-				if v.lsn <= limit {
-					kept = append(kept, v)
-				}
-			}
-			w.versions[key] = kept
+	for key, sp := range w.base {
+		if sp.lsn > limit {
+			delete(w.base, key) // its extent is no longer in the log
 		}
 	}
 	if maxTx >= w.nextTx {

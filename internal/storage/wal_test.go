@@ -28,16 +28,14 @@ func logBytes(w *WAL) []byte {
 // stableWay makes page 0 of a fresh heap stable in one of the ways a page
 // becomes durable, and returns the heap, the page's bytes at that moment and
 // the log cut that selects the image.
-type stableWay func(t *testing.T, retain bool) (h *HeapFile, want []byte, cut int64)
+type stableWay func(t *testing.T) (h *HeapFile, want []byte, cut int64)
 
-// walHeap returns an empty heap over a pool of poolBytes, under a WAL that
-// keeps every stable image when retain is set.
-func walHeap(poolBytes int, retain bool) (*HeapFile, *WAL) {
+// walHeap returns an empty heap over a pool of poolBytes, under a WAL.
+func walHeap(poolBytes int) (*HeapFile, *WAL) {
 	disk := NewDisk()
 	pool := NewBufferPool(disk, poolBytes)
 	h := NewHeapFile(disk, pool, testCodec())
 	w := NewWAL(disk, 1)
-	w.SetRetain(retain)
 	h.SetWAL(w)
 	pool.SetWAL(w)
 	return h, w
@@ -66,44 +64,59 @@ func insertRows(t *testing.T, h *HeapFile, from, n int) {
 	}
 }
 
+// bulkLoad appends n rows to h through a BulkWriter.
+func bulkLoad(t *testing.T, h *HeapFile, n int) {
+	t.Helper()
+	b := h.NewBulkWriter(0, nil)
+	for i := 0; i < n; i++ {
+		if _, err := b.Append(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStableImagesAreSnapshots holds every way a page becomes stable to one
 // rule: the stable image is the page as it was at that moment, whatever the
 // heap writes afterwards. For each way it records page 0's bytes when the
 // page becomes stable, mutates the page — straight away, or after a reader
 // took the page — and recovers at the cut that selects that image, which
 // must come back byte for byte. A stable image that a later in-place write
-// reached would come back with the write in it.
+// reached would come back with the write in it. A direct-path page whose
+// extent image the cut selects comes back as that image even after a newer
+// one was written back: its rows are in no log record that redo could replay.
 func TestStableImagesAreSnapshots(t *testing.T) {
 	ways := []struct {
 		name string
 		make stableWay
 	}{
-		{"AttachFile of a resident unread frame", func(t *testing.T, retain bool) (*HeapFile, []byte, int64) {
+		{"AttachFile of a resident unread frame", func(t *testing.T) (*HeapFile, []byte, int64) {
 			disk := NewDisk()
 			pool := NewBufferPool(disk, 1<<20)
 			h := NewHeapFile(disk, pool, testCodec())
 			insertRows(t, h, 0, 50) // page 0 is resident, and nobody has read it
 			want := page0(t, h)
 			w := NewWAL(disk, 1)
-			w.SetRetain(retain)
 			h.SetWAL(w)
 			pool.SetWAL(w)
 			return h, want, 0
 		}},
-		{"FlushFile", func(t *testing.T, retain bool) (*HeapFile, []byte, int64) {
-			h, w := walHeap(1<<20, retain)
+		{"FlushFile", func(t *testing.T) (*HeapFile, []byte, int64) {
+			h, w := walHeap(1 << 20)
 			insertRows(t, h, 0, 50)
 			h.Flush(nil)
 			return h, page0(t, h), w.Size()
 		}},
-		{"FlushAll", func(t *testing.T, retain bool) (*HeapFile, []byte, int64) {
-			h, w := walHeap(1<<20, retain)
+		{"FlushAll", func(t *testing.T) (*HeapFile, []byte, int64) {
+			h, w := walHeap(1 << 20)
 			insertRows(t, h, 0, 50)
 			h.pool.FlushAll(nil)
 			return h, page0(t, h), w.Size()
 		}},
-		{"dirty eviction", func(t *testing.T, retain bool) (*HeapFile, []byte, int64) {
-			h, w := walHeap(PageSize, retain) // one frame
+		{"dirty eviction", func(t *testing.T) (*HeapFile, []byte, int64) {
+			h, w := walHeap(PageSize) // one frame
 			insertRows(t, h, 0, h.perPage)
 			want, cut := page0(t, h), w.Size()
 			insertRows(t, h, h.perPage, 1) // page 1 evicts page 0, dirty
@@ -112,42 +125,42 @@ func TestStableImagesAreSnapshots(t *testing.T) {
 			}
 			return h, want, cut
 		}},
-		{"BulkWriter extent", func(t *testing.T, retain bool) (*HeapFile, []byte, int64) {
-			h, w := walHeap(1<<20, retain)
-			b := h.NewBulkWriter(0, nil)
-			for i := 0; i < 50; i++ {
-				if _, err := b.Append(row(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := b.Close(); err != nil {
+		{"BulkWriter extent", func(t *testing.T) (*HeapFile, []byte, int64) {
+			h, w := walHeap(1 << 20)
+			bulkLoad(t, h, 50)
+			return h, page0(t, h), w.Size()
+		}},
+		{"BulkWriter extent, then written back again", func(t *testing.T) (*HeapFile, []byte, int64) {
+			h, w := walHeap(1 << 20)
+			bulkLoad(t, h, 50)
+			want, cut := page0(t, h), w.Size()
+			if err := h.Update(RID{Page: 0, Slot: 2}, row(998), nil); err != nil {
 				t.Fatal(err)
 			}
-			return h, page0(t, h), w.Size()
+			h.Flush(nil) // a stable image newer than the cut
+			return h, want, cut
 		}},
 	}
 	for _, way := range ways {
-		for _, retain := range []bool{false, true} {
-			for _, read := range []bool{false, true} {
-				h, want, cut := way.make(t, retain)
-				if read {
-					if _, err := h.pool.Get(h.file, 0, nil); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := h.Delete(RID{Page: 0, Slot: 0}, nil); err != nil {
+		for _, read := range []bool{false, true} {
+			h, want, cut := way.make(t)
+			if read {
+				if _, err := h.pool.Get(h.file, 0, nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := h.Update(RID{Page: 0, Slot: 1}, row(999), nil); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := h.wal.Recover(cut, map[FileID]*HeapFile{h.file: h}, nil); err != nil {
-					t.Fatal(err)
-				}
-				if got := page0(t, h); !bytes.Equal(got, want) {
-					t.Errorf("%s (retain %v, read before the write %v): recovered page 0 differs from its image when it became stable",
-						way.name, retain, read)
-				}
+			}
+			if err := h.Delete(RID{Page: 0, Slot: 0}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Update(RID{Page: 0, Slot: 1}, row(999), nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.wal.Recover(cut, map[FileID]*HeapFile{h.file: h}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := page0(t, h); !bytes.Equal(got, want) {
+				t.Errorf("%s (read before the write %v): recovered page 0 differs from its image when it became stable",
+					way.name, read)
 			}
 		}
 	}
@@ -358,7 +371,7 @@ func TestWALAppendAllocatesNothing(t *testing.T) {
 // a record on it, so an image a reader took before the crash — here the
 // stable image of both pages — never changes under the reader.
 func TestRecoveryCopiesOnlyWhatItRedoes(t *testing.T) {
-	h, w := walHeap(1<<20, false)
+	h, w := walHeap(1 << 20)
 	insertRows(t, h, 0, h.perPage+10) // page 0 full, page 1 begun
 	h.Flush(nil)
 	var held [2][]byte
