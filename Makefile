@@ -40,8 +40,9 @@ race:
 # on for the one unsafe.String in the module — a view equals the copying
 # decode and never changes under its holder (not across eviction, rewrite
 # and recovery), nothing that outlives a statement is one, and the in-place
-# R/3 cluster decode equals the strings.Split reference, and the rows Open SQL
-# hands out are the session arena's, unchanged by later executions; a view
+# R/3 cluster decode equals the strings.Split reference, and what leaves an
+# Open SQL row callback — a SELECT SINGLE row, a string cut from a row — is
+# unchanged by the later executions that reuse the fetch stack; a view
 # streamed into its reader's scan, which runs the reader's pipeline from
 # inside the view's plan; Q1–Q17 with their output-only CHAR columns
 # decoded from the page image after the filters ran; and the B-tree keys an

@@ -102,22 +102,29 @@ type Result struct {
 // The statement is the ownership boundary of CHAR bytes: inside it a string
 // value is a view of the page image it was decoded from (val.ColSet.Decode),
 // and Row is where a row leaves it. A sink that encodes or prints the row
-// before it returns needs nothing; one that keeps the row copies the slice
-// and gives the strings storage of their own (val.Slab.Own), as the
-// materialising sink behind Exec and Query does, and an R/3 Open SQL cursor
-// into its session's arena — a kept view would pin its
-// whole 8 KiB image, superseded or not.
+// before it returns needs nothing, nor does one whose reader drops the row
+// soon, as an R/3 Open SQL cursor's fetch stack does. One that keeps rows
+// copies the slice and gives the strings storage of their own
+// (val.Slab.Own), as the materialising sink behind Exec and Query does: a
+// kept view pins its whole 8 KiB image, superseded or not.
 type RowSink interface {
 	Header(cols []string) error
 	Row(row []val.Value) error
 }
 
 // collect is the materialising RowSink: it copies every row into its Result,
-// the CHAR bytes into slab chunks the Result's rows share.
+// the values into chunks — the first one row wide, each later one as wide as
+// the rows before it, up to collectChunkMax values — and the CHAR bytes into
+// slab chunks the Result's rows share.
 type collect struct {
 	Result
+	free  []val.Value // the unused tail of the current chunk
 	chars val.Slab
 }
+
+// collectChunkMax bounds a Result chunk's value count (40 KiB), except for a
+// single row that is wider.
+const collectChunkMax = 1024
 
 func (c *collect) Header(cols []string) error {
 	c.Cols = cols
@@ -125,7 +132,13 @@ func (c *collect) Header(cols []string) error {
 }
 
 func (c *collect) Row(row []val.Value) error {
-	own := append([]val.Value(nil), row...)
+	if len(row) > len(c.free) {
+		n := min(max(len(c.Rows), 1)*len(row), collectChunkMax)
+		c.free = make([]val.Value, max(n, len(row)))
+	}
+	own := c.free[:len(row):len(row)]
+	c.free = c.free[len(row):]
+	copy(own, row)
 	c.chars.Own(own)
 	c.Rows = append(c.Rows, own)
 	return nil

@@ -11,54 +11,70 @@ import (
 
 // stmtCache is a per-session cursor cache (paper Section 2.3: "using the
 // same cursor for, say, all the queries that retrieve the matching tuples
-// of the inner relation in a nested SELECT statement"), and the session's
-// fetch arena: every cursor copies the rows of an execution into arena
-// chunks — values into vals, CHAR bytes into chars — that all cursors of the
-// session share. The arena is append-only: a row handed out is never written
-// again, so a report keeps it (or a string cut from it) as long as it likes,
-// and a chunk goes when no kept row points into it.
+// of the inner relation in a nested SELECT statement") keyed by statement
+// text, and the session's fetch stack, which it is the engine.RowSink of.
+//
+// A cursor execution pushes every row of its result onto the stack before
+// the first is handed out, and pops them when the iteration ends; a SELECT
+// nested in a row callback pushes above its outer SELECT's rows and pops
+// before the outer one continues. A row handed out is therefore valid until
+// its callback returns, as a scanLogical row and an engine.RowSink row are;
+// a keeper copies what it keeps. CHAR values stay views of the immutable page
+// images they were decoded from (the val package comment).
 type stmtCache struct {
 	sys    *System
 	sess   *engine.Session
-	stmts  map[string]*cursor
+	stmts  map[string]*engine.Stmt
 	params []val.Value // the parameters of the statement being executed
-	vals   []val.Value // the free tail of the current arena chunk
-	chars  val.Slab
+	// The fetch stack: rows are the rows pushed, each a slice of a chunk;
+	// chunks[chunk][:used] is the top chunk's part in use.
+	rows   [][]val.Value
+	chunks [][]val.Value
+	chunk  int
+	used   int
+	// kept is the free tail of the append-only chunk the rows SELECT SINGLE
+	// returns are copied into (keep).
+	kept []val.Value
 	// decode holds one pool/cluster decode row per nesting depth of
 	// scanLogical; depth is the number in use.
 	decode [][]val.Value
 	depth  int
 }
 
-// arenaChunk is the value count of an arena chunk (10 KiB): a SELECT SINGLE
-// fills a few dozen before one is allocated.
-const arenaChunk = 256
+// fetchChunk is the value count of a fetch-stack or SELECT SINGLE chunk
+// (10 KiB).
+const fetchChunk = 256
+
+// FetchPoison is nil outside the test binary. The tests that hold reports to
+// their answers set it to overwrite every row a fetch-stack pop releases, and
+// the decode row a scanLogical run hands back, so a reader that kept a row
+// past its callback reads a sentinel, not the row.
+var FetchPoison func(row []val.Value)
 
 func newStmtCache(sys *System, sess *engine.Session) *stmtCache {
-	return &stmtCache{sys: sys, sess: sess, stmts: make(map[string]*cursor)}
+	return &stmtCache{sys: sys, sess: sess, stmts: make(map[string]*engine.Stmt)}
 }
 
-// get returns the cursor for the statement text, preparing it on first use.
+// get returns the prepared statement for a text, preparing it on first use.
 // Hits and misses roll up into system-wide counters for the metrics
 // registry.
-func (sc *stmtCache) get(sql string) (*cursor, error) {
-	if c, ok := sc.stmts[sql]; ok {
+func (sc *stmtCache) get(sql string) (*engine.Stmt, error) {
+	if st, ok := sc.stmts[sql]; ok {
 		sc.sys.cursorHits.Add(1)
-		return c, nil
+		return st, nil
 	}
 	return sc.prepare(sql)
 }
 
 // prepare opens a cursor for a statement text not in the cache.
-func (sc *stmtCache) prepare(sql string) (*cursor, error) {
+func (sc *stmtCache) prepare(sql string) (*engine.Stmt, error) {
 	sc.sys.cursorMisses.Add(1)
 	st, err := sc.sess.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	c := &cursor{st: st, sc: sc}
-	sc.stmts[sql] = c
-	return c, nil
+	sc.stmts[sql] = st
+	return st, nil
 }
 
 // decodeRow returns the cleared decode row of the next nesting depth, n
@@ -69,94 +85,116 @@ func (sc *stmtCache) decodeRow(n int) []val.Value {
 		sc.decode = append(sc.decode, nil)
 	}
 	row := sc.decode[sc.depth]
-	if cap(row) < n {
+	if len(row) < n {
 		row = make([]val.Value, n)
 		sc.decode[sc.depth] = row
 	}
 	sc.depth++
 	row = row[:n]
-	clear(row)
+	clear(row) // the columns no packed row holds read NULL
 	return row
 }
 
-func (sc *stmtCache) popDecode() { sc.depth-- }
-
-// keep copies a row whose strings the session already owns into the arena.
-func (sc *stmtCache) keep(row []val.Value) []val.Value {
-	if len(row) > len(sc.vals) {
-		sc.vals = make([]val.Value, max(len(row), arenaChunk))
+// popDecode hands the innermost depth back and clears its row, which would
+// otherwise pin the page images its strings are views of.
+func (sc *stmtCache) popDecode() {
+	sc.depth--
+	clear(sc.decode[sc.depth])
+	if FetchPoison != nil {
+		FetchPoison(sc.decode[sc.depth])
 	}
-	own := sc.vals[:len(row):len(row)]
-	sc.vals = sc.vals[len(row):]
+}
+
+// keep copies a row into the session's append-only chunks, for the one row
+// SELECT SINGLE lets escape: a chunk goes when no kept row points into it.
+func (sc *stmtCache) keep(row []val.Value) []val.Value {
+	if len(row) > len(sc.kept) {
+		sc.kept = make([]val.Value, max(len(row), fetchChunk))
+	}
+	own := sc.kept[:len(row):len(row)]
+	sc.kept = sc.kept[len(row):]
 	copy(own, row)
 	return own
 }
 
-// cursor is one statement of a session's cursor cache: the prepared engine
-// statement, and the rows of the execution being iterated.
-type cursor struct {
-	st   *engine.Stmt
-	sc   *stmtCache
-	rows [][]val.Value
-	busy bool // rows are being handed out
-}
-
 // Header implements engine.RowSink.
-func (c *cursor) Header([]string) error { return nil }
+func (sc *stmtCache) Header([]string) error { return nil }
 
-// Row implements engine.RowSink: the row and its CHAR bytes go into the
-// session's arena.
-func (c *cursor) Row(row []val.Value) error {
-	own := c.sc.keep(row)
-	c.sc.chars.Own(own)
-	c.rows = append(c.rows, own)
+// Row implements engine.RowSink: it pushes the row onto the fetch stack.
+func (sc *stmtCache) Row(row []val.Value) error {
+	if sc.chunk == len(sc.chunks) || sc.used+len(row) > len(sc.chunks[sc.chunk]) {
+		if sc.used > 0 {
+			sc.chunk++
+		}
+		if sc.chunk == len(sc.chunks) {
+			sc.chunks = append(sc.chunks, nil)
+		}
+		if len(sc.chunks[sc.chunk]) < len(row) {
+			sc.chunks[sc.chunk] = make([]val.Value, max(len(row), fetchChunk))
+		}
+		sc.used = 0
+	}
+	own := sc.chunks[sc.chunk][sc.used : sc.used+len(row) : sc.used+len(row)]
+	sc.used += len(row)
+	copy(own, row)
+	sc.rows = append(sc.rows, own)
 	return nil
 }
 
-// each executes the cursor with params — in ph's DB span — and hands fn
-// every row of the result. Every row is fetched before the first is handed
-// out, so a nested SELECT in fn reads its pages after the outer statement has
-// read all of its own, exactly as a materialised result does. The rows are
-// the arena's: fn may keep them. A cursor re-entered from fn runs the
-// re-entering execution on a cursor of its own.
-func (c *cursor) each(ph *Phases, params []val.Value, fn func([]val.Value) error) error {
-	if c.busy {
-		return (&cursor{st: c.st, sc: c.sc}).each(ph, params, fn)
+// fetchMark is a position on the fetch stack.
+type fetchMark struct{ rows, chunk, used int }
+
+// pop releases every row pushed since m. Released values are cleared, so
+// the stack pins no page image; an emptied stack keeps one chunk.
+func (sc *stmtCache) pop(m fetchMark) {
+	for _, row := range sc.rows[m.rows:] {
+		clear(row)
+		if FetchPoison != nil {
+			FetchPoison(row)
+		}
 	}
-	c.busy = true
-	defer c.release()
-	restore := ph.enterDB(c.sc.sess.Meter)
-	_, err := c.st.QueryTo(c, params...)
+	clear(sc.rows[m.rows:])
+	sc.rows = sc.rows[:m.rows]
+	sc.chunk, sc.used = m.chunk, m.used
+	if m.rows == 0 {
+		if len(sc.chunks) > 1 {
+			clear(sc.chunks[1:])
+			sc.chunks = sc.chunks[:1]
+		}
+		if cap(sc.rows) > fetchChunk {
+			sc.rows = nil
+		}
+	}
+}
+
+// each executes st with params — in ph's DB span — and hands fn every row of
+// the result, each valid until fn returns. Every row is fetched before the
+// first is handed out, so a nested SELECT in fn reads its pages after the
+// outer statement has read all of its own, exactly as a materialised result
+// does.
+func (sc *stmtCache) each(ph *Phases, st *engine.Stmt, params []val.Value, fn func([]val.Value) error) error {
+	m := fetchMark{len(sc.rows), sc.chunk, sc.used}
+	defer sc.pop(m)
+	restore := ph.enterDB(sc.sess.Meter)
+	_, err := st.QueryTo(sc, params...)
 	restore()
 	if err != nil {
 		return err
 	}
-	for _, row := range c.rows {
-		if err := fn(row); err != nil {
+	for i := m.rows; i < len(sc.rows); i++ {
+		if err := fn(sc.rows[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// release ends an iteration. The headers are cleared, so that the cursor pins
-// no row its reader let go of, and a header array grown past 64 rows goes:
-// the cache holds hundreds of cursors.
-func (c *cursor) release() {
-	clear(c.rows)
-	c.rows = c.rows[:0]
-	if cap(c.rows) > 64 {
-		c.rows = nil
-	}
-	c.busy = false
-}
-
 // scanLogical streams a logical table's rows, optionally bounded by a
 // prefix of its key, decoding pool/cluster storage as needed. A row is valid
-// only during its callback — pool and cluster rows are decoded into the
-// session's decode row of the scan's nesting depth (stmtCache.decodeRow) —
-// but its strings are the session's: a caller that keeps the row copies the
-// slice (stmtCache.keep), not the bytes.
+// only during its callback: transparent rows are on the fetch stack, pool and
+// cluster rows are decoded into the session's decode row of the scan's
+// nesting depth (stmtCache.decodeRow), their CHAR fields substrings of the
+// VARKEY and VARDATA page views.
 func (sys *System) scanLogical(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
 	switch t.Kind {
 	case Transparent:
@@ -177,12 +215,12 @@ func (sys *System) scanTransparent(sc *stmtCache, t *LogicalTable, keyPrefix []v
 	if len(where) > 0 {
 		sql += " WHERE " + strings.Join(where, " AND ")
 	}
-	c, err := sc.get(sql)
+	st, err := sc.get(sql)
 	if err != nil {
 		return err
 	}
 	sc.params = append(sc.params[:0], keyPrefix...)
-	return c.each(nil, sc.params, fn)
+	return sc.each(nil, st, sc.params, fn)
 }
 
 // poolScanSQL reads the pool's physical tuples of one table in a VARKEY range.
@@ -190,7 +228,7 @@ const poolScanSQL = `SELECT VARKEY, VARDATA FROM ` + poolTableName + ` WHERE TAB
 
 func (sys *System) scanPool(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
 	prefix := t.keyPrefixString(keyPrefix)
-	c, err := sc.get(poolScanSQL)
+	st, err := sc.get(poolScanSQL)
 	if err != nil {
 		return err
 	}
@@ -198,7 +236,7 @@ func (sys *System) scanPool(sc *stmtCache, t *LogicalTable, keyPrefix []val.Valu
 	m := sc.sess.Meter
 	row := sc.decodeRow(len(t.Cols))
 	defer sc.popDecode()
-	return c.each(nil, sc.params, func(phys []val.Value) error {
+	return sc.each(nil, st, sc.params, func(phys []val.Value) error {
 		m.Charge(cost.Decode, 1)
 		if err := t.decodeKeyString(phys[0].AsStr(), row); err != nil {
 			return err
@@ -228,7 +266,7 @@ func (t *LogicalTable) decodeKeyString(vk string, row []val.Value) error {
 func (sys *System) scanCluster(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
 	nPrefix := len(t.ClusterPrefix)
 	n := min(len(keyPrefix), nPrefix) // deeper prefixes filter after decode
-	c, err := sc.get(t.clusterSQL[n])
+	st, err := sc.get(t.clusterSQL[n])
 	if err != nil {
 		return err
 	}
@@ -236,7 +274,7 @@ func (sys *System) scanCluster(sc *stmtCache, t *LogicalTable, keyPrefix []val.V
 	m := sc.sess.Meter
 	row := sc.decodeRow(len(t.Cols))
 	defer sc.popDecode()
-	return c.each(nil, sc.params, func(prow []val.Value) error {
+	return sc.each(nil, st, sc.params, func(prow []val.Value) error {
 		for j, ci := range t.physKey {
 			row[ci] = prow[j]
 		}

@@ -126,7 +126,7 @@ func (b *TableBuffer) insert(key string, row []val.Value, m *cost.Meter) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if e, dup := b.entries[key]; dup {
-		e.Value.(*bufEntry).row = append([]val.Value(nil), row...)
+		e.Value.(*bufEntry).row = ownRow(row)
 		b.lru.MoveToFront(e)
 		return
 	}
@@ -151,8 +151,17 @@ func (b *TableBuffer) insert(key string, row []val.Value, m *cost.Meter) {
 	if b.rowBytes > b.capBytes {
 		return // degenerate budget: nothing fits
 	}
+	b.entries[key] = b.lru.PushFront(&bufEntry{key: key, row: ownRow(row)})
+}
+
+// ownRow copies a row and gives its strings storage of their own, in one
+// allocation: a buffered row outlives the statement that read it, and a view
+// would pin its whole page image.
+func ownRow(row []val.Value) []val.Value {
 	cp := append([]val.Value(nil), row...)
-	b.entries[key] = b.lru.PushFront(&bufEntry{key: key, row: cp})
+	var chars val.Slab
+	chars.Own(cp)
+	return cp
 }
 
 // noteScanBypass records n rows delivered by a full-table (or partial-key)

@@ -1,6 +1,7 @@
 package r3
 
 import (
+	"slices"
 	"testing"
 
 	"r3bench/internal/cost"
@@ -179,7 +180,7 @@ func TestBufferCoherencyClusterTable(t *testing.T) {
 	var first Row
 	found := false
 	err := o.Select("KONV", []Cond{Eq("KNUMV", val.Str(Key16(1)))}, func(r Row) error {
-		first = r
+		first = rowFor(sys.Table("KONV"), slices.Clone(r.Vals())) // r is valid in the callback only
 		found = true
 		return StopSelect
 	})

@@ -3,8 +3,10 @@ package r3
 import (
 	"fmt"
 	"reflect"
+	stdruntime "runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/dbgen"
@@ -90,52 +92,90 @@ func TestCursorReentry(t *testing.T) {
 	}
 }
 
-// TestOpenSQLRowsOwnTheirBytes: the rows an Open SQL SELECT hands out are the
-// session arena's and never written again — kept rows, and strings trimmed
-// out of them, read the same after 1 000 later executions of the same cursor
-// on a 16-page pool, which evicts and re-reads every page image the first
-// execution decoded from.
+// fullKey is the SELECT SINGLE condition list that pins row's primary key.
+func fullKey(lt *LogicalTable, row []val.Value) []Cond {
+	var key []Cond
+	for _, kc := range lt.KeyCols[1:] {
+		key = append(key, Eq(kc, row[lt.ColIndex(kc)]))
+	}
+	return key
+}
+
+// TestOpenSQLRowsOwnTheirBytes: a row an Open SQL SELECT hands out is valid
+// until its callback returns — the session's fetch stack, or its decode row,
+// is written again by the next execution — while what leaves a callback
+// stays as it was: the row SELECT SINGLE returns, which the session copies,
+// and strings cut from a SELECT's rows, which are views of immutable page
+// images. Both read the same after 1 000 later executions, each with a SELECT
+// SINGLE nested in it, on a 16-page pool, which evicts and re-reads every
+// page image the first execution decoded from.
 func TestOpenSQLRowsOwnTheirBytes(t *testing.T) {
 	sys := cursorSys(t, 16*8192)
 	o := sys.OpenSQL(cost.NewMeter(sys.DB.Model()))
 	for _, c := range perDocument {
-		var kept []Row
-		var want [][]val.Value
+		lt := sys.Table(c.table)
+		var handed, want, single, wantSingle [][]val.Value
 		var trimmed, wantTrimmed []string
 		err := o.Select(c.table, c.conds(1), func(r Row) error {
-			kept = append(kept, r)
+			handed = append(handed, r.Vals())
 			want = append(want, deepCopy(r.Vals()))
 			s := strings.TrimSpace(r.Get("VBELN").AsStr() + r.Get("KNUMV").AsStr())
 			trimmed, wantTrimmed = append(trimmed, s), append(wantTrimmed, strings.Clone(s))
 			return nil
 		})
-		if err != nil || len(kept) == 0 {
-			t.Fatalf("%s: %d rows, %v", c.table, len(kept), err)
+		if err != nil || len(want) == 0 {
+			t.Fatalf("%s: %d rows, %v", c.table, len(want), err)
+		}
+		for i, row := range want {
+			r, ok, err := o.SelectSingle(c.table, fullKey(lt, row))
+			if err != nil || !ok || !reflect.DeepEqual(r.Vals(), row) {
+				t.Fatalf("%s: SELECT SINGLE of row %d: %v, %v, %v", c.table, i, r.Vals(), ok, err)
+			}
+			single, wantSingle = append(single, r.Vals()), append(wantSingle, deepCopy(r.Vals()))
 		}
 		for i := 0; i < 1000; i++ {
-			if err := o.Select(c.table, c.conds(int64(2+i%500)), func(Row) error { return nil }); err != nil {
+			err := o.Select(c.table, c.conds(int64(2+i%500)), func(r Row) error {
+				_, _, err := o.SelectSingle(c.table, fullKey(lt, r.Vals()))
+				return err
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i, r := range kept {
-			if !reflect.DeepEqual(r.Vals(), want[i]) || trimmed[i] != wantTrimmed[i] {
-				t.Fatalf("%s: kept row %d reads %v (%q), was %v (%q)", c.table, i, r.Vals(), trimmed[i], want[i], wantTrimmed[i])
+		reused := 0
+		for i := range want {
+			if !reflect.DeepEqual(single[i], wantSingle[i]) || trimmed[i] != wantTrimmed[i] {
+				t.Fatalf("%s: SELECT SINGLE row %d reads %v (string %q), was %v (%q)",
+					c.table, i, single[i], trimmed[i], wantSingle[i], wantTrimmed[i])
 			}
+			if !reflect.DeepEqual(handed[i], want[i]) {
+				reused++
+			}
+		}
+		if reused == 0 {
+			t.Errorf("%s: no row the SELECT handed out was written again: its storage is not reused", c.table)
 		}
 	}
 }
 
 // TestOpenSQLCallAllocationBudget: a nested SELECT costs its rows, not its
 // call. In the steady state — cursor cached, statement planned — a SELECT
-// SINGLE on KNA1 and a KONV probe (document, item and condition type: the
-// discount lookup of the 2.2G reports) allocate nothing: no SQL text,
-// parameter list, condition list or result is built per call, the rows go
-// into the session's arena (17 and 14 allocations while they were), the
-// index probe's B-tree iterator stays on the stack and the cluster rows are
+// SINGLE on KNA1, a KONV probe (document, item and condition type: the
+// discount lookup of the 2.2G reports) and a document's VBAP items allocate
+// nothing per call: no SQL text, parameter list, condition list or result
+// is built per call (17 and 14 allocations while they were), the index
+// probe's B-tree iterator stays on the stack and the cluster rows are
 // decoded into the session's decode row of their nesting depth (1 and 2
 // while the iterator and a decode row per scan were heap-allocated). Budget:
 // half an allocation, so that one per statement execution fails — a closure
 // of the scan path escaping to the heap cost exactly that.
+//
+// In bytes, the rows go onto the session's fetch stack and come off it when
+// the loop ends, so the KONV probe and the VBAP loop allocate 0 B per call
+// (1 045 and 2 281 while every row, and its CHAR bytes, were copied into an
+// append-only arena); SELECT SINGLE copies the one row it returns into the
+// session and allocates about that row's values: 381 B for KNA1's nine,
+// against a budget of 396 (479 B while its CHAR bytes were copied too).
 func TestOpenSQLCallAllocationBudget(t *testing.T) {
 	sys := cursorSys(t, 0)
 	o := sys.OpenSQL(cost.NewMeter(sys.DB.Model()))
@@ -145,20 +185,23 @@ func TestOpenSQLCallAllocationBudget(t *testing.T) {
 		keys[i] = val.Str(Key16(int64(1 + i)))
 	}
 	posnr := val.Str(Posnr(1))
+	// A KNA1 row's values, and a tenth for the chunk tails rows do not fill.
+	kna1Row := 1.1 * float64(len(sys.Table("KNA1").Cols)) * float64(unsafe.Sizeof(val.Value{}))
 	var doc int
 	for _, c := range []struct {
 		what   string
 		budget float64
+		bytes  float64
 		call   func() error
 	}{
-		{"SELECT SINGLE KNA1", 0.5, func() error {
+		{"SELECT SINGLE KNA1", 0.5, kna1Row, func() error {
 			_, ok, err := o.SelectSingle("KNA1", []Cond{Eq("KUNNR", keys[doc%len(keys)])})
 			if err == nil && !ok {
 				err = fmt.Errorf("no customer %v", keys[doc%len(keys)])
 			}
 			return err
 		}},
-		{"KONV probe", 0.5, func() error {
+		{"KONV probe", 0.5, 0, func() error {
 			found := false
 			err := o.Select("KONV", []Cond{
 				Eq("KNUMV", keys[doc%len(keys)]), Eq("KPOSN", posnr), Eq("KSCHL", val.Str("DISC")),
@@ -173,22 +216,41 @@ func TestOpenSQLCallAllocationBudget(t *testing.T) {
 			}
 			return err
 		}},
+		{"VBAP per document", 0.5, 0, func() error {
+			n := 0
+			err := o.Select("VBAP", []Cond{Eq("VBELN", keys[doc%len(keys)])}, func(Row) error {
+				n++
+				return nil
+			})
+			if err == nil && n == 0 {
+				err = fmt.Errorf("no items for document %v", keys[doc%len(keys)])
+			}
+			return err
+		}},
 	} {
 		for doc = 0; doc < len(keys); doc++ { // warm: cursor cached, plan made, pages resident
 			if err := c.call(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		n := testing.AllocsPerRun(1000, func() {
+		call := func() {
 			doc++
 			if err := c.call(); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if !race.Enabled && n > c.budget {
-			t.Errorf("%s allocates %.2f times per call, budget %.1f", c.what, n, c.budget)
+		}
+		n := testing.AllocsPerRun(1000, call)
+		var before, after stdruntime.MemStats
+		stdruntime.ReadMemStats(&before)
+		for i := 0; i < 1000; i++ {
+			call()
+		}
+		stdruntime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / 1000
+		if !race.Enabled && (n > c.budget || bytes > c.bytes) {
+			t.Errorf("%s allocates %.2f times and %.0f B per call, budget %.1f and %.0f B", c.what, n, bytes, c.budget, c.bytes)
 		} else {
-			t.Logf("%s: %.2f allocations per call", c.what, n)
+			t.Logf("%s: %.2f allocations and %.0f B per call", c.what, n, bytes)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"r3bench/internal/cost"
 	"r3bench/internal/dbgen"
+	"r3bench/internal/engine"
 	"r3bench/internal/race"
 	"r3bench/internal/val"
 )
@@ -70,7 +71,7 @@ func refScanPool(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func(
 	if err != nil {
 		return err
 	}
-	res, err := c.st.Query(val.Str(t.Name), val.Str(prefix), val.Str(prefix+"ÿ"))
+	res, err := c.Query(val.Str(t.Name), val.Str(prefix), val.Str(prefix+"ÿ"))
 	if err != nil {
 		return err
 	}
@@ -110,7 +111,7 @@ func refScanCluster(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn fu
 	if err != nil {
 		return err
 	}
-	res, err := c.st.Query(params...)
+	res, err := c.Query(params...)
 	if err != nil {
 		return err
 	}
@@ -318,12 +319,12 @@ func TestClusterRowAllocationBudget(t *testing.T) {
 		})
 		// The fetch's share: the same cursor and parameters, the physical
 		// rows handed to nobody.
-		var c *cursor
-		for _, c = range sc.stmts {
+		var st *engine.Stmt
+		for _, st = range sc.stmts {
 		}
 		params := slices.Clone(sc.params)
 		fetch := testing.AllocsPerRun(5, func() {
-			if err := c.each(nil, params, func([]val.Value) error { return nil }); err != nil {
+			if err := sc.each(nil, st, params, func([]val.Value) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 		})

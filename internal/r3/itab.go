@@ -30,6 +30,9 @@ type ITab struct {
 	// holds as many rows as the table already has, at least four, at most
 	// itabChunkMax values. Sort permutes rows, never the values under them.
 	free []val.Value
+	// chars holds the rows' CHAR bytes: an internal table is a copy, and
+	// keeps no page image alive.
+	chars val.Slab
 	// singlePass selects streaming hash grouping for GroupBy instead of
 	// the two-phase sort-materialize-rescan strategy, fixed when the
 	// table is declared; see System.NewITab.
@@ -70,6 +73,7 @@ func (t *ITab) Append(vals ...val.Value) {
 	row := t.free[:len(vals):len(vals)]
 	t.free = t.free[len(vals):]
 	copy(row, vals)
+	t.chars.Own(row)
 	t.rows = append(t.rows, row)
 }
 

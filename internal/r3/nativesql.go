@@ -59,11 +59,7 @@ func (n *NativeSQL) Prepare(sql string) (*engine.Stmt, error) {
 		return nil, err
 	}
 	defer n.ph.enterDB(n.sess.Meter)()
-	c, err := n.sc.get(sql)
-	if err != nil {
-		return nil, err
-	}
-	return c.st, nil
+	return n.sc.get(sql)
 }
 
 // checkEncapsulation parses through the DB's fingerprint cache: the

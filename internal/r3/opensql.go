@@ -177,6 +177,11 @@ func rowFor(t *LogicalTable, vals []val.Value) Row {
 // tables push the (parameterized) conditions to the RDBMS; pool and
 // cluster tables are read through the dictionary with key-prefix access
 // only, all other conditions filtering in the application server.
+//
+// A row is valid until fn returns: the session reuses its storage for the
+// next execution. A caller that keeps the row copies its values, and one
+// that keeps its strings past the report gives them storage of their own —
+// they are views of page images.
 func (o *OpenSQL) Select(table string, conds []Cond, fn func(Row) error) error {
 	t := o.sys.Table(table)
 	if t == nil {
@@ -206,11 +211,11 @@ func (o *OpenSQL) Select(table string, conds []Cond, fn func(Row) error) error {
 		}
 	}
 	o.sc.params = params
-	cur, err := o.cursor(o.sql)
+	st, err := o.cursor(o.sql)
 	if err != nil {
 		return err
 	}
-	return cur.each(o.ph, params, func(vals []val.Value) error { return fn(rowFor(t, vals)) })
+	return o.sc.each(o.ph, st, params, func(vals []val.Value) error { return fn(rowFor(t, vals)) })
 }
 
 // keyEq returns the index of the first equality on col among conds, or -1.
@@ -239,10 +244,10 @@ func condsPinFullKey(t *LogicalTable, conds []Cond) bool {
 // cursor returns the session's cursor for a translated statement, charging
 // one ABAP→SQL translation per new statement text. Only a miss makes a
 // string of text.
-func (o *OpenSQL) cursor(text []byte) (*cursor, error) {
-	if c, ok := o.sc.stmts[string(text)]; ok {
+func (o *OpenSQL) cursor(text []byte) (*engine.Stmt, error) {
+	if st, ok := o.sc.stmts[string(text)]; ok {
 		o.sys.cursorHits.Add(1)
-		return c, nil
+		return st, nil
 	}
 	restore := o.ph.enterTranslate(o.sess.Meter)
 	o.sess.Meter.Charge(cost.Translate, 1)
@@ -287,14 +292,14 @@ func (o *OpenSQL) selectEncapsulated(t *LogicalTable, conds []Cond, fn func(Row)
 				return nil
 			}
 		}
-		return fn(rowFor(t, o.sc.keep(vals)))
+		return fn(rowFor(t, vals))
 	})
 }
 
 // SelectSingle is the ABAP `SELECT SINGLE`: the conditions must pin the
-// full primary key; at most one row comes back. Buffered tables are
-// served from the application-server table buffer on a hit, with no RDBMS
-// interaction at all (paper Section 4.3).
+// full primary key; at most one row comes back, and it stays valid.
+// Buffered tables are served from the application-server table buffer on a
+// hit, with no RDBMS interaction at all (paper Section 4.3).
 func (o *OpenSQL) SelectSingle(table string, conds []Cond) (Row, bool, error) {
 	t := o.sys.Table(table)
 	if t == nil {
@@ -324,11 +329,13 @@ func (o *OpenSQL) SelectSingle(table string, conds []Cond) (Row, bool, error) {
 	return o.selectSingleDB(t, conds)
 }
 
+// selectSingleDB reads the row from the database and copies its values
+// into the session's kept chunks.
 func (o *OpenSQL) selectSingleDB(t *LogicalTable, conds []Cond) (Row, bool, error) {
 	var out Row
 	found := false
 	err := o.Select(t.Name, conds, func(r Row) error {
-		out = r
+		out = rowFor(t, o.sc.keep(r.vals))
 		found = true
 		return errStopSelect
 	})

@@ -69,8 +69,9 @@ type JoinQuery struct {
 }
 
 // SelectJoin translates the join query to (parameterized) SQL and pushes
-// it down to the RDBMS, streaming result rows to fn. Output fields are
-// named by column name (or AggRef.As for aggregates).
+// it down to the RDBMS, streaming result rows to fn, each valid until fn
+// returns (see Select). Output fields are named by column name (or
+// AggRef.As for aggregates).
 func (o *OpenSQL) SelectJoin(q JoinQuery, fn func(Row) error) error {
 	if o.sys.Version() != Release30 {
 		return fmt.Errorf("r3: Open SQL joins require Release 3.0 (installed: %s)", o.sys.Version())
@@ -183,7 +184,7 @@ func (o *OpenSQL) SelectJoin(q JoinQuery, fn func(Row) error) error {
 		text += fmt.Sprintf(" LIMIT %d", q.Limit)
 	}
 
-	cur, err := o.cursor([]byte(text))
+	st, err := o.cursor([]byte(text))
 	if err != nil {
 		return err
 	}
@@ -191,7 +192,7 @@ func (o *OpenSQL) SelectJoin(q JoinQuery, fn func(Row) error) error {
 	for i, n := range outNames {
 		cols[n] = i
 	}
-	err = cur.each(o.ph, params, func(vals []val.Value) error { return fn(Row{cols: cols, vals: vals}) })
+	err = o.sc.each(o.ph, st, params, func(vals []val.Value) error { return fn(Row{cols: cols, vals: vals}) })
 	if err == errStopSelect {
 		return nil
 	}

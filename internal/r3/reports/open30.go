@@ -1,6 +1,8 @@
 package reports
 
 import (
+	"slices"
+
 	"r3bench/internal/r3"
 	"r3bench/internal/val"
 )
@@ -109,7 +111,7 @@ func (s *SAPImpl) open30Fetches() (q fetchTable) {
 				val.Compare(m[1], r.Get("NETPR")) != 0 {
 				return nil
 			}
-			out = append(out, r.Vals()[:8])
+			out = append(out, slices.Clone(r.Vals()[:8]))
 			return nil
 		})
 		return out, err

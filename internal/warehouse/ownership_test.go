@@ -3,6 +3,7 @@ package warehouse
 import (
 	"fmt"
 	stdruntime "runtime"
+	"strings"
 	"testing"
 
 	"r3bench/internal/cost"
@@ -45,9 +46,15 @@ func TestKeptRowsOwnTheirBytes(t *testing.T) {
 		want string
 	}
 	var items []*item
+	// An Open SQL row is valid in its callback, its CHARs views of the page
+	// image: the keys the fixture keeps are copies, as any keeper's are.
+	owned := func(v val.Value) val.Value {
+		v.S = strings.Clone(v.S)
+		return v
+	}
 	err = o.Select("VBAP", nil, func(r r3.Row) error {
 		items = append(items, &item{
-			key:  []r3.Cond{r3.Eq("VBELN", r.Get("VBELN")), r3.Eq("POSNR", r.Get("POSNR"))},
+			key:  []r3.Cond{r3.Eq("VBELN", owned(r.Get("VBELN"))), r3.Eq("POSNR", owned(r.Get("POSNR")))},
 			kept: r.Get("KWMENG").AsFloat() >= 26,
 		})
 		return nil

@@ -21,7 +21,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-regex="${1:-BenchmarkPower22_RDBMS$|BenchmarkPowerParallel|BenchmarkParallelQ|BenchmarkJoinQ|BenchmarkOrderQ|BenchmarkAggQ|BenchmarkTable7_|BenchmarkParse}"
+regex="${1:-BenchmarkPower22_RDBMS$|BenchmarkPower22_OpenSQL$|BenchmarkPower22_NativeSQL$|BenchmarkPowerParallel|BenchmarkParallelQ|BenchmarkJoinQ|BenchmarkOrderQ|BenchmarkAggQ|BenchmarkTable7_|BenchmarkParse}"
 out="${BENCH_OUT:-BENCH_$(date +%F).json}"
 
 raw=$(go test -run xxx -bench "$regex" -benchtime 1x -benchmem . 2>&1) || {
