@@ -22,6 +22,10 @@ func GrowEveryBatch(on bool) {
 	}
 }
 
+// PlanEveryTime, while on, plans every SELECT afresh, as if no cached plan
+// were ever current.
+func PlanEveryTime(on bool) { planEveryTime = on }
+
 // WatchCapacities calls fn, until stop is called, with the rule batchCap
 // takes the capacity of every block planned from: "stops early",
 // "unobserved", "unobserved hash join" or "growing".
