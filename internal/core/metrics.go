@@ -73,6 +73,8 @@ func addEngineMetrics(reg *metrics.Registry, prefix string, db *engine.DB) {
 	reg.SetInt(prefix+".parser.cache_misses", st.ParseMisses)
 	reg.SetInt(prefix+".optimizer.peeks", st.Peeks)
 	reg.SetInt(prefix+".optimizer.replans", st.Replans)
+	reg.SetInt(prefix+".optimizer.plan_cache_hits", st.PlanHits)
+	reg.SetInt(prefix+".optimizer.plan_cache_misses", st.PlanMisses)
 	reg.SetInt(prefix+".optimizer.hist_estimates", st.HistEstimates)
 	reg.SetInt(prefix+".optimizer.default_estimates", st.DefaultEstimates)
 	pool := db.Pool()

@@ -101,10 +101,10 @@ type keyScratch [128]byte
 // any number of names against a consistent snapshot; DDL clones the maps
 // (and the affected Table) and publishes a new version, so a reader's
 // pinned catalog — and every *Table it hands out — never changes under
-// it. The version number advances with db.planEpoch, whose bump
-// invalidates fingerprint-cached plans built against older versions.
+// it. Each publication numbers its version one past the last, so a
+// prepared Stmt knows when to check the names its plan resolved.
 type catalog struct {
-	version int64 // planEpoch value at publication (observability)
+	version int64
 	tables  map[string]*Table
 	views   map[string]*sqlparse.SelectStmt
 }
@@ -159,10 +159,13 @@ type DB struct {
 	opt optCounters
 
 	// pcache is the statement-fingerprint cache (see parsecache.go);
-	// planEpoch versions its cached plans — every write, DDL, ANALYZE
-	// and change of Options.Parallel moves it forward.
-	pcache    parseCache
-	planEpoch atomic.Int64
+	// planEpoch retires all its cached plans at once — ANALYZE, a change
+	// of Options.Parallel and SetRewriteHook move it forward — and
+	// planHits/planMisses count what planFor served and planned.
+	pcache     parseCache
+	planEpoch  atomic.Int64
+	planHits   atomic.Int64
+	planMisses atomic.Int64
 
 	// writeHook observes every committed row mutation (guarded by mu).
 	writeHook WriteHook
@@ -209,11 +212,9 @@ func (db *DB) SetWriteHook(h WriteHook) {
 	db.mu.Unlock()
 }
 
-// noteWrite invokes the write hook, if any, and retires cached plans:
-// row counts feed the optimizer's estimates, so any mutation makes a
-// cached plan potentially stale.
+// noteWrite invokes the write hook, if any. A cached plan needs no word
+// of the write: it goes stale when a table it read changes size.
 func (db *DB) noteWrite(table string, oldRow, newRow []val.Value) {
-	db.bumpPlanEpoch()
 	db.mu.RLock()
 	h := db.writeHook
 	db.mu.RUnlock()
@@ -260,6 +261,8 @@ type EngineStats struct {
 	ParseStatements  int64 // statement texts through the front end
 	ParseHits        int64 // statements served from the fingerprint cache
 	ParseMisses      int64 // statements that ran the lexer/parser
+	PlanHits         int64 // ad hoc SELECTs served a fingerprint-cached plan
+	PlanMisses       int64 // ad hoc SELECTs planned afresh
 	HistEstimates    int64 // selectivity estimates served from gathered statistics
 	DefaultEstimates int64 // selectivity estimates that fell back to blind defaults
 	InterfaceCalls   int64 // client/server interface round trips
@@ -280,6 +283,8 @@ func (db *DB) Stats() EngineStats {
 		ParseStatements:  db.parseStatements.Load(),
 		ParseHits:        db.parseHits.Load(),
 		ParseMisses:      db.parseMisses.Load(),
+		PlanHits:         db.planHits.Load(),
+		PlanMisses:       db.planMisses.Load(),
 		HistEstimates:    db.opt.histEst.Load(),
 		DefaultEstimates: db.opt.defEst.Load(),
 		InterfaceCalls:   db.ifaceCalls.Load(),
@@ -351,11 +356,9 @@ func Open(cfg Config) *DB {
 // matter what DDL publishes concurrently.
 func (db *DB) snap() *catalog { return db.cat.Load() }
 
-// publish installs a new catalog version and retires cached plans built
-// against older versions. Caller holds db.mu.
+// publish installs a new catalog version. Caller holds db.mu.
 func (db *DB) publish(c *catalog) {
-	db.bumpPlanEpoch()
-	c.version = db.planEpoch.Load()
+	c.version = db.snap().version + 1
 	db.cat.Store(c)
 }
 

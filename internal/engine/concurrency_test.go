@@ -5,16 +5,16 @@ import (
 	"sync"
 	"testing"
 
+	"r3bench/internal/sqlparse"
 	"r3bench/internal/val"
 )
 
 // TestParseCacheEpochRace is the dedicated -race exercise for the parse
 // cache's atomic (plan, epoch) publication: reader sessions hammer the
 // same statement text (hitting the fingerprint cache and racing the
-// cached-plan load) while writer sessions insert rows, each bumping the
-// plan epoch. Every reader must see correct, current results — a plan
-// served as epoch-fresh must have been built against a schema at least
-// as new as the epoch it claims.
+// cached-plan load) while writer sessions insert rows, each changing the
+// row count the readers' plan was costed with. Every reader must see
+// correct, current results.
 func TestParseCacheEpochRace(t *testing.T) {
 	db := Open(Config{})
 	setup := db.NewSession()
@@ -65,8 +65,8 @@ func TestParseCacheEpochRace(t *testing.T) {
 	}
 
 	// Quiesced: the next lookup of the hot statement must reflect every
-	// committed write (a wrong-fresh plan cached under a stale epoch
-	// would carry stale row estimates, and a broken entry would miscount).
+	// committed write (a wrongly fresh plan would carry stale row
+	// estimates, and a broken entry would miscount).
 	s := db.NewSession()
 	res := mustExec(t, s, `SELECT COUNT(*) FROM t WHERE b >= 0`)
 	want := int64(64 + writers*iters)
@@ -82,15 +82,114 @@ func TestEntryPlanAtomicSwap(t *testing.T) {
 	e := &parseEntry{}
 	p := &selectPlan{}
 	e.storePlan(p, 7)
-	if e.cachedPlan(7) != p {
+	if e.cachedPlan(7, nil) != p {
 		t.Fatal("plan not served under its own epoch")
 	}
-	if e.cachedPlan(8) != nil {
+	if e.cachedPlan(8, nil) != nil {
 		t.Fatal("stale plan served under a newer epoch")
 	}
 	e.invalidatePlan()
-	if e.cachedPlan(7) != nil {
+	if e.cachedPlan(7, nil) != nil {
 		t.Fatal("invalidated plan still served")
+	}
+}
+
+// TestCachedPlansUnderConcurrentWrites: two sessions run ad hoc SELECTs
+// over t, at degree 2, while a third inserts into t past page boundaries
+// (and past the width at which a scan of t splits over two workers) and
+// creates and drops a view none of them reads. Each reader's counts never
+// go back; once the writer is done, every statement counts every row and
+// is served the plan that planning it afresh gives.
+func TestCachedPlansUnderConcurrentWrites(t *testing.T) {
+	db := Open(Config{Parallel: 2})
+	setup := db.NewSession()
+	mustExec(t, setup, `CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER, pad CHAR(200))`)
+	mustExec(t, setup, `CREATE TABLE u (b INTEGER PRIMARY KEY, name CHAR(10))`)
+	for i := 0; i < 8; i++ {
+		mustExec(t, setup, `INSERT INTO u VALUES (?, 'u')`, val.Int(int64(i)))
+	}
+	queries := []string{
+		`SELECT COUNT(*) FROM t`,
+		`SELECT COUNT(*) FROM t, u WHERE t.b = u.b`,
+		`SELECT COUNT(*) FROM u, t WHERE u.b = t.b AND t.a >= 0`,
+	}
+	const rows = 700 // 19 pages of t
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, 3)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := db.NewSession()
+			last := make([]int64, len(queries))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for i, q := range queries {
+					res, err := s.Exec(q)
+					if err != nil {
+						errs <- err
+						return
+					}
+					n := res.Rows[0][0].AsInt()
+					if n < last[i] {
+						errs <- fmt.Errorf("%s: %d rows after %d", q, n, last[i])
+						return
+					}
+					last[i] = n
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		s := db.NewSession()
+		exec := func(sql string, args ...val.Value) bool {
+			if _, err := s.Exec(sql, args...); err != nil {
+				errs <- err
+				return false
+			}
+			return true
+		}
+		for i := 0; i < rows; i++ {
+			if !exec(`INSERT INTO t VALUES (?, ?, 'pad')`, val.Int(int64(i)), val.Int(int64(i%8))) ||
+				i%50 == 25 && !exec(`CREATE VIEW v AS SELECT name FROM u`) ||
+				i%50 == 49 && !exec(`DROP VIEW v`) {
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	for _, q := range queries {
+		if n := mustExec(t, s, q).Rows[0][0].AsInt(); n != rows {
+			t.Errorf("%s after the writer: %d rows, want %d", q, n, rows)
+		}
+		got, err := s.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast, _ := db.Parse(q)
+		fresh, err := db.planSelect(ast.(*sqlparse.SelectStmt), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fresh.explainString(); got != want {
+			t.Errorf("%s after the writer is served\n%s planning it afresh gives\n%s", q, got, want)
+		}
+	}
+	if db.Stats().PlanHits == 0 {
+		t.Error("no SELECT was served a cached plan")
 	}
 }
 

@@ -107,9 +107,8 @@ func (l *DirectLoader) Close() error {
 	if w != nil {
 		w.Commit(l.tx, l.m)
 	}
-	// One notification for the whole load: plans cached against the
-	// empty table are retired and write observers (the R/3 table-buffer
-	// invalidator) see the table change.
+	// One notification for the whole load: write observers (the R/3
+	// table-buffer invalidator) see the table change.
 	l.db.noteWrite(l.t.Name, nil, nil)
 	return nil
 }

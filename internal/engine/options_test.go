@@ -41,7 +41,7 @@ func TestOptionsParallelRetiresCachedPlans(t *testing.T) {
 	const q = `SELECT grp, COUNT(*) FROM tt GROUP BY grp ORDER BY grp`
 	serial := encodeRows(mustExec(t, s, q).Rows)
 	entry := db.pcache.lookup(fingerprint(q), q)
-	if entry == nil || entry.cachedPlan(db.planEpoch.Load()) == nil {
+	if entry == nil || currentPlan(db, entry) == nil {
 		t.Fatal("no plan cached for the statement at the current epoch")
 	}
 	prepared, err := s.Prepare(q)
@@ -50,12 +50,12 @@ func TestOptionsParallelRetiresCachedPlans(t *testing.T) {
 	}
 
 	db.SetOptions(Options{ArrayFetch: true})
-	if entry.cachedPlan(db.planEpoch.Load()) == nil {
+	if currentPlan(db, entry) == nil {
 		t.Error("switching array fetch retired a cached plan it cannot affect")
 	}
 
 	db.SetOptions(Options{Parallel: 8})
-	if entry.cachedPlan(db.planEpoch.Load()) != nil {
+	if currentPlan(db, entry) != nil {
 		t.Fatal("a cached serial plan survived the change of degree")
 	}
 	runs := db.Stats().ParallelRuns

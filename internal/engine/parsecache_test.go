@@ -106,57 +106,74 @@ func TestParseCacheMeterEquality(t *testing.T) {
 	}
 }
 
-// TestParseCachePlanInvalidation verifies the epoch machinery: a cached
-// plan must not survive DDL or ANALYZE, which can change what the
-// optimizer would choose.
+// currentPlan is the plan planFor would serve from entry now.
+func currentPlan(db *DB, entry *parseEntry) *selectPlan {
+	return entry.cachedPlan(db.planEpoch.Load(), db.snap())
+}
+
+// TestParseCachePlanInvalidation: a cached plan must not survive DDL on a
+// table it reads, or ANALYZE, which can change what the optimizer would
+// choose.
 func TestParseCachePlanInvalidation(t *testing.T) {
 	db, s := testDB(t)
 	const q = `SELECT e_salary FROM emp WHERE e_salary > 1990`
-	mustExec(t, s, q) // plan now cached under the current epoch
+	mustExec(t, s, q) // plan now cached
 	entry := db.pcache.lookup(fingerprint(q), q)
 	if entry == nil {
 		t.Fatal("statement not in the fingerprint cache")
 	}
-	epoch := db.planEpoch.Load()
-	if entry.cachedPlan(epoch) == nil {
-		t.Fatal("no plan cached at the current epoch")
+	if currentPlan(db, entry) == nil {
+		t.Fatal("no plan cached")
 	}
 	mustExec(t, s, `CREATE INDEX emp_sal ON emp (e_salary)`)
-	if entry.cachedPlan(db.planEpoch.Load()) != nil {
+	if currentPlan(db, entry) != nil {
 		t.Fatal("cached plan survived CREATE INDEX")
 	}
 	mustExec(t, s, q) // replans and re-caches
 	if err := db.Analyze("emp"); err != nil {
 		t.Fatal(err)
 	}
-	if entry.cachedPlan(db.planEpoch.Load()) != nil {
+	if currentPlan(db, entry) != nil {
 		t.Fatal("cached plan survived ANALYZE")
 	}
 	mustExec(t, s, q)
-	if entry.cachedPlan(db.planEpoch.Load()) == nil {
+	if currentPlan(db, entry) == nil {
 		t.Fatal("re-execution did not re-cache the plan")
 	}
 }
 
-// TestParseCacheWriteInvalidation: pre-ANALYZE plans read live heap
-// counts, so a cached plan must be retired by row writes.
+// TestParseCacheWriteInvalidation: before ANALYZE a table's row estimate
+// is its live row count, so a write to t retires the cached plans that
+// read t, and leaves a plan over u served.
 func TestParseCacheWriteInvalidation(t *testing.T) {
 	db := Open(Config{})
 	s := db.NewSession()
 	mustExec(t, s, `CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)`)
-	const q = `SELECT COUNT(*) FROM t`
-	res := mustExec(t, s, q)
-	if res.Rows[0][0].AsInt() != 0 {
-		t.Fatalf("want 0, got %v", res.Rows[0][0])
+	mustExec(t, s, `CREATE TABLE u (a INTEGER PRIMARY KEY, b INTEGER)`)
+	const qt, qu = `SELECT COUNT(*) FROM t`, `SELECT COUNT(*) FROM u`
+	if n := mustExec(t, s, qt).Rows[0][0].AsInt(); n != 0 {
+		t.Fatalf("want 0, got %d", n)
 	}
-	epoch := db.planEpoch.Load()
+	mustExec(t, s, qu)
+	et, eu := db.pcache.lookup(fingerprint(qt), qt), db.pcache.lookup(fingerprint(qu), qu)
+	if currentPlan(db, et) == nil || currentPlan(db, eu) == nil {
+		t.Fatal("plans not cached")
+	}
 	mustExec(t, s, `INSERT INTO t VALUES (1, 10)`)
-	if db.planEpoch.Load() <= epoch {
-		t.Fatal("insert did not bump the plan epoch")
+	if currentPlan(db, et) != nil {
+		t.Fatal("a plan over t survived an insert into t")
 	}
-	res = mustExec(t, s, q)
-	if res.Rows[0][0].AsInt() != 1 {
-		t.Fatalf("want 1 after insert, got %v", res.Rows[0][0])
+	if currentPlan(db, eu) == nil {
+		t.Fatal("an insert into t retired the plan over u")
+	}
+	before := db.Stats()
+	if n := mustExec(t, s, qt).Rows[0][0].AsInt(); n != 1 {
+		t.Fatalf("want 1 after insert, got %d", n)
+	}
+	mustExec(t, s, qu)
+	if st := db.Stats(); st.PlanHits != before.PlanHits+1 || st.PlanMisses != before.PlanMisses+1 {
+		t.Fatalf("plan hits %d -> %d, misses %d -> %d; want one of each (u served, t planned)",
+			before.PlanHits, st.PlanHits, before.PlanMisses, st.PlanMisses)
 	}
 }
 
@@ -198,25 +215,25 @@ func TestParseCacheErrorsUncached(t *testing.T) {
 
 func TestParseEntryPlanLifecycle(t *testing.T) {
 	e := &parseEntry{sql: "x"}
-	if e.cachedPlan(0) != nil {
+	if e.cachedPlan(0, nil) != nil {
 		t.Fatal("empty entry returned a plan")
 	}
 	p := &selectPlan{}
 	e.storePlan(p, 3)
-	if e.cachedPlan(3) != p {
+	if e.cachedPlan(3, nil) != p {
 		t.Fatal("stored plan not served at its epoch")
 	}
-	if e.cachedPlan(4) != nil {
+	if e.cachedPlan(4, nil) != nil {
 		t.Fatal("stale plan served past its epoch")
 	}
 	e.storePlan(p, 4)
 	e.invalidatePlan()
-	if e.cachedPlan(4) != nil {
+	if e.cachedPlan(4, nil) != nil {
 		t.Fatal("invalidated plan still served")
 	}
 	// nil receiver safety (uncached statements).
 	var nilE *parseEntry
-	if nilE.cachedPlan(0) != nil {
+	if nilE.cachedPlan(0, nil) != nil {
 		t.Fatal("nil entry returned a plan")
 	}
 	nilE.storePlan(p, 0)

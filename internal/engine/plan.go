@@ -56,11 +56,14 @@ type selectPlan struct {
 	deps       planDeps
 }
 
-// planDep is one catalog name as a plan resolved it: a table or a view.
+// planDep is one catalog name as a plan resolved it: a table or a view,
+// and for a table the page count and row estimate the planner read.
 type planDep struct {
 	name  string
 	table *Table
 	view  *sqlparse.SelectStmt
+	pages int
+	rows  int64
 }
 
 // planDeps are the names a SELECT or DML plan resolved.
@@ -72,6 +75,17 @@ type planDeps []planDep
 func (ds planDeps) current(cat *catalog) bool {
 	for _, d := range ds {
 		if cat.tables[d.name] != d.table || cat.views[d.name] != d.view {
+			return false
+		}
+	}
+	return true
+}
+
+// sized reports whether every table the plan read still has the page count
+// and row estimate it was planned with.
+func (ds planDeps) sized() bool {
+	for _, d := range ds {
+		if d.table != nil && (d.table.Heap.Pages() != d.pages || d.table.RowEstimate() != d.rows) {
 			return false
 		}
 	}
@@ -123,7 +137,8 @@ type relInfo struct {
 
 	pushed []conjunct // single-relation conjuncts, applied at the scan
 	access accessPath // chosen access path
-	// estimates
+	// estimates: pages and baseRows as buildRelInfo read them (planDep)
+	pages    int
 	baseRows float64
 	estRows  float64 // after pushed conjuncts
 	rowBytes float64
@@ -548,13 +563,11 @@ func (p *selectPlan) planParallel(n int) {
 	}
 	maxPages := 0
 	if lead, ok := p.steps[0].(*scanStep); ok && lead.rel.table != nil && lead.access.index == nil {
-		maxPages = lead.rel.table.Heap.Pages()
+		maxPages = lead.rel.pages
 	}
 	for _, st := range p.steps[1:] {
 		if hs, ok := st.(*hashStep); ok && hs.rel.table != nil && hs.access.index == nil {
-			if pg := hs.rel.table.Heap.Pages(); pg > maxPages {
-				maxPages = pg
-			}
+			maxPages = max(maxPages, hs.rel.pages)
 		}
 	}
 	if k := maxPages / minPagesPerWorker; k < n {
@@ -623,19 +636,23 @@ func (db *DB) buildRelInfo(bt *sqlparse.BaseTable, outerScope *scope, opts *plan
 	if cat == nil {
 		cat = db.snap()
 	}
-	if opts != nil {
-		opts.deps = append(opts.deps, planDep{name: name, table: cat.tables[name], view: cat.views[name]})
+	// A table's size is read once, here: the plan is costed with what its
+	// dep records, so a racing write leaves the plan stale, never wrongly
+	// fresh.
+	d := planDep{name: name, table: cat.tables[name], view: cat.views[name]}
+	if t := d.table; t != nil {
+		d.pages, d.rows = t.Heap.Pages(), t.RowEstimate()
 	}
-	if t := cat.table(name); t != nil {
-		ri := &relInfo{alias: alias, table: t}
-		ri.baseRows = float64(t.RowEstimate())
-		if ri.baseRows < 1 {
-			ri.baseRows = 1
-		}
+	if opts != nil {
+		opts.deps = append(opts.deps, d)
+	}
+	if t := d.table; t != nil {
+		ri := &relInfo{alias: alias, table: t, pages: d.pages}
+		ri.baseRows = max(1, float64(d.rows))
 		ri.rowBytes = float64(t.Heap.Codec().RowBytes())
 		return ri, nil
 	}
-	if vq := cat.view(name); vq != nil {
+	if vq := d.view; vq != nil {
 		sub, err := db.planSelect(vq, outerScope, opts)
 		if err != nil {
 			return nil, fmt.Errorf("engine: expanding view %s: %w", name, err)

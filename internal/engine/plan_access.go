@@ -42,10 +42,9 @@ func (db *DB) chooseAccessPath(pc planConsts, ri *relInfo, relIdx int) {
 		return
 	}
 
-	pages := float64(ri.table.Heap.Pages())
 	best := accessPath{
 		describe: "seq scan",
-		estCost:  pages*pc.seq + ri.baseRows*pc.cpu,
+		estCost:  float64(ri.pages)*pc.seq + ri.baseRows*pc.cpu,
 		estRows:  ri.estRows,
 	}
 	for _, cj := range ri.pushed {

@@ -141,8 +141,6 @@ func (b *BulkWriter) Close() error {
 		}
 	}
 	b.sealExtent()
-	b.h.mu.Lock()
-	b.h.rows += b.rows
-	b.h.mu.Unlock()
+	b.h.rows.Add(b.rows)
 	return nil
 }

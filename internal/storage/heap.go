@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/val"
@@ -30,7 +31,7 @@ type HeapFile struct {
 	codec   *val.RowCodec
 	perPage int
 	bmBytes int
-	rows    int64
+	rows    atomic.Int64 // read without mu: a cached plan checks it on every use
 }
 
 // NewHeapFile creates an empty heap file for rows of the given codec.
@@ -73,11 +74,7 @@ func (h *HeapFile) SetWAL(w *WAL) {
 }
 
 // Rows returns the number of live rows.
-func (h *HeapFile) Rows() int64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.rows
-}
+func (h *HeapFile) Rows() int64 { return h.rows.Load() }
 
 // Pages returns the number of allocated pages.
 func (h *HeapFile) Pages() int { return h.disk.NumPages(h.file) }
@@ -165,7 +162,7 @@ func (h *HeapFile) InsertTx(tx int64, row []val.Value, m *cost.Meter) (RID, erro
 	if err != nil {
 		return RID{}, err
 	}
-	h.rows++
+	h.rows.Add(1)
 	if m != nil {
 		m.Charge(cost.TupleCPU, 1)
 	}
@@ -231,7 +228,7 @@ func (h *HeapFile) DeleteTx(tx int64, rid RID, m *cost.Meter) error {
 	if err != nil {
 		return err
 	}
-	h.rows--
+	h.rows.Add(-1)
 	if m != nil {
 		m.Charge(cost.TupleCPU, 1)
 	}
@@ -456,7 +453,5 @@ func (h *HeapFile) recount() {
 			}
 		}
 	}
-	h.mu.Lock()
-	h.rows = rows
-	h.mu.Unlock()
+	h.rows.Store(rows)
 }
