@@ -57,12 +57,14 @@ race:
 # baselines it shares with the disk; and the fingerprint cache's plans,
 # served to two sessions while a third grows the table they read and
 # creates and drops a view, each read checked against the sizes it was
-# costed with.
+# costed with; and a correlated sub-block's hash tables, rebuilt for every
+# outer row in the storage of the last build and poisoned whenever they are
+# emptied or let go of.
 race-views:
 	$(GO) test -race -count=3 -run 'TestKeyViewsSurviveWrites' ./internal/btree
 	$(GO) test -race -count=3 -run 'TestColSetViewsMatchCopy|TestSlabOwns' ./internal/val
 	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite|TestStableImagesAreSnapshots' ./internal/storage
-	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors|TestUnobservedCapacityChargesAlike|TestUnobservedAllocationsFlat|TestPackedRowsRoundTrip|TestRecoveryTortureEveryBoundary|TestCachedPlansUnderConcurrentWrites' ./internal/engine
+	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors|TestUnobservedCapacityChargesAlike|TestUnobservedAllocationsFlat|TestPackedRowsRoundTrip|TestRecoveryTortureEveryBoundary|TestCachedPlansUnderConcurrentWrites|TestCorrelatedTablesPoisoned' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestRoundTripAllocationBudget' ./internal/server
 	$(GO) test -race -count=3 -run 'TestClusterDecodeMatchesReference|TestOpenSQLRowsOwnTheirBytes' ./internal/r3
 	$(GO) test -race -count=3 -run 'TestKeptRowsOwnTheirBytes' ./internal/warehouse

@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -209,6 +210,41 @@ func TestErrorEndsArrayStream(t *testing.T) {
 	}
 	if res, err := c.Query(`SELECT COUNT(*) FROM t`); err != nil || res.Rows[0][0].AsInt() != 400 {
 		t.Fatalf("the connection after the failure: %v, %v", res, err)
+	}
+}
+
+// TestNonFiniteSumOverTheWire: a SUM over +Inf and −Inf answers NaN, one
+// over an infinity answers it, and the server answers the next statement —
+// such a sum used to panic inside math/big and take the server down.
+func TestNonFiniteSumOverTheWire(t *testing.T) {
+	_, c := serve(t)
+	load(t, c, 30)
+	huge := "1" + strings.Repeat("0", 300) + ".0"
+	if _, err := c.Exec(`UPDATE t SET f = ` + huge + ` * ` + huge + ` WHERE a = 3`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(`UPDATE t SET f = 0 - ` + huge + ` * ` + huge + ` WHERE a = 4`); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		sql  string
+		want float64
+	}{
+		{`SELECT SUM(f) FROM t`, math.NaN()},
+		{`SELECT SUM(f * 0) FROM t WHERE a = 3`, math.NaN()},
+		{`SELECT AVG(f) FROM t WHERE a <> 4`, math.Inf(1)},
+	} {
+		res, err := c.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", q.sql, err)
+		}
+		got := res.Rows[0][0].AsFloat()
+		if math.IsNaN(q.want) != math.IsNaN(got) || !math.IsNaN(got) && got != q.want {
+			t.Errorf("%s answered %v, want %v", q.sql, got, q.want)
+		}
+	}
+	if res, err := c.Query(`SELECT COUNT(*) FROM t`); err != nil || res.Rows[0][0].AsInt() != 30 {
+		t.Fatalf("the statement after the sums: %v, %v", res, err)
 	}
 }
 

@@ -26,9 +26,14 @@ type blockExec struct {
 	rt    *runtime
 	stack rowStack
 	row   []val.Value // the current frame: stack's last element
-	// hashes holds the built side of each hash join, filled on first probe;
-	// parallel lanes share one pre-built, read-only map.
+	// hashes holds the hash tables a parallel build made before the block's
+	// pipeline runs — the lanes share them, read-only; nil when the block
+	// builds its own, on first probe, into builds.
 	hashes map[*hashStep]*hashTable
+	// builds is the block's own hash builds: kept, with their tables, until
+	// the statement ends, so that a block run again — a correlated
+	// sub-block per outer row — refills them instead of making new ones.
+	builds map[*hashStep]*hashBuild
 	curRID storage.RID   // last RID emitted by a scan (single-relation DML)
 	prof   *planProf     // operator spans under ExplainAnalyze; nil otherwise
 	fb     *execFeedback // per-step row counting for adaptive replanning; nil otherwise
@@ -49,7 +54,8 @@ func newBlockExec(rt *runtime, outer rowStack) *blockExec {
 }
 
 // reset starts another execution under the given outer frames, keeping the
-// stack's backing array and the index-key scratch.
+// stack's backing array, the index-key scratch and the hash builds, which
+// are built again on first probe.
 func (be *blockExec) reset(outer rowStack) {
 	if cap(be.stack) <= len(outer) {
 		be.stack = make(rowStack, len(outer)+1)
@@ -57,12 +63,20 @@ func (be *blockExec) reset(outer rowStack) {
 	be.stack = be.stack[:len(outer)+1]
 	copy(be.stack, outer)
 	be.row, be.stack[len(outer)] = nil, nil
+	for _, b := range be.builds {
+		b.built = false
+	}
 }
 
-// drop lets go of the frames and hash tables of the execution just ended.
+// drop lets go of the frames and hash tables of the executions so far.
 func (be *blockExec) drop() {
 	clear(be.stack)
-	be.row, be.hashes, be.prof, be.fb = nil, nil, nil, nil
+	if tablePoison != nil {
+		for _, b := range be.builds {
+			tablePoison(b.ht)
+		}
+	}
+	be.row, be.hashes, be.builds, be.prof, be.fb = nil, nil, nil, nil, nil
 }
 
 // setRow installs f as the block's current frame.
@@ -339,54 +353,77 @@ func outerOf(be *blockExec) rowStack {
 	return be.stack[:len(be.stack)-1]
 }
 
-// materializeSub runs a subplan to completion, caching uncorrelated
-// results for the statement. When parallel workers share the statement's
-// cache, rt.subMu guards it; materialization itself runs outside the lock
-// (subplans can nest), so two workers may race to fill the same entry —
-// both produce identical rows, and the second store is a no-op overwrite.
+// materializeSub runs a subplan to completion. A correlated one runs per
+// outer row into the rows its run state keeps (selectPlan.materialize); an
+// uncorrelated one's rows are cached for the statement. When parallel
+// workers share the statement's cache, rt.subMu guards it; materialization
+// itself runs outside the lock (subplans can nest), so two workers may race
+// to fill the same entry — both produce identical rows, and the second
+// store is a no-op overwrite.
 func materializeSub(rt *runtime, sub *selectPlan, outer rowStack) ([][]val.Value, error) {
-	if !sub.correlated {
-		if rt.subMu != nil {
-			rt.subMu.Lock()
-		}
-		rows, ok := rt.subCache[sub]
-		if rt.subMu != nil {
-			rt.subMu.Unlock()
-		}
-		if ok {
-			return rows, nil
-		}
+	if sub.correlated {
+		return sub.materialize(rt, outer)
 	}
-	// The rows are carved out of shared chunks, one row first and four
-	// times as many each time up to subChunkRows: a one-row result costs
-	// what its row does, n rows O(log n + n/subChunkRows) allocations.
-	var rows [][]val.Value
-	var chunk []val.Value
-	chunkRows := 0
-	err := sub.run(rt, outer, func(r []val.Value) error {
-		if len(chunk) < len(r) {
-			chunkRows = min(max(4*chunkRows, 1), subChunkRows)
-			chunk = make([]val.Value, chunkRows*len(r))
-		}
-		row := chunk[:len(r):len(r)]
-		chunk = chunk[len(r):]
-		copy(row, r)
-		rows = append(rows, row)
-		return nil
-	})
-	if err != nil {
+	if rt.subMu != nil {
+		rt.subMu.Lock()
+	}
+	rows, ok := rt.subCache[sub]
+	if rt.subMu != nil {
+		rt.subMu.Unlock()
+	}
+	if ok {
+		return rows, nil
+	}
+	var kept subRows
+	if err := sub.run(rt, outer, kept.add); err != nil {
 		return nil, err
 	}
-	if !sub.correlated {
-		if rt.subMu != nil {
-			rt.subMu.Lock()
-		}
-		rt.subs()[sub] = rows
-		if rt.subMu != nil {
-			rt.subMu.Unlock()
-		}
+	if rt.subMu != nil {
+		rt.subMu.Lock()
 	}
-	return rows, nil
+	rt.subs()[sub] = kept.rows
+	if rt.subMu != nil {
+		rt.subMu.Unlock()
+	}
+	return kept.rows, nil
+}
+
+// subRows collects a materialized sub-block's rows. They are carved out of
+// shared chunks, one row first and four times as many each time up to
+// subChunkRows: a one-row result costs what its row does, n rows O(log n +
+// n/subChunkRows) allocations. reset keeps the chunks, so a correlated
+// block that returns as many rows for the next outer row allocates nothing.
+type subRows struct {
+	rows   [][]val.Value
+	chunks [][]val.Value // every chunk made, in the order rows fill them
+	used   int           // the chunks rows have been carved from
+	free   []val.Value   // the uncarved rest of chunk used-1
+	keep   func([]val.Value) error
+}
+
+// reset empties the rows and keeps the chunks.
+func (c *subRows) reset() {
+	c.rows, c.used, c.free = c.rows[:0], 0, nil
+}
+
+// add appends a copy of r.
+func (c *subRows) add(r []val.Value) error {
+	if len(c.free) < len(r) {
+		if c.used == len(c.chunks) {
+			rows := subChunkRows
+			if c.used < 4 {
+				rows = 1 << (2 * c.used)
+			}
+			c.chunks = append(c.chunks, make([]val.Value, rows*len(r)))
+		}
+		c.free = c.chunks[c.used]
+		c.used++
+	}
+	row := c.free[:len(r):len(r)]
+	c.free = c.free[len(r):]
+	copy(row, r)
+	c.rows = append(c.rows, row)
+	return nil
 }
 
 // subChunkRows bounds the chunks a materialized sub-block's rows share.
@@ -425,6 +462,8 @@ const (
 func (s *rowSlab[T]) add(i int) []T {
 	c, at := i/slabChunkRows, i%slabChunkRows*s.width
 	switch {
+	case c < cap(s.chunks) && c == len(s.chunks) && s.chunks[:c+1][c] != nil:
+		s.chunks = s.chunks[:c+1] // a chunk kept by reset, emptied and cleared
 	case c == len(s.chunks):
 		rows := slabChunkRows
 		if c == 0 {
@@ -438,6 +477,16 @@ func (s *rowSlab[T]) add(i int) []T {
 	}
 	s.chunks[c] = s.chunks[c][:at+s.width]
 	return s.chunks[c][at:]
+}
+
+// reset empties the slab and keeps its chunks, cleared, for the rows that
+// follow.
+func (s *rowSlab[T]) reset() {
+	for i, ch := range s.chunks {
+		clear(ch)
+		s.chunks[i] = ch[:0]
+	}
+	s.chunks = s.chunks[:0]
 }
 
 // row returns row i.
@@ -477,6 +526,8 @@ func (s *packedRows) add(row []val.Value) int32 {
 	s.n++
 	c, at := int(i/slabChunkRows), int(i%slabChunkRows)*s.stride
 	switch {
+	case c < cap(s.chunks) && c == len(s.chunks) && s.chunks[:c+1][c].b != nil:
+		s.chunks = s.chunks[:c+1] // a chunk kept by reset, emptied
 	case c == len(s.chunks):
 		rows := slabChunkRows
 		if c == 0 {
@@ -505,6 +556,16 @@ func (s *packedRows) add(row []val.Value) int32 {
 	}
 	s.setLink(i, -1)
 	return i
+}
+
+// reset empties the rows and keeps their chunks for the rows that follow.
+// A chunk's CHAR slots keep what they held until a row overwrites them: no
+// row reads a slot its own value did not write.
+func (s *packedRows) reset() {
+	for i := range s.chunks {
+		s.chunks[i].b = s.chunks[i].b[:0]
+	}
+	s.chunks, s.n = s.chunks[:0], 0
 }
 
 // chars returns the CHAR slots of the row whose values start at value
@@ -579,6 +640,22 @@ func newHashTable(width int) *hashTable {
 	return &hashTable{rows: newPackedRows(width)}
 }
 
+// tablePoison is nil outside the test binary. A test sets it to overwrite
+// a hash table's rows when they are emptied for another build or let go of
+// when the block's execution is over, so that a row read from them after
+// that finds a sentinel.
+var tablePoison func(t *hashTable)
+
+// reset empties the table for another build, keeping its storage.
+func (t *hashTable) reset() {
+	if tablePoison != nil {
+		tablePoison(t)
+	}
+	t.rows.reset()
+	t.keys.Reset()
+	t.ends = t.ends[:0]
+}
+
 // add appends one build row under key.
 func (t *hashTable) add(key []byte, row []val.Value) {
 	i := t.rows.add(row)
@@ -619,43 +696,71 @@ func (t *hashTable) absorb(o *hashTable) {
 // build scans the relation through its access path into a fresh hash table
 // and charges the build.
 func (s *hashStep) build(rt *runtime, outer rowStack) (*hashTable, error) {
-	ht := newHashTable(s.rel.out)
-	nRows, err := s.buildInto(ht, rt, outer, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.chargeBuild(rt.meter(), nRows)
-	return ht, nil
+	b := newHashBuild(s, rt)
+	return b.ht, b.build(outer)
 }
 
-// buildInto scans the build relation into ht — through its whole access
+// hashBuild is the build of one hash join's table: the table, and the
+// scratch frame and key of the scan that fills it. The probing block keeps
+// it (blockExec.builds).
+type hashBuild struct {
+	s     *hashStep
+	ht    *hashTable
+	be    *blockExec
+	row   []val.Value // the scan's frame: it ends with the build relation's stretch
+	key   []byte
+	n     int64        // rows scanned
+	add   func() error // addRow, bound once
+	built bool         // in the probing block's current execution
+}
+
+func newHashBuild(s *hashStep, rt *runtime) *hashBuild {
+	b := &hashBuild{s: s, ht: newHashTable(s.rel.out), be: newBlockExec(rt, nil), row: make([]val.Value, s.rel.end())}
+	b.add = b.addRow
+	return b
+}
+
+// build empties the table, scans the relation into it through its access
+// path and charges the build.
+func (b *hashBuild) build(outer rowStack) error {
+	b.ht.reset()
+	nRows, err := b.scan(outer, nil)
+	if err != nil {
+		return err
+	}
+	b.s.chargeBuild(b.be.rt.meter(), nRows)
+	return nil
+}
+
+// scan scans the build relation into the table — through its whole access
 // path, or over one page range of its heap for a lane of a parallel build
 // — and returns the number of rows scanned. A row with a NULL key column
 // equals no probe key and stays out of the table, but counts as built.
-// Scan charges land on rt's meter; the build itself is charged once, by
-// chargeBuild. The scan runs in a scratch frame that ends with the build
-// relation's stretch: its key expressions and pushed filters read no other,
-// and the table keeps the stretch's output columns.
-func (s *hashStep) buildInto(ht *hashTable, rt *runtime, outer rowStack, pages *[2]int) (int64, error) {
-	be := newBlockExec(rt, outer)
-	be.setRow(make([]val.Value, s.rel.end()))
+// Scan charges land on the build's runtime's meter; the build itself is
+// charged once, by chargeBuild. The scan runs in a scratch frame that ends
+// with the build relation's stretch: its key expressions and pushed filters
+// read no other, and the table keeps the stretch's output columns.
+func (b *hashBuild) scan(outer rowStack, pages *[2]int) (int64, error) {
+	b.be.reset(outer)
+	b.be.setRow(b.row)
 	if framePoison != nil {
-		framePoison(be.row)
+		framePoison(b.row)
 	}
-	built := be.row[s.rel.offset:s.rel.outEnd()]
-	var key []byte
-	var nRows int64
-	err := runAccess(be, s.rel, s.access, nil, pages, func() error {
-		nRows++
-		k, ok, err := joinKey(key[:0], s.buildKeyFns, rt, be.stack)
-		key = k
-		if err != nil || !ok {
-			return err
-		}
-		ht.add(key, built)
-		return nil
-	})
-	return nRows, err
+	b.n = 0
+	err := runAccess(b.be, b.s.rel, b.s.access, nil, pages, b.add)
+	return b.n, err
+}
+
+// addRow adds the scan's current row to the table.
+func (b *hashBuild) addRow() error {
+	b.n++
+	k, ok, err := joinKey(b.key[:0], b.s.buildKeyFns, b.be.rt, b.be.stack)
+	b.key = k
+	if err != nil || !ok {
+		return err
+	}
+	b.ht.add(k, b.row[b.s.rel.offset:b.s.rel.outEnd()])
+	return nil
 }
 
 // joinKey appends the encoded values of a hash join's key expressions to
@@ -716,104 +821,133 @@ func (s *outerStep) run(be *blockExec, next func() error) error {
 
 // --- block execution: joins → aggregation → projection → order/limit ---
 
-// exactSumPrec is the mantissa precision of an exactSum accumulator: wide
+// exactSumPrec is the mantissa precision of an exactSum's big.Float: wide
 // enough (53-bit mantissa + full double exponent span + summand count
 // headroom) that adding float64 values never rounds, so the final Float64
 // conversion is the correctly-rounded sum regardless of addition order.
 const exactSumPrec = 2200
 
-// exactSum accumulates float64 values exactly. Order-independence is what
-// makes parallel partial aggregates byte-identical to the serial result:
-// serial and merged-per-partition summation round to the same float64.
+// exactSum accumulates float64 values exactly, with IEEE semantics for the
+// values that are not finite. Order-independence is what makes parallel
+// partial aggregates byte-identical to the serial result: serial and
+// merged-per-partition summation round to the same float64. The finite
+// values go into the expansion, which finalize rounds directly; only a
+// value the expansion cannot take — it would outgrow expCap, or it lies
+// past expGuard — pours the components and itself into a big.Float, made
+// the first time. NaN and the infinities are flags, so that the sum does
+// not depend on where they came in: any NaN, or +Inf together with −Inf,
+// makes the sum NaN; one infinity makes it that infinity.
 type exactSum struct {
-	acc *big.Float
+	exp    floatExp
+	big    *big.Float // nil until the expansion overflows
+	nan    bool
+	posInf bool
+	negInf bool
 }
 
-// addTmp adds x through a caller-owned scratch operand: tmp must be a
-// big.Float of precision 53, so tmp.SetFloat64(x) represents x exactly (an
-// accumulator reuses one scratch across a whole run).
-func (s *exactSum) addTmp(x float64, tmp *big.Float) {
-	if s.acc == nil {
-		s.acc = new(big.Float).SetPrec(exactSumPrec)
+// expOverflowHook is nil outside the test binary, which sets it to count
+// the sums that leave the expansion for a big.Float.
+var expOverflowHook func()
+
+// add folds x into the sum.
+func (s *exactSum) add(x float64) {
+	switch {
+	case math.IsNaN(x):
+		s.nan = true
+	case math.IsInf(x, 1):
+		s.posInf = true
+	case math.IsInf(x, -1):
+		s.negInf = true
+	case !s.exp.add(x):
+		b := s.spill()
+		b.Add(b, new(big.Float).SetFloat64(x))
 	}
-	s.acc.Add(s.acc, tmp.SetFloat64(x))
 }
 
+// spill pours the expansion's components into the big.Float, making it the
+// first time, and returns it.
+func (s *exactSum) spill() *big.Float {
+	if s.big == nil {
+		s.big = new(big.Float).SetPrec(exactSumPrec)
+		if expOverflowHook != nil {
+			expOverflowHook()
+		}
+	}
+	for _, c := range s.exp.comp[:s.exp.n] {
+		s.big.Add(s.big, new(big.Float).SetFloat64(c))
+	}
+	s.exp.n = 0
+	return s.big
+}
+
+// merge folds another lane's sum into s: its flags, its big.Float and its
+// expansion's components.
 func (s *exactSum) merge(o *exactSum) {
-	if o.acc == nil {
-		return
+	s.nan, s.posInf, s.negInf = s.nan || o.nan, s.posInf || o.posInf, s.negInf || o.negInf
+	if o.big != nil {
+		b := s.spill()
+		b.Add(b, o.big)
 	}
-	if s.acc == nil {
-		s.acc = new(big.Float).SetPrec(exactSumPrec)
+	for _, c := range o.exp.comp[:o.exp.n] {
+		s.add(c)
 	}
-	s.acc.Add(s.acc, o.acc)
 }
 
+// value returns the sum correctly rounded to float64.
 func (s *exactSum) value() float64 {
-	if s.acc == nil {
-		return 0
+	switch {
+	case s.nan || s.posInf && s.negInf:
+		return math.NaN()
+	case s.posInf:
+		return math.Inf(1)
+	case s.negInf:
+		return math.Inf(-1)
+	case s.big == nil:
+		return s.exp.round()
 	}
-	f, _ := s.acc.Float64()
+	acc := new(big.Float).Copy(s.big)
+	for _, c := range s.exp.comp[:s.exp.n] {
+		acc.Add(acc, new(big.Float).SetFloat64(c))
+	}
+	f, _ := acc.Float64()
 	return f
 }
 
-// aggState accumulates one aggregate.
+// aggState accumulates one aggregate of one group. The zero aggState is
+// an empty one.
 type aggState struct {
 	count   int64
 	sum     exactSum
-	exp     floatExp // pending exact-sum inputs, poured into sum by flushExp
 	sumInt  int64
-	allInt  bool
+	notInt  bool // a SUM/AVG input was not an INTEGER
+	nonNull bool
 	min     val.Value
 	max     val.Value
-	seen    *distinctSet // DISTINCT only
-	nonNull bool
+	// seen threads the values a DISTINCT aggregate has folded in through
+	// its accumulator's seen slab, in the order it first saw them: the
+	// first and the last as entry+1, 0 while there is none.
+	seen [2]int32
 }
 
-// distinctSet is the values a DISTINCT aggregate has folded in, in the order
-// it first saw them.
-type distinctSet struct {
-	keys val.KeyTable
-	vals []val.Value // per key
+// seenVal is one value a DISTINCT aggregate has folded in, and the entry+1
+// of the next value of the same aggregate and group (0 for none).
+type seenVal struct {
+	v    val.Value
+	next int32
 }
 
-func newAggState(spec aggSpec) aggState {
-	st := aggState{allInt: true}
-	if spec.distinct {
-		st.seen = new(distinctSet)
-	}
-	return st
-}
-
-// add folds one input value into the aggregate, using the scratch of the
-// accumulator a that st belongs to: a DISTINCT value is encoded into its key
-// buffer (the group key in it has been looked up by now), and float sums
-// collect in the pending expansion and reach the exact sum through its
-// big.Float.
-func (st *aggState) add(spec aggSpec, v val.Value, a *aggAccum) {
-	if spec.arg != nil && v.IsNull() {
-		return
-	}
-	if st.seen != nil {
-		a.keyBuf = val.AppendKey(a.keyBuf[:0], v)
-		if _, isNew := st.seen.keys.Insert(a.keyBuf); !isNew {
-			return
-		}
-		st.seen.vals = append(st.seen.vals, v)
-	}
+// fold adds one non-NULL input value to the aggregate.
+func (st *aggState) fold(fn string, v val.Value) {
 	st.count++
 	st.nonNull = true
-	switch spec.fn {
+	switch fn {
 	case "SUM", "AVG":
 		if v.K == val.KInt {
 			st.sumInt += v.I
 		} else {
-			st.allInt = false
+			st.notInt = true
 		}
-		if !st.exp.add(v.AsFloat()) {
-			st.flushExp(a.tmp)
-			st.sum.addTmp(v.AsFloat(), a.tmp)
-		}
+		st.sum.add(v.AsFloat())
 	case "MIN":
 		if st.min.IsNull() || val.Compare(v, st.min) < 0 {
 			st.min = v
@@ -825,23 +959,15 @@ func (st *aggState) add(spec aggSpec, v val.Value, a *aggAccum) {
 	}
 }
 
-// merge folds another lane's accumulator for the same group into st. Every
-// combining operation here is order-independent (exact sums, min/max,
-// counts), so merging partitions in any order matches serial accumulation.
-func (st *aggState) merge(spec aggSpec, o *aggState, a *aggAccum) {
-	if st.seen != nil {
-		// DISTINCT: re-add the other lane's values so cross-lane
-		// duplicates are dropped exactly once.
-		for _, v := range o.seen.vals {
-			st.add(spec, v, a)
-		}
-		st.flushExp(a.tmp)
-		return
-	}
+// merge folds another lane's state for the same group of a non-DISTINCT
+// aggregate into st. Every combining operation here is order-independent
+// (exact sums, min/max, counts), so merging partitions in any order matches
+// serial accumulation.
+func (st *aggState) merge(o *aggState) {
 	st.count += o.count
 	st.nonNull = st.nonNull || o.nonNull
 	st.sumInt += o.sumInt
-	st.allInt = st.allInt && o.allInt
+	st.notInt = st.notInt || o.notInt
 	st.sum.merge(&o.sum)
 	if !o.min.IsNull() && (st.min.IsNull() || val.Compare(o.min, st.min) < 0) {
 		st.min = o.min
@@ -859,7 +985,7 @@ func (st *aggState) result(spec aggSpec) val.Value {
 		if !st.nonNull {
 			return val.Null
 		}
-		if st.allInt {
+		if !st.notInt {
 			return val.Int(st.sumInt)
 		}
 		return val.Float(st.sum.value())
@@ -928,6 +1054,8 @@ type outputSink struct {
 	// groupRows is the free tail of the slab finalizeGroups sizes for every
 	// group's output row; addFrame cuts the rows from it.
 	groupRows []val.Value
+	// kept is a materialized correlated block's rows (materialize).
+	kept *subRows
 }
 
 // distinctRows is the rows SELECT DISTINCT has let through so far, and the
@@ -944,12 +1072,17 @@ func newOutputSink(p *selectPlan, m *cost.Meter, emit func([]val.Value) error) *
 }
 
 // reset readies the sink for another execution: nothing collected, nothing
-// emitted. Neither the ORDER BY buffer nor the DISTINCT set is kept — both
-// are sized by the rows that went through them.
+// emitted. The ORDER BY buffer's array, the DISTINCT set's table and the
+// kept rows' chunks stay, emptied: only a block that runs again before the
+// statement ends — a correlated sub-block — still has them (blockRun.drop).
 func (o *outputSink) reset(m *cost.Meter, emit func([]val.Value) error) {
-	*o = outputSink{p: o.p, m: m, emit: emit}
-	if o.p.distinct {
+	*o = outputSink{p: o.p, m: m, emit: emit, rows: o.rows[:0], dedup: o.dedup, kept: o.kept}
+	switch {
+	case !o.p.distinct:
+	case o.dedup == nil:
 		o.dedup = new(distinctRows)
+	default:
+		o.dedup.keys.Reset()
 	}
 }
 
@@ -1123,11 +1256,39 @@ func (p *selectPlan) run(rt *runtime, outer rowStack, emit func([]val.Value) err
 	if err != nil {
 		return err
 	}
+	return p.finish(rt, outer, o)
+}
+
+// finish is the output phase of a drained block, on its output span.
+func (p *selectPlan) finish(rt *runtime, outer rowStack, o *outputSink) error {
 	if pp := rt.planProf(p); pp != nil {
 		m := rt.meter()
 		defer m.SetSpan(m.SetSpan(pp.output))
 	}
 	return o.finish(rt, outer)
+}
+
+// materialize runs a correlated block to completion — serially: it never
+// runs on parallel lanes (planParallel) — and returns its rows, which its
+// sink keeps (outputSink.kept): they are valid until the block runs again
+// or the statement ends.
+func (p *selectPlan) materialize(rt *runtime, outer rowStack) ([][]val.Value, error) {
+	br := rt.acquire(p, outer, nil)
+	defer br.release()
+	o := br.sink
+	if o.kept == nil {
+		o.kept = new(subRows)
+		o.kept.keep = o.kept.add
+	}
+	o.kept.reset()
+	o.emit = o.kept.keep
+	if err := br.drainSerial(rt, nil); err != nil {
+		return nil, err
+	}
+	if err := p.finish(rt, outer, o); err != nil {
+		return nil, err
+	}
+	return o.kept.rows, nil
 }
 
 // batchCap is the block's batch capacity, derived from the plan. A block
@@ -1202,8 +1363,9 @@ func (rt *runtime) acquire(p *selectPlan, outer rowStack, emit func([]val.Value)
 }
 
 // release ends an execution. A correlated block runs again for the next
-// outer row, so it keeps its frame until the statement ends (runtime.done);
-// any other block is done and drops what its rows sized at once.
+// outer row, so it keeps its frames, hash builds, accumulator and kept rows
+// until the statement ends (runtime.done); any other block is done and
+// drops what its rows sized at once.
 func (br *blockRun) release() {
 	br.busy = false
 	if !br.p.correlated {
@@ -1285,12 +1447,25 @@ type aggAccum struct {
 	groups val.KeyTable
 	keys   rowSlab[val.Value]
 	accs   rowSlab[aggState]
+	dist   *distinctVals // DISTINCT aggregates only
 	nInput int64
 	// Scratch reused across every input row: the encoded key and the values
-	// of the row's group, and the big.Float operand of the exact-sum additions.
+	// of the row's group.
 	keyBuf []byte
 	vals   []val.Value
-	tmp    *big.Float
+	// What finalizeGroups cuts every group's output row from, and the row
+	// and frame it finalizes each group in.
+	outSlab []val.Value
+	aggRow  []val.Value
+	frame   rowStack
+}
+
+// distinctVals is the values the DISTINCT aggregates of an accumulator have
+// folded in: one key table of (aggregate, group, value) keys for all of
+// them, whose entries number the values in the seen slab.
+type distinctVals struct {
+	keys val.KeyTable
+	seen rowSlab[seenVal]
 }
 
 func newAggAccum(p *selectPlan) *aggAccum {
@@ -1299,27 +1474,32 @@ func newAggAccum(p *selectPlan) *aggAccum {
 		keys: rowSlab[val.Value]{width: len(p.agg.groupFns)},
 		accs: rowSlab[aggState]{width: len(p.agg.specs)},
 		vals: make([]val.Value, 0, len(p.agg.groupFns)),
-		tmp:  new(big.Float).SetPrec(53),
 	}
 }
 
-// group returns the aggregate states of the group under the encoded key.
-// A new key starts a group — isNew — with the key values vals and the
-// states from, fresh ones when from is nil.
-func (a *aggAccum) group(key []byte, vals []val.Value, from []aggState) (accs []aggState, isNew bool) {
-	e, isNew := a.groups.Insert(key)
+// reset empties the accumulator for another execution of its block,
+// keeping its tables and slabs.
+func (a *aggAccum) reset() {
+	a.groups.Reset()
+	a.keys.reset()
+	a.accs.reset()
+	if d := a.dist; d != nil {
+		d.keys.Reset()
+		d.seen.reset()
+	}
+	a.nInput = 0
+}
+
+// group returns the number and the aggregate states of the group under the
+// encoded key. A new key starts a group — isNew — with the key values vals
+// and empty states.
+func (a *aggAccum) group(key []byte, vals []val.Value) (g int32, accs []aggState, isNew bool) {
+	g, isNew = a.groups.Insert(key)
 	if !isNew {
-		return a.accs.row(int(e)), false
+		return g, a.accs.row(int(g)), false
 	}
-	copy(a.keys.add(int(e)), vals)
-	accs = a.accs.add(int(e))
-	copy(accs, from)
-	if from == nil {
-		for i, spec := range a.p.agg.specs {
-			accs[i] = newAggState(spec)
-		}
-	}
-	return accs, true
+	copy(a.keys.add(int(g)), vals)
+	return g, a.accs.add(int(g)), true
 }
 
 // addRow folds one join-pipeline output row into the accumulator.
@@ -1337,32 +1517,52 @@ func (a *aggAccum) addRow(rt *runtime, stack rowStack) error {
 		key = val.AppendKey(key, v)
 	}
 	a.keyBuf = key
-	accs, _ := a.group(key, vals, nil)
+	g, accs, _ := a.group(key, vals)
 	for i := range p.agg.specs {
-		spec := &p.agg.specs[i]
-		st := &accs[i]
-		if spec.arg == nil { // COUNT(*)
-			st.count++
-			st.nonNull = true
+		if p.agg.specs[i].arg == nil { // COUNT(*)
+			accs[i].count++
+			accs[i].nonNull = true
 			continue
 		}
-		v, err := spec.arg(rt, stack)
+		v, err := p.agg.specs[i].arg(rt, stack)
 		if err != nil {
 			return err
 		}
-		st.add(*spec, v, a)
+		a.add(accs, g, i, v)
 	}
 	return nil
 }
 
-// flushExpansions drains every group's pending expansion; must run before
-// the accumulated sums are read or merged.
-func (a *aggAccum) flushExpansions() {
-	for _, chunk := range a.accs.chunks {
-		for i := range chunk {
-			chunk[i].flushExp(a.tmp)
-		}
+// add folds input value v into aggregate i of group g, whose states are
+// accs: a NULL not at all, and a DISTINCT aggregate's value only the first
+// time the group meets it — its key is encoded into keyBuf, whose group
+// key has been looked up by now.
+func (a *aggAccum) add(accs []aggState, g int32, i int, v val.Value) {
+	if v.IsNull() {
+		return
 	}
+	spec, st := &a.p.agg.specs[i], &accs[i]
+	if spec.distinct {
+		d := a.dist
+		if d == nil {
+			d = &distinctVals{seen: rowSlab[seenVal]{width: 1}}
+			a.dist = d
+		}
+		a.keyBuf = binary.AppendUvarint(a.keyBuf[:0], uint64(g)*uint64(len(a.p.agg.specs))+uint64(i))
+		a.keyBuf = val.AppendKey(a.keyBuf, v)
+		e, isNew := d.keys.Insert(a.keyBuf)
+		if !isNew {
+			return
+		}
+		d.seen.add(int(e))[0].v = v
+		if st.seen[1] == 0 {
+			st.seen[0] = e + 1
+		} else {
+			d.seen.row(int(st.seen[1] - 1))[0].next = e + 1
+		}
+		st.seen[1] = e + 1
+	}
+	st.fold(spec.fn, v)
 }
 
 // merge folds a later partition's groups into a, keeping a's first-seen
@@ -1370,13 +1570,23 @@ func (a *aggAccum) flushExpansions() {
 func (a *aggAccum) merge(o *aggAccum) {
 	a.nInput += o.nInput
 	for e := 0; e < o.groups.Len(); e++ {
+		g, accs, isNew := a.group(o.groups.Key(int32(e)), o.keys.row(e))
 		from := o.accs.row(e)
-		accs, isNew := a.group(o.groups.Key(int32(e)), o.keys.row(e), from)
-		if isNew {
-			continue
-		}
-		for i, spec := range a.p.agg.specs {
-			accs[i].merge(spec, &from[i], a)
+		for i := range a.p.agg.specs {
+			switch {
+			case a.p.agg.specs[i].distinct:
+				// Re-add the other lane's values so that cross-lane
+				// duplicates are dropped exactly once.
+				for d := from[i].seen[0]; d != 0; {
+					sv := o.dist.seen.row(int(d - 1))[0]
+					a.add(accs, g, i, sv.v)
+					d = sv.next
+				}
+			case isNew:
+				accs[i] = from[i]
+			default:
+				accs[i].merge(&from[i])
+			}
 		}
 	}
 }
@@ -1390,15 +1600,26 @@ func (p *selectPlan) finalizeGroups(rt *runtime, a *aggAccum, outer rowStack, si
 	// A query with aggregates but no GROUP BY yields exactly one row,
 	// even over empty input: the group of the empty key.
 	if len(p.agg.groupFns) == 0 {
-		a.group(nil, nil, nil)
+		a.group(nil, nil)
 	}
 
 	// Every group is finalized in the same row and frame: the sink projects
 	// a frame into a row of its own, cut from one slab for all the groups.
-	sink.groupRows = make([]val.Value, a.groups.Len()*(len(p.projections)+len(p.orderKeys)))
+	// Row, frame and slab stay with the accumulator for the block's next
+	// execution.
+	if n := a.groups.Len() * (len(p.projections) + len(p.orderKeys)); n <= cap(a.outSlab) {
+		sink.groupRows = a.outSlab[:n]
+	} else {
+		a.outSlab = make([]val.Value, n)
+		sink.groupRows = a.outSlab
+	}
 	nKeys := len(p.agg.groupFns)
-	aggRow := make([]val.Value, nKeys+len(p.agg.specs))
-	frame := append(append(make(rowStack, 0, len(outer)+1), outer...), aggRow)
+	if a.aggRow == nil {
+		a.aggRow = make([]val.Value, nKeys+len(p.agg.specs))
+	}
+	aggRow := a.aggRow
+	frame := append(append(a.frame[:0], outer...), aggRow)
+	a.frame = frame
 	for e := 0; e < a.groups.Len(); e++ {
 		copy(aggRow, a.keys.row(e))
 		accs := a.accs.row(e)

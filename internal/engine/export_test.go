@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 // CheckLayouts is checkLayouts for the tests of this package that must live
 // outside it (TestSlotLayoutTPCD imports internal/tpcd, which imports this
@@ -43,4 +46,12 @@ func WatchCapacities(fn func(rule string)) (stop func()) {
 		}
 	}
 	return func() { planned = nil }
+}
+
+// WatchExpOverflows counts, until stop is called, the exact sums that leave
+// their expansion for a big.Float.
+func WatchExpOverflows() (count func() int64, stop func()) {
+	var n atomic.Int64
+	expOverflowHook = func() { n.Add(1) }
+	return n.Load, func() { expOverflowHook = nil }
 }

@@ -162,10 +162,10 @@ func (k *kept) render() string {
 			fmt.Fprintf(&b, "%q %q:", pa.acc.groups.Key(int32(e)), val.EncodeKey(pa.acc.keys.row(e)...))
 			for _, st := range pa.acc.accs.row(e) {
 				var distinct []string
-				if st.seen != nil {
-					for d, v := range st.seen.vals {
-						distinct = append(distinct, string(st.seen.keys.Key(int32(d)))+"="+v.String())
-					}
+				for d := st.seen[0]; d != 0; {
+					sv := pa.acc.dist.seen.row(int(d - 1))[0]
+					distinct = append(distinct, string(pa.acc.dist.keys.Key(d-1))+"="+sv.v.String())
+					d = sv.next
 				}
 				fmt.Fprintf(&b, " %d %v %v %q", st.count, st.min, st.max, distinct)
 			}

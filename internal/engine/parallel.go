@@ -243,9 +243,10 @@ func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, sub
 	err := lanes.Run(func(i int, m *cost.Meter) error {
 		defer laneSlot(i)()
 		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: m}
-		tables[i] = newHashTable(s.rel.out)
+		b := newHashBuild(s, rtW)
+		tables[i] = b.ht
 		var err error
-		counts[i], err = s.buildInto(tables[i], rtW, outer, &parts[i])
+		counts[i], err = b.scan(outer, &parts[i])
 		return err
 	})
 	rt.sess.Meter.AddParallel(lanes...)

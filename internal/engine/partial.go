@@ -12,7 +12,7 @@ import (
 // cannot be combined that way — an AVG is already divided, a float SUM
 // already rounded — so QueryPartial runs only the first half of a block's
 // execution, its drain (selectPlan.drain): grouped aggregate state (exact
-// big.Float sums, min/max, DISTINCT sets) for aggregate plans, projected-
+// sums, min/max, DISTINCT values) for aggregate plans, projected-
 // but-unsorted rows for plain plans. MergePartials then merges the shards'
 // partials in shard order exactly as the parallel coordinator merges its
 // lanes' (outputSink.merge) and finalizes once: HAVING, projection, ORDER
@@ -119,8 +119,12 @@ func (pa *Partial) own() {
 		for i := range chunk {
 			st := &chunk[i]
 			st.min.S, st.max.S = chars.Copy(st.min.S), chars.Copy(st.max.S)
-			if st.seen != nil {
-				chars.Own(st.seen.vals)
+		}
+	}
+	if d := pa.acc.dist; d != nil {
+		for _, chunk := range d.seen.chunks {
+			for i := range chunk {
+				chunk[i].v.S = chars.Copy(chunk[i].v.S)
 			}
 		}
 	}

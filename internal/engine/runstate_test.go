@@ -446,3 +446,103 @@ func TestPreparedDMLSeesDDL(t *testing.T) {
 	run(del, 11, val.Int(6))
 	indexed()
 }
+
+// TestCorrelatedTablesPoisoned: a correlated sub-block that hash-joins
+// rebuilds its table, for every outer row, in the storage the previous
+// outer row's build filled (blockRun). With every table poisoned when it is
+// emptied for the next build and when its block's execution is over, the
+// answers — a DECIMAL and a CHAR carried through the build rows, build rows
+// with a NULL key, outer rows that match nothing — are still the ones
+// computed here from the fixture, ad hoc and prepared, twice.
+func TestCorrelatedTablesPoisoned(t *testing.T) {
+	db := Open(Config{})
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE q (g INTEGER PRIMARY KEY, label CHAR(8))`)
+	mustExec(t, s, `INSERT INTO q VALUES (0, 'L0'), (1, 'L1'), (2, 'L2'), (3, 'L3')`)
+	mustExec(t, s, `CREATE TABLE p (id INTEGER PRIMARY KEY, k INTEGER, v DECIMAL(10,2), name CHAR(200))`)
+	const n = 1500
+	key := func(id int) (int, bool) { return id % 4, id%11 != 0 && (id < 700 || id >= 720) }
+	v := func(id int) float64 { return float64(id*37%100) + 0.25 }
+	name := func(id int) string { return fmt.Sprintf("N%05d", id*7919%1000) }
+	for id := 0; id < n; id++ {
+		k := "NULL"
+		if g, ok := key(id); ok {
+			k = fmt.Sprint(g)
+		}
+		mustExec(t, s, fmt.Sprintf(`INSERT INTO p VALUES (%d, %s, %v, '%s')`, id, k, v(id), name(id)))
+	}
+	if err := db.AnalyzeAll(); err != nil {
+		t.Fatal(err)
+	}
+	const where = `FROM q, p y WHERE y.k = q.g AND y.id >= x.id AND y.id < x.id + 5`
+	const query = `SELECT x.id, (SELECT MAX(y.name) ` + where + `), (SELECT SUM(y.v) ` + where + `) FROM p x ORDER BY x.id`
+	var want strings.Builder
+	for x := 0; x < n; x++ {
+		maxName, sum, any := "", 0.0, false
+		for id := x; id < min(x+5, n); id++ {
+			if _, ok := key(id); ok {
+				maxName, sum, any = max(maxName, name(id)), sum+v(id), true
+			}
+		}
+		if any {
+			fmt.Fprintf(&want, "%d %s %v\n", x, maxName, sum)
+		} else {
+			fmt.Fprintf(&want, "%d NULL NULL\n", x)
+		}
+	}
+
+	hashed := false
+	planned = func(p *selectPlan) {
+		for _, st := range p.steps {
+			if _, ok := st.(*hashStep); ok && p.correlated {
+				hashed = true
+			}
+		}
+	}
+	poisoned := 0
+	tablePoison = func(ht *hashTable) {
+		poisoned++
+		for _, ch := range ht.rows.chunks {
+			b := ch.b[:cap(ch.b)]
+			for i := range b {
+				b[i] = 0xA5
+			}
+			for i := range ch.strs {
+				ch.strs[i] = "POISONED"
+			}
+		}
+	}
+	defer func() { planned, tablePoison = nil, nil }()
+	st, err := s.Prepare(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		for _, how := range []string{"ad hoc", "prepared"} {
+			var res *Result
+			if how == "ad hoc" {
+				res = mustExec(t, s, query)
+			} else if res, err = st.Query(); err != nil {
+				t.Fatal(err)
+			}
+			var got strings.Builder
+			for _, r := range res.Rows {
+				fmt.Fprintf(&got, "%d", r[0].AsInt())
+				for _, c := range r[1:] {
+					if c.IsNull() {
+						got.WriteString(" NULL")
+					} else {
+						got.WriteString(" " + strings.TrimRight(c.AsStr(), " "))
+					}
+				}
+				got.WriteByte('\n')
+			}
+			if got.String() != want.String() {
+				t.Fatalf("run %d %s: answers differ from the fixture's", run, how)
+			}
+		}
+	}
+	if !hashed || poisoned < 2*n {
+		t.Fatalf("the sub-blocks hash-joined: %v; tables poisoned %d times", hashed, poisoned)
+	}
+}

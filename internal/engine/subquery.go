@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"r3bench/internal/cost"
@@ -75,17 +76,21 @@ func (c *compiler) compileExists(e *sqlparse.Exists) (exprFn, error) {
 			}
 			found = len(out) > 0
 		} else {
-			err := sub.run(rt, rows, func([]val.Value) error {
-				found = true
-				return errStopIteration
-			})
-			if err != nil {
+			err := sub.run(rt, rows, stopAtRow)
+			if found = errors.Is(err, errRowFound); err != nil && !found {
 				return val.Null, err
 			}
 		}
 		return val.Bool(found != not), nil
 	}, nil
 }
+
+// errRowFound stops a correlated EXISTS block at its first row: the error
+// reports the row, so the probe needs no state of its own per outer row.
+var errRowFound = errors.New("engine: EXISTS found a row")
+
+// stopAtRow is a correlated EXISTS block's emit.
+func stopAtRow([]val.Value) error { return errRowFound }
 
 // compileInSubquery compiles X [NOT] IN (SELECT ...). The subquery result
 // is materialized (cached when uncorrelated) and membership is tested by

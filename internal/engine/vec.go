@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/big"
 	"slices"
 
 	"r3bench/internal/cost"
@@ -70,14 +69,17 @@ import (
 // The run state of a block (blockRun: its blockExec, vecRun and outputSink)
 // belongs to the statement's runtime and is reset, not rebuilt, when the
 // block runs again — per outer row for a correlated sub-block, per
-// execution for a prepared Stmt, which keeps its runtime. What stays behind
-// between executions is O(plan shape) kept, O(rows) never: a stage keeps its
-// frames while they are the first two a run backs, a recycling projection
-// its one-row slab, both cleared when the execution ends; larger batches,
-// growing projection slabs, sort buffers, DISTINCT sets, hash tables and
-// cached sub-block results are dropped (the cursor caches hold hundreds of
-// Stmts: keeping each one's 64-frame batches took the R/3 report run's live
-// heap from 45 to 180 MiB).
+// execution for a prepared Stmt, which keeps its runtime. A correlated
+// sub-block keeps everything its executions size until the statement ends —
+// hash tables and their build scans, the accumulator, the group slabs, the
+// materialized rows — so that an outer row costs no allocation. What stays
+// behind between statements is O(plan shape) kept, O(rows) never: a stage
+// keeps its frames while they are the first two a run backs, a recycling
+// projection its one-row slab, both cleared when the execution ends; larger
+// batches, growing projection slabs, sort buffers, DISTINCT sets, hash
+// tables, accumulators and cached sub-block results are dropped (the cursor
+// caches hold hundreds of Stmts: keeping each one's 64-frame batches took
+// the R/3 report run's live heap from 45 to 180 MiB).
 //
 // Under ExplainAnalyze each stage installs its operator's span around its
 // own work and counts the rows it hands on per batch.
@@ -101,9 +103,9 @@ const rowFirst = -1
 // pointers, so recycling a batch after a downstream flush can never corrupt
 // rows still in flight.
 type vecBatch struct {
-	max    int // capacity bound: the run's batch capacity
-	cap    int // current capacity: the batch flushes when n reaches it
-	ones   int // one-row flushes left before a rowFirst batch grows
+	max    int32 // capacity bound: the run's batch capacity
+	ones   int32 // one-row flushes left before a rowFirst batch grows
+	cap    int   // current capacity: the batch flushes when n reaches it
 	frames [][]val.Value
 	n      int
 }
@@ -141,7 +143,7 @@ func (b *vecBatch) grow() {
 		}
 		return
 	}
-	b.cap = min(b.cap*4, b.max)
+	b.cap = min(b.cap*4, int(b.max))
 }
 
 // vecStage is the per-run state of one pipeline step.
@@ -155,6 +157,10 @@ type vecStage struct {
 	// bind a relation works a frame at a time and so extends its input where
 	// it is, the prefix that step fills.
 	hi int
+	// emit is the function a row-at-a-time step's run hands each match to,
+	// bound at the step's first batch of an execution (vecRun.pushRowStep)
+	// and kept while the block runs again within its statement.
+	emit func() error
 }
 
 // vecRun drives one block's step pipeline batch-at-a-time.
@@ -166,9 +172,12 @@ type vecRun struct {
 	// partition.
 	pages  *[2]int
 	keyBuf []byte
-	// sinkFrame consumes one post-pipeline frame (projection or grouped
-	// aggregation); the frame is be's current row.
+	// sinkFrame consumes one post-pipeline frame (projSink or aggSink, bound
+	// once); the frame is be's current row.
 	sinkFrame func() error
+	// acc is the grouped aggregation's accumulator, kept across the block's
+	// executions until the statement ends.
+	acc *aggAccum
 	// trace, when set, sees every flush: the stage and the frames it hands
 	// on (the flush-schedule test).
 	trace func(stage, n int)
@@ -178,7 +187,6 @@ type vecRun struct {
 	// slabs, quadrupling from four rows to batchSize whatever the batch
 	// capacity (retained rows are not a batch), amortize the allocations.
 	add      func(outRow) error
-	projFn   func() error // projSink, bound once
 	projSlab []val.Value
 	keySlab  []val.Value
 	projPos  int
@@ -193,7 +201,10 @@ const projSlabInitial = 4
 // newVecRun prepares a run of p's pipeline at the given batch capacity.
 func newVecRun(p *selectPlan, be *blockExec, capacity int) *vecRun {
 	v := &vecRun{be: be, p: p, stages: make([]vecStage, len(p.steps))}
-	v.projFn = v.projSink
+	v.sinkFrame = v.projSink
+	if p.agg != nil {
+		v.sinkFrame = v.aggSink
+	}
 	hi := 0
 	for i, st := range p.steps {
 		if rel := st.bound(); rel != nil {
@@ -224,7 +235,7 @@ func newVecRun(p *selectPlan, be *blockExec, capacity int) *vecRun {
 func (v *vecRun) reset(capacity int) {
 	for i := range v.stages {
 		out := &v.stages[i].out
-		out.n, out.max, out.cap, out.ones = 0, capacity, min(vecBatchInitial, capacity), 0
+		out.n, out.max, out.cap, out.ones = 0, int32(capacity), min(vecBatchInitial, capacity), 0
 		if capacity == rowFirst {
 			out.max, out.cap, out.ones = batchSize, 1, batchSize
 		}
@@ -232,44 +243,53 @@ func (v *vecRun) reset(capacity int) {
 	v.projPos, v.projCap = 0, 0 // the next projected row starts a slab
 }
 
-// drop lets go of everything sized by the rows of the runs so far and keeps
-// what the plan sized: a stage's frames while they are the first two a run
-// backs, and the one-row slab a recycling projection reuses. What it keeps it
-// clears, so that no page-image view outlives the statement.
+// drop lets go of everything sized by the rows of the runs so far — the
+// accumulator among it — and of the row steps' emit functions, which a
+// prepared Stmt would otherwise keep for as long as a cursor cache keeps
+// it; it keeps what the plan sized: a stage's frames while they are the
+// first two a run backs, and the one-row slab a recycling projection
+// reuses. What it keeps it clears, so that no page-image view outlives the
+// statement.
 func (v *vecRun) drop() {
 	for i := range v.stages {
-		out := &v.stages[i].out
+		st := &v.stages[i]
+		out := &st.out
 		if len(out.frames) > 2 {
 			out.frames = nil
 		}
 		for _, f := range out.frames {
 			clear(f)
 		}
+		st.emit = nil
 	}
+	v.acc = nil
 	if v.recycle {
 		clear(v.projSlab)
 	} else {
 		v.projSlab = nil
 	}
 	v.keySlab = nil
-	v.sinkFrame, v.add = nil, nil // they close over the accumulator and the sink's caller
+	v.add = nil // it closes over the sink's caller
 }
 
-// aggregate drains the pipeline into a fresh accumulator, its sums flushed
-// and ready to merge or finalize.
+// aggregate drains the pipeline into the run's accumulator, emptied first,
+// and returns it ready to merge or finalize.
 func (v *vecRun) aggregate() (*aggAccum, error) {
-	acc := newAggAccum(v.p)
-	v.sinkFrame = func() error { return acc.addRow(v.be.rt, v.be.stack) }
-	err := v.drive()
-	acc.flushExpansions()
-	return acc, err
+	if v.acc == nil {
+		v.acc = newAggAccum(v.p)
+	} else {
+		v.acc.reset()
+	}
+	return v.acc, v.drive()
 }
+
+// aggSink folds the current frame into the accumulator.
+func (v *vecRun) aggSink() error { return v.acc.addRow(v.be.rt, v.be.stack) }
 
 // project drains the pipeline through projection into add. recycle says
 // add does not retain the rows it is handed, so one slab serves them all.
 func (v *vecRun) project(add func(outRow) error, recycle bool) error {
 	v.add, v.recycle = add, recycle
-	v.sinkFrame = v.projFn
 	return v.drive()
 }
 
@@ -421,17 +441,24 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 	be := v.be
 	ht, ok := be.hashes[s]
 	if !ok {
-		var err error
-		if ht, err = s.build(be.rt, outerOf(be)); err != nil {
-			return err
+		b := be.builds[s]
+		if b == nil {
+			b = newHashBuild(s, be.rt)
+			if be.builds == nil {
+				be.builds = make(map[*hashStep]*hashBuild)
+			}
+			be.builds[s] = b
 		}
-		if be.hashes == nil {
-			be.hashes = make(map[*hashStep]*hashTable)
+		if !b.built {
+			if err := b.build(outerOf(be)); err != nil {
+				return err
+			}
+			b.built = true
 		}
-		be.hashes[s] = ht
+		ht = b.ht
 	}
-	m := be.rt.meter()
 	st := &v.stages[i]
+	m := be.rt.meter()
 	out := &st.out
 	lo, hi := s.rel.offset, s.rel.outEnd()
 	var pending int64 // probe-match TupleCPU events not yet posted
@@ -480,28 +507,38 @@ func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 func (v *vecRun) pushRowStep(i int, st rowStepper, in *vecBatch, n int) error {
 	be := v.be
 	stage := &v.stages[i]
-	out := &stage.out
-	hi := st.bound().outEnd() // what later steps read of the frame once st has run
+	if stage.emit == nil {
+		stage.emit = v.rowEmitter(i, st.bound().outEnd())
+	}
 	for j := 0; j < n; j++ {
-		frame := in.frames[j]
-		be.setRow(frame)
-		err := st.run(be, func() error {
-			copy(stage.frame(out.n), frame[:hi])
-			out.n++
-			if out.n < out.cap {
-				return nil
-			}
-			err := v.flush(i)
-			// The step keeps emitting into frame after the flush:
-			// reinstall it as the current row.
-			be.setRow(frame)
-			return err
-		})
-		if err != nil {
+		be.setRow(in.frames[j])
+		if err := st.run(be, stage.emit); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// rowEmitter returns the function row-at-a-time step i hands each match to:
+// it copies what later steps read of the frame — the first hi slots — into
+// the step's output batch. The frame is the current row: the step fills its
+// relation's slots in the input frame it was handed (rowStepper), and every
+// later step that installs a frame of its own does so inside the flush,
+// after which the input frame goes back.
+func (v *vecRun) rowEmitter(i, hi int) func() error {
+	stage := &v.stages[i]
+	out := &stage.out
+	return func() error {
+		frame := v.be.row
+		copy(stage.frame(out.n), frame[:hi])
+		out.n++
+		if out.n < out.cap {
+			return nil
+		}
+		err := v.flush(i)
+		v.be.setRow(frame)
+		return err
+	}
 }
 
 // projSink projects the current frame into slab-backed row storage and
@@ -537,13 +574,12 @@ func (v *vecRun) projSink() error {
 }
 
 // floatExp is a Shewchuk error-free expansion: at most expCap
-// nonoverlapping float64 components whose mathematical sum equals, with
-// no rounding at all, the exact sum of every value added so far. An
-// accumulator batches SUM/AVG inputs here and only pours the few
-// components into the exactSum at finalize — the big.Float additions drop
-// from one per input row to one per component, and since both structures
-// are exact the final correctly-rounded float64 is bit-identical to
-// adding every input to the exactSum directly.
+// nonoverlapping float64 components, in increasing magnitude, whose
+// mathematical sum equals, with no rounding at all, the exact sum of every
+// value added so far. It is the exact SUM/AVG accumulator (exactSum): lane
+// merges add the other lane's components, and finalize rounds the
+// components to float64 directly (round), so a sum never touches big.Float
+// unless its expansion outgrows expCap or meets a value past expGuard.
 type floatExp struct {
 	comp [expCap]float64
 	n    int
@@ -551,14 +587,15 @@ type floatExp struct {
 
 // expCap bounds the expansion. Arbitrary float64 sums need up to ~40
 // components (full exponent span / 53), but values of similar magnitude —
-// every real aggregate — collapse to two or three; overflowing the bound
-// just flushes early, which is always correct.
+// every real aggregate — collapse to two or three; a value that would
+// overflow the bound goes to exactSum's big.Float instead, which is always
+// correct.
 const expCap = 12
 
 // expGuard rejects operands big enough that an intermediate two-sum
 // could overflow to ±Inf (big.Float would carry the exact value through;
-// IEEE arithmetic would wedge at infinity). Such values take the direct
-// exactSum path instead.
+// IEEE arithmetic would wedge at infinity). Such values take exactSum's
+// big.Float path instead.
 const expGuard = 4.4e307
 
 // twoSum is the branch-free error-free transformation: s is the IEEE
@@ -576,7 +613,7 @@ func twoSum(a, b float64) (s, err float64) {
 // increasing magnitude order and dropping zeros. It reports false —
 // leaving the expansion untouched — when x is not safely representable
 // (NaN, Inf, or near overflow) or when the components would exceed
-// expCap; the caller then flushes and adds x the exact way.
+// expCap; the caller then adds x the big.Float way.
 func (e *floatExp) add(x float64) bool {
 	if !(x > -expGuard && x < expGuard) { // catches NaN and huge values
 		return false
@@ -607,12 +644,34 @@ func (e *floatExp) add(x float64) bool {
 	return true
 }
 
-// flushExp pours the pending expansion components into the exact-sum
-// accumulator and empties the expansion. Pouring components instead of
-// the original inputs changes nothing: both sums are exact.
-func (st *aggState) flushExp(tmp *big.Float) {
-	for i := 0; i < st.exp.n; i++ {
-		st.sum.addTmp(st.exp.comp[i], tmp)
+// round returns the expansion's exact sum correctly rounded to float64,
+// ties to even — the bits big.Float.Float64 gives — by the rule of
+// Python's math.fsum: add the components from the top down and stop at the
+// first step that rounds; its result is the rounded sum unless it lies
+// exactly half-way between two floats, and then the sign of the next
+// component down says which way the exact sum leans. The components never
+// overlap and stay below 2×expGuard, so no step overflows.
+func (e *floatExp) round() float64 {
+	n := e.n
+	if n == 0 {
+		return 0
 	}
-	st.exp.n = 0
+	n--
+	hi, lo := e.comp[n], 0.0
+	for n > 0 {
+		x, y := hi, e.comp[n-1]
+		n--
+		hi = x + y
+		lo = y - (hi - x)
+		if lo != 0 {
+			break
+		}
+	}
+	if n > 0 && (lo < 0 && e.comp[n-1] < 0 || lo > 0 && e.comp[n-1] > 0) {
+		y := 2 * lo
+		if x := hi + y; x-hi == y {
+			hi = x
+		}
+	}
+	return hi
 }

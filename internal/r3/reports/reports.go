@@ -21,6 +21,7 @@ package reports
 
 import (
 	"fmt"
+	"time"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/dbgen"
@@ -177,9 +178,19 @@ func (s *SAPImpl) taxRate(knumv, kposn string) (float64, error) {
 	return s.konvRate(knumv, kposn, "TAX", 1)
 }
 
-// yearOf extracts the year of a date value client-side.
+// yearOf extracts the year of a date value client-side: the first four
+// digits of its text — a CHAR date's own bytes, a DATE's year without
+// formatting it.
 func yearOf(v val.Value) val.Value {
-	s := v.AsStr()
+	if v.K == val.KDate {
+		if y := time.Unix(v.I*86400, 0).UTC().Year(); y >= 0 && y <= 9999 {
+			return val.Int(int64(y))
+		}
+	}
+	s := v.S
+	if v.K != val.KStr {
+		s = v.AsStr()
+	}
 	if len(s) < 4 {
 		return val.Null
 	}

@@ -306,3 +306,36 @@ func TestITabStrategyBelongsToSystem(t *testing.T) {
 		t.Error("a report changed its system's options")
 	}
 }
+
+// TestYearOfReadsTheText: yearOf gives what the first four digits of a
+// value's text give — for DATEs across and past the four-digit years,
+// CHAR dates, an INT date, short text and NULL — and allocates nothing for
+// a DATE or a CHAR date.
+func TestYearOfReadsTheText(t *testing.T) {
+	fromText := func(v val.Value) val.Value {
+		s := v.AsStr()
+		if len(s) < 4 {
+			return val.Null
+		}
+		y := 0
+		for i := 0; i < 4; i++ {
+			y = y*10 + int(s[i]-'0')
+		}
+		return val.Int(int64(y))
+	}
+	var vals []val.Value
+	for days := int64(-800000); days < 3000000; days += 997 {
+		vals = append(vals, val.Date(days))
+	}
+	vals = append(vals, val.Str("19960102"), val.Str("1998"), val.Str("199"), val.Int(19970304), val.Null,
+		val.DateFromYMD(1992, 1, 1), val.DateFromYMD(1998, 12, 31))
+	for _, v := range vals {
+		if got, want := yearOf(v), fromText(v); got != want {
+			t.Errorf("yearOf(%v) = %v, want %v", v, got, want)
+		}
+	}
+	d, c := val.DateFromYMD(1995, 6, 17), val.Str("19950617")
+	if n := testing.AllocsPerRun(100, func() { yearOf(d); yearOf(c) }); n != 0 {
+		t.Errorf("yearOf allocates %.0f times", n)
+	}
+}

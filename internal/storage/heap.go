@@ -305,43 +305,55 @@ func (h *HeapFile) ScanRange(loPage, hiPage int, m *cost.Meter, cols *val.ColSet
 		if err != nil {
 			return err
 		}
-		used := pageUsed(page)
-		for s := 0; s < used; s++ {
-			if deleted(page, s) {
-				continue
+		// The page's tuples are charged together once it is done with —
+		// one trip to the meter's lock instead of one per tuple; the
+		// meter's sums cannot tell.
+		n, err := h.scanPage(page, PageID(p), cols, dst, pass, fn)
+		if m != nil {
+			m.Charge(cost.TupleCPU, n)
+		}
+		if err != nil {
+			if err == ErrStopScan {
+				return nil
 			}
-			off := h.slotOffset(s)
-			row, d := page[off:off+h.codec.RowBytes()], dst()
-			if err := cols.DecodeScan(row, d); err != nil {
-				return err
-			}
-			if m != nil {
-				m.Charge(cost.TupleCPU, 1)
-			}
-			if pass != nil {
-				ok, err := pass()
-				if err != nil {
-					if err == ErrStopScan {
-						return nil
-					}
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			if err := cols.DecodeOutputOnly(row, d); err != nil {
-				return err
-			}
-			if err := fn(RID{Page: PageID(p), Slot: uint16(s)}); err != nil {
-				if err == ErrStopScan {
-					return nil
-				}
-				return err
-			}
+			return err
 		}
 	}
 	return nil
+}
+
+// scanPage is ScanRange over one page: it returns the number of tuples it
+// decoded, each a TupleCPU event, and stops at the first error.
+func (h *HeapFile) scanPage(page []byte, pid PageID, cols *val.ColSet, dst func() []val.Value, pass func() (bool, error), fn func(rid RID) error) (int64, error) {
+	var n int64
+	used := pageUsed(page)
+	for s := 0; s < used; s++ {
+		if deleted(page, s) {
+			continue
+		}
+		off := h.slotOffset(s)
+		row, d := page[off:off+h.codec.RowBytes()], dst()
+		if err := cols.DecodeScan(row, d); err != nil {
+			return n, err
+		}
+		n++
+		if pass != nil {
+			ok, err := pass()
+			if err != nil {
+				return n, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		if err := cols.DecodeOutputOnly(row, d); err != nil {
+			return n, err
+		}
+		if err := fn(RID{Page: pid, Slot: uint16(s)}); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // Flush charges write-back for the file's dirty pages (a commit point).

@@ -49,6 +49,18 @@ var keySeed = maphash.MakeSeed()
 // depends on where a key hashes.
 var KeySeedHook func() maphash.Seed
 
+// Reset empties the table and keeps its slots, entries and slab chunks for
+// the keys inserted next, so that a table refilled with as many keys
+// allocates nothing. The keys Key returned before are overwritten.
+func (t *KeyTable) Reset() {
+	clear(t.slots)
+	t.ents = t.ents[:0]
+	for i := range t.chunks {
+		t.chunks[i] = t.chunks[i][:0]
+	}
+	t.chunks = t.chunks[:min(len(t.chunks), 1)]
+}
+
 // Len returns the number of distinct keys inserted.
 func (t *KeyTable) Len() int { return len(t.ents) }
 
@@ -140,7 +152,11 @@ func (t *KeyTable) store(key []byte) (loc uint32) {
 		if c++; c >= 1<<(32-keyOffBits) {
 			panic("val: a KeyTable holds at most 4 GiB of keys")
 		}
-		t.chunks = append(t.chunks, make([]byte, 0, max(size, len(key))))
+		if c < cap(t.chunks) && cap(t.chunks[:c+1][c]) >= max(size, len(key)) {
+			t.chunks = t.chunks[:c+1] // a chunk Reset kept, emptied
+		} else {
+			t.chunks = append(t.chunks, make([]byte, 0, max(size, len(key))))
+		}
 	}
 	loc = uint32(c)<<keyOffBits | uint32(len(t.chunks[c]))
 	t.chunks[c] = append(t.chunks[c], key...)

@@ -5,6 +5,8 @@ import (
 	"hash/maphash"
 	"math/rand"
 	"testing"
+
+	"r3bench/internal/race"
 )
 
 // keyModel is the reference a KeyTable is checked against: a Go map from
@@ -145,6 +147,42 @@ func TestKeyTableAgainstMapModel(t *testing.T) {
 		}
 	}
 	merged.check(t, &into)
+}
+
+// TestKeyTableReset: a table emptied by Reset answers like a new one — for
+// keys it held before and for keys it never saw, through growth past its
+// old size and a key longer than any chunk — and refilled with as many keys
+// of the same sizes as before it allocates nothing.
+func TestKeyTableReset(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	draw := func(n int) [][]byte {
+		keys := make([][]byte, n)
+		for i := range keys {
+			keys[i] = randomKey(r)
+		}
+		return keys
+	}
+	first, second := draw(3000), draw(6000)
+	second[4000] = bytes.Repeat([]byte{0x01}, keyChunkMax+1)
+	var tab KeyTable
+	for _, keys := range [][][]byte{first, second, first} {
+		tab.Reset()
+		m := keyModel{entry: map[string]int32{}}
+		for _, key := range keys {
+			m.insert(t, &tab, key)
+		}
+		m.check(t, &tab)
+	}
+	refill := func() {
+		tab.Reset()
+		for _, key := range first {
+			tab.Insert(key)
+		}
+	}
+	refill()
+	if n := testing.AllocsPerRun(10, refill); !race.Enabled && n != 0 {
+		t.Errorf("a refill after Reset allocates %.0f times", n)
+	}
 }
 
 // FuzzKeyTable splits its input into keys — a length byte, then that many
