@@ -140,7 +140,10 @@ func (s *Session) ExplainAnalyze(sql string, params ...val.Value) (*Analyzed, er
 	prof.planFor(plan) // create operator spans ahead of row-ship, in plan order
 	prof.ship = root.Child("row-ship")
 	out := &collect{}
-	if err := s.runSelect(&runtime{sess: s, params: params, prof: prof}, plan, out, o.ArrayFetch); err != nil {
+	rt := &runtime{sess: s, params: params, prof: prof}
+	rt.begin()
+	defer rt.done()
+	if err := s.runSelect(rt, plan, out, o.ArrayFetch); err != nil {
 		return nil, err
 	}
 	return &Analyzed{Result: &out.Result, Root: root}, nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	stdruntime "runtime"
+	"runtime/debug"
 	"testing"
 
 	"r3bench/internal/race"
@@ -342,26 +343,34 @@ func kibPerRun(n int, fn func()) float64 {
 }
 
 // TestAllocationBudget is the tier-1 guard on allocation, per row and per
-// call, in allocations and in bytes. Per row: a Q6- and a Q1-shaped
-// statement, a hash join that builds on tt and a scan that filters on a CHAR
-// column, over the golden fixture's 1500 rows, may allocate about twice what
-// they do today: 36, 53, 75 and 36 times per execution (parse, plan,
-// batches, groups; the Q6 and Q1 shapes 43 and 103 while every group's exact
-// SUM and AVG made a big.Float, the Q1 shape 118 while each of its 4 groups
-// made its output row, its keys and its sort key apart) and 167, 176, 181 and 124
-// KiB. One allocation per scanned or built row would be 1500 more — which is
-// what the CHAR filter cost (1537) while decoding a CHAR made a string of
-// it — and frames and build rows as
-// wide as the catalog's rows instead of the columns read were 200, 212, 1044
-// and 200 KiB: tt has four columns, a TPC-D table sixteen. The join's build
-// rows hold the build side's output columns only — none: b.grp is read only
-// as the build key — and its frames drop that key once it is built; while
-// they held every column read it allocated 95 times and 298 KiB. A SELECT *
-// over a join view read alone streams the view's 1500 rows into its own
-// scan: 97 allocations and 453 KiB, 0.30 KiB per view row (497 KiB while
-// the view's join kept its key columns), where a copy of the view before
-// the scan cost 949 KiB, so its budget is 0.5 KiB per view row. A
-// distinct join key, group or DISTINCT value costs no allocation of its own —
+// call, in allocations and in bytes. It measures with the collector off: a
+// session holds the scratch its statements cut their frames and projection
+// slabs from and take their hash tables from only weakly between them, and a
+// collection in the middle of a measurement would have the next execution
+// size a scratch again. Per row: a Q6- and a Q1-shaped statement, a hash
+// join that builds on tt and a scan that filters on a CHAR column, over the
+// golden fixture's 1500 rows, may allocate about twice what they do today:
+// 26, 43, 35 and 26 times per execution (parse, plan, groups; 36, 53, 77 and
+// 36 while every statement backed its frames and built its hash tables on
+// the heap; the Q6 and Q1 shapes 43 and 103 while every group's exact SUM
+// and AVG made a big.Float, the Q1 shape 118 while each of its 4 groups made
+// its output row, its keys and its sort key apart) and 2.6, 9.6, 3.0 and 2.6
+// KiB (43, 50, 22 and 33 KiB on the heap; the budgets were 332, 352, 362 and
+// 246). One allocation per scanned or built row would be 1500 more — which
+// is what the CHAR filter cost (1537) while decoding a CHAR made a string of
+// it — and frames and build rows as wide as the catalog's rows instead of
+// the columns read were 200, 212, 1044 and 200 KiB: tt has four columns, a
+// TPC-D table sixteen. The join's build rows hold the build side's output
+// columns only — none: b.grp is read only as the build key — and its frames
+// drop that key once it is built; while they held every column read it
+// allocated 95 times and 298 KiB. A SELECT * over a join view read alone
+// streams the view's 1500 rows into its own scan: 45 allocations and 6.4
+// KiB (78 and 37 KiB on the heap), where a copy of the view before the scan
+// cost 949 KiB. On a session of its own, the second ad hoc execution of a
+// hash join whose build rows carry a CHAR and of a GROUP BY over a hash join
+// finds the frames and tables the first one sized: 4.1 and 6.3 KiB, where
+// it allocated what the first did, 159 and 26 KiB, while they came from the
+// heap. A distinct join key, group or DISTINCT value costs no allocation of its own —
 // its bytes go into the key table's slab (val.KeyTable), its state into a slab
 // row — so 700 more of them may cost 0.05 allocations each (0.01 today: slabs
 // and slots double), where a string per key in a Go map cost 1, 7 and 3. So
@@ -405,22 +414,36 @@ func TestAllocationBudget(t *testing.T) {
 	s := vecDB(t, 1500, 0)
 	mustExec(t, s, `UPDATE tt SET pad = 'padding'`)
 	mustExec(t, s, `CREATE VIEW tt_dim AS SELECT t.id, t.grp, t.v, t.pad, d.g_name FROM tt t, dim d WHERE t.grp = d.g_id`)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, c := range []struct {
 		q           string
 		budget, kib float64
 	}{
-		{`SELECT SUM(v * grp) FROM tt WHERE v > 100 AND id < 1400`, 90, 332},
-		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 212, 352},
-		{`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.grp AND a.id < 1400`, 166, 362},
-		{`SELECT COUNT(*) FROM tt WHERE pad = 'padding' AND id < 1400`, 74, 246},
-		{`SELECT * FROM tt_dim WHERE v > 990`, 194, 750},
+		{`SELECT SUM(v * grp) FROM tt WHERE v > 100 AND id < 1400`, 52, 6},
+		{`SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM tt WHERE id < 1400 GROUP BY grp ORDER BY grp`, 86, 20},
+		{`SELECT COUNT(*) FROM tt a, tt b WHERE a.id = b.grp AND a.id < 1400`, 70, 6},
+		{`SELECT COUNT(*) FROM tt WHERE pad = 'padding' AND id < 1400`, 52, 6},
+		{`SELECT * FROM tt_dim WHERE v > 990`, 90, 14},
 		{`SELECT id, v, pad FROM tt WHERE id < 1000`, 100, 422},
 	} {
+		stdruntime.GC()
 		if n := testing.AllocsPerRun(10, func() { mustExec(t, s, c.q) }); !race.Enabled && n > c.budget {
 			t.Errorf("%q allocates %.0f times per execution, budget %.0f", c.q, n, c.budget)
 		}
 		if kib := kibPerRun(10, func() { mustExec(t, s, c.q) }); kib > c.kib {
-			t.Errorf("%q allocates %.0f KiB per execution, budget %.0f", c.q, kib, c.kib)
+			t.Errorf("%q allocates %.1f KiB per execution, budget %.0f", c.q, kib, c.kib)
+		}
+	}
+	for _, c := range []struct {
+		q   string
+		kib float64
+	}{
+		{`SELECT COUNT(*), MAX(b.pad) FROM tt a, tt b WHERE a.v = b.v AND a.id < 1400`, 8},
+		{`SELECT d.g_name, COUNT(*), SUM(a.v) FROM tt a, dim d WHERE a.grp = d.g_id GROUP BY d.g_name ORDER BY 1`, 13},
+	} {
+		fresh := s.db.NewSession()
+		if kib := kibPerRun(1, func() { mustExec(t, fresh, c.q) }); kib > c.kib {
+			t.Errorf("the second execution of %q on a session allocates %.1f KiB, budget %.0f", c.q, kib, c.kib)
 		}
 	}
 
@@ -435,6 +458,7 @@ func TestAllocationBudget(t *testing.T) {
 		`SELECT COUNT(*) FROM tt a, tt b WHERE b.id = a.grp AND a.id < %d AND a.pad LIKE 'pad%%'`,                                                          // index nested-loop join per outer row
 		`SELECT COUNT(*) FROM tt a WHERE a.id < %d AND a.v = (SELECT MIN(b.v) FROM dim d, tt b WHERE b.grp = d.g_id AND b.id >= a.id AND b.id < a.id + 4)`, // Q2's correlated hash join per outer row
 	} {
+		stdruntime.GC()
 		keys := func(n int) float64 {
 			return testing.AllocsPerRun(10, func() { mustExec(t, s, fmt.Sprintf(q, n)) })
 		}

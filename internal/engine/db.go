@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"r3bench/internal/cost"
@@ -19,11 +20,12 @@ import (
 // client/server boundary the paper's Section 4 experiments measure.
 //
 // A Session is safe for concurrent use from any number of goroutines:
-// it holds no mutable state beyond the internally locked Meter and the
-// lock-guarded transaction ID, catalog resolution pins an immutable
-// snapshot per statement, and page reads are isolated from writers by
-// the buffer pool's copy-on-write. A prepared *Stmt, by contrast,
-// carries plan/feedback state and belongs to one goroutine at a time.
+// it holds no mutable state beyond the internally locked Meter, the
+// lock-guarded transaction ID and the atomically swapped scratch slot,
+// catalog resolution pins an immutable snapshot per statement, and page
+// reads are isolated from writers by the buffer pool's copy-on-write. A
+// prepared *Stmt, by contrast, carries plan/feedback state and belongs to
+// one goroutine at a time.
 type Session struct {
 	db    *DB
 	Meter *cost.Meter
@@ -33,6 +35,10 @@ type Session struct {
 	// (the always-committed system transaction).
 	txMu sync.Mutex
 	tx   int64
+
+	// scratch is the memory the session lends its statements, held weakly
+	// between them (takeScratch); nil while a statement has it.
+	scratch atomic.Pointer[scratchRef]
 }
 
 // currentTx returns the session's open transaction, beginning one on
@@ -181,7 +187,10 @@ func (s *Session) ExecTo(sink RowSink, sql string, params ...val.Value) (int64, 
 		return 0, err
 	}
 	if plan != nil {
-		return 0, s.runSelect(&runtime{sess: s, params: params}, plan, sink, o.ArrayFetch)
+		rt := &runtime{sess: s, params: params}
+		rt.begin()
+		defer rt.done()
+		return 0, s.runSelect(rt, plan, sink, o.ArrayFetch)
 	}
 	s.chargeCall()
 	return s.execParsed(sink, stmt, params)
@@ -244,7 +253,10 @@ func (s *Session) execParsed(sink RowSink, stmt sqlparse.Statement, params []val
 	case *sqlparse.InsertStmt, *sqlparse.UpdateStmt, *sqlparse.DeleteStmt:
 		var d *dmlPlan
 		if d, err = s.db.planDML(s.db.snap(), st); err == nil {
-			n, err = s.runDML(&runtime{sess: s, params: params}, d)
+			rt := &runtime{sess: s, params: params}
+			rt.begin()
+			n, err = s.runDML(rt, d)
+			rt.done()
 		}
 	default:
 		err = fmt.Errorf("engine: unsupported statement %T", stmt)
@@ -406,6 +418,7 @@ func (st *Stmt) QueryTo(sink RowSink, params ...val.Value) (int64, error) {
 		}
 	}
 	rt.busy, rt.params = true, params
+	rt.begin()
 	defer rt.done()
 	if st.dml != nil {
 		n, err := s.runDML(rt, st.dml)

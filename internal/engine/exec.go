@@ -30,10 +30,11 @@ type blockExec struct {
 	// pipeline runs — the lanes share them, read-only; nil when the block
 	// builds its own, on first probe, into builds.
 	hashes map[*hashStep]*hashTable
-	// builds is the block's own hash builds: kept, with their tables, until
-	// the statement ends, so that a block run again — a correlated
-	// sub-block per outer row — refills them instead of making new ones.
-	builds map[*hashStep]*hashBuild
+	// builds is the block's own hash builds, by step: kept, with their
+	// tables, until the block is done, so that a block run again — a
+	// correlated sub-block per outer row — refills them instead of making
+	// new ones.
+	builds []*hashBuild
 	curRID storage.RID   // last RID emitted by a scan (single-relation DML)
 	prof   *planProf     // operator spans under ExplainAnalyze; nil otherwise
 	fb     *execFeedback // per-step row counting for adaptive replanning; nil otherwise
@@ -64,16 +65,19 @@ func (be *blockExec) reset(outer rowStack) {
 	copy(be.stack, outer)
 	be.row, be.stack[len(outer)] = nil, nil
 	for _, b := range be.builds {
-		b.built = false
+		if b != nil {
+			b.built = false
+		}
 	}
 }
 
-// drop lets go of the frames and hash tables of the executions so far.
+// drop lets go of the frames of the executions so far and hands their hash
+// tables back to the statement's scratch.
 func (be *blockExec) drop() {
 	clear(be.stack)
-	if tablePoison != nil {
-		for _, b := range be.builds {
-			tablePoison(b.ht)
+	for _, b := range be.builds {
+		if b != nil {
+			be.rt.sc.putTable(b.ht)
 		}
 	}
 	be.row, be.hashes, be.builds, be.prof, be.fb = nil, nil, nil, nil, nil
@@ -524,20 +528,25 @@ func newPackedRows(width int) packedRows {
 func (s *packedRows) add(row []val.Value) int32 {
 	i := s.n
 	s.n++
-	c, at := int(i/slabChunkRows), int(i%slabChunkRows)*s.stride
-	switch {
-	case c < cap(s.chunks) && c == len(s.chunks) && s.chunks[:c+1][c].b != nil:
-		s.chunks = s.chunks[:c+1] // a chunk kept by reset, emptied
-	case c == len(s.chunks):
-		rows := slabChunkRows
-		if c == 0 {
-			rows = slabChunkMin
+	c, r := int(i/slabChunkRows), int(i%slabChunkRows)
+	at := r * s.stride
+	if c == len(s.chunks) {
+		if c < cap(s.chunks) {
+			s.chunks = s.chunks[:c+1] // a chunk kept by reset, emptied
+		} else {
+			s.chunks = append(s.chunks, packedChunk{})
 		}
-		s.chunks = append(s.chunks, packedChunk{b: make([]byte, 0, rows*s.stride)})
-	case at == cap(s.chunks[c].b): // the first chunk is full at its current size
-		s.chunks[c].b = append(make([]byte, 0, 2*at), s.chunks[c].b...)
 	}
 	ch := &s.chunks[c]
+	if at+s.stride > cap(ch.b) {
+		// A new chunk, the first one full at its current size, or one kept
+		// from rows of another width that is too short for these.
+		rows := slabChunkRows
+		if c == 0 {
+			rows = max(2*r, slabChunkMin)
+		}
+		ch.b = append(make([]byte, 0, rows*s.stride), ch.b...)
+	}
 	ch.b = ch.b[:at+s.stride]
 	rec := ch.b[at:]
 	kinds := rec[8*s.width : 9*s.width]
@@ -549,13 +558,21 @@ func (s *packedRows) add(row []val.Value) int32 {
 		case val.KFloat:
 			p = math.Float64bits(v.F)
 		case val.KStr:
-			ch.chars(int(i%slabChunkRows)*s.width, s.stride, s.width)[j] = v.S
+			ch.chars(r*s.width, s.stride, s.width)[j] = v.S
 		}
 		binary.LittleEndian.PutUint64(rec[8*j:], p)
 		kinds[j] = byte(v.K)
 	}
 	s.setLink(i, -1)
 	return i
+}
+
+// size is the bytes the chunks hold, those reset emptied included.
+func (s *packedRows) size() (n int) {
+	for _, ch := range s.chunks[:cap(s.chunks)] {
+		n += cap(ch.b)
+	}
+	return n
 }
 
 // reset empties the rows and keeps their chunks for the rows that follow.
@@ -572,8 +589,8 @@ func (s *packedRows) reset() {
 // index at, making the chunk's the first time — or again, when the first
 // chunk has doubled since.
 func (ch *packedChunk) chars(at, stride, width int) []string {
-	if at >= len(ch.strs) {
-		grown := make([]string, cap(ch.b)/stride*width)
+	if at+width > len(ch.strs) {
+		grown := make([]string, min(cap(ch.b)/stride, slabChunkRows)*width)
 		copy(grown, ch.strs)
 		ch.strs = grown
 	}
@@ -693,16 +710,16 @@ func (t *hashTable) absorb(o *hashTable) {
 	}
 }
 
-// build scans the relation through its access path into a fresh hash table
-// and charges the build.
+// build scans the relation through its access path into an emptied hash
+// table, one of rt's scratch when it has one, and charges the build.
 func (s *hashStep) build(rt *runtime, outer rowStack) (*hashTable, error) {
 	b := newHashBuild(s, rt)
 	return b.ht, b.build(outer)
 }
 
-// hashBuild is the build of one hash join's table: the table, and the
-// scratch frame and key of the scan that fills it. The probing block keeps
-// it (blockExec.builds).
+// hashBuild is the build of one hash join's table: the table, and the frame
+// and key of the scan that fills it. The probing block keeps it
+// (blockExec.builds); table and frame come from the statement's scratch.
 type hashBuild struct {
 	s     *hashStep
 	ht    *hashTable
@@ -715,7 +732,7 @@ type hashBuild struct {
 }
 
 func newHashBuild(s *hashStep, rt *runtime) *hashBuild {
-	b := &hashBuild{s: s, ht: newHashTable(s.rel.out), be: newBlockExec(rt, nil), row: make([]val.Value, s.rel.end())}
+	b := &hashBuild{s: s, ht: rt.sc.table(s.rel.out, s.rel.estRows), be: newBlockExec(rt, nil), row: rt.sc.values(s.rel.end())}
 	b.add = b.addRow
 	return b
 }

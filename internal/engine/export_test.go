@@ -3,6 +3,8 @@ package engine
 import (
 	"sync/atomic"
 	"testing"
+
+	"r3bench/internal/val"
 )
 
 // CheckLayouts is checkLayouts for the tests of this package that must live
@@ -55,3 +57,53 @@ func WatchExpOverflows() (count func() int64, stop func()) {
 	expOverflowHook = func() { n.Add(1) }
 	return n.Load, func() { expOverflowHook = nil }
 }
+
+// PoisonScratch, while on, overwrites everything handed back to a session's
+// scratch: values with a Kind no value has, frame headers with a frame of
+// them, a hash table's rows, CHARs and chain ends with sentinels.
+func PoisonScratch(on bool) {
+	scratchPoison = nil
+	if !on {
+		return
+	}
+	poisoned := make([]val.Value, 64)
+	for i := range poisoned {
+		poisoned[i] = val.Value{K: poisonKind}
+	}
+	scratchPoison = func(handed any) {
+		switch h := handed.(type) {
+		case []val.Value:
+			for i := range h {
+				h[i] = val.Value{K: poisonKind}
+			}
+		case [][]val.Value:
+			for i := range h {
+				h[i] = poisoned
+			}
+		case *hashTable:
+			poisonTable(h)
+			ends := h.ends[:cap(h.ends)]
+			for i := range ends {
+				ends[i] = [2]int32{-7, -7}
+			}
+		}
+	}
+}
+
+// poisonTable overwrites the bytes and the CHARs of every chunk of t's rows,
+// those reset emptied included.
+func poisonTable(t *hashTable) {
+	for _, ch := range t.rows.chunks[:cap(t.rows.chunks)] {
+		b := ch.b[:cap(ch.b)]
+		for i := range b {
+			b[i] = 0xA5
+		}
+		for i := range ch.strs {
+			ch.strs[i] = "POISONED"
+		}
+	}
+}
+
+// HeapGrowth is heapGrowth for the tests of this package that live outside
+// it.
+func HeapGrowth(fn func()) int64 { return heapGrowth(fn) }

@@ -44,6 +44,10 @@ type runtime struct {
 	// busy marks a Stmt's runtime as executing: a Stmt re-entered from its
 	// own row sink runs on a runtime of its own.
 	busy bool
+	// sc is the memory the session lends the statement (begin) and takes
+	// back when it ends (done); nil for a parallel lane and a partial
+	// result, which make their own.
+	sc *scratch
 
 	// Shipping of the statement's result rows (runSelect): the sink they go
 	// to, whether they ship in packets, how many went, and shipRow bound
@@ -62,8 +66,12 @@ func (rt *runtime) subs() map[*selectPlan][][]val.Value {
 	return rt.subCache
 }
 
-// done ends a statement execution on a runtime that outlives it: what the
-// rows sized goes, what the plan sized stays.
+// begin starts a statement execution on rt with the session's scratch.
+func (rt *runtime) begin() { rt.sc = rt.sess.takeScratch() }
+
+// done ends a statement execution: what it sized by its rows goes back to
+// the session's scratch, cleared, and what the plan sized stays with rt for
+// a Stmt's next execution.
 func (rt *runtime) done() {
 	for _, br := range rt.runs {
 		br.drop()
@@ -75,7 +83,11 @@ func (rt *runtime) done() {
 		}
 	}
 	clear(rt.subCache)
-	rt.params, rt.out, rt.fb, rt.fbPlan = nil, nil, nil, nil
+	if sc := rt.sc; sc != nil {
+		sc.release()
+		rt.sess.putScratch(sc)
+	}
+	rt.params, rt.out, rt.fb, rt.fbPlan, rt.sc = nil, nil, nil, nil, nil
 	rt.busy = false
 }
 

@@ -40,7 +40,7 @@ func TestBatchCapacitySchedule(t *testing.T) {
 				t.Fatalf("max %d: capacity during fill %d = %d, want %d", c.max, fill+1, b.cap, want)
 			}
 			for b.n = 0; b.n < b.cap; b.n++ {
-				if f := st.frame(b.n); len(f) != 3 || cap(f) != 3 {
+				if f := st.frame(b.n, nil); len(f) != 3 || cap(f) != 3 {
 					t.Fatalf("frame %d has len %d cap %d", b.n, len(f), cap(f))
 				}
 				reached = max(reached, b.n+1)
@@ -167,8 +167,8 @@ var keep [][]*Stmt
 
 // TestUnobservedAllocationsFlat: a block the buffer pool cannot see
 // (planUnobserved) hands on its first 1024 rows one at a time, so a prepared
-// single-table SELECT rewrites the one frame per stage its Stmt keeps, and
-// what an execution allocates does not grow with the rows it returns — the
+// single-table SELECT rewrites one frame per stage, and what an execution
+// allocates does not grow with the rows it returns — the
 // same count for 4, 10 and 1 000 rows into a RowSink that only counts them
 // (none today). On the growing batch every execution that returned more
 // than two rows backed its frames afresh: 4, 6 and 12 allocations.
@@ -502,15 +502,7 @@ func TestCorrelatedTablesPoisoned(t *testing.T) {
 	poisoned := 0
 	tablePoison = func(ht *hashTable) {
 		poisoned++
-		for _, ch := range ht.rows.chunks {
-			b := ch.b[:cap(ch.b)]
-			for i := range b {
-				b[i] = 0xA5
-			}
-			for i := range ch.strs {
-				ch.strs[i] = "POISONED"
-			}
-		}
+		poisonTable(ht)
 	}
 	defer func() { planned, tablePoison = nil, nil }()
 	st, err := s.Prepare(query)
