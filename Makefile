@@ -62,12 +62,15 @@ race:
 # emptied or let go of; and the scratch a session lends its statements —
 # frames, projection slabs and hash tables handed from one statement to the
 # next, poisoned when handed back, held weakly between statements — against
-# a fresh session for every statement.
+# a fresh session for every statement, serially and at parallel degrees 2
+# and 8, whose lanes take scratches of their own from the statement's; and
+# a second Q1–Q17 pass at degree 2 that reuses what the first sized.
 race-views:
 	$(GO) test -race -count=3 -run 'TestKeyViewsSurviveWrites' ./internal/btree
 	$(GO) test -race -count=3 -run 'TestColSetViewsMatchCopy|TestSlabOwns' ./internal/val
 	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite|TestStableImagesAreSnapshots' ./internal/storage
 	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors|TestUnobservedCapacityChargesAlike|TestUnobservedAllocationsFlat|TestPackedRowsRoundTrip|TestRecoveryTortureEveryBoundary|TestCachedPlansUnderConcurrentWrites|TestCorrelatedTablesPoisoned|TestSessionScratchAgainstFreshSessions' ./internal/engine
+	$(GO) test -race -count=3 -run 'TestSecondPowerPassReusesScratch/degree2' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestRoundTripAllocationBudget' ./internal/server
 	$(GO) test -race -count=3 -run 'TestClusterDecodeMatchesReference|TestOpenSQLRowsOwnTheirBytes' ./internal/r3
 	$(GO) test -race -count=3 -run 'TestKeptRowsOwnTheirBytes' ./internal/warehouse

@@ -45,8 +45,8 @@ type runtime struct {
 	// own row sink runs on a runtime of its own.
 	busy bool
 	// sc is the memory the session lends the statement (begin) and takes
-	// back when it ends (done); nil for a parallel lane and a partial
-	// result, which make their own.
+	// back when it ends (done); a parallel lane's is its lane's
+	// (scratch.lane), and a partial result's nil: it makes its own.
 	sc *scratch
 
 	// Shipping of the statement's result rows (runSelect): the sink they go
@@ -73,9 +73,7 @@ func (rt *runtime) begin() { rt.sc = rt.sess.takeScratch() }
 // the session's scratch, cleared, and what the plan sized stays with rt for
 // a Stmt's next execution.
 func (rt *runtime) done() {
-	for _, br := range rt.runs {
-		br.drop()
-	}
+	rt.dropRuns()
 	if d := rt.dml; d != nil {
 		clear(d.vals)
 		if cap(d.vals) > batchSize {
@@ -89,6 +87,13 @@ func (rt *runtime) done() {
 	}
 	rt.params, rt.out, rt.fb, rt.fbPlan, rt.sc = nil, nil, nil, nil, nil
 	rt.busy = false
+}
+
+// dropRuns lets go of what the statement's blocks sized by their rows.
+func (rt *runtime) dropRuns() {
+	for _, br := range rt.runs {
+		br.drop()
+	}
 }
 
 // shipRow hands one result row to the statement's sink, charging

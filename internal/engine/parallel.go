@@ -23,6 +23,14 @@ import (
 // partitions run as cost.Lanes, each worker charging its lane's meter, and
 // the session meter folds the lanes with cost.Meter.AddParallel — elapsed
 // session time advances by the slowest worker while resource totals sum.
+//
+// A lane sizes what it needs by its rows — a partition's hash table and
+// scan frame, its batch frames, projection slabs and accumulator — from its
+// lane's scratch (scratch.lane): lane 0 runs on the coordinator's goroutine
+// and takes the statement's, lane i > 0 the statement scratch's child i.
+// All of it stays valid until the statement ends, so the coordinator merges
+// the lanes' rows and groups where they lie; the hash tables go back to
+// their scratches once the lanes are done with them.
 
 // parallelSlots bounds worker goroutines across all concurrently running
 // parallel operations in the process. cost.Lanes.Run runs lane 0 on the
@@ -75,9 +83,9 @@ func partitionPages(pages, k int) [][2]int {
 // runParallel drains the block with p.parallel partition workers and merges
 // their runs, in partition order, into o, the coordinator's sink for emit. A
 // plan that cannot be split at run time (e.g. the table shrank below the
-// gate) is not merged; it returns the hash tables built here, to drain
-// serially over.
-func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emit func([]val.Value) error) (bool, map[*hashStep]*hashTable, error) {
+// gate) is not merged; it returns the hash tables built here, by step, to
+// drain serially over — the serial block hands them back (blockExec.drop).
+func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emit func([]val.Value) error) (bool, []*hashTable, error) {
 	var pages [][2]int
 	lead, leadOK := p.steps[0].(*scanStep)
 	if leadOK && lead.rel.table != nil && lead.access.index == nil {
@@ -96,7 +104,7 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emi
 	// share a read-only build side instead of each building their own —
 	// partitioned parallel build when the build side is a wide-enough
 	// base-table scan, serial coordinator build otherwise.
-	shared := make(map[*hashStep]*hashTable)
+	var shared []*hashTable
 	for si := 1; si < len(p.steps); si++ {
 		hs, ok := p.steps[si].(*hashStep)
 		if !ok {
@@ -116,13 +124,17 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emi
 		}
 		restore()
 		if err != nil {
+			rt.sc.putTables(shared)
 			return false, nil, err
 		}
-		shared[hs] = ht
+		if shared == nil {
+			shared = make([]*hashTable, len(p.steps))
+		}
+		shared[si] = ht
 	}
 
 	if len(pages) < 2 {
-		if len(shared) > 0 {
+		if shared != nil {
 			// Build-only parallelism: probe pipeline runs serially over the
 			// pre-built (shared) hash tables.
 			rt.sess.db.parallelRuns.Add(1)
@@ -152,10 +164,12 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emi
 	if fbMain != nil {
 		fbs = make([]execFeedback, len(pages))
 	}
+	rt.sc.growLanes(len(pages))
 	lanes := cost.NewLanes(model, len(pages))
 	err := lanes.Run(func(i int, m *cost.Meter) error {
 		defer laneSlot(i)()
-		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: m}
+		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: m, sc: rt.sc.lane(i)}
+		defer rtW.dropRuns()
 		// Every hash table was built above, so lanes only read shared.
 		beW := newBlockExec(rtW, outer)
 		beW.hashes = shared
@@ -184,7 +198,7 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emi
 			// The coordinator reads the rows after the lane is gone: no
 			// slab recycling.
 			err = v.project(func(r outRow) error {
-				run.rows = append(run.rows, r)
+				run.rows = rtW.sc.appendRow(run.rows, r)
 				return nil
 			}, false)
 		}
@@ -207,6 +221,9 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emi
 	restorePar := rt.spanScope(par)
 	rt.sess.Meter.AddParallel(lanes...)
 	restorePar()
+	// The lanes are done with the hash tables: what they projected or
+	// grouped holds none of their memory.
+	rt.sc.putTables(shared)
 	if err != nil {
 		return false, nil, err
 	}
@@ -222,15 +239,18 @@ func (p *selectPlan) runParallel(rt *runtime, outer rowStack, o *outputSink, emi
 		defer rt.spanScope(pp.output)()
 	}
 	o.p = p
-	o.reset(rt.meter(), emit)
+	o.reset(rt, emit)
 	return true, nil, o.merge(runs, false)
 }
 
 // parallelBuild builds a hash-join table by partitioned parallel scan of
 // the build relation. Per-partition tables merge in partition order, so
 // each key's match chain is in heap-scan order exactly as a serial build
-// would produce. Returns nil (no error) when the relation is too small to
-// split, in which case the caller builds serially.
+// would produce. Each partition's table and scan frame come from its
+// lane's scratch, the table sized for its share of the rows; the merged
+// table is lane 0's, holding the other lanes' tables until it goes back.
+// Returns nil (no error) when the relation is too small to split, in which
+// case the caller builds serially.
 func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, subMu *sync.Mutex, model cost.Model) (*hashTable, error) {
 	parts := partitionPages(s.rel.table.Heap.Pages(), p.parallel)
 	if len(parts) < 2 {
@@ -239,11 +259,13 @@ func (p *selectPlan) parallelBuild(rt *runtime, outer rowStack, s *hashStep, sub
 	subCache := rt.subs()
 	tables := make([]*hashTable, len(parts))
 	counts := make([]int64, len(parts))
+	rt.sc.growLanes(len(parts))
 	lanes := cost.NewLanes(model, len(parts))
 	err := lanes.Run(func(i int, m *cost.Meter) error {
 		defer laneSlot(i)()
-		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: m}
-		b := newHashBuild(s, rtW)
+		rtW := &runtime{sess: rt.sess, params: rt.params, subCache: subCache, subMu: subMu, m: m, sc: rt.sc.lane(i)}
+		defer rtW.dropRuns()
+		b := newHashBuild(s, rtW, s.rel.estRows/float64(len(parts)))
 		tables[i] = b.ht
 		var err error
 		counts[i], err = b.scan(outer, &parts[i])

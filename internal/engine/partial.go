@@ -155,7 +155,7 @@ func (s *Session) MergePartials(parts []*Partial, params ...val.Value) (*Result,
 	// single engine's.
 	out := &collect{Result: Result{Cols: p.outCols}}
 	rt := &runtime{sess: s, params: params, out: out, array: s.db.opts.Load().ArrayFetch}
-	sink := newOutputSink(p, s.Meter, rt.shipRow)
+	sink := newOutputSink(p, rt, rt.shipRow)
 	if err := sink.merge(runs, true); err != nil {
 		return nil, err
 	}

@@ -72,16 +72,19 @@ import (
 // hash tables and their build scans, the accumulator, the group slabs, the
 // materialized rows — so that an outer row costs no allocation. What a
 // statement sizes by its rows is its session's and goes back at its end: the
-// batch frames, their header arrays and the projection slabs are cut from
-// the session's scratch and the hash tables taken from it, and when the
-// statement ends (runtime.done) all of it goes back, cleared, for the next
-// statement to reuse; the run state a Stmt keeps holds none of it, nor do
-// the sort buffers, DISTINCT sets, accumulators and cached sub-block results
-// it drops. Between statements the session holds the scratch weakly, so a
-// collection takes it (the cursor caches hold hundreds of Stmts: keeping
-// each one's 64-frame batches took the R/3 report run's live heap from 45
-// to 180 MiB). A run with no scratch — a parallel lane, a partial result
-// that outlives its statement — makes its frames and tables on the heap.
+// batch frames, their header arrays, the projection slabs, the ORDER BY
+// buffer and its sort keys are cut from the session's scratch and the hash
+// tables and grouping accumulators taken from it, and when the statement
+// ends (runtime.done) all of it goes back, cleared, for the next statement
+// to reuse; the run state a Stmt keeps holds none of it, nor do the
+// DISTINCT sets and cached sub-block results it drops. Between statements
+// the session holds the scratch weakly, so a collection takes it (the
+// cursor caches hold hundreds of Stmts: keeping each one's 64-frame batches
+// took the R/3 report run's live heap from 45 to 180 MiB). A lane of a
+// parallel run cuts its frames and slabs from its
+// lane's scratch (scratch.lane), which goes back with the statement's; a
+// run with no scratch — a partial result that outlives its statement —
+// makes its frames and tables on the heap.
 //
 // Under ExplainAnalyze each stage installs its operator's span around its
 // own work and counts the rows it hands on per batch.
@@ -267,7 +270,7 @@ func (v *vecRun) drop() {
 // and returns it ready to merge or finalize.
 func (v *vecRun) aggregate() (*aggAccum, error) {
 	if v.acc == nil {
-		v.acc = newAggAccum(v.p)
+		v.acc = v.be.rt.sc.accum(v.p)
 	} else {
 		v.acc.reset()
 	}
@@ -430,14 +433,16 @@ func (v *vecRun) push(i int, in *vecBatch, n int) error {
 // charged only the matches it reached.
 func (v *vecRun) pushHash(i int, s *hashStep, in *vecBatch, n int) error {
 	be := v.be
-	ht, ok := be.hashes[s]
-	if !ok {
+	var ht *hashTable
+	if be.hashes != nil {
+		ht = be.hashes[i]
+	} else {
 		if be.builds == nil {
 			be.builds = make([]*hashBuild, len(v.p.steps))
 		}
 		b := be.builds[i]
 		if b == nil {
-			b = newHashBuild(s, be.rt)
+			b = newHashBuild(s, be.rt, s.rel.estRows)
 			be.builds[i] = b
 		}
 		if !b.built {
