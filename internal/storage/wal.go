@@ -583,6 +583,22 @@ func (w *WAL) Recover(cut int64, heaps map[FileID]*HeapFile, m *cost.Meter) (Rec
 	st.Committed = len(committed) - 1
 	st.Lost = len(losers)
 
+	// A lost direct-path extent is undone before redo rather than after:
+	// its pages were fresh, and its image, which holds its rows, is both
+	// their stable image and their baseline. Each page whose image is no
+	// newer than the extent restores to zeroes instead, and loses its
+	// baseline. Redo then replays onto the empty page whatever later
+	// committed work a recovery since put there.
+	lostExtent := map[pageKey]int64{}
+	for _, r := range recs {
+		if r.typ == recExtent && !committed[r.tx] {
+			for i := 0; i < r.n; i++ {
+				lostExtent[pageKey{r.file, r.first + PageID(i)}] = r.lsn
+			}
+			st.Undone++
+		}
+	}
+
 	// Restore: drop all volatile frames and reset every page to its
 	// stable image, its baseline or zeroes (stableAtLocked).
 	restored := make(map[pageKey]int64, len(w.pageLSN))
@@ -596,6 +612,10 @@ func (w *WAL) Recover(cut int64, heaps map[FileID]*HeapFile, m *cost.Meter) (Rec
 		for p := 0; p < n; p++ {
 			key := pageKey{f, PageID(p)}
 			sp := w.stableAtLocked(key, limit)
+			if lsn, ok := lostExtent[key]; ok && sp.lsn <= lsn {
+				sp = stablePage{}
+				delete(w.base, key)
+			}
 			h.restorePage(PageID(p), sp.data)
 			restored[key] = sp.lsn
 			if sp.data != nil {
