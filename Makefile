@@ -77,11 +77,15 @@ race-views:
 
 # Five-second native-fuzz smokes. The SQL front end: FuzzParse asserts
 # no panics, old/new parser validity agreement and AST stability under
-# arena reuse (the corpus seeds cover every statement shape). The key table
+# arena reuse (the corpus seeds cover every statement shape);
+# FuzzParseDetachReuse holds detached ASTs while other goroutines churn
+# the parser pool, so a chunk a detached AST shares with a reused arena
+# shows as a mutated AST. The key table
 # under join, GROUP BY and DISTINCT: FuzzKeyTable against a Go map. The hash
 # join's packed build rows: FuzzPackedRows against a [][]val.Value model.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime=5s ./internal/sqlparse
+	$(GO) test -run xxx -fuzz '^FuzzParseDetachReuse$$' -fuzztime=5s ./internal/sqlparse
 	$(GO) test -run xxx -fuzz '^FuzzKeyTable$$' -fuzztime=5s ./internal/val
 	$(GO) test -run xxx -fuzz '^FuzzPackedRows$$' -fuzztime=5s ./internal/engine
 

@@ -335,6 +335,22 @@ func BenchmarkParseSelectReused(b *testing.B) {
 	}
 }
 
+// BenchmarkParsePointLiteral drives the ad hoc literal point read — a
+// text the fingerprint cache has not seen — through the pooled Parse.
+func BenchmarkParsePointLiteral(b *testing.B) {
+	const src = "SELECT * FROM orders WHERE o_orderkey = 123456"
+	if _, err := sqlparse.Parse(src); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sqlparse.Parse(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // (BenchmarkParseSelectOld — the pre-rewrite contrast at 131 allocs/op —
 // lives in internal/sqlparse, next to the preserved old parser; test-only
 // symbols cannot be mirrored here.)

@@ -57,6 +57,19 @@ WHERE l_orderkey = ? AND l_linenumber BETWEEN 1 AND 4`
 	}
 }
 
+// BenchmarkParsePointLiteral is the ad hoc literal point read: a text
+// the fingerprint cache has not seen, parsed and detached for keeping.
+func BenchmarkParsePointLiteral(b *testing.B) {
+	const src = "SELECT * FROM orders WHERE o_orderkey = 123456"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sqlparse.Parse(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkParseSelectOld measures the preserved pre-rewrite parser on
 // the same statement, so `go test -bench ParseSelect` prints the
 // old-vs-new contrast in one run.
