@@ -18,6 +18,7 @@ package cost
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -38,19 +39,22 @@ const (
 	RowShip                  // one result row shipped across the interface
 	Translate                // Open SQL → SQL translation of one statement
 	Decode                   // decode of one pool/cluster tuple
-	Check                    // one batch-input consistency check
+	Check                    // one hundredth of a batch-input consistency check
 	Commit                   // one transaction commit (log force)
 	ReadAhead                // one batched sequential readahead window (several pages, one charge)
 	RowShipBatch             // one array-fetch packet shipped across the interface (several rows, one charge)
 	NetShip                  // one row shipped between engine shards over the network
 	WalWrite                 // one write-ahead-log page appended to the log file
-	numKinds
+	Optimize                 // one parse+optimize round of a statement
+	NetPacket                // one exchange packet's protocol overhead between shards
+	NumKinds
 )
 
 var kindNames = [...]string{
 	"seq-read", "rand-read", "page-write", "tuple-cpu", "sort-cpu",
 	"interface", "row-ship", "translate", "decode", "check", "commit",
-	"readahead", "row-ship-batch", "net-ship", "wal-write",
+	"readahead", "row-ship-batch", "net-ship", "wal-write", "optimize",
+	"net-packet",
 }
 
 // String returns the stable lower-case name of the event class.
@@ -61,10 +65,11 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// Model maps event classes to simulated durations. The zero value is not
-// useful; start from Default1996.
+// Model maps event classes to simulated durations: a simulated time is
+// always Σ Count(k) × PerEvent[k]. The zero value is not useful; start
+// from Default1996.
 type Model struct {
-	PerEvent [numKinds]time.Duration
+	PerEvent [NumKinds]time.Duration
 }
 
 // Default1996 returns the calibrated cost model used for all experiments.
@@ -78,7 +83,10 @@ type Model struct {
 //     Section 4.2 hinges on tuple shipping being expensive).
 //   - SAP batch input: the paper loads 1.5M ORDER+LINEITEM records in
 //     25d 19h 55m with two parallel workers ⇒ ≈2.9 s of checking per
-//     record.
+//     record, charged as 100 Check events of 29 ms so that the lighter
+//     dialogs are whole counts too.
+//   - Parse+optimize of one statement: ~4 ms, paid on every Exec and
+//     Prepare and avoided by a reopened cached cursor.
 func Default1996() Model {
 	var m Model
 	m.PerEvent[SeqRead] = 1 * time.Millisecond
@@ -90,7 +98,7 @@ func Default1996() Model {
 	m.PerEvent[RowShip] = 120 * time.Microsecond
 	m.PerEvent[Translate] = 1 * time.Millisecond
 	m.PerEvent[Decode] = 30 * time.Microsecond
-	m.PerEvent[Check] = 2900 * time.Millisecond
+	m.PerEvent[Check] = 29 * time.Millisecond
 	m.PerEvent[Commit] = 15 * time.Millisecond
 	// A readahead window is one sequential multi-page transfer: the disk
 	// streams the whole window off the track in roughly the time of a
@@ -107,7 +115,7 @@ func Default1996() Model {
 	m.PerEvent[RowShipBatch] = 150 * time.Microsecond
 	// Cross-shard exchange over a 1996-era switched 100 Mbit segment:
 	// ~200 bytes on the wire per row ⇒ ~16 µs of transfer, charged per
-	// row; the per-packet protocol latency is charged separately
+	// row; the per-packet protocol latency is NetPacket's
 	// (ChargeNetShip), mirroring the array interface's packet model. The
 	// network row is an order of magnitude cheaper than a RowShip — the
 	// interface crossing of Tables 4/5 was context switches and buffer
@@ -121,6 +129,10 @@ func Default1996() Model {
 	// streaming of log bytes, which is why group commit amortizes Commit
 	// across a batch but still pays WalWrite per page (DESIGN.md §14).
 	m.PerEvent[WalWrite] = 1 * time.Millisecond
+	m.PerEvent[Optimize] = 4 * time.Millisecond
+	// One exchange packet's protocol overhead (syscall, protocol stack,
+	// switch latency) on the 1996 network.
+	m.PerEvent[NetPacket] = 400 * time.Microsecond
 	return m
 }
 
@@ -130,26 +142,31 @@ func Default1996() Model {
 const ArrayFetchRows = 100
 
 // NetPacketRows is the exchange packet granularity: rows cross between
-// shards in packets of up to this many rows, each paying one
-// NetPacketLatency on top of the per-row NetShip transfer time.
+// shards in packets of up to this many rows, each paying one NetPacket
+// on top of the per-row NetShip transfer time.
 const NetPacketRows = 100
 
-// NetPacketLatency is the modelled protocol overhead of one exchange
-// packet (syscall, protocol stack, switch latency) on the 1996 network.
-const NetPacketLatency = 400 * time.Microsecond
-
 // ChargeNetShip charges m for shipping n rows between shards: n NetShip
-// row transfers plus one NetPacketLatency per started packet of
-// NetPacketRows rows. It returns the packet count. Zero rows are free —
-// an exchange with nothing to send makes no round trip.
+// row transfers plus one NetPacket per started packet of NetPacketRows
+// rows. It returns the packet count. Zero rows are free — an exchange
+// with nothing to send makes no round trip.
 func ChargeNetShip(m *Meter, n int64) int64 {
 	if n <= 0 {
 		return 0
 	}
-	m.Charge(NetShip, n)
 	packets := (n + NetPacketRows - 1) / NetPacketRows
-	m.ChargeDuration(NetShip, time.Duration(packets)*NetPacketLatency)
+	m.Charge(NetShip, n)
+	m.Charge(NetPacket, packets)
 	return packets
+}
+
+// ChargeComparisons charges m the ⌊n·log₂k⌋ SortCPU comparisons of
+// merging n rows out of k sorted runs; a comparison sort of n rows is
+// k = n. Fewer than two rows or runs compare nothing.
+func ChargeComparisons(m *Meter, n, k int64) {
+	if n > 1 && k > 1 {
+		m.Charge(SortCPU, int64(float64(n)*math.Log2(float64(k))))
+	}
 }
 
 // UniformIO returns a copy of m in which random reads cost the same as
@@ -160,15 +177,16 @@ func (m Model) UniformIO() Model {
 	return m
 }
 
-// Meter accumulates simulated time for one session. It is safe for
-// concurrent use so that parallel batch-input workers can share a wall
-// clock while charging their own lanes.
+// Meter accumulates simulated time for one session: event counts per kind
+// and the elapsed total, which the parallel combining rule (AddParallel)
+// keeps below the counts' priced sum. It is safe for concurrent use so
+// that parallel batch-input workers can share a wall clock while charging
+// their own lanes.
 type Meter struct {
 	mu      sync.Mutex
 	model   Model
 	total   time.Duration
-	byKind  [numKinds]time.Duration
-	nEvents [numKinds]int64
+	nEvents [NumKinds]int64
 	cur     *Span // attribution target for subsequent charges, may be nil
 }
 
@@ -182,33 +200,14 @@ func (m *Meter) Charge(k Kind, n int64) {
 	if n == 0 {
 		return
 	}
-	d := m.model.PerEvent[k] * time.Duration(n)
+	d := m.model.price(k, n)
 	m.mu.Lock()
 	m.total += d
-	m.byKind[k] += d
 	m.nEvents[k] += n
 	cur := m.cur
 	m.mu.Unlock()
 	if cur != nil {
 		cur.add(k, d, n)
-	}
-}
-
-// ChargeDuration adds an explicit simulated duration under class k,
-// for costs that are not a simple event count (e.g. CPU proportional to
-// n·log n during a sort).
-func (m *Meter) ChargeDuration(k Kind, d time.Duration) {
-	if d == 0 {
-		return
-	}
-	m.mu.Lock()
-	m.total += d
-	m.byKind[k] += d
-	m.nEvents[k]++
-	cur := m.cur
-	m.mu.Unlock()
-	if cur != nil {
-		cur.add(k, d, 1)
 	}
 }
 
@@ -243,19 +242,19 @@ func (m *Meter) Count(k Kind) int64 {
 	return m.nEvents[k]
 }
 
-// ByKind returns the simulated time charged under k.
+// ByKind returns the simulated time charged under k: its count at the
+// meter's price.
 func (m *Meter) ByKind(k Kind) time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.byKind[k]
+	return m.model.price(k, m.nEvents[k])
 }
 
 // Reset zeroes the meter, keeping its model.
 func (m *Meter) Reset() {
 	m.mu.Lock()
 	m.total = 0
-	m.byKind = [numKinds]time.Duration{}
-	m.nEvents = [numKinds]int64{}
+	m.nEvents = [NumKinds]int64{}
 	m.mu.Unlock()
 }
 
@@ -272,10 +271,10 @@ func (m *Meter) Lap(since time.Duration) time.Duration {
 }
 
 // snapshot copies a meter's counters under its lock.
-func (m *Meter) snapshot() (time.Duration, [numKinds]time.Duration, [numKinds]int64) {
+func (m *Meter) snapshot() (time.Duration, [NumKinds]int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.total, m.byKind, m.nEvents
+	return m.total, m.nEvents
 }
 
 // AddParallel folds the meters of concurrently executing workers into m
@@ -288,75 +287,77 @@ func (m *Meter) snapshot() (time.Duration, [numKinds]time.Duration, [numKinds]in
 // per-shard lanes.
 //
 // After a merge m's grand total is deliberately smaller than the sum of
-// its per-kind buckets: the difference is exactly the time hidden by
+// its priced counts: the difference is exactly the time hidden by
 // overlapping the workers.
 func (m *Meter) AddParallel(workers ...*Meter) { m.fold(true, workers) }
 
-// AddSum folds src meters into m by plain summation of totals, per-kind
-// durations and event counts — the serial combining rule, used to report
-// aggregate resource consumption across lanes.
+// AddSum folds src meters into m by plain summation of totals and event
+// counts — the serial combining rule, used to report aggregate resource
+// consumption across lanes.
 func (m *Meter) AddSum(srcs ...*Meter) { m.fold(false, srcs) }
 
-// fold adds the srcs' per-kind time and events to m, and to m's total
-// either the largest src total (parallel) or their sum; nil srcs are
-// skipped. The current span is credited with the same amounts.
+// fold adds the srcs' events to m, and to m's total either the largest
+// src total (parallel) or their sum; nil srcs are skipped. The current
+// span is credited with the same amounts.
 func (m *Meter) fold(parallel bool, srcs []*Meter) {
 	var elapsed time.Duration
-	var kinds [numKinds]time.Duration
-	var events [numKinds]int64
+	var events [NumKinds]int64
 	for _, w := range srcs {
 		if w == nil {
 			continue
 		}
-		total, byKind, nEvents := w.snapshot()
+		total, nEvents := w.snapshot()
 		if !parallel {
 			elapsed += total
 		} else if total > elapsed {
 			elapsed = total
 		}
-		for k := 0; k < int(numKinds); k++ {
-			kinds[k] += byKind[k]
+		for k := range events {
 			events[k] += nEvents[k]
 		}
 	}
 	m.mu.Lock()
 	m.total += elapsed
-	for k := 0; k < int(numKinds); k++ {
-		m.byKind[k] += kinds[k]
+	for k := range events {
 		m.nEvents[k] += events[k]
 	}
 	cur := m.cur
 	m.mu.Unlock()
 	if cur != nil {
-		cur.addCombined(elapsed, kinds, events)
+		cur.addCombined(elapsed, &events)
 	}
 }
 
 // Breakdown renders a per-kind cost report, largest contributor first,
 // omitting zero rows.
 func (m *Meter) Breakdown() string {
-	m.mu.Lock()
-	type row struct {
-		k Kind
-		d time.Duration
-		n int64
-	}
-	rows := make([]row, 0, numKinds)
-	for k := Kind(0); k < numKinds; k++ {
-		if m.byKind[k] > 0 {
-			rows = append(rows, row{k, m.byKind[k], m.nEvents[k]})
-		}
-	}
-	total := m.total
-	m.mu.Unlock()
-
-	sort.Slice(rows, func(i, j int) bool { return rows[i].d > rows[j].d })
+	total, events := m.snapshot()
 	var b strings.Builder
 	fmt.Fprintf(&b, "total %s\n", Fmt(total))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-10s %12s  (%d events)\n", r.k, Fmt(r.d), r.n)
+	for _, k := range m.model.ranked(&events) {
+		fmt.Fprintf(&b, "  %-10s %12s  (%d events)\n", k, Fmt(m.model.price(k, events[k])), events[k])
 	}
 	return b.String()
+}
+
+// price returns the simulated time of n events of class k.
+func (m *Model) price(k Kind, n int64) time.Duration {
+	return m.PerEvent[k] * time.Duration(n)
+}
+
+// ranked returns the kinds whose events cost time, the costliest first
+// and equal costs in kind order.
+func (m *Model) ranked(events *[NumKinds]int64) []Kind {
+	var ks []Kind
+	for k := Kind(0); k < NumKinds; k++ {
+		if m.price(k, events[k]) > 0 {
+			ks = append(ks, k)
+		}
+	}
+	sort.SliceStable(ks, func(i, j int) bool {
+		return m.price(ks[i], events[ks[i]]) > m.price(ks[j], events[ks[j]])
+	})
+	return ks
 }
 
 // Fmt formats a simulated duration the way the paper's tables do:

@@ -41,15 +41,59 @@ func TestMeterLapAndReset(t *testing.T) {
 	}
 }
 
-func TestChargeDuration(t *testing.T) {
-	m := NewMeter(Default1996())
-	m.ChargeDuration(SortCPU, 123*time.Millisecond)
-	if m.Elapsed() != 123*time.Millisecond {
-		t.Errorf("Elapsed = %v", m.Elapsed())
+// priced returns Σ_k Count(k) × PerEvent[k] and Σ_k ByKind(k) of m.
+func priced(m *Meter) (counts, byKind time.Duration) {
+	model := m.Model()
+	for k := Kind(0); k < NumKinds; k++ {
+		counts += time.Duration(m.Count(k)) * model.PerEvent[k]
+		byKind += m.ByKind(k)
 	}
-	m.ChargeDuration(SortCPU, 0)
-	if m.Count(SortCPU) != 1 {
-		t.Error("zero duration must not count as an event")
+	return counts, byKind
+}
+
+// TestTimeIsCountsTimesPrices: every charge is a count of events, so a
+// serial meter's Elapsed is its counts priced, to the nanosecond — also
+// for the helpers that turn a size into events (a sort's comparisons, an
+// exchange's packets). Under AddParallel elapsed is the slowest lane's,
+// while counts and ByKind are the lanes' sums.
+func TestTimeIsCountsTimesPrices(t *testing.T) {
+	model := Default1996()
+	a := NewMeter(model)
+	ChargeComparisons(a, 1000, 1000) // ⌊1000·log₂1000⌋ = 9965
+	ChargeComparisons(a, 1, 8)       // one row compares nothing
+	ChargeComparisons(a, 64, 4)      // 128
+	a.Charge(Optimize, 1)
+	if got := a.Count(SortCPU); got != 9965+128 {
+		t.Errorf("SortCPU count = %d, want %d", got, 9965+128)
+	}
+	b := NewMeter(model)
+	if packets := ChargeNetShip(b, 250); packets != 3 || b.Count(NetPacket) != 3 || b.Count(NetShip) != 250 {
+		t.Errorf("ChargeNetShip(250) = %d packets, counts NetPacket %d NetShip %d; want 3, 3, 250",
+			packets, b.Count(NetPacket), b.Count(NetShip))
+	}
+	b.Charge(Check, 62)
+	for _, w := range []*Meter{a, b} {
+		if counts, byKind := priced(w); w.Elapsed() != counts || byKind != counts {
+			t.Errorf("Elapsed %v, counts priced %v, Σ ByKind %v: want all equal", w.Elapsed(), counts, byKind)
+		}
+	}
+	if got, want := b.ByKind(Check), 1798*time.Millisecond; got != want {
+		t.Errorf("a 0.62 dialog = %v, want %v", got, want)
+	}
+
+	m := NewMeter(model)
+	m.AddParallel(a, b)
+	if got, want := m.Elapsed(), max(a.Elapsed(), b.Elapsed()); got != want {
+		t.Errorf("AddParallel elapsed = %v, want the slowest lane's %v", got, want)
+	}
+	for k := Kind(0); k < NumKinds; k++ {
+		if m.Count(k) != a.Count(k)+b.Count(k) || m.ByKind(k) != a.ByKind(k)+b.ByKind(k) {
+			t.Errorf("AddParallel %v = %d/%v, want the sums %d/%v", k, m.Count(k), m.ByKind(k),
+				a.Count(k)+b.Count(k), a.ByKind(k)+b.ByKind(k))
+		}
+	}
+	if counts, _ := priced(m); counts != a.Elapsed()+b.Elapsed() {
+		t.Errorf("AddParallel counts priced %v, want the lanes' sum %v", counts, a.Elapsed()+b.Elapsed())
 	}
 }
 

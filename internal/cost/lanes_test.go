@@ -119,7 +119,7 @@ func TestLanesElapsed(t *testing.T) {
 	if total.Elapsed() != sum.Elapsed() {
 		t.Errorf("Total elapsed = %v, want AddSum's %v", total.Elapsed(), sum.Elapsed())
 	}
-	for k := Kind(0); k < numKinds; k++ {
+	for k := Kind(0); k < NumKinds; k++ {
 		if total.Count(k) != sum.Count(k) || total.ByKind(k) != sum.ByKind(k) {
 			t.Errorf("Total %v = %d/%v, want AddSum's %d/%v", k, total.Count(k), total.ByKind(k), sum.Count(k), sum.ByKind(k))
 		}

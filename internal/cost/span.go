@@ -28,8 +28,7 @@ type Span struct {
 	name     string
 	lane     bool
 	elapsed  time.Duration
-	byKind   [numKinds]time.Duration
-	nEvents  [numKinds]int64
+	nEvents  [NumKinds]int64
 	rows     int64
 	children []*Span
 }
@@ -103,14 +102,6 @@ func (s *Span) Events(k Kind) int64 {
 	return s.nEvents[k]
 }
 
-// ByKind returns the simulated time of class k charged directly to this
-// span.
-func (s *Span) ByKind(k Kind) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byKind[k]
-}
-
 // Total returns the span's own elapsed plus the Total of every non-lane
 // child. This is the figure that reconciles with the session meter.
 func (s *Span) Total() time.Duration {
@@ -130,69 +121,53 @@ func (s *Span) Total() time.Duration {
 func (s *Span) add(k Kind, d time.Duration, n int64) {
 	s.mu.Lock()
 	s.elapsed += d
-	s.byKind[k] += d
 	s.nEvents[k] += n
 	s.mu.Unlock()
 }
 
 // addCombined books the result of a parallel/serial lane merge onto the
-// span: the combined elapsed plus per-kind resource sums.
-func (s *Span) addCombined(total time.Duration, kinds [numKinds]time.Duration, events [numKinds]int64) {
+// span: the combined elapsed plus the summed event counts.
+func (s *Span) addCombined(total time.Duration, events *[NumKinds]int64) {
 	s.mu.Lock()
 	s.elapsed += total
-	for k := 0; k < int(numKinds); k++ {
-		s.byKind[k] += kinds[k]
+	for k := range events {
 		s.nEvents[k] += events[k]
 	}
 	s.mu.Unlock()
 }
 
 // topKinds renders the dominant event classes charged directly to the
-// span, largest first, up to max entries.
-func (s *Span) topKinds(max int) string {
+// span, priced by model, largest first, up to max entries.
+func (s *Span) topKinds(model *Model, max int) string {
 	s.mu.Lock()
-	byKind := s.byKind
-	nEvents := s.nEvents
+	events := s.nEvents
 	s.mu.Unlock()
-	type kd struct {
-		k Kind
-		d time.Duration
-	}
-	var rows []kd
-	for k := Kind(0); k < numKinds; k++ {
-		if byKind[k] > 0 {
-			rows = append(rows, kd{k, byKind[k]})
-		}
-	}
-	if len(rows) == 0 {
+	ks := model.ranked(&events)
+	if len(ks) == 0 {
 		return ""
 	}
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j].d > rows[j-1].d; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
+	if len(ks) > max {
+		ks = ks[:max]
 	}
-	if len(rows) > max {
-		rows = rows[:max]
-	}
-	parts := make([]string, len(rows))
-	for i, r := range rows {
-		parts[i] = fmt.Sprintf("%s %s (%d)", r.k, Fmt(r.d), nEvents[r.k])
+	parts := make([]string, len(ks))
+	for i, k := range ks {
+		parts[i] = fmt.Sprintf("%s %s (%d)", k, Fmt(model.price(k, events[k])), events[k])
 	}
 	return "[" + strings.Join(parts, ", ") + "]"
 }
 
 // Render draws the span tree, one line per span: label, Total, rows
-// produced (when any were recorded), and the dominant event classes.
+// produced (when any were recorded), and the dominant event classes
+// priced by model, the model of the meters that charged the tree.
 // Lane-detail spans are prefixed with "~" to mark overlapped time that
 // does not add into the parent.
-func (s *Span) Render() string {
+func (s *Span) Render(model Model) string {
 	var b strings.Builder
-	s.render(&b, 0)
+	s.render(&b, &model, 0)
 	return b.String()
 }
 
-func (s *Span) render(b *strings.Builder, depth int) {
+func (s *Span) render(b *strings.Builder, model *Model, depth int) {
 	label := s.name
 	if s.lane {
 		label = "~ " + label
@@ -201,12 +176,12 @@ func (s *Span) render(b *strings.Builder, depth int) {
 	if n := s.Rows(); n > 0 {
 		fmt.Fprintf(b, "  rows=%d", n)
 	}
-	if t := s.topKinds(3); t != "" {
+	if t := s.topKinds(model, 3); t != "" {
 		b.WriteString("  ")
 		b.WriteString(t)
 	}
 	b.WriteByte('\n')
 	for _, c := range s.Children() {
-		c.render(b, depth+1)
+		c.render(b, model, depth+1)
 	}
 }

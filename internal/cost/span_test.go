@@ -91,7 +91,7 @@ func TestSpanRender(t *testing.T) {
 	m.SetSpan(nil)
 	scan.AddRows(42)
 
-	out := root.Render()
+	out := root.Render(m.Model())
 	for _, want := range []string{"statement", "scan LINEITEM", "rows=42", "seq-read"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)

@@ -113,11 +113,12 @@ var noopRestore = func() {}
 type Analyzed struct {
 	Result *Result
 	Root   *cost.Span
+	model  cost.Model // the session meter's, which prices Root's counts
 }
 
 // String renders the annotated plan tree, one operator per line with its
 // simulated elapsed, rows produced and dominant event classes.
-func (a *Analyzed) String() string { return a.Root.Render() }
+func (a *Analyzed) String() string { return a.Root.Render(a.model) }
 
 // ExplainAnalyze executes a SELECT with per-operator cost attribution. It
 // is Exec's run with spans installed: the front half runs under the
@@ -146,5 +147,5 @@ func (s *Session) ExplainAnalyze(sql string, params ...val.Value) (*Analyzed, er
 	if err := s.runSelect(rt, plan, out, o.ArrayFetch); err != nil {
 		return nil, err
 	}
-	return &Analyzed{Result: &out.Result, Root: root}, nil
+	return &Analyzed{Result: &out.Result, Root: root, model: s.Meter.Model()}, nil
 }

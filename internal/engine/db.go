@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/sqlparse"
@@ -161,10 +160,6 @@ func materialize(run func(RowSink) (int64, error)) (*Result, error) {
 	return &c.Result, nil
 }
 
-// optimizeCharge is the modelled cost of one parse+optimize round; cursor
-// caching (prepared statements) avoids it on reopen.
-const optimizeCharge = 4 * time.Millisecond
-
 // Exec parses, plans and executes one SQL statement. Repeated statement
 // texts hit the fingerprint cache (see parsecache.go), skipping the real
 // lexer and — when the cached plan is epoch-valid — the optimizer; the
@@ -218,7 +213,7 @@ func (s *Session) compile(sql string) (*selectPlan, sqlparse.Statement, error) {
 func (s *Session) chargeCall() {
 	s.db.ifaceCalls.Add(1)
 	s.Meter.Charge(cost.Interface, 1)
-	s.Meter.ChargeDuration(cost.Interface, optimizeCharge)
+	s.Meter.Charge(cost.Optimize, 1)
 }
 
 // Query is Exec restricted to SELECT statements.
@@ -358,7 +353,7 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 			return st, nil // the optimize charge moves to the first Query
 		}
 	}
-	s.Meter.ChargeDuration(cost.Interface, optimizeCharge)
+	s.Meter.Charge(cost.Optimize, 1)
 	if st.sel != nil {
 		if st.plan, err = s.db.planFor(entry, st.sel); err != nil {
 			return nil, err
@@ -444,7 +439,7 @@ func (st *Stmt) QueryTo(sink RowSink, params ...val.Value) (int64, error) {
 // earlier executions.
 func (st *Stmt) replan(params []val.Value, peek bool) error {
 	s := st.sess
-	s.Meter.ChargeDuration(cost.Interface, optimizeCharge)
+	s.Meter.Charge(cost.Optimize, 1)
 	opts := &planOpts{feedback: st.feedback}
 	if peek {
 		opts.peek = params

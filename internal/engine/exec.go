@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/storage"
@@ -1218,7 +1217,7 @@ func (o *outputSink) merge(runs []Partial, byGroups bool) error {
 	for _, run := range runs[1:] {
 		acc.merge(run.acc)
 	}
-	chargeMergeRuns(o.m, n, int64(len(runs)))
+	cost.ChargeComparisons(o.m, n, int64(len(runs))) // a streaming merge: no I/O
 	o.acc = acc
 	return nil
 }
@@ -1237,7 +1236,7 @@ func (o *outputSink) finish(rt *runtime, outer rowStack) error {
 		return nil
 	}
 	if o.runs > 1 {
-		chargeMergeRuns(o.m, int64(len(o.rows)), int64(o.runs))
+		cost.ChargeComparisons(o.m, int64(len(o.rows)), int64(o.runs)) // a streaming merge: no I/O
 	} else {
 		chargeSort(o.m, int64(len(o.rows)), int64(len(p.projections)+len(p.orderKeys))*24)
 	}
@@ -1723,24 +1722,10 @@ func (p *selectPlan) finalizeGroups(rt *runtime, a *aggAccum, outer rowStack, si
 	return nil
 }
 
-// chargeMergeRuns charges a k-way streaming merge of n pre-sorted runs:
-// n·log2(k) comparisons, no extra I/O (the runs stream through).
-func chargeMergeRuns(m *cost.Meter, n, k int64) {
-	if n <= 1 || k <= 1 {
-		return
-	}
-	per := m.Model().PerEvent[cost.SortCPU]
-	m.ChargeDuration(cost.SortCPU, time.Duration(float64(n)*math.Log2(float64(k)))*per)
-}
-
 // chargeSort charges an n·log n comparison sort plus external-merge I/O
 // when the data exceeds working memory.
 func chargeSort(m *cost.Meter, n int64, rowBytes int64) {
-	if n <= 1 {
-		return
-	}
-	per := m.Model().PerEvent[cost.SortCPU]
-	m.ChargeDuration(cost.SortCPU, time.Duration(float64(n)*math.Log2(float64(n)))*per)
+	cost.ChargeComparisons(m, n, n)
 	total := n * rowBytes
 	if total > workMemBytes {
 		pages := total / storage.PageSize

@@ -14,7 +14,7 @@ import (
 // statement skips the lexer entirely and, while planning it again would
 // give the plan it cached, the optimizer too. The cache saves real CPU and
 // real allocations only — every simulated-meter charge (Interface,
-// optimizeCharge, RowShip) is made exactly as before on both the hit
+// Optimize, RowShip) is made exactly as before on both the hit
 // and the miss path, so the 1996 virtual clock is byte-identical whether
 // a statement hits or misses.
 

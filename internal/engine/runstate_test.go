@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"r3bench/internal/cost"
 	"r3bench/internal/race"
 	"r3bench/internal/sqlparse"
 	"r3bench/internal/val"
@@ -322,7 +323,7 @@ func TestPreparedStmtSeesDDL(t *testing.T) {
 	mustExec(t, s, `INSERT INTO D VALUES (10000, 3, 'x')`)
 	start = s.Meter.Elapsed()
 	rows(7)
-	if replanned := s.Meter.Lap(start); replanned < optimizeCharge {
+	if replanned := s.Meter.Lap(start); replanned < s.Meter.Model().PerEvent[cost.Optimize] {
 		t.Errorf("the execution after DROP INDEX took %v, less than one optimizer round", replanned)
 	}
 	if strings.Contains(st.Explain(), "D_N") {

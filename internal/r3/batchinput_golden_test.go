@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/dbgen"
@@ -18,11 +19,19 @@ import (
 // input charges.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/batchinput_golden.txt from this run")
 
-// counts renders a meter's event counts of every kind, in kind order.
-func counts(m *cost.Meter) string {
+// counts renders a meter's event counts of every kind, in kind order, and
+// fails t unless the meter's elapsed is those counts priced to the
+// nanosecond — true of a serial meter and of lanes summed (AddSum).
+func counts(t *testing.T, name string, m *cost.Meter) string {
+	t.Helper()
 	var parts []string
-	for k := cost.SeqRead; k <= cost.WalWrite; k++ {
+	var priced time.Duration
+	for k := cost.Kind(0); k < cost.NumKinds; k++ {
 		parts = append(parts, fmt.Sprintf("%s=%d", k, m.Count(k)))
+		priced += time.Duration(m.Count(k)) * m.Model().PerEvent[k]
+	}
+	if m.Elapsed() != priced {
+		t.Errorf("%s: elapsed %d ns, Σ Count × PerEvent %d ns", name, m.Elapsed(), priced)
 	}
 	return strings.Join(parts, " ")
 }
@@ -56,7 +65,7 @@ func TestBatchInputGolden(t *testing.T) {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		fmt.Fprintf(&b, "%s total_ns=%d records=%d\n", v.name, bi.Elapsed().Nanoseconds(), bi.Records())
-		fmt.Fprintf(&b, "%s counts %s\n", v.name, counts(bi.Meter()))
+		fmt.Fprintf(&b, "%s counts %s\n", v.name, counts(t, v.name, bi.Meter()))
 		if w := sys.DB.WAL(); w != nil {
 			fmt.Fprintf(&b, "%s wal %+v\n", v.name, w.Stats())
 		}
@@ -78,7 +87,7 @@ func TestBatchInputGolden(t *testing.T) {
 		if err := uf.run(impl); err != nil {
 			t.Fatalf("%s: %v", uf.name, err)
 		}
-		fmt.Fprintf(&b, "%s lap_ns=%d counts %s\n", uf.name, impl.Meter().Elapsed().Nanoseconds(), counts(impl.Meter()))
+		fmt.Fprintf(&b, "%s lap_ns=%d counts %s\n", uf.name, impl.Meter().Elapsed().Nanoseconds(), counts(t, uf.name, impl.Meter()))
 	}
 
 	const path = "testdata/batchinput_golden.txt"

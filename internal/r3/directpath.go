@@ -104,7 +104,7 @@ func (w *dpWorker) record(anchor string) {
 	w.m.Charge(cost.TupleCPU, 1)
 	w.pending++
 	if w.pending >= checkBatch {
-		w.m.Charge(cost.Check, 1)
+		w.m.Charge(cost.Check, 100) // one full check, in hundredths
 		w.pending = 0
 	}
 	w.dp.records.Add(1)

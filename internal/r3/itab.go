@@ -1,10 +1,8 @@
 package r3
 
 import (
-	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/val"
@@ -94,10 +92,7 @@ func (t *ITab) estRowBytes() int64 { return int64(len(t.names)) * 24 }
 
 // chargeSort charges the comparison CPU of sorting n rows.
 func (t *ITab) chargeSort(n int) {
-	if n > 1 {
-		per := t.meter.Model().PerEvent[cost.SortCPU]
-		t.meter.ChargeDuration(cost.SortCPU, time.Duration(float64(n)*math.Log2(float64(n)))*per)
-	}
+	cost.ChargeComparisons(t.meter, int64(n), int64(n))
 }
 
 // Sort orders the table by the given fields ascending (SORT itab BY ...).

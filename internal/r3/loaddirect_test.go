@@ -27,7 +27,7 @@ func TestLoadDirectRepeats(t *testing.T) {
 		if err := impl.RunUF1(); err != nil {
 			t.Fatal(err)
 		}
-		return counts(impl.Meter())
+		return counts(t, "UF1", impl.Meter())
 	}
 	want := uf1()
 	for run := 1; run <= 3; run++ {

@@ -213,7 +213,7 @@ func TestClusterSpansShowExchanges(t *testing.T) {
 	if _, err := c.RunQuery(3); err != nil {
 		t.Fatalf("Q3: %v", err)
 	}
-	out := c.LastSpan().Render()
+	out := c.LastSpan().Render(c.model)
 	for _, want := range []string{"broadcast(customer→customer_bx)", "partial execute", "gather-merge + finalize", "shard 0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Q3 span tree missing %q:\n%s", want, out)

@@ -9,7 +9,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"r3bench/internal/cost"
 	"r3bench/internal/engine"
 	"r3bench/internal/val"
 )
@@ -93,11 +95,13 @@ func TestQueryGolden(t *testing.T) {
 // ExplainAnalyze charges exactly the simulated time a plain execution
 // charges, returns the same rows and moves the interface counters the same
 // way. The span tree of every SELECT and the counters after each case must
-// equal testdata/analyze_golden.txt (-update re-records).
+// equal testdata/analyze_golden.txt (-update re-records). At degree 1 every
+// lap is also its events priced, to the nanosecond.
 func TestExplainAnalyzeAddsQueryLap(t *testing.T) {
 	dbPlain, _ := loadedDB(t)
 	dbProf, _ := loadedDB(t)
 	plain, prof := dbPlain.NewSession(), dbProf.NewSession()
+	model := prof.Meter.Model()
 	var b strings.Builder
 	for _, array := range []bool{false, true} {
 		for _, deg := range []int{1, 2} {
@@ -106,6 +110,10 @@ func TestExplainAnalyzeAddsQueryLap(t *testing.T) {
 			fmt.Fprintf(&b, "== array fetch %v, degree %d\n", array, deg)
 			for _, q := range Queries(testSF) {
 				pStart, aStart := plain.Meter.Elapsed(), prof.Meter.Elapsed()
+				var counts [cost.NumKinds]int64
+				for k := range counts {
+					counts[k] = prof.Meter.Count(cost.Kind(k))
+				}
 				var pRows, aRows [][]val.Value
 				for _, sql := range q.SQL {
 					res, err := plain.Exec(sql)
@@ -131,6 +139,13 @@ func TestExplainAnalyzeAddsQueryLap(t *testing.T) {
 				}
 				if p, a := plain.Meter.Lap(pStart), prof.Meter.Lap(aStart); p != a {
 					t.Errorf("array=%v deg=%d Q%d: Exec charged %v, ExplainAnalyze %v", array, deg, q.Num, p, a)
+				}
+				var priced time.Duration
+				for k := range counts {
+					priced += time.Duration(prof.Meter.Count(cost.Kind(k))-counts[k]) * model.PerEvent[k]
+				}
+				if a := prof.Meter.Lap(aStart); deg == 1 && a != priced {
+					t.Errorf("array=%v Q%d: lap %d ns, Σ ΔCount × PerEvent %d ns", array, q.Num, a, priced)
 				}
 			}
 			p, a := ifaceCounters(dbPlain.Stats()), ifaceCounters(dbProf.Stats())
