@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -157,3 +158,25 @@ func ScratchHeld(s *Session) int {
 // HeapGrowth is heapGrowth for the tests of this package that live outside
 // it.
 func HeapGrowth(fn func()) int64 { return heapGrowth(fn) }
+
+// AnalyzeReference is Analyze through analyzeTableReference.
+func AnalyzeReference(db *DB, tableName string) error {
+	t := db.Table(tableName)
+	if t == nil {
+		return errNoTable(tableName)
+	}
+	return analyzeTableReference(t)
+}
+
+// StatsDump renders a table's statistics, its row count first and then one
+// line per column, every value with %#v: a -0 reads "-0", a string quoted.
+func StatsDump(db *DB, tableName string) []string {
+	st := db.Table(tableName).stats
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	out := []string{fmt.Sprintf("rows %d analyzed %v", st.RowCount, st.analyzed)}
+	for _, cs := range st.Columns {
+		out = append(out, fmt.Sprintf("%#v", cs))
+	}
+	return out
+}
