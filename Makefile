@@ -64,13 +64,16 @@ race:
 # next, poisoned when handed back, held weakly between statements — against
 # a fresh session for every statement, serially and at parallel degrees 2
 # and 8, whose lanes take scratches of their own from the statement's; and
-# a second Q1–Q17 pass at degree 2 that reuses what the first sized.
+# a second Q1–Q17 pass at degree 2 that reuses what the first sized; and
+# ANALYZE, whose lanes sort columns of views of page images side by side,
+# against the single-threaded reference at 1, 2 and 4 processors.
 race-views:
 	$(GO) test -race -count=3 -run 'TestKeyViewsSurviveWrites' ./internal/btree
 	$(GO) test -race -count=3 -run 'TestColSetViewsMatchCopy|TestSlabOwns' ./internal/val
 	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite|TestStableImagesAreSnapshots' ./internal/storage
 	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors|TestUnobservedCapacityChargesAlike|TestUnobservedAllocationsFlat|TestPackedRowsRoundTrip|TestRecoveryTortureEveryBoundary|TestCachedPlansUnderConcurrentWrites|TestCorrelatedTablesPoisoned|TestSessionScratchAgainstFreshSessions' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestSecondPowerPassReusesScratch/degree2' ./internal/engine
+	$(GO) test -race -cpu 1,2,4 -run 'TestAnalyzeMatchesReference' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestRoundTripAllocationBudget' ./internal/server
 	$(GO) test -race -count=3 -run 'TestClusterDecodeMatchesReference|TestOpenSQLRowsOwnTheirBytes' ./internal/r3
 	$(GO) test -race -count=3 -run 'TestKeptRowsOwnTheirBytes' ./internal/warehouse

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -358,5 +359,64 @@ func TestExplainAnalyzeShowsEstimates(t *testing.T) {
 	}
 	if out := a.String(); !strings.Contains(out, "est ") {
 		t.Errorf("EXPLAIN ANALYZE output lacks estimated rows:\n%s", out)
+	}
+}
+
+// TestAnalyzeNaNColumn: a NaN in a DECIMAL column — Inf × 0, as SQL
+// arithmetic makes it — is left out of the column's statistics, so no
+// estimate on the column is NaN; ±Inf values keep their place, and no
+// estimate between an infinite and a finite bound is NaN either. The
+// columns without NaN keep the reference's statistics.
+func TestAnalyzeNaNColumn(t *testing.T) {
+	db := Open(Config{})
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE f (id INTEGER PRIMARY KEY, v DECIMAL(12,2), w DECIMAL(12,2))`)
+	for lo := 0; lo < 2000; lo += 200 {
+		var rows []string
+		for i := lo; i < lo+200; i++ {
+			rows = append(rows, fmt.Sprintf("(%d, %d.%02d, %d)", i, i/4, i%4*25, i-1000))
+		}
+		mustExec(t, s, `INSERT INTO f VALUES `+strings.Join(rows, ", "))
+	}
+	huge := "1" + strings.Repeat("0", 200) + ".0"
+	mustExec(t, s, `UPDATE f SET v = `+huge+` * `+huge+` * 0 WHERE id = 0`)
+	mustExec(t, s, `UPDATE f SET w = 0 - `+huge+` * `+huge+` WHERE id < 100`)
+	mustExec(t, s, `UPDATE f SET w = `+huge+` * `+huge+` WHERE id >= 1900`)
+	if r := mustExec(t, s, `SELECT v FROM f WHERE id = 0`); !math.IsNaN(r.Rows[0][0].F) {
+		t.Fatalf("v of row 0 = %v, want NaN", r.Rows[0][0])
+	}
+	if err := db.Analyze("F"); err != nil {
+		t.Fatal(err)
+	}
+	f := db.Table("F")
+	v, w := &f.stats.Columns[1], &f.stats.Columns[2]
+	if v.Min.F != 0.25 || v.Max.F != 499.75 || v.Distinct != 1999 || v.NullFrac != 0 {
+		t.Errorf("v: min %v max %v distinct %d null frac %v, want 0.25, 499.75, 1999, 0", v.Min, v.Max, v.Distinct, v.NullFrac)
+	}
+	if !math.IsInf(w.Min.F, -1) || !math.IsInf(w.Max.F, 1) {
+		t.Errorf("w: min %v max %v, want -Inf, +Inf", w.Min, w.Max)
+	}
+	for col := 1; col <= 2; col++ {
+		for _, x := range []float64{-2000, -950.5, -5, 0, 10.5, 250, 920.25, 2000, math.Inf(1)} {
+			probe := val.Float(x)
+			ests := []float64{f.stats.selEquals(col, probe), f.stats.selInList(col, []val.Value{probe, val.Float(1)})}
+			for _, op := range []string{"<", "<=", ">", ">="} {
+				ests = append(ests, f.stats.selRange(col, op, probe, true))
+			}
+			for _, e := range ests {
+				if math.IsNaN(e) {
+					t.Errorf("column %d, probe %v: an estimate is NaN: %v", col, x, ests)
+					break
+				}
+			}
+		}
+	}
+	// The id column has no NaN: its statistics are the reference's.
+	got := fmt.Sprintf("%#v", f.stats.Columns[0])
+	if err := analyzeTableReference(f); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%#v", f.stats.Columns[0]); got != want {
+		t.Errorf("id statistics:\n got  %s\n want %s", got, want)
 	}
 }
