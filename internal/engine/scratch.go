@@ -25,10 +25,10 @@ import (
 // without one — a partial result that outlives its statement — makes what
 // it needs on the heap, as every method does on a nil scratch.
 type scratch struct {
-	vals    arena[val.Value]
-	headers arena[[]val.Value]
-	rows    arena[outRow]
-	keys    arena[byte]
+	vals    val.Chunks[val.Value]
+	headers val.Chunks[[]val.Value]
+	rows    val.Chunks[outRow]
+	keys    val.Chunks[byte]
 	tables  []*hashTable // emptied, for the next build to take
 	// accs is every accumulator the scratch has made, each keeping its key
 	// table, slabs and group rows; the statement has taken the first nAccs.
@@ -38,7 +38,7 @@ type scratch struct {
 	ref   *scratchRef
 	// firsts is what the collected scratch before this one noted (ref.sizes),
 	// which the lanes made later start from.
-	firsts []arenaSizes
+	firsts []scratchSizes
 }
 
 // scratchRef is what a session keeps of its scratch between statements: a
@@ -49,19 +49,12 @@ type scratch struct {
 // chunks follow what the session's statements have cut lately.
 type scratchRef struct {
 	w     weak.Pointer[scratch]
-	sizes []arenaSizes // by lane
+	sizes []scratchSizes // by lane
 }
 
-// arenaSizes is the most a statement has cut from the values and from the
+// scratchSizes is the most a statement has cut from the values and from the
 // frame headers of a scratch.
-type arenaSizes struct{ vals, headers int }
-
-// scratchPoison is nil outside the test binary. A test sets it to overwrite
-// everything handed back to a scratch or a lane's — the values, frame
-// headers, ORDER BY rows and sort keys a statement cut, the group keys,
-// states and rows of an accumulator it emptied, a hash table a block let go
-// of — so that whatever reads them afterwards finds a sentinel.
-var scratchPoison func(handed any)
+type scratchSizes struct{ vals, headers int }
 
 // takeScratch lends the session's scratch to a statement that starts. The
 // swap empties the slot, so a statement that starts while another holds the
@@ -70,7 +63,7 @@ var scratchPoison func(handed any)
 // collected.
 func (s *Session) takeScratch() *scratch {
 	last := s.scratch.Swap(nil)
-	var firsts []arenaSizes
+	var firsts []scratchSizes
 	if last != nil {
 		if sc := last.w.Value(); sc != nil {
 			return sc
@@ -87,9 +80,9 @@ func (s *Session) takeScratch() *scratch {
 // laneScratch readies sc as the scratch of lane i, its first chunks of
 // values and headers as long as the most a statement cut from that lane's
 // in the scratch that was collected before (firsts).
-func laneScratch(sc *scratch, firsts []arenaSizes, i int) {
+func laneScratch(sc *scratch, firsts []scratchSizes, i int) {
 	if i < len(firsts) {
-		sc.vals.first, sc.headers.first = firsts[i].vals, firsts[i].headers
+		sc.vals.First, sc.headers.First = firsts[i].vals, firsts[i].headers
 	}
 }
 
@@ -127,7 +120,7 @@ func (sc *scratch) values(n int) []val.Value {
 	if sc == nil {
 		return make([]val.Value, n)
 	}
-	return sc.vals.cut(n)
+	return sc.vals.Cut(n)
 }
 
 // frames returns n frame headers cut from the scratch.
@@ -135,7 +128,7 @@ func (sc *scratch) frames(n int) [][]val.Value {
 	if sc == nil {
 		return make([][]val.Value, n)
 	}
-	return sc.headers.cut(n)
+	return sc.headers.Cut(n)
 }
 
 // appendRow appends r to rows, which grow into twice as many cut from the
@@ -146,7 +139,7 @@ func (sc *scratch) appendRow(rows []outRow, r outRow) []outRow {
 		if sc == nil {
 			rows = append(make([]outRow, 0, n), rows...)
 		} else {
-			rows = append(sc.rows.cut(n)[:0], rows...)
+			rows = append(sc.rows.Cut(n)[:0], rows...)
 		}
 	}
 	return append(rows, r)
@@ -157,7 +150,7 @@ func (sc *scratch) sortKeys(n int) []byte {
 	if sc == nil {
 		return make([]byte, 0, n)
 	}
-	return sc.keys.cut(n)[:0]
+	return sc.keys.Cut(n)[:0]
 }
 
 // accum returns an empty grouping accumulator for p: one the scratch made
@@ -212,19 +205,15 @@ func (sc *scratch) putTable(t *hashTable) {
 	}
 	clear(t.lent)
 	t.lent = t.lent[:0]
-	if tablePoison != nil {
-		tablePoison(t)
+	if sc != nil {
+		for _, ch := range t.rows.chunks[:cap(t.rows.chunks)] {
+			clear(ch.strs)
+		}
+		sc.tables = append(sc.tables, t)
 	}
-	if sc == nil {
-		return
+	if val.Poison != nil {
+		val.Poison(t)
 	}
-	for _, ch := range t.rows.chunks[:cap(t.rows.chunks)] {
-		clear(ch.strs)
-	}
-	if scratchPoison != nil {
-		scratchPoison(t)
-	}
-	sc.tables = append(sc.tables, t)
 }
 
 // putTables takes back the hash tables a parallel build made for a block,
@@ -243,7 +232,7 @@ func (sc *scratch) putTables(ts []*hashTable) {
 func (sc *scratch) release() {
 	ref := sc.ref
 	if n := len(sc.lanes) + 1; len(ref.sizes) < n {
-		ref.sizes = append(ref.sizes, make([]arenaSizes, n-len(ref.sizes))...)
+		ref.sizes = append(ref.sizes, make([]scratchSizes, n-len(ref.sizes))...)
 	}
 	sc.empty(&ref.sizes[0])
 	for i, l := range sc.lanes {
@@ -251,70 +240,15 @@ func (sc *scratch) release() {
 	}
 }
 
-// empty clears one scratch's arenas, noting in z the most its values and
-// headers held, and empties its accumulators.
-func (sc *scratch) empty(z *arenaSizes) {
+// empty clears one scratch's chunk lists, noting in z the most its values
+// and headers held, and empties its accumulators.
+func (sc *scratch) empty(z *scratchSizes) {
 	for _, a := range sc.accs[:sc.nAccs] {
 		a.release()
 	}
 	sc.nAccs = 0
-	z.vals = max(z.vals, sc.vals.reset())
-	z.headers = max(z.headers, sc.headers.reset())
-	sc.rows.reset()
-	sc.keys.reset()
-}
-
-// arena is what one kind of a statement's slices is cut from: chunks, cut
-// in order and reset together. A chunk is as long as the slice that opens
-// it, so a statement run again cuts the chunks its last run made in the
-// same order, and the first statement of a session allocates what it would
-// without the arena; only the first chunk of a scratch that follows a
-// collected one is longer, as long as the most a statement cut from its
-// predecessor (first).
-type arena[T any] struct {
-	chunks [][]T
-	c      int // the chunk being cut
-	used   int // the elements cut from it
-	first  int
-	// inline lists the first chunks, so that a new scratch's lists of
-	// chunks cost no allocation of their own until they outgrow it.
-	inline [4][]T
-}
-
-// cut returns the next n elements, starting a chunk when none from the
-// current one on has that many left.
-func (a *arena[T]) cut(n int) []T {
-	for ; a.c < len(a.chunks); a.c, a.used = a.c+1, 0 {
-		if ch := a.chunks[a.c]; a.used+n <= len(ch) {
-			a.used += n
-			return ch[a.used-n : a.used : a.used]
-		}
-	}
-	size := n
-	if len(a.chunks) == 0 {
-		size = max(n, a.first)
-		a.chunks = a.inline[:0]
-	}
-	a.chunks = append(a.chunks, make([]T, size))
-	a.used = n
-	return a.chunks[a.c][:n:n]
-}
-
-// reset clears what was cut and starts again at the first chunk. It
-// returns how many elements the chunks it cut from hold, tails left uncut
-// included.
-func (a *arena[T]) reset() (n int) {
-	for i := 0; i <= a.c && i < len(a.chunks); i++ {
-		ch := a.chunks[i]
-		if i == a.c {
-			ch = ch[:a.used]
-		}
-		n += len(ch)
-		clear(ch)
-		if scratchPoison != nil {
-			scratchPoison(ch)
-		}
-	}
-	a.c, a.used = 0, 0
-	return n
+	z.vals = max(z.vals, sc.vals.Reset())
+	z.headers = max(z.headers, sc.headers.Reset())
+	sc.rows.Reset()
+	sc.keys.Reset()
 }
