@@ -118,6 +118,7 @@ type vecBatch struct {
 // framePoison is nil outside the test binary. TestSlotLayout sets it to
 // overwrite every frame as it is handed out, so that reading a slot no step
 // has written since finds a sentinel, not NULL or the row of a batch ago.
+// It is not val.Poison, which sees memory released, not handed out.
 var framePoison func(frame []val.Value)
 
 // frame returns frame i of the stage's batch for a new row, backing it first

@@ -17,7 +17,8 @@ package sqlparse
 // where the ≥10× allocs/op win over the old parser comes from.
 const slabChunk = 16
 
-// slab is a bump allocator for values of one type.
+// slab is a bump allocator for values of one type. Not a val.Chunks: it is
+// not cleared, and Detach gives an escaping AST exact chunks.
 type slab[T any] struct {
 	chunks [][]T // chunks[:used] hold live allocations; the rest is spare capacity retained by reset
 	used   int

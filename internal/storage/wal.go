@@ -59,7 +59,8 @@ const extentPages = 64
 
 // walChunk is the size of one piece of the log. The log is a list of
 // chunks of this size that are never moved or regrown: an append that
-// fills the tail chunk goes on in a new one, so a record may straddle two.
+// fills the tail chunk goes on in a new one, so a record may straddle two
+// (a byte layout, not a val.Chunks).
 const walChunk = 1 << 20
 
 type stablePage struct {

@@ -14,8 +14,8 @@ import (
 // The table owns its keys: Insert copies the bytes into a slab, because a
 // key outlives the buffer it was encoded in (and the page image a CHAR in it
 // was a view of). The slab is chunked — a chunk is never copied when the
-// table grows — and a distinct key costs no allocation of its own. The zero
-// KeyTable is empty and ready to use.
+// table grows — and a distinct key costs no allocation of its own (bytes
+// addressed by offset, not a Chunks). The zero KeyTable is ready to use.
 type KeyTable struct {
 	seed   maphash.Seed
 	slots  []int32    // entry+1, 0 = free; power-of-two long, at most 3/4 full

@@ -22,8 +22,9 @@ func view(b []byte) string {
 // rows owned before and after it, so keeping n rows costs O(log n + n·row
 // bytes/slabChunkMax) allocations instead of one per string. Chunks start
 // at the size of the first row and double up to slabChunkMax; a holder of
-// one row therefore pins at most that much of its neighbours. The zero
-// Slab is ready to use; it must not be copied after first use.
+// one row therefore pins at most that much of its neighbours. Not a Chunks:
+// strings are cut from bytes. The zero Slab is ready to use; it must not be
+// copied after first use.
 type Slab struct {
 	chunk strings.Builder // never grown past its capacity: strings cut from it stay put
 }
