@@ -256,10 +256,10 @@ func TestOpenSQLCallAllocationBudget(t *testing.T) {
 }
 
 // TestNestedScanKeepsOuterRow: scanLogical decodes pool and cluster rows into
-// one row per nesting depth, so a pool scan run from a cluster scan's
-// callback, run from a pool scan's callback, all on one session, leaves each
-// outer row as it was — also when the innermost scan stops early — and hands
-// every depth back.
+// a row each scan cuts from the fetch stack, so a pool scan run from a
+// cluster scan's callback, run from a pool scan's callback, all on one
+// session, leaves each outer row as it was — also when the innermost scan
+// stops early — and pops every decode row.
 func TestNestedScanKeepsOuterRow(t *testing.T) {
 	sys := cursorSys(t, 0)
 	sc := newStmtCache(sys, sys.DB.NewSessionWithMeter(nil))
@@ -302,7 +302,7 @@ func TestNestedScanKeepsOuterRow(t *testing.T) {
 	if mid < 20 || innermost != mid {
 		t.Fatalf("fixture: %d outer rows, %d KONV rows, %d inner A004 rows", outer, mid, innermost)
 	}
-	if sc.depth != 0 || len(sc.decode) != 3 {
-		t.Errorf("after the scans %d decode rows are in use, %d made; want 0 and 3", sc.depth, len(sc.decode))
+	if m := sc.mark(); m != (fetchMark{}) {
+		t.Errorf("after the scans the fetch stack is at %+v, not empty", m)
 	}
 }
