@@ -140,7 +140,7 @@ func (s *Session) ExplainAnalyze(sql string, params ...val.Value) (*Analyzed, er
 	prof := newExecProfile(root)
 	prof.planFor(plan) // create operator spans ahead of row-ship, in plan order
 	prof.ship = root.Child("row-ship")
-	out := &collect{}
+	out := newCollect(nil)
 	rt := &runtime{sess: s, params: params, prof: prof}
 	rt.begin()
 	defer rt.done()

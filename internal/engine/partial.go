@@ -153,7 +153,7 @@ func (s *Session) MergePartials(parts []*Partial, params ...val.Value) (*Result,
 	}
 	// The merged rows ship to the client exactly as runSelect ships a
 	// single engine's.
-	out := &collect{Result: Result{Cols: p.outCols}}
+	out := newCollect(p.outCols)
 	rt := &runtime{sess: s, params: params, out: out, array: s.db.opts.Load().ArrayFetch}
 	sink := newOutputSink(p, rt, rt.shipRow)
 	if err := sink.merge(runs, true); err != nil {
