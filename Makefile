@@ -69,12 +69,14 @@ race:
 # against the single-threaded reference at 1, 2 and 4 processors; and the
 # one chunk list all of that statement memory, a correlated block's kept
 # rows and the Open SQL fetch stack are cut from (val.Chunks), FuzzChunks's
-# seeds against slices of slices.
+# seeds against slices of slices; and the options, rewrite hook and write
+# hook a statement loads without db.mu, republished while sessions compile
+# SELECTs and write rows (TestConcurrentSetOptions).
 race-views:
 	$(GO) test -race -count=3 -run 'TestKeyViewsSurviveWrites' ./internal/btree
 	$(GO) test -race -count=3 -run 'TestColSetViewsMatchCopy|TestSlabOwns|FuzzChunks' ./internal/val
 	$(GO) test -race -count=3 -run 'TestReaderImageSurvivesEvictionAndRewrite|TestStableImagesAreSnapshots' ./internal/storage
-	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors|TestUnobservedCapacityChargesAlike|TestUnobservedAllocationsFlat|TestPackedRowsRoundTrip|TestRecoveryTortureEveryBoundary|TestCachedPlansUnderConcurrentWrites|TestCorrelatedTablesPoisoned|TestSessionScratchAgainstFreshSessions' ./internal/engine
+	$(GO) test -race -count=3 -run 'TestUpdateOnTinyPoolKeepsIndexes|TestResultOwnsItsBytes|TestDerivedStreams|TestScanDecodesOutputColumnsForSurvivors|TestUnobservedCapacityChargesAlike|TestUnobservedAllocationsFlat|TestPackedRowsRoundTrip|TestRecoveryTortureEveryBoundary|TestCachedPlansUnderConcurrentWrites|TestCorrelatedTablesPoisoned|TestSessionScratchAgainstFreshSessions|TestConcurrentSetOptions' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestSecondPowerPassReusesScratch/degree2' ./internal/engine
 	$(GO) test -race -cpu 1,2,4 -run 'TestAnalyzeMatchesReference' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestRoundTripAllocationBudget' ./internal/server

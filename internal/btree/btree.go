@@ -28,7 +28,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"r3bench/internal/cost"
 	"r3bench/internal/storage"
@@ -145,26 +144,7 @@ type Tree struct {
 	// buffer: probes of resident leaves charge nothing (see PageCache).
 	// Nil — the default — charges every probe a full random read.
 	cache *PageCache
-
-	// lsn is the page-LSN bookkeeping under WAL: the log position of the
-	// last heap mutation whose index maintenance touched this tree.
-	// Indexes are not redo-logged — recovery rebuilds them bottom-up —
-	// so one LSN per tree is enough to order the tree against the log.
-	lsn atomic.Int64
 }
-
-// StampLSN records the log position of the latest maintenance write.
-func (t *Tree) StampLSN(lsn int64) {
-	for {
-		old := t.lsn.Load()
-		if lsn <= old || t.lsn.CompareAndSwap(old, lsn) {
-			return
-		}
-	}
-}
-
-// LSN returns the last stamped log position (0 = never stamped).
-func (t *Tree) LSN() int64 { return t.lsn.Load() }
 
 // SetCache attaches a (usually shared) residence model for the tree's
 // leaf pages; nil detaches it. Not safe to call concurrently with

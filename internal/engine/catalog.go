@@ -167,13 +167,14 @@ type DB struct {
 	planHits   atomic.Int64
 	planMisses atomic.Int64
 
-	// writeHook observes every committed row mutation (guarded by mu).
-	writeHook WriteHook
+	// writeHook observes every committed row mutation. It and rewrite
+	// are published like opts: a statement loads them without db.mu.
+	writeHook atomic.Pointer[WriteHook]
 
 	// rewrite, when set, may substitute a semantically equivalent SELECT
-	// AST before planning (guarded by mu); rewriteHits/rewriteMisses
-	// count its decisions per execution.
-	rewrite       RewriteHook
+	// AST before planning; rewriteHits/rewriteMisses count its decisions
+	// per execution.
+	rewrite       atomic.Pointer[RewriteHook]
 	rewriteHits   atomic.Int64
 	rewriteMisses atomic.Int64
 
@@ -206,20 +207,13 @@ type DB struct {
 type WriteHook func(table string, oldRow, newRow []val.Value)
 
 // SetWriteHook installs the database's write observer (nil to remove).
-func (db *DB) SetWriteHook(h WriteHook) {
-	db.mu.Lock()
-	db.writeHook = h
-	db.mu.Unlock()
-}
+func (db *DB) SetWriteHook(h WriteHook) { db.writeHook.Store(&h) }
 
 // noteWrite invokes the write hook, if any. A cached plan needs no word
 // of the write: it goes stale when a table it read changes size.
 func (db *DB) noteWrite(table string, oldRow, newRow []val.Value) {
-	db.mu.RLock()
-	h := db.writeHook
-	db.mu.RUnlock()
-	if h != nil {
-		h(table, oldRow, newRow)
+	if h := db.writeHook.Load(); h != nil && *h != nil {
+		(*h)(table, oldRow, newRow)
 	}
 }
 
@@ -237,17 +231,8 @@ type RewriteHook func(sel *sqlparse.SelectStmt) *sqlparse.SelectStmt
 // Cached plans compiled under the previous hook state are retired via
 // the plan epoch, so toggling the hook never serves a stale plan.
 func (db *DB) SetRewriteHook(h RewriteHook) {
-	db.mu.Lock()
-	db.rewrite = h
-	db.mu.Unlock()
+	db.rewrite.Store(&h)
 	db.bumpPlanEpoch()
-}
-
-func (db *DB) rewriteHook() RewriteHook {
-	db.mu.RLock()
-	h := db.rewrite
-	db.mu.RUnlock()
-	return h
 }
 
 // EngineStats is a snapshot of the engine's cumulative execution
@@ -444,7 +429,6 @@ func (db *DB) CrashRecover(cut int64, m *cost.Meter) (storage.RecoveryStats, err
 			if err := nix.Tree.BulkBuild(entries, m); err != nil {
 				return st, fmt.Errorf("engine: rebuilding %s: %w", nix.Name, err)
 			}
-			nix.Tree.StampLSN(st.ValidLSN)
 			nt.Indexes[i] = &nix
 		}
 		nc.tables[name] = nt

@@ -394,3 +394,33 @@ func TestConcurrentPreparedDMLWithIndexDDL(t *testing.T) {
 		t.Fatalf("u holds %d rows, want %d", len(kept), k)
 	}
 }
+
+// TestRewriteHookRaceLeavesPlanStale pins the order planFor reads the plan
+// epoch and the rewrite hook in. A SetRewriteHook that lands after a compile
+// has run the old hook must leave the plan that hook rewrote stale; the
+// hook here removes itself from inside its own call, the tightest such
+// interleaving. The first execution is rewritten to b; once the hook is
+// gone the same text must answer from a again, not from a cached b plan.
+func TestRewriteHookRaceLeavesPlanStale(t *testing.T) {
+	db := Open(Config{})
+	s := db.NewSession()
+	for _, name := range []string{"a", "b"} {
+		mustExec(t, s, `CREATE TABLE `+name+` (k INTEGER PRIMARY KEY, v CHAR(4))`)
+		mustExec(t, s, `INSERT INTO `+name+` VALUES (1, '`+name+`')`)
+	}
+	db.SetRewriteHook(func(sel *sqlparse.SelectStmt) *sqlparse.SelectStmt {
+		db.SetRewriteHook(nil)
+		rw := *sel
+		rw.From = []sqlparse.TableRef{&sqlparse.BaseTable{Name: "B"}}
+		return &rw
+	})
+	const q = `SELECT v FROM a`
+	if got := mustExec(t, s, q).Rows[0][0].AsStr(); got != "b" {
+		t.Fatalf("rewritten execution read %q, want b", got)
+	}
+	for i := 0; i < 2; i++ {
+		if got := mustExec(t, s, q).Rows[0][0].AsStr(); got != "a" {
+			t.Fatalf("execution %d after the hook removed itself read %q, want a", i+2, got)
+		}
+	}
+}

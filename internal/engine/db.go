@@ -787,7 +787,6 @@ func (db *DB) insertRowTx(tx int64, t *Table, row []val.Value, m *cost.Meter) (s
 	if err != nil {
 		return rid, err
 	}
-	w := db.wal.Load()
 	var kb keyScratch
 	for i, ix := range t.Indexes {
 		if err := ix.Tree.Insert(ix.appendKey(kb[:0], row), rid, m); err != nil {
@@ -795,11 +794,8 @@ func (db *DB) insertRowTx(tx int64, t *Table, row []val.Value, m *cost.Meter) (s
 			for j := 0; j < i; j++ {
 				_ = t.Indexes[j].Tree.Delete(t.Indexes[j].appendKey(kb[:0], row), rid, m)
 			}
-			_ = t.Heap.Delete(rid, m)
+			_ = t.Heap.DeleteTx(0, rid, m)
 			return rid, fmt.Errorf("engine: %s: %w", t.Name, err)
-		}
-		if w != nil {
-			ix.Tree.StampLSN(w.Size())
 		}
 	}
 	db.noteWrite(t.Name, nil, row)
@@ -812,14 +808,10 @@ func (s *Session) deleteRow(t *Table, rid storage.RID, row []val.Value) error {
 	if err := t.Heap.DeleteTx(s.currentTx(), rid, s.Meter); err != nil {
 		return err
 	}
-	w := s.db.WAL()
 	var kb keyScratch
 	for _, ix := range t.Indexes {
 		if err := ix.Tree.Delete(ix.appendKey(kb[:0], row), rid, s.Meter); err != nil {
 			return err
-		}
-		if w != nil {
-			ix.Tree.StampLSN(w.Size())
 		}
 	}
 	s.db.noteWrite(t.Name, row, nil)
@@ -844,7 +836,6 @@ func (s *Session) updateRow(rt *runtime, d *dmlPlan, rid storage.RID, oldRow []v
 	if err := t.Heap.UpdateTx(s.currentTx(), rid, newRow, s.Meter); err != nil {
 		return err
 	}
-	w := s.db.WAL()
 	var oldKb, newKb keyScratch
 	for _, ix := range t.Indexes {
 		oldKey, newKey := ix.appendKey(oldKb[:0], oldRow), ix.appendKey(newKb[:0], newRow)
@@ -854,9 +845,6 @@ func (s *Session) updateRow(rt *runtime, d *dmlPlan, rid storage.RID, oldRow []v
 			}
 			if err := ix.Tree.Insert(newKey, rid, s.Meter); err != nil {
 				return err
-			}
-			if w != nil {
-				ix.Tree.StampLSN(w.Size())
 			}
 		}
 	}

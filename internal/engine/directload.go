@@ -93,18 +93,14 @@ func (l *DirectLoader) Close() error {
 	if err := l.bw.Close(); err != nil {
 		return err
 	}
-	w := l.db.wal.Load()
 	for i, ix := range l.t.Indexes {
 		sortBulkEntries(l.runs[i], l.m)
 		if err := ix.Tree.BulkBuild(l.runs[i], l.m); err != nil {
 			return fmt.Errorf("engine: %s: %w", ix.Name, err)
 		}
-		if w != nil {
-			ix.Tree.StampLSN(w.Size())
-		}
 		l.runs[i] = nil
 	}
-	if w != nil {
+	if w := l.db.wal.Load(); w != nil {
 		w.Commit(l.tx, l.m)
 	}
 	// One notification for the whole load: write observers (the R/3

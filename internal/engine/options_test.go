@@ -3,8 +3,10 @@ package engine
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"r3bench/internal/sqlparse"
 	"r3bench/internal/val"
 )
 
@@ -90,14 +92,26 @@ func TestOptionsParallelRetiresCachedPlans(t *testing.T) {
 }
 
 // TestConcurrentSetOptions is the -race exercise for the options
-// snapshot: sessions run text and prepared statements while another
-// goroutine keeps republishing options of every kind. Each statement
-// loads one snapshot, so whatever mix it sees, the answer is the same.
+// snapshot and the two hooks published beside it: sessions run text and
+// prepared statements and write rows while another goroutine keeps
+// republishing options of every kind and installing and removing a
+// rewrite hook (an equivalent copy of the statement, or no rewrite) and a
+// write hook. Each statement loads one snapshot, so whatever mix it sees,
+// the answer is the same.
 func TestConcurrentSetOptions(t *testing.T) {
 	s := vecDB(t, 1500, 0)
 	db := s.db
 	const q = `SELECT grp, COUNT(*), SUM(v) FROM tt WHERE id >= ? GROUP BY grp ORDER BY grp`
 	want := encodeRows(mustExec(t, s, q, val.Int(0)).Rows)
+	rewrite := func(sel *sqlparse.SelectStmt) *sqlparse.SelectStmt {
+		if len(sel.GroupBy) == 0 {
+			return nil
+		}
+		rw := *sel
+		return &rw
+	}
+	var noted atomic.Int64
+	note := func(string, []val.Value, []val.Value) { noted.Add(1) }
 
 	const readers, iters = 4, 25
 	stop := make(chan struct{})
@@ -115,6 +129,13 @@ func TestConcurrentSetOptions(t *testing.T) {
 				return
 			default:
 				db.SetOptions(modes[i%len(modes)])
+				if i%2 == 0 {
+					db.SetRewriteHook(rewrite)
+					db.SetWriteHook(note)
+				} else {
+					db.SetRewriteHook(nil)
+					db.SetWriteHook(nil)
+				}
 			}
 		}
 	}()
@@ -125,6 +146,10 @@ func TestConcurrentSetOptions(t *testing.T) {
 			defer wg.Done()
 			sess := db.NewSession()
 			for i := 0; i < iters; i++ {
+				if _, err := sess.Exec(`INSERT INTO te VALUES (?, 1.00)`, val.Int(int64(r*iters+i))); err != nil {
+					t.Errorf("insert under hook churn: %v", err)
+					return
+				}
 				res, err := sess.Exec(q, val.Int(0))
 				if err != nil {
 					t.Errorf("exec under option churn: %v", err)
@@ -151,4 +176,10 @@ func TestConcurrentSetOptions(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	flips.Wait()
+	if n := mustExec(t, s, `SELECT COUNT(*) FROM te`).Rows[0][0].AsInt(); n != readers*iters {
+		t.Errorf("te holds %d rows after %d inserts", n, readers*iters)
+	}
+	if noted.Load() > readers*iters {
+		t.Errorf("write hook saw %d writes, more than the %d made", noted.Load(), readers*iters)
+	}
 }

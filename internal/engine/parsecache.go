@@ -179,17 +179,18 @@ func (db *DB) planFor(entry *parseEntry, sel *sqlparse.SelectStmt) (*selectPlan,
 	// The rewrite hook may substitute an equivalent AST (materialized-
 	// aggregate matching) before planning. Caching the rewritten plan in
 	// the fingerprint entry is sound: the hook is a pure function of the
-	// AST, and SetRewriteHook bumps the plan epoch, so a plan compiled
-	// under a different hook never survives the toggle.
-	if h := db.rewriteHook(); h != nil {
-		if rw := h(sel); rw != nil {
+	// AST, and SetRewriteHook publishes the hook before it bumps the plan
+	// epoch, so with the epoch read first a plan compiled under a
+	// different hook never survives the toggle.
+	epoch := db.planEpoch.Load()
+	if h := db.rewrite.Load(); h != nil && *h != nil {
+		if rw := (*h)(sel); rw != nil {
 			db.rewriteHits.Add(1)
 			sel = rw
 		} else {
 			db.rewriteMisses.Add(1)
 		}
 	}
-	epoch := db.planEpoch.Load()
 	if p := entry.cachedPlan(epoch, db.snap()); p != nil && !planEveryTime {
 		db.planHits.Add(1)
 		return p, nil

@@ -14,11 +14,9 @@ import (
 
 // selectPlan is a fully compiled and optimized SELECT block.
 type selectPlan struct {
-	db      *DB
 	steps   []stepper // left-deep join pipeline in execution order
 	nSlots  int       // width of a frame that every step has extended
 	outCols []string
-	sql     string
 	nRels   int
 	layout  []scopeEntry // logical: every column of every relation, FROM order
 
@@ -208,7 +206,6 @@ type conjunct struct {
 	sargRel   int
 	sargCol   int
 	sargOp    string // "=", "<", "<=", ">", ">=", "between"
-	sargVal   sqlparse.Expr
 	sargFn    exprFn
 	sargKnown bool // value known at plan time (literal)
 	sargLit   val.Value
@@ -231,7 +228,6 @@ type accessPath struct {
 	blindBound bool
 	estCost    float64
 	estRows    float64
-	describe   string
 }
 
 // planConsts converts the cost model into float64 milliseconds for
@@ -264,7 +260,7 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 		o.cat, o.parallel = db.snap(), db.opts.Load().Parallel
 		opts = &o
 	}
-	p := &selectPlan{db: db, limit: s.Limit}
+	p := &selectPlan{limit: s.Limit}
 
 	// 1. Flatten FROM into relations; inner-join ON conjuncts merge into
 	// the WHERE pool, outer joins pin fixed order.
@@ -757,7 +753,7 @@ func (p *selectPlan) classifyConjunct(cc *compiler, rels []*relInfo, e sqlparse.
 		if cr, vx, op, ok := sargShape(rels, cc, p, ex); ok {
 			rel, col := p.findRelCol(rels, cc, cr)
 			if rel >= 0 {
-				cj.sargRel, cj.sargCol, cj.sargOp, cj.sargVal = rel, col, op, vx
+				cj.sargRel, cj.sargCol, cj.sargOp = rel, col, op
 				if sf, err := cc.compile(vx); err == nil {
 					cj.sargFn = sf
 				}

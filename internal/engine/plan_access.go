@@ -34,7 +34,7 @@ func (db *DB) chooseAccessPath(pc planConsts, ri *relInfo, relIdx int) {
 
 	if ri.table == nil {
 		// Derived relations are always materialized scans.
-		ri.access = accessPath{describe: "derived scan", estRows: ri.estRows}
+		ri.access = accessPath{estRows: ri.estRows}
 		for _, cj := range ri.pushed {
 			ri.access.filters = append(ri.access.filters, cj.fn)
 		}
@@ -43,9 +43,8 @@ func (db *DB) chooseAccessPath(pc planConsts, ri *relInfo, relIdx int) {
 	}
 
 	best := accessPath{
-		describe: "seq scan",
-		estCost:  float64(ri.pages)*pc.seq + ri.baseRows*pc.cpu,
-		estRows:  ri.estRows,
+		estCost: float64(ri.pages)*pc.seq + ri.baseRows*pc.cpu,
+		estRows: ri.estRows,
 	}
 	for _, cj := range ri.pushed {
 		best.filters = append(best.filters, cj.fn)
@@ -154,7 +153,6 @@ func (db *DB) matchIndex(pc planConsts, ri *relInfo, ix *Index) (accessPath, boo
 	}
 	ap.estRows = math.Max(1, ri.baseRows*sel)
 	ap.estCost = db.indexScanCost(pc, ri, ix, ap.estRows)
-	ap.describe = fmt.Sprintf("index scan %s", ix.Name)
 	return ap, true
 }
 

@@ -323,3 +323,44 @@ func TestLostDirectLoadUndoesToEmpty(t *testing.T) {
 		t.Fatalf("after a second crash D holds %v, want the one committed insert", res.Rows)
 	}
 }
+
+// TestUniqueViolationRollbackSurvivesCrash: an insert that fails on its
+// table's second index inside an open transaction takes itself back out
+// of the heap (as the system transaction) and of the first index, and a
+// crash before the transaction commits must then recover neither that row
+// nor the transaction's earlier one, with every index as long as the heap.
+func TestUniqueViolationRollbackSurvivesCrash(t *testing.T) {
+	db := Open(Config{})
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE U (ID INTEGER PRIMARY KEY, CODE CHAR(4))`)
+	mustExec(t, s, `CREATE UNIQUE INDEX U_CODE ON U (CODE)`)
+	db.EnableWAL(1)
+	mustExec(t, s, `INSERT INTO U VALUES (1, 'A')`)
+	if err := s.InsertRow("U", []val.Value{val.Int(2), val.Str("B")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InsertRow("U", []val.Value{val.Int(3), val.Str("A")}); err == nil {
+		t.Fatal("a duplicate CODE was accepted")
+	}
+	checkLengths := func(when string, want int64) {
+		t.Helper()
+		tb := db.Table("U")
+		if got := tb.Heap.Rows(); got != want {
+			t.Errorf("%s: heap holds %d rows, want %d", when, got, want)
+		}
+		for _, ix := range tb.Indexes {
+			if got := ix.Tree.Entries(); got != tb.Heap.Rows() {
+				t.Errorf("%s: index %s holds %d entries, heap %d rows", when, ix.Name, got, tb.Heap.Rows())
+			}
+		}
+	}
+	checkLengths("before the crash", 2)
+	if _, err := db.CrashRecover(-1, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkLengths("after recovery", 1)
+	res := mustExec(t, s, `SELECT ID, CODE FROM U`)
+	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 1 {
+		t.Fatalf("after the crash U holds %v, want only the committed row 1", res.Rows)
+	}
+}

@@ -85,7 +85,6 @@ func (s *Server) Close() {
 // this connection alone — exactly the single-owner contract Session
 // documents.
 type conn struct {
-	srv    *Server
 	sess   *engine.Session
 	stmts  map[uint32]*engine.Stmt
 	nextID uint32
@@ -108,7 +107,6 @@ func (s *Server) handle(nc net.Conn) {
 		nc.Close()
 	}()
 	c := &conn{
-		srv:   s,
 		sess:  s.db.NewSessionWithMeter(cost.NewMeter(s.db.Model())),
 		stmts: make(map[uint32]*engine.Stmt),
 		w:     bufio.NewWriter(nc),

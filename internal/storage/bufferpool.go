@@ -654,17 +654,6 @@ func (sh *poolShard) mutateLocked(bp *BufferPool, f *frame, fn func(data []byte)
 	return err
 }
 
-// MarkDirty records that the page was modified; the write-back is charged
-// on eviction or Flush.
-func (bp *BufferPool) MarkDirty(file FileID, page PageID) {
-	sh := bp.shard(pageKey{file, page})
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if f, ok := sh.frames[pageKey{file, page}]; ok {
-		f.dirty = true
-	}
-}
-
 // FlushFile charges write-back for every dirty cached page of the file and
 // marks them clean. Used at commit points.
 func (bp *BufferPool) FlushFile(file FileID, m *cost.Meter) {

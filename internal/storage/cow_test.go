@@ -15,7 +15,7 @@ import (
 // bytes the reader holds.
 func TestCopyOnWriteIsolatesReaders(t *testing.T) {
 	h, pool, m := newTestHeap(t, 1<<20)
-	rid, err := h.Insert(row(1), m)
+	rid, err := h.InsertTx(0, row(1), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestCopyOnWriteIsolatesReaders(t *testing.T) {
 	copy(snap, before)
 
 	// Writer tombstones the row; the pinned slice must not change.
-	if err := h.Delete(rid, m); err != nil {
+	if err := h.DeleteTx(0, rid, m); err != nil {
 		t.Fatal(err)
 	}
 	for i := range before {
@@ -60,7 +60,7 @@ func TestCopyOnWriteSurvivesEviction(t *testing.T) {
 	m := cost.NewMeter(cost.Default1996())
 	var rids []RID
 	for i := 0; i < 400; i++ { // several pages
-		rid, err := h.Insert(row(i), m)
+		rid, err := h.InsertTx(0, row(i), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestCopyOnWriteSurvivesEviction(t *testing.T) {
 	if _, err := pool.Get(h.file, 0, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Delete(rids[0], m); err != nil {
+	if err := h.DeleteTx(0, rids[0], m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pool.Get(h.file, rids[len(rids)-1].Page, m); err != nil {
@@ -93,7 +93,7 @@ func TestReaderImageSurvivesEvictionAndRewrite(t *testing.T) {
 	h, pool, m := newTestHeap(t, PageSize) // one frame: every access evicts
 	var rids []RID
 	for i := 0; i < 400; i++ { // several pages; page 0 is full
-		rid, err := h.Insert(row(i), m)
+		rid, err := h.InsertTx(0, row(i), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,9 +104,9 @@ func TestReaderImageSurvivesEvictionAndRewrite(t *testing.T) {
 		name string
 		do   func() error
 	}{
-		{"update", func() error { return h.Update(rids[1], row(9001), m) }},
-		{"delete", func() error { return h.Delete(rids[0], m) }},
-		{"insert", func() error { _, err := h.Insert(row(9002), m); return err }},
+		{"update", func() error { return h.UpdateTx(0, rids[1], row(9001), m) }},
+		{"delete", func() error { return h.DeleteTx(0, rids[0], m) }},
+		{"insert", func() error { _, err := h.InsertTx(0, row(9002), m); return err }},
 	}
 	for _, w := range writes {
 		page := PageID(0)
@@ -166,7 +166,7 @@ func TestConcurrentScansAndWrites(t *testing.T) {
 	var rids []RID
 	var ridMu sync.Mutex
 	for i := 0; i < 2000; i++ {
-		rid, err := h.Insert(row(i), seedM)
+		rid, err := h.InsertTx(0, row(i), seedM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestConcurrentScansAndWrites(t *testing.T) {
 			defer wg.Done()
 			m := cost.NewMeter(cost.Default1996())
 			for i := 0; i < 500; i++ {
-				if _, err := h.Insert(row(10000+seed*1000+i), m); err != nil {
+				if _, err := h.InsertTx(0, row(10000+seed*1000+i), m); err != nil {
 					errs <- err
 					return
 				}
@@ -208,7 +208,7 @@ func TestConcurrentScansAndWrites(t *testing.T) {
 					}
 					ridMu.Unlock()
 					if ok {
-						if err := h.Delete(victim, m); err != nil {
+						if err := h.DeleteTx(0, victim, m); err != nil {
 							errs <- err
 							return
 						}

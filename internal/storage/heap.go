@@ -111,18 +111,13 @@ func clearDeleted(p []byte, slot int) { p[2+slot/8] &^= 1 << (slot % 8) }
 // insert must extend the file.
 var errPageFull = fmt.Errorf("storage: page full")
 
-// Insert appends a row and returns its RID, charging m for the page access
-// and per-tuple CPU. The page bytes are mutated through the pool's
-// copy-on-write path, so concurrent scanners holding the old version keep
-// reading a consistent page image. Under WAL the mutation is logged to
-// the system transaction (always committed).
-func (h *HeapFile) Insert(row []val.Value, m *cost.Meter) (RID, error) {
-	return h.InsertTx(0, row, m)
-}
-
-// InsertTx is Insert on behalf of transaction tx: the redo record is
-// logged against tx, so a crash before tx's commit record is forced
-// rolls the row back.
+// InsertTx appends a row on behalf of transaction tx and returns its RID,
+// charging m for the page access and per-tuple CPU. The page bytes are
+// mutated through the pool's copy-on-write path, so concurrent scanners
+// holding the old version keep reading a consistent page image. Under WAL
+// the redo record is logged against tx, so a crash before tx's commit
+// record is forced rolls the row back; tx 0 is the system transaction,
+// which is always committed. DeleteTx and UpdateTx take tx alike.
 func (h *HeapFile) InsertTx(tx int64, row []val.Value, m *cost.Meter) (RID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -205,12 +200,7 @@ func (h *HeapFile) FetchCols(rid RID, m *cost.Meter, cols *val.ColSet, dst []val
 	return cols.Decode(page[off:off+h.codec.RowBytes()], dst)
 }
 
-// Delete tombstones the row at rid.
-func (h *HeapFile) Delete(rid RID, m *cost.Meter) error {
-	return h.DeleteTx(0, rid, m)
-}
-
-// DeleteTx is Delete on behalf of transaction tx.
+// DeleteTx tombstones the row at rid on behalf of transaction tx.
 func (h *HeapFile) DeleteTx(tx int64, rid RID, m *cost.Meter) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -235,12 +225,8 @@ func (h *HeapFile) DeleteTx(tx int64, rid RID, m *cost.Meter) error {
 	return nil
 }
 
-// Update overwrites the row at rid in place (fixed-width rows always fit).
-func (h *HeapFile) Update(rid RID, row []val.Value, m *cost.Meter) error {
-	return h.UpdateTx(0, rid, row, m)
-}
-
-// UpdateTx is Update on behalf of transaction tx.
+// UpdateTx overwrites the row at rid in place (fixed-width rows always
+// fit) on behalf of transaction tx.
 func (h *HeapFile) UpdateTx(tx int64, rid RID, row []val.Value, m *cost.Meter) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -27,7 +27,7 @@ func TestHeapInsertFetch(t *testing.T) {
 	h, _, m := newTestHeap(t, 1<<20)
 	rids := make([]RID, 0, 1000)
 	for i := 0; i < 1000; i++ {
-		rid, err := h.Insert(row(i), m)
+		rid, err := h.InsertTx(0, row(i), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestHeapInsertFetch(t *testing.T) {
 func TestHeapScanOrderAndReuse(t *testing.T) {
 	h, _, m := newTestHeap(t, 1<<20)
 	for i := 0; i < 500; i++ {
-		if _, err := h.Insert(row(i), m); err != nil {
+		if _, err := h.InsertTx(0, row(i), m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,11 +74,11 @@ func TestHeapDelete(t *testing.T) {
 	h, _, m := newTestHeap(t, 1<<20)
 	var rids []RID
 	for i := 0; i < 100; i++ {
-		rid, _ := h.Insert(row(i), m)
+		rid, _ := h.InsertTx(0, row(i), m)
 		rids = append(rids, rid)
 	}
 	for i := 0; i < 100; i += 2 {
-		if err := h.Delete(rids[i], m); err != nil {
+		if err := h.DeleteTx(0, rids[i], m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,7 +96,7 @@ func TestHeapDelete(t *testing.T) {
 	if count != 50 {
 		t.Fatalf("scan saw %d rows", count)
 	}
-	if err := h.Delete(rids[0], m); err == nil {
+	if err := h.DeleteTx(0, rids[0], m); err == nil {
 		t.Error("double delete must error")
 	}
 	if _, err := h.Fetch(rids[0], m, nil); err == nil {
@@ -106,8 +106,8 @@ func TestHeapDelete(t *testing.T) {
 
 func TestHeapUpdate(t *testing.T) {
 	h, _, m := newTestHeap(t, 1<<20)
-	rid, _ := h.Insert(row(1), m)
-	if err := h.Update(rid, row(42), m); err != nil {
+	rid, _ := h.InsertTx(0, row(1), m)
+	if err := h.UpdateTx(0, rid, row(42), m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := h.Fetch(rid, m, nil)
@@ -122,7 +122,7 @@ func TestHeapUpdate(t *testing.T) {
 func TestHeapStopScan(t *testing.T) {
 	h, _, m := newTestHeap(t, 1<<20)
 	for i := 0; i < 100; i++ {
-		h.Insert(row(i), m)
+		h.InsertTx(0, row(i), m)
 	}
 	seen := 0
 	err := h.Scan(m, func(rid RID, r []val.Value) error {
@@ -183,6 +183,9 @@ func TestBufferPoolHitsAreFree(t *testing.T) {
 	}
 }
 
+// dirty is a Mutate callback that reports a write without changing a byte.
+func dirty([]byte) (bool, error) { return true, nil }
+
 func TestBufferPoolEvictionWritesDirty(t *testing.T) {
 	disk := NewDisk()
 	pool := NewBufferPool(disk, 2*PageSize)
@@ -191,8 +194,7 @@ func TestBufferPoolEvictionWritesDirty(t *testing.T) {
 		disk.AllocPage(f)
 	}
 	m := cost.NewMeter(cost.Default1996())
-	pool.Get(f, 0, m)
-	pool.MarkDirty(f, 0)
+	pool.Mutate(f, 0, m, dirty)
 	pool.Get(f, 1, m)
 	pool.Get(f, 2, m) // evicts page 0 (dirty): must charge a write
 	if m.Count(cost.PageWrite) != 1 {
@@ -207,10 +209,8 @@ func TestFlushFile(t *testing.T) {
 	disk.AllocPage(f)
 	disk.AllocPage(f)
 	m := cost.NewMeter(cost.Default1996())
-	pool.Get(f, 0, m)
-	pool.Get(f, 1, m)
-	pool.MarkDirty(f, 0)
-	pool.MarkDirty(f, 1)
+	pool.Mutate(f, 0, m, dirty)
+	pool.Mutate(f, 1, m, dirty)
 	m.Reset()
 	pool.FlushFile(f, m)
 	if m.Count(cost.PageWrite) != 2 {
@@ -233,7 +233,7 @@ func TestHeapSurvivesEvictionUnderTinyPool(t *testing.T) {
 	m := cost.NewMeter(cost.Default1996())
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if _, err := h.Insert([]val.Value{val.Int(int64(i))}, m); err != nil {
+		if _, err := h.InsertTx(0, []val.Value{val.Int(int64(i))}, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,7 +265,7 @@ func TestRandomizedHeapAgainstModel(t *testing.T) {
 		switch op := r.Intn(10); {
 		case op < 5 || len(live) == 0: // insert
 			v := r.Int63n(1e9)
-			rid, err := h.Insert([]val.Value{val.Int(v), val.Str("x")}, m)
+			rid, err := h.InsertTx(0, []val.Value{val.Int(v), val.Str("x")}, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +274,7 @@ func TestRandomizedHeapAgainstModel(t *testing.T) {
 		case op < 7: // delete
 			i := r.Intn(len(live))
 			rid := live[i]
-			if err := h.Delete(rid, m); err != nil {
+			if err := h.DeleteTx(0, rid, m); err != nil {
 				t.Fatal(err)
 			}
 			delete(model, rid)
@@ -291,7 +291,7 @@ func TestRandomizedHeapAgainstModel(t *testing.T) {
 		default: // update
 			rid := live[r.Intn(len(live))]
 			v := r.Int63n(1e9)
-			if err := h.Update(rid, []val.Value{val.Int(v), val.Str("y")}, m); err != nil {
+			if err := h.UpdateTx(0, rid, []val.Value{val.Int(v), val.Str("y")}, m); err != nil {
 				t.Fatal(err)
 			}
 			model[rid] = v
@@ -323,7 +323,7 @@ func TestConcurrentScansSharedPool(t *testing.T) {
 	var want int64
 	rids := make([]RID, 0, nRows)
 	for i := 0; i < nRows; i++ {
-		rid, err := h.Insert(row(i), m)
+		rid, err := h.InsertTx(0, row(i), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -621,7 +621,7 @@ func TestScanOfNumericColumnsAllocatesNothingPerRow(t *testing.T) {
 				r[c] = val.Int(int64(i))
 			}
 		}
-		if _, err := h.Insert(r, nil); err != nil {
+		if _, err := h.InsertTx(0, r, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -58,7 +58,7 @@ func page0(t *testing.T, h *HeapFile) []byte {
 func insertRows(t *testing.T, h *HeapFile, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
-		if _, err := h.Insert(row(i), nil); err != nil {
+		if _, err := h.InsertTx(0, row(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestStableImagesAreSnapshots(t *testing.T) {
 			h, w := walHeap(1 << 20)
 			bulkLoad(t, h, 50)
 			want, cut := page0(t, h), w.Size()
-			if err := h.Update(RID{Page: 0, Slot: 2}, row(998), nil); err != nil {
+			if err := h.UpdateTx(0, RID{Page: 0, Slot: 2}, row(998), nil); err != nil {
 				t.Fatal(err)
 			}
 			h.Flush(nil) // a stable image newer than the cut
@@ -149,10 +149,10 @@ func TestStableImagesAreSnapshots(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := h.Delete(RID{Page: 0, Slot: 0}, nil); err != nil {
+			if err := h.DeleteTx(0, RID{Page: 0, Slot: 0}, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := h.Update(RID{Page: 0, Slot: 1}, row(999), nil); err != nil {
+			if err := h.UpdateTx(0, RID{Page: 0, Slot: 1}, row(999), nil); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := h.wal.Recover(cut, map[FileID]*HeapFile{h.file: h}, nil); err != nil {

@@ -69,7 +69,6 @@ func RunPowerTest(impl Implementation) *PowerResult {
 // RDBMS is the isolated-database implementation: standard SQL straight
 // against the engine, the baseline column of Tables 4 and 5.
 type RDBMS struct {
-	db   *engine.DB
 	gen  *dbgen.Generator
 	sess *engine.Session
 	qs   []Query
@@ -77,7 +76,7 @@ type RDBMS struct {
 
 // NewRDBMS wraps a loaded original-schema database.
 func NewRDBMS(db *engine.DB, g *dbgen.Generator) *RDBMS {
-	return &RDBMS{db: db, gen: g, sess: db.NewSession(), qs: Queries(g.SF)}
+	return &RDBMS{gen: g, sess: db.NewSession(), qs: Queries(g.SF)}
 }
 
 // Name implements Implementation.

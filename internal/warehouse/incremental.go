@@ -37,10 +37,9 @@ var deltaTags = map[string]*dbgen.Table{"O": dbgen.OrdersTable, "L": dbgen.Linei
 
 // Delta is one incremental maintenance batch.
 type Delta struct {
-	InsertedOrders   int64
-	InsertedLines    int64
-	DeletedOrderKeys []int64
-	Elapsed          time.Duration
+	InsertedOrders int64
+	InsertedLines  int64
+	Elapsed        time.Duration
 }
 
 // ExtractDelta re-extracts exactly the given order keys (ORDER and
@@ -51,7 +50,7 @@ type Delta struct {
 // construction.
 func (e *Extractor) ExtractDelta(inserted []int64, deleted []int64, w io.Writer) (*Delta, error) {
 	start := e.Meter().Elapsed()
-	d := &Delta{DeletedOrderKeys: deleted}
+	d := &Delta{}
 	for _, key := range inserted {
 		vbeln := val.Str(r3.Key16(key))
 		// Re-extract the order header through the dictionary.

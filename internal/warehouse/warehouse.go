@@ -24,13 +24,12 @@ import (
 
 // Extractor runs the extraction reports over one R/3 system.
 type Extractor struct {
-	sys *r3.System
-	o   *r3.OpenSQL
+	o *r3.OpenSQL
 }
 
 // New opens an extractor with its own virtual clock.
 func New(sys *r3.System) *Extractor {
-	return &Extractor{sys: sys, o: sys.OpenSQL(cost.NewMeter(sys.DB.Model()))}
+	return &Extractor{o: sys.OpenSQL(cost.NewMeter(sys.DB.Model()))}
 }
 
 // Meter exposes the extractor's virtual clock.

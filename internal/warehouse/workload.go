@@ -59,8 +59,6 @@ type WorkloadQuery struct {
 	// Rewritable marks queries inside the aggregate vocabulary: the
 	// rewrite hook must hit exactly these and miss the rest.
 	Rewritable bool
-	// Chain groups the queries of one drill-down navigation.
-	Chain int
 }
 
 // wlDim is one grouping dimension the generator can touch.
@@ -68,13 +66,6 @@ type wlDim struct {
 	expr    string
 	values  []string // SQL-rendered member domain
 	numeric bool     // range predicates make sense
-}
-
-// wlCube is one aggregation lattice the generator draws dimensions
-// from; hit cubes correspond to a materialized aggregate's vocabulary.
-type wlCube struct {
-	name string
-	dims []wlDim
 }
 
 func years() []string {
@@ -93,17 +84,20 @@ func intRange(lo, hi int) []string {
 	return out
 }
 
-var hitCubes = []wlCube{
-	{name: "rfls_month", dims: []wlDim{
+// hitCubes are the aggregation lattices the generator draws dimensions
+// from, each a materialized aggregate's vocabulary: return flag, line
+// status and month; nation and year.
+var hitCubes = [][]wlDim{
+	{
 		{expr: "L_RETURNFLAG", values: []string{"'R'", "'A'", "'N'"}},
 		{expr: "L_LINESTATUS", values: []string{"'O'", "'F'"}},
 		{expr: "YEAR(L_SHIPDATE)", values: years(), numeric: true},
 		{expr: "MONTH(L_SHIPDATE)", values: intRange(1, 12), numeric: true},
-	}},
-	{name: "nation_year", dims: []wlDim{
+	},
+	{
 		{expr: "L_NATIONKEY", values: intRange(0, 24), numeric: true},
 		{expr: "YEAR(L_SHIPDATE)", values: years(), numeric: true},
-	}},
+	},
 }
 
 // missDims group outside every aggregate's vocabulary; queries over
@@ -134,14 +128,12 @@ func GenerateWorkload(spec WorkloadSpec) []WorkloadQuery {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	var out []WorkloadQuery
-	chain := 0
 	for len(out) < spec.Queries {
-		chain++
 		if rng.Float64() < spec.MissShare {
-			out = append(out, missQuery(rng, chain))
+			out = append(out, missQuery(rng))
 			continue
 		}
-		out = append(out, drillChain(rng, spec, chain, spec.Queries-len(out))...)
+		out = append(out, drillChain(rng, spec, spec.Queries-len(out))...)
 	}
 	return out
 }
@@ -149,9 +141,9 @@ func GenerateWorkload(spec WorkloadSpec) []WorkloadQuery {
 // drillChain emits one drill-down navigation over a hit cube: the first
 // query groups by one dimension; each further step adds the next
 // dimension and pins the previous one to a member value.
-func drillChain(rng *rand.Rand, spec WorkloadSpec, chain, quota int) []WorkloadQuery {
+func drillChain(rng *rand.Rand, spec WorkloadSpec, quota int) []WorkloadQuery {
 	cube := hitCubes[rng.Intn(len(hitCubes))]
-	order := rng.Perm(len(cube.dims))
+	order := rng.Perm(len(cube))
 	depth := 1 + rng.Intn(spec.DrillDepth)
 	if depth > len(order) {
 		depth = len(order)
@@ -167,31 +159,30 @@ func drillChain(rng *rand.Rand, spec WorkloadSpec, chain, quota int) []WorkloadQ
 	for step := 0; step < depth; step++ {
 		dims := make([]wlDim, 0, step+1)
 		for _, di := range order[:step+1] {
-			dims = append(dims, cube.dims[di])
+			dims = append(dims, cube[di])
 		}
 		var preds []string
 		preds = append(preds, pins...)
 		// Extra selectivity predicates draw from the dimensions not yet
 		// pinned by the drill-down, so a chain never contradicts itself.
 		if free := order[step:]; rng.Float64() < spec.Selectivity && len(free) > 0 {
-			if p := rangePred(rng, cube.dims[free[rng.Intn(len(free))]]); p != "" {
+			if p := rangePred(rng, cube[free[rng.Intn(len(free))]]); p != "" {
 				preds = append(preds, p)
 			}
 		}
 		out = append(out, WorkloadQuery{
 			SQL:        assemble(rng, dims, preds),
 			Rewritable: true,
-			Chain:      chain,
 		})
 		// Drill down: pin the dimension just grouped to one member.
-		d := cube.dims[order[step]]
+		d := cube[order[step]]
 		pins = append(pins, fmt.Sprintf("%s = %s", d.expr, d.values[rng.Intn(len(d.values))]))
 	}
 	return out
 }
 
 // missQuery emits one deliberately non-rewritable query.
-func missQuery(rng *rand.Rand, chain int) WorkloadQuery {
+func missQuery(rng *rand.Rand) WorkloadQuery {
 	d := missDims[rng.Intn(len(missDims))]
 	var preds []string
 	if rng.Float64() < 0.5 {
@@ -202,7 +193,6 @@ func missQuery(rng *rand.Rand, chain int) WorkloadQuery {
 	return WorkloadQuery{
 		SQL:        assemble(rng, []wlDim{d}, preds),
 		Rewritable: false,
-		Chain:      chain,
 	}
 }
 
