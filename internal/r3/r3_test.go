@@ -345,14 +345,65 @@ func TestTableBufferCaching(t *testing.T) {
 	}
 }
 
+// TestCursorCacheAvoidsRetranslation: an Open SQL read translates once per
+// statement shape — the table, each condition's column and operator, an IN
+// list's length — whatever kind of table it reads; the values are
+// parameters. Each translation is one Translate charge.
 func TestCursorCacheAvoidsRetranslation(t *testing.T) {
 	sys, _ := installedSys(t, Release22)
-	o := sys.OpenSQL(cost.NewMeter(sys.DB.Model()))
-	for i := 1; i <= 20; i++ {
-		o.Select("VBAP", []Cond{Eq("VBELN", val.Str(Key16(int64(i))))}, func(Row) error { return nil })
-	}
-	if o.Translations != 1 {
-		t.Fatalf("20 parameterized loops translated %d times, want 1", o.Translations)
+	for _, c := range []struct {
+		table    string
+		kind     TableKind
+		key      string // the first key column after MANDT
+		keyVal   func(i int) val.Value
+		deeper   string // the next key column
+		residual string // a column no key prefix takes
+		in       string // a column read through an IN list
+	}{
+		{"VBAP", Transparent, "VBELN", func(i int) val.Value { return val.Str(Key16(int64(i))) }, "POSNR", "SDABW", "ABGRU"},
+		{"A004", Pooled, "KAPPL", func(int) val.Value { return val.Str("V") }, "KSCHL", "KNUMH", "DATBI"},
+		{"KONV", Clustered, "KNUMV", func(i int) val.Value { return val.Str(Key16(int64(i))) }, "KPOSN", "KSCHL", "STUNR"},
+	} {
+		t.Run(c.table, func(t *testing.T) {
+			if k := sys.Table(c.table).Kind; k != c.kind {
+				t.Fatalf("%s is a %s table, want %s", c.table, k, c.kind)
+			}
+			o := sys.OpenSQL(cost.NewMeter(sys.DB.Model()))
+			read := func(conds ...Cond) {
+				t.Helper()
+				if err := o.Select(c.table, conds, func(Row) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := func(n int64, what string) {
+				t.Helper()
+				if o.Translations != n {
+					t.Fatalf("%s: %d translations, want %d", what, o.Translations, n)
+				}
+				if got := o.Meter().Count(cost.Translate); got != o.Translations {
+					t.Fatalf("%s: %d Translate charges, %d translations counted", what, got, o.Translations)
+				}
+			}
+			in2 := In(c.in, val.Str("A"), val.Str("B"))
+			for i := 1; i <= 20; i++ {
+				read(Eq(c.key, c.keyVal(i)), Ge(c.residual, val.Str(Key16(int64(i)))), in2)
+			}
+			want(1, "20 reads of one shape")
+			for i := 1; i <= 3; i++ {
+				read(Eq(c.key, c.keyVal(i)), Le(c.residual, val.Str(Key16(int64(i)))), in2)
+			}
+			want(2, "a changed residual operator")
+			for i := 1; i <= 3; i++ {
+				read(Eq(c.key, c.keyVal(i)), Eq(c.deeper, val.Str("000001")), Ge(c.residual, val.Str("")), in2)
+			}
+			want(3, "a deeper key prefix")
+			for i := 1; i <= 3; i++ {
+				read(Eq(c.key, c.keyVal(i)), Ge(c.residual, val.Str("")), In(c.in, val.Str("A"), val.Str("B"), val.Str("C")))
+			}
+			want(4, "an IN list of another length")
+			read(Eq(c.key, c.keyVal(7)), Ge(c.residual, val.Str("")), in2)
+			want(4, "the first shape again")
+		})
 	}
 }
 
