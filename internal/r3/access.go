@@ -12,7 +12,9 @@ import (
 // stmtCache is a per-session cursor cache (paper Section 2.3: "using the
 // same cursor for, say, all the queries that retrieve the matching tuples
 // of the inner relation in a nested SELECT statement") keyed by statement
-// text, and the session's fetch stack, which it is the engine.RowSink of.
+// text — an Open SQL pool or cluster read's by its statement shape, whose
+// entry holds the physical statement the read executes — and the session's
+// fetch stack, which it is the engine.RowSink of.
 //
 // A cursor execution pushes every row of its result onto the stack before
 // the first is handed out, and pops them when the iteration ends; a SELECT
@@ -142,48 +144,42 @@ func (sc *stmtCache) each(ph *Phases, st *engine.Stmt, params []val.Value, fn fu
 	return nil
 }
 
-// scanLogical streams a logical table's rows, optionally bounded by a
-// prefix of its key, decoding pool/cluster storage as needed. A row is valid
-// only during its callback: transparent rows are on the fetch stack, pool and
-// cluster rows are decoded into a row the scan cuts from it (decodeRow),
-// their CHAR fields substrings of the VARKEY and VARDATA page views.
+// scanLogical streams a pool or cluster table's rows, optionally bounded by
+// a prefix of its key, through the session's cursor for its physical
+// statement.
 func (sys *System) scanLogical(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
-	switch t.Kind {
-	case Transparent:
-		return sys.scanTransparent(sc, t, keyPrefix, fn)
-	case Pooled:
-		return sys.scanPool(sc, t, keyPrefix, fn)
-	default:
-		return sys.scanCluster(sc, t, keyPrefix, fn)
-	}
-}
-
-func (sys *System) scanTransparent(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
-	var where []string
-	for i := range keyPrefix {
-		where = append(where, t.KeyCols[i]+" = ?")
-	}
-	sql := "SELECT * FROM " + t.Name
-	if len(where) > 0 {
-		sql += " WHERE " + strings.Join(where, " AND ")
-	}
-	st, err := sc.get(sql)
+	st, err := sc.get(t.scanSQL(len(keyPrefix)))
 	if err != nil {
 		return err
 	}
-	sc.params = append(sc.params[:0], keyPrefix...)
-	return sc.each(nil, st, sc.params, fn)
+	return sc.scan(st, t, keyPrefix, fn)
+}
+
+// scanSQL is the physical statement a pool or cluster scan under a key
+// prefix of n columns executes.
+func (t *LogicalTable) scanSQL(n int) string {
+	if t.Kind == Pooled {
+		return poolScanSQL
+	}
+	return t.clusterSQL[min(n, len(t.ClusterPrefix))]
+}
+
+// scan streams the logical rows of a pool or cluster table that st, its
+// scanSQL, reads under keyPrefix. A row is valid only during its callback:
+// it is decoded into a row the scan cuts from the fetch stack (decodeRow),
+// its CHAR fields substrings of the VARKEY and VARDATA page views.
+func (sc *stmtCache) scan(st *engine.Stmt, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
+	if t.Kind == Pooled {
+		return sc.scanPool(st, t, keyPrefix, fn)
+	}
+	return sc.scanCluster(st, t, keyPrefix, fn)
 }
 
 // poolScanSQL reads the pool's physical tuples of one table in a VARKEY range.
 const poolScanSQL = `SELECT VARKEY, VARDATA FROM ` + poolTableName + ` WHERE TABNAME = ? AND VARKEY >= ? AND VARKEY <= ?`
 
-func (sys *System) scanPool(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
+func (sc *stmtCache) scanPool(st *engine.Stmt, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
 	prefix := t.keyPrefixString(keyPrefix)
-	st, err := sc.get(poolScanSQL)
-	if err != nil {
-		return err
-	}
 	sc.params = append(sc.params[:0], val.Str(t.Name), val.Str(prefix), val.Str(prefix+"ÿ"))
 	m := sc.sess.Meter
 	row, at := sc.decodeRow(len(t.Cols))
@@ -215,13 +211,9 @@ func (t *LogicalTable) decodeKeyString(vk string, row []val.Value) error {
 	return nil
 }
 
-func (sys *System) scanCluster(sc *stmtCache, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
+func (sc *stmtCache) scanCluster(st *engine.Stmt, t *LogicalTable, keyPrefix []val.Value, fn func([]val.Value) error) error {
 	nPrefix := len(t.ClusterPrefix)
 	n := min(len(keyPrefix), nPrefix) // deeper prefixes filter after decode
-	st, err := sc.get(t.clusterSQL[n])
-	if err != nil {
-		return err
-	}
 	sc.params = append(sc.params[:0], keyPrefix[:n]...)
 	m := sc.sess.Meter
 	row, at := sc.decodeRow(len(t.Cols))
@@ -299,7 +291,8 @@ func (sys *System) deleteLogical(s *engine.Session, t *LogicalTable, keyPrefix [
 // ConvertToTransparent converts a pool or cluster table to a transparent
 // table — possible for pool tables in 2.2 and for any encapsulated table
 // in 3.0 (paper Section 2.2). The paper's upgrade converts KONV, tripling
-// its stored size.
+// its stored size. Connections that read the table open after it: a read's
+// cursor entry holds the physical statement of the kind it was translated for.
 func (sys *System) ConvertToTransparent(name string, m *cost.Meter) error {
 	t := sys.Table(name)
 	if t == nil {

@@ -33,9 +33,6 @@ func (sys *System) NativeSQL(m *cost.Meter) *NativeSQL {
 // Meter returns the connection's virtual clock.
 func (n *NativeSQL) Meter() *cost.Meter { return n.sess.Meter }
 
-// Session exposes the raw engine session (EXPLAIN etc.).
-func (n *NativeSQL) Session() *engine.Session { return n.sess }
-
 // SetPhases directs the connection's phase attribution (nil detaches).
 // Statements run through Exec attribute to the DB phase; cursors from
 // Prepare are raw engine statements, so their Query time lands in the

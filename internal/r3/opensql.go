@@ -79,8 +79,8 @@ type OpenSQL struct {
 	sc   *stmtCache
 	ph   *Phases
 	sql  []byte // the statement being translated
-	// Translations counts ABAP→SQL statement translations (cursor-cache
-	// misses).
+	// Translations counts ABAP→SQL statement translations: one per
+	// statement shape the connection reads, each one Translate charge.
 	Translations int64
 }
 
@@ -96,9 +96,6 @@ func (o *OpenSQL) Meter() *cost.Meter { return o.sess.Meter }
 // SetPhases directs the connection's phase attribution (nil detaches).
 // The caller attaches the same Phases to the meter with Phases.Attach.
 func (o *OpenSQL) SetPhases(p *Phases) { o.ph = p }
-
-// System returns the owning R/3 system.
-func (o *OpenSQL) System() *System { return o.sys }
 
 // appendCond renders one condition onto sql with `?` placeholders and its
 // parameters onto params.
@@ -198,9 +195,8 @@ func (o *OpenSQL) Select(table string, conds []Cond, fn func(Row) error) error {
 			return inner(r)
 		}
 	}
-	if t.Kind != Transparent {
-		return o.selectEncapsulated(t, conds, fn)
-	}
+	// The statement shape: what a transparent read sends, and the key of
+	// every read's translation whatever the table's kind.
 	o.sql = append(append(append(o.sql[:0], "SELECT * FROM "...), t.Name...), " WHERE MANDT = ?"...)
 	params := append(o.sc.params[:0], val.Str(DefaultClient))
 	for _, c := range conds {
@@ -211,7 +207,10 @@ func (o *OpenSQL) Select(table string, conds []Cond, fn func(Row) error) error {
 		}
 	}
 	o.sc.params = params
-	st, err := o.cursor(o.sql)
+	if t.Kind != Transparent {
+		return o.selectEncapsulated(t, conds, fn)
+	}
+	st, err := o.cursor(o.sql, "")
 	if err != nil {
 		return err
 	}
@@ -241,10 +240,11 @@ func condsPinFullKey(t *LogicalTable, conds []Cond) bool {
 	return true
 }
 
-// cursor returns the session's cursor for a translated statement, charging
-// one ABAP→SQL translation per new statement text. Only a miss makes a
-// string of text.
-func (o *OpenSQL) cursor(text []byte) (*engine.Stmt, error) {
+// cursor returns the session's cursor for a statement shape, charging one
+// ABAP→SQL translation per new shape. A transparent read's or a join's shape
+// is the statement it executes (phys ""); a pool or cluster read's entry
+// holds the physical statement phys. Only a miss makes a string of text.
+func (o *OpenSQL) cursor(text []byte, phys string) (*engine.Stmt, error) {
 	if st, ok := o.sc.stmts[string(text)]; ok {
 		o.sys.cursorHits.Add(1)
 		return st, nil
@@ -254,16 +254,20 @@ func (o *OpenSQL) cursor(text []byte) (*engine.Stmt, error) {
 	restore()
 	o.Translations++
 	defer o.ph.enterDB(o.sess.Meter)()
-	return o.sc.prepare(string(text))
+	if phys == "" {
+		return o.sc.prepare(string(text))
+	}
+	st, err := o.sc.get(phys)
+	if err == nil {
+		o.sc.stmts[string(text)] = st
+	}
+	return st, err
 }
 
-// selectEncapsulated reads a pool/cluster table: leading key equalities
-// become dictionary key-prefix access, everything else filters in the
-// application server after decode.
+// selectEncapsulated reads a pool/cluster table, its statement shape in
+// o.sql: leading key equalities become dictionary key-prefix access,
+// everything else filters in the application server after decode.
 func (o *OpenSQL) selectEncapsulated(t *LogicalTable, conds []Cond, fn func(Row) error) error {
-	restore := o.ph.enterTranslate(o.sess.Meter)
-	o.sess.Meter.Charge(cost.Translate, 1)
-	restore()
 	// Bit i of used marks conds[i] as taken into the key prefix.
 	var used uint64
 	prefix := make([]val.Value, 1, 8)
@@ -276,10 +280,14 @@ func (o *OpenSQL) selectEncapsulated(t *LogicalTable, conds []Cond, fn func(Row)
 		prefix = append(prefix, conds[i].Val)
 		used |= 1 << i
 	}
+	st, err := o.cursor(o.sql, t.scanSQL(len(prefix)))
+	if err != nil {
+		return err
+	}
 	m := o.sess.Meter
 	restoreDB := o.ph.enterDB(m)
 	defer restoreDB()
-	return o.sys.scanLogical(o.sc, t, prefix, func(vals []val.Value) error {
+	return o.sc.scan(st, t, prefix, func(vals []val.Value) error {
 		// Decoded rows filter and deliver in the application server.
 		restoreClient := o.ph.enterClient(m)
 		defer restoreClient()

@@ -184,7 +184,7 @@ func (o *OpenSQL) SelectJoin(q JoinQuery, fn func(Row) error) error {
 		text += fmt.Sprintf(" LIMIT %d", q.Limit)
 	}
 
-	st, err := o.cursor([]byte(text))
+	st, err := o.cursor([]byte(text), "")
 	if err != nil {
 		return err
 	}

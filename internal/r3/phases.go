@@ -17,7 +17,7 @@ import "r3bench/internal/cost"
 // complete.
 type Phases struct {
 	Root      *cost.Span
-	Translate *cost.Span // ABAP→SQL translation (cursor-cache misses)
+	Translate *cost.Span // ABAP→SQL translation: once per new statement shape, any table kind
 	DB        *cost.Span // RDBMS execution, interface and row shipping
 	Client    *cost.Span // application-server (itab) processing
 }

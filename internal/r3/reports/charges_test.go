@@ -124,6 +124,11 @@ func TestReportCharges(t *testing.T) {
 			if lap := m.Lap(start); lap != priced {
 				t.Errorf("%s Q%d: lap %d ns, Σ ΔCount × PerEvent %d ns", c.strategy, qn, lap, priced)
 			}
+			// The session's Open SQL connection translates; its Native SQL
+			// connection, on the same meter, sends its text as written.
+			if n := m.Count(cost.Translate); impl.o.Translations != n {
+				t.Errorf("%s Q%d: %d translations counted, %d Translate charges", c.strategy, qn, impl.o.Translations, n)
+			}
 			rc := reportCharge{Strategy: c.strategy.String(), Query: qn,
 				Counts: map[string]int64{}, SortNs: int64(m.ByKind(cost.SortCPU) - sortBefore),
 				NRows: len(rows), Rows: fingerprint(rows)}
