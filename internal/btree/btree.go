@@ -159,9 +159,6 @@ func New(unique bool) *Tree {
 	return &Tree{root: &node{leaf: true}, unique: unique}
 }
 
-// Unique reports whether the index enforces key uniqueness.
-func (t *Tree) Unique() bool { return t.unique }
-
 // Entries returns the number of (key, rid) entries.
 func (t *Tree) Entries() int64 {
 	t.mu.RLock()

@@ -631,8 +631,3 @@ func (db *DB) dropView(name string) error {
 	db.publish(nc)
 	return nil
 }
-
-// view returns the view query, or nil.
-func (db *DB) view(name string) *sqlparse.SelectStmt {
-	return db.snap().view(name)
-}

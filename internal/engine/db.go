@@ -89,9 +89,6 @@ func (db *DB) NewSessionWithMeter(m *cost.Meter) *Session {
 	return &Session{db: db, Meter: m}
 }
 
-// DB returns the session's database.
-func (s *Session) DB() *DB { return s.db }
-
 // Result is a fully materialized statement result.
 type Result struct {
 	Cols         []string

@@ -79,9 +79,6 @@ func (l *DirectLoader) Append(row []val.Value) error {
 	return nil
 }
 
-// Rows returns the number of rows appended so far.
-func (l *DirectLoader) Rows() int64 { return l.bw.Rows() }
-
 // Close seals the heap pages, sorts each deferred index run, builds the
 // trees bottom-up, and commits the load as one transaction. Cached
 // plans see the new population immediately.

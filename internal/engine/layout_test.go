@@ -71,8 +71,12 @@ func checkSlotLayout(t *testing.T, p *selectPlan) {
 		}
 		next, wide = rel.outEnd(), max(wide, rel.end())
 	}
-	if rels != p.nRels || wide != p.nSlots {
-		t.Errorf("plan [%s]: steps bind %d relations over %d slots, plan says %d over %d", plan, rels, wide, p.nRels, p.nSlots)
+	aliases := make(map[string]bool)
+	for _, e := range p.layout {
+		aliases[e.table] = true
+	}
+	if rels != len(aliases) || wide != p.nSlots {
+		t.Errorf("plan [%s]: steps bind %d relations over %d slots, the block has %d over %d", plan, rels, wide, len(aliases), p.nSlots)
 	}
 	// An ON clause runs at its outer-joined relation's step, which pins the
 	// steps to FROM order: a column it reads of a relation bound before is

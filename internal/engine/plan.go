@@ -17,7 +17,6 @@ type selectPlan struct {
 	steps   []stepper // left-deep join pipeline in execution order
 	nSlots  int       // width of a frame that every step has extended
 	outCols []string
-	nRels   int
 	layout  []scopeEntry // logical: every column of every relation, FROM order
 
 	// Output phase.
@@ -310,7 +309,6 @@ func (db *DB) planSelect(s *sqlparse.SelectStmt, outerScope *scope, opts *planOp
 	if len(rels) > 63 {
 		return nil, fmt.Errorf("engine: too many relations (%d)", len(rels))
 	}
-	p.nRels = len(rels)
 
 	// 2. Build the block scope: every column of every relation, FROM order.
 	var entries []scopeEntry

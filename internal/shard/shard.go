@@ -90,9 +90,6 @@ func shardOf(key int64, n int) int {
 // Shards returns the cluster width.
 func (c *Cluster) Shards() int { return c.n }
 
-// DB exposes shard i's engine (tests reach in for per-shard checks).
-func (c *Cluster) DB(i int) *engine.DB { return c.dbs[i] }
-
 // Name implements tpcd.Implementation.
 func (c *Cluster) Name() string {
 	return fmt.Sprintf("Sharded RDBMS (%d shards)", c.n)

@@ -34,7 +34,6 @@ type BulkWriter struct {
 
 	extentStart PageID
 	extentLen   int
-	pages       int64
 }
 
 // NewBulkWriter opens a direct-path channel on the heap. tx is the
@@ -52,17 +51,6 @@ func (h *HeapFile) NewBulkWriter(tx int64, m *cost.Meter) *BulkWriter {
 	b.extentStart = b.cur
 	return b
 }
-
-// Next returns the RID the next appended row will receive.
-func (b *BulkWriter) Next() RID {
-	return RID{Page: b.cur, Slot: uint16(b.used)}
-}
-
-// Rows returns the number of rows appended so far.
-func (b *BulkWriter) Rows() int64 { return b.rows }
-
-// Pages returns the number of pages sealed so far.
-func (b *BulkWriter) Pages() int64 { return b.pages }
 
 // Append packs one row and returns its RID.
 func (b *BulkWriter) Append(row []val.Value) (RID, error) {
@@ -101,7 +89,6 @@ func (b *BulkWriter) sealPage() error {
 	if b.m != nil {
 		b.m.Charge(cost.PageWrite, 1)
 	}
-	b.pages++
 	b.extentLen++
 	if b.extentLen >= extentPages {
 		b.sealExtent()

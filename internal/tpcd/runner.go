@@ -85,9 +85,6 @@ func (r *RDBMS) Name() string { return "RDBMS (TPCD-DB)" }
 // Meter implements Implementation.
 func (r *RDBMS) Meter() *cost.Meter { return r.sess.Meter }
 
-// Session exposes the underlying session (for EXPLAIN in experiments).
-func (r *RDBMS) Session() *engine.Session { return r.sess }
-
 // RunQuery implements Implementation.
 func (r *RDBMS) RunQuery(q int) ([][]val.Value, error) {
 	if q < 1 || q > 17 {
