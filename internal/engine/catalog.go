@@ -183,6 +183,12 @@ type DB struct {
 	// flushing data pages, and CrashRecover rebuilds committed state.
 	wal atomic.Pointer[storage.WAL]
 
+	// epochs is the grace period of every table's emptied heap pages
+	// (storage.Epochs): each statement is inside it from runtime.begin to
+	// runtime.done. txSeq numbers the sessions' transactions without WAL.
+	epochs storage.Epochs
+	txSeq  atomic.Int64
+
 	// Cumulative execution counters for the metrics registry.
 	selects         atomic.Int64 // SELECT executions
 	parallelSelects atomic.Int64 // of those, plans compiled with degree >= 2
@@ -490,6 +496,7 @@ func (db *DB) createTable(ct *sqlparse.CreateTable) (*Table, error) {
 		t.PrimaryKey = append(t.PrimaryKey, ci)
 	}
 	t.Heap = storage.NewHeapFile(db.disk, db.pool, val.NewRowCodec(layout))
+	t.Heap.SetEpochs(&db.epochs)
 	if w := db.wal.Load(); w != nil {
 		t.Heap.SetWAL(w)
 	}

@@ -78,6 +78,7 @@ func (s *Session) QueryPartial(sql string, params ...val.Value) (*Partial, error
 	}
 	s.db.noteSelect(plan)
 	pa := &Partial{plan: plan}
+	defer s.db.epochs.Leave(s.db.epochs.Enter())
 	rt := &runtime{sess: s, params: params}
 	// Plans that neither aggregate nor sort emit rows as they drain; collect
 	// them here (order: pipeline order, i.e. this shard's partition order).

@@ -20,8 +20,15 @@ import (
 //	[2:2+bmBytes]            tombstone bitmap (1 = deleted)
 //	[2+bmBytes:]             rows, rowBytes each
 //
-// Inserts append to the last page; deletes tombstone in place. Space from
-// deleted rows is reclaimed only by Compact, mirroring a simple RDBMS heap.
+// Deletes tombstone in place. A page whose last live row is deleted is
+// listed for reuse once nothing on it can be rolled back: when the delete's
+// transaction commits (Committed) and no other transaction that has not
+// committed wrote the page. InsertTx refills the oldest listed page, its
+// tombstoned slots first, once the page's grace period has passed (Epochs);
+// it appends to the last page, and extends the file, only when no listed
+// page is ready. A page that still holds a live row is never written into a
+// tombstoned slot, so a bulk insert after a bulk delete lands in the pages
+// the delete emptied and not scattered over half-full ones.
 type HeapFile struct {
 	mu      sync.RWMutex
 	disk    *Disk
@@ -32,7 +39,44 @@ type HeapFile struct {
 	perPage int
 	bmBytes int
 	rows    atomic.Int64 // read without mu: a cached plan checks it on every use
+
+	// Page reuse, under mu. open lists the pages each transaction that has
+	// not committed wrote, one entry per run of its writes to a page; pages
+	// holds each page's count of those entries and its listing. free is the
+	// listed pages, oldest first. While filling, inserts go to page fill,
+	// into its first tombstoned slot from next on, then past its used slots.
+	epochs  *Epochs
+	pages   []pageState
+	open    []txPage
+	free    []freePage
+	filling bool
+	fill    PageID
+	next    int
 }
+
+// pageState is what page reuse knows of one page.
+type pageState struct {
+	writers int32  // entries of HeapFile.open that name the page
+	listed  uint64 // while the page is listed and empty, its stamp + 1; else 0, or pinned
+}
+
+// txPage is one entry of HeapFile.open.
+type txPage struct {
+	tx   int64
+	page PageID
+}
+
+// freePage is one listing of an emptied page.
+type freePage struct {
+	page  PageID
+	stamp uint64
+}
+
+// pinned marks a page whose tombstones recovery made by undoing a lost
+// transaction: that transaction's records stay in the log, and the next
+// recovery undoes them again, over whatever a reuse of the page would have
+// stored. It is never listed.
+const pinned = ^uint64(0)
 
 // NewHeapFile creates an empty heap file for rows of the given codec.
 func NewHeapFile(disk *Disk, pool *BufferPool, codec *val.RowCodec) *HeapFile {
@@ -73,6 +117,14 @@ func (h *HeapFile) SetWAL(w *WAL) {
 	}
 }
 
+// SetEpochs sets the grace period an emptied page waits out before InsertTx
+// writes it again; nil, the default, waits for nobody.
+func (h *HeapFile) SetEpochs(e *Epochs) {
+	h.mu.Lock()
+	h.epochs = e
+	h.mu.Unlock()
+}
+
 // Rows returns the number of live rows.
 func (h *HeapFile) Rows() int64 { return h.rows.Load() }
 
@@ -107,34 +159,178 @@ func deleted(p []byte, slot int) bool { return p[2+slot/8]&(1<<(slot%8)) != 0 }
 func setDeleted(p []byte, slot int)   { p[2+slot/8] |= 1 << (slot % 8) }
 func clearDeleted(p []byte, slot int) { p[2+slot/8] &^= 1 << (slot % 8) }
 
-// errPageFull signals that the last heap page has no free slot and the
-// insert must extend the file.
+// empty reports whether every used slot of the page is tombstoned.
+func (h *HeapFile) empty(page []byte) bool {
+	used := pageUsed(page)
+	bm := page[2 : 2+(used+7)/8]
+	for i, b := range bm {
+		if i < used/8 {
+			if b != 0xFF {
+				return false
+			}
+		} else if b != byte(1)<<(used%8)-1 {
+			return false
+		}
+	}
+	return true
+}
+
+// freeSlot returns the slot the next row of the page being refilled goes
+// to: its first tombstoned slot from next on, else the first unused one, or
+// perPage when it is full. Slots before next are not looked at again: one
+// the refill stored in and a delete has since tombstoned may belong to a
+// transaction that has not committed.
+func (h *HeapFile) freeSlot(page []byte) int {
+	used := pageUsed(page)
+	for s := h.next; s < used; s++ {
+		if deleted(page, s) {
+			return s
+		}
+	}
+	return used
+}
+
+// state returns page pid's reuse state.
+func (h *HeapFile) state(pid PageID) *pageState {
+	for len(h.pages) <= int(pid) {
+		h.pages = append(h.pages, pageState{})
+	}
+	return &h.pages[pid]
+}
+
+// wrote notes that transaction tx wrote page pid: the page is not listed
+// before tx has committed. The system transaction is committed already.
+func (h *HeapFile) wrote(tx int64, pid PageID) {
+	if tx == 0 {
+		return
+	}
+	e := txPage{tx, pid}
+	if n := len(h.open); n > 0 && h.open[n-1] == e {
+		return
+	}
+	h.open = append(h.open, e)
+	h.state(pid).writers++
+}
+
+// Committed settles the writes of transaction tx, which has committed —
+// without WAL, whose statement or unit of work has ended: every page it
+// emptied that no other transaction still open has written is listed for
+// reuse. The caller has logged tx's commit record, and has finished the
+// index maintenance of its deletes: a statement that starts after the
+// listing finds no RID into the page.
+func (h *HeapFile) Committed(tx int64) {
+	if tx == 0 {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	keep := h.open[:0]
+	for _, e := range h.open {
+		if e.tx != tx {
+			keep = append(keep, e)
+			continue
+		}
+		st := &h.pages[e.page]
+		st.writers--
+		if st.writers > 0 || st.listed != 0 {
+			continue
+		}
+		if page, err := h.disk.readPage(h.file, e.page); err == nil && h.empty(page) {
+			h.list(e.page)
+		}
+	}
+	h.open = keep
+}
+
+// list lists page pid, empty and written by no transaction that has not
+// committed, for reuse. A page being refilled stops being refilled: after
+// its grace period it is refilled from its first slot.
+func (h *HeapFile) list(pid PageID) {
+	st := h.state(pid)
+	if st.listed == pinned {
+		return
+	}
+	if h.filling && h.fill == pid {
+		h.filling = false
+	}
+	stamp := h.epochs.stamp()
+	st.listed = stamp + 1
+	h.free = append(h.free, freePage{pid, stamp})
+}
+
+// unlist drops page pid's listing: a row was stored in it.
+func (h *HeapFile) unlist(pid PageID) {
+	if int(pid) < len(h.pages) && h.pages[pid].listed != pinned {
+		h.pages[pid].listed = 0
+	}
+}
+
+// refill makes the oldest listed page whose grace period has passed the
+// page inserts go to, dropping listings of pages that have held a row
+// since.
+func (h *HeapFile) refill() {
+	for len(h.free) > 0 {
+		f := h.free[0]
+		st := &h.pages[f.page]
+		if st.listed != f.stamp+1 {
+			h.free = h.free[1:]
+			continue
+		}
+		if !h.epochs.passed(f.stamp) {
+			return
+		}
+		h.free = h.free[1:]
+		st.listed = 0
+		h.filling, h.fill, h.next = true, f.page, 0
+		return
+	}
+}
+
+// target returns the page the next row goes to: the page being refilled,
+// else the oldest listed page that is ready, else the last page — the file's
+// first when it has none.
+func (h *HeapFile) target() PageID {
+	if !h.filling {
+		h.refill()
+	}
+	if h.filling {
+		return h.fill
+	}
+	if n := h.disk.NumPages(h.file); n > 0 {
+		return PageID(n - 1)
+	}
+	return h.disk.AllocPage(h.file)
+}
+
+// errPageFull signals that the target page has no free slot: the insert
+// tries the next listed page or extends the file.
 var errPageFull = fmt.Errorf("storage: page full")
 
-// InsertTx appends a row on behalf of transaction tx and returns its RID,
-// charging m for the page access and per-tuple CPU. The page bytes are
-// mutated through the pool's copy-on-write path, so concurrent scanners
-// holding the old version keep reading a consistent page image. Under WAL
-// the redo record is logged against tx, so a crash before tx's commit
-// record is forced rolls the row back; tx 0 is the system transaction,
-// which is always committed. DeleteTx and UpdateTx take tx alike.
+// InsertTx stores a row on behalf of transaction tx and returns its RID,
+// charging m for the page access and per-tuple CPU: in a listed page whose
+// grace period has passed if there is one, else at the end of the file (see
+// HeapFile). The page bytes are mutated through the pool's copy-on-write
+// path, so concurrent scanners holding the old version keep reading a
+// consistent page image. Under WAL the redo record is logged against tx, so
+// a crash before tx's commit record is forced rolls the row back; tx 0 is
+// the system transaction, which is always committed. DeleteTx and UpdateTx
+// take tx alike.
 func (h *HeapFile) InsertTx(tx int64, row []val.Value, m *cost.Meter) (RID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := h.disk.NumPages(h.file)
 	var pid PageID
-	if n == 0 {
-		pid = h.disk.AllocPage(h.file)
-	} else {
-		pid = PageID(n - 1)
-	}
 	var rid RID
 	ins := func(page []byte) (bool, error) {
 		used := pageUsed(page)
-		if used >= h.perPage {
+		refill := h.filling && pid == h.fill
+		slot := used
+		if refill {
+			slot = h.freeSlot(page)
+		}
+		if slot >= h.perPage {
 			return false, errPageFull
 		}
-		off := h.slotOffset(used)
+		off := h.slotOffset(slot)
 		enc, err := h.codec.Encode(page[off:off], row)
 		if err != nil {
 			return false, err
@@ -142,13 +338,22 @@ func (h *HeapFile) InsertTx(tx int64, row []val.Value, m *cost.Meter) (RID, erro
 		if len(enc) != h.codec.RowBytes() {
 			return false, fmt.Errorf("storage: encoded row is %d bytes, want %d", len(enc), h.codec.RowBytes())
 		}
-		setPageUsed(page, used+1)
-		rid = RID{Page: pid, Slot: uint16(used)}
+		if slot == used {
+			setPageUsed(page, used+1)
+		} else {
+			clearDeleted(page, slot)
+		}
+		rid = RID{Page: pid, Slot: uint16(slot)}
 		if h.wal != nil {
-			h.wal.LogInsert(tx, h.file, pid, used, page[off:off+h.codec.RowBytes()])
+			h.wal.LogInsert(tx, h.file, pid, slot, page[off:off+h.codec.RowBytes()])
+		}
+		if refill {
+			h.next = slot + 1
+			h.filling = h.freeSlot(page) < h.perPage
 		}
 		return true, nil
 	}
+	pid = h.target()
 	err := h.pool.Mutate(h.file, pid, m, ins)
 	if err == errPageFull {
 		pid = h.disk.AllocPage(h.file)
@@ -157,6 +362,8 @@ func (h *HeapFile) InsertTx(tx int64, row []val.Value, m *cost.Meter) (RID, erro
 	if err != nil {
 		return RID{}, err
 	}
+	h.unlist(pid)
+	h.wrote(tx, pid)
 	h.rows.Add(1)
 	if m != nil {
 		m.Charge(cost.TupleCPU, 1)
@@ -200,10 +407,14 @@ func (h *HeapFile) FetchCols(rid RID, m *cost.Meter, cols *val.ColSet, dst []val
 	return cols.Decode(page[off:off+h.codec.RowBytes()], dst)
 }
 
-// DeleteTx tombstones the row at rid on behalf of transaction tx.
+// DeleteTx tombstones the row at rid on behalf of transaction tx. When
+// that was the page's last live row, the page is listed for reuse once
+// nothing on it can be rolled back (see HeapFile): at once for the system
+// transaction, else when Committed says so.
 func (h *HeapFile) DeleteTx(tx int64, rid RID, m *cost.Meter) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	emptied := false
 	err := h.pool.Mutate(h.file, rid.Page, m, func(page []byte) (bool, error) {
 		if int(rid.Slot) >= pageUsed(page) || deleted(page, int(rid.Slot)) {
 			return false, fmt.Errorf("storage: delete of dead rid %v", rid)
@@ -213,10 +424,15 @@ func (h *HeapFile) DeleteTx(tx int64, rid RID, m *cost.Meter) error {
 			h.wal.LogDelete(tx, h.file, rid.Page, int(rid.Slot), page[off:off+h.codec.RowBytes()])
 		}
 		setDeleted(page, int(rid.Slot))
+		emptied = h.empty(page)
 		return true, nil
 	})
 	if err != nil {
 		return err
+	}
+	h.wrote(tx, rid.Page)
+	if emptied && h.state(rid.Page).writers == 0 {
+		h.list(rid.Page)
 	}
 	h.rows.Add(-1)
 	if m != nil {
@@ -248,6 +464,7 @@ func (h *HeapFile) UpdateTx(tx int64, rid RID, row []val.Value, m *cost.Meter) e
 	if err != nil {
 		return err
 	}
+	h.wrote(tx, rid.Page)
 	if m != nil {
 		m.Charge(cost.TupleCPU, 1)
 	}
@@ -435,10 +652,14 @@ func (h *HeapFile) undoDelete(pid PageID, slot int, oldRow []byte) error {
 	return nil
 }
 
-// recount rebuilds the live-row counter from the recovered pages.
-func (h *HeapFile) recount() {
+// recount rebuilds the live-row counter and page reuse from the recovered
+// pages: no transaction is open any more, and every empty page is listed
+// but for those recovery undid a lost transaction's work on (undone),
+// which are pinned.
+func (h *HeapFile) recount(undone map[pageKey]bool) {
 	n := h.disk.NumPages(h.file)
 	rows := int64(0)
+	h.pages, h.open, h.free, h.filling = make([]pageState, n), nil, nil, false
 	for p := 0; p < n; p++ {
 		page, err := h.disk.readPage(h.file, PageID(p))
 		if err != nil {
@@ -449,6 +670,12 @@ func (h *HeapFile) recount() {
 			if !deleted(page, s) {
 				rows++
 			}
+		}
+		switch {
+		case undone[pageKey{h.file, PageID(p)}]:
+			h.pages[p].listed = pinned
+		case h.empty(page):
+			h.list(PageID(p))
 		}
 	}
 	h.rows.Store(rows)

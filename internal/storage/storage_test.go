@@ -47,29 +47,107 @@ func TestHeapInsertFetch(t *testing.T) {
 	}
 }
 
+// TestHeapScanOrderAndReuse: a scan returns rows in file order; once the
+// rows of two whole pages are deleted, the next rows go into those pages,
+// tombstoned slots first, and the file does not grow. A tombstoned slot on
+// a page that still holds a row is not written again.
 func TestHeapScanOrderAndReuse(t *testing.T) {
 	h, _, m := newTestHeap(t, 1<<20)
-	for i := 0; i < 500; i++ {
-		if _, err := h.InsertTx(0, row(i), m); err != nil {
+	per := h.RowsPerPage()
+	var rids []RID
+	for i := 0; i < 4*per-1; i++ { // four pages, one slot left
+		rid, err := h.InsertTx(0, row(i), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	scan := func() []int64 {
+		var ids []int64
+		if err := h.Scan(m, func(rid RID, r []val.Value) error {
+			ids = append(ids, r[0].AsInt())
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	for i, id := range scan() {
+		if id != int64(i) {
+			t.Fatalf("scan out of order at %d: %d", i, id)
+		}
+	}
+	pages := h.Pages()
+	for i := 0; i <= 2*per; i++ { // pages 0 and 1, and page 2's first row
+		if err := h.DeleteTx(0, rids[i], m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	next := 0
-	err := h.Scan(m, func(rid RID, r []val.Value) error {
-		if r[0].AsInt() != int64(next) {
-			return fmt.Errorf("scan out of order at %d: %v", next, r)
+	for i := 0; i < 2*per; i++ {
+		rid, err := h.InsertTx(0, row(1000+i), m)
+		if err != nil {
+			t.Fatal(err)
 		}
-		next++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		if want := (RID{Page: PageID(i / per), Slot: uint16(i % per)}); rid != want {
+			t.Fatalf("reinserted row %d went to %v, want %v", i, rid, want)
+		}
 	}
-	if next != 500 {
-		t.Fatalf("scanned %d rows", next)
+	if h.Pages() != pages {
+		t.Fatalf("the file grew from %d to %d pages", pages, h.Pages())
+	}
+	if rid, _ := h.InsertTx(0, row(2000), m); rid != (RID{Page: 3, Slot: uint16(per - 1)}) {
+		t.Fatalf("with no page empty the row went to %v, want the last slot (3,%d)", rid, per-1)
+	}
+	ids := scan()
+	for i := 0; i < 2*per; i++ {
+		if ids[i] != int64(1000+i) {
+			t.Fatalf("scan position %d holds %d, want the reinserted %d", i, ids[i], 1000+i)
+		}
+	}
+	if ids[2*per] != int64(2*per+1) {
+		t.Fatalf("scan position %d holds %d, want %d", 2*per, ids[2*per], 2*per+1)
 	}
 }
 
+// TestEmptiedPageWaitsOutItsEpoch: a page emptied while somebody is inside
+// the epochs is not written again until they have left; one who enters
+// after the page emptied does not hold it back.
+func TestEmptiedPageWaitsOutItsEpoch(t *testing.T) {
+	h, _, m := newTestHeap(t, 1<<20)
+	var e Epochs
+	h.SetEpochs(&e)
+	per := h.RowsPerPage()
+	var rids []RID
+	for i := 0; i < 2*per; i++ {
+		rid, err := h.InsertTx(0, row(i), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	before := e.Enter()
+	for _, rid := range rids[:per] {
+		if err := h.DeleteTx(0, rid, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := e.Enter()
+	rid, err := h.InsertTx(0, row(5000), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rid.Page == 0 {
+		t.Fatalf("the emptied page was reused at %v while a statement from before was inside", rid)
+	}
+	e.Leave(before)
+	if rid, err = h.InsertTx(0, row(5001), m); err != nil {
+		t.Fatal(err)
+	}
+	if rid != (RID{Page: 0, Slot: 0}) {
+		t.Fatalf("after the statement left the row went to %v, want (0,0)", rid)
+	}
+	e.Leave(after)
+}
 func TestHeapDelete(t *testing.T) {
 	h, _, m := newTestHeap(t, 1<<20)
 	var rids []RID

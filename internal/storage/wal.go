@@ -670,6 +670,7 @@ func (w *WAL) Recover(cut int64, heaps map[FileID]*HeapFile, m *cost.Meter) (Rec
 	}
 
 	// Undo: roll back losers newest-first.
+	undone := map[pageKey]bool{}
 	for i := len(recs) - 1; i >= 0; i-- {
 		r := recs[i]
 		if committed[r.tx] {
@@ -693,6 +694,7 @@ func (w *WAL) Recover(cut int64, heaps map[FileID]*HeapFile, m *cost.Meter) (Rec
 		if err != nil {
 			return st, err
 		}
+		undone[pageKey{r.file, r.page}] = true
 		st.Undone++
 		if m != nil {
 			m.Charge(cost.TupleCPU, 1)
@@ -700,7 +702,7 @@ func (w *WAL) Recover(cut int64, heaps map[FileID]*HeapFile, m *cost.Meter) (Rec
 	}
 
 	for _, h := range heaps {
-		h.recount()
+		h.recount(undone)
 	}
 
 	// The WAL continues from the surviving prefix: the chunks past it go.

@@ -400,3 +400,35 @@ func TestRecoveryCopiesOnlyWhatItRedoes(t *testing.T) {
 			&p1[0] == &held[1][0], pageUsed(p1))
 	}
 }
+
+// TestRecoveryPinsPagesItUndid: a transaction that never committed keeps
+// its records in the log, and every recovery undoes them again. A page that
+// recovery emptied by undoing such an insert is therefore never refilled:
+// a committed row stored in the lost row's slot would be tombstoned by the
+// next recovery.
+func TestRecoveryPinsPagesItUndid(t *testing.T) {
+	h, w := walHeap(1 << 20)
+	heaps := map[FileID]*HeapFile{h.file: h}
+	insertRows(t, h, 0, h.RowsPerPage()) // page 0, by the system transaction
+	if _, err := h.InsertTx(w.Begin(), row(-1), nil); err != nil {
+		t.Fatal(err) // page 1, slot 0, never committed
+	}
+	if _, err := w.Recover(-1, heaps, nil); err != nil {
+		t.Fatal(err)
+	}
+	tx := w.Begin()
+	rid, err := h.InsertTx(tx, row(9000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Commit(tx, nil)
+	if rid == (RID{Page: 1, Slot: 0}) {
+		t.Fatalf("a committed row went to %v, the slot of the undone insert", rid)
+	}
+	if _, err := w.Recover(-1, heaps, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := h.Fetch(rid, nil, nil); err != nil || got[0].AsInt() != 9000 {
+		t.Fatalf("after a second recovery the committed row at %v reads %v, %v", rid, got, err)
+	}
+}
