@@ -209,11 +209,6 @@ func (t *Tree) SizeBytes() int64 {
 	return leafBytes + leafBytes/fanout
 }
 
-// Pages returns the modelled on-disk page count.
-func (t *Tree) Pages() int64 {
-	return (t.SizeBytes() + storage.PageSize - 1) / storage.PageSize
-}
-
 // entriesPerLeaf returns the modelled number of entries per on-disk leaf.
 func (t *Tree) entriesPerLeaf() int64 {
 	if t.entries == 0 {

@@ -209,9 +209,6 @@ func TestSizeModel(t *testing.T) {
 	if sz < raw || sz > raw*2 {
 		t.Errorf("size model out of band: %d bytes for %d raw", sz, raw)
 	}
-	if tr.Pages() != (sz+storage.PageSize-1)/storage.PageSize {
-		t.Error("Pages inconsistent with SizeBytes")
-	}
 }
 
 func TestRandomizedAgainstSortedModel(t *testing.T) {

@@ -126,11 +126,6 @@ func (c *Conn) Query(sql string, params ...val.Value) (*engine.Result, error) {
 	return decodeReply(frame, wire.MsgResult)
 }
 
-// Exec is Query for statements run for their side effects.
-func (c *Conn) Exec(sql string, params ...val.Value) (*engine.Result, error) {
-	return c.Query(sql, params...)
-}
-
 // QueryArray executes a statement through the array interface: fn is
 // called once per row packet (up to cost.ArrayFetchRows rows each) as
 // batches arrive, and the column names plus total rows-affected come
@@ -238,11 +233,6 @@ func (st *Stmt) Query(params ...val.Value) (*engine.Result, error) {
 		return nil, err
 	}
 	return decodeReply(frame, wire.MsgResult)
-}
-
-// Exec is Query for side-effecting statements.
-func (st *Stmt) Exec(params ...val.Value) (*engine.Result, error) {
-	return st.Query(params...)
 }
 
 // Close discards the statement on the server.

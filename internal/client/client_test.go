@@ -43,7 +43,7 @@ func serve(t *testing.T) (*engine.DB, *Conn) {
 // where it is a multiple of 5.
 func load(t *testing.T, c *Conn, n int) {
 	t.Helper()
-	if _, err := c.Exec(`CREATE TABLE t (a INTEGER PRIMARY KEY, s VARCHAR(12), f DECIMAL(8,2), d DATE)`); err != nil {
+	if _, err := c.Query(`CREATE TABLE t (a INTEGER PRIMARY KEY, s VARCHAR(12), f DECIMAL(8,2), d DATE)`); err != nil {
 		t.Fatal(err)
 	}
 	for lo := 0; lo < n; lo += 100 {
@@ -58,7 +58,7 @@ func load(t *testing.T, c *Conn, n int) {
 			}
 			vals = append(vals, fmt.Sprintf("(%d, %s, %d.5, DATE '1996-01-02')", a, s, a))
 		}
-		res, err := c.Exec(`INSERT INTO t VALUES ` + strings.Join(vals, ", "))
+		res, err := c.Query(`INSERT INTO t VALUES ` + strings.Join(vals, ", "))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestPreparedStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := ins.Exec(val.Int(100), val.Str("late")); err != nil || res.RowsAffected != 1 {
+	if res, err := ins.Query(val.Int(100), val.Str("late")); err != nil || res.RowsAffected != 1 {
 		t.Fatalf("prepared INSERT: %+v, %v", res, err)
 	}
 	if res, err := st.Query(val.Int(100)); err != nil || res.Rows[0][0].AsStr() != "late" {
@@ -126,7 +126,7 @@ func TestPreparedStatement(t *testing.T) {
 	if _, err := st.Query(val.Int(6)); !errors.As(err, &we) || !strings.Contains(we.Msg, "unknown statement") {
 		t.Fatalf("a closed statement answered %v", err)
 	}
-	if _, err := ins.Exec(val.Int(101), val.Null); err != nil {
+	if _, err := ins.Query(val.Int(101), val.Null); err != nil {
 		t.Fatalf("the connection after a statement error: %v", err)
 	}
 }
@@ -220,10 +220,10 @@ func TestNonFiniteSumOverTheWire(t *testing.T) {
 	_, c := serve(t)
 	load(t, c, 30)
 	huge := "1" + strings.Repeat("0", 300) + ".0"
-	if _, err := c.Exec(`UPDATE t SET f = ` + huge + ` * ` + huge + ` WHERE a = 3`); err != nil {
+	if _, err := c.Query(`UPDATE t SET f = ` + huge + ` * ` + huge + ` WHERE a = 3`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec(`UPDATE t SET f = 0 - ` + huge + ` * ` + huge + ` WHERE a = 4`); err != nil {
+	if _, err := c.Query(`UPDATE t SET f = 0 - ` + huge + ` * ` + huge + ` WHERE a = 4`); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []struct {

@@ -250,14 +250,6 @@ func (m *Meter) ByKind(k Kind) time.Duration {
 	return m.model.price(k, m.nEvents[k])
 }
 
-// Reset zeroes the meter, keeping its model.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.total = 0
-	m.nEvents = [NumKinds]int64{}
-	m.mu.Unlock()
-}
-
 // Model returns the meter's cost model.
 func (m *Meter) Model() Model {
 	m.mu.Lock()

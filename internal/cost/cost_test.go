@@ -27,20 +27,6 @@ func TestMeterCharging(t *testing.T) {
 	}
 }
 
-func TestMeterLapAndReset(t *testing.T) {
-	m := NewMeter(Default1996())
-	m.Charge(SeqRead, 3)
-	mark := m.Elapsed()
-	m.Charge(SeqRead, 2)
-	if m.Lap(mark) != 2*time.Millisecond {
-		t.Errorf("Lap = %v", m.Lap(mark))
-	}
-	m.Reset()
-	if m.Elapsed() != 0 || m.Count(SeqRead) != 0 {
-		t.Error("Reset must zero everything")
-	}
-}
-
 // priced returns Σ_k Count(k) × PerEvent[k] and Σ_k ByKind(k) of m.
 func priced(m *Meter) (counts, byKind time.Duration) {
 	model := m.Model()

@@ -113,10 +113,6 @@ var (
 	currentDate = val.DateFromYMD(1995, 6, 17)
 )
 
-// CurrentDate is the specification's "current date" used by return-flag
-// and line-status rules.
-func CurrentDate() val.Value { return currentDate }
-
 func words(r *rand.Rand, n int) string {
 	s := ""
 	for i := 0; i < n; i++ {

@@ -84,7 +84,7 @@ func TestForeignKeysAndDomains(t *testing.T) {
 	}
 
 	var nLines, nOrders int
-	cd := CurrentDate()
+	cd := currentDate
 	g.Orders(func(o *Order) error {
 		nOrders++
 		if o.CustKey < 1 || o.CustKey > nCust {

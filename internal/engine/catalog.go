@@ -113,9 +113,6 @@ type catalog struct {
 // strings.ToUpper) in this snapshot.
 func (c *catalog) table(name string) *Table { return c.tables[strings.ToUpper(name)] }
 
-// view resolves a view name in this snapshot.
-func (c *catalog) view(name string) *sqlparse.SelectStmt { return c.views[strings.ToUpper(name)] }
-
 // clone shallow-copies the snapshot's maps for a mutation. Caller holds
 // db.mu (DDL is serialized); the Tables themselves are shared until a
 // specific one must change, in which case the mutator clones that Table

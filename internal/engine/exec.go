@@ -291,7 +291,7 @@ func runIndexScan(be *blockExec, rel *relInfo, ap accessPath, pass func() (bool,
 		if err := rel.table.Heap.FetchCols(it.RID, m, rel.cols, be.row[lo:hi]); err != nil {
 			if errors.Is(err, storage.ErrDeadRID) {
 				// The row was deleted between the index probe and the heap
-				// fetch by a concurrent writer: read-committed skips it.
+				// fetch by a concurrent writer: the scan skips it.
 				continue
 			}
 			return err
@@ -1086,7 +1086,8 @@ type outputSink struct {
 	// merge instead of a full sort.
 	runs int
 	// groupRows is the free tail of the slab finalizeGroups sizes for every
-	// group's output row; addFrame cuts the rows from it.
+	// group's output row; addFrame cuts the rows from it. Not a val.Chunks:
+	// it is a window on the accumulator's outSlab, which owns the values.
 	groupRows []val.Value
 	// kept is a materialized correlated block's rows (materialize).
 	kept *subRows
@@ -1495,7 +1496,10 @@ type aggAccum struct {
 	vals   []val.Value
 	// What finalizeGroups cuts every group's output row from, the most of
 	// it a statement has used, and the row and frame it finalizes each group
-	// in.
+	// in. outSlab is not a val.Chunks: it is one slab sized for all the
+	// groups at once and filled again from its start each time the block
+	// runs, and the accumulator, being its scratch's, keeps it for the next
+	// statement.
 	outSlab []val.Value
 	outN    int
 	aggRow  []val.Value

@@ -38,8 +38,8 @@ func TestUpdateOnTinyPoolKeepsIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := db.Table("W")
-	if pages := w.Heap.Pages(); pages < 3*db.Pool().CapacityPages() {
-		t.Fatalf("fixture too small: %d pages against a %d-page pool", pages, db.Pool().CapacityPages())
+	if pages := w.Heap.Pages(); pages < 3*16 {
+		t.Fatalf("fixture too small: %d pages against a 16-page pool", pages)
 	}
 	if got := mustExec(t, s, `UPDATE w SET tag = UPPER(tag)`).RowsAffected; got != n {
 		t.Fatalf("updated %d rows, want %d", got, n)

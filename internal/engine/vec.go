@@ -194,7 +194,10 @@ type vecRun struct {
 	// slab serves every row (recycle); otherwise the slabs quadruple from
 	// four rows to batchSize whatever the batch capacity (retained rows are
 	// not a batch). slabs are the ones cut in this statement, in order, so
-	// that a block run again refills them.
+	// that a block run again refills them. Not a val.Chunks: a slab is cut
+	// from the scratch's values, which own and release it, and the list is
+	// walked again from its first slab each time the block runs, where a
+	// Chunks cuts only forward from its mark.
 	add     func(outRow) error
 	slabs   [][]val.Value
 	slabAt  int // slabs[slabAt-1] is being filled
@@ -567,7 +570,8 @@ func (v *vecRun) projSink() error {
 
 // nextSlab returns the next projection slab, n values long: the one cut at
 // the same place when the block last ran in this statement, or one cut from
-// the scratch now. Its list of slabs is cut from the scratch too.
+// the scratch now. Its list of slabs is cut from the scratch too. (Why the
+// list is not a val.Chunks: vecRun.slabs.)
 func (v *vecRun) nextSlab(n int) []val.Value {
 	sc := v.be.rt.sc
 	if v.slabAt == len(v.slabs) {

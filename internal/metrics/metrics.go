@@ -44,23 +44,6 @@ func (r *Registry) Set(name string, v float64) {
 // SetInt records an integer counter.
 func (r *Registry) SetInt(name string, v int64) { r.Set(name, float64(v)) }
 
-// Add increments a value, registering the name at zero on first use.
-func (r *Registry) Add(name string, delta float64) {
-	if _, ok := r.vals[name]; !ok {
-		r.names = append(r.names, name)
-	}
-	r.vals[name] += delta
-}
-
-// Get returns a value and whether it is registered.
-func (r *Registry) Get(name string) (float64, bool) {
-	v, ok := r.vals[name]
-	return v, ok
-}
-
-// Len returns the number of registered names.
-func (r *Registry) Len() int { return len(r.names) }
-
 // Snapshot returns the entries in registration order.
 func (r *Registry) Snapshot() []Entry {
 	out := make([]Entry, len(r.names))

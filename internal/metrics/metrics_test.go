@@ -9,8 +9,8 @@ func TestRegistryOrderAndValues(t *testing.T) {
 	r := New()
 	r.SetInt("b.count", 3)
 	r.Set("a.ratio", 0.5)
-	r.Add("b.count", 2)
-	r.Add("c.new", 1)
+	r.SetInt("b.count", 5)
+	r.SetInt("c.new", 1)
 
 	snap := r.Snapshot()
 	if len(snap) != 3 {
@@ -20,8 +20,8 @@ func TestRegistryOrderAndValues(t *testing.T) {
 	if snap[0].Name != "b.count" || snap[0].Value != 5 {
 		t.Errorf("first entry %+v", snap[0])
 	}
-	if v, ok := r.Get("a.ratio"); !ok || v != 0.5 {
-		t.Errorf("a.ratio = %v %v", v, ok)
+	if snap[1].Name != "a.ratio" || snap[1].Value != 0.5 || snap[2].Name != "c.new" {
+		t.Errorf("later entries %+v", snap[1:])
 	}
 }
 

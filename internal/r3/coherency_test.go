@@ -54,9 +54,9 @@ func TestBufferCoherencyOpenSQLInsert(t *testing.T) {
 	if err := o.Delete("MARA", val.Str(matnr)); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Insert("MARA", map[string]val.Value{
+	if err := o.InsertGroup("MARA", []map[string]val.Value{{
 		"MATNR": val.Str(matnr), "MTART": val.Str("REWRITTEN"),
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	row, ok, err := o.SelectSingle("MARA", maraKey(matnr))
@@ -110,11 +110,10 @@ func TestBufferCoherencyPreparedDML(t *testing.T) {
 	sys, _ := installedSys(t, Release22)
 	sys.SetBuffered("MARA", 1<<20)
 	o := sys.OpenSQL(cost.NewMeter(sys.DB.Model()))
-	n := sys.NativeSQL(cost.NewMeter(sys.DB.Model()))
 	matnr := Key16(7)
 	cacheMara(t, o, matnr)
 
-	st, err := n.Prepare(`UPDATE MARA SET MTART = ? WHERE MANDT = ? AND MATNR = ?`)
+	st, err := sys.DB.NewSessionWithMeter(nil).Prepare(`UPDATE MARA SET MTART = ? WHERE MANDT = ? AND MATNR = ?`)
 	if err != nil {
 		t.Fatal(err)
 	}

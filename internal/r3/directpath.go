@@ -65,9 +65,6 @@ func (d *DirectPath) Records() int64 { return d.records.Load() }
 // lanes overlap.
 func (d *DirectPath) Elapsed() time.Duration { return d.lanes.Elapsed() }
 
-// Meter returns a snapshot of total resource consumption across lanes.
-func (d *DirectPath) Meter() *cost.Meter { return d.lanes.Total(d.sys.DB.Model()) }
-
 // dpWorker is one load lane: the physical tables it owns and their open
 // direct-path channels.
 type dpWorker struct {

@@ -112,13 +112,6 @@ func (t *ITab) Sort(fields ...string) {
 	})
 }
 
-// SortDesc orders by one field descending.
-func (t *ITab) SortDesc(field string) {
-	ci := t.cols[field]
-	t.chargeSort(len(t.rows))
-	sort.SliceStable(t.rows, func(a, b int) bool { return val.Compare(t.rows[a][ci], t.rows[b][ci]) > 0 })
-}
-
 // Agg describes one aggregate computed by GroupBy: Fn over the value
 // produced by Of (an arbitrary client-side expression — this is exactly
 // what Open SQL cannot push down).
@@ -309,19 +302,6 @@ func (t *ITab) groupBySinglePass(keys []string, aggs []Agg, emit func(keyVals []
 		}
 	}
 	return nil
-}
-
-// Lookup scans linearly for the first row with field = v (READ TABLE
-// without a sorted key — no indexes on internal tables).
-func (t *ITab) Lookup(field string, v val.Value) ([]val.Value, bool) {
-	ci := t.cols[field]
-	for _, row := range t.rows {
-		t.meter.Charge(cost.TupleCPU, 1)
-		if val.Compare(row[ci], v) == 0 {
-			return row, true
-		}
-	}
-	return nil, false
 }
 
 // LookupSorted binary-searches a table previously Sorted by field (READ

@@ -20,23 +20,16 @@ import (
 type NativeSQL struct {
 	sys  *System
 	sess *engine.Session
-	sc   *stmtCache
 	ph   *Phases
 }
 
 // NativeSQL opens an EXEC SQL connection charging the given meter.
 func (sys *System) NativeSQL(m *cost.Meter) *NativeSQL {
-	sess := sys.DB.NewSessionWithMeter(m)
-	return &NativeSQL{sys: sys, sess: sess, sc: newStmtCache(sys, sess)}
+	return &NativeSQL{sys: sys, sess: sys.DB.NewSessionWithMeter(m)}
 }
 
-// Meter returns the connection's virtual clock.
-func (n *NativeSQL) Meter() *cost.Meter { return n.sess.Meter }
-
 // SetPhases directs the connection's phase attribution (nil detaches).
-// Statements run through Exec attribute to the DB phase; cursors from
-// Prepare are raw engine statements, so their Query time lands in the
-// Client span unless the caller switches phases itself.
+// Statements run through Exec attribute to the DB phase.
 func (n *NativeSQL) SetPhases(p *Phases) { n.ph = p }
 
 // Exec runs one SQL statement directly on the RDBMS. Statements that
@@ -50,17 +43,8 @@ func (n *NativeSQL) Exec(sql string, params ...val.Value) (*engine.Result, error
 	return n.sess.Exec(sql, params...)
 }
 
-// Prepare readies a reusable cursor (EXEC SQL with host variables).
-func (n *NativeSQL) Prepare(sql string) (*engine.Stmt, error) {
-	if err := n.checkEncapsulation(sql); err != nil {
-		return nil, err
-	}
-	defer n.ph.enterDB(n.sess.Meter)()
-	return n.sc.get(sql)
-}
-
 // checkEncapsulation parses through the DB's fingerprint cache: the
-// immediately following Exec/Prepare of the same text is then a cache
+// immediately following Exec of the same text is then a cache
 // hit, so the encapsulation gate does not double the real parse cost.
 func (n *NativeSQL) checkEncapsulation(sql string) error {
 	stmt, err := n.sys.DB.Parse(sql)

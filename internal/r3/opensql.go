@@ -360,12 +360,6 @@ var errStopSelect = fmt.Errorf("r3: stop select")
 // leave the SELECT loop (ABAP's EXIT).
 var StopSelect = errStopSelect
 
-// Insert writes one logical row through the dictionary (used by the
-// batch-input facility and the update functions).
-func (o *OpenSQL) Insert(table string, fields map[string]val.Value) error {
-	return o.InsertGroup(table, []map[string]val.Value{fields})
-}
-
 // InsertGroup writes several logical rows of one table in one shot; rows of
 // a cluster table must share a cluster key (how SAP writes a document's
 // conditions).

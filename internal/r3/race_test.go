@@ -73,9 +73,9 @@ func TestConcurrentDialogStreams(t *testing.T) {
 							errs <- err
 							return
 						}
-						if err := o.Insert("MARA", map[string]val.Value{
+						if err := o.InsertGroup("MARA", []map[string]val.Value{{
 							"MATNR": val.Str(matnr), "MTART": val.Str("CHURN"),
-						}); err != nil {
+						}}); err != nil {
 							errs <- err
 							return
 						}

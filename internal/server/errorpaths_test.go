@@ -41,10 +41,10 @@ func TestArrayFetchStatementErrorKeepsConnAlive(t *testing.T) {
 	addr := startServer(t, db)
 	c := dial(t, addr)
 
-	if _, err := c.Exec(`CREATE TABLE t (a INTEGER PRIMARY KEY)`); err != nil {
+	if _, err := c.Query(`CREATE TABLE t (a INTEGER PRIMARY KEY)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec(`INSERT INTO t VALUES (1), (2), (3)`); err != nil {
+	if _, err := c.Query(`INSERT INTO t VALUES (1), (2), (3)`); err != nil {
 		t.Fatal(err)
 	}
 	// A failing statement on the array path answers with MsgError before
@@ -82,14 +82,14 @@ func TestCallbackAbortLatchesConnDead(t *testing.T) {
 	addr := startServer(t, db)
 	c := dial(t, addr)
 
-	if _, err := c.Exec(`CREATE TABLE t (a INTEGER PRIMARY KEY)`); err != nil {
+	if _, err := c.Query(`CREATE TABLE t (a INTEGER PRIMARY KEY)`); err != nil {
 		t.Fatal(err)
 	}
 	sql := `INSERT INTO t VALUES (0)`
 	for i := 1; i < 150; i++ {
 		sql += fmt.Sprintf(", (%d)", i)
 	}
-	if _, err := c.Exec(sql); err != nil {
+	if _, err := c.Query(sql); err != nil {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("consumer gave up")

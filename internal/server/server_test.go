@@ -42,10 +42,10 @@ func TestQueryRoundTrip(t *testing.T) {
 	addr := startServer(t, db)
 	c := dial(t, addr)
 
-	if _, err := c.Exec(`CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(10), f DECIMAL(8,2), d DATE)`); err != nil {
+	if _, err := c.Query(`CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(10), f DECIMAL(8,2), d DATE)`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Exec(`INSERT INTO t VALUES (1, 'one', 1.5, DATE '1996-01-02'), (2, 'two', 2.5, DATE '1996-03-04')`)
+	res, err := c.Query(`INSERT INTO t VALUES (1, 'one', 1.5, DATE '1996-01-02'), (2, 'two', 2.5, DATE '1996-03-04')`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPreparedExec(t *testing.T) {
 	addr := startServer(t, db)
 	c := dial(t, addr)
 
-	if _, err := c.Exec(`CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)`); err != nil {
+	if _, err := c.Query(`CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
 	ins, err := c.Prepare(`INSERT INTO t VALUES (?, ?)`)
@@ -90,7 +90,7 @@ func TestPreparedExec(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 50; i++ {
-		if _, err := ins.Exec(val.Int(i), val.Int(i*i)); err != nil {
+		if _, err := ins.Query(val.Int(i), val.Int(i*i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestArrayFetchStreams(t *testing.T) {
 	addr := startServer(t, db)
 	c := dial(t, addr)
 
-	if _, err := c.Exec(`CREATE TABLE t (a INTEGER PRIMARY KEY)`); err != nil {
+	if _, err := c.Query(`CREATE TABLE t (a INTEGER PRIMARY KEY)`); err != nil {
 		t.Fatal(err)
 	}
 	const n = 250 // 2 full packets + 1 partial at ArrayFetchRows=100
@@ -137,7 +137,7 @@ func TestArrayFetchStreams(t *testing.T) {
 			}
 			sql += fmt.Sprintf("(%d)", i+j)
 		}
-		if _, err := c.Exec(sql); err != nil {
+		if _, err := c.Query(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func TestParseErrorCarriesPosition(t *testing.T) {
 		t.Fatalf("Col = %d, want 13", we.Col)
 	}
 	// The connection survives statement failures.
-	if _, err := c.Exec(`CREATE TABLE ok (a INTEGER PRIMARY KEY)`); err != nil {
+	if _, err := c.Query(`CREATE TABLE ok (a INTEGER PRIMARY KEY)`); err != nil {
 		t.Fatalf("connection dead after parse error: %v", err)
 	}
 }
@@ -205,11 +205,11 @@ func TestConcurrentClients(t *testing.T) {
 	db := engine.Open(engine.Config{})
 	addr := startServer(t, db)
 	setup := dial(t, addr)
-	if _, err := setup.Exec(`CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)`); err != nil {
+	if _, err := setup.Query(`CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if _, err := setup.Exec(`INSERT INTO t VALUES (?, ?)`, val.Int(int64(i)), val.Int(int64(i%8))); err != nil {
+		if _, err := setup.Query(`INSERT INTO t VALUES (?, ?)`, val.Int(int64(i)), val.Int(int64(i%8))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +239,7 @@ func TestConcurrentClients(t *testing.T) {
 					}
 				} else {
 					id := int64(1000 + g*iters + i)
-					if _, err := c.Exec(`INSERT INTO t VALUES (?, ?)`, val.Int(id), val.Int(id%8)); err != nil {
+					if _, err := c.Query(`INSERT INTO t VALUES (?, ?)`, val.Int(id), val.Int(id%8)); err != nil {
 						errs <- err
 						return
 					}

@@ -19,7 +19,7 @@ import (
 // loadInts creates t(a INTEGER PRIMARY KEY, s CHAR(12)) holding a = 0..n-1.
 func loadInts(t *testing.T, c *client.Conn, n int) {
 	t.Helper()
-	if _, err := c.Exec(`CREATE TABLE t (a INTEGER PRIMARY KEY, s CHAR(12))`); err != nil {
+	if _, err := c.Query(`CREATE TABLE t (a INTEGER PRIMARY KEY, s CHAR(12))`); err != nil {
 		t.Fatal(err)
 	}
 	for lo := 0; lo < n; lo += 100 {
@@ -27,7 +27,7 @@ func loadInts(t *testing.T, c *client.Conn, n int) {
 		for a := lo; a < lo+100 && a < n; a++ {
 			vals = append(vals, fmt.Sprintf("(%d, 'row%d')", a, a))
 		}
-		if _, err := c.Exec(`INSERT INTO t VALUES ` + strings.Join(vals, ", ")); err != nil {
+		if _, err := c.Query(`INSERT INTO t VALUES ` + strings.Join(vals, ", ")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestPreparedStmtSeesDDLOverWire(t *testing.T) {
 	c := dial(t, startServer(t, db))
 	exec := func(sql string) {
 		t.Helper()
-		if _, err := c.Exec(sql); err != nil {
+		if _, err := c.Query(sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestPreparedStmtSeesDDLOverWire(t *testing.T) {
 func TestRoundTripAllocationBudget(t *testing.T) {
 	db := engine.Open(engine.Config{})
 	c := dial(t, startServer(t, db))
-	if _, err := c.Exec(`CREATE TABLE o (k INTEGER PRIMARY KEY, a CHAR(1), b DECIMAL(12,2), c DATE, d CHAR(15), e CHAR(15), f INTEGER, g CHAR(40), h INTEGER)`); err != nil {
+	if _, err := c.Query(`CREATE TABLE o (k INTEGER PRIMARY KEY, a CHAR(1), b DECIMAL(12,2), c DATE, d CHAR(15), e CHAR(15), f INTEGER, g CHAR(40), h INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
 	for lo := 0; lo < 3000; lo += 100 {
@@ -182,7 +182,7 @@ func TestRoundTripAllocationBudget(t *testing.T) {
 		for k := lo; k < lo+100; k++ {
 			vals = append(vals, fmt.Sprintf(`(%d, 'O', %d.25, DATE '1996-01-02', '5-LOW', 'Clerk#000000951', 0, 'nstructions sleep furiously among', %d)`, k, k, k))
 		}
-		if _, err := c.Exec(`INSERT INTO o VALUES ` + strings.Join(vals, ", ")); err != nil {
+		if _, err := c.Query(`INSERT INTO o VALUES ` + strings.Join(vals, ", ")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestRoundTripAllocationBudget(t *testing.T) {
 	}
 	k := int64(0)
 	n = testing.AllocsPerRun(200, func() {
-		if res, err := del.Exec(val.Int(k)); err != nil || res.RowsAffected != 1 {
+		if res, err := del.Query(val.Int(k)); err != nil || res.RowsAffected != 1 {
 			t.Fatalf("%v, %v", res, err)
 		}
 		k++

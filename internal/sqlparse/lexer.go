@@ -238,22 +238,3 @@ func (p *Parser) internUpper(word string) string {
 	}
 	return s
 }
-
-// lex eagerly tokenizes src. It exists for tests and debugging; the
-// parse path scans on demand and never materializes a token slice.
-func lex(src string) ([]token, error) {
-	p := NewParser()
-	p.Reset()
-	p.src = src
-	var toks []token
-	for {
-		t := p.scan()
-		if t.kind == tkErr {
-			return nil, p.lexErr
-		}
-		toks = append(toks, t)
-		if t.kind == tkEOF {
-			return toks, nil
-		}
-	}
-}

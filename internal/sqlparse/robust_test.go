@@ -61,14 +61,21 @@ func TestCorpusParses(t *testing.T) {
 	}
 }
 
+// TestLexerTokenKinds scans a statement the way the parser does, one token
+// on demand, to its end.
 func TestLexerTokenKinds(t *testing.T) {
-	toks, err := lex(`SELECT x1 FROM t WHERE a <= 1.5 AND b <> 'q' OR c = ?`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewParser()
+	p.Reset()
+	p.src = `SELECT x1 FROM t WHERE a <= 1.5 AND b <> 'q' OR c = ?`
 	kinds := map[tokKind]int{}
-	for _, tk := range toks {
+	for tk := p.scan(); ; tk = p.scan() {
+		if tk.kind == tkErr {
+			t.Fatal(p.lexErr)
+		}
 		kinds[tk.kind]++
+		if tk.kind == tkEOF {
+			break
+		}
 	}
 	if kinds[tkKeyword] == 0 || kinds[tkIdent] == 0 || kinds[tkNumber] == 0 ||
 		kinds[tkString] == 0 || kinds[tkParam] == 0 || kinds[tkEOF] != 1 {

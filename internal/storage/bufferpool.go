@@ -193,9 +193,6 @@ func (bp *BufferPool) shard(key pageKey) *poolShard {
 	return bp.shards[h>>32%uint64(len(bp.shards))]
 }
 
-// CapacityPages returns the pool capacity in pages.
-func (bp *BufferPool) CapacityPages() int { return bp.capPages }
-
 // SetWAL attaches the write-ahead log that observes dirty write-backs
 // (nil detaches). With no WAL attached, write-backs only charge the
 // cost model, exactly as before durability existed.

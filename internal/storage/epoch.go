@@ -1,64 +1,57 @@
 package storage
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Epochs is the grace period a heap page waits out between being listed
 // for reuse and being written again (HeapFile.InsertTx). Every statement
-// enters the epoch current when it starts and leaves it when it ends; a
-// listed page is stamped with the current epoch and may be reused once the
-// clock stands two further. The clock moves from e to e+1 only while nobody
-// is inside e-1, so by then every statement that was running when the page
-// was listed has ended — and one that started later cannot hold a RID into
-// it, since the page is listed only after the index entries of its rows
-// are gone. A RID a statement got from an index therefore names its row or
-// a dead slot until the statement ends, never another row.
+// takes a ticket when it starts and hands it back when it ends; a listed
+// page is stamped with the next ticket and may be reused once no statement
+// holding an older ticket is left. So every statement that was running when
+// the page was listed has ended — and one that started later cannot hold a
+// RID into it, since the page is listed only after the index entries of its
+// rows are gone. A RID a statement got from an index therefore names its
+// row or a dead slot until the statement ends, never another row.
 //
 // The zero value is ready; a nil *Epochs has nobody to wait for. Enter and
-// Leave take one mutex and allocate nothing.
+// Leave take one mutex and, once the list has grown to the number of
+// statements that overlap, allocate nothing.
 type Epochs struct {
-	mu     sync.Mutex
-	cur    uint64
-	inside [2]int64 // how many are inside the current epoch and the one before, by parity
+	mu      sync.Mutex
+	last    uint64   // the ticket Enter handed out last
+	running []uint64 // the tickets of the statements inside, oldest first
 }
 
-// Enter registers a statement in the current epoch and returns the epoch,
-// for Leave.
+// Enter registers a statement and returns its ticket, for Leave.
 func (e *Epochs) Enter() uint64 {
 	e.mu.Lock()
-	c := e.cur
-	e.inside[c&1]++
+	e.last++
+	t := e.last
+	e.running = append(e.running, t)
 	e.mu.Unlock()
-	return c
+	return t
 }
 
-// Leave ends a registration Enter made in epoch c.
-func (e *Epochs) Leave(c uint64) {
+// Leave ends the registration Enter returned ticket t for.
+func (e *Epochs) Leave(t uint64) {
 	e.mu.Lock()
-	e.inside[c&1]--
+	if i, ok := slices.BinarySearch(e.running, t); ok {
+		e.running = slices.Delete(e.running, i, i+1)
+	}
 	e.mu.Unlock()
 }
 
-// advanceLocked moves the clock on when nobody is inside the epoch before
-// the current one.
-func (e *Epochs) advanceLocked() bool {
-	if e.inside[(e.cur+1)&1] != 0 {
-		return false
-	}
-	e.cur++
-	return true
-}
-
-// stamp returns the epoch a page listed now waits on. It moves the clock on
-// if it can, so that whoever enters next does not hold the page back.
+// stamp returns the ticket a page listed now waits on: the next one, which
+// no statement running now holds.
 func (e *Epochs) stamp() uint64 {
 	if e == nil {
 		return 0
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	c := e.cur
-	e.advanceLocked()
-	return c
+	return e.last + 1
 }
 
 // passed reports whether every statement inside when stamp was taken has
@@ -69,7 +62,5 @@ func (e *Epochs) passed(stamp uint64) bool {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for e.cur < stamp+2 && e.advanceLocked() {
-	}
-	return e.cur >= stamp+2
+	return len(e.running) == 0 || e.running[0] >= stamp
 }

@@ -372,9 +372,10 @@ func (h *HeapFile) InsertTx(tx int64, row []val.Value, m *cost.Meter) (RID, erro
 }
 
 // ErrDeadRID reports a fetch of a tombstoned (or never-used) slot. Under
-// concurrent sessions this is an expected read-committed outcome: a row
-// can be deleted between an index probe handing out its RID and the heap
-// fetch, in which case the reader simply skips it.
+// concurrent sessions this is an expected outcome, whether or not the
+// deleting transaction has committed (sessions read uncommitted writes): a
+// row can be deleted between an index probe handing out its RID and the
+// heap fetch, in which case the reader simply skips it.
 var ErrDeadRID = errors.New("storage: fetch of dead rid")
 
 // Fetch decodes the row at rid (random page access), appending every

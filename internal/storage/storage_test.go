@@ -111,7 +111,8 @@ func TestHeapScanOrderAndReuse(t *testing.T) {
 
 // TestEmptiedPageWaitsOutItsEpoch: a page emptied while somebody is inside
 // the epochs is not written again until they have left; one who enters
-// after the page emptied does not hold it back.
+// after the page emptied does not hold it back, also when the statements
+// around the listing overlap.
 func TestEmptiedPageWaitsOutItsEpoch(t *testing.T) {
 	h, _, m := newTestHeap(t, 1<<20)
 	var e Epochs
@@ -147,6 +148,45 @@ func TestEmptiedPageWaitsOutItsEpoch(t *testing.T) {
 		t.Fatalf("after the statement left the row went to %v, want (0,0)", rid)
 	}
 	e.Leave(after)
+
+	// A enters, page 1 is listed, B enters, page 0 is listed, C enters, A
+	// and B leave: the rows refill page 1, then page 0 while C runs.
+	h, _, m = newTestHeap(t, 1<<20)
+	e = Epochs{}
+	h.SetEpochs(&e)
+	rids = rids[:0]
+	for i := 0; i < 3*per; i++ {
+		rid, err := h.InsertTx(0, row(i), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	emptyPage := func(pid PageID) {
+		for _, rid := range rids {
+			if rid.Page == pid {
+				if err := h.DeleteTx(0, rid, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	a := e.Enter()
+	emptyPage(1)
+	b := e.Enter()
+	emptyPage(0)
+	c := e.Enter()
+	e.Leave(a)
+	e.Leave(b)
+	for i := 0; i <= per; i++ {
+		if rid, err = h.InsertTx(0, row(6000+i), m); err != nil {
+			t.Fatal(err)
+		}
+		if want := PageID(1 - i/per); rid.Page != want {
+			t.Fatalf("row %d of the refill went to %v, want page %d", i, rid, want)
+		}
+	}
+	e.Leave(c)
 }
 func TestHeapDelete(t *testing.T) {
 	h, _, m := newTestHeap(t, 1<<20)
@@ -232,7 +272,7 @@ func TestBufferPoolChargesSeqVsRand(t *testing.T) {
 	if m.Count(cost.RandRead) != 1 || m.Count(cost.SeqRead) != 15 {
 		t.Fatalf("sweep charged rand=%d seq=%d", m.Count(cost.RandRead), m.Count(cost.SeqRead))
 	}
-	m.Reset()
+	m = cost.NewMeter(cost.Default1996())
 	// Random hops across a pool too small to hold them: all random.
 	for _, p := range []PageID{9, 3, 12, 0, 7} {
 		pool.Get(f, p, m)
@@ -289,12 +329,12 @@ func TestFlushFile(t *testing.T) {
 	m := cost.NewMeter(cost.Default1996())
 	pool.Mutate(f, 0, m, dirty)
 	pool.Mutate(f, 1, m, dirty)
-	m.Reset()
+	m = cost.NewMeter(cost.Default1996())
 	pool.FlushFile(f, m)
 	if m.Count(cost.PageWrite) != 2 {
 		t.Fatalf("flush charged %d writes", m.Count(cost.PageWrite))
 	}
-	m.Reset()
+	m = cost.NewMeter(cost.Default1996())
 	pool.FlushFile(f, m) // now clean
 	if m.Count(cost.PageWrite) != 0 {
 		t.Error("second flush must be free")
@@ -396,7 +436,8 @@ func TestRandomizedHeapAgainstModel(t *testing.T) {
 // -race). Each goroutine charges its own meter; partitions must cover
 // every row exactly once and full scans must see a consistent file.
 func TestConcurrentScansSharedPool(t *testing.T) {
-	h, bp, m := newTestHeap(t, 8*PageSize) // far smaller than the file: constant eviction
+	const poolPages = 8 // far smaller than the file: constant eviction
+	h, bp, m := newTestHeap(t, poolPages*PageSize)
 	const nRows = 5000
 	var want int64
 	rids := make([]RID, 0, nRows)
@@ -494,8 +535,8 @@ func TestConcurrentScansSharedPool(t *testing.T) {
 				}
 				total += sh.Capacity
 			}
-			if total != bp.CapacityPages() {
-				t.Errorf("shard capacities sum to %d, want %d", total, bp.CapacityPages())
+			if total != poolPages {
+				t.Errorf("shard capacities sum to %d, want %d", total, poolPages)
 				return
 			}
 		}
@@ -647,7 +688,7 @@ func TestReadaheadOffChargesPerPage(t *testing.T) {
 	}
 	windows, raPages, _ := pool.ReadaheadStats()
 	if windows != 0 || raPages != 0 {
-		t.Fatalf("readahead ran in a %d-page pool: %d windows, %d pages", pool.CapacityPages(), windows, raPages)
+		t.Fatalf("readahead ran in a %d-page pool: %d windows, %d pages", minReadaheadPages-1, windows, raPages)
 	}
 }
 

@@ -41,15 +41,6 @@ var IndexDDL = []string{
 	`CREATE INDEX s_nat ON supplier (s_nationkey)`,
 }
 
-// TableNames lists the eight tables in loading order.
-var TableNames = func() []string {
-	names := make([]string, len(dbgen.Tables))
-	for i, t := range dbgen.Tables {
-		names[i] = t.Name
-	}
-	return names
-}()
-
 // CreateSchema creates tables and indexes on an empty database.
 func CreateSchema(db *engine.DB, m *cost.Meter) error {
 	s := db.NewSessionWithMeter(m)

@@ -26,8 +26,6 @@ type ChangeLog struct {
 	mu      sync.Mutex
 	upserts map[int64]struct{}
 	deletes map[int64]struct{}
-	// Notes counts raw physical-write notifications seen, for metrics.
-	notes int64
 }
 
 // NewChangeLog returns an empty change log. Register its Observe method
@@ -47,7 +45,6 @@ func (cl *ChangeLog) Observe(phys string, oldRow, newRow []val.Value) {
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	cl.notes++
 	switch {
 	case isVBAK && newRow == nil:
 		// Header deleted: the order is gone, whatever child writes said.
@@ -82,14 +79,6 @@ func (cl *ChangeLog) Drain() (upserts, deletes []int64) {
 	sort.Slice(upserts, func(i, j int) bool { return upserts[i] < upserts[j] })
 	sort.Slice(deletes, func(i, j int) bool { return deletes[i] < deletes[j] })
 	return upserts, deletes
-}
-
-// Notes reports how many order-relevant physical writes were observed
-// since construction (not reset by Drain).
-func (cl *ChangeLog) Notes() int64 {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.notes
 }
 
 // orderKeyOf decodes which order a physical write touched. isVBAK marks

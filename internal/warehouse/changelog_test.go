@@ -54,9 +54,6 @@ func TestChangeLogCapturesOrderKeys(t *testing.T) {
 	if len(ups) != 0 || len(dels) != 0 {
 		t.Fatalf("drain did not reset: %v %v", ups, dels)
 	}
-	if cl.Notes() == 0 {
-		t.Fatal("no physical writes observed")
-	}
 }
 
 func assertKeys(t *testing.T, what string, got, want []int64) {

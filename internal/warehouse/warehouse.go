@@ -62,15 +62,6 @@ var extracts = []struct {
 	{"LINEITEM", dbgen.LineitemTable, "VBAP", (*Extractor).lineitemRow},
 }
 
-// TableNames lists the extractable tables in the paper's Table 9 order.
-var TableNames = func() []string {
-	names := make([]string, len(extracts))
-	for i, x := range extracts {
-		names[i] = x.name
-	}
-	return names
-}()
-
 // ExtractAll reconstructs every original table into dir as .tbl files,
 // timing each (the paper's Table 9).
 func (e *Extractor) ExtractAll(dir string) ([]TableResult, error) {

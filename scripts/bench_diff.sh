@@ -1,6 +1,6 @@
 #!/bin/sh
 # Compare two benchmark snapshots and fail when a gate of cmd/benchdiff's
-# table (cmd/benchdiff/gates.go, printed in DESIGN.md §7) trips: simulated
+# table (cmd/benchdiff/gates.go, summarised in DESIGN.md §7) trips: simulated
 # time, allocs/op, the parse-allocation ceiling, throughput, shard
 # scaling, load and refresh speedups, pool hit ratios. Thresholds live in
 # that table and nowhere else. Usage:
